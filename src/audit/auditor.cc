@@ -5,7 +5,7 @@
 #include <thread>
 #include <unordered_set>
 
-#include "audit/error_confidence.h"
+#include "audit/scorer.h"
 #include "common/parallel.h"
 #include "mining/encoded_dataset.h"
 #include "obs/metrics.h"
@@ -229,81 +229,15 @@ Result<AuditModel> Auditor::Induce(const Table& train,
 
 Result<AuditReport> Auditor::Audit(const AuditModel& model, const Table& data,
                                    AuditTimings* timings) const {
-  AuditReport report;
-  const size_t n = data.num_rows();
-  report.record_confidence.assign(n, 0.0);
-  report.record_attr.assign(n, -1);
-  report.record_suggestion.assign(n, Value::Null());
-  report.record_support.assign(n, 0.0);
-  report.flagged.assign(n, false);
-
   obs::Span audit_span("audit");
-  const int threads = ResolveThreadCount(config_.num_threads);
-
-  // Each record is scored independently (Def. 7/8) into its own slot, so
-  // rows chunk across the pool. The bit-packed `flagged` vector and the
-  // ranked suspicion list are filled serially below from the per-row
-  // results, which keeps them byte-identical to a serial run. No per-row
-  // spans: rows are chunked by thread count, which would make the span
-  // tree schedule-dependent.
-  {
-    obs::Span score_span("audit.score");
-    ParallelFor(threads, n, [&](size_t r) {
-      const Row row = data.row(r);  // one materialization per record
-      double best_conf = 0.0;
-      int best_attr = -1;
-      Value best_suggestion = Value::Null();
-      double best_support = 0.0;
-
-      for (const AttributeModel& am : model.models()) {
-        const Value& observed = row[static_cast<size_t>(am.class_attr)];
-        const int observed_class = am.encoder.Encode(observed);
-        const Prediction pred = am.classifier->Predict(row);
-        const double conf = ErrorConfidence(pred, observed_class,
-                                            config_.confidence_level,
-                                            config_.flag_null_values);
-        if (conf > best_conf) {
-          best_conf = conf;
-          best_attr = am.class_attr;
-          best_suggestion = am.encoder.Representative(pred.PredictedClass());
-          best_support = pred.support;
-        }
-      }
-
-      report.record_confidence[r] = best_conf;  // Def. 8 (max combination)
-      report.record_attr[r] = best_attr;
-      report.record_suggestion[r] = best_suggestion;
-      report.record_support[r] = best_support;
-    });
+  std::vector<ScoringModel> models;
+  models.reserve(model.num_models());
+  for (const AttributeModel& am : model.models()) {
+    models.push_back(ScoringModelOf(am));
   }
-
-  {
-    obs::Span rank_span("audit.rank");
-    for (size_t r = 0; r < n; ++r) {
-      const double best_conf = report.record_confidence[r];
-      const int best_attr = report.record_attr[r];
-      if (best_conf >= config_.min_error_confidence && best_attr >= 0) {
-        report.flagged[r] = true;
-        Suspicion s;
-        s.row = r;
-        s.error_confidence = best_conf;
-        s.attr = best_attr;
-        s.observed = data.cell(r, static_cast<size_t>(best_attr));
-        s.suggestion = report.record_suggestion[r];
-        s.support = report.record_support[r];
-        report.suspicious.push_back(std::move(s));
-      }
-    }
-
-    std::stable_sort(report.suspicious.begin(), report.suspicious.end(),
-                     [](const Suspicion& a, const Suspicion& b) {
-                       return a.error_confidence > b.error_confidence;
-                     });
-  }
-  obs::GetCounter("audit.records_scored")->Add(n);
-  obs::GetCounter("audit.suspicions_flagged")->Add(report.suspicious.size());
+  DQ_ASSIGN_OR_RETURN(AuditReport report, ScoreTable(models, data, config_));
   if (timings != nullptr) {
-    timings->threads_used = threads;
+    timings->threads_used = ResolveThreadCount(config_.num_threads);
     timings->audit_ms = audit_span.ElapsedMs();
   }
   return report;

@@ -21,6 +21,12 @@ namespace dq {
 double ErrorConfidence(const Prediction& prediction, int observed_class,
                        double confidence_level, bool flag_nulls = true);
 
+/// \brief Definition 7 on a bare distribution, as the scoring kernel
+/// calls it per record: `predicted` is ArgMaxClass of `distribution`.
+double ErrorConfidence(const double* distribution, size_t num_classes,
+                       int predicted, double support, int observed_class,
+                       double confidence_level, bool flag_nulls);
+
 /// \brief Definition 8: the maximum of the per-classifier confidences.
 double CombineErrorConfidences(const std::vector<double>& confidences);
 

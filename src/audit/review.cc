@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "audit/error_confidence.h"
+#include "audit/scorer.h"
 #include "common/strings.h"
 
 namespace dq {
@@ -13,14 +14,13 @@ Result<SuspicionDetail> ExplainRecord(const AuditModel& model,
   if (row >= data.num_rows()) {
     return Status::OutOfRange("row index " + std::to_string(row));
   }
-  const Row& record = data.row(row);
   SuspicionDetail detail;
   detail.row = row;
 
   for (const AttributeModel& am : model.models()) {
-    const Value& observed = record[static_cast<size_t>(am.class_attr)];
-    const int observed_class = am.encoder.Encode(observed);
-    const Prediction pred = am.classifier->Predict(record);
+    const int observed_class = am.encoder.Encode(
+        data.cell(row, static_cast<size_t>(am.class_attr)));
+    const Prediction pred = PredictRecord(ScoringModelOf(am), data, row);
     const double conf = ErrorConfidence(pred, observed_class,
                                         config.confidence_level,
                                         config.flag_null_values);

@@ -8,25 +8,6 @@
 
 namespace dq {
 
-bool StructureRule::Matches(const Row& row) const {
-  for (const SplitCondition& cond : conditions) {
-    const Value& v = row[static_cast<size_t>(cond.attr)];
-    if (v.is_null()) return false;
-    switch (cond.kind) {
-      case SplitCondition::Kind::kCategory:
-        if (!v.is_nominal() || v.nominal_code() != cond.category) return false;
-        break;
-      case SplitCondition::Kind::kLessEq:
-        if (v.is_nominal() || v.OrderedValue() > cond.threshold) return false;
-        break;
-      case SplitCondition::Kind::kGreater:
-        if (v.is_nominal() || v.OrderedValue() <= cond.threshold) return false;
-        break;
-    }
-  }
-  return true;
-}
-
 std::string StructureRule::ToString(const Schema& schema,
                                     const ClassEncoder& encoder) const {
   std::string out;
@@ -65,7 +46,6 @@ std::vector<StructureRule> ExtractRules(const AttributeModel& model,
     rule.purity =
         leaf.class_counts[static_cast<size_t>(leaf.majority)] / leaf.weight;
     rule.expected_error_confidence = leaf.expected_error_confidence;
-    rule.class_counts = leaf.class_counts;
     rules.push_back(std::move(rule));
   });
   return rules;

@@ -34,13 +34,6 @@ struct StructureRule {
   /// Expected error confidence of the originating leaf (Def. 9).
   double expected_error_confidence = 0.0;
 
-  /// Full (weighted) class distribution of the originating leaf; rule-set
-  /// based checking (structure_model.h) scores deviations from it.
-  std::vector<double> class_counts;
-
-  /// \brief True when every condition holds on `row` (nulls never match).
-  bool Matches(const Row& row) const;
-
   std::string ToString(const Schema& schema, const ClassEncoder& encoder) const;
 };
 

@@ -1,314 +1,399 @@
 #include "audit/structure_model.h"
 
-#include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <cmath>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
-#include "audit/error_confidence.h"
-#include "common/parallel.h"
-#include "common/strings.h"
+#include "audit/scorer.h"
+#include "obs/trace.h"
 
 namespace dq {
 
-namespace {
-
-std::string FullPrecision(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
 StructureModel StructureModel::FromAuditModel(const AuditModel& model,
-                                              const Schema& schema,
-                                              bool drop_useless) {
+                                              const Schema& schema) {
   (void)schema;
   StructureModel out;
   for (const AttributeModel& am : model.models()) {
-    AttributeRuleSet set;
-    set.class_attr = am.class_attr;
-    set.encoder = am.encoder;
-    set.rules = ExtractRules(am, drop_useless);
-    if (!set.rules.empty()) {
-      out.rule_sets_.push_back(std::move(set));
-    }
+    const auto* tree = dynamic_cast<const C45Tree*>(am.classifier.get());
+    if (tree == nullptr || tree->compiled().nodes().empty()) continue;
+    out.trees_.push_back({am.class_attr, am.encoder, tree->compiled()});
   }
   return out;
 }
 
 size_t StructureModel::TotalRules() const {
   size_t n = 0;
-  for (const AttributeRuleSet& set : rule_sets_) n += set.rules.size();
+  for (const AttributeTree& t : trees_) n += t.tree.CountRules();
   return n;
 }
 
 Result<AuditReport> StructureModel::Check(const Table& data,
                                           const AuditorConfig& config) const {
-  AuditReport report;
-  const size_t n = data.num_rows();
-  report.record_confidence.assign(n, 0.0);
-  report.record_attr.assign(n, -1);
-  report.record_suggestion.assign(n, Value::Null());
-  report.record_support.assign(n, 0.0);
-  report.flagged.assign(n, false);
-
-  // Records are independent: chunk rows across the pool into pre-assigned
-  // slots, then build the bit-packed flags and the ranked list serially so
-  // the report matches a serial run byte for byte.
-  ParallelFor(ResolveThreadCount(config.num_threads), n, [&](size_t r) {
-    const RecordVerdict verdict = CheckRecord(data.row(r), config);
-    report.record_confidence[r] = verdict.error_confidence;
-    report.record_attr[r] = verdict.attr;
-    report.record_suggestion[r] = verdict.suggestion;
-    report.record_support[r] = verdict.support;
-  });
-  for (size_t r = 0; r < n; ++r) {
-    const int attr = report.record_attr[r];
-    if (attr < 0 ||
-        report.record_confidence[r] < config.min_error_confidence) {
-      continue;
-    }
-    report.flagged[r] = true;
-    Suspicion s;
-    s.row = r;
-    s.error_confidence = report.record_confidence[r];
-    s.attr = attr;
-    s.observed = data.cell(r, static_cast<size_t>(attr));
-    s.suggestion = report.record_suggestion[r];
-    s.support = report.record_support[r];
-    report.suspicious.push_back(std::move(s));
+  std::vector<ScoringModel> models;
+  models.reserve(trees_.size());
+  for (const AttributeTree& t : trees_) {
+    models.push_back({t.class_attr, &t.encoder, &t.tree, nullptr});
   }
-  std::stable_sort(report.suspicious.begin(), report.suspicious.end(),
-                   [](const Suspicion& a, const Suspicion& b) {
-                     return a.error_confidence > b.error_confidence;
-                   });
-  return report;
-}
-
-StructureModel::RecordVerdict StructureModel::CheckRecord(
-    const Row& row, const AuditorConfig& config) const {
-  RecordVerdict verdict;
-  for (const AttributeRuleSet& set : rule_sets_) {
-    // Tree paths are mutually exclusive: at most one rule matches.
-    const StructureRule* matched = nullptr;
-    for (const StructureRule& rule : set.rules) {
-      if (rule.Matches(row)) {
-        matched = &rule;
-        break;
-      }
-    }
-    if (matched == nullptr || matched->support <= 0.0) continue;
-
-    Prediction pred;
-    pred.support = matched->support;
-    pred.distribution.reserve(matched->class_counts.size());
-    for (double c : matched->class_counts) {
-      pred.distribution.push_back(c / matched->support);
-    }
-    const int observed =
-        set.encoder.Encode(row[static_cast<size_t>(set.class_attr)]);
-    const double conf = ErrorConfidence(pred, observed,
-                                        config.confidence_level,
-                                        config.flag_null_values);
-    if (conf > verdict.error_confidence) {
-      verdict.error_confidence = conf;
-      verdict.attr = set.class_attr;
-      verdict.suggestion = set.encoder.Representative(matched->majority_class);
-      verdict.support = matched->support;
-    }
-  }
-  verdict.suspicious = verdict.attr >= 0 &&
-                       verdict.error_confidence >= config.min_error_confidence;
-  return verdict;
+  return ScoreTable(models, data, config);
 }
 
 // ---------------------------------------------------------------------------
-// Serialization
+// Serialization: dqmodel v2 (grammar in docs/FORMATS.md). Doubles are
+// written in their shortest round-trip form, so a loaded model scores bit
+// for bit like the one saved.
+
+namespace {
+
+void AppendNumber(std::string* out, double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out->push_back(' ');
+  out->append(buf, res.ptr);
+}
+
+void AppendNumber(std::string* out, uint64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out->push_back(' ');
+  out->append(buf, res.ptr);
+}
+
+}  // namespace
 
 Status StructureModel::SerializeTo(std::ostream* out) const {
-  *out << "dqmodel v1\n";
-  for (const AttributeRuleSet& set : rule_sets_) {
-    *out << "attrset " << set.class_attr;
-    if (set.encoder.is_discretized()) {
-      const auto& disc = *set.encoder.discretizer();
-      *out << " discretized " << disc.cut_points().size();
-      for (double c : disc.cut_points()) *out << ' ' << FullPrecision(c);
-      *out << ' ' << disc.num_bins();
+  std::string text = "dqmodel v2\n";
+  for (const AttributeTree& t : trees_) {
+    text += "model";
+    AppendNumber(&text, static_cast<uint64_t>(t.class_attr));
+    if (t.encoder.is_discretized()) {
+      const EqualFrequencyDiscretizer& disc = *t.encoder.discretizer();
+      text += " discretized";
+      AppendNumber(&text, static_cast<uint64_t>(disc.cut_points().size()));
+      for (double c : disc.cut_points()) AppendNumber(&text, c);
+      AppendNumber(&text, static_cast<uint64_t>(disc.num_bins()));
       for (int b = 0; b < disc.num_bins(); ++b) {
-        *out << ' ' << FullPrecision(disc.Representative(b));
+        AppendNumber(&text, disc.Representative(b));
       }
-      *out << '\n';
     } else {
-      *out << " nominal\n";
+      text += " nominal";
     }
-    for (const StructureRule& rule : set.rules) {
-      *out << "rule " << rule.majority_class << ' '
-           << FullPrecision(rule.support) << ' ' << FullPrecision(rule.purity)
-           << ' ' << FullPrecision(rule.expected_error_confidence)
-           << " counts " << rule.class_counts.size();
-      for (double c : rule.class_counts) *out << ' ' << FullPrecision(c);
-      *out << " conds " << rule.conditions.size() << '\n';
-      for (const SplitCondition& cond : rule.conditions) {
-        *out << "cond " << cond.attr << ' ';
-        switch (cond.kind) {
-          case SplitCondition::Kind::kCategory:
-            *out << "cat " << cond.category;
-            break;
-          case SplitCondition::Kind::kLessEq:
-            *out << "le " << FullPrecision(cond.threshold);
-            break;
-          case SplitCondition::Kind::kGreater:
-            *out << "gt " << FullPrecision(cond.threshold);
-            break;
+    AppendNumber(&text, static_cast<uint64_t>(t.tree.nodes().size()));
+    text += '\n';
+    for (const CompiledTree::Node& node : t.tree.nodes()) {
+      if (node.is_leaf()) {
+        text += "leaf";
+        AppendNumber(&text, node.branch_weight);
+        AppendNumber(&text, static_cast<uint64_t>(node.majority));
+        AppendNumber(&text, node.weight);
+        const double* counts = t.tree.leaf_counts(node.first);
+        for (int c = 0; c < t.tree.num_classes(); ++c) {
+          AppendNumber(&text, counts[c]);
         }
-        *out << '\n';
+      } else {
+        text += "split";
+        AppendNumber(&text, node.branch_weight);
+        AppendNumber(&text, static_cast<uint64_t>(node.attr));
+        if (node.ordered) {
+          text += " le";
+          AppendNumber(&text, node.threshold);
+          AppendNumber(&text, static_cast<uint64_t>(node.first));
+        } else {
+          text += " cat";
+          AppendNumber(&text, static_cast<uint64_t>(node.first));
+          AppendNumber(&text, static_cast<uint64_t>(node.children));
+        }
+        AppendNumber(&text, node.known_weight);
       }
+      text += '\n';
     }
   }
-  *out << "end\n";
+  text += "end\n";
+  out->write(text.data(), static_cast<std::streamsize>(text.size()));
   if (!*out) return Status::IOError("stream write failed");
   return Status::OK();
 }
 
 Status StructureModel::SaveToFile(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return Status::IOError("cannot open '" + path + "' for writing");
-  return SerializeTo(&f);
+  obs::Span span("model.save");
+  const std::string tmp = path + ".tmp";
+  Status written;
+  {
+    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
+    if (!f) return Status::IOError("cannot open '" + tmp + "' for writing");
+    written = SerializeTo(&f);
+    f.close();
+    if (written.ok() && !f) {
+      written = Status::IOError("short write to '" + tmp + "'");
+    }
+  }
+  std::error_code ec;
+  if (written.ok()) {
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) written = Status::IOError("cannot rename '" + tmp + "' to '" +
+                                      path + "': " + ec.message());
+  }
+  if (!written.ok()) std::filesystem::remove(tmp, ec);
+  return written;
 }
 
 namespace {
 
-Status ModelParseError(size_t line_no, const std::string& what) {
-  return Status::IOError("dqmodel parse error at line " +
-                         std::to_string(line_no) + ": " + what);
-}
+/// Trees deeper than this are refused: the null-value walk recurses once
+/// per level, and induction never grows trees anywhere near it.
+constexpr uint32_t kMaxTreeDepth = 1024;
+
+/// Line-oriented reader of one in-memory `dqmodel v2` buffer. Every field
+/// is checked before it is used, so hostile input yields a Status.
+class ModelParser {
+ public:
+  ModelParser(const Schema& schema, std::string_view text)
+      : schema_(schema), text_(text) {}
+
+  Status Parse(std::vector<StructureModel::AttributeTree>* trees) {
+    if (!NextLine() || line_ != "dqmodel v2") {
+      if (line_ == "dqmodel v1") {
+        return Error(
+            "dqmodel v1 lacks the branch weights needed to score nulls; "
+            "re-save with `dqaudit --save-model`");
+      }
+      return Error("missing 'dqmodel v2' header");
+    }
+    while (NextLine()) {
+      std::string_view tag;
+      Word(&tag);
+      if (tag == "end" && AtLineEnd()) {
+        if (!terminated_ || pos_ != text_.size()) {
+          return Error("bytes after 'end'");
+        }
+        return Status::OK();
+      }
+      if (tag != "model") {
+        return Error("unknown tag '" + std::string(tag) + "'");
+      }
+      StructureModel::AttributeTree tree;
+      DQ_RETURN_NOT_OK(ParseModel(&tree));
+      trees->push_back(std::move(tree));
+    }
+    return Error("missing 'end'");
+  }
+
+ private:
+  Status Error(const std::string& what) const {
+    return Status::IOError("dqmodel parse error at line " +
+                           std::to_string(line_no_) + ": " + what);
+  }
+
+  bool NextLine() {
+    if (pos_ >= text_.size()) return false;
+    const size_t eol = text_.find('\n', pos_);
+    terminated_ = eol != std::string_view::npos;
+    const size_t end = terminated_ ? eol : text_.size();
+    line_ = text_.substr(pos_, end - pos_);
+    if (!line_.empty() && line_.back() == '\r') line_.remove_suffix(1);
+    pos_ = terminated_ ? end + 1 : end;
+    ++line_no_;
+    return true;
+  }
+
+  bool Word(std::string_view* out) {
+    while (!line_.empty() && line_.front() == ' ') line_.remove_prefix(1);
+    const size_t len = std::min(line_.find(' '), line_.size());
+    *out = line_.substr(0, len);
+    line_.remove_prefix(len);
+    return !out->empty();
+  }
+
+  bool AtLineEnd() {
+    while (!line_.empty() && line_.front() == ' ') line_.remove_prefix(1);
+    return line_.empty();
+  }
+
+  /// Parses the next word as a finite double.
+  bool Finite(double* out) {
+    std::string_view w;
+    if (!Word(&w)) return false;
+    const auto res = std::from_chars(w.data(), w.data() + w.size(), *out);
+    return res.ec == std::errc() && res.ptr == w.data() + w.size() &&
+           std::isfinite(*out);
+  }
+
+  /// Parses the next word as a finite, non-negative weight.
+  bool Weight(double* out) { return Finite(out) && *out >= 0.0; }
+
+  bool Index(uint32_t* out) {
+    std::string_view w;
+    if (!Word(&w)) return false;
+    const auto res = std::from_chars(w.data(), w.data() + w.size(), *out);
+    return res.ec == std::errc() && res.ptr == w.data() + w.size();
+  }
+
+  Status ParseModel(StructureModel::AttributeTree* out) {
+    uint32_t attr = 0;
+    std::string_view kind;
+    if (!Index(&attr) || !Word(&kind)) return Error("malformed model line");
+    std::optional<EqualFrequencyDiscretizer> disc;
+    if (kind == "discretized") {
+      std::vector<double> cuts;
+      std::vector<double> reps;
+      uint32_t n = 0;
+      bool ok = Index(&n);
+      for (uint32_t i = 0; ok && i < n; ++i) ok = Finite(&cuts.emplace_back());
+      ok = ok && Index(&n);
+      for (uint32_t i = 0; ok && i < n; ++i) ok = Finite(&reps.emplace_back());
+      if (!ok) return Error("malformed discretizer");
+      auto built = EqualFrequencyDiscretizer::FromParts(std::move(cuts),
+                                                        std::move(reps));
+      if (!built.ok()) return Error(built.status().message());
+      disc = std::move(*built);
+    } else if (kind != "nominal") {
+      return Error("unknown encoder kind '" + std::string(kind) + "'");
+    }
+    if (attr >= schema_.num_attributes()) {
+      return Error("class attribute out of range");
+    }
+    auto encoder = ClassEncoder::FromParts(schema_, static_cast<int>(attr),
+                                           std::move(disc));
+    if (!encoder.ok()) return Error(encoder.status().message());
+    uint32_t count = 0;
+    if (!Index(&count) || !AtLineEnd()) return Error("malformed model line");
+    if (count == 0) return Error("a tree needs at least one node");
+    // Every node line takes more than 8 bytes, so this bounds what the
+    // declared count can make the reader allocate by the input's size.
+    if (count > (text_.size() - pos_) / 8) {
+      return Error("tree of " + std::to_string(count) +
+                   " nodes does not fit in the rest of the input");
+    }
+
+    const int num_classes = encoder->num_classes();
+    std::vector<CompiledTree::Node> nodes;
+    std::vector<double> counts;
+    std::vector<uint32_t> depth{0};
+    uint32_t next_child = 1;  // where the next split's children must start
+    uint32_t leaves = 0;
+    for (uint32_t i = 0; i < count; ++i) {
+      if (!NextLine()) return Error("truncated tree: expected node " +
+                                    std::to_string(i) + " of " +
+                                    std::to_string(count));
+      CompiledTree::Node node;
+      std::string_view node_kind;
+      Word(&node_kind);
+      if (!Weight(&node.branch_weight)) {
+        return Error("branch weight must be a finite non-negative number");
+      }
+      if (node_kind == "leaf") {
+        uint32_t majority = 0;
+        if (!Index(&majority) ||
+            majority >= static_cast<uint32_t>(num_classes)) {
+          return Error("leaf majority class out of range");
+        }
+        node.majority = static_cast<int32_t>(majority);
+        if (!Weight(&node.weight)) {
+          return Error("leaf weight must be a finite non-negative number");
+        }
+        for (int c = 0; c < num_classes; ++c) {
+          if (AtLineEnd()) break;
+          if (!Weight(&counts.emplace_back())) {
+            return Error("class counts must be finite non-negative numbers");
+          }
+        }
+        if (counts.size() != static_cast<size_t>(leaves + 1) *
+                                 static_cast<size_t>(num_classes) ||
+            !AtLineEnd()) {
+          return Error("class-count arity mismatch: the class attribute has " +
+                       std::to_string(num_classes) + " classes");
+        }
+        node.first = leaves++;
+      } else if (node_kind == "split") {
+        uint32_t split_attr = 0;
+        std::string_view op;
+        if (!Index(&split_attr) || split_attr >= schema_.num_attributes()) {
+          return Error("split attribute out of range");
+        }
+        if (!Word(&op)) return Error("malformed split");
+        const bool nominal =
+            schema_.attribute(split_attr).type == DataType::kNominal;
+        node.attr = static_cast<int32_t>(split_attr);
+        bool ok = false;
+        if (op == "le") {
+          if (nominal) return Error("'le' split on a nominal attribute");
+          node.ordered = true;
+          node.children = 2;
+          ok = Finite(&node.threshold) && Index(&node.first);
+        } else if (op == "cat") {
+          if (!nominal) return Error("'cat' split on an ordered attribute");
+          ok = Index(&node.first) && Index(&node.children) &&
+               node.children > 0;
+        } else {
+          return Error("unknown split operator '" + std::string(op) + "'");
+        }
+        if (!ok || !Weight(&node.known_weight) || !AtLineEnd()) {
+          return Error("malformed split");
+        }
+        if (node.first <= i) {
+          return Error("child index does not come after its parent");
+        }
+        if (static_cast<uint64_t>(node.first) + node.children > count) {
+          return Error("child index out of range");
+        }
+        if (node.first != next_child) {
+          return Error("children must follow the previous split's children");
+        }
+        if (depth[i] + 1 > kMaxTreeDepth) return Error("tree too deep");
+        next_child += node.children;
+        depth.resize(next_child, depth[i] + 1);
+      } else {
+        return Error("unknown node kind '" + std::string(node_kind) + "'");
+      }
+      nodes.push_back(node);
+    }
+    if (next_child != count) return Error("node without a parent");
+    out->class_attr = static_cast<int>(attr);
+    out->encoder = std::move(*encoder);
+    out->tree = CompiledTree(num_classes, std::move(nodes), std::move(counts));
+    return Status::OK();
+  }
+
+  const Schema& schema_;
+  std::string_view text_;
+  size_t pos_ = 0;
+  std::string_view line_;
+  bool terminated_ = false;
+  size_t line_no_ = 0;
+};
 
 }  // namespace
 
 Result<StructureModel> StructureModel::Deserialize(const Schema& schema,
-                                                   std::istream* in) {
+                                                   std::string_view text) {
   StructureModel model;
-  std::string line;
-  size_t line_no = 0;
+  DQ_RETURN_NOT_OK(ModelParser(schema, text).Parse(&model.trees_));
+  return model;
+}
 
-  auto next_line = [&]() -> bool {
-    while (std::getline(*in, line)) {
-      ++line_no;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!TrimWhitespace(line).empty()) return true;
-    }
-    return false;
-  };
-
-  if (!next_line() || line != "dqmodel v1") {
-    return ModelParseError(line_no, "missing 'dqmodel v1' header");
-  }
-
-  AttributeRuleSet* current = nullptr;
-  while (next_line()) {
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "end") {
-      return model;
-    }
-    if (tag == "attrset") {
-      int attr = -1;
-      std::string kind;
-      ls >> attr >> kind;
-      if (!ls) return ModelParseError(line_no, "malformed attrset");
-      std::optional<EqualFrequencyDiscretizer> disc;
-      if (kind == "discretized") {
-        size_t ncuts = 0;
-        ls >> ncuts;
-        std::vector<double> cuts(ncuts);
-        for (double& c : cuts) ls >> c;
-        size_t nreps = 0;
-        ls >> nreps;
-        std::vector<double> reps(nreps);
-        for (double& r : reps) ls >> r;
-        if (!ls) return ModelParseError(line_no, "malformed discretizer");
-        auto built = EqualFrequencyDiscretizer::FromParts(std::move(cuts),
-                                                          std::move(reps));
-        if (!built.ok()) return ModelParseError(line_no, built.status().message());
-        disc = std::move(*built);
-      } else if (kind != "nominal") {
-        return ModelParseError(line_no, "unknown encoder kind '" + kind + "'");
-      }
-      auto encoder = ClassEncoder::FromParts(schema, attr, std::move(disc));
-      if (!encoder.ok()) return ModelParseError(line_no, encoder.status().message());
-      AttributeRuleSet set;
-      set.class_attr = attr;
-      set.encoder = std::move(*encoder);
-      model.rule_sets_.push_back(std::move(set));
-      current = &model.rule_sets_.back();
-      continue;
-    }
-    if (tag == "rule") {
-      if (current == nullptr) return ModelParseError(line_no, "rule before attrset");
-      StructureRule rule;
-      rule.class_attr = current->class_attr;
-      std::string counts_tag, conds_tag;
-      size_t ncounts = 0, nconds = 0;
-      ls >> rule.majority_class >> rule.support >> rule.purity >>
-          rule.expected_error_confidence >> counts_tag >> ncounts;
-      if (!ls || counts_tag != "counts") {
-        return ModelParseError(line_no, "malformed rule");
-      }
-      rule.class_counts.resize(ncounts);
-      for (double& c : rule.class_counts) ls >> c;
-      ls >> conds_tag >> nconds;
-      if (!ls || conds_tag != "conds") {
-        return ModelParseError(line_no, "malformed rule conditions count");
-      }
-      if (static_cast<int>(ncounts) !=
-          current->encoder.num_classes()) {
-        return ModelParseError(line_no, "class count arity mismatch");
-      }
-      for (size_t i = 0; i < nconds; ++i) {
-        if (!next_line()) return ModelParseError(line_no, "truncated conditions");
-        std::istringstream cs(line);
-        std::string cond_tag, op;
-        SplitCondition cond;
-        cs >> cond_tag >> cond.attr >> op;
-        if (!cs || cond_tag != "cond") {
-          return ModelParseError(line_no, "malformed cond");
-        }
-        if (cond.attr < 0 ||
-            static_cast<size_t>(cond.attr) >= schema.num_attributes()) {
-          return ModelParseError(line_no, "cond attribute out of range");
-        }
-        if (op == "cat") {
-          cond.kind = SplitCondition::Kind::kCategory;
-          cs >> cond.category;
-        } else if (op == "le") {
-          cond.kind = SplitCondition::Kind::kLessEq;
-          cs >> cond.threshold;
-        } else if (op == "gt") {
-          cond.kind = SplitCondition::Kind::kGreater;
-          cs >> cond.threshold;
-        } else {
-          return ModelParseError(line_no, "unknown cond op '" + op + "'");
-        }
-        if (!cs) return ModelParseError(line_no, "malformed cond operand");
-        rule.conditions.push_back(cond);
-      }
-      current->rules.push_back(std::move(rule));
-      continue;
-    }
-    return ModelParseError(line_no, "unknown tag '" + tag + "'");
-  }
-  return ModelParseError(line_no, "missing 'end'");
+Result<StructureModel> StructureModel::Deserialize(const Schema& schema,
+                                                   std::istream* in) {
+  std::ostringstream buffer;
+  buffer << in->rdbuf();
+  return Deserialize(schema, buffer.str());
 }
 
 Result<StructureModel> StructureModel::LoadFromFile(const Schema& schema,
                                                     const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return Status::IOError("cannot open '" + path + "' for reading");
-  return Deserialize(schema, &f);
+  obs::Span span("model.load");
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = f ? static_cast<std::streamoff>(f.tellg()) : -1;
+  if (size < 0) {
+    return Status::IOError("cannot open '" + path + "' for reading");
+  }
+  std::string text(static_cast<size_t>(size), '\0');
+  f.seekg(0);
+  f.read(text.data(), static_cast<std::streamsize>(text.size()));
+  if (!f) return Status::IOError("cannot read '" + path + "'");
+  return Deserialize(schema, text);
 }
 
 }  // namespace dq

@@ -1,4 +1,4 @@
-// StructureModel: the persistent rule-set form of an induced audit model.
+// StructureModel: the persistent form of an induced audit model.
 //
 // "The rule sets generated by all classifiers in the multiple
 // classification / regression approach build the structure model of the
@@ -8,87 +8,74 @@
 // structure induction can be prepared off-line, new data can be checked for
 // deviations and loaded quickly" (sec. 2.2).
 //
-// A StructureModel is built from an induced AuditModel (keeping only the
-// rules that can contribute to error detection), serializes to a plain-text
-// format, and checks tables without re-induction. Checking semantics match
-// the tree-based audit for records that reach a useful leaf with fully
-// known path attributes; records matching no exported rule (dropped-useless
-// leaves or null path values) are simply not flagged — precisely the rule
-// deletion of sec. 5.4.
+// A StructureModel keeps the compiled tree and class encoder of every C4.5
+// attribute model, persists them in the textual `dqmodel v2` format
+// (docs/FORMATS.md), and checks tables without re-induction through the
+// same scoring kernel as Auditor::Audit. Nulls are scored as the audit
+// scores them: a record whose split value is null follows every branch
+// with C4.5's known-value branch weights, so checking a table against a
+// saved model ranks it exactly as auditing it with the in-memory model.
+// Each leaf with positive weight is one root-to-leaf rule of the tree.
 
 #ifndef DQ_AUDIT_STRUCTURE_MODEL_H_
 #define DQ_AUDIT_STRUCTURE_MODEL_H_
 
 #include <iosfwd>
+#include <string_view>
 #include <vector>
 
 #include "audit/auditor.h"
-#include "audit/rule_export.h"
 
 namespace dq {
 
-/// \brief Persisted per-attribute rule set.
-struct AttributeRuleSet {
-  int class_attr = -1;
-  ClassEncoder encoder;
-  std::vector<StructureRule> rules;
-};
-
-/// \brief Rule-set structure model: buildable from an AuditModel,
+/// \brief Compiled-tree structure model: buildable from an AuditModel,
 /// serializable, and directly usable for deviation detection.
 class StructureModel {
  public:
+  /// \brief The persisted model of one audited attribute.
+  struct AttributeTree {
+    int class_attr = -1;
+    ClassEncoder encoder;
+    CompiledTree tree;
+  };
+
   StructureModel() = default;
 
-  /// \brief Extracts the rule sets of every C4.5 attribute model. Models
-  /// induced with non-tree classifiers contribute no rules.
-  ///
-  /// `drop_useless` applies the sec. 5.4 reduction ("it is often useful to
-  /// reduce this set to the rules that do not have an expected error
-  /// confidence of zero"). Note its trade-off: a pure leaf has zero
-  /// *expected* error confidence on training data yet is the sharpest
-  /// detector for future deviations (the sec. 6.2 headline rule is a
-  /// 16117:1 leaf), so checking *new* data should keep every rule — hence
-  /// the default false; enable the reduction to shrink models for the
-  /// single-database regime.
+  /// \brief Keeps the compiled tree of every C4.5 attribute model. Models
+  /// induced with non-tree classifiers are not persisted.
   static StructureModel FromAuditModel(const AuditModel& model,
-                                       const Schema& schema,
-                                       bool drop_useless = false);
+                                       const Schema& schema);
 
-  const std::vector<AttributeRuleSet>& rule_sets() const { return rule_sets_; }
+  const std::vector<AttributeTree>& trees() const { return trees_; }
+
+  /// \brief Rules across all trees: leaves with positive training weight.
   size_t TotalRules() const;
 
-  /// \brief Deviation detection against the rule sets. Produces the same
-  /// report shape as Auditor::Audit; `config` supplies the minimal error
-  /// confidence, confidence level and null-flagging policy.
+  /// \brief Deviation detection. Produces the report Auditor::Audit
+  /// produces for the model this one was built from; `config` supplies the
+  /// minimal error confidence, confidence level, null-flagging policy and
+  /// thread count.
   Result<AuditReport> Check(const Table& data,
                             const AuditorConfig& config) const;
 
-  /// \brief Verdict for a single incoming record (streaming load checks).
-  struct RecordVerdict {
-    bool suspicious = false;
-    double error_confidence = 0.0;
-    int attr = -1;        ///< winning attribute, -1 when nothing dissents
-    Value suggestion;     ///< proposed correction for that attribute
-    double support = 0.0;
-  };
-
-  /// \brief Checks one record without building a report; O(total rules).
-  RecordVerdict CheckRecord(const Row& row, const AuditorConfig& config) const;
-
-  /// \brief Writes the model in the textual `dqmodel v1` format.
+  /// \brief Writes the model in the textual `dqmodel v2` format.
   Status SerializeTo(std::ostream* out) const;
+  /// \brief Writes `<path>.tmp` and renames it over `path`, so a failed
+  /// save leaves no file behind.
   Status SaveToFile(const std::string& path) const;
 
-  /// \brief Reads a `dqmodel v1` stream; the schema must match the one the
-  /// model was induced on (attribute indices and category lists).
+  /// \brief Reads a `dqmodel v2` model; the schema must match the one the
+  /// model was induced on (attribute indices, kinds and category lists).
+  /// Malformed input yields an error Status naming the line.
   static Result<StructureModel> Deserialize(const Schema& schema,
                                             std::istream* in);
+  static Result<StructureModel> Deserialize(const Schema& schema,
+                                            std::string_view text);
   static Result<StructureModel> LoadFromFile(const Schema& schema,
                                              const std::string& path);
 
  private:
-  std::vector<AttributeRuleSet> rule_sets_;
+  std::vector<AttributeTree> trees_;
 };
 
 }  // namespace dq

@@ -176,7 +176,7 @@ struct SplitEval {
   double threshold = 0.0;
 };
 
-constexpr double kEps = 1e-9;
+constexpr double kEps = kTreeWeightEpsilon;
 
 }  // namespace
 
@@ -337,6 +337,7 @@ Status C45Tree::Train(const TrainingData& data) {
       PrunePessimistic(root_.get());
     }
   }
+  compiled_ = Compile();
   obs::GetCounter("c45.tree_nodes")->Add(NodeCount());
   return Status::OK();
 }
@@ -1458,6 +1459,7 @@ Status C45Tree::TrainHistogram(const TrainingData& data, BuildContext* ctx,
       PrunePessimistic(root_.get());
     }
   }
+  compiled_ = Compile();
   obs::GetCounter("c45.tree_nodes")->Add(NodeCount());
   return Status::OK();
 }
@@ -1582,6 +1584,42 @@ Prediction C45Tree::Predict(const Row& row) const {
     for (double& p : out.distribution) p /= total;
   }
   return out;
+}
+
+CompiledTree C45Tree::Compile() const {
+  if (root_ == nullptr) return CompiledTree();
+  std::vector<CompiledTree::Node> nodes;
+  std::vector<double> leaf_counts;
+  // Breadth first: appending a split's children as it is visited keeps
+  // them contiguous and after it.
+  std::vector<const Node*> order{root_.get()};
+  std::vector<double> branch_weights{0.0};
+  for (size_t i = 0; i < order.size(); ++i) {
+    const Node& node = *order[i];
+    CompiledTree::Node out;
+    out.branch_weight = branch_weights[i];
+    if (node.IsLeaf()) {
+      out.first = static_cast<uint32_t>(leaf_counts.size() /
+                                        static_cast<size_t>(num_classes_));
+      out.majority = node.majority;
+      out.weight = node.weight;
+      leaf_counts.insert(leaf_counts.end(), node.class_counts.begin(),
+                         node.class_counts.end());
+    } else {
+      out.attr = node.split_attr;
+      out.ordered = node.ordered_split;
+      out.threshold = node.threshold;
+      out.first = static_cast<uint32_t>(order.size());
+      out.children = static_cast<uint32_t>(node.children.size());
+      out.known_weight = node.known_weight;
+      for (size_t b = 0; b < node.children.size(); ++b) {
+        order.push_back(node.children[b].get());
+        branch_weights.push_back(node.child_weights[b]);
+      }
+    }
+    nodes.push_back(out);
+  }
+  return CompiledTree(num_classes_, std::move(nodes), std::move(leaf_counts));
 }
 
 // ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@
 #include <memory>
 
 #include "mining/classifier.h"
+#include "mining/compiled_tree.h"
 
 namespace dq {
 
@@ -156,6 +157,8 @@ class C45Tree : public Classifier {
   C45Tree& operator=(C45Tree&&) noexcept;
 
   Status Train(const TrainingData& data) override;
+  /// \brief Walks the pointer tree; the reference implementation the
+  /// compiled tree's scoring kernel is tested against.
   Prediction Predict(const Row& row) const override;
   std::string name() const override { return "c4.5"; }
 
@@ -171,6 +174,10 @@ class C45Tree : public Classifier {
   /// \brief Wall-clock of the recursive tree construction in the last
   /// Train call (split search + partitioning, excluding the presort).
   double build_ms() const { return build_ms_; }
+
+  /// \brief The flat form of the trained tree every scoring path walks
+  /// (empty before Train).
+  const CompiledTree& compiled() const { return compiled_; }
 
   /// \brief Pretty-prints the tree.
   std::string ToString(const Schema& schema) const;
@@ -196,6 +203,7 @@ class C45Tree : public Classifier {
   void PrunePessimistic(Node* node);
   void PredictInto(const Node& node, const Row& row, double weight,
                    std::vector<double>* dist, double* support) const;
+  CompiledTree Compile() const;
 
   C45Config config_;
   const Table* table_ = nullptr;
@@ -205,6 +213,7 @@ class C45Tree : public Classifier {
   double presort_ms_ = 0.0;
   double build_ms_ = 0.0;
   std::unique_ptr<Node> root_;
+  CompiledTree compiled_;
 };
 
 }  // namespace dq

@@ -4,12 +4,12 @@
 
 namespace dq {
 
-int Prediction::PredictedClass() const {
+int ArgMaxClass(const double* dist, size_t num_classes) {
   int best = -1;
   double best_p = 0.0;
-  for (size_t i = 0; i < distribution.size(); ++i) {
-    if (distribution[i] > best_p) {
-      best_p = distribution[i];
+  for (size_t i = 0; i < num_classes; ++i) {
+    if (dist[i] > best_p) {
+      best_p = dist[i];
       best = static_cast<int>(i);
     }
   }

@@ -27,6 +27,10 @@ namespace dq {
 class EncodedDataset;
 class ThreadPool;
 
+/// \brief Index of the largest positive entry of `dist` (the first on
+/// ties), -1 when none is positive.
+int ArgMaxClass(const double* dist, size_t num_classes);
+
 /// \brief A classifier's answer for one record.
 struct Prediction {
   /// Probability per class index; sums to 1 when support > 0.
@@ -35,7 +39,9 @@ struct Prediction {
   double support = 0.0;
 
   /// \brief argmax class, -1 if the distribution is empty/zero.
-  int PredictedClass() const;
+  int PredictedClass() const {
+    return ArgMaxClass(distribution.data(), distribution.size());
+  }
 
   /// \brief Probability of a class (0 for out-of-range indices).
   double ProbabilityOf(int cls) const {

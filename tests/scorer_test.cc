@@ -1,0 +1,212 @@
+// Oracle tests for the scoring kernel (audit/scorer.h): on randomized
+// tables with nulls in every attribute kind, the compiled-tree walk must
+// reproduce C45Tree::Predict + ErrorConfidence bit for bit, and a model
+// saved, loaded and checked must report exactly what the in-memory audit
+// reports.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <set>
+#include <sstream>
+
+#include "audit/error_confidence.h"
+#include "audit/scorer.h"
+#include "audit/structure_model.h"
+#include "common/random.h"
+#include "eval/report_io.h"
+
+namespace dq {
+namespace {
+
+Schema MixedSchema() {
+  Schema s;
+  EXPECT_TRUE(s.AddNominal("A", {"a0", "a1", "a2", "a3"}).ok());
+  EXPECT_TRUE(s.AddNominal("B", {"b0", "b1", "b2"}).ok());
+  EXPECT_TRUE(s.AddNumeric("N", 0.0, 100.0).ok());
+  EXPECT_TRUE(s.AddDate("D", 0, 3650).ok());
+  EXPECT_TRUE(s.AddNominal("C", {"c0", "c1"}).ok());
+  return s;
+}
+
+/// B follows A, N follows B, D follows N and C follows A; every cell is
+/// null with probability `null_rate` and a few records deviate.
+Table MixedTable(size_t rows, double null_rate, uint64_t seed) {
+  Table t(MixedSchema());
+  Rng rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    const int32_t a = static_cast<int32_t>(rng.UniformInt(0, 3));
+    int32_t b = a % 3;
+    if (rng.Bernoulli(0.03)) b = static_cast<int32_t>(rng.UniformInt(0, 2));
+    const double n = 30.0 * b + rng.UniformReal(0.0, 10.0);
+    const int32_t d = static_cast<int32_t>(n * 30.0) +
+                      static_cast<int32_t>(rng.UniformInt(0, 60));
+    int32_t c = a < 2 ? 0 : 1;
+    if (rng.Bernoulli(0.02)) c = 1 - c;
+    Row row{Value::Nominal(a), Value::Nominal(b), Value::Numeric(n),
+            Value::Date(d), Value::Nominal(c)};
+    for (Value& v : row) {
+      if (rng.Bernoulli(null_rate)) v = Value::Null();
+    }
+    EXPECT_TRUE(t.AppendRow(row).ok());
+  }
+  return t;
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+std::string ReportCsv(const AuditReport& report, const Table& data) {
+  std::ostringstream out;
+  EXPECT_TRUE(WriteAuditReportCsv(report, data, &out).ok());
+  return out.str();
+}
+
+class ScorerOracleTest : public ::testing::TestWithParam<SplitMode> {};
+
+TEST_P(ScorerOracleTest, KernelMatchesPointerWalkBitForBit) {
+  for (uint64_t seed : {3u, 17u, 42u}) {
+    const Table train = MixedTable(2500, 0.1, seed);
+    const Table data = MixedTable(1500, 0.1, seed + 1000);
+    AuditorConfig config;
+    config.c45.split_mode = GetParam();
+    config.num_threads = 1;
+    auto model = Auditor(config).Induce(train);
+    ASSERT_TRUE(model.ok()) << model.status();
+
+    size_t null_paths = 0;
+    for (const AttributeModel& am : model->models()) {
+      const auto* tree = dynamic_cast<const C45Tree*>(am.classifier.get());
+      ASSERT_NE(tree, nullptr);
+      const ScoringModel scoring = ScoringModelOf(am);
+      ASSERT_EQ(scoring.tree, &tree->compiled());
+      std::set<double> leaf_supports;
+      for (uint32_t l = 0; l < tree->compiled().num_leaves(); ++l) {
+        leaf_supports.insert(tree->compiled().leaf_support(l));
+      }
+      for (size_t r = 0; r < data.num_rows(); ++r) {
+        const Prediction oracle = tree->Predict(data.row(r));
+        const Prediction kernel = PredictRecord(scoring, data, r);
+        ASSERT_EQ(kernel.distribution.size(), oracle.distribution.size());
+        for (size_t c = 0; c < oracle.distribution.size(); ++c) {
+          ASSERT_TRUE(SameBits(kernel.distribution[c], oracle.distribution[c]))
+              << "seed " << seed << " attr " << am.class_attr << " row " << r
+              << " class " << c;
+        }
+        ASSERT_TRUE(SameBits(kernel.support, oracle.support))
+            << "seed " << seed << " attr " << am.class_attr << " row " << r;
+        const int observed = am.encoder.Encode(
+            data.cell(r, static_cast<size_t>(am.class_attr)));
+        for (bool flag_nulls : {true, false}) {
+          ASSERT_TRUE(SameBits(
+              ErrorConfidence(kernel, observed, 0.95, flag_nulls),
+              ErrorConfidence(oracle, observed, 0.95, flag_nulls)));
+        }
+        // A support that is no single leaf's weight means a null split
+        // value spread the record over several leaves.
+        null_paths += leaf_supports.count(oracle.support) == 0 ? 1 : 0;
+      }
+    }
+    EXPECT_GT(null_paths, 0u) << "seed " << seed;
+  }
+}
+
+TEST_P(ScorerOracleTest, AuditMatchesPerRecordOracle) {
+  const Table train = MixedTable(2500, 0.1, 5);
+  const Table data = MixedTable(2100, 0.1, 6);  // three row blocks
+  AuditorConfig config;
+  config.c45.split_mode = GetParam();
+  config.min_error_confidence = 0.5;
+  auto model = Auditor(config).Induce(train);
+  ASSERT_TRUE(model.ok()) << model.status();
+  auto report = Auditor(config).Audit(*model, data);
+  ASSERT_TRUE(report.ok());
+
+  // Def. 7 per model through the pointer walk, Def. 8 across models.
+  size_t flagged = 0;
+  for (size_t r = 0; r < data.num_rows(); ++r) {
+    const Row row = data.row(r);
+    double best = 0.0;
+    int best_attr = -1;
+    double best_support = 0.0;
+    Value best_suggestion;
+    for (const AttributeModel& am : model->models()) {
+      const Prediction pred = am.classifier->Predict(row);
+      const double conf =
+          ErrorConfidence(pred, am.encoder.Encode(row[am.class_attr]),
+                          config.confidence_level, config.flag_null_values);
+      if (conf > best) {
+        best = conf;
+        best_attr = am.class_attr;
+        best_support = pred.support;
+        best_suggestion = am.encoder.Representative(pred.PredictedClass());
+      }
+    }
+    ASSERT_TRUE(SameBits(report->record_confidence[r], best)) << "row " << r;
+    ASSERT_EQ(report->record_attr[r], best_attr) << "row " << r;
+    ASSERT_TRUE(SameBits(report->record_support[r], best_support))
+        << "row " << r;
+    ASSERT_TRUE(report->record_suggestion[r].StrictEquals(best_suggestion))
+        << "row " << r;
+    flagged += best >= config.min_error_confidence && best_attr >= 0 ? 1 : 0;
+  }
+  EXPECT_EQ(report->NumFlagged(), flagged);
+  EXPECT_GT(flagged, 0u);
+}
+
+TEST_P(ScorerOracleTest, SavedModelChecksLikeTheAudit) {
+  const Table train = MixedTable(3000, 0.1, 8);
+  const Table data = MixedTable(2600, 0.1, 9);
+  AuditorConfig config;
+  config.c45.split_mode = GetParam();
+  config.num_threads = 1;
+  auto model = Auditor(config).Induce(train);
+  ASSERT_TRUE(model.ok()) << model.status();
+
+  std::stringstream saved;
+  ASSERT_TRUE(StructureModel::FromAuditModel(*model, train.schema())
+                  .SerializeTo(&saved)
+                  .ok());
+  auto loaded = StructureModel::Deserialize(data.schema(), &saved);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+
+  for (int threads : {1, 3, 8}) {
+    config.num_threads = threads;
+    auto audited = Auditor(config).Audit(*model, data);
+    auto checked = loaded->Check(data, config);
+    ASSERT_TRUE(audited.ok());
+    ASSERT_TRUE(checked.ok());
+    ASSERT_GT(audited->NumFlagged(), 0u);
+    for (size_t r = 0; r < data.num_rows(); ++r) {
+      ASSERT_TRUE(SameBits(checked->record_confidence[r],
+                           audited->record_confidence[r]))
+          << "threads " << threads << " row " << r;
+    }
+    EXPECT_EQ(ReportCsv(*checked, data), ReportCsv(*audited, data))
+        << "threads " << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SplitModes, ScorerOracleTest,
+                         ::testing::Values(SplitMode::kHistogram,
+                                           SplitMode::kExact),
+                         [](const ::testing::TestParamInfo<SplitMode>& p) {
+                           return std::string(SplitModeToString(p.param));
+                         });
+
+TEST(ScorerTest, RejectsTableOfAnotherSchema) {
+  const Table train = MixedTable(800, 0.0, 1);
+  auto model = Auditor().Induce(train);
+  ASSERT_TRUE(model.ok());
+  StructureModel sm = StructureModel::FromAuditModel(*model, train.schema());
+  Schema other;
+  ASSERT_TRUE(other.AddNumeric("A", 0.0, 1.0).ok());
+  Table t(other);
+  ASSERT_TRUE(t.AppendRow({Value::Numeric(0.5)}).ok());
+  EXPECT_FALSE(sm.Check(t, AuditorConfig()).ok());
+  EXPECT_FALSE(Auditor().Audit(*model, t).ok());
+}
+
+}  // namespace
+}  // namespace dq

@@ -78,13 +78,20 @@ TEST(QuisStreamGeneratorTest, ChunkedGenerationMatchesOneShot) {
             one_shot->kbm01_gbm901_brv501_count);
 }
 
+/// A temp path unique to the running test: ctest -j runs the cases of
+/// this suite as parallel processes, which must not share files.
+std::string TestTempPath(const std::string& stem) {
+  return ::testing::TempDir() + "/" + stem + "_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name();
+}
+
 class StreamAuditTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto sample = GenerateQuisSample(SmallQuis());
     ASSERT_TRUE(sample.ok());
     table_ = std::move(sample->table);
-    csv_path_ = ::testing::TempDir() + "/stream_audit_quis.csv";
+    csv_path_ = TestTempPath("stream_audit_quis") + ".csv";
     ASSERT_TRUE(WriteCsvFile(table_, csv_path_).ok());
   }
 
@@ -132,7 +139,7 @@ TEST_F(StreamAuditTest, ReportIsInvariantUnderMemoryBudget) {
 
   StreamAuditOptions budgeted = FullSampleOptions();
   budgeted.store.memory_budget_bytes = 8 * 1024;  // forces spilling
-  budgeted.store.spill_dir = ::testing::TempDir() + "/stream_audit_spill";
+  budgeted.store.spill_dir = TestTempPath("stream_audit_spill");
   auto tight = RunStreamingAudit(table_.schema(), csv_path_, budgeted);
   ASSERT_TRUE(tight.ok());
   EXPECT_GT(tight->store_stats.spill_writes, 0u);
@@ -186,8 +193,7 @@ TEST_F(StreamAuditTest, DqcolInputReproducesCsvReport) {
   // seam must make the report independent of the on-disk format.
   auto loaded = ReadCsvFile(table_.schema(), csv_path_);
   ASSERT_TRUE(loaded.ok());
-  const std::string dqcol_path =
-      ::testing::TempDir() + "/stream_audit_quis.dqcol";
+  const std::string dqcol_path = TestTempPath("stream_audit_quis") + ".dqcol";
   ASSERT_TRUE(WriteDqcolFile(*loaded, dqcol_path).ok());
 
   const StreamAuditOptions csv_options = FullSampleOptions();

@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "audit/review.h"
 #include "audit/structure_model.h"
 #include "common/random.h"
+#include "eval/report_io.h"
 
 namespace dq {
 namespace {
@@ -62,13 +64,10 @@ TEST(StructureModelTest, BuildsNonEmptyRuleSets) {
   Fixture f;
   StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
   EXPECT_GT(sm.TotalRules(), 0u);
-  EXPECT_FALSE(sm.rule_sets().empty());
-  for (const AttributeRuleSet& set : sm.rule_sets()) {
-    for (const StructureRule& rule : set.rules) {
-      EXPECT_EQ(rule.class_attr, set.class_attr);
-      EXPECT_EQ(static_cast<int>(rule.class_counts.size()),
-                set.encoder.num_classes());
-    }
+  EXPECT_FALSE(sm.trees().empty());
+  for (const StructureModel::AttributeTree& t : sm.trees()) {
+    EXPECT_EQ(t.encoder.attr(), t.class_attr);
+    EXPECT_EQ(t.tree.num_classes(), t.encoder.num_classes());
   }
 }
 
@@ -134,84 +133,203 @@ TEST(StructureModelTest, RoundTripPreservesDiscretizedEncoders) {
   std::istringstream is(os.str());
   auto back = StructureModel::Deserialize(f.table.schema(), &is);
   ASSERT_TRUE(back.ok());
-  for (const AttributeRuleSet& set : back->rule_sets()) {
-    if (set.class_attr == 2) {
-      EXPECT_TRUE(set.encoder.is_discretized());
-      EXPECT_GT(set.encoder.num_classes(), 1);
+  for (const StructureModel::AttributeTree& t : back->trees()) {
+    if (t.class_attr == 2) {
+      EXPECT_TRUE(t.encoder.is_discretized());
+      EXPECT_GT(t.encoder.num_classes(), 1);
     }
   }
+}
+
+/// A temp path unique to the running test, so ctest -j can run the cases
+/// of this suite as parallel processes.
+std::string TestTempPath(const std::string& stem) {
+  return ::testing::TempDir() + "/" + stem + "_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name();
+}
+
+/// Check on a one-row table holding `row`.
+AuditReport CheckOne(const StructureModel& sm, const Schema& schema,
+                     const Row& row, const AuditorConfig& config) {
+  Table t(schema);
+  EXPECT_TRUE(t.AppendRow(row).ok());
+  auto report = sm.Check(t, config);
+  EXPECT_TRUE(report.ok()) << report.status();
+  return report.ok() ? std::move(*report) : AuditReport{};
 }
 
 TEST(StructureModelTest, FileRoundTrip) {
   Fixture f;
   StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
-  const std::string path = testing::TempDir() + "/dq_structure_model.dqmodel";
+  const std::string path = TestTempPath("dq_structure_model") + ".dqmodel";
   ASSERT_TRUE(sm.SaveToFile(path).ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   auto back = StructureModel::LoadFromFile(f.table.schema(), path);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back->TotalRules(), sm.TotalRules());
 }
 
+TEST(StructureModelTest, SaveIntoMissingDirectoryLeavesNoFile) {
+  Fixture f;
+  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
+  const std::string dir = TestTempPath("dq_no_such_dir");
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/model.dqmodel";
+  const Status saved = sm.SaveToFile(path);
+  EXPECT_FALSE(saved.ok());
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 TEST(StructureModelTest, DeserializeRejectsGarbage) {
   Schema s = ModelSchema();
-  {
-    std::istringstream is("not a model\n");
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok());
-  }
-  {
-    std::istringstream is("dqmodel v1\nbogus tag\nend\n");
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok());
-  }
-  {
-    // Missing 'end'.
-    std::istringstream is("dqmodel v1\nattrset 0 nominal\n");
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok());
-  }
-  {
-    // Rule before any attrset.
-    std::istringstream is(
-        "dqmodel v1\nrule 0 10 1 0.5 counts 3 10 0 0 conds 0\nend\n");
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok());
-  }
-  {
-    // Class-count arity mismatch (X has 3 categories).
-    std::istringstream is(
-        "dqmodel v1\nattrset 0 nominal\n"
-        "rule 0 10 1 0.5 counts 2 10 0 conds 0\nend\n");
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok());
-  }
-  {
-    // Attribute index out of range in a condition.
-    std::istringstream is(
-        "dqmodel v1\nattrset 0 nominal\n"
-        "rule 0 10 1 0.5 counts 3 10 0 0 conds 1\ncond 9 cat 0\nend\n");
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok());
+  for (const char* text : {
+           "not a model\n",
+           "dqmodel v2\nbogus tag\nend\n",
+           // Missing 'end'.
+           "dqmodel v2\nmodel 0 nominal 1\nleaf 0 0 10 10 0 0\n",
+           // Node line before any model line.
+           "dqmodel v2\nleaf 0 0 10 10 0 0\nend\n",
+           // Class-count arity mismatch (X has 3 categories).
+           "dqmodel v2\nmodel 0 nominal 1\nleaf 0 0 10 10 0\nend\n",
+           // Split attribute index out of range.
+           "dqmodel v2\nmodel 0 nominal 2\nsplit 0 9 cat 1 1 10\n"
+           "leaf 10 0 10 10 0 0\nend\n",
+       }) {
+    std::istringstream is(text);
+    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok()) << text;
   }
 }
 
+TEST(StructureModelTest, ReaderRejectsHostileInput) {
+  Fixture f;
+  const Schema& s = f.table.schema();
+  std::ostringstream os;
+  ASSERT_TRUE(StructureModel::FromAuditModel(f.model, s).SerializeTo(&os).ok());
+  const std::string saved = os.str();
+  ASSERT_TRUE(StructureModel::Deserialize(s, saved).ok());
+
+  // Truncation at every line, with and without the line's newline.
+  for (size_t eol = saved.find('\n'); eol + 1 < saved.size();
+       eol = saved.find('\n', eol + 1)) {
+    EXPECT_FALSE(StructureModel::Deserialize(s, saved.substr(0, eol + 1)).ok())
+        << "cut after byte " << eol;
+    EXPECT_FALSE(StructureModel::Deserialize(s, saved.substr(0, eol)).ok())
+        << "cut before byte " << eol;
+  }
+
+  // Y's tree over X (see MinimalHandAuthoredModel), mutated one field at a
+  // time.
+  const auto y_model = [](const std::string& nodes, int count = 4) {
+    return "dqmodel v2\nmodel 1 nominal " + std::to_string(count) + "\n" +
+           nodes + "end\n";
+  };
+  const std::string leaves =
+      "leaf 100 1 100 1 99 0\nleaf 0 1 0 0 0 0\nleaf 0 1 0 0 0 0\n";
+  const std::string valid = y_model("split 0 0 cat 1 3 100\n" + leaves);
+  ASSERT_TRUE(StructureModel::Deserialize(s, valid).ok());
+
+  // A caterpillar of `le` splits on Z, one level deeper per split: node
+  // 2i - 1 splits into the next split (2i + 1) and a leaf (2i + 2).
+  const auto caterpillar = [&](int levels) {
+    std::string nodes = "split 1 2 le 5 1 1\n";
+    for (int i = 1; i < levels; ++i) {
+      nodes += "split 1 2 le 5 " + std::to_string(2 * i + 1) + " 1\n";
+      nodes += "leaf 1 1 1 0 1 0\n";
+    }
+    nodes += "leaf 1 1 1 0 1 0\nleaf 1 1 1 0 1 0\n";
+    return y_model(nodes, 2 * levels + 1);
+  };
+  ASSERT_TRUE(StructureModel::Deserialize(s, caterpillar(10)).ok());
+
+  struct Case {
+    std::string text;
+    std::string error;  // expected in the message
+  };
+  const std::vector<Case> cases = {
+      {"dqmodel v1\nattrset 1 nominal\nend\n", "dqaudit --save-model"},
+      {y_model("split 0 0 cat 2 3 100\n" + leaves), "out of range"},
+      {y_model("split 0 0 cat 0 3 100\n" + leaves), "does not come after"},
+      {y_model("split 0 0 cat 1 2 100\nsplit 50 0 cat 1 1 50\n"
+               "leaf 50 1 50 0 50 0\n",
+               3),
+       "does not come after"},
+      {y_model("split 0 0 cat 1 2 100\n" + leaves), "without a parent"},
+      {y_model("split 0 9 cat 1 3 100\n" + leaves), "attribute out of range"},
+      {y_model("split 0 2 cat 1 3 100\n" + leaves), "ordered attribute"},
+      {y_model("split 0 0 le 1 1 100\n" + leaves), "nominal attribute"},
+      {y_model("split 0 0 cat 1 3 100\nleaf 100 1 100 1 99\n"
+               "leaf 0 1 0 0 0 0\nleaf 0 1 0 0 0 0\n"),
+       "arity mismatch"},
+      {y_model("split 0 0 cat 1 3 100\nleaf 100 1 100 1 99 0 0\n"
+               "leaf 0 1 0 0 0 0\nleaf 0 1 0 0 0 0\n"),
+       "arity mismatch"},
+      {y_model("split 0 0 cat 1 3 100\nleaf 100 3 100 1 99 0\n"
+               "leaf 0 1 0 0 0 0\nleaf 0 1 0 0 0 0\n"),
+       "majority class out of range"},
+      {y_model("split 0 0 cat 1 3 100\nleaf 100 1 -100 1 99 0\n"
+               "leaf 0 1 0 0 0 0\nleaf 0 1 0 0 0 0\n"),
+       "leaf weight"},
+      {y_model("split 0 0 cat 1 3 100\nleaf 100 1 100 nan 99 0\n"
+               "leaf 0 1 0 0 0 0\nleaf 0 1 0 0 0 0\n"),
+       "class counts"},
+      {y_model("split 0 0 cat 1 3 100\nleaf -1 1 100 1 99 0\n"
+               "leaf 0 1 0 0 0 0\nleaf 0 1 0 0 0 0\n"),
+       "branch weight"},
+      {y_model("split 0 0 cat 1 3 nan\n" + leaves), "malformed split"},
+      {"dqmodel v2\nmodel 1 nominal 3\nsplit 0 2 le inf 1 100\n"
+       "leaf 50 1 50 0 50 0\nleaf 50 0 50 50 0 0\nend\n",
+       "malformed split"},
+      {"dqmodel v2\nmodel 1 nominal 4000000000\nleaf 0 1 1 0 1 0\nend\n",
+       "does not fit"},
+      {"dqmodel v2\nmodel 1 nominal 0\nend\n", "at least one node"},
+      {caterpillar(1100), "too deep"},
+      {valid + "x", "after 'end'"},
+      {valid + "\n", "after 'end'"},
+      {valid + "end\n", "after 'end'"},
+      {valid.substr(0, valid.size() - 1), "after 'end'"},
+  };
+  for (const Case& c : cases) {
+    auto parsed = StructureModel::Deserialize(s, c.text);
+    ASSERT_FALSE(parsed.ok()) << c.text;
+    EXPECT_NE(parsed.status().message().find(c.error), std::string::npos)
+        << parsed.status() << "\n" << c.text.substr(0, 200);
+  }
+  // With a finite threshold the same tree loads.
+  EXPECT_TRUE(StructureModel::Deserialize(
+                  s, "dqmodel v2\nmodel 1 nominal 3\nsplit 0 2 le 5 1 100\n"
+                     "leaf 50 1 50 0 50 0\nleaf 50 0 50 50 0 0\nend\n")
+                  .ok());
+}
+
 TEST(StructureModelTest, MinimalHandAuthoredModel) {
+  // Y's tree splits on X; only the X = x0 branch saw training data, and
+  // there Y = y1 in 99 of 100 records.
   Schema s = ModelSchema();
   std::istringstream is(
-      "dqmodel v1\n"
-      "attrset 1 nominal\n"
-      "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\n"
-      "cond 0 cat 0\n"
+      "dqmodel v2\n"
+      "model 1 nominal 4\n"
+      "split 0 0 cat 1 3 100\n"
+      "leaf 100 1 100 1 99 0\n"
+      "leaf 0 1 0 0 0 0\n"
+      "leaf 0 1 0 0 0 0\n"
       "end\n");
   auto sm = StructureModel::Deserialize(s, &is);
   ASSERT_TRUE(sm.ok()) << sm.status();
   ASSERT_EQ(sm->TotalRules(), 1u);
 
-  // A record matching the rule with a deviating Y is flagged.
+  // A record reaching the trained leaf with a deviating Y is flagged.
   Table t(s);
   ASSERT_TRUE(t.AppendRow({Value::Nominal(0), Value::Nominal(0),
                            Value::Numeric(1.0)})
-                  .ok());  // deviates (rule says Y=y1)
+                  .ok());  // deviates (the leaf says Y=y1)
   ASSERT_TRUE(t.AppendRow({Value::Nominal(0), Value::Nominal(1),
                            Value::Numeric(1.0)})
                   .ok());  // conforms
   ASSERT_TRUE(t.AppendRow({Value::Nominal(2), Value::Nominal(0),
                            Value::Numeric(1.0)})
-                  .ok());  // rule does not apply
+                  .ok());  // empty leaf: no support, never flagged
   AuditorConfig config;
   config.min_error_confidence = 0.8;
   auto report = sm->Check(t, config);
@@ -222,42 +340,37 @@ TEST(StructureModelTest, MinimalHandAuthoredModel) {
   EXPECT_EQ(report->suspicious[0].suggestion.nominal_code(), 1);
 }
 
-TEST(StructureModelTest, NullPathValueMatchesNoRule) {
+TEST(StructureModelTest, NullPathValueScoredLikeAudit) {
+  // A null split value follows every branch with C4.5's branch weights, in
+  // the persisted model exactly as in the in-memory audit.
   Fixture f;
   StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
   Table t(f.table.schema());
-  ASSERT_TRUE(
-      t.AppendRow({Value::Null(), Value::Nominal(0), Value::Numeric(5.0)})
-          .ok());
-  auto report = sm.Check(t, f.config);
-  ASSERT_TRUE(report.ok());
-  // The Y rules condition on X; with X null no rule matches, so the only
-  // possible flags come from other attribute models.
-  for (const Suspicion& s : report->suspicious) {
-    EXPECT_NE(s.attr, 1);
+  for (int32_t y = 0; y < 3; ++y) {
+    ASSERT_TRUE(
+        t.AppendRow({Value::Null(), Value::Nominal(y), Value::Numeric(5.0)})
+            .ok());
+    ASSERT_TRUE(
+        t.AppendRow({Value::Nominal(y), Value::Null(), Value::Null()}).ok());
   }
-}
-
-TEST(StructureModelTest, DropUselessShrinksButLosesPureLeafDetection) {
-  // The sec. 5.4 reduction removes zero-expErrorConf (pure) leaves: the
-  // model shrinks, but a *new* record deviating inside a pure partition is
-  // no longer caught — the reason keep-all is the checking default. Train
-  // on pristine data so every Y leaf is pure.
-  Fixture f(3000, /*errors=*/0, 61);
-  StructureModel full =
-      StructureModel::FromAuditModel(f.model, f.table.schema(), false);
-  StructureModel reduced =
-      StructureModel::FromAuditModel(f.model, f.table.schema(), true);
-  EXPECT_LT(reduced.TotalRules(), full.TotalRules());
-
-  Row row(3);
-  row[0] = Value::Nominal(1);
-  row[1] = Value::Nominal(0);  // violates Y == X
-  row[2] = Value::Numeric(31.0);
-  const auto full_verdict = full.CheckRecord(row, f.config);
-  EXPECT_TRUE(full_verdict.suspicious);
-  const auto reduced_verdict = reduced.CheckRecord(row, f.config);
-  EXPECT_LT(reduced_verdict.error_confidence, full_verdict.error_confidence);
+  auto checked = sm.Check(t, f.config);
+  auto audited = f.auditor.Audit(f.model, t);
+  ASSERT_TRUE(checked.ok());
+  ASSERT_TRUE(audited.ok());
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    EXPECT_EQ(checked->record_confidence[r], audited->record_confidence[r])
+        << "row " << r;
+    EXPECT_EQ(checked->record_attr[r], audited->record_attr[r]) << "row " << r;
+    EXPECT_EQ(checked->record_support[r], audited->record_support[r])
+        << "row " << r;
+  }
+  // The Y model sees X null and still scores: it blends the X branches.
+  EXPECT_GT(checked->record_confidence[0], 0.0);
+  std::ostringstream checked_csv;
+  std::ostringstream audited_csv;
+  ASSERT_TRUE(WriteAuditReportCsv(*checked, t, &checked_csv).ok());
+  ASSERT_TRUE(WriteAuditReportCsv(*audited, t, &audited_csv).ok());
+  EXPECT_EQ(checked_csv.str(), audited_csv.str());
 }
 
 TEST(StructureModelTest, CheckRecordMatchesBatchCheck) {
@@ -266,9 +379,11 @@ TEST(StructureModelTest, CheckRecordMatchesBatchCheck) {
   auto report = sm.Check(f.table, f.config);
   ASSERT_TRUE(report.ok());
   for (size_t r = 0; r < 200; ++r) {
-    const auto verdict = sm.CheckRecord(f.table.row(r), f.config);
-    EXPECT_EQ(verdict.suspicious, report->IsFlagged(r)) << "row " << r;
-    EXPECT_DOUBLE_EQ(verdict.error_confidence, report->record_confidence[r]);
+    const AuditReport one =
+        CheckOne(sm, f.table.schema(), f.table.row(r), f.config);
+    ASSERT_EQ(one.record_confidence.size(), 1u);
+    EXPECT_EQ(one.IsFlagged(0), report->IsFlagged(r)) << "row " << r;
+    EXPECT_DOUBLE_EQ(one.record_confidence[0], report->record_confidence[r]);
   }
 }
 
@@ -279,8 +394,8 @@ TEST(StructureModelTest, CheckRecordOnConformingRecord) {
   row[0] = Value::Nominal(1);
   row[1] = Value::Nominal(1);  // consistent with Y == X
   row[2] = Value::Numeric(32.0);
-  const auto verdict = sm.CheckRecord(row, f.config);
-  EXPECT_FALSE(verdict.suspicious);
+  const AuditReport one = CheckOne(sm, f.table.schema(), row, f.config);
+  EXPECT_FALSE(one.IsFlagged(0));
 }
 
 TEST(StructureModelTest, CheckRecordOnDeviatingRecord) {
@@ -290,10 +405,10 @@ TEST(StructureModelTest, CheckRecordOnDeviatingRecord) {
   row[0] = Value::Nominal(1);
   row[1] = Value::Nominal(2);  // violates Y == X
   row[2] = Value::Numeric(32.0);
-  const auto verdict = sm.CheckRecord(row, f.config);
-  EXPECT_TRUE(verdict.suspicious);
-  EXPECT_GE(verdict.error_confidence, 0.8);
-  EXPECT_GT(verdict.support, 0.0);
+  const AuditReport one = CheckOne(sm, f.table.schema(), row, f.config);
+  ASSERT_EQ(one.suspicious.size(), 1u);
+  EXPECT_GE(one.suspicious[0].error_confidence, 0.8);
+  EXPECT_GT(one.suspicious[0].support, 0.0);
 }
 
 // --- Review (sec. 5.3) -----------------------------------------------------------

@@ -19,8 +19,10 @@
 //   --split-mode MODE  c4.5 split evaluator: histogram (default; binned
 //                      scans, sibling subtraction, intra-tree parallelism)
 //                      or exact (the reference SLIQ row sweep)
-//   --save-model FILE  persist the induced structure model (rule sets)
-//   --load-model FILE  skip induction, check against a persisted model
+//   --save-model FILE  persist the induced structure model (dqmodel v2)
+//   --load-model FILE  skip induction, check against a persisted model; the
+//                      report equals an audit with the saved model.
+//                      Incompatible with --train and --explain
 //   --top N            print the N strongest suspicions (default 20)
 //   --explain N        print review sheets for the top N suspicions
 //   --rules            print the induced structure model
@@ -283,6 +285,14 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
   }
   if (opts->split_mode != "histogram" && opts->split_mode != "exact") {
     std::fprintf(stderr, "--split-mode must be 'histogram' or 'exact'\n");
+    return false;
+  }
+  if (!opts->load_model_path.empty() &&
+      (!opts->train_path.empty() || opts->explain > 0)) {
+    // A persisted model has no training table and keeps no classifiers to
+    // explain with.
+    std::fprintf(stderr,
+                 "--load-model is incompatible with --train and --explain\n");
     return false;
   }
   if (opts->memory_budget > 0) {
@@ -603,6 +613,24 @@ int main(int argc, char** argv) {
 
   Auditor auditor(config);
 
+  // --report and --corrected, shared by the induce-then-audit and the
+  // persisted-model paths.
+  auto write_outputs = [&](const AuditReport& report) -> Status {
+    if (!opts.report_path.empty()) {
+      DQ_RETURN_NOT_OK(
+          WriteAuditReportCsvFile(report, *data, opts.report_path));
+      std::printf("wrote ranked report to %s\n", opts.report_path.c_str());
+    }
+    if (!opts.corrected_path.empty()) {
+      DQ_ASSIGN_OR_RETURN(Table corrected,
+                          auditor.ApplyCorrections(report, *data));
+      DQ_RETURN_NOT_OK(WriteCsvFile(corrected, opts.corrected_path));
+      std::printf("\nwrote corrected table to %s\n",
+                  opts.corrected_path.c_str());
+    }
+    return Status::OK();
+  };
+
   // Checking via a persisted structure model needs no induction.
   if (!opts.load_model_path.empty()) {
     auto model = StructureModel::LoadFromFile(*schema, opts.load_model_path);
@@ -622,6 +650,8 @@ int main(int argc, char** argv) {
                   schema->ValueToString(s.attr, s.observed).c_str(),
                   schema->ValueToString(s.attr, s.suggestion).c_str());
     }
+    Status written = write_outputs(*report);
+    if (!written.ok()) return Fail(written);
     AuditTimings check_timings;
     check_timings.threads_used = manifest.threads_used;
     check_timings.ingest_ms = obs::Tracer::Global().AggregateMs("ingest");
@@ -715,19 +745,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!opts.report_path.empty()) {
-    Status written = WriteAuditReportCsvFile(*report, *data, opts.report_path);
-    if (!written.ok()) return Fail(written);
-    std::printf("wrote ranked report to %s\n", opts.report_path.c_str());
-  }
-
-  if (!opts.corrected_path.empty()) {
-    auto corrected = auditor.ApplyCorrections(*report, *data);
-    if (!corrected.ok()) return Fail(corrected.status());
-    Status written = WriteCsvFile(*corrected, opts.corrected_path);
-    if (!written.ok()) return Fail(written);
-    std::printf("\nwrote corrected table to %s\n", opts.corrected_path.c_str());
-  }
+  Status written = write_outputs(*report);
+  if (!written.ok()) return Fail(written);
 
   manifest.threads_used = timings.threads_used;
   Status history_appended =
