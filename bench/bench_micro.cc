@@ -6,6 +6,7 @@
 
 #include "audit/auditor.h"
 #include "eval/test_environment.h"
+#include "mining/encoded_dataset.h"
 #include "mining/split_kernels.h"
 #include "stats/descriptive.h"
 #include "obs/drift.h"
@@ -130,16 +131,11 @@ void BM_C45Induction(benchmark::State& state) {
     state.SkipWithError("generation failed");
     return;
   }
-  auto encoder = ClassEncoder::Fit(data->table, 0, 8);
-  if (!encoder.ok()) {
-    state.SkipWithError("encoder failed");
-    return;
-  }
+  const EncodedDataset encoded = EncodedDataset::Build(data->table, 8);
   TrainingData td;
-  td.table = &data->table;
+  td.encoded = &encoded;
   td.class_attr = 0;
   td.base_attrs = {1, 2, 3, 4, 5, 6, 7};
-  td.encoder = &*encoder;
   // range(1): 0 = histogram evaluator (default), 1 = exact row sweep.
   for (auto _ : state) {
     C45Config tree_cfg;

@@ -75,10 +75,8 @@ int main(int argc, char** argv) {
               report->NumFlagged());
 
   std::printf("\nphase breakdown (threads=%d):\n", timings.threads_used);
-  std::printf("  induce:  %8.1f ms (encode %.1f ms, c4.5 presort %.1f ms, "
-              "tree build %.1f ms)\n",
-              timings.induce_ms, timings.encode_ms, timings.presort_ms,
-              timings.tree_build_ms);
+  std::printf("  induce:  %8.1f ms (encode %.1f ms, tree build %.1f ms)\n",
+              timings.induce_ms, timings.encode_ms, timings.tree_build_ms);
   for (const auto& [attr, ms] : timings.induce_attr_ms) {
     std::printf("    %-8s %8.1f ms\n",
                 sample->table.schema()
@@ -170,7 +168,6 @@ int main(int argc, char** argv) {
   json.Add("runtime_s", seconds);
   json.Add("induce_ms", timings.induce_ms);
   json.Add("encode_ms", timings.encode_ms);
-  json.Add("presort_ms", timings.presort_ms);
   json.Add("tree_build_ms", timings.tree_build_ms);
   json.Add("audit_ms", timings.audit_ms);
   json.Add("suspicious", report->NumFlagged());

@@ -102,17 +102,15 @@ Result<AuditModel> Auditor::Induce(const Table& train,
 
   const int threads = ResolveThreadCount(config_.num_threads);
 
-  // The audit-wide encode cache: column views, SLIQ sort orders and class
-  // encodings are a pure function of the table, so they are built ONCE here
-  // and shared read-only by all k parallel inductions below — the work the
-  // per-Train c45.encode/c45.presort phases used to redo k times.
+  // The audit-wide encode cache: column views, SLIQ sort orders, value
+  // bins and class encodings are a pure function of the table, so they are
+  // built ONCE here and shared read-only by all k inductions below.
   double encode_ms = 0.0;
   std::optional<EncodedDataset> encoded;
   {
     obs::Span encode_span("induce.encode", -1, &encode_ms);
-    encoded.emplace(EncodedDataset::Build(train, config_.numeric_class_bins,
-                                          threads,
-                                          config_.c45.histogram_bins));
+    encoded.emplace(
+        EncodedDataset::Build(train, config_.numeric_class_bins, threads));
   }
 
   std::vector<std::optional<AttributeModel>> slots(jobs.size());
@@ -151,11 +149,9 @@ Result<AuditModel> Auditor::Induce(const Table& train,
       return;
     }
     TrainingData td;
-    td.table = &train;
+    td.encoded = &*encoded;
     td.class_attr = job.class_attr;
     td.base_attrs = am.base_attrs;
-    td.encoder = &am.encoder;
-    td.encoded = &*encoded;
     td.pool = pool;
     Status trained = am.classifier->Train(td);
     if (!trained.ok()) {
@@ -198,13 +194,11 @@ Result<AuditModel> Auditor::Induce(const Table& train,
   }
 
   AuditModel model;
-  double presort_ms = 0.0;
   double tree_build_ms = 0.0;
   for (size_t j = 0; j < slots.size(); ++j) {
     if (!slots[j].has_value()) continue;
     if (const auto* tree =
             dynamic_cast<const C45Tree*>(slots[j]->classifier.get())) {
-      presort_ms += tree->presort_ms();
       tree_build_ms += tree->build_ms();
     }
     model.AddAttributeModel(std::move(*slots[j]));
@@ -217,7 +211,6 @@ Result<AuditModel> Auditor::Induce(const Table& train,
     timings->threads_used = induction_threads;
     timings->induce_ms = induce_span.ElapsedMs();
     timings->encode_ms = encode_ms;
-    timings->presort_ms = presort_ms;
     timings->tree_build_ms = tree_build_ms;
     timings->induce_attr_ms.clear();
     for (size_t j = 0; j < jobs.size(); ++j) {

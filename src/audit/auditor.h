@@ -64,8 +64,7 @@ struct AuditTimings {
   double induce_ms = 0.0;      ///< structure induction wall clock
   double audit_ms = 0.0;       ///< deviation detection wall clock
   double encode_ms = 0.0;      ///< one-time EncodedDataset build wall clock
-  double presort_ms = 0.0;     ///< summed per-tree presort-derivation time
-  double tree_build_ms = 0.0;  ///< summed C4.5 recursive construction time
+  double tree_build_ms = 0.0;  ///< summed C4.5 tree construction time
   /// Induction wall clock per class attribute, in attribute order.
   std::vector<std::pair<int, double>> induce_attr_ms;
 };

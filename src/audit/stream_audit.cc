@@ -1,12 +1,12 @@
 #include "audit/stream_audit.h"
 
 #include <algorithm>
-#include <fstream>
 #include <optional>
 #include <ostream>
 #include <utility>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "table/csv.h"
@@ -157,9 +157,9 @@ Status WriteStreamAuditReportCsv(const std::vector<Suspicion>& suspicious,
 Status WriteStreamAuditReportCsvFile(const std::vector<Suspicion>& suspicious,
                                      const Schema& schema,
                                      const std::string& path) {
-  std::ofstream f(path);
-  if (!f) return Status::IOError("cannot open '" + path + "' for writing");
-  return WriteStreamAuditReportCsv(suspicious, schema, &f);
+  return WriteFileAtomically(path, [&](std::ostream* out) {
+    return WriteStreamAuditReportCsv(suspicious, schema, out);
+  });
 }
 
 }  // namespace dq

@@ -2,12 +2,12 @@
 
 #include <charconv>
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <ostream>
 #include <sstream>
 
+#include "common/atomic_file.h"
 #include "audit/scorer.h"
 #include "obs/trace.h"
 
@@ -119,25 +119,8 @@ Status StructureModel::SerializeTo(std::ostream* out) const {
 
 Status StructureModel::SaveToFile(const std::string& path) const {
   obs::Span span("model.save");
-  const std::string tmp = path + ".tmp";
-  Status written;
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) return Status::IOError("cannot open '" + tmp + "' for writing");
-    written = SerializeTo(&f);
-    f.close();
-    if (written.ok() && !f) {
-      written = Status::IOError("short write to '" + tmp + "'");
-    }
-  }
-  std::error_code ec;
-  if (written.ok()) {
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) written = Status::IOError("cannot rename '" + tmp + "' to '" +
-                                      path + "': " + ec.message());
-  }
-  if (!written.ok()) std::filesystem::remove(tmp, ec);
-  return written;
+  return WriteFileAtomically(
+      path, [this](std::ostream* out) { return SerializeTo(out); });
 }
 
 namespace {

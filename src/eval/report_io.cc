@@ -1,9 +1,9 @@
 #include "eval/report_io.h"
 
-#include <fstream>
 #include <ostream>
 
 #include "audit/stream_audit.h"
+#include "common/atomic_file.h"
 
 namespace dq {
 
@@ -27,9 +27,9 @@ Status WriteAuditReportCsv(const AuditReport& report, const Table& data,
 
 Status WriteAuditReportCsvFile(const AuditReport& report, const Table& data,
                                const std::string& path) {
-  std::ofstream f(path);
-  if (!f) return Status::IOError("cannot open '" + path + "' for writing");
-  return WriteAuditReportCsv(report, data, &f);
+  return WriteFileAtomically(path, [&](std::ostream* out) {
+    return WriteAuditReportCsv(report, data, out);
+  });
 }
 
 }  // namespace dq

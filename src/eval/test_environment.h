@@ -78,7 +78,7 @@ struct ExperimentResult {
   double audit_ms = 0.0;
 
   /// Phase breakdown of the audit (threads used, per-attribute induction
-  /// times, C4.5 presort vs. tree-build split).
+  /// times, encode vs. tree-build split).
   AuditTimings timings;
 };
 

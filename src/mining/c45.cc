@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/parallel.h"
 #include "common/strings.h"
@@ -89,33 +88,29 @@ struct C45Tree::Node {
 };
 
 struct C45Tree::BuildContext {
-  const Table* table;
+  const Schema* schema;
   const int32_t* class_codes;  // per row, -1 for null
   std::vector<int> base_attrs;
   int num_classes;
   double min_inst;
 
-  // Columnar views of the base attributes: ordered_cols[a][row] is the
-  // OrderedValue (NaN = null) of ordered base attributes, nominal_cols[a]
-  // [row] the category code (-1 = null) of nominal ones. Non-base
-  // attributes stay nullptr. The views alias the shared EncodedDataset
-  // when one is supplied, else per-Train storage owned by Train's frame.
+  // Columnar views of the base attributes, aliasing the EncodedDataset:
+  // ordered_cols[a][row] is the OrderedValue (NaN = null) of ordered base
+  // attributes, nominal_cols[a][row] the category code (-1 = null) of
+  // nominal ones. Non-base attributes stay nullptr.
   std::vector<const double*> ordered_cols;
   std::vector<const int32_t*> nominal_cols;
 
-  // Presort active: the table has at least one ordered base attribute and
-  // the config enables the SLIQ-style sorted index lists.
-  bool presort = false;
-
   // Per-row branch assignment scratch used while partitioning one node
   // (-2 = not in node, -1 = missing split value, >= 0 = branch index).
+  // Exact mode only.
   std::vector<int32_t> branch_scratch;
 };
 
-/// Per-node training state: the instance set plus (in presort mode) one
+/// Per-node training state of the exact sweep: the instance set plus one
 /// value-ordered instance list per ordered base attribute. The lists are
-/// partitioned stably alongside the instances, so the upfront sort order
-/// survives to every descendant and no node ever re-sorts.
+/// partitioned stably alongside the instances, so the shared sort order
+/// survives to every descendant and no node ever sorts.
 struct C45Tree::NodeData {
   std::vector<std::pair<uint32_t, double>> insts;
   std::vector<std::vector<std::pair<uint32_t, double>>> sorted;
@@ -185,90 +180,30 @@ constexpr double kEps = kTreeWeightEpsilon;
 
 Status C45Tree::Train(const TrainingData& data) {
   DQ_RETURN_NOT_OK(data.Check());
-  table_ = data.table;
-  class_attr_ = data.class_attr;
-  encoder_ = data.encoder;
-  num_classes_ = data.encoder->num_classes();
+  num_classes_ = data.encoder().num_classes();
   if (num_classes_ < 1) {
     return Status::FailedPrecondition("encoder reports no classes");
   }
-
-  const Schema& schema = table_->schema();
-  const size_t num_rows = table_->num_rows();
-  presort_ms_ = 0.0;
+  const EncodedDataset& cache = *data.encoded;
+  const Schema& schema = data.table().schema();
+  const size_t num_rows = cache.num_rows();
   build_ms_ = 0.0;
 
-  const EncodedDataset* cache = data.encoded;
-
+  // Column views and class codes come from the shared cache, so Train
+  // encodes nothing.
   BuildContext ctx;
-  ctx.table = table_;
+  ctx.schema = &schema;
+  ctx.class_codes = cache.class_codes(static_cast<size_t>(data.class_attr));
   ctx.base_attrs = data.base_attrs;
   ctx.num_classes = num_classes_;
   ctx.min_inst =
       MinInstForConfidence(config_.min_error_confidence, config_.confidence_level);
   ctx.ordered_cols.assign(schema.num_attributes(), nullptr);
   ctx.nominal_cols.assign(schema.num_attributes(), nullptr);
-
-  // Per-Train storage backing the context views on the legacy (uncached)
-  // path; with an EncodedDataset the views alias the shared cache and
-  // these stay empty.
-  std::vector<int32_t> class_code_storage;
-  std::vector<std::vector<double>> ordered_storage;
-  std::vector<std::vector<int32_t>> nominal_storage;
-
-  bool has_ordered_base = false;
-  if (cache != nullptr) {
-    // Audit-wide cache: column views and class codes were built once for
-    // the whole audit, so this Train call encodes nothing.
-    DQ_DCHECK(cache->table() == table_);
-    ctx.class_codes = cache->class_codes(static_cast<size_t>(class_attr_));
-    if (ctx.class_codes == nullptr) {
-      return Status::FailedPrecondition(
-          "encoded dataset has no class encoding for the class attribute");
-    }
-    for (int a : data.base_attrs) {
-      const size_t attr = static_cast<size_t>(a);
-      if (schema.attribute(attr).type == DataType::kNominal) {
-        ctx.nominal_cols[attr] = cache->nominal_col(attr);
-      } else {
-        ctx.ordered_cols[attr] = cache->ordered_col(attr);
-        has_ordered_base = true;
-      }
-    }
-  } else {
-    // Columnar encoding: one dense value column per base attribute, so the
-    // split search and partitioning never chase Row/Value indirections.
-    obs::Span span("c45.encode", class_attr_, &presort_ms_);
-    class_code_storage.resize(num_rows);
-    for (size_t r = 0; r < num_rows; ++r) {
-      class_code_storage[r] =
-          encoder_->Encode(table_->cell(r, static_cast<size_t>(class_attr_)));
-    }
-    ctx.class_codes = class_code_storage.data();
-    ordered_storage.assign(schema.num_attributes(), {});
-    nominal_storage.assign(schema.num_attributes(), {});
-    for (int a : data.base_attrs) {
-      const size_t attr = static_cast<size_t>(a);
-      if (schema.attribute(attr).type == DataType::kNominal) {
-        std::vector<int32_t>& col = nominal_storage[attr];
-        col.resize(num_rows);
-        for (size_t r = 0; r < num_rows; ++r) {
-          const Value v = table_->cell(r, attr);
-          col[r] = v.is_null() ? -1 : v.nominal_code();
-        }
-        ctx.nominal_cols[attr] = col.data();
-      } else {
-        has_ordered_base = true;
-        std::vector<double>& col = ordered_storage[attr];
-        col.resize(num_rows);
-        for (size_t r = 0; r < num_rows; ++r) {
-          const Value v = table_->cell(r, attr);
-          col[r] = v.is_null() ? std::numeric_limits<double>::quiet_NaN()
-                               : v.OrderedValue();
-        }
-        ctx.ordered_cols[attr] = col.data();
-      }
-    }
+  for (int a : data.base_attrs) {
+    const size_t attr = static_cast<size_t>(a);
+    ctx.ordered_cols[attr] = cache.ordered_col(attr);
+    ctx.nominal_cols[attr] = cache.nominal_col(attr);
   }
 
   std::vector<Inst> insts;
@@ -284,54 +219,30 @@ Status C45Tree::Train(const TrainingData& data) {
   }
 
   if (config_.split_mode == SplitMode::kHistogram) {
-    return TrainHistogram(data, &ctx, std::move(insts), has_ordered_base);
-  }
-
-  ctx.presort = config_.presort && has_ordered_base;
-
-  NodeData root_data;
-  root_data.insts = std::move(insts);
-  if (ctx.presort) {
-    // The one upfront sort (SLIQ-style): every ordered base attribute gets
-    // a value-ordered list of the root instances with known values; ties
-    // keep row order (stable), so parallel/serial runs agree bitwise.
-    //
-    // Cached path: the shared sort order already holds ALL value-known
-    // rows stable-sorted by (value, row); filtering it down to the rows
-    // with a known class value preserves that order exactly, so the result
-    // is bitwise-identical to the per-Train stable sort — in O(n) per
-    // attribute instead of O(n log n).
-    obs::Span span("c45.presort", class_attr_, &presort_ms_);
-    ctx.branch_scratch.assign(num_rows, -2);
-    root_data.sorted.assign(schema.num_attributes(), {});
-    for (int a : data.base_attrs) {
-      const size_t attr = static_cast<size_t>(a);
-      const double* col = ctx.ordered_cols[attr];
-      if (col == nullptr) continue;
-      std::vector<std::pair<uint32_t, double>>& list = root_data.sorted[attr];
-      list.reserve(root_data.insts.size());
-      if (cache != nullptr) {
-        const int32_t* class_codes = ctx.class_codes;
-        for (uint32_t r : cache->sort_order(attr)) {
-          if (class_codes[r] >= 0) list.emplace_back(r, 1.0);
-        }
-      } else {
-        for (const auto& inst : root_data.insts) {
-          if (!std::isnan(col[inst.first])) list.push_back(inst);
-        }
-        std::stable_sort(list.begin(), list.end(),
-                         [col](const auto& x, const auto& y) {
-                           return col[x.first] < col[y.first];
-                         });
-      }
-    }
+    return TrainHistogram(data, &ctx, std::move(insts));
   }
 
   std::vector<bool> avail(schema.num_attributes(), false);
   for (int a : data.base_attrs) avail[static_cast<size_t>(a)] = true;
 
   {
-    obs::Span span("c45.build", class_attr_, &build_ms_);
+    obs::Span span("c45.build", data.class_attr, &build_ms_);
+    // SLIQ attribute lists: the shared sort order holds ALL value-known
+    // rows stable-sorted by (value, row); filtering it down to the rows
+    // with a known class value keeps that order, in O(n) per attribute.
+    NodeData root_data;
+    root_data.insts = std::move(insts);
+    root_data.sorted.assign(schema.num_attributes(), {});
+    ctx.branch_scratch.assign(num_rows, -2);
+    for (int a : data.base_attrs) {
+      const size_t attr = static_cast<size_t>(a);
+      if (ctx.ordered_cols[attr] == nullptr) continue;
+      std::vector<Inst>& list = root_data.sorted[attr];
+      list.reserve(root_data.insts.size());
+      for (uint32_t r : cache.sort_order(attr)) {
+        if (ctx.class_codes[r] >= 0) list.emplace_back(r, 1.0);
+      }
+    }
     root_ = Build(&ctx, std::move(root_data), std::move(avail), 0);
     if (config_.pruning == PruningMode::kPessimistic) {
       PrunePessimistic(root_.get());
@@ -374,19 +285,14 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
   }
 
   // --- Split search -------------------------------------------------------
-  const Schema& schema = ctx->table->schema();
+  const Schema& schema = *ctx->schema;
   std::vector<SplitEval> evals(schema.num_attributes());
   const double node_entropy = EntropyFromCounts(node->class_counts);
   const int32_t* class_codes = ctx->class_codes;
 
-  // Threshold sweep shared by the presorted and the legacy path; `entries`
-  // must be in ascending value order.
-  struct SweepEntry {
-    double val;
-    uint32_t row;
-    double weight;
-  };
-  auto eval_ordered_split = [&](const std::vector<SweepEntry>& entries,
+  // Threshold sweep over one attribute's value-ordered instance list.
+  auto eval_ordered_split = [&](const double* col,
+                                const std::vector<Inst>& entries,
                                 const std::vector<double>& known_counts,
                                 double known, SplitEval* eval) {
     const double known_entropy = EntropyFromCounts(known_counts);
@@ -398,11 +304,13 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
     double best_left_w = 0.0;
     size_t distinct = 1;
     for (size_t i = 0; i + 1 < entries.size(); ++i) {
-      const size_t cls = static_cast<size_t>(class_codes[entries[i].row]);
-      left[cls] += entries[i].weight;
-      right[cls] -= entries[i].weight;
-      left_w += entries[i].weight;
-      if (entries[i + 1].val > entries[i].val + kEps) {
+      const size_t cls = static_cast<size_t>(class_codes[entries[i].first]);
+      const double val = col[entries[i].first];
+      const double next_val = col[entries[i + 1].first];
+      left[cls] += entries[i].second;
+      right[cls] -= entries[i].second;
+      left_w += entries[i].second;
+      if (next_val > val + kEps) {
         ++distinct;
         const double right_w = known - left_w;
         if (left_w < config_.min_split_weight ||
@@ -414,7 +322,7 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
         const double gain = known_entropy - sub;
         if (gain > best_gain) {
           best_gain = gain;
-          best_thr = (entries[i].val + entries[i + 1].val) / 2.0;
+          best_thr = (val + next_val) / 2.0;
           best_left_w = left_w;
         }
       }
@@ -422,7 +330,7 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
     if (best_gain <= kEps) return;
     const double known_frac = known / node->weight;
     double gain = known_frac * best_gain;
-    if (config_.mdl_numeric_correction && distinct > 1) {
+    if (distinct > 1) {
       gain -= std::log2(static_cast<double>(distinct - 1)) / known;
     }
     if (gain <= kEps) return;
@@ -480,40 +388,20 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
       eval.gain = gain;
       eval.gain_ratio = split_info > kEps ? gain / split_info : 0.0;
     } else {
-      // Ordered attribute: sweep thresholds between distinct values.
+      // Ordered attribute: sweep thresholds between distinct values over
+      // the node's value-ordered list (already partitioned, never sorted).
       const double* col = ctx->ordered_cols[static_cast<size_t>(attr)];
-      std::vector<SweepEntry> entries;
+      const std::vector<Inst>& list = data.sorted[static_cast<size_t>(attr)];
       std::vector<double> known_counts(static_cast<size_t>(ctx->num_classes),
                                        0.0);
       double known = 0.0;
-      if (ctx->presort) {
-        // The node's instances are already in value order: reuse the
-        // partitioned sorted list instead of sorting.
-        const std::vector<Inst>& list = data.sorted[static_cast<size_t>(attr)];
-        entries.reserve(list.size());
-        for (const Inst& inst : list) {
-          entries.push_back({col[inst.first], inst.first, inst.second});
-          known += inst.second;
-          known_counts[static_cast<size_t>(class_codes[inst.first])] +=
-              inst.second;
-        }
-      } else {
-        entries.reserve(insts.size());
-        for (const Inst& inst : insts) {
-          const double v = col[inst.first];
-          if (std::isnan(v)) continue;
-          entries.push_back({v, inst.first, inst.second});
-          known += inst.second;
-          known_counts[static_cast<size_t>(class_codes[inst.first])] +=
-              inst.second;
-        }
-        std::sort(entries.begin(), entries.end(),
-                  [](const SweepEntry& x, const SweepEntry& y) {
-                    return x.val < y.val;
-                  });
+      for (const Inst& inst : list) {
+        known += inst.second;
+        known_counts[static_cast<size_t>(class_codes[inst.first])] +=
+            inst.second;
       }
-      if (known <= kEps || entries.size() < 2) continue;
-      eval_ordered_split(entries, known_counts, known, &eval);
+      if (known <= kEps || list.size() < 2) continue;
+      eval_ordered_split(col, list, known_counts, known, &eval);
     }
   }
 
@@ -562,7 +450,7 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
     if (best.ordered) {
       const double v = ordered_col[inst.first];
       if (std::isnan(v)) {
-        if (ctx->presort) ctx->branch_scratch[inst.first] = -1;
+        ctx->branch_scratch[inst.first] = -1;
         missing.push_back(inst);
         continue;
       }
@@ -570,21 +458,18 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
     } else {
       const int32_t code = nominal_col[inst.first];
       if (code < 0) {
-        if (ctx->presort) ctx->branch_scratch[inst.first] = -1;
+        ctx->branch_scratch[inst.first] = -1;
         missing.push_back(inst);
         continue;
       }
       b = static_cast<size_t>(code);
     }
-    if (ctx->presort) {
-      ctx->branch_scratch[inst.first] = static_cast<int32_t>(b);
-    }
+    ctx->branch_scratch[inst.first] = static_cast<int32_t>(b);
     parts[b].push_back(inst);
     part_weights[b] += inst.second;
     known += inst.second;
   }
   auto reset_scratch = [&] {
-    if (!ctx->presort) return;
     for (const Inst& inst : insts) ctx->branch_scratch[inst.first] = -2;
   };
 
@@ -622,32 +507,29 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
   // their slices in the same value order, so no descendant ever re-sorts.
   // Missing-value instances replicate into every non-empty branch with the
   // same scaled weight their parts[] copy received above.
-  std::vector<std::vector<std::vector<Inst>>> child_sorted;
-  if (ctx->presort) {
-    child_sorted.assign(num_children, {});
-    for (size_t b = 0; b < num_children; ++b) {
-      if (!parts[b].empty()) {
-        child_sorted[b].assign(schema.num_attributes(), {});
-      }
+  std::vector<std::vector<std::vector<Inst>>> child_sorted(num_children);
+  for (size_t b = 0; b < num_children; ++b) {
+    if (!parts[b].empty()) {
+      child_sorted[b].assign(schema.num_attributes(), {});
     }
-    for (size_t a = 0; a < data.sorted.size(); ++a) {
-      const std::vector<Inst>& list = data.sorted[a];
-      if (list.empty()) continue;
-      for (const Inst& e : list) {
-        const int32_t br = ctx->branch_scratch[e.first];
-        if (br >= 0) {
-          child_sorted[static_cast<size_t>(br)][a].push_back(e);
-        } else if (br == -1 && known > kEps) {
-          for (size_t b = 0; b < num_children; ++b) {
-            if (part_weights[b] <= kEps) continue;
-            const double w = e.second * part_weights[b] / known;
-            if (w > 1e-6) child_sorted[b][a].emplace_back(e.first, w);
-          }
+  }
+  for (size_t a = 0; a < data.sorted.size(); ++a) {
+    const std::vector<Inst>& list = data.sorted[a];
+    if (list.empty()) continue;
+    for (const Inst& e : list) {
+      const int32_t br = ctx->branch_scratch[e.first];
+      if (br >= 0) {
+        child_sorted[static_cast<size_t>(br)][a].push_back(e);
+      } else if (br == -1 && known > kEps) {
+        for (size_t b = 0; b < num_children; ++b) {
+          if (part_weights[b] <= kEps) continue;
+          const double w = e.second * part_weights[b] / known;
+          if (w > 1e-6) child_sorted[b][a].emplace_back(e.first, w);
         }
       }
     }
-    reset_scratch();
   }
+  reset_scratch();
   insts.clear();
   insts.shrink_to_fit();
   data.sorted.clear();
@@ -678,7 +560,7 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
     }
     NodeData child_data;
     child_data.insts = std::move(parts[b]);
-    if (ctx->presort) child_data.sorted = std::move(child_sorted[b]);
+    child_data.sorted = std::move(child_sorted[b]);
     auto child = Build(ctx, std::move(child_data), child_avail, depth + 1);
     subtree_exp += child->weight * child->expected_error_conf;
     subtree_weight += child->weight;
@@ -706,8 +588,8 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
 //
 // The split evaluator scans per-node (bin x class) histograms instead of
 // the exact per-row sweep: every ordered attribute is bucketed once per
-// table into <= 255 equal-frequency bins (AttributeBins, derived from the
-// shared EncodedDataset presort), nominal attributes use their dictionary
+// table into <= 255 equal-frequency bins (EncodedDataset::bins, derived
+// from the shared sort orders), nominal attributes use their dictionary
 // codes as bins directly, and a node's histograms over all base attributes
 // are filled in one pass over its instances. Three cost levers stack:
 //
@@ -738,6 +620,10 @@ struct C45HistogramBuilder {
   /// Smallest child worth reconstructing by subtraction instead of
   /// scanning.
   static constexpr size_t kSubtractMinInsts = 1024;
+  /// Smallest per-level instance total for which a level dispatches its
+  /// node/attribute tasks onto the Train pool; smaller levels run inline
+  /// (task overhead would dominate). Identical results either way.
+  static constexpr size_t kParallelMinInsts = 4096;
   /// Subtraction residue clamp: real histogram cells hold at least one
   /// instance fraction > 1e-6 (the partition drop threshold), so anything
   /// at or below this is floating-point cancellation noise.
@@ -772,7 +658,7 @@ struct C45HistogramBuilder {
   /// the subtraction child from the parent histogram and its siblings.
   struct Family {
     std::vector<std::unique_ptr<HTask>> tasks;  ///< non-terminal children
-    /// Parent histogram block; non-empty iff subtraction is enabled.
+    /// Parent histogram block; non-empty iff a child is reconstructed.
     std::vector<double> parent_hist;
     int sub_task = -1;  ///< tasks[] index reconstructed by subtraction
     /// Terminal siblings that still get scanned to support subtraction.
@@ -864,7 +750,7 @@ struct C45HistogramBuilder {
   /// identical.
   void RunUnits(size_t n, size_t total_insts,
                 const std::function<void(size_t)>& fn) {
-    if (pool != nullptr && total_insts >= config.parallel_min_insts) {
+    if (pool != nullptr && total_insts >= kParallelMinInsts) {
       pool->RunBatch(n, fn);
     } else {
       for (size_t i = 0; i < n; ++i) fn(i);
@@ -1071,7 +957,7 @@ struct C45HistogramBuilder {
     const double node_weight = t.node->weight;
     const double known_frac = known / node_weight;
     double gain = known_frac * best_gain;
-    if (config.mdl_numeric_correction && distinct > 1) {
+    if (distinct > 1) {
       // Summing global per-bin counts over-reports distinct values once
       // bins are lossy (a deep node holds a subset of each bin), but the
       // node cannot have more distinct values than known instances --
@@ -1356,7 +1242,7 @@ struct C45HistogramBuilder {
     for (const std::vector<Inst>& insts : terminal_insts) {
       terminal_total += insts.size();
     }
-    if (config.histogram_subtraction && hist_width > 0 && sub >= 0 &&
+    if (hist_width > 0 && sub >= 0 &&
         sub_size >= kSubtractMinInsts && sub_size > terminal_total) {
       out->sub_task = sub;
       out->parent_hist = std::move(t.hist);
@@ -1407,48 +1293,21 @@ struct C45HistogramBuilder {
 };
 
 Status C45Tree::TrainHistogram(const TrainingData& data, BuildContext* ctx,
-                               std::vector<std::pair<uint32_t, double>> insts,
-                               bool has_ordered_base) {
-  const Schema& schema = table_->schema();
-  const size_t num_rows = table_->num_rows();
-  const EncodedDataset* cache = data.encoded;
-
-  // Value bins for every ordered base attribute: shared audit-wide bins
-  // from the cache when present, else derived here from a per-Train stable
-  // sort (the uncached analogue of the c45.presort phase).
-  std::vector<AttributeBins> local_bins(schema.num_attributes());
+                               std::vector<std::pair<uint32_t, double>> insts) {
+  const Schema& schema = *ctx->schema;
+  const EncodedDataset& cache = *data.encoded;
+  // The audit-wide value bins of every ordered base attribute.
   std::vector<const AttributeBins*> bins(schema.num_attributes(), nullptr);
-  if (has_ordered_base) {
-    obs::Span span("c45.bin", class_attr_, &presort_ms_);
-    for (int a : data.base_attrs) {
-      const size_t attr = static_cast<size_t>(a);
-      const double* col = ctx->ordered_cols[attr];
-      if (col == nullptr) continue;
-      if (cache != nullptr) {
-        bins[attr] = cache->bins(attr);
-        continue;
-      }
-      std::vector<uint32_t> order;
-      order.reserve(num_rows);
-      for (size_t r = 0; r < num_rows; ++r) {
-        if (!std::isnan(col[r])) order.push_back(static_cast<uint32_t>(r));
-      }
-      std::stable_sort(order.begin(), order.end(),
-                       [col](uint32_t x, uint32_t y) {
-                         return col[x] < col[y];
-                       });
-      local_bins[attr] =
-          BuildAttributeBins(col, order, num_rows, config_.histogram_bins);
-      bins[attr] = &local_bins[attr];
-    }
+  for (int a : data.base_attrs) {
+    bins[static_cast<size_t>(a)] = cache.bins(static_cast<size_t>(a));
   }
 
   {
-    obs::Span span("c45.build", class_attr_, &build_ms_);
+    obs::Span span("c45.build", data.class_attr, &build_ms_);
     std::vector<bool> avail(schema.num_attributes(), false);
     for (int a : data.base_attrs) avail[static_cast<size_t>(a)] = true;
     C45HistogramBuilder builder(config_, schema, *ctx, bins, data.pool,
-                                num_rows);
+                                cache.num_rows());
     root_ = builder.Run(std::move(insts), std::move(avail));
     // The recursive path aggregates Def. 9 values (and prunes, in
     // kExpectedErrorConfidence mode) bottom-up during construction; the
@@ -1698,14 +1557,15 @@ void C45Tree::VisitPaths(
   rec(*root_);
 }
 
-std::string C45Tree::ToString(const Schema& schema) const {
+std::string C45Tree::ToString(const Schema& schema,
+                              const ClassEncoder& encoder) const {
   std::string out;
   if (root_ == nullptr) return "<untrained>";
   std::function<void(const Node&, int)> rec = [&](const Node& node, int indent) {
     const std::string pad(static_cast<size_t>(indent) * 2, ' ');
     if (node.IsLeaf()) {
       out += pad + "leaf: class " +
-             encoder_->Label(node.majority, schema) + " (weight " +
+             encoder.Label(node.majority, schema) + " (weight " +
              FormatDouble(node.weight, 2) + ")\n";
       return;
     }

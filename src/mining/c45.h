@@ -44,16 +44,19 @@ const char* PruningModeToString(PruningMode mode);
 
 enum class SplitMode {
   /// Histogram split evaluation (LightGBM-style): ordered attributes are
-  /// bucketed once per table into <= 255 equal-frequency bins and every
-  /// node evaluates thresholds by scanning (bin x class) histograms, with
-  /// sibling histograms reconstructed by subtraction (parent - scanned
-  /// children = largest child) and the node frontier built breadth-wise in
-  /// parallel on the Train pool. Identical trees to kExact whenever every
-  /// ordered attribute has at most histogram_bins distinct values;
-  /// statistically equivalent audits otherwise.
+  /// bucketed once per table into <= kMaxHistogramBins equal-frequency bins
+  /// (EncodedDataset::bins) and every node evaluates thresholds by scanning
+  /// (bin x class) histograms, with sibling histograms reconstructed by
+  /// subtraction (parent - scanned children = largest child) and the node
+  /// frontier built breadth-wise in parallel on the Train pool. Identical
+  /// trees to kExact whenever every ordered attribute has at most
+  /// kMaxHistogramBins distinct values; statistically equivalent audits
+  /// otherwise.
   kHistogram,
   /// The exact SLIQ row-sweep evaluator (the original path, kept as the
   /// reference): every distinct value boundary is a candidate threshold.
+  /// Each node partitions value-ordered instance lists filtered once from
+  /// EncodedDataset::sort_order, so no node ever sorts.
   kExact,
 };
 
@@ -86,41 +89,12 @@ struct C45Config {
   /// Hard recursion cap (safety; C4.5 trees on audit data stay shallow).
   int max_depth = 40;
 
-  /// Gain ratio (C4.5) vs plain information gain (ID3).
+  /// Gain ratio (C4.5) vs plain information gain (ID3). Numeric splits
+  /// always carry the release-8 MDL correction (gain -= log2(distinct-1)/n).
   bool use_gain_ratio = true;
-
-  /// Release-8 MDL correction for numeric splits
-  /// (gain -= log2(distinct-1)/n).
-  bool mdl_numeric_correction = true;
-
-  /// SLIQ-style presort: encode the training table into dense per-attribute
-  /// columns and sort every ordered base attribute once up front; each node
-  /// then partitions the sorted index lists stably instead of re-sorting,
-  /// turning numeric split search from O(nodes * rows log rows) into one
-  /// upfront sort plus linear scans. Off = the original per-node
-  /// std::sort path (kept for memory-constrained use and as the
-  /// equivalence-test reference). Only meaningful in kExact split mode;
-  /// the histogram evaluator never materializes sorted lists.
-  bool presort = true;
 
   /// Split evaluator: histogram scans (default) or the exact row sweep.
   SplitMode split_mode = SplitMode::kHistogram;
-
-  /// Bin budget per ordered attribute in histogram mode (clamped to
-  /// [1, 255]; 255 keeps one value per bin on attributes with few distinct
-  /// values, making histogram splits exact there).
-  int histogram_bins = 255;
-
-  /// Reconstruct the largest child's histogram as parent minus scanned
-  /// siblings instead of scanning it (histogram mode only). Exposed so the
-  /// equivalence tests can pin the scan-everything path.
-  bool histogram_subtraction = true;
-
-  /// Smallest per-level instance total for which the histogram build
-  /// dispatches node/attribute tasks onto the Train pool; smaller levels
-  /// run inline (task overhead would dominate). Identical results either
-  /// way.
-  size_t parallel_min_insts = 4096;
 };
 
 /// \brief Smallest number of single-class instances a leaf needs before a
@@ -168,19 +142,19 @@ class C45Tree : public Classifier {
   size_t LeafCount() const;
   size_t TreeDepth() const;
 
-  /// \brief Wall-clock spent encoding columns + presorting ordered
-  /// attributes in the last Train call (0 when presort is off).
-  double presort_ms() const { return presort_ms_; }
-  /// \brief Wall-clock of the recursive tree construction in the last
-  /// Train call (split search + partitioning, excluding the presort).
+  /// \brief Wall-clock of the tree construction in the last Train call
+  /// (split search + partitioning, and in kExact mode the filter of the
+  /// shared sort orders).
   double build_ms() const { return build_ms_; }
 
   /// \brief The flat form of the trained tree every scoring path walks
   /// (empty before Train).
   const CompiledTree& compiled() const { return compiled_; }
 
-  /// \brief Pretty-prints the tree.
-  std::string ToString(const Schema& schema) const;
+  /// \brief Pretty-prints the tree; `encoder` labels the leaf classes (the
+  /// one the tree was trained with, e.g. AttributeModel::encoder).
+  std::string ToString(const Schema& schema,
+                       const ClassEncoder& encoder) const;
 
   /// \brief Visits every root-to-leaf path (for the decision-tree -> rule
   /// set transformation of sec. 5.4).
@@ -196,8 +170,7 @@ class C45Tree : public Classifier {
   std::unique_ptr<Node> Build(BuildContext* ctx, NodeData data,
                               std::vector<bool> avail, int depth);
   Status TrainHistogram(const TrainingData& data, BuildContext* ctx,
-                        std::vector<std::pair<uint32_t, double>> insts,
-                        bool has_ordered_base);
+                        std::vector<std::pair<uint32_t, double>> insts);
   void PruneExpectedErrorConf(Node* node);
   double PessimisticErrors(const Node& node) const;
   void PrunePessimistic(Node* node);
@@ -206,11 +179,7 @@ class C45Tree : public Classifier {
   CompiledTree Compile() const;
 
   C45Config config_;
-  const Table* table_ = nullptr;
-  int class_attr_ = -1;
-  const ClassEncoder* encoder_ = nullptr;
   int num_classes_ = 0;
-  double presort_ms_ = 0.0;
   double build_ms_ = 0.0;
   std::unique_ptr<Node> root_;
   CompiledTree compiled_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "mining/encoded_dataset.h"
+
 namespace dq {
 
 int ArgMaxClass(const double* dist, size_t num_classes) {
@@ -17,14 +19,16 @@ int ArgMaxClass(const double* dist, size_t num_classes) {
 }
 
 Status TrainingData::Check() const {
-  if (table == nullptr) return Status::InvalidArgument("null training table");
-  if (encoder == nullptr) return Status::InvalidArgument("null class encoder");
-  const size_t n_attrs = table->schema().num_attributes();
+  if (encoded == nullptr) {
+    return Status::InvalidArgument("null encoded dataset");
+  }
+  const size_t n_attrs = encoded->table()->schema().num_attributes();
   if (class_attr < 0 || static_cast<size_t>(class_attr) >= n_attrs) {
     return Status::OutOfRange("class attribute out of range");
   }
-  if (encoder->attr() != class_attr) {
-    return Status::InvalidArgument("encoder fitted for a different attribute");
+  if (!encoded->encoder(static_cast<size_t>(class_attr)).has_value()) {
+    return Status::FailedPrecondition(
+        "encoded dataset has no class encoder for the class attribute");
   }
   if (base_attrs.empty()) {
     return Status::InvalidArgument("no base attributes");
@@ -39,6 +43,12 @@ Status TrainingData::Check() const {
     }
   }
   return Status::OK();
+}
+
+const Table& TrainingData::table() const { return *encoded->table(); }
+
+const ClassEncoder& TrainingData::encoder() const {
+  return *encoded->encoder(static_cast<size_t>(class_attr));
 }
 
 }  // namespace dq

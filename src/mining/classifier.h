@@ -10,6 +10,10 @@
 // can be used with each classifier that both outputs a predicted class
 // distribution and the number of training instances this prediction is
 // based on."
+//
+// Every inducer trains from one input, the EncodedDataset of its training
+// table (TrainingData): column views, class codes, sort orders and value
+// bins are computed once per table there, never inside Train.
 
 #ifndef DQ_MINING_CLASSIFIER_H_
 #define DQ_MINING_CLASSIFIER_H_
@@ -52,18 +56,19 @@ struct Prediction {
 };
 
 /// \brief Training problem handed to a classifier.
+///
+/// Every inducer reads its columns, class codes and value bins from one
+/// EncodedDataset: the training table is `encoded->table()` and the class
+/// encoder is `encoded->encoder(class_attr)`, so the codes a classifier
+/// trains on always agree with the encoder that labels them. A standalone
+/// Train builds the cache with EncodedDataset::Build; an audit shares one
+/// across all of its inductions.
 struct TrainingData {
-  const Table* table = nullptr;
+  /// The encode cache over the training table; must outlive the Train call.
+  /// Trained classifiers keep no pointer into it.
+  const EncodedDataset* encoded = nullptr;
   int class_attr = -1;
   std::vector<int> base_attrs;
-  const ClassEncoder* encoder = nullptr;
-
-  /// Optional audit-wide encode cache built over `table` (column views,
-  /// presort orders, class codes). When set, `encoder` must be the cache's
-  /// own encoder for `class_attr` so cached class codes stay consistent.
-  /// Classifiers that understand the cache skip their per-Train encode and
-  /// sort work; others ignore it. Results are identical either way.
-  const EncodedDataset* encoded = nullptr;
 
   /// Optional worker pool for intra-Train parallelism (the breadth-wise
   /// node frontier of histogram-mode C4.5). Classifiers that cannot use it
@@ -72,7 +77,13 @@ struct TrainingData {
   /// reduction order). The pool must outlive the Train call.
   ThreadPool* pool = nullptr;
 
+  /// \brief OK when the cache is set, the attributes are in range and
+  /// disjoint, and the cache holds an encoder for the class attribute.
   Status Check() const;
+
+  /// \brief The training table and the class encoder; valid after Check().
+  const Table& table() const;
+  const ClassEncoder& encoder() const;
 };
 
 /// \brief Dependency-model inducer interface (decision tree, naive Bayes,

@@ -11,8 +11,8 @@
 namespace dq {
 
 EncodedDataset EncodedDataset::Build(const Table& table,
-                                     int numeric_class_bins, int num_threads,
-                                     int histogram_bins) {
+                                     int numeric_class_bins,
+                                     int num_threads) {
   obs::Span span("audit.encode");
   obs::GetCounter("audit.encode_builds")->Add(1);
   obs::GetGauge("table.bytes")->Set(static_cast<double>(table.byte_size()));
@@ -67,7 +67,7 @@ EncodedDataset EncodedDataset::Build(const Table& table,
                        });
       // Histogram-evaluator value bins, derived from the fresh sort order
       // (one pass; the order already carries the (value, row) ranking).
-      out.bins_[a] = BuildAttributeBins(col, order, n, histogram_bins);
+      out.bins_[a] = BuildAttributeBins(col, order, n, kMaxHistogramBins);
     }
 
     // Class encoding. Nominal attributes encode as the identity over the

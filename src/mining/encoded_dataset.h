@@ -1,21 +1,22 @@
-// EncodedDataset: the audit-wide encode cache.
+// EncodedDataset: the audit-wide encode cache, and the only training input
+// of every inducer (TrainingData::encoded).
 //
 // The multiple classification pass (sec. 5) induces one dependency model
-// per attribute over the same table, so every per-attribute Train call
-// used to rebuild its own columnar encoding and re-sort every ordered
-// column (c45.encode + c45.presort ~30% of induce time at QUIS scale).
-// This cache is built ONCE per audit and shared read-only across all
-// parallel inductions:
+// per attribute over the same table. This cache is built ONCE per audit
+// (a standalone Train builds its own) and shared read-only across all
+// parallel inductions, so no Train call encodes, sorts or bins anything:
 //
 //   * column views — for every ordered attribute a dense double column
 //     (NaN = null), for every nominal attribute a dense int32 code column
 //     (-1 = null). Numeric and nominal views alias the Table's own SoA
 //     columns (zero copy); date columns are widened to double once.
-//   * presort orders — per ordered attribute, the row indices with known
-//     values stable-sorted by value (SLIQ-style). A Train call derives its
-//     root instance lists by filtering this order to its class-known rows,
-//     which preserves the exact (value, row) order a per-Train stable sort
-//     would produce — bitwise-identical trees, O(n) instead of O(n log n).
+//   * sort orders — per ordered attribute, the row indices with known
+//     values stable-sorted by value (SLIQ-style). The exact C4.5 sweep
+//     derives its root instance lists by filtering this order to its
+//     class-known rows, O(n) per attribute.
+//   * value bins — per ordered attribute, at most kMaxHistogramBins
+//     equal-frequency bins derived from the sort order, read by the
+//     histogram split evaluator.
 //   * class encodings — per attribute, the fitted ClassEncoder (nominal
 //     identity or equal-frequency bins) and the dense encoded class-code
 //     column (-1 = null), so no Train call re-discretizes or re-encodes.
@@ -44,12 +45,10 @@ class EncodedDataset {
   /// fitted (ordered attribute with no non-null values) are left empty and
   /// the corresponding attribute simply cannot serve as a class attribute.
   /// Per-attribute work is dispatched over `num_threads` workers; the
-  /// result is identical for every thread count.
-  /// `histogram_bins` caps the per-attribute value bins backing the
-  /// histogram split evaluator (C45Config::histogram_bins); it is clamped
-  /// to [1, kMaxHistogramBins].
+  /// result is identical for every thread count. The views alias `table`,
+  /// which must outlive the cache.
   static EncodedDataset Build(const Table& table, int numeric_class_bins,
-                              int num_threads = 1, int histogram_bins = 255);
+                              int num_threads = 1);
 
   const Table* table() const { return table_; }
   size_t num_rows() const { return num_rows_; }

@@ -10,10 +10,9 @@ namespace dq {
 Status KnnClassifier::Train(const TrainingData& data) {
   DQ_RETURN_NOT_OK(data.Check());
   if (config_.k < 1) return Status::InvalidArgument("k must be >= 1");
-  table_ = data.table;
+  table_ = &data.table();
   base_attrs_ = data.base_attrs;
-  encoder_ = data.encoder;
-  num_classes_ = data.encoder->num_classes();
+  num_classes_ = data.encoder().num_classes();
   const Schema& schema = table_->schema();
 
   inv_width_.assign(schema.num_attributes(), 0.0);
@@ -28,20 +27,11 @@ Status KnnClassifier::Train(const TrainingData& data) {
     }
   }
 
-  // Class codes from the audit-wide cache when present, else per-cell.
-  const int32_t* cached =
-      data.encoded != nullptr
-          ? data.encoded->class_codes(static_cast<size_t>(data.class_attr))
-          : nullptr;
-  auto class_code = [&](size_t r) {
-    return cached != nullptr
-               ? static_cast<int>(cached[r])
-               : encoder_->Encode(
-                     table_->cell(r, static_cast<size_t>(data.class_attr)));
-  };
+  const int32_t* class_codes =
+      data.encoded->class_codes(static_cast<size_t>(data.class_attr));
   std::vector<uint32_t> candidates;
   for (size_t r = 0; r < table_->num_rows(); ++r) {
-    if (class_code(r) >= 0) candidates.push_back(static_cast<uint32_t>(r));
+    if (class_codes[r] >= 0) candidates.push_back(static_cast<uint32_t>(r));
   }
   if (candidates.empty()) {
     return Status::FailedPrecondition("no instances with non-null class");
@@ -61,7 +51,7 @@ Status KnnClassifier::Train(const TrainingData& data) {
   }
   train_classes_.reserve(train_rows_.size());
   for (uint32_t r : train_rows_) {
-    train_classes_.push_back(class_code(r));
+    train_classes_.push_back(class_codes[r]);
   }
   return Status::OK();
 }

@@ -36,9 +36,10 @@ class KnnClassifier : public Classifier {
   double Distance(const Row& probe, uint32_t train_row) const;
 
   KnnConfig config_;
+  /// The training table: instance-based prediction reads its rows, so it
+  /// must outlive the classifier.
   const Table* table_ = nullptr;
   std::vector<int> base_attrs_;
-  const ClassEncoder* encoder_ = nullptr;
   int num_classes_ = 0;
   std::vector<uint32_t> train_rows_;
   std::vector<int> train_classes_;

@@ -8,11 +8,10 @@ namespace dq {
 
 Status NaiveBayesClassifier::Train(const TrainingData& data) {
   DQ_RETURN_NOT_OK(data.Check());
-  table_ = data.table;
+  const Table& table = data.table();
   base_attrs_ = data.base_attrs;
-  encoder_ = data.encoder;
-  num_classes_ = data.encoder->num_classes();
-  const Schema& schema = table_->schema();
+  num_classes_ = data.encoder().num_classes();
+  const Schema& schema = table.schema();
 
   priors_.assign(static_cast<size_t>(num_classes_), 0.0);
   total_weight_ = 0.0;
@@ -44,30 +43,24 @@ Status NaiveBayesClassifier::Train(const TrainingData& data) {
     }
   }
 
-  const int32_t* cached =
-      data.encoded != nullptr
-          ? data.encoded->class_codes(static_cast<size_t>(data.class_attr))
-          : nullptr;
-  for (size_t r = 0; r < table_->num_rows(); ++r) {
-    const int cls =
-        cached != nullptr
-            ? static_cast<int>(cached[r])
-            : encoder_->Encode(
-                  table_->cell(r, static_cast<size_t>(data.class_attr)));
+  const int32_t* class_codes =
+      data.encoded->class_codes(static_cast<size_t>(data.class_attr));
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    const int cls = class_codes[r];
     if (cls < 0) continue;
     priors_[static_cast<size_t>(cls)] += 1.0;
     total_weight_ += 1.0;
     for (int attr : base_attrs_) {
       const size_t a = static_cast<size_t>(attr);
-      if (table_->is_null(r, a)) continue;
+      if (table.is_null(r, a)) continue;
       if (attr_is_nominal_[a]) {
         NominalModel& m = nominal_[a];
         m.counts[static_cast<size_t>(cls)]
-                [static_cast<size_t>(table_->code_at(r, a))] += 1.0;
+                [static_cast<size_t>(table.code_at(r, a))] += 1.0;
         m.class_totals[static_cast<size_t>(cls)] += 1.0;
       } else {
         Sums& s = sums[a];
-        const double x = table_->ordered_at(r, a);
+        const double x = table.ordered_at(r, a);
         s.sum[static_cast<size_t>(cls)] += x;
         s.sum_sq[static_cast<size_t>(cls)] += x * x;
         s.count[static_cast<size_t>(cls)] += 1.0;

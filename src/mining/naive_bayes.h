@@ -45,9 +45,7 @@ class NaiveBayesClassifier : public Classifier {
   };
 
   NaiveBayesConfig config_;
-  const Table* table_ = nullptr;
   std::vector<int> base_attrs_;
-  const ClassEncoder* encoder_ = nullptr;
   int num_classes_ = 0;
   double total_weight_ = 0.0;
   std::vector<double> priors_;  // class counts

@@ -26,24 +26,15 @@ double BucketError(const std::vector<std::vector<double>>& counts) {
 
 Status OneRClassifier::Train(const TrainingData& data) {
   DQ_RETURN_NOT_OK(data.Check());
-  encoder_ = data.encoder;
-  num_classes_ = data.encoder->num_classes();
-  const Table& table = *data.table;
+  num_classes_ = data.encoder().num_classes();
+  const Table& table = data.table();
   const Schema& schema = table.schema();
 
   overall_counts_.assign(static_cast<size_t>(num_classes_), 0.0);
   overall_weight_ = 0.0;
-  const int32_t* cached =
-      data.encoded != nullptr
-          ? data.encoded->class_codes(static_cast<size_t>(data.class_attr))
-          : nullptr;
-  std::vector<int> class_codes(table.num_rows(), -1);
+  const int32_t* class_codes =
+      data.encoded->class_codes(static_cast<size_t>(data.class_attr));
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    class_codes[r] =
-        cached != nullptr
-            ? static_cast<int>(cached[r])
-            : encoder_->Encode(
-                  table.cell(r, static_cast<size_t>(data.class_attr)));
     if (class_codes[r] >= 0) {
       overall_counts_[static_cast<size_t>(class_codes[r])] += 1.0;
       overall_weight_ += 1.0;

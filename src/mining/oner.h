@@ -41,7 +41,6 @@ class OneRClassifier : public Classifier {
   int BucketOf(const Value& v) const;
 
   OneRConfig config_;
-  const ClassEncoder* encoder_ = nullptr;
   int num_classes_ = 0;
   int chosen_attr_ = -1;
   bool chosen_is_nominal_ = true;

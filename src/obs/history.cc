@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/atomic_file.h"
 #include "obs/json.h"
 
 namespace dq::obs {
@@ -178,26 +179,12 @@ Status HistoryStore::Compact(size_t max_runs, size_t* dropped_runs,
   const size_t dropped = valid.size() - keep;
   if (dropped == 0 && damaged == 0) return Status::OK();
 
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IOError("cannot open '" + tmp + "' for compaction");
-    }
+  DQ_RETURN_NOT_OK(WriteFileAtomically(path, [&](std::ostream* out) {
     for (size_t i = valid.size() - keep; i < valid.size(); ++i) {
-      out << valid[i] << '\n';
+      *out << valid[i] << '\n';
     }
-    out.flush();
-    if (!out) {
-      return Status::IOError("short write to '" + tmp + "'");
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return Status::IOError("cannot replace history ledger '" + path + "'");
-  }
+    return Status::OK();
+  }));
   if (dropped_runs != nullptr) *dropped_runs = dropped;
   if (dropped_damaged != nullptr) *dropped_damaged = damaged;
   return Status::OK();

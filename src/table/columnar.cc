@@ -343,10 +343,9 @@ Result<Schema> ColumnarCodec::ReadSchema(const std::string& path) {
   return std::move(header.schema);
 }
 
-Result<Table> ColumnarCodec::Read(const Schema& schema,
+Result<Table> ColumnarCodec::Load(const Schema& schema,
                                   const std::string& path,
-                                  IngestReport* report) {
-  obs::Span span("ingest");
+                                  uint64_t* file_bytes) {
   std::ifstream f(path, std::ios::binary);
   if (!f) {
     return Status::IOError("cannot open '" + path + "' for reading");
@@ -385,9 +384,18 @@ Result<Table> ColumnarCodec::Read(const Schema& schema,
         CheckColumn(schema.attribute(a), c.num, c.code, c.nulls, rows, path));
   }
   t.num_rows_ = rows;
-  const auto bytes = static_cast<uint64_t>(header.file_end);
-  FillReport(report, header.rows, bytes, span.ElapsedMs());
-  BumpCounters(header.rows, bytes);
+  if (file_bytes != nullptr) *file_bytes = header.file_end;
+  return t;
+}
+
+Result<Table> ColumnarCodec::Read(const Schema& schema,
+                                  const std::string& path,
+                                  IngestReport* report) {
+  obs::Span span("ingest");
+  uint64_t bytes = 0;
+  DQ_ASSIGN_OR_RETURN(Table t, Load(schema, path, &bytes));
+  FillReport(report, t.num_rows(), bytes, span.ElapsedMs());
+  BumpCounters(t.num_rows(), bytes);
   obs::GetGauge("table.bytes")->Set(static_cast<double>(t.byte_size()));
   return t;
 }

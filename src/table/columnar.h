@@ -1,10 +1,11 @@
 // dqcol v1: write-once binary columnar table files (docs/FORMATS.md).
 //
-// Generalizes the dqseg spill codec (table/segment_store.cc) into a
-// standalone, versioned interchange format: unlike a spill file, a dqcol
-// file carries its full schema (attribute names, types and domains) and an
-// endianness tag, so it can be opened without out-of-band metadata and
-// refuses to load on a foreign machine instead of decoding garbage. Column
+// The repository's one binary table codec: dqconvert and the dqcol ingest
+// backend read and write it as an interchange format, and SegmentStore
+// spills its segments as dqcol scratch files. A dqcol file carries its
+// full schema (attribute names, types and domains) and an endianness tag,
+// so it can be opened without out-of-band metadata and refuses to load on
+// a foreign machine instead of decoding garbage. Column
 // payloads and null bitmaps are stored verbatim in the Table's SoA layout,
 // so loading is a near-memcpy — no tokenizing, no value parsing, no
 // dictionary lookups — and a CSV -> Table -> dqcol -> Table round trip is
@@ -14,7 +15,9 @@
 // The reader exposes the same two shapes as the CSV reader: a whole-table
 // load and a chunked load feeding a CsvChunkSink, which is the pluggable
 // ingest-backend seam (table/ingest_backend.h) the streaming auditor sits
-// on.
+// on. Both count as ingest (an `ingest` span, the ingest.* counters); the
+// whole-table load also has a codec-only core for scratch files the
+// process reads back itself.
 
 #ifndef DQ_TABLE_COLUMNAR_H_
 #define DQ_TABLE_COLUMNAR_H_
@@ -34,6 +37,11 @@ class ColumnarCodec {
  public:
   static Status Write(const Table& table, const std::string& path);
   static Result<Schema> ReadSchema(const std::string& path);
+  /// Codec core: decode and check, no ingest accounting. `file_bytes`
+  /// (optional) receives the file's size.
+  static Result<Table> Load(const Schema& schema, const std::string& path,
+                            uint64_t* file_bytes);
+  /// Ingest wrapper around Load.
   static Result<Table> Read(const Schema& schema, const std::string& path,
                             IngestReport* report);
   static Status ReadChunks(const Schema& schema, const std::string& path,
@@ -63,6 +71,15 @@ inline Result<Table> ReadDqcolFile(const Schema& schema,
                                    const std::string& path,
                                    IngestReport* report = nullptr) {
   return ColumnarCodec::Read(schema, path, report);
+}
+
+/// \brief ReadDqcolFile without ingest accounting: the same schema and
+/// per-cell domain checks, but no `ingest` span, no ingest.* counters and
+/// no table.bytes gauge. For scratch files the process wrote itself, such
+/// as SegmentStore spills, whose reloads are not ingest.
+inline Result<Table> LoadDqcolFile(const Schema& schema,
+                                   const std::string& path) {
+  return ColumnarCodec::Load(schema, path, nullptr);
 }
 
 /// \brief Streaming variant of ReadDqcolFile: delivers the rows to `sink`

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <utility>
 
+#include "common/atomic_file.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
@@ -69,11 +70,11 @@ Status WriteCsv(const Table& table, std::ostream* out,
 
 Status WriteCsvFile(const Table& table, const std::string& path,
                     const CsvOptions& options) {
-  // Binary mode: text mode would rewrite '\n' inside quoted fields on CRLF
-  // platforms and corrupt the round trip.
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open '" + path + "' for writing");
-  return WriteCsv(table, &f, options);
+  // Binary mode (WriteFileAtomically's stream): text mode would rewrite
+  // '\n' inside quoted fields on CRLF platforms and corrupt the round trip.
+  return WriteFileAtomically(path, [&](std::ostream* out) {
+    return WriteCsv(table, out, options);
+  });
 }
 
 namespace {

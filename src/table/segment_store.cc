@@ -1,50 +1,12 @@
 #include "table/segment_store.h"
 
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "table/columnar.h"
 
 namespace dq {
-
-namespace {
-
-// Spill file layout ("dqseg v1", docs/FORMATS.md): magic, row and attribute
-// counts, then per attribute a type byte, the typed payload and the null
-// bitmap words. Native-endian and schema-less: spill files are ephemeral
-// scratch owned by the store that wrote them, never an interchange format.
-constexpr char kMagic[8] = {'D', 'Q', 'S', 'E', 'G', 'v', '1', '\n'};
-
-template <typename T>
-bool WritePod(std::ofstream* f, const T& v) {
-  f->write(reinterpret_cast<const char*>(&v), sizeof(T));
-  return f->good();
-}
-
-template <typename T>
-bool ReadPod(std::ifstream* f, T* v) {
-  f->read(reinterpret_cast<char*>(v), sizeof(T));
-  return f->good();
-}
-
-template <typename T>
-bool WriteVec(std::ofstream* f, const std::vector<T>& v) {
-  f->write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(T)));
-  return f->good();
-}
-
-template <typename T>
-bool ReadVec(std::ifstream* f, std::vector<T>* v, size_t n) {
-  v->resize(n);
-  f->read(reinterpret_cast<char*>(v->data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  return f->good() || (n == 0 && !f->bad());
-}
-
-}  // namespace
 
 SegmentStore::SegmentStore(Schema schema, SegmentStoreOptions options)
     : schema_(std::move(schema)),
@@ -150,30 +112,11 @@ Status SegmentStore::SpillSegment(Segment* seg) {
     }
     const size_t index = static_cast<size_t>(seg - segments_.data());
     seg->path = options_.spill_dir + "/seg-" + std::to_string(index) +
-                ".dqseg";
-    std::ofstream f(seg->path, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      return Status::IOError("cannot open spill file '" + seg->path +
-                             "' for writing");
-    }
-    const Table& t = *seg->table;
-    f.write(kMagic, sizeof(kMagic));
-    bool ok = f.good();
-    ok = ok && WritePod(&f, static_cast<uint64_t>(t.num_rows()));
-    ok = ok && WritePod(&f, static_cast<uint64_t>(t.num_attributes()));
-    for (size_t a = 0; ok && a < t.num_attributes(); ++a) {
-      const Table::Column& c = t.cols_[a];
-      ok = ok && WritePod(&f, static_cast<uint8_t>(c.type));
-      if (c.type == DataType::kNumeric) {
-        ok = ok && WriteVec(&f, c.num);
-      } else {
-        ok = ok && WriteVec(&f, c.code);
-      }
-      ok = ok && WriteVec(&f, c.nulls);
-    }
-    f.flush();
-    if (!ok || !f.good()) {
-      return Status::IOError("short write to spill file '" + seg->path + "'");
+                ".dqcol";
+    Status spilled = WriteDqcolFile(*seg->table, seg->path);
+    if (!spilled.ok()) {
+      std::filesystem::remove(seg->path, ec);
+      return spilled;
     }
     seg->on_disk = true;
     ++stats_.spill_writes;
@@ -194,47 +137,15 @@ Status SegmentStore::SpillSegment(Segment* seg) {
 }
 
 Status SegmentStore::LoadSegment(Segment* seg) {
-  std::ifstream f(seg->path, std::ios::binary);
-  if (!f) {
-    return Status::IOError("cannot open spill file '" + seg->path +
-                           "' for reading");
-  }
-  char magic[sizeof(kMagic)];
-  f.read(magic, sizeof(magic));
-  if (!f.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::IOError("spill file '" + seg->path +
-                           "' is not a dqseg v1 file");
-  }
-  uint64_t rows = 0;
-  uint64_t attrs = 0;
-  if (!ReadPod(&f, &rows) || !ReadPod(&f, &attrs) || rows != seg->rows ||
-      attrs != schema_.num_attributes()) {
+  // A reload is not ingest: the codec core keeps the schema and per-cell
+  // domain checks but leaves the ingest span and counters alone.
+  Result<Table> t = LoadDqcolFile(schema_, seg->path);
+  DQ_RETURN_NOT_OK(t.status());
+  if (t->num_rows() != seg->rows) {
     return Status::IOError("spill file '" + seg->path +
                            "' does not match its segment");
   }
-  Table t(schema_);
-  const size_t words = (seg->rows + 63) >> 6;
-  for (size_t a = 0; a < t.num_attributes(); ++a) {
-    Table::Column& c = t.cols_[a];
-    uint8_t type = 0;
-    if (!ReadPod(&f, &type) || type != static_cast<uint8_t>(c.type)) {
-      return Status::IOError("spill file '" + seg->path +
-                             "' column type mismatch");
-    }
-    bool ok;
-    if (c.type == DataType::kNumeric) {
-      ok = ReadVec(&f, &c.num, seg->rows);
-    } else {
-      ok = ReadVec(&f, &c.code, seg->rows);
-    }
-    ok = ok && ReadVec(&f, &c.nulls, words);
-    if (!ok) {
-      return Status::IOError("short read from spill file '" + seg->path +
-                             "'");
-    }
-  }
-  t.num_rows_ = seg->rows;
-  seg->table = std::move(t);
+  seg->table = std::move(*t);
   resident_bytes_ += seg->bytes;
   if (resident_bytes_ > stats_.resident_bytes_peak) {
     stats_.resident_bytes_peak = resident_bytes_;

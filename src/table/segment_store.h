@@ -4,11 +4,13 @@
 // Ingest appends decoded chunks into an open segment; once the open segment
 // reaches segment_rows it is sealed and becomes immutable. Sealed segments
 // are the paging unit: when resident bytes exceed memory_budget_bytes the
-// store writes the oldest unpinned resident segment to a spill file
-// ("dqseg v1", docs/FORMATS.md) and frees its columns. Pin() brings a
-// spilled segment back; because sealed segments never change, the spill
-// file is written once and re-eviction is a free drop of the in-memory
-// copy. Segment boundaries depend only on the record sequence — never on
+// store writes the oldest unpinned resident segment to a dqcol v1 scratch
+// file (table/columnar.h, docs/FORMATS.md) and frees its columns. Pin()
+// brings a spilled segment back through the dqcol reader's codec core, so
+// a reload gets the same schema and per-cell domain checks as a dqcol
+// ingest but does not count as ingest. Because sealed segments never
+// change, the spill file is written once and re-eviction is a free drop of
+// the in-memory copy. Segment boundaries depend only on the record sequence — never on
 // the budget — so any consumer that walks segments in order sees bitwise
 // identical data whether nothing, some, or everything spilled.
 //

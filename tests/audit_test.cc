@@ -10,6 +10,8 @@
 #include "audit/error_confidence.h"
 #include "audit/rule_export.h"
 #include "common/random.h"
+#include "mining/encoded_dataset.h"
+#include "quis/quis_sample.h"
 #include "stats/confidence.h"
 
 namespace dq {
@@ -258,6 +260,39 @@ TEST(AuditorTest, AllInducerKindsRunEndToEnd) {
     auto report = auditor.Audit(*model, t);
     ASSERT_TRUE(report.ok()) << InducerKindToString(kind);
     EXPECT_EQ(report->record_confidence.size(), t.num_rows());
+  }
+}
+
+TEST(AuditorTest, InducedTreesKeepNoPointerIntoTheirTrainingInput) {
+  // Induce trains every tree from an encode cache and encoders that die
+  // when it returns. A tree's dump, labelled by the model's own encoder,
+  // must equal the dump of a tree trained directly on the same table.
+  QuisConfig qcfg;
+  qcfg.num_records = 3000;
+  qcfg.seed = 7;
+  auto sample = GenerateQuisSample(qcfg);
+  ASSERT_TRUE(sample.ok());
+  const Table& t = sample->table;
+  AuditorConfig cfg;
+  cfg.num_threads = 2;
+  auto model = Auditor(cfg).Induce(t);
+  ASSERT_TRUE(model.ok()) << model.status();
+  ASSERT_GT(model->num_models(), 0u);
+
+  const EncodedDataset cache = EncodedDataset::Build(t, cfg.numeric_class_bins);
+  C45Config tree_cfg = cfg.c45;
+  tree_cfg.min_error_confidence = cfg.min_error_confidence;
+  tree_cfg.confidence_level = cfg.confidence_level;
+  for (const AttributeModel& am : model->models()) {
+    const auto* tree = dynamic_cast<const C45Tree*>(am.classifier.get());
+    ASSERT_NE(tree, nullptr);
+    C45Tree direct(tree_cfg);
+    ASSERT_TRUE(
+        direct.Train(TrainingData{&cache, am.class_attr, am.base_attrs}).ok());
+    EXPECT_EQ(tree->ToString(t.schema(), am.encoder),
+              direct.ToString(t.schema(), *cache.encoder(
+                                              static_cast<size_t>(am.class_attr))))
+        << t.schema().attribute(static_cast<size_t>(am.class_attr)).name;
   }
 }
 

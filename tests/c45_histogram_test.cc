@@ -18,6 +18,7 @@
 #include "mining/c45.h"
 #include "mining/encoded_dataset.h"
 #include "mining/histogram.h"
+#include "obs/metrics.h"
 #include "quis/quis_sample.h"
 
 namespace dq {
@@ -130,26 +131,22 @@ Table QuantizedTable(size_t rows, uint64_t seed) {
   return t;
 }
 
-C45Tree TrainTree(const Table& t, const ClassEncoder& enc, C45Config cfg,
-                  ThreadPool* pool = nullptr,
-                  const EncodedDataset* cache = nullptr) {
-  TrainingData td;
-  td.table = &t;
-  td.class_attr = 3;
-  td.base_attrs = {0, 1, 2};
-  td.encoder = &enc;
-  td.encoded = cache;
-  td.pool = pool;
+C45Tree TrainTree(const EncodedDataset& cache, C45Config cfg,
+                  ThreadPool* pool = nullptr) {
+  const TrainingData td{&cache, 3, {0, 1, 2}, pool};
   cfg.min_error_confidence = 0.8;
   C45Tree tree(cfg);
   EXPECT_TRUE(tree.Train(td).ok());
   return tree;
 }
 
-void ExpectSameTrees(const C45Tree& a, const C45Tree& b, const Table& t) {
+void ExpectSameTrees(const C45Tree& a, const C45Tree& b,
+                     const EncodedDataset& cache) {
+  const Schema& schema = cache.table()->schema();
   EXPECT_EQ(a.NodeCount(), b.NodeCount());
   EXPECT_EQ(a.LeafCount(), b.LeafCount());
-  EXPECT_EQ(a.ToString(t.schema()), b.ToString(t.schema()));
+  EXPECT_EQ(a.ToString(schema, *cache.encoder(3)),
+            b.ToString(schema, *cache.encoder(3)));
   Rng rng(77);
   for (int i = 0; i < 200; ++i) {
     Row probe(4);
@@ -170,67 +167,69 @@ void ExpectSameTrees(const C45Tree& a, const C45Tree& b, const Table& t) {
 
 TEST(C45HistogramTest, MatchesExactWhenBinsCoverEveryDistinctValue) {
   const Table t = QuantizedTable(4000, 9);
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset cache = EncodedDataset::Build(t, 8);
 
   C45Config exact_cfg;
   exact_cfg.split_mode = SplitMode::kExact;
-  const C45Tree exact = TrainTree(t, *enc, exact_cfg);
+  const C45Tree exact = TrainTree(cache, exact_cfg);
 
   C45Config hist_cfg;
   hist_cfg.split_mode = SplitMode::kHistogram;
-  const C45Tree hist = TrainTree(t, *enc, hist_cfg);
+  const C45Tree hist = TrainTree(cache, hist_cfg);
 
   EXPECT_GT(exact.NodeCount(), 1u);  // the comparison must not be vacuous
-  ExpectSameTrees(exact, hist, t);
+  ExpectSameTrees(exact, hist, cache);
 }
 
 TEST(C45HistogramTest, MatchesExactThroughTheSharedEncodeCache) {
+  // One cache serves both evaluators: the exact sweep reads its sort
+  // orders, the histogram builder its bins.
   const Table t = QuantizedTable(3000, 10);
   const EncodedDataset cache = EncodedDataset::Build(t, 8);
-  const std::optional<ClassEncoder>& enc = cache.encoder(3);
-  ASSERT_TRUE(enc.has_value());
+  ASSERT_TRUE(cache.encoder(3).has_value());
 
   C45Config exact_cfg;
   exact_cfg.split_mode = SplitMode::kExact;
-  const C45Tree exact = TrainTree(t, *enc, exact_cfg, nullptr, &cache);
+  const C45Tree exact = TrainTree(cache, exact_cfg);
 
   C45Config hist_cfg;
   hist_cfg.split_mode = SplitMode::kHistogram;
-  const C45Tree hist = TrainTree(t, *enc, hist_cfg, nullptr, &cache);
+  const C45Tree hist = TrainTree(cache, hist_cfg);
 
-  ExpectSameTrees(exact, hist, t);
+  ExpectSameTrees(exact, hist, cache);
 }
 
 TEST(C45HistogramTest, SubtractionDoesNotChangeTheTree) {
   // Large homogeneous children so the subtraction path actually triggers.
+  // The exact sweep never builds a histogram, so it is the oracle for the
+  // reconstructed children.
   const Table t = QuantizedTable(12000, 11);
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset cache = EncodedDataset::Build(t, 8);
 
-  C45Config scan_cfg;
-  scan_cfg.histogram_subtraction = false;
-  const C45Tree scanned = TrainTree(t, *enc, scan_cfg);
+  C45Config exact_cfg;
+  exact_cfg.split_mode = SplitMode::kExact;
+  const C45Tree exact = TrainTree(cache, exact_cfg);
 
-  C45Config sub_cfg;
-  sub_cfg.histogram_subtraction = true;
-  const C45Tree subtracted = TrainTree(t, *enc, sub_cfg);
+  obs::Counter* const subtractions =
+      obs::GetCounter("c45.histogram_subtractions");
+  const uint64_t before = subtractions->Value();
+  const C45Tree subtracted = TrainTree(cache, C45Config{});
+  EXPECT_GT(subtractions->Value(), before);
 
-  ExpectSameTrees(scanned, subtracted, t);
+  ExpectSameTrees(exact, subtracted, cache);
 }
 
 TEST(C45HistogramTest, NodeParallelInductionIsBitwiseThreadInvariant) {
+  // 6000 rows: the top levels cross the 4096-instance threshold above
+  // which a level dispatches its tasks onto the pool.
   const Table t = QuantizedTable(6000, 12);
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset cache = EncodedDataset::Build(t, 8);
 
-  C45Config cfg;
-  cfg.parallel_min_insts = 1;  // force pooled dispatch on every level
-  const C45Tree serial = TrainTree(t, *enc, cfg);
+  const C45Tree serial = TrainTree(cache, C45Config{});
   for (const int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
-    const C45Tree pooled = TrainTree(t, *enc, cfg, &pool);
-    ExpectSameTrees(serial, pooled, t);
+    const C45Tree pooled = TrainTree(cache, C45Config{}, &pool);
+    ExpectSameTrees(serial, pooled, cache);
   }
 }
 
@@ -249,13 +248,8 @@ TEST(C45HistogramTest, CoarseBinsStillGrowAUsefulTree) {
     row[1] = Value::Nominal(v <= 499.0 ? 0 : 1);
     t.AppendRowUnchecked(std::move(row));
   }
-  auto enc = ClassEncoder::Fit(t, 1, 8);
-  ASSERT_TRUE(enc.ok());
-  TrainingData td;
-  td.table = &t;
-  td.class_attr = 1;
-  td.base_attrs = {0};
-  td.encoder = &*enc;
+  const EncodedDataset cache = EncodedDataset::Build(t, 8);
+  const TrainingData td{&cache, 1, {0}};
   C45Tree tree;  // histogram mode is the default
   ASSERT_TRUE(tree.Train(td).ok());
   EXPECT_GT(tree.NodeCount(), 1u);

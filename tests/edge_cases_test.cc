@@ -11,6 +11,7 @@
 #include "eval/test_environment.h"
 #include "logic/domain_range.h"
 #include "mining/c45.h"
+#include "mining/encoded_dataset.h"
 #include "pollution/pipeline.h"
 #include "tdg/data_generator.h"
 
@@ -214,13 +215,8 @@ Table DoubleThresholdTable(size_t rows, uint64_t seed) {
 
 TEST(C45EdgeTest, NumericAttributeReusedAlongOnePath) {
   Table t = DoubleThresholdTable(2000, 40);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
-  TrainingData td;
-  td.table = &t;
-  td.class_attr = 2;
-  td.base_attrs = {0, 1};
-  td.encoder = &*enc;
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
+  const TrainingData td{&enc, 2, {0, 1}};
   C45Tree tree;
   ASSERT_TRUE(tree.Train(td).ok());
   // The band is only expressible with two thresholds on Z.
@@ -236,13 +232,8 @@ TEST(C45EdgeTest, NumericAttributeReusedAlongOnePath) {
 
 TEST(C45EdgeTest, MaxDepthOneYieldsSingleLeaf) {
   Table t = DoubleThresholdTable(500, 41);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
-  TrainingData td;
-  td.table = &t;
-  td.class_attr = 2;
-  td.base_attrs = {0, 1};
-  td.encoder = &*enc;
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
+  const TrainingData td{&enc, 2, {0, 1}};
   C45Config cfg;
   cfg.max_depth = 0;
   C45Tree tree(cfg);
@@ -252,13 +243,8 @@ TEST(C45EdgeTest, MaxDepthOneYieldsSingleLeaf) {
 
 TEST(C45EdgeTest, LargeMinSplitWeightBlocksSplits) {
   Table t = DoubleThresholdTable(200, 42);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
-  TrainingData td;
-  td.table = &t;
-  td.class_attr = 2;
-  td.base_attrs = {0, 1};
-  td.encoder = &*enc;
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
+  const TrainingData td{&enc, 2, {0, 1}};
   C45Config cfg;
   cfg.min_split_weight = 1000.0;  // > table size
   C45Tree tree(cfg);
@@ -268,13 +254,8 @@ TEST(C45EdgeTest, LargeMinSplitWeightBlocksSplits) {
 
 TEST(C45EdgeTest, Id3ModeAlsoLearns) {
   Table t = DoubleThresholdTable(1500, 43);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
-  TrainingData td;
-  td.table = &t;
-  td.class_attr = 2;
-  td.base_attrs = {0, 1};
-  td.encoder = &*enc;
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
+  const TrainingData td{&enc, 2, {0, 1}};
   C45Config cfg;
   cfg.use_gain_ratio = false;  // plain information gain (ID3)
   C45Tree tree(cfg);
@@ -289,13 +270,8 @@ TEST(C45EdgeTest, SupportEqualsLeafWeightOnCompletePaths) {
   // the training weight that reached the leaf; summed over a partition of
   // probe points it never exceeds the training size.
   Table t = DoubleThresholdTable(1000, 44);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
-  TrainingData td;
-  td.table = &t;
-  td.class_attr = 2;
-  td.base_attrs = {0, 1};
-  td.encoder = &*enc;
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
+  const TrainingData td{&enc, 2, {0, 1}};
   C45Tree tree;
   ASSERT_TRUE(tree.Train(td).ok());
   Row probe(3);

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "common/random.h"
+#include "mining/encoded_dataset.h"
 #include "mining/knn.h"
 #include "mining/naive_bayes.h"
 #include "mining/oner.h"
@@ -43,13 +44,8 @@ Table DependentTable(size_t rows, uint64_t seed, double noise = 0.0) {
   return t;
 }
 
-TrainingData Training(const Table& t, const ClassEncoder& enc) {
-  TrainingData td;
-  td.table = &t;
-  td.class_attr = 2;
-  td.base_attrs = {0, 1};
-  td.encoder = &enc;
-  return td;
+TrainingData Training(const EncodedDataset& enc) {
+  return TrainingData{&enc, 2, {0, 1}};
 }
 
 template <typename T>
@@ -64,10 +60,9 @@ TYPED_TEST_SUITE(BaselineClassifierTest, BaselineTypes);
 
 TYPED_TEST(BaselineClassifierTest, LearnsDeterministicDependency) {
   Table t = DependentTable(600, 21);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   auto clf = this->Make();
-  ASSERT_TRUE(clf->Train(Training(t, *enc)).ok());
+  ASSERT_TRUE(clf->Train(Training(enc)).ok());
   for (int32_t x = 0; x < 3; ++x) {
     Row probe(3);
     probe[0] = Value::Nominal(x);
@@ -80,10 +75,9 @@ TYPED_TEST(BaselineClassifierTest, LearnsDeterministicDependency) {
 
 TYPED_TEST(BaselineClassifierTest, DistributionSumsToOne) {
   Table t = DependentTable(400, 22, 0.3);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   auto clf = this->Make();
-  ASSERT_TRUE(clf->Train(Training(t, *enc)).ok());
+  ASSERT_TRUE(clf->Train(Training(enc)).ok());
   Rng rng(23);
   for (int i = 0; i < 50; ++i) {
     Row probe(3);
@@ -102,10 +96,9 @@ TYPED_TEST(BaselineClassifierTest, HandlesMissingBaseValues) {
   for (size_t r = 0; r < t.num_rows(); ++r) {
     if (rng.Bernoulli(0.2)) t.SetCell(r, 0, Value::Null());
   }
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   auto clf = this->Make();
-  ASSERT_TRUE(clf->Train(Training(t, *enc)).ok());
+  ASSERT_TRUE(clf->Train(Training(enc)).ok());
   Row probe(3);  // all nulls
   Prediction p = clf->Predict(probe);
   double total = 0.0;
@@ -116,10 +109,9 @@ TYPED_TEST(BaselineClassifierTest, HandlesMissingBaseValues) {
 TYPED_TEST(BaselineClassifierTest, FailsWithoutTrainableInstances) {
   Table t = DependentTable(50, 26);
   for (size_t r = 0; r < t.num_rows(); ++r) t.SetCell(r, 2, Value::Null());
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   auto clf = this->Make();
-  EXPECT_FALSE(clf->Train(Training(t, *enc)).ok()) << clf->name();
+  EXPECT_FALSE(clf->Train(Training(enc)).ok()) << clf->name();
 }
 
 // --- NaiveBayes specifics --------------------------------------------------------
@@ -141,10 +133,9 @@ TEST(NaiveBayesTest, GaussianLikelihoodSeparatesNumericClasses) {
     }
     t.AppendRowUnchecked(std::move(row));
   }
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   NaiveBayesClassifier nb;
-  ASSERT_TRUE(nb.Train(Training(t, *enc)).ok());
+  ASSERT_TRUE(nb.Train(Training(enc)).ok());
   Row low(3), high(3);
   low[1] = Value::Numeric(15.0);
   high[1] = Value::Numeric(85.0);
@@ -154,10 +145,9 @@ TEST(NaiveBayesTest, GaussianLikelihoodSeparatesNumericClasses) {
 
 TEST(NaiveBayesTest, LaplaceSmoothingAvoidsZeroPosterior) {
   Table t = DependentTable(100, 28);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   NaiveBayesClassifier nb;
-  ASSERT_TRUE(nb.Train(Training(t, *enc)).ok());
+  ASSERT_TRUE(nb.Train(Training(enc)).ok());
   Row probe(3);
   probe[0] = Value::Nominal(0);
   Prediction p = nb.Predict(probe);
@@ -168,12 +158,11 @@ TEST(NaiveBayesTest, LaplaceSmoothingAvoidsZeroPosterior) {
 
 TEST(KnnTest, SupportEqualsK) {
   Table t = DependentTable(500, 29);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   KnnConfig cfg;
   cfg.k = 15;
   KnnClassifier knn(cfg);
-  ASSERT_TRUE(knn.Train(Training(t, *enc)).ok());
+  ASSERT_TRUE(knn.Train(Training(enc)).ok());
   Row probe(3);
   probe[0] = Value::Nominal(1);
   probe[1] = Value::Numeric(50.0);
@@ -182,13 +171,12 @@ TEST(KnnTest, SupportEqualsK) {
 
 TEST(KnnTest, SubsamplingCapsTrainingSet) {
   Table t = DependentTable(2000, 30);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   KnnConfig cfg;
   cfg.max_training_instances = 100;
   cfg.k = 5;
   KnnClassifier knn(cfg);
-  ASSERT_TRUE(knn.Train(Training(t, *enc)).ok());
+  ASSERT_TRUE(knn.Train(Training(enc)).ok());
   // Still learns the dominant dependency from the subsample.
   Row probe(3);
   probe[0] = Value::Nominal(2);
@@ -198,31 +186,28 @@ TEST(KnnTest, SubsamplingCapsTrainingSet) {
 
 TEST(KnnTest, RejectsInvalidK) {
   Table t = DependentTable(50, 31);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   KnnConfig cfg;
   cfg.k = 0;
   KnnClassifier knn(cfg);
-  EXPECT_FALSE(knn.Train(Training(t, *enc)).ok());
+  EXPECT_FALSE(knn.Train(Training(enc)).ok());
 }
 
 // --- OneR specifics -----------------------------------------------------------------
 
 TEST(OneRTest, PicksTheInformativeAttribute) {
   Table t = DependentTable(800, 32);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   OneRClassifier oner;
-  ASSERT_TRUE(oner.Train(Training(t, *enc)).ok());
+  ASSERT_TRUE(oner.Train(Training(enc)).ok());
   EXPECT_EQ(oner.chosen_attr(), 0);  // X determines the class
 }
 
 TEST(OneRTest, SupportIsBucketCount) {
   Table t = DependentTable(900, 33);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   OneRClassifier oner;
-  ASSERT_TRUE(oner.Train(Training(t, *enc)).ok());
+  ASSERT_TRUE(oner.Train(Training(enc)).ok());
   Row probe(3);
   probe[0] = Value::Nominal(0);
   const Prediction p = oner.Predict(probe);
@@ -243,10 +228,9 @@ TEST(OneRTest, NumericAttributeDiscretized) {
     row[2] = Value::Nominal(z < 50.0 ? 0 : 1);
     t.AppendRowUnchecked(std::move(row));
   }
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   OneRClassifier oner;
-  ASSERT_TRUE(oner.Train(Training(t, *enc)).ok());
+  ASSERT_TRUE(oner.Train(Training(enc)).ok());
   EXPECT_EQ(oner.chosen_attr(), 1);
   Row probe(3);
   probe[1] = Value::Numeric(10.0);
@@ -257,10 +241,9 @@ TEST(OneRTest, NumericAttributeDiscretized) {
 
 TEST(OneRTest, NullBucketFallsBackGracefully) {
   Table t = DependentTable(200, 35);
-  auto enc = ClassEncoder::Fit(t, 2, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   OneRClassifier oner;
-  ASSERT_TRUE(oner.Train(Training(t, *enc)).ok());
+  ASSERT_TRUE(oner.Train(Training(enc)).ok());
   Row probe(3);  // X null -> null bucket (empty) -> overall distribution
   Prediction p = oner.Predict(probe);
   EXPECT_GT(p.support, 0.0);

@@ -5,6 +5,7 @@
 
 #include "common/random.h"
 #include "mining/c45.h"
+#include "mining/encoded_dataset.h"
 #include "stats/confidence.h"
 
 namespace dq {
@@ -41,14 +42,9 @@ Table MakeDependentTable(size_t rows, double noise, uint64_t seed) {
   return t;
 }
 
-TrainingData MakeTraining(const Table& t, const ClassEncoder& enc,
+TrainingData MakeTraining(const EncodedDataset& enc,
                           std::vector<int> base = {0, 1, 2}) {
-  TrainingData td;
-  td.table = &t;
-  td.class_attr = 3;
-  td.base_attrs = std::move(base);
-  td.encoder = &enc;
-  return td;
+  return TrainingData{&enc, 3, std::move(base)};
 }
 
 // --- minInst derivation ---------------------------------------------------------
@@ -74,10 +70,9 @@ TEST(MinInstTest, MonotoneInConfidence) {
 
 TEST(C45Test, LearnsDeterministicDependency) {
   Table t = MakeDependentTable(1000, 0.0, 1);
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Tree tree;
-  ASSERT_TRUE(tree.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(tree.Train(MakeTraining(enc)).ok());
 
   // Every X value predicts its class with certainty.
   for (int32_t x = 0; x < 3; ++x) {
@@ -94,15 +89,14 @@ TEST(C45Test, LearnsDeterministicDependency) {
 
 TEST(C45Test, SplitsOnTheInformativeAttribute) {
   Table t = MakeDependentTable(2000, 0.05, 2);
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Config cfg;
   cfg.min_error_confidence = 0.8;
   C45Tree tree(cfg);
-  ASSERT_TRUE(tree.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(tree.Train(MakeTraining(enc)).ok());
   // The tree must use X (attr 0) at the root: all three leaves exist.
   EXPECT_GE(tree.LeafCount(), 3u);
-  std::string dump = tree.ToString(t.schema());
+  std::string dump = tree.ToString(t.schema(), *enc.encoder(3));
   EXPECT_NE(dump.find("X ="), std::string::npos);
 }
 
@@ -118,10 +112,9 @@ TEST(C45Test, PureClassYieldsSingleLeaf) {
     row[3] = Value::Nominal(1);  // constant class
     t.AppendRowUnchecked(std::move(row));
   }
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Tree tree;
-  ASSERT_TRUE(tree.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(tree.Train(MakeTraining(enc)).ok());
   EXPECT_EQ(tree.NodeCount(), 1u);
   Row probe(4);
   probe[0] = Value::Nominal(0);
@@ -142,10 +135,9 @@ TEST(C45Test, NumericThresholdSplit) {
     row[3] = Value::Nominal(z <= 50.0 ? 0 : 1);
     t.AppendRowUnchecked(std::move(row));
   }
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Tree tree;
-  ASSERT_TRUE(tree.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(tree.Train(MakeTraining(enc)).ok());
   Row low(4), high(4);
   low[2] = Value::Numeric(10.0);
   high[2] = Value::Numeric(90.0);
@@ -160,10 +152,9 @@ TEST(C45Test, MissingBaseValuesDistributed) {
   for (size_t r = 0; r < t.num_rows(); ++r) {
     if (rng.Bernoulli(0.2)) t.SetCell(r, 0, Value::Null());
   }
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Tree tree;
-  ASSERT_TRUE(tree.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(tree.Train(MakeTraining(enc)).ok());
   // Prediction with missing X returns a blended distribution over classes.
   Row probe(4);
   Prediction p = tree.Predict(probe);
@@ -181,10 +172,9 @@ TEST(C45Test, MissingBaseValuesDistributed) {
 TEST(C45Test, NullClassInstancesIgnored) {
   Table t = MakeDependentTable(300, 0.0, 7);
   for (size_t r = 0; r < 100; ++r) t.SetCell(r, 3, Value::Null());
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Tree tree;
-  ASSERT_TRUE(tree.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(tree.Train(MakeTraining(enc)).ok());
   Row probe(4);
   probe[0] = Value::Nominal(1);
   EXPECT_EQ(tree.Predict(probe).PredictedClass(), 1);
@@ -193,26 +183,35 @@ TEST(C45Test, NullClassInstancesIgnored) {
 TEST(C45Test, TrainFailsOnAllNullClass) {
   Table t = MakeDependentTable(50, 0.0, 8);
   for (size_t r = 0; r < t.num_rows(); ++r) t.SetCell(r, 3, Value::Null());
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());  // nominal encoder needs no data
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Tree tree;
-  EXPECT_FALSE(tree.Train(MakeTraining(t, *enc)).ok());
+  EXPECT_FALSE(tree.Train(MakeTraining(enc)).ok());
 }
 
 TEST(C45Test, TrainingDataValidation) {
   Table t = MakeDependentTable(50, 0.0, 9);
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Tree tree;
-  TrainingData td = MakeTraining(t, *enc);
+  TrainingData td = MakeTraining(enc);
   td.base_attrs = {3};  // class attribute as base attribute
   EXPECT_FALSE(tree.Train(td).ok());
-  td = MakeTraining(t, *enc);
+  td = MakeTraining(enc);
   td.base_attrs = {};
   EXPECT_FALSE(tree.Train(td).ok());
-  td = MakeTraining(t, *enc);
-  td.class_attr = 0;  // encoder mismatch
-  EXPECT_FALSE(tree.Train(td).ok());
+  td = MakeTraining(enc);
+  td.class_attr = 4;  // no such attribute
+  EXPECT_EQ(tree.Train(td).code(), StatusCode::kOutOfRange);
+  td = MakeTraining(enc);
+  td.encoded = nullptr;  // no cache to read the table from
+  EXPECT_TRUE(tree.Train(td).IsInvalidArgument());
+
+  // An all-null ordered attribute has no fitted class encoder, so it
+  // cannot be the class attribute.
+  for (size_t r = 0; r < t.num_rows(); ++r) t.SetCell(r, 2, Value::Null());
+  const EncodedDataset no_z = EncodedDataset::Build(t, 8);
+  ASSERT_FALSE(no_z.encoder(2).has_value());
+  td = TrainingData{&no_z, 2, {0, 1}};
+  EXPECT_EQ(tree.Train(td).code(), StatusCode::kFailedPrecondition);
 }
 
 // --- Pruning behaviour -------------------------------------------------------------
@@ -233,19 +232,18 @@ TEST(C45PruningTest, ExpErrorConfPruningCollapsesNoiseMemorization) {
                                 : 0);
     t.AppendRowUnchecked(std::move(row));
   }
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Config cfg;
   cfg.pruning = PruningMode::kExpectedErrorConfidence;
   cfg.min_error_confidence = 0.8;
   C45Tree pruned(cfg);
-  ASSERT_TRUE(pruned.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(pruned.Train(MakeTraining(enc)).ok());
 
   C45Config none = cfg;
   none.pruning = PruningMode::kNone;
   none.min_error_confidence = 0.0;
   C45Tree unpruned(none);
-  ASSERT_TRUE(unpruned.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(unpruned.Train(MakeTraining(enc)).ok());
 
   EXPECT_LT(pruned.NodeCount(), unpruned.NodeCount());
   EXPECT_LE(pruned.NodeCount(), 5u);
@@ -255,13 +253,12 @@ TEST(C45PruningTest, ExpErrorConfPruningKeepsRealStructure) {
   // With a genuine dependency plus noise, the split must survive Def. 9
   // pruning: the children flag deviations far above the minimum confidence.
   Table t = MakeDependentTable(3000, 0.02, 11);
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Config cfg;
   cfg.pruning = PruningMode::kExpectedErrorConfidence;
   cfg.min_error_confidence = 0.8;
   C45Tree tree(cfg);
-  ASSERT_TRUE(tree.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(tree.Train(MakeTraining(enc)).ok());
   EXPECT_GT(tree.NodeCount(), 1u);
   Row probe(4);
   probe[0] = Value::Nominal(2);
@@ -270,16 +267,15 @@ TEST(C45PruningTest, ExpErrorConfPruningKeepsRealStructure) {
 
 TEST(C45PruningTest, PessimisticPruningShrinksTree) {
   Table t = MakeDependentTable(1500, 0.15, 12);
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Config none;
   none.pruning = PruningMode::kNone;
   C45Tree unpruned(none);
-  ASSERT_TRUE(unpruned.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(unpruned.Train(MakeTraining(enc)).ok());
   C45Config pess;
   pess.pruning = PruningMode::kPessimistic;
   C45Tree pruned(pess);
-  ASSERT_TRUE(pruned.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(pruned.Train(MakeTraining(enc)).ok());
   EXPECT_LE(pruned.NodeCount(), unpruned.NodeCount());
 }
 
@@ -287,13 +283,12 @@ TEST(C45PruningTest, MinInstPrePruningLimitsDepthOnSmallData) {
   // 60 records cannot host two leaves with 35 single-class instances each,
   // so with minConf 0.8 the tree must stay very small.
   Table t = MakeDependentTable(60, 0.0, 13);
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Config cfg;
   cfg.min_error_confidence = 0.8;
   cfg.pruning = PruningMode::kExpectedErrorConfidence;
   C45Tree tree(cfg);
-  ASSERT_TRUE(tree.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(tree.Train(MakeTraining(enc)).ok());
   EXPECT_EQ(tree.NodeCount(), 1u);
 }
 
@@ -301,10 +296,9 @@ TEST(C45PruningTest, MinInstPrePruningLimitsDepthOnSmallData) {
 
 TEST(C45Test, VisitPathsCoversAllLeaves) {
   Table t = MakeDependentTable(1000, 0.02, 14);
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Tree tree;
-  ASSERT_TRUE(tree.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(tree.Train(MakeTraining(enc)).ok());
   size_t leaves = 0;
   double weight = 0.0;
   tree.VisitPaths([&](const std::vector<SplitCondition>& conds,
@@ -338,21 +332,19 @@ TEST(C45Test, GainRatioAvoidsManyValuedAttributeBias) {
   // plain gain could still pick X here, but the point is that gain ratio
   // never picks the *random* many-valued attribute for the root.
   Table t = MakeDependentTable(2000, 0.0, 15);
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Tree tree;
-  ASSERT_TRUE(tree.Train(MakeTraining(t, *enc)).ok());
-  std::string dump = tree.ToString(t.schema());
+  ASSERT_TRUE(tree.Train(MakeTraining(enc)).ok());
+  std::string dump = tree.ToString(t.schema(), *enc.encoder(3));
   // Root splits on X, not on Y.
   EXPECT_EQ(dump.rfind("X =", 0), 0u);
 }
 
 TEST(C45Test, PredictionDistributionNormalized) {
   Table t = MakeDependentTable(500, 0.2, 16);
-  auto enc = ClassEncoder::Fit(t, 3, 8);
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Tree tree;
-  ASSERT_TRUE(tree.Train(MakeTraining(t, *enc)).ok());
+  ASSERT_TRUE(tree.Train(MakeTraining(enc)).ok());
   Rng rng(17);
   for (int i = 0; i < 100; ++i) {
     Row probe(4);
@@ -382,14 +374,10 @@ TEST(C45RegressionTest, NumericClassThroughEqualFrequencyBins) {
     row[3] = Value::Nominal(0);
     t.AppendRowUnchecked(std::move(row));
   }
-  auto enc = ClassEncoder::Fit(t, 2, 3);  // class = Z with 3 bins
-  ASSERT_TRUE(enc.ok());
+  const EncodedDataset cache = EncodedDataset::Build(t, 3);  // Z: 3 bins
+  const ClassEncoder* enc = &*cache.encoder(2);
   EXPECT_TRUE(enc->is_discretized());
-  TrainingData td;
-  td.table = &t;
-  td.class_attr = 2;
-  td.base_attrs = {0, 1};
-  td.encoder = &*enc;
+  const TrainingData td{&cache, 2, {0, 1}};
   C45Tree tree;
   ASSERT_TRUE(tree.Train(td).ok());
   // x=0 predicts the low bin; its representative decodes near [0, 5].

@@ -9,6 +9,7 @@
 #include "audit/error_confidence.h"
 #include "common/random.h"
 #include "mining/c45.h"
+#include "mining/encoded_dataset.h"
 #include "stats/confidence.h"
 #include "stats/descriptive.h"
 #include "tdg/rule_generator.h"
@@ -125,16 +126,11 @@ TEST(QuantC45Test, PicksHigherInformationGainAttribute) {
     t.AppendRowUnchecked(
         {Value::Nominal(cls), Value::Nominal(y), Value::Nominal(cls)});
   }
-  auto enc = ClassEncoder::Fit(t, 2, 4);
-  ASSERT_TRUE(enc.ok());
-  TrainingData td;
-  td.table = &t;
-  td.class_attr = 2;
-  td.base_attrs = {0, 1};
-  td.encoder = &*enc;
+  const EncodedDataset enc = EncodedDataset::Build(t, 4);
+  const TrainingData td{&enc, 2, {0, 1}};
   C45Tree tree;
   ASSERT_TRUE(tree.Train(td).ok());
-  const std::string dump = tree.ToString(s);
+  const std::string dump = tree.ToString(s, *enc.encoder(2));
   EXPECT_EQ(dump.rfind("X =", 0), 0u) << dump;
 }
 
@@ -155,13 +151,8 @@ TEST(QuantC45Test, LeafExpectedErrorConfidenceMatchesFormula) {
   for (int i = 0; i < 1000; ++i) {
     t.AppendRowUnchecked({Value::Nominal(1), Value::Nominal(1)});
   }
-  auto enc = ClassEncoder::Fit(t, 1, 4);
-  ASSERT_TRUE(enc.ok());
-  TrainingData td;
-  td.table = &t;
-  td.class_attr = 1;
-  td.base_attrs = {0};
-  td.encoder = &*enc;
+  const EncodedDataset enc = EncodedDataset::Build(t, 4);
+  const TrainingData td{&enc, 1, {0}};
   C45Config cfg;
   cfg.min_error_confidence = 0.8;
   cfg.confidence_level = 0.95;

@@ -5,11 +5,13 @@
 #include "table/segment_store.h"
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "mining/sample.h"
+#include "obs/metrics.h"
 #include "table/table.h"
 
 namespace dq {
@@ -183,6 +185,70 @@ TEST(SegmentStoreTest, SpillFilesAreRemovedOnDestruction) {
     EXPECT_TRUE(std::filesystem::exists(dir));
   }
   EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+/// Byte offset of attribute `attr`'s payload in a dqcol file holding `rows`
+/// rows of `schema`: the column blocks (type byte, payload, null bitmap)
+/// fill the tail of the file in schema order, after the header.
+uint64_t PayloadOffset(const std::string& path, const Schema& schema,
+                       size_t rows, size_t attr) {
+  const uint64_t words = (rows + 63) / 64;
+  auto block = [&](size_t a) {
+    const uint64_t elem =
+        schema.attribute(a).type == DataType::kNumeric ? 8 : 4;
+    return 1 + rows * elem + words * 8;
+  };
+  uint64_t tail = 0;
+  for (size_t a = 0; a < schema.num_attributes(); ++a) tail += block(a);
+  uint64_t offset = std::filesystem::file_size(path) - tail;
+  for (size_t a = 0; a < attr; ++a) offset += block(a);
+  return offset + 1;
+}
+
+TEST(SegmentStoreTest, CorruptSpillFilesFailToPin) {
+  const Schema schema = TestSchema();
+  SegmentStoreOptions options;
+  options.segment_rows = 40;
+  options.memory_budget_bytes = 1;  // evict everything evictable
+  options.spill_dir = UniqueSpillDir("corrupt");
+  SegmentStore store(schema, options);
+  (void)FeedStore(schema, &store, 200, 40);
+  ASSERT_TRUE(store.Finish().ok());
+  ASSERT_GE(store.num_segments(), 3u);
+
+  // Reloading a spill is not ingest: no ingest counter moves and the
+  // table.bytes gauge keeps whatever the last real ingest set.
+  obs::Counter* const ingested = obs::GetCounter("ingest.records_total");
+  obs::Gauge* const table_bytes = obs::GetGauge("table.bytes");
+  table_bytes->Set(12345.0);
+  const uint64_t before = ingested->Value();
+  ASSERT_FALSE(store.segment_resident(0));
+  ASSERT_TRUE(store.Pin(0).ok());
+  ASSERT_TRUE(store.Unpin(0).ok());
+  EXPECT_EQ(ingested->Value(), before);
+  EXPECT_EQ(table_bytes->Value(), 12345.0);
+
+  // A truncated spill file.
+  const std::string truncated = options.spill_dir + "/seg-1.dqcol";
+  ASSERT_TRUE(std::filesystem::exists(truncated));
+  std::filesystem::resize_file(truncated,
+                               std::filesystem::file_size(truncated) / 2);
+  EXPECT_FALSE(store.Pin(1).ok());
+
+  // A "color" code outside its three categories, in segment 2's second row
+  // (global row 81, which MakeRow leaves non-null).
+  const std::string poisoned = options.spill_dir + "/seg-2.dqcol";
+  ASSERT_TRUE(std::filesystem::exists(poisoned));
+  {
+    std::fstream f(poisoned, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(
+        PayloadOffset(poisoned, schema, store.segment_num_rows(2), 0) +
+        sizeof(int32_t)));
+    const int32_t code = 3;
+    f.write(reinterpret_cast<const char*>(&code), sizeof(code));
+    ASSERT_TRUE(f.good());
+  }
+  EXPECT_FALSE(store.Pin(2).ok());
 }
 
 TEST(ReservoirSamplerTest, SameSeedSameStreamSameSample) {

@@ -5,6 +5,8 @@
 #include "audit/stream_audit.h"
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -217,6 +219,37 @@ TEST_F(StreamAuditTest, DqcolInputReproducesCsvReport) {
                                         table_.schema(), &dqcol_report)
                   .ok());
   EXPECT_EQ(csv_report.str(), dqcol_report.str());
+}
+
+TEST(StreamReportFileTest, FailedWriteLeavesTheOldReportInPlace) {
+  Schema schema;
+  ASSERT_TRUE(schema.AddNominal("X", {"x0", "x1"}).ok());
+  const std::string path = ::testing::TempDir() + "/atomic_report.csv";
+  const std::string old_bytes = "rank,row,error_confidence\nold report\n";
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f << old_bytes;
+  }
+  // The first suspicion renders fine; the second names no attribute of the
+  // schema, so the writer fails halfway through the report.
+  std::vector<Suspicion> suspicious(2);
+  suspicious[0].row = 3;
+  suspicious[0].error_confidence = 0.9;
+  suspicious[0].attr = 0;
+  suspicious[0].observed = Value::Nominal(1);
+  suspicious[0].suggestion = Value::Nominal(0);
+  suspicious[1].row = 4;
+  suspicious[1].error_confidence = 0.85;
+  suspicious[1].attr = static_cast<int>(schema.num_attributes());
+
+  const Status written = WriteStreamAuditReportCsvFile(suspicious, schema, path);
+  EXPECT_TRUE(written.IsInvalidArgument()) << written.ToString();
+  std::ifstream f(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(f)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, old_bytes);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
 }
 
 TEST_F(StreamAuditTest, RejectsZeroSampleRows) {

@@ -3,9 +3,9 @@
 // The SoA rewrite keeps the row-major API as a materialization layer, so
 // every ingestion path (AppendRow, TableChunk + AppendChunk, AppendRowFrom,
 // CSV round-trip) must produce byte-for-byte the same logical cells, the
-// null bitmap must agree with Value::is_null, and downstream mining must be
-// bitwise identical whether it reads through the EncodedDataset cache or
-// the legacy per-Train encode.
+// null bitmap must agree with Value::is_null, the EncodedDataset views must
+// agree with the cells, and audits must be bitwise identical across
+// construction paths.
 
 #include <gtest/gtest.h>
 
@@ -212,49 +212,6 @@ TEST(TableLayoutTest, EncodedDatasetViewsMatchCells) {
       for (size_t r = 0; r < t.num_rows(); ++r) {
         EXPECT_EQ(enc.class_codes(a)[r], enc.encoder(a)->Encode(t.cell(r, a)));
       }
-    }
-  }
-}
-
-TEST(TableLayoutTest, CachedC45MatchesLegacyEncode) {
-  const Schema s = LayoutSchema();
-  const std::vector<Row> rows = RandomRows(s, 1500, 0.1, 31);
-  Table t(s);
-  for (const Row& row : rows) ASSERT_TRUE(t.AppendRow(row).ok());
-
-  const EncodedDataset enc = EncodedDataset::Build(t, 8);
-  ASSERT_TRUE(enc.encoder(3).has_value());
-
-  TrainingData cached;
-  cached.table = &t;
-  cached.class_attr = 3;
-  cached.base_attrs = {0, 1, 2};
-  cached.encoder = &*enc.encoder(3);
-  cached.encoded = &enc;
-
-  TrainingData legacy = cached;
-  legacy.encoded = nullptr;
-
-  for (bool presort : {true, false}) {
-    C45Config cfg;
-    cfg.presort = presort;
-    C45Tree cached_tree(cfg);
-    C45Tree legacy_tree(cfg);
-    ASSERT_TRUE(cached_tree.Train(cached).ok());
-    ASSERT_TRUE(legacy_tree.Train(legacy).ok());
-    EXPECT_EQ(cached_tree.NodeCount(), legacy_tree.NodeCount());
-    EXPECT_EQ(cached_tree.ToString(s), legacy_tree.ToString(s));
-
-    Rng rng(77);
-    for (int i = 0; i < 100; ++i) {
-      const Row probe = RandomRow(s, &rng, 0.1);
-      const Prediction a = cached_tree.Predict(probe);
-      const Prediction b = legacy_tree.Predict(probe);
-      ASSERT_EQ(a.distribution.size(), b.distribution.size());
-      for (size_t c = 0; c < a.distribution.size(); ++c) {
-        EXPECT_EQ(a.distribution[c], b.distribution[c]);
-      }
-      EXPECT_EQ(a.support, b.support);
     }
   }
 }

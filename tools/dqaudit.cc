@@ -74,6 +74,7 @@
 //                      damaged lines are dropped). Requires --history
 //   --log-level LEVEL  debug | info | warn | error | off (default info)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -324,6 +325,57 @@ int Fail(const Status& status) {
   return 1;
 }
 
+/// Prints the quarantine summary of a load that dropped records and writes
+/// --ingest-report.
+Status ReportIngest(const IngestReport& ingest, const Options& opts) {
+  if (ingest.HasErrors()) {
+    std::printf("ingest: %s\n", ingest.Summary().c_str());
+    std::fputs(ingest.RenderText().c_str(), stderr);
+  }
+  if (opts.ingest_report_path.empty()) return Status::OK();
+  DQ_RETURN_NOT_OK(ingest.WriteJsonFile(opts.ingest_report_path));
+  std::printf("wrote ingest report to %s\n", opts.ingest_report_path.c_str());
+  return Status::OK();
+}
+
+/// --rules and --save-model for an induced model.
+Status OutputModel(const AuditModel& model, const Schema& schema,
+                   const Options& opts) {
+  if (opts.print_rules) {
+    std::printf("%s", RenderStructureModel(model, schema).c_str());
+  }
+  if (opts.save_model_path.empty()) return Status::OK();
+  const StructureModel structure = StructureModel::FromAuditModel(model, schema);
+  DQ_RETURN_NOT_OK(structure.SaveToFile(opts.save_model_path));
+  std::printf("persisted %zu rules to %s\n", structure.TotalRules(),
+              opts.save_model_path.c_str());
+  return Status::OK();
+}
+
+void PrintTimings(const AuditTimings& timings) {
+  std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
+              "(encode %.1f ms, tree build %.1f ms), audit %.1f ms\n",
+              timings.threads_used, timings.ingest_ms, timings.induce_ms,
+              timings.encode_ms, timings.tree_build_ms, timings.audit_ms);
+}
+
+/// The --top listing of the ranked report.
+void PrintTopSuspicions(const std::vector<Suspicion>& suspicious,
+                        const Schema& schema, int top) {
+  const size_t limit =
+      std::min<size_t>(suspicious.size(), static_cast<size_t>(top));
+  for (size_t i = 0; i < limit; ++i) {
+    const Suspicion& s = suspicious[i];
+    std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s (support "
+                "%.0f)\n",
+                s.row, s.error_confidence,
+                schema.attribute(static_cast<size_t>(s.attr)).name.c_str(),
+                schema.ValueToString(s.attr, s.observed).c_str(),
+                schema.ValueToString(s.attr, s.suggestion).c_str(),
+                s.support);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -484,51 +536,18 @@ int main(int argc, char** argv) {
                     result->store_stats.spill_reads),
                 static_cast<unsigned long long>(
                     result->store_stats.resident_bytes_peak));
-    if (result->ingest.HasErrors()) {
-      std::printf("ingest: %s\n", result->ingest.Summary().c_str());
-      std::fputs(result->ingest.RenderText().c_str(), stderr);
-    }
-    if (!opts.ingest_report_path.empty()) {
-      Status written = result->ingest.WriteJsonFile(opts.ingest_report_path);
-      if (!written.ok()) return Fail(written);
-      std::printf("wrote ingest report to %s\n",
-                  opts.ingest_report_path.c_str());
-    }
+    Status reported = ReportIngest(result->ingest, opts);
+    if (!reported.ok()) return Fail(reported);
     std::printf("induced on %zu sampled records (reservoir capacity %zu)\n",
                 result->sampled_rows, opts.sample_rows);
-    if (opts.print_rules) {
-      std::printf("%s", RenderStructureModel(result->model, *schema).c_str());
-    }
-    if (!opts.save_model_path.empty()) {
-      StructureModel structure =
-          StructureModel::FromAuditModel(result->model, *schema);
-      Status saved = structure.SaveToFile(opts.save_model_path);
-      if (!saved.ok()) return Fail(saved);
-      std::printf("persisted %zu rules to %s\n", structure.TotalRules(),
-                  opts.save_model_path.c_str());
-    }
+    Status output = OutputModel(result->model, *schema, opts);
+    if (!output.ok()) return Fail(output);
     const AuditTimings& timings = result->timings;
-    std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
-                "(encode %.1f ms, c4.5 presort %.1f ms, tree build %.1f ms), "
-                "audit %.1f ms\n",
-                timings.threads_used, timings.ingest_ms, timings.induce_ms,
-                timings.encode_ms, timings.presort_ms, timings.tree_build_ms,
-                timings.audit_ms);
+    PrintTimings(timings);
     std::printf("%zu of %zu records suspicious at minimal error confidence "
                 "%.2f\n",
                 result->suspicious.size(), result->total_rows, opts.min_conf);
-    const size_t limit = std::min<size_t>(result->suspicious.size(),
-                                          static_cast<size_t>(opts.top));
-    for (size_t i = 0; i < limit; ++i) {
-      const Suspicion& s = result->suspicious[i];
-      std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s (support "
-                  "%.0f)\n",
-                  s.row, s.error_confidence,
-                  schema->attribute(static_cast<size_t>(s.attr)).name.c_str(),
-                  schema->ValueToString(s.attr, s.observed).c_str(),
-                  schema->ValueToString(s.attr, s.suggestion).c_str(),
-                  s.support);
-    }
+    PrintTopSuspicions(result->suspicious, *schema, opts.top);
     if (!opts.report_path.empty()) {
       Status written = WriteStreamAuditReportCsvFile(result->suspicious,
                                                      *schema,
@@ -557,16 +576,8 @@ int main(int argc, char** argv) {
   std::printf("loaded %zu records x %zu attributes from %s\n",
               data->num_rows(), schema->num_attributes(),
               opts.data_path.c_str());
-  if (ingest.HasErrors()) {
-    std::printf("ingest: %s\n", ingest.Summary().c_str());
-    std::fputs(ingest.RenderText().c_str(), stderr);
-  }
-  if (!opts.ingest_report_path.empty()) {
-    Status written = ingest.WriteJsonFile(opts.ingest_report_path);
-    if (!written.ok()) return Fail(written);
-    std::printf("wrote ingest report to %s\n",
-                opts.ingest_report_path.c_str());
-  }
+  Status reported = ReportIngest(ingest, opts);
+  if (!reported.ok()) return Fail(reported);
 
   // Expert-rule deviation check: deterministic violations of the
   // domain-expert dependencies, complementing the induced structure model.
@@ -640,16 +651,7 @@ int main(int argc, char** argv) {
     std::printf("checked against %zu persisted rules: %zu suspicious "
                 "records\n",
                 model->TotalRules(), report->NumFlagged());
-    const size_t limit = std::min<size_t>(report->suspicious.size(),
-                                          static_cast<size_t>(opts.top));
-    for (size_t i = 0; i < limit; ++i) {
-      const Suspicion& s = report->suspicious[i];
-      std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s\n", s.row,
-                  s.error_confidence,
-                  schema->attribute(static_cast<size_t>(s.attr)).name.c_str(),
-                  schema->ValueToString(s.attr, s.observed).c_str(),
-                  schema->ValueToString(s.attr, s.suggestion).c_str());
-    }
+    PrintTopSuspicions(report->suspicious, *schema, opts.top);
     Status written = write_outputs(*report);
     if (!written.ok()) return Fail(written);
     AuditTimings check_timings;
@@ -688,40 +690,16 @@ int main(int argc, char** argv) {
   auto model = auditor.Induce(*train, &timings);
   if (!model.ok()) return Fail(model.status());
 
-  if (opts.print_rules) {
-    std::printf("%s", RenderStructureModel(*model, *schema).c_str());
-  }
-  if (!opts.save_model_path.empty()) {
-    StructureModel structure = StructureModel::FromAuditModel(*model, *schema);
-    Status saved = structure.SaveToFile(opts.save_model_path);
-    if (!saved.ok()) return Fail(saved);
-    std::printf("persisted %zu rules to %s\n", structure.TotalRules(),
-                opts.save_model_path.c_str());
-  }
+  Status output = OutputModel(*model, *schema, opts);
+  if (!output.ok()) return Fail(output);
 
   auto report = auditor.Audit(*model, *data, &timings);
   if (!report.ok()) return Fail(report.status());
-  std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
-              "(encode %.1f ms, c4.5 presort %.1f ms, tree build %.1f ms), "
-              "audit %.1f ms\n",
-              timings.threads_used, timings.ingest_ms, timings.induce_ms,
-              timings.encode_ms, timings.presort_ms, timings.tree_build_ms,
-              timings.audit_ms);
+  PrintTimings(timings);
   std::printf("%zu of %zu records suspicious at minimal error confidence "
               "%.2f\n",
               report->NumFlagged(), data->num_rows(), opts.min_conf);
-  const size_t limit = std::min<size_t>(report->suspicious.size(),
-                                        static_cast<size_t>(opts.top));
-  for (size_t i = 0; i < limit; ++i) {
-    const Suspicion& s = report->suspicious[i];
-    std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s (support "
-                "%.0f)\n",
-                s.row, s.error_confidence,
-                schema->attribute(static_cast<size_t>(s.attr)).name.c_str(),
-                schema->ValueToString(s.attr, s.observed).c_str(),
-                schema->ValueToString(s.attr, s.suggestion).c_str(),
-                s.support);
-  }
+  PrintTopSuspicions(report->suspicious, *schema, opts.top);
 
   for (int i = 0; i < opts.explain &&
                   static_cast<size_t>(i) < report->suspicious.size();
