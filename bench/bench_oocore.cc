@@ -16,6 +16,7 @@
 
 #include "audit/stream_audit.h"
 #include "bench_util.h"
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "quis/quis_sample.h"
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
   dq::bench::BenchJson json("oocore", argc, argv);
   json.manifest()->seed = qcfg.seed;
   json.manifest()->threads_requested = threads;
-  json.manifest()->threads_used = budgeted->timings.threads_used;
+  json.manifest()->threads_used = ResolveThreadCount(threads);
   json.IncludeMetrics();
   json.Add("quick", quick ? 1 : 0);
   json.Add("records", budgeted->total_rows);

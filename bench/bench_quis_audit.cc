@@ -18,6 +18,7 @@
 #include "audit/error_confidence.h"
 #include "audit/rule_export.h"
 #include "bench_util.h"
+#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "quis/quis_sample.h"
@@ -27,8 +28,11 @@ using namespace dq;
 int main(int argc, char** argv) {
   const bool quick = dq::bench::QuickMode(argc, argv);
   const int threads = dq::bench::ThreadsArg(argc, argv);
+  const std::string split_mode = dq::bench::SplitModeArg(argc, argv);
   const std::string trace_out = dq::bench::TraceOutArg(argc, argv);
-  if (!trace_out.empty()) obs::Tracer::Global().SetEnabled(true);
+  // The phase breakdown is read back from the spans, as dqaudit does.
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.SetEnabled(true);
   QuisConfig qcfg;
   qcfg.num_records = quick ? 20000 : 200000;
   qcfg.seed = 2003;
@@ -39,23 +43,20 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string split_mode = dq::bench::SplitModeArg(argc, argv);
-
   AuditorConfig acfg;
   acfg.min_error_confidence = 0.8;
   acfg.num_threads = threads;
   acfg.c45.split_mode = split_mode == "exact" ? SplitMode::kExact
                                               : SplitMode::kHistogram;
   Auditor auditor(acfg);
-  AuditTimings timings;
   const auto t0 = std::chrono::steady_clock::now();
-  auto model = auditor.Induce(sample->table, &timings);
+  auto model = auditor.Induce(sample->table);
   if (!model.ok()) {
     std::fprintf(stderr, "induction failed: %s\n",
                  model.status().ToString().c_str());
     return 1;
   }
-  auto report = auditor.Audit(*model, sample->table, &timings);
+  auto report = auditor.Audit(*model, sample->table);
   if (!report.ok()) {
     std::fprintf(stderr, "audit failed: %s\n",
                  report.status().ToString().c_str());
@@ -74,20 +75,22 @@ int main(int argc, char** argv) {
   std::printf("suspicious records: %zu (paper: ~6000)\n",
               report->NumFlagged());
 
-  std::printf("\nphase breakdown (threads=%d):\n", timings.threads_used);
+  const int threads_used = ResolveThreadCount(threads);
+  const double induce_ms = tracer.AggregateMs("induce");
+  const double encode_ms = tracer.AggregateMs("induce.encode");
+  const double tree_build_ms = tracer.AggregateMs("c45.build");
+  const double audit_ms = tracer.AggregateMs("audit");
+  std::printf("\nphase breakdown (threads=%d):\n", threads_used);
   std::printf("  induce:  %8.1f ms (encode %.1f ms, tree build %.1f ms)\n",
-              timings.induce_ms, timings.encode_ms, timings.tree_build_ms);
-  for (const auto& [attr, ms] : timings.induce_attr_ms) {
-    std::printf("    %-8s %8.1f ms\n",
-                sample->table.schema()
-                    .attribute(static_cast<size_t>(attr))
-                    .name.c_str(),
-                ms);
+              induce_ms, encode_ms, tree_build_ms);
+  const Schema& s = sample->table.schema();
+  for (size_t attr = 0; attr < s.num_attributes(); ++attr) {
+    std::printf("    %-8s %8.1f ms\n", s.attribute(attr).name.c_str(),
+                tracer.AggregateMs("induce.attr", static_cast<int64_t>(attr)));
   }
-  std::printf("  audit:   %8.1f ms\n", timings.audit_ms);
+  std::printf("  audit:   %8.1f ms\n", audit_ms);
 
   // Headline rule: BRV = 404 -> GBM = 901.
-  const Schema& s = sample->table.schema();
   const double planted_conf =
       report->record_confidence[sample->planted_deviation_row];
   size_t rank = 0;
@@ -157,19 +160,19 @@ int main(int argc, char** argv) {
   dq::bench::BenchJson json("quis_audit", argc, argv);
   json.manifest()->seed = qcfg.seed;
   json.manifest()->threads_requested = threads;
-  json.manifest()->threads_used = timings.threads_used;
+  json.manifest()->threads_used = threads_used;
   json.IncludeMetrics();
   json.Add("records", sample->table.num_rows());
   json.Add("seed", static_cast<size_t>(qcfg.seed));
   json.Add("quick", quick ? 1 : 0);
   json.Add("threads_requested", threads);
-  json.Add("threads_used", timings.threads_used);
+  json.Add("threads_used", threads_used);
   json.Add("split_mode", split_mode == "exact" ? 1 : 0);
   json.Add("runtime_s", seconds);
-  json.Add("induce_ms", timings.induce_ms);
-  json.Add("encode_ms", timings.encode_ms);
-  json.Add("tree_build_ms", timings.tree_build_ms);
-  json.Add("audit_ms", timings.audit_ms);
+  json.Add("induce_ms", induce_ms);
+  json.Add("encode_ms", encode_ms);
+  json.Add("tree_build_ms", tree_build_ms);
+  json.Add("audit_ms", audit_ms);
   json.Add("suspicious", report->NumFlagged());
   json.Add("table_bytes", sample->table.byte_size());
   json.Add("encode_builds",
@@ -183,8 +186,7 @@ int main(int argc, char** argv) {
   json.WriteFile();
 
   if (!trace_out.empty()) {
-    Status written =
-        obs::Tracer::Global().WriteChromeTraceFile(trace_out, json.manifest());
+    Status written = tracer.WriteChromeTraceFile(trace_out, json.manifest());
     if (!written.ok()) {
       DQ_LOG_ERROR("bench", "%s", written.ToString().c_str());
       return 1;

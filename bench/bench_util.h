@@ -3,10 +3,13 @@
 #ifndef DQ_BENCH_BENCH_UTIL_H_
 #define DQ_BENCH_BENCH_UTIL_H_
 
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "eval/test_environment.h"
+#include "flag_parse.h"
 #include "obs/bench_report.h"
 #include "obs/log.h"
 
@@ -68,30 +71,43 @@ inline bool QuickMode(int argc, char** argv) {
   return false;
 }
 
-/// "--threads N" on the command line (default 0 = hardware concurrency).
+/// "--threads N" on the command line (default 0 = hardware concurrency;
+/// any non-positive value means the hardware default). A value that is not
+/// an integer exits with status 2, as the CLIs do.
 inline int ThreadsArg(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::string_view(argv[i]) == "--threads") {
-      return std::atoi(argv[i + 1]);
+      int threads = 0;
+      if (!ParseIntFlag32("--threads", argv[i + 1],
+                          std::numeric_limits<int>::min(),
+                          std::numeric_limits<int>::max(), &threads)) {
+        std::exit(2);
+      }
+      return threads;
     }
   }
   return 0;
 }
 
 /// "--split-mode histogram|exact" on the command line (default
-/// "histogram", matching C45Config::split_mode). Anything else is treated
-/// as "histogram".
+/// "histogram", matching C45Config::split_mode). Any other value exits
+/// with status 2.
 inline std::string SplitModeArg(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view(argv[i]) == "--split-mode") return argv[i + 1];
+    if (std::string_view(argv[i]) != "--split-mode") continue;
+    const std::string mode = argv[i + 1];
+    if (mode != "histogram" && mode != "exact") {
+      std::fprintf(stderr, "--split-mode must be 'histogram' or 'exact'\n");
+      std::exit(2);
+    }
+    return mode;
   }
   return "histogram";
 }
 
 /// "--trace-out FILE" on the command line (empty = no trace export). When
-/// set, the bench enables the tracer and writes the stitched span tree as
-/// Chrome trace-event JSON; left unset, tracing stays disabled so the
-/// timings match the uninstrumented path.
+/// set, the bench writes the stitched span tree as Chrome trace-event
+/// JSON.
 inline std::string TraceOutArg(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::string_view(argv[i]) == "--trace-out") return argv[i + 1];

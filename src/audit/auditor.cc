@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <thread>
 #include <unordered_set>
 
 #include "audit/scorer.h"
@@ -58,8 +57,7 @@ uint64_t ExclusionKey(int class_attr, int base_attr) {
 
 }  // namespace
 
-Result<AuditModel> Auditor::Induce(const Table& train,
-                                   AuditTimings* timings) const {
+Result<AuditModel> Auditor::Induce(const Table& train) const {
   if (train.num_rows() == 0) {
     return Status::FailedPrecondition("cannot induce structure on empty table");
   }
@@ -105,24 +103,22 @@ Result<AuditModel> Auditor::Induce(const Table& train,
   // The audit-wide encode cache: column views, SLIQ sort orders, value
   // bins and class encodings are a pure function of the table, so they are
   // built ONCE here and shared read-only by all k inductions below.
-  double encode_ms = 0.0;
   std::optional<EncodedDataset> encoded;
   {
-    obs::Span encode_span("induce.encode", -1, &encode_ms);
+    obs::Span encode_span("induce.encode");
     encoded.emplace(
         EncodedDataset::Build(train, config_.numeric_class_bins, threads));
   }
 
   std::vector<std::optional<AttributeModel>> slots(jobs.size());
-  std::vector<double> job_ms(jobs.size(), 0.0);
   std::vector<Status> fatal(jobs.size());
 
   // Parallelism is applied on one of two axes, never both:
   //
   //  * histogram-mode C4.5 parallelizes INSIDE each Train (the breadth-wise
   //    node frontier), so the k inductions run sequentially here sharing
-  //    one pool — per-tree spans never overlap, and the summed
-  //    tree_build_ms stays a faithful non-overlapping wall-clock total;
+  //    one pool — per-tree spans never overlap, so the summed c45.build
+  //    spans stay a faithful non-overlapping wall-clock total;
   //  * every other inducer has serial Train calls, so the k independent
   //    jobs fan out ACROSS the pool as before.
   //
@@ -132,7 +128,7 @@ Result<AuditModel> Auditor::Induce(const Table& train,
                           config_.c45.split_mode == SplitMode::kHistogram;
 
   auto run_job = [&](size_t j, ThreadPool* pool) {
-    obs::Span span("induce.attr", jobs[j].class_attr, &job_ms[j]);
+    obs::Span span("induce.attr", jobs[j].class_attr);
     const Job& job = jobs[j];
     AttributeModel am;
     am.class_attr = job.class_attr;
@@ -162,17 +158,13 @@ Result<AuditModel> Auditor::Induce(const Table& train,
     slots[j] = std::move(am);
   };
 
-  int induction_threads = threads;
   if (intra_tree) {
     // Worker threads beyond the physical cores cannot speed node-parallel
     // induction -- they only add scheduling contention on the shared
     // frontier batches -- so the intra-tree pool is clamped to the
     // hardware concurrency. The tree is pool-size invariant (pre-assigned
     // result slots), so the clamp never changes output.
-    const int hw =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-    const int workers = std::min(threads, hw);
-    induction_threads = workers;
+    const int workers = std::min(threads, HardwareThreads());
     std::optional<ThreadPool> pool;
     if (workers > 1) pool.emplace(workers);
     for (size_t j = 0; j < jobs.size(); ++j) {
@@ -194,46 +186,24 @@ Result<AuditModel> Auditor::Induce(const Table& train,
   }
 
   AuditModel model;
-  double tree_build_ms = 0.0;
-  for (size_t j = 0; j < slots.size(); ++j) {
-    if (!slots[j].has_value()) continue;
-    if (const auto* tree =
-            dynamic_cast<const C45Tree*>(slots[j]->classifier.get())) {
-      tree_build_ms += tree->build_ms();
-    }
-    model.AddAttributeModel(std::move(*slots[j]));
+  for (std::optional<AttributeModel>& slot : slots) {
+    if (slot.has_value()) model.AddAttributeModel(std::move(*slot));
   }
   if (model.num_models() == 0) {
     return Status::FailedPrecondition("no attribute could be modelled");
   }
   obs::GetCounter("induce.attributes_modelled")->Add(model.num_models());
-  if (timings != nullptr) {
-    timings->threads_used = induction_threads;
-    timings->induce_ms = induce_span.ElapsedMs();
-    timings->encode_ms = encode_ms;
-    timings->tree_build_ms = tree_build_ms;
-    timings->induce_attr_ms.clear();
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      timings->induce_attr_ms.emplace_back(jobs[j].class_attr, job_ms[j]);
-    }
-  }
   return model;
 }
 
-Result<AuditReport> Auditor::Audit(const AuditModel& model, const Table& data,
-                                   AuditTimings* timings) const {
-  obs::Span audit_span("audit");
+Result<AuditReport> Auditor::Audit(const AuditModel& model,
+                                   const Table& data) const {
   std::vector<ScoringModel> models;
   models.reserve(model.num_models());
   for (const AttributeModel& am : model.models()) {
     models.push_back(ScoringModelOf(am));
   }
-  DQ_ASSIGN_OR_RETURN(AuditReport report, ScoreTable(models, data, config_));
-  if (timings != nullptr) {
-    timings->threads_used = ResolveThreadCount(config_.num_threads);
-    timings->audit_ms = audit_span.ElapsedMs();
-  }
-  return report;
+  return ScoreTable(models, data, config_);
 }
 
 Result<Table> Auditor::ApplyCorrections(const AuditReport& report,

@@ -55,20 +55,6 @@ struct AuditorConfig {
   int num_threads = 0;
 };
 
-/// \brief Per-phase wall-clock breakdown of an audit run (the paper reports
-/// a 21-minute end-to-end figure, sec. 6.2; this makes the phases
-/// individually measurable and regressions visible).
-struct AuditTimings {
-  int threads_used = 1;
-  double ingest_ms = 0.0;      ///< CSV ingest wall clock (filled by tools)
-  double induce_ms = 0.0;      ///< structure induction wall clock
-  double audit_ms = 0.0;       ///< deviation detection wall clock
-  double encode_ms = 0.0;      ///< one-time EncodedDataset build wall clock
-  double tree_build_ms = 0.0;  ///< summed C4.5 tree construction time
-  /// Induction wall clock per class attribute, in attribute order.
-  std::vector<std::pair<int, double>> induce_attr_ms;
-};
-
 /// \brief One suspicious record in the ranked report.
 struct Suspicion {
   size_t row = 0;
@@ -116,17 +102,16 @@ class Auditor {
 
   /// \brief Structure induction: trains one classifier per (non-skipped)
   /// attribute of `train`. Per-attribute inductions are independent and run
-  /// across `num_threads` workers; `timings` (optional) receives the phase
-  /// breakdown.
-  Result<AuditModel> Induce(const Table& train,
-                            AuditTimings* timings = nullptr) const;
+  /// across `num_threads` workers. Records the `induce` span, with
+  /// `induce.encode` and one `induce.attr` span per attribute (keyed by the
+  /// class attribute) under it.
+  Result<AuditModel> Induce(const Table& train) const;
 
   /// \brief Deviation detection over `data` (which may be the training
   /// table itself — "only a single database which serves both for training
   /// and data audit", sec. 8). Records are scored in row chunks across
   /// `num_threads` workers; the report is identical for every thread count.
-  Result<AuditReport> Audit(const AuditModel& model, const Table& data,
-                            AuditTimings* timings = nullptr) const;
+  Result<AuditReport> Audit(const AuditModel& model, const Table& data) const;
 
   /// \brief Applies the proposed corrections of all flagged records to a
   /// copy of `data` (sec. 5.3: "we replace a suspicious value according to

@@ -157,6 +157,7 @@ Prediction PredictRecord(const ScoringModel& model, const Table& data,
 Result<AuditReport> ScoreTable(const std::vector<ScoringModel>& models,
                                const Table& data,
                                const AuditorConfig& config) {
+  obs::Span audit_span("audit");
   for (const ScoringModel& m : models) {
     if (!MatchesSchema(m, data.schema())) {
       return Status::InvalidArgument(

@@ -41,9 +41,9 @@ Prediction PredictRecord(const ScoringModel& model, const Table& data,
 /// \brief Scores every record of `data` against `models` across
 /// `config.num_threads` workers and ranks the suspicious ones; the report
 /// is identical for every thread count. Fails when a compiled tree reads
-/// an attribute `data` lacks or has another kind. Records the
-/// `audit.score` and `audit.rank` spans and the `audit.records_scored` and
-/// `audit.suspicions_flagged` counters.
+/// an attribute `data` lacks or has another kind. Records the `audit` span
+/// with `audit.score` and `audit.rank` under it, and the
+/// `audit.records_scored` and `audit.suspicions_flagged` counters.
 Result<AuditReport> ScoreTable(const std::vector<ScoringModel>& models,
                                const Table& data,
                                const AuditorConfig& config);

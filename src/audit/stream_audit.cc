@@ -55,14 +55,13 @@ Result<StreamAuditResult> RunStreamingAudit(
   DQ_RETURN_NOT_OK(ReadTableFileChunks(options.format, schema, input_path,
                                        options.csv, &sink, &result.ingest));
   DQ_RETURN_NOT_OK(store.Finish());
-  result.timings.ingest_ms = result.ingest.parse_ms;
   result.total_rows = store.num_rows();
 
   const Table sample = sampler.BuildSampleTable(schema);
   result.sampled_rows = sample.num_rows();
 
   const Auditor auditor(options.auditor);
-  DQ_ASSIGN_OR_RETURN(result.model, auditor.Induce(sample, &result.timings));
+  DQ_ASSIGN_OR_RETURN(result.model, auditor.Induce(sample));
 
   // Deviation detection per segment. Records are scored independently of
   // one another (Def. 7/8 look only at the model), so segment-local audits
@@ -90,7 +89,6 @@ Result<StreamAuditResult> RunStreamingAudit(
 
   std::vector<const Table*> pinned(window);
   std::vector<Result<AuditReport>> reports;
-  std::vector<AuditTimings> segment_timings(window);
   for (size_t s0 = 0; s0 < store.num_segments(); s0 += window) {
     const size_t count = std::min(window, store.num_segments() - s0);
     for (size_t i = 0; i < count; ++i) {
@@ -98,8 +96,7 @@ Result<StreamAuditResult> RunStreamingAudit(
     }
     reports.assign(count, Status::Internal("segment audit did not run"));
     auto audit_one = [&](size_t i) {
-      reports[i] = segment_auditor.Audit(result.model, *pinned[i],
-                                         &segment_timings[i]);
+      reports[i] = segment_auditor.Audit(result.model, *pinned[i]);
     };
     if (pool.has_value()) {
       pool->RunBatch(count, audit_one);
@@ -109,7 +106,6 @@ Result<StreamAuditResult> RunStreamingAudit(
     for (size_t i = 0; i < count; ++i) {
       if (!reports[i].ok()) return reports[i].status();
       AuditReport& report = *reports[i];
-      result.timings.audit_ms += segment_timings[i].audit_ms;
       const size_t base = store.segment_base_row(s0 + i);
       result.suspicious.reserve(result.suspicious.size() +
                                 report.suspicious.size());

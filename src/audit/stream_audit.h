@@ -64,7 +64,6 @@ struct StreamAuditOptions {
 /// the result's footprint scales with the number of flagged records.
 struct StreamAuditResult {
   AuditModel model;
-  AuditTimings timings;
   IngestReport ingest;
   size_t total_rows = 0;    ///< rows audited (kept by ingest)
   size_t sampled_rows = 0;  ///< rows the model was trained on

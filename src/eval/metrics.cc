@@ -1,30 +1,8 @@
 #include "eval/metrics.h"
 
-#include <algorithm>
-
-#include "common/parallel.h"
 #include "common/strings.h"
 
 namespace dq {
-
-namespace {
-
-/// Splits [0, n) into one contiguous chunk per worker, lets `fn(chunk,
-/// begin, end)` accumulate into a per-chunk partial, and returns the
-/// partials for an order-fixed reduction (counts are integers, so the sum
-/// is identical for every thread count).
-template <typename Partial, typename Fn>
-std::vector<Partial> ChunkedPartials(int num_threads, size_t n, Fn fn) {
-  const size_t threads = static_cast<size_t>(ResolveThreadCount(num_threads));
-  const size_t chunks = n == 0 ? 1 : std::min(threads, n);
-  std::vector<Partial> partials(chunks);
-  ParallelFor(static_cast<int>(chunks), chunks, [&](size_t c) {
-    fn(&partials[c], n * c / chunks, n * (c + 1) / chunks);
-  });
-  return partials;
-}
-
-}  // namespace
 
 std::string DetectionMatrix::ToString() const {
   std::string out;
@@ -50,32 +28,20 @@ std::string CorrectionMatrix::ToString() const {
 }
 
 DetectionMatrix EvaluateDetection(const PollutionResult& pollution,
-                                  const AuditReport& report,
-                                  int num_threads) {
-  const size_t n = pollution.dirty.num_rows();
-  const auto partials = ChunkedPartials<DetectionMatrix>(
-      num_threads, n,
-      [&](DetectionMatrix* m, size_t begin, size_t end) {
-        for (size_t r = begin; r < end; ++r) {
-          const bool corrupted = pollution.is_corrupted[r];
-          const bool flagged = report.IsFlagged(r);
-          if (corrupted && flagged) {
-            ++m->true_positive;
-          } else if (corrupted && !flagged) {
-            ++m->false_negative;
-          } else if (!corrupted && flagged) {
-            ++m->false_positive;
-          } else {
-            ++m->true_negative;
-          }
-        }
-      });
+                                  const AuditReport& report) {
   DetectionMatrix m;
-  for (const DetectionMatrix& p : partials) {
-    m.true_positive += p.true_positive;
-    m.false_negative += p.false_negative;
-    m.false_positive += p.false_positive;
-    m.true_negative += p.true_negative;
+  for (size_t r = 0; r < pollution.dirty.num_rows(); ++r) {
+    const bool corrupted = pollution.is_corrupted[r];
+    const bool flagged = report.IsFlagged(r);
+    if (corrupted && flagged) {
+      ++m.true_positive;
+    } else if (corrupted && !flagged) {
+      ++m.false_negative;
+    } else if (!corrupted && flagged) {
+      ++m.false_positive;
+    } else {
+      ++m.true_negative;
+    }
   }
   return m;
 }
@@ -96,33 +62,22 @@ bool RowMatchesClean(const Table& clean, const PollutionResult& pollution,
 CorrectionMatrix EvaluateCorrection(const Table& clean,
                                     const PollutionResult& pollution,
                                     const AuditReport& report,
-                                    const Table& corrected,
-                                    int num_threads) {
+                                    const Table& corrected) {
   (void)report;
-  const auto partials = ChunkedPartials<CorrectionMatrix>(
-      num_threads, pollution.dirty.num_rows(),
-      [&](CorrectionMatrix* m, size_t begin, size_t end) {
-        for (size_t r = begin; r < end; ++r) {
-          const bool before_ok =
-              RowMatchesClean(clean, pollution, pollution.dirty, r);
-          const bool after_ok = RowMatchesClean(clean, pollution, corrected, r);
-          if (before_ok && after_ok) {
-            ++m->a;
-          } else if (before_ok && !after_ok) {
-            ++m->b;
-          } else if (!before_ok && after_ok) {
-            ++m->c;
-          } else {
-            ++m->d;
-          }
-        }
-      });
   CorrectionMatrix m;
-  for (const CorrectionMatrix& p : partials) {
-    m.a += p.a;
-    m.b += p.b;
-    m.c += p.c;
-    m.d += p.d;
+  for (size_t r = 0; r < pollution.dirty.num_rows(); ++r) {
+    const bool before_ok =
+        RowMatchesClean(clean, pollution, pollution.dirty, r);
+    const bool after_ok = RowMatchesClean(clean, pollution, corrected, r);
+    if (before_ok && after_ok) {
+      ++m.a;
+    } else if (before_ok && !after_ok) {
+      ++m.b;
+    } else if (!before_ok && after_ok) {
+      ++m.c;
+    } else {
+      ++m.d;
+    }
   }
   return m;
 }

@@ -71,23 +71,17 @@ struct CorrectionMatrix {
 };
 
 /// \brief Builds the detection matrix by comparing the audit report's flags
-/// with the pollution ground truth. Rows score independently, so they chunk
-/// across `num_threads` workers (0 = hardware concurrency) into per-chunk
-/// partial matrices that sum deterministically.
+/// with the pollution ground truth.
 DetectionMatrix EvaluateDetection(const PollutionResult& pollution,
-                                  const AuditReport& report,
-                                  int num_threads = 1);
+                                  const AuditReport& report);
 
 /// \brief Builds the correction matrix: a dirty record is "correct" when
 /// every cell equals its clean origin; corrections are applied per the
 /// report's suggestions. Duplicate rows compare against their origin row.
-/// Row comparisons chunk across `num_threads` workers like
-/// EvaluateDetection.
 CorrectionMatrix EvaluateCorrection(const Table& clean,
                                     const PollutionResult& pollution,
                                     const AuditReport& report,
-                                    const Table& corrected,
-                                    int num_threads = 1);
+                                    const Table& corrected);
 
 /// \brief Convenience: row equality against the clean origin.
 bool RowMatchesClean(const Table& clean, const PollutionResult& pollution,

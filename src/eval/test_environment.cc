@@ -137,28 +137,28 @@ Result<ExperimentResult> TestEnvironment::Run() const {
 
   // 4. Structure induction + deviation detection on the dirty table (the
   // single-database regime of sec. 8). The auditor opens the "induce" /
-  // "audit" spans itself; the phase fields here are views of the same
-  // measurements it reports through AuditTimings.
+  // "audit" spans itself; the phase fields sink the spans around them.
   Auditor auditor(config_.auditor);
-  DQ_ASSIGN_OR_RETURN(AuditModel model,
-                      auditor.Induce(result.pollution.dirty, &result.timings));
-  result.induce_ms = result.timings.induce_ms;
-  DQ_ASSIGN_OR_RETURN(result.report, auditor.Audit(model, result.pollution.dirty,
-                                                   &result.timings));
-  result.audit_ms = result.timings.audit_ms;
+  AuditModel model;
+  {
+    obs::Span span("experiment.induce", -1, &result.induce_ms);
+    DQ_ASSIGN_OR_RETURN(model, auditor.Induce(result.pollution.dirty));
+  }
+  {
+    obs::Span span("experiment.audit", -1, &result.audit_ms);
+    DQ_ASSIGN_OR_RETURN(result.report,
+                        auditor.Audit(model, result.pollution.dirty));
+  }
 
-  // 5. Evaluation (sec. 4.3). Detection/correction scoring chunks rows
-  // across the same worker count the auditor uses.
+  // 5. Evaluation (sec. 4.3).
   {
     obs::Span span("evaluate");
-    result.detection = EvaluateDetection(result.pollution, result.report,
-                                         config_.auditor.num_threads);
+    result.detection = EvaluateDetection(result.pollution, result.report);
     DQ_ASSIGN_OR_RETURN(
         Table corrected,
         auditor.ApplyCorrections(result.report, result.pollution.dirty));
-    result.correction =
-        EvaluateCorrection(result.clean, result.pollution, result.report,
-                           corrected, config_.auditor.num_threads);
+    result.correction = EvaluateCorrection(result.clean, result.pollution,
+                                           result.report, corrected);
   }
   result.sensitivity = result.detection.Sensitivity();
   result.specificity = result.detection.Specificity();

@@ -76,10 +76,6 @@ struct ExperimentResult {
   double pollute_ms = 0.0;
   double induce_ms = 0.0;
   double audit_ms = 0.0;
-
-  /// Phase breakdown of the audit (threads used, per-attribute induction
-  /// times, encode vs. tree-build split).
-  AuditTimings timings;
 };
 
 /// \brief Runs generation -> pollution -> induction -> audit -> evaluation.

@@ -187,7 +187,6 @@ Status C45Tree::Train(const TrainingData& data) {
   const EncodedDataset& cache = *data.encoded;
   const Schema& schema = data.table().schema();
   const size_t num_rows = cache.num_rows();
-  build_ms_ = 0.0;
 
   // Column views and class codes come from the shared cache, so Train
   // encodes nothing.
@@ -226,7 +225,7 @@ Status C45Tree::Train(const TrainingData& data) {
   for (int a : data.base_attrs) avail[static_cast<size_t>(a)] = true;
 
   {
-    obs::Span span("c45.build", data.class_attr, &build_ms_);
+    obs::Span span("c45.build", data.class_attr);
     // SLIQ attribute lists: the shared sort order holds ALL value-known
     // rows stable-sorted by (value, row); filtering it down to the rows
     // with a known class value keeps that order, in O(n) per attribute.
@@ -1303,7 +1302,7 @@ Status C45Tree::TrainHistogram(const TrainingData& data, BuildContext* ctx,
   }
 
   {
-    obs::Span span("c45.build", data.class_attr, &build_ms_);
+    obs::Span span("c45.build", data.class_attr);
     std::vector<bool> avail(schema.num_attributes(), false);
     for (int a : data.base_attrs) avail[static_cast<size_t>(a)] = true;
     C45HistogramBuilder builder(config_, schema, *ctx, bins, data.pool,

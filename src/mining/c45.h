@@ -142,11 +142,6 @@ class C45Tree : public Classifier {
   size_t LeafCount() const;
   size_t TreeDepth() const;
 
-  /// \brief Wall-clock of the tree construction in the last Train call
-  /// (split search + partitioning, and in kExact mode the filter of the
-  /// shared sort orders).
-  double build_ms() const { return build_ms_; }
-
   /// \brief The flat form of the trained tree every scoring path walks
   /// (empty before Train).
   const CompiledTree& compiled() const { return compiled_; }
@@ -180,7 +175,6 @@ class C45Tree : public Classifier {
 
   C45Config config_;
   int num_classes_ = 0;
-  double build_ms_ = 0.0;
   std::unique_ptr<Node> root_;
   CompiledTree compiled_;
 };

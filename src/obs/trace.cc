@@ -73,12 +73,16 @@ size_t Tracer::NumSpans() const {
   return n;
 }
 
-double Tracer::AggregateMs(std::string_view name) const {
+double Tracer::AggregateMs(std::string_view name,
+                           std::optional<int64_t> key) const {
   std::lock_guard<std::mutex> lock(registry_mu_);
   double total = 0.0;
   for (const auto& buffer : buffers_) {
     for (const SpanRecord& span : buffer->records) {
-      if (span.end_ns != 0 && name == span.name) total += span.DurationMs();
+      if (span.end_ns != 0 && name == span.name &&
+          (!key.has_value() || span.key == *key)) {
+        total += span.DurationMs();
+      }
     }
   }
   return total;

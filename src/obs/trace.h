@@ -15,12 +15,12 @@
 // (name, key), so the tree's names, hierarchy and counts are identical for
 // every --threads value. Wall-clock numbers are whatever the run measured.
 //
-// Span always measures its elapsed time (two steady_clock reads — the same
-// cost as the ScopedTimer it replaces) and can sink the duration into a
-// double, which is how AuditTimings / TestEnvironment phase fields are now
-// views of the span measurements. Buffer recording happens only while the
-// tracer is enabled, so the disabled path adds nothing beyond the clock
-// reads the timing fields always paid.
+// Span always measures its elapsed time (two steady_clock reads) and can
+// sink the duration into a double, which is how TestEnvironment's phase
+// fields are views of the span measurements. Buffer recording happens only
+// while the tracer is enabled, so the disabled path adds nothing beyond the
+// clock reads. Tools that print phase timings enable the tracer and read
+// them back with AggregateMs.
 //
 // Export is Chrome trace-event JSON ("traceEvents"), loadable in Perfetto
 // (ui.perfetto.dev) and chrome://tracing; see docs/OBSERVABILITY.md.
@@ -34,6 +34,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,8 +90,11 @@ class Tracer {
   /// only when no spans are being recorded concurrently.
   size_t NumSpans() const;
 
-  /// \brief Summed duration of every closed span named `name`, in ms.
-  double AggregateMs(std::string_view name) const;
+  /// \brief Summed duration of every closed span named `name` (and keyed
+  /// `key`, when given), in ms. Phase timings are read this way, so the
+  /// printed numbers and the exported trace are one measurement.
+  double AggregateMs(std::string_view name,
+                     std::optional<int64_t> key = std::nullopt) const;
 
   /// \brief Deterministic textual rendering of the stitched span tree —
   /// one "name[key] xN"-style line per distinct (name, key) child path,
@@ -153,7 +157,7 @@ class TaskScope {
 
 /// \brief RAII span: begins on construction, ends on destruction. Always
 /// measures; records into the tracer only while it is enabled; optionally
-/// accumulates its duration into *target_ms (the ScopedTimer contract).
+/// accumulates its duration into *target_ms.
 class Span {
  public:
   explicit Span(const char* name, int64_t key = -1,

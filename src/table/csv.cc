@@ -55,12 +55,19 @@ Status WriteCsv(const Table& table, std::ostream* out,
       // Numeric cells use the shortest exact form, not the display
       // rendering: ValueToString rounds to 6 decimals, which would break
       // the bitwise write/read round trip.
-      *out << CsvQuote(
-          cell.is_numeric()
-              ? FormatDoubleRoundTrip(cell.numeric())
-              : schema.ValueToString(static_cast<int>(a), cell,
-                                     options.null_token),
-          options.separator);
+      const std::string text =
+          cell.is_numeric() ? FormatDoubleRoundTrip(cell.numeric())
+                            : schema.ValueToString(static_cast<int>(a), cell,
+                                                   options.null_token);
+      // Quoting cannot tell such a value from a null: the reader would
+      // turn it into one.
+      if (!cell.is_null() && text == options.null_token) {
+        return Status::InvalidArgument(
+            "attribute '" + schema.attribute(a).name + "', row " +
+            std::to_string(r) + ": value '" + text +
+            "' is spelled like the null token");
+      }
+      *out << CsvQuote(text, options.separator);
     }
     *out << '\n';
   }
@@ -88,14 +95,6 @@ std::string TruncatedRaw(const std::string& text) {
 struct DecodedRecord {
   bool ok = false;
   IngestError error;
-};
-
-/// Per-slot decode scratch: field views (into the record text for
-/// quote-free records, into `storage` otherwise) plus the unescape
-/// storage. Reused across batches so the buffers keep their capacity.
-struct FieldScratch {
-  std::vector<std::string_view> views;
-  std::vector<std::string> storage;
 };
 
 /// Fast per-cell decode straight from the field view into the chunk
@@ -130,39 +129,39 @@ bool FastDecodeCell(const AttributeDef& def, std::string_view field,
   return false;
 }
 
-/// Raw record -> typed cells of chunk slot `slot`, fully validated against
+/// Record -> typed cells of chunk slot `slot`, fully validated against
 /// the schema (so assembly can bulk-append unchecked). Runs on worker
-/// threads: touches only its own chunk slot / output slot and const state.
-/// A slot whose record fails decoding may hold a partial prefix of cells;
-/// the keep mask drops it at AppendChunk time.
+/// threads: touches only its own chunk slot / output slot / scratch and
+/// const state. A slot whose record fails decoding may hold a partial
+/// prefix of cells; the keep mask drops it at AppendChunk time.
 void DecodeRecord(const Schema& schema, const CsvOptions& options,
-                  const RawCsvRecord& rec, FieldScratch* fields,
+                  const RawCsvRecord& rec, std::string* scratch,
                   TableChunk* chunk, size_t slot, DecodedRecord* out) {
-  out->ok = false;  // slots are reused across batches without re-init
+  // Slots are reused across batches: every outcome starts from a fresh
+  // error, so no field of an earlier record's error survives.
+  out->ok = false;
+  out->error = IngestError();
   out->error.line = rec.line;
-  CsvFieldError ferr;
-  if (!SplitCsvRecordViews(rec.text, options.separator, &fields->views,
-                           &fields->storage, &ferr)) {
-    out->error.kind = ferr.kind;
-    out->error.column = ferr.column;
-    out->error.message = ferr.kind == CsvErrorKind::kUnterminatedQuote
+  if (rec.error.has_value()) {
+    out->error.kind = rec.error->kind;
+    out->error.column = rec.error->column;
+    out->error.message = rec.error->kind == CsvErrorKind::kUnterminatedQuote
                              ? "quoted field never closed"
                              : "quote inside an unquoted field or after a "
                                "closing quote";
     out->error.raw = TruncatedRaw(rec.text);
     return;
   }
-  if (fields->views.size() != schema.num_attributes()) {
+  if (rec.num_fields() != schema.num_attributes()) {
     out->error.kind = CsvErrorKind::kArityMismatch;
     out->error.message = "expected " +
                          std::to_string(schema.num_attributes()) +
-                         " fields, got " +
-                         std::to_string(fields->views.size());
+                         " fields, got " + std::to_string(rec.num_fields());
     out->error.raw = TruncatedRaw(rec.text);
     return;
   }
-  for (size_t a = 0; a < fields->views.size(); ++a) {
-    const std::string_view field = fields->views[a];
+  for (size_t a = 0; a < rec.num_fields(); ++a) {
+    const std::string_view field = rec.Field(a, scratch);
     const AttributeDef& def = schema.attribute(a);
     if (field == options.null_token) {
       chunk->Set(slot, a, Value::Null());
@@ -191,8 +190,8 @@ void DecodeRecord(const Schema& schema, const CsvOptions& options,
   out->ok = true;
 }
 
-Status CheckHeader(const Schema& schema, const CsvOptions& options,
-                   const RawCsvRecord& rec, IngestReport* report) {
+Status CheckHeader(const Schema& schema, const RawCsvRecord& rec,
+                   IngestReport* report) {
   auto fail = [&](size_t column, std::string message) {
     IngestError err;
     err.line = rec.line;
@@ -204,19 +203,20 @@ Status CheckHeader(const Schema& schema, const CsvOptions& options,
     report->errors.push_back(std::move(err));
     return status;
   };
-  std::vector<std::string> fields;
-  CsvFieldError ferr;
-  if (!SplitCsvRecord(rec.text, options.separator, &fields, &ferr)) {
-    return fail(ferr.column, std::string("malformed header (") +
-                                 CsvErrorKindToString(ferr.kind) + ")");
+  if (rec.error.has_value()) {
+    return fail(rec.error->column, std::string("malformed header (") +
+                                       CsvErrorKindToString(rec.error->kind) +
+                                       ")");
   }
-  if (fields.size() != schema.num_attributes()) {
+  if (rec.num_fields() != schema.num_attributes()) {
     return fail(0, "header arity mismatch at line " +
                        std::to_string(rec.line));
   }
-  for (size_t a = 0; a < fields.size(); ++a) {
-    if (fields[a] != schema.attribute(a).name) {
-      return fail(0, "header field '" + fields[a] +
+  std::string scratch;
+  for (size_t a = 0; a < rec.num_fields(); ++a) {
+    const std::string_view field = rec.Field(a, &scratch);
+    if (field != schema.attribute(a).name) {
+      return fail(0, "header field '" + std::string(field) +
                          "' does not match schema attribute '" +
                          schema.attribute(a).name + "'");
     }
@@ -253,7 +253,7 @@ Status ReadCsvDriver(const Schema& schema, std::istream* in,
     return batch[batch_n];
   };
   std::vector<DecodedRecord> decoded;
-  std::vector<FieldScratch> scratch;  // per-slot field buffers
+  std::vector<std::string> scratch;  // per-slot unescape buffers
   TableChunk chunk(schema);  // columnar batch staging, reused across flushes
   std::vector<uint8_t> keep;
 
@@ -276,16 +276,11 @@ Status ReadCsvDriver(const Schema& schema, std::istream* in,
 
   auto flush_batch = [&]() -> Status {
     if (batch_n == 0) return Status::OK();
-    // Slot buffers (decode outcomes, per-slot field vectors) are only ever
+    // Slot buffers (decode outcomes, per-slot scratch) are only ever
     // grown: DecodeRecord fully re-initializes the slots it touches, and
     // keeping the old objects preserves their string capacity.
     if (decoded.size() < batch_n) decoded.resize(batch_n);
-    if (scratch.size() < batch_n) {
-      scratch.resize(batch_n);
-      for (auto& fields : scratch) {
-        fields.views.reserve(schema.num_attributes());
-      }
-    }
+    if (scratch.size() < batch_n) scratch.resize(batch_n);
     chunk.Reset(batch_n);
     // Workers decode straight into disjoint chunk slots — no Row
     // materialization between the parser and the consumer's columns.
@@ -336,7 +331,7 @@ Status ReadCsvDriver(const Schema& schema, std::istream* in,
     if (!reader.Next(&slot())) break;
     if (!saw_header) {
       saw_header = true;
-      Status header = CheckHeader(schema, options, batch[batch_n], rep);
+      Status header = CheckHeader(schema, batch[batch_n], rep);
       if (!header.ok()) return finish(std::move(header));
       continue;  // slot not consumed; the next record overwrites it
     }
@@ -351,6 +346,8 @@ Status ReadCsvDriver(const Schema& schema, std::istream* in,
         RawCsvRecord& blank = slot();
         blank.text.clear();
         blank.line = blank_line;
+        blank.field_ends.assign(1, 0);  // one empty field
+        blank.error.reset();
         ++batch_n;
       }
       pending_blank_lines.clear();

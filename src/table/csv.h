@@ -56,11 +56,14 @@ struct CsvOptions {
   size_t batch_records = 4096;
 };
 
-/// \brief Writes `table` to a stream.
+/// \brief Writes `table` to a stream. Fails with InvalidArgument, naming
+/// the attribute and row, when a non-null cell renders to
+/// options.null_token: it would read back as null.
 Status WriteCsv(const Table& table, std::ostream* out,
                 const CsvOptions& options = {});
 
 /// \brief Writes `table` to a file path (binary mode, '\n' terminators).
+/// On failure no file is left behind.
 Status WriteCsvFile(const Table& table, const std::string& path,
                     const CsvOptions& options = {});
 

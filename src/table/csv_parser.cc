@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <istream>
 
 #include "table/csv_scan.h"
@@ -25,160 +24,22 @@ const char* CsvErrorKindToString(CsvErrorKind kind) {
   return "unknown";
 }
 
-namespace {
-
-/// First occurrence of `c` in text[from, end); text.size() when absent.
-size_t FindByte(std::string_view text, size_t from, char c) {
-  const void* hit = std::memchr(text.data() + from, c, text.size() - from);
-  if (hit == nullptr) return text.size();
-  return static_cast<size_t>(static_cast<const char*>(hit) - text.data());
-}
-
-/// Quote-free fast path: without a '"' anywhere in the record the state
-/// machine below degenerates to plain separator splitting (a quote is the
-/// only character that can change how a separator is interpreted), so the
-/// fields are exactly the memchr-delimited substrings. Fields are assigned
-/// in place so the caller's buffers keep their capacity across records.
-void SplitUnquoted(std::string_view text, char separator,
-                   std::vector<std::string>* fields) {
-  size_t nf = 0;
-  size_t start = 0;
+std::string_view RawCsvRecord::Field(size_t i, std::string* scratch) const {
+  const size_t begin = i == 0 ? 0 : field_ends[i - 1] + 1;
+  const std::string_view field(text.data() + begin, field_ends[i] - begin);
+  if (field.empty() || field.front() != '"') return field;
+  // A quoted field of an error-free record is "content" whose quotes all
+  // come doubled.
+  scratch->clear();
+  std::string_view body = field.substr(1, field.size() - 2);
   for (;;) {
-    const size_t end = FindByte(text, start, separator);
-    if (nf == fields->size()) fields->emplace_back();
-    (*fields)[nf].assign(text.data() + start, end - start);
-    ++nf;
-    if (end == text.size()) break;
-    start = end + 1;
+    const size_t quote = body.find('"');
+    if (quote == std::string_view::npos) break;
+    scratch->append(body.data(), quote + 1);  // keeps one quote of the pair
+    body.remove_prefix(std::min(quote + 2, body.size()));
   }
-  fields->resize(nf);
-}
-
-}  // namespace
-
-bool SplitCsvRecord(std::string_view text, char separator,
-                    std::vector<std::string>* fields, CsvFieldError* error) {
-  if (text.empty()) {  // one empty field; also keeps memchr off a null data()
-    fields->resize(1);
-    (*fields)[0].clear();
-    return true;
-  }
-  if (std::memchr(text.data(), '"', text.size()) == nullptr) {
-    SplitUnquoted(text, separator, fields);
-    return true;
-  }
-  // Quoted slow path. Content still moves in memchr-delimited bulk spans;
-  // the state machine only touches the separators and quotes between them.
-  // Fields build up in place in the caller's buffers (contents are
-  // unspecified on error, when the function returns false).
-  size_t nf = 0;  // fields committed so far; slot nf is under construction
-  if (fields->empty()) fields->emplace_back();
-  std::string* cur = &(*fields)[0];
-  cur->clear();
-  auto commit = [&]() {
-    ++nf;
-    if (nf == fields->size()) fields->emplace_back();
-    cur = &(*fields)[nf];
-    cur->clear();
-  };
-  enum class State { kFieldStart, kUnquoted, kQuoted, kAfterQuoted };
-  State state = State::kFieldStart;
-  size_t quote_open = 0;  // 1-based offset of the field's opening quote
-  size_t i = 0;
-  while (i < text.size()) {
-    switch (state) {
-      case State::kFieldStart:
-        if (text[i] == '"') {
-          state = State::kQuoted;
-          quote_open = i + 1;
-          ++i;
-        } else if (text[i] == separator) {
-          commit();  // empty field
-          ++i;
-        } else {
-          state = State::kUnquoted;  // reconsume as content
-        }
-        break;
-      case State::kUnquoted: {
-        // Content runs to the next separator or (illegal here) quote.
-        const size_t sp = FindByte(text, i, separator);
-        const size_t qp = FindByte(text, i, '"');
-        if (qp < sp) {
-          error->kind = CsvErrorKind::kStrayQuote;
-          error->column = qp + 1;
-          return false;
-        }
-        cur->append(text.data() + i, sp - i);
-        i = sp;
-        if (i < text.size()) {
-          commit();
-          state = State::kFieldStart;
-          ++i;
-        }
-        break;
-      }
-      case State::kQuoted: {
-        const size_t qp = FindByte(text, i, '"');
-        cur->append(text.data() + i, qp - i);
-        if (qp == text.size()) {
-          i = qp;
-          break;  // unterminated; diagnosed after the loop
-        }
-        if (qp + 1 < text.size() && text[qp + 1] == '"') {
-          *cur += '"';  // "" escape stays quoted
-          i = qp + 2;
-        } else {
-          state = State::kAfterQuoted;
-          i = qp + 1;
-        }
-        break;
-      }
-      case State::kAfterQuoted:
-        if (text[i] == separator) {
-          commit();
-          state = State::kFieldStart;
-          ++i;
-        } else {
-          error->kind = CsvErrorKind::kStrayQuote;
-          error->column = i + 1;
-          return false;
-        }
-        break;
-    }
-  }
-  if (state == State::kQuoted) {
-    error->kind = CsvErrorKind::kUnterminatedQuote;
-    error->column = quote_open;
-    return false;
-  }
-  fields->resize(nf + 1);
-  return true;
-}
-
-bool SplitCsvRecordViews(std::string_view text, char separator,
-                         std::vector<std::string_view>* views,
-                         std::vector<std::string>* storage,
-                         CsvFieldError* error) {
-  views->clear();
-  if (text.empty()) {
-    views->emplace_back();
-    return true;
-  }
-  if (std::memchr(text.data(), '"', text.size()) == nullptr) {
-    // Quote-free: every field is a verbatim slice of the record.
-    size_t start = 0;
-    for (;;) {
-      const size_t end = FindByte(text, start, separator);
-      views->push_back(text.substr(start, end - start));
-      if (end == text.size()) return true;
-      start = end + 1;
-    }
-  }
-  // Quoted: unescape into the storage strings, then view them.
-  if (!SplitCsvRecord(text, separator, storage, error)) return false;
-  views->reserve(storage->size());
-  for (const std::string& field : *storage) views->emplace_back(field);
-  return true;
+  scratch->append(body);
+  return *scratch;
 }
 
 CsvRecordReader::CsvRecordReader(std::istream* in, char separator,
@@ -230,17 +91,23 @@ bool CsvRecordReader::Next(RawCsvRecord* out) {
       bytes_read_ += 3;
     }
   }
-  out->text.clear();
+  std::string& text = out->text;
+  text.clear();
   out->line = line_;
+  out->field_ends.clear();
+  out->error.reset();
+  auto fail = [out](CsvErrorKind kind, size_t column) {
+    if (!out->error.has_value()) out->error = CsvFieldError{kind, column};
+  };
   // Stage two: the quoting state machine advances only at structural
   // positions (separators, quotes, CR, LF — the bits of the index); the
-  // plain-content runs in between are bulk appends. It tracks just enough
-  // state to find the record terminator; the precise error classification
-  // is SplitCsvRecord's job, and the two machines agree on when a quote
-  // opens a quoted field (only at field start) so they always delimit the
-  // same records.
+  // plain-content runs in between are bulk appends. A quote opens a quoted
+  // field only at field start. After the record's first error the machine
+  // keeps delimiting by the same rules, so an error never moves a record
+  // boundary. Columns are 1-based offsets into the record text.
   enum class State { kFieldStart, kUnquoted, kQuoted, kQuoteInQuoted };
   State state = State::kFieldStart;
+  size_t quote_open = 0;  // column of the open quoted field's quote
   bool any = false;
   for (;;) {
     if (pos_ >= len_ && !Refill()) break;  // end of input
@@ -249,8 +116,11 @@ bool CsvRecordReader::Next(RawCsvRecord* out) {
       // A run of plain content bytes: nothing in it can be a separator,
       // quote or terminator, so the only state effect is leaving field
       // start (first content byte of a field) or closing a pending quote
-      // (the "" escape already resolved by the byte after it).
-      out->text.append(buf_.data() + pos_, next - pos_);
+      // (content right after a closing quote is an error).
+      if (state == State::kQuoteInQuoted) {
+        fail(CsvErrorKind::kStrayQuote, text.size() + 1);
+      }
+      text.append(buf_.data() + pos_, next - pos_);
       bytes_read_ += next - pos_;
       pos_ = next;
       any = true;
@@ -268,7 +138,7 @@ bool CsvRecordReader::Next(RawCsvRecord* out) {
       } else if (c == '\n') {
         ++line_;
       }
-      out->text += c;
+      text += c;
       continue;
     }
     if (state == State::kQuoteInQuoted) {
@@ -278,6 +148,7 @@ bool CsvRecordReader::Next(RawCsvRecord* out) {
     }
     if (state != State::kQuoted && (c == '\n' || c == '\r')) {
       ++line_;
+      out->field_ends.push_back(text.size());
       if (c == '\r') {  // swallow the LF of a CRLF pair
         if (pos_ >= len_ && !Refill()) return true;
         if (buf_[pos_] == '\n') {
@@ -289,14 +160,21 @@ bool CsvRecordReader::Next(RawCsvRecord* out) {
     }
     if (c == sep_) {
       state = State::kFieldStart;
+      out->field_ends.push_back(text.size());
     } else if (c == '"' && state == State::kFieldStart) {
       state = State::kQuoted;
-    } else if (state == State::kFieldStart) {
-      state = State::kUnquoted;
+      quote_open = text.size() + 1;
+    } else if (c == '"' && state == State::kUnquoted) {
+      fail(CsvErrorKind::kStrayQuote, text.size() + 1);
     }
-    out->text += c;
+    text += c;
   }
-  return any;
+  if (!any) return false;
+  out->field_ends.push_back(text.size());
+  if (state == State::kQuoted) {
+    fail(CsvErrorKind::kUnterminatedQuote, quote_open);
+  }
+  return true;
 }
 
 }  // namespace dq

@@ -1,22 +1,24 @@
-// Low-level streaming RFC-4180 tokenizer: bytes -> raw records -> fields.
+// Low-level streaming RFC-4180 tokenizer: bytes -> records -> fields.
 //
-// Layering: CsvRecordReader scans the input stream in fixed-size chunks and
-// yields one raw record at a time. The scan is two-stage: a SIMD pass
-// (csv_scan.h) classifies each chunk into a structural index — one bit per
-// byte, set at separators, quotes and record terminators — and the
-// quote-aware state machine then advances only at the set bits, bulk-
-// appending the plain-content runs in between. Quoted fields may span
-// record terminators (LF, CRLF or lone CR) and memory use is bounded by
-// the chunk size plus the largest single record, independent of file size.
-// SplitCsvRecord then turns a raw record into its fields or a typed,
-// position-annotated error. The schema-aware layer in table/csv.h builds
-// Tables and IngestReports on top of these two primitives.
+// CsvRecordReader scans the input stream in fixed-size chunks and yields
+// one record at a time. The scan is two-stage: a SIMD pass (csv_scan.h)
+// classifies each chunk into a structural index — one bit per byte, set at
+// separators, quotes and record terminators — and the quote-aware state
+// machine then advances only at the set bits, bulk-appending the
+// plain-content runs in between. Quoted fields may span record terminators
+// (LF, CRLF or lone CR) and memory use is bounded by the chunk size plus
+// the largest single record, independent of file size. The same machine
+// that delimits the record also records where each field ends and the
+// record's first quoting error, so it is the only code that interprets
+// quotes. The schema-aware layer in table/csv.h builds Tables and
+// IngestReports on top of it.
 
 #ifndef DQ_TABLE_CSV_PARSER_H_
 #define DQ_TABLE_CSV_PARSER_H_
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,40 +37,37 @@ enum class CsvErrorKind {
 /// \brief Stable kebab-case spelling ("stray-quote", ...) used in reports.
 const char* CsvErrorKindToString(CsvErrorKind kind);
 
-/// \brief One raw record: the bytes between two unquoted record terminators
-/// (terminator stripped) plus the 1-based line it starts on.
-struct RawCsvRecord {
-  std::string text;
-  size_t line = 1;
-};
-
-/// \brief Field-split failure: error kind plus the 1-based byte offset of
-/// the offending character within the record's text (for quoted fields the
-/// record may span lines, so the offset is relative to the record start).
+/// \brief Quoting error of one record: error kind plus the 1-based byte
+/// offset of the offending character within the record's text (for quoted
+/// fields the record may span lines, so the offset is relative to the
+/// record start).
 struct CsvFieldError {
   CsvErrorKind kind = CsvErrorKind::kStrayQuote;
   size_t column = 0;
 };
 
-/// \brief Splits a raw record into fields honoring double-quote quoting
-/// ("" is a literal quote inside a quoted field). Returns false and fills
-/// `error` on a stray quote (mid-field, or trailing a closing quote) or an
-/// unterminated quoted field.
-bool SplitCsvRecord(std::string_view text, char separator,
-                    std::vector<std::string>* fields, CsvFieldError* error);
+/// \brief One record: the bytes between two unquoted record terminators
+/// (terminator stripped), the 1-based line it starts on, where each field
+/// ends and the first quoting error, if any.
+struct RawCsvRecord {
+  std::string text;
+  size_t line = 1;
+  /// Offset in `text` of each field's end: its unquoted separator, or
+  /// text.size() for the last field. An empty record has one empty field.
+  std::vector<size_t> field_ends;
+  /// The first stray quote (inside an unquoted field, or right after a
+  /// closing quote) or the unterminated quoted field the input ended in.
+  std::optional<CsvFieldError> error;
 
-/// \brief Zero-copy variant of SplitCsvRecord for the decode hot path: the
-/// fields come back as views. For a quote-free record (the common case)
-/// they point straight into `text`; a record with quotes is unescaped into
-/// `storage` and the views point there. Either way the views are valid
-/// until `text` or `storage` is next modified. Error behavior (and the
-/// resulting field sequence) is identical to SplitCsvRecord.
-bool SplitCsvRecordViews(std::string_view text, char separator,
-                         std::vector<std::string_view>* views,
-                         std::vector<std::string>* storage,
-                         CsvFieldError* error);
+  size_t num_fields() const { return field_ends.size(); }
 
-/// \brief Pulls raw records out of a stream in fixed-size chunks.
+  /// \brief Field `i` of a record without error. A field that starts with
+  /// a quote is unescaped (outer quotes dropped, "" -> ") into `*scratch`
+  /// and the view points there; any other field is a view into `text`.
+  std::string_view Field(size_t i, std::string* scratch) const;
+};
+
+/// \brief Pulls records out of a stream in fixed-size chunks.
 ///
 /// A UTF-8 byte-order mark at the start of the stream is skipped. LF, CRLF
 /// and lone CR all terminate a record (normalized away); newlines inside

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -102,40 +104,45 @@ TEST(CsvRecordReaderTest, SkipsUtf8Bom) {
   EXPECT_EQ(records[0].text, "h1,h2");
 }
 
+// The reader alone splits records into fields and classifies quoting
+// errors.
+RawCsvRecord ReadOne(const std::string& text) {
+  auto records = Tokenize(text, 4);
+  EXPECT_EQ(records.size(), 1u);
+  return records.empty() ? RawCsvRecord() : records[0];
+}
+
 TEST(SplitCsvRecordTest, FieldsAndEscapes) {
-  std::vector<std::string> fields;
-  CsvFieldError err;
-  ASSERT_TRUE(SplitCsvRecord("a,\"b,c\",\"d\"\"e\",,f", ',', &fields, &err));
-  ASSERT_EQ(fields.size(), 5u);
-  EXPECT_EQ(fields[0], "a");
-  EXPECT_EQ(fields[1], "b,c");
-  EXPECT_EQ(fields[2], "d\"e");
-  EXPECT_EQ(fields[3], "");
-  EXPECT_EQ(fields[4], "f");
+  const RawCsvRecord rec = ReadOne("a,\"b,c\",\"d\"\"e\",,f");
+  ASSERT_FALSE(rec.error.has_value());
+  ASSERT_EQ(rec.num_fields(), 5u);
+  std::string scratch;
+  EXPECT_EQ(rec.Field(0, &scratch), "a");
+  EXPECT_EQ(rec.Field(1, &scratch), "b,c");
+  EXPECT_EQ(rec.Field(2, &scratch), "d\"e");
+  EXPECT_EQ(rec.Field(3, &scratch), "");
+  EXPECT_EQ(rec.Field(4, &scratch), "f");
 }
 
 TEST(SplitCsvRecordTest, StrayQuoteMidField) {
-  std::vector<std::string> fields;
-  CsvFieldError err;
-  EXPECT_FALSE(SplitCsvRecord("ab\"cd", ',', &fields, &err));
-  EXPECT_EQ(err.kind, CsvErrorKind::kStrayQuote);
-  EXPECT_EQ(err.column, 3u);
+  const RawCsvRecord rec = ReadOne("ab\"cd");
+  ASSERT_TRUE(rec.error.has_value());
+  EXPECT_EQ(rec.error->kind, CsvErrorKind::kStrayQuote);
+  EXPECT_EQ(rec.error->column, 3u);
 }
 
 TEST(SplitCsvRecordTest, StrayQuoteAfterClose) {
-  std::vector<std::string> fields;
-  CsvFieldError err;
-  EXPECT_FALSE(SplitCsvRecord("\"ab\"cd", ',', &fields, &err));
-  EXPECT_EQ(err.kind, CsvErrorKind::kStrayQuote);
-  EXPECT_EQ(err.column, 5u);
+  const RawCsvRecord rec = ReadOne("\"ab\"cd");
+  ASSERT_TRUE(rec.error.has_value());
+  EXPECT_EQ(rec.error->kind, CsvErrorKind::kStrayQuote);
+  EXPECT_EQ(rec.error->column, 5u);
 }
 
 TEST(SplitCsvRecordTest, UnterminatedQuote) {
-  std::vector<std::string> fields;
-  CsvFieldError err;
-  EXPECT_FALSE(SplitCsvRecord("a,\"bc", ',', &fields, &err));
-  EXPECT_EQ(err.kind, CsvErrorKind::kUnterminatedQuote);
-  EXPECT_EQ(err.column, 3u);
+  const RawCsvRecord rec = ReadOne("a,\"bc");
+  ASSERT_TRUE(rec.error.has_value());
+  EXPECT_EQ(rec.error->kind, CsvErrorKind::kUnterminatedQuote);
+  EXPECT_EQ(rec.error->column, 3u);
 }
 
 // --- round trips ------------------------------------------------------------
@@ -280,6 +287,32 @@ TEST(CsvHeaderTest, HeaderlessRoundTrip) {
   ExpectTablesIdentical(t, *back);
 }
 
+TEST(CsvRoundTripTest, ValueSpelledLikeNullTokenIsRefused) {
+  // A category named like the null token would read back as null.
+  Schema s;
+  ASSERT_TRUE(s.AddNominal("answer", {"yes", "?"}).ok());
+  Table t(s);
+  ASSERT_TRUE(t.AppendRow({Value::Nominal(0)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value::Nominal(1)}).ok());
+  const std::string path = ::testing::TempDir() + "/csv_null_token.csv";
+  std::remove(path.c_str());
+  const Status written = WriteCsvFile(t, path);
+  EXPECT_TRUE(written.IsInvalidArgument()) << written;
+  EXPECT_NE(written.message().find("'answer', row 1"), std::string::npos)
+      << written;
+  EXPECT_FALSE(std::ifstream(path).good());  // no file left behind
+
+  // So would a numeric cell whose text is a custom null token.
+  Schema n;
+  ASSERT_TRUE(n.AddNumeric("x", -1.0, 1.0).ok());
+  Table zero(n);
+  ASSERT_TRUE(zero.AppendRow({Value::Numeric(0.0)}).ok());
+  CsvOptions opts;
+  opts.null_token = "0";
+  std::ostringstream os;
+  EXPECT_TRUE(WriteCsv(zero, &os, opts).IsInvalidArgument());
+}
+
 TEST(CsvHeaderTest, HeaderErrorsAreFatalEvenWhenLenient) {
   Schema s;
   ASSERT_TRUE(s.AddNominal("name", {"a"}).ok());
@@ -408,6 +441,28 @@ TEST(CsvIngestTest, UnterminatedQuoteQuarantinesToEndOfInput) {
   ASSERT_EQ(report.errors.size(), 1u);
   EXPECT_EQ(report.errors[0].kind, CsvErrorKind::kUnterminatedQuote);
   EXPECT_EQ(report.errors[0].line, 3u);
+}
+
+TEST(CsvIngestTest, ArityErrorInReusedSlotReportsColumnZero) {
+  // Decode slots are reused across batches: an arity error must not keep
+  // the column a quote error left in the same slot of an earlier batch.
+  const Schema s = ErrorSchema();
+  std::istringstream is(
+      "color,weight\n"
+      "gre\"en,1\n"    // batch 1, slot 0: stray quote at column 4
+      "red,1\n"
+      "red,1,extra\n"  // batch 2, slot 0: arity
+      "red,2\n");
+  CsvOptions opts;
+  opts.on_error = CsvErrorPolicy::kSkipAndReport;
+  opts.batch_records = 2;
+  IngestReport report;
+  ASSERT_TRUE(ReadCsv(s, &is, opts, &report).ok());
+  ASSERT_EQ(report.errors.size(), 2u);
+  EXPECT_EQ(report.errors[0].kind, CsvErrorKind::kStrayQuote);
+  EXPECT_EQ(report.errors[0].column, 4u);
+  EXPECT_EQ(report.errors[1].kind, CsvErrorKind::kArityMismatch);
+  EXPECT_EQ(report.errors[1].column, 0u);
 }
 
 TEST(CsvIngestTest, ReportCountersFilledOnCleanRead) {

@@ -13,6 +13,7 @@
 #include "eval/test_environment.h"
 #include "mining/c45.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "quis/quis_sample.h"
 
 namespace dq {
@@ -74,6 +75,9 @@ void ExpectIdenticalReports(const AuditReport& a, const AuditReport& b) {
 
 TEST(ParallelAuditTest, ThreadCountDoesNotChangeModelOrReport) {
   Table t = PlantedTable(3000, 5, 40);
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Reset();
+  tracer.SetEnabled(true);
 
   AuditorConfig serial_cfg;
   serial_cfg.num_threads = 1;
@@ -82,18 +86,36 @@ TEST(ParallelAuditTest, ThreadCountDoesNotChangeModelOrReport) {
   ASSERT_TRUE(serial_model.ok()) << serial_model.status();
   auto serial_report = serial.Audit(*serial_model, t);
   ASSERT_TRUE(serial_report.ok());
+  const std::string serial_tree = tracer.TreeSummary();
+  tracer.Reset();
 
   AuditorConfig parallel_cfg;
   parallel_cfg.num_threads = 4;
   Auditor parallel(parallel_cfg);
-  AuditTimings timings;
-  auto parallel_model = parallel.Induce(t, &timings);
+  auto parallel_model = parallel.Induce(t);
   ASSERT_TRUE(parallel_model.ok()) << parallel_model.status();
-  auto parallel_report = parallel.Audit(*parallel_model, t, &timings);
+  auto parallel_report = parallel.Audit(*parallel_model, t);
   ASSERT_TRUE(parallel_report.ok());
+  const std::string parallel_tree = tracer.TreeSummary();
+  tracer.SetEnabled(false);
+  tracer.Reset();
 
-  EXPECT_EQ(timings.threads_used, 4);
-  EXPECT_EQ(timings.induce_attr_ms.size(), t.schema().num_attributes());
+  // One induce.attr span per attribute, keyed by it, directly under the
+  // induce span, whatever the thread count.
+  EXPECT_EQ(serial_tree, parallel_tree);
+  size_t attr_spans = 0;
+  for (size_t pos = 0;
+       (pos = parallel_tree.find("\n  induce.attr[", pos)) != std::string::npos;
+       ++pos) {
+    ++attr_spans;
+  }
+  EXPECT_EQ(attr_spans, t.schema().num_attributes()) << parallel_tree;
+  for (size_t a = 0; a < t.schema().num_attributes(); ++a) {
+    EXPECT_NE(parallel_tree.find("\n  induce.attr[" + std::to_string(a) +
+                                 "]\n"),
+              std::string::npos)
+        << parallel_tree;
+  }
   EXPECT_EQ(Serialized(*serial_model, t.schema()),
             Serialized(*parallel_model, t.schema()));
   ExpectIdenticalReports(*serial_report, *parallel_report);

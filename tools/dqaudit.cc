@@ -89,7 +89,6 @@
 #include "audit/summary.h"
 #include "audit/structure_model.h"
 #include "common/parallel.h"
-#include "eval/report_io.h"
 #include "lint/lint.h"
 #include "logic/rule_parser.h"
 #include "obs/history.h"
@@ -325,6 +324,71 @@ int Fail(const Status& status) {
   return 1;
 }
 
+/// Everything the mode stages read, resolved from the flags once.
+struct RunConfig {
+  Options opts;
+  Schema schema;
+  IngestFormat data_format = IngestFormat::kCsv;
+  IngestFormat train_format = IngestFormat::kCsv;
+  CsvOptions csv;
+  AuditorConfig auditor;
+};
+
+/// What a mode stage hands the shared tail.
+struct AuditRun {
+  size_t records = 0;  ///< records audited
+  /// The ranked suspicions are `report.suspicious`; the streaming stage
+  /// keeps no per-record vectors, so it fills nothing else.
+  AuditReport report;
+  std::optional<Table> data;        ///< in-memory stages: --summary, --corrected
+  std::optional<AuditModel> model;  ///< induce-then-audit: --explain, --summary
+  /// Violations per --rules-file rule, for the history record.
+  std::vector<std::pair<std::string, uint64_t>> rule_violations;
+};
+
+obs::RunManifest MakeManifest(const Options& opts, int argc, char** argv) {
+  obs::RunManifest manifest = obs::MakeRunManifest("dqaudit", argc, argv);
+  manifest.threads_requested = opts.threads;
+  manifest.threads_used = ResolveThreadCount(opts.threads);
+  (void)obs::AddInputFileHash(&manifest, "schema", opts.schema_path);
+  (void)obs::AddInputFileHash(&manifest, "data", opts.data_path);
+  if (!opts.train_path.empty()) {
+    (void)obs::AddInputFileHash(&manifest, "train", opts.train_path);
+  }
+  if (!opts.rules_path.empty()) {
+    (void)obs::AddInputFileHash(&manifest, "rules", opts.rules_path);
+  }
+  if (!opts.load_model_path.empty()) {
+    (void)obs::AddInputFileHash(&manifest, "model", opts.load_model_path);
+  }
+  return manifest;
+}
+
+Result<RunConfig> Configure(const Options& opts) {
+  RunConfig run;
+  run.opts = opts;
+  DQ_ASSIGN_OR_RETURN(run.schema, ParseSchemaSpecFile(opts.schema_path));
+  // --format pins both inputs; otherwise each path's extension decides.
+  run.data_format = InferIngestFormat(opts.data_path);
+  run.train_format = InferIngestFormat(opts.train_path);
+  if (!opts.format.empty()) {
+    DQ_ASSIGN_OR_RETURN(run.data_format, IngestFormatFromName(opts.format));
+    run.train_format = run.data_format;
+  }
+  run.csv.on_error = opts.on_error == "skip" ? CsvErrorPolicy::kSkipAndReport
+                                             : CsvErrorPolicy::kFail;
+  run.csv.num_threads = opts.threads;
+
+  run.auditor.min_error_confidence = opts.min_conf;
+  run.auditor.confidence_level = opts.level;
+  run.auditor.num_threads = opts.threads;
+  DQ_ASSIGN_OR_RETURN(run.auditor.inducer, InducerFromName(opts.inducer));
+  run.auditor.c45.split_mode = opts.split_mode == "exact"
+                                   ? SplitMode::kExact
+                                   : SplitMode::kHistogram;
+  return run;
+}
+
 /// Prints the quarantine summary of a load that dropped records and writes
 /// --ingest-report.
 Status ReportIngest(const IngestReport& ingest, const Options& opts) {
@@ -352,11 +416,144 @@ Status OutputModel(const AuditModel& model, const Schema& schema,
   return Status::OK();
 }
 
-void PrintTimings(const AuditTimings& timings) {
-  std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
-              "(encode %.1f ms, tree build %.1f ms), audit %.1f ms\n",
-              timings.threads_used, timings.ingest_ms, timings.induce_ms,
-              timings.encode_ms, timings.tree_build_ms, timings.audit_ms);
+/// Out-of-core stage: one pass feeds a spillable segment store and a
+/// reservoir sample; induction runs on the sample, detection runs segment
+/// by segment (audit/stream_audit.h). The ranked report is identical for
+/// every budget value.
+Result<AuditRun> StreamAudit(const RunConfig& run) {
+  const Options& opts = run.opts;
+  StreamAuditOptions stream;
+  stream.sample_rows = opts.sample_rows;
+  stream.store.segment_rows = opts.segment_rows;
+  stream.store.memory_budget_bytes = opts.memory_budget;
+  stream.store.spill_dir =
+      opts.spill_dir.empty() ? opts.data_path + ".spill" : opts.spill_dir;
+  stream.csv = run.csv;
+  stream.format = run.data_format;
+  stream.auditor = run.auditor;
+  DQ_ASSIGN_OR_RETURN(StreamAuditResult result,
+                      RunStreamingAudit(run.schema, opts.data_path, stream));
+  std::printf("streamed %zu records x %zu attributes from %s\n",
+              result.total_rows, run.schema.num_attributes(),
+              opts.data_path.c_str());
+  const SegmentStore::Stats& store = result.store_stats;
+  std::printf("memory budget %llu bytes: %llu segments sealed, "
+              "%llu spill writes (%llu bytes), %llu spill reads, "
+              "peak resident %llu bytes\n",
+              static_cast<unsigned long long>(opts.memory_budget),
+              static_cast<unsigned long long>(store.segments_sealed),
+              static_cast<unsigned long long>(store.spill_writes),
+              static_cast<unsigned long long>(store.spill_bytes_written),
+              static_cast<unsigned long long>(store.spill_reads),
+              static_cast<unsigned long long>(store.resident_bytes_peak));
+  DQ_RETURN_NOT_OK(ReportIngest(result.ingest, opts));
+  std::printf("induced on %zu sampled records (reservoir capacity %zu)\n",
+              result.sampled_rows, opts.sample_rows);
+  DQ_RETURN_NOT_OK(OutputModel(result.model, run.schema, opts));
+  AuditRun audit;
+  audit.records = result.total_rows;
+  audit.report.suspicious = std::move(result.suspicious);
+  return audit;
+}
+
+/// Expert-rule deviation check: deterministic violations of the
+/// domain-expert dependencies, complementing the induced structure model.
+Result<std::vector<std::pair<std::string, uint64_t>>> CheckExpertRules(
+    const Schema& schema, const Table& data, const Options& opts) {
+  if (opts.lint) {
+    Linter linter(&schema);
+    DQ_ASSIGN_OR_RETURN(LintResult lint_result,
+                        linter.LintFileAt(opts.rules_path));
+    std::fputs(RenderLintText(lint_result, opts.rules_path).c_str(), stderr);
+    if (lint_result.HasErrors()) {
+      return Status::InvalidArgument(
+          "rule file rejected by lint; fix the errors above or rerun "
+          "without --lint");
+    }
+  }
+  DQ_ASSIGN_OR_RETURN(std::vector<Rule> expert_rules,
+                      ParseRuleFileAt(schema, opts.rules_path));
+  std::vector<std::pair<std::string, uint64_t>> violations;
+  size_t total_violations = 0;
+  for (size_t ri = 0; ri < expert_rules.size(); ++ri) {
+    const Rule& rule = expert_rules[ri];
+    size_t count = 0;
+    size_t first = 0;
+    for (size_t r = 0; r < data.num_rows(); ++r) {
+      if (rule.Violates(data.row(r))) {
+        if (count == 0) first = r;
+        ++count;
+      }
+    }
+    total_violations += count;
+    violations.emplace_back(rule.ToString(schema),
+                            static_cast<uint64_t>(count));
+    if (count > 0) {
+      std::printf("expert rule %zu violated by %zu rows (first: row %zu): "
+                  "%s\n",
+                  ri + 1, count, first, rule.ToString(schema).c_str());
+    }
+  }
+  std::printf("expert rules: %zu rules, %zu violating row/rule pairs\n",
+              expert_rules.size(), total_violations);
+  return violations;
+}
+
+/// The in-memory stages: load --data (and check --rules-file against it),
+/// then either check it against a persisted model, which needs no
+/// induction, or induce on --train (default: the audit data) and audit.
+Result<AuditRun> AuditInMemory(const RunConfig& run) {
+  const Options& opts = run.opts;
+  IngestReport ingest;
+  auto data = ReadTableFile(run.data_format, run.schema, opts.data_path,
+                            run.csv, &ingest);
+  if (!data.ok()) {
+    if (!opts.ingest_report_path.empty()) {
+      (void)ingest.WriteJsonFile(opts.ingest_report_path);
+    }
+    return data.status();
+  }
+  std::printf("loaded %zu records x %zu attributes from %s\n",
+              data->num_rows(), run.schema.num_attributes(),
+              opts.data_path.c_str());
+  DQ_RETURN_NOT_OK(ReportIngest(ingest, opts));
+  AuditRun audit;
+  audit.records = data->num_rows();
+  if (!opts.rules_path.empty()) {
+    DQ_ASSIGN_OR_RETURN(audit.rule_violations,
+                        CheckExpertRules(run.schema, *data, opts));
+  }
+  audit.data = std::move(*data);
+
+  if (!opts.load_model_path.empty()) {
+    DQ_ASSIGN_OR_RETURN(
+        StructureModel model,
+        StructureModel::LoadFromFile(run.schema, opts.load_model_path));
+    DQ_ASSIGN_OR_RETURN(audit.report, model.Check(*audit.data, run.auditor));
+    std::printf("checked against %zu persisted rules: %zu suspicious "
+                "records\n",
+                model.TotalRules(), audit.report.NumFlagged());
+    return audit;
+  }
+
+  std::optional<Table> train;
+  if (!opts.train_path.empty()) {
+    IngestReport train_ingest;
+    DQ_ASSIGN_OR_RETURN(train,
+                        ReadTableFile(run.train_format, run.schema,
+                                      opts.train_path, run.csv,
+                                      &train_ingest));
+    if (train_ingest.HasErrors()) {
+      std::printf("ingest (train): %s\n", train_ingest.Summary().c_str());
+      std::fputs(train_ingest.RenderText().c_str(), stderr);
+    }
+  }
+  const Auditor auditor(run.auditor);
+  DQ_ASSIGN_OR_RETURN(audit.model,
+                      auditor.Induce(train.has_value() ? *train : *audit.data));
+  DQ_RETURN_NOT_OK(OutputModel(*audit.model, run.schema, opts));
+  DQ_ASSIGN_OR_RETURN(audit.report, auditor.Audit(*audit.model, *audit.data));
+  return audit;
 }
 
 /// The --top listing of the ranked report.
@@ -376,6 +573,133 @@ void PrintTopSuspicions(const std::vector<Suspicion>& suspicious,
   }
 }
 
+/// --explain and --summary, which need the induced model and the table.
+void PrintReview(const RunConfig& run, const AuditRun& audit) {
+  const Options& opts = run.opts;
+  const std::vector<Suspicion>& suspicious = audit.report.suspicious;
+  for (size_t i = 0; i < static_cast<size_t>(opts.explain) &&
+                     i < suspicious.size();
+       ++i) {
+    auto detail =
+        ExplainRecord(*audit.model, *audit.data, suspicious[i].row,
+                      run.auditor);
+    if (detail.ok()) {
+      std::printf("\n%s", RenderSuspicionDetail(*detail, *audit.model,
+                                                *audit.data)
+                              .c_str());
+    }
+  }
+  if (!opts.print_summary) return;
+  const AuditSummary summary = SummarizeReport(audit.report, *audit.data);
+  std::printf("\n%s\n", RenderAuditSummary(summary, run.schema).c_str());
+  std::printf("\ninduction time per attribute:\n");
+  for (size_t attr = 0; attr < run.schema.num_attributes(); ++attr) {
+    std::printf("  %-12s %8.1f ms\n", run.schema.attribute(attr).name.c_str(),
+                obs::Tracer::Global().AggregateMs(
+                    "induce.attr", static_cast<int64_t>(attr)));
+  }
+}
+
+/// Run-history append (--history): one compact JSONL record per run for
+/// dqmon's drift detection. Appended before the metrics/trace export so
+/// the embedded metrics snapshot never depends on which export flags were
+/// also given. Timing phases are recorded as 0 under a fixed test clock
+/// (DQ_UTC_OVERRIDE_MS) so two identical runs yield byte-identical lines.
+Status AppendHistory(const Options& opts, const AuditRun& audit,
+                     obs::RunManifest* manifest) {
+  if (opts.history_dir.empty()) return Status::OK();
+  manifest->StampWallClock();
+  const std::vector<Suspicion>& suspicious = audit.report.suspicious;
+  obs::HistoryRecord record;
+  record.manifest = *manifest;
+  record.summary.records = audit.records;
+  record.summary.suspicious = suspicious.size();
+  record.summary.suspicion_rate =
+      audit.records > 0 ? static_cast<double>(suspicious.size()) /
+                              static_cast<double>(audit.records)
+                        : 0.0;
+  record.summary.rule_violations = audit.rule_violations;
+  const size_t top_k = std::min(suspicious.size(), obs::AuditSummary::kTopK);
+  for (size_t i = 0; i < top_k; ++i) {
+    record.summary.top_confidences.push_back(suspicious[i].error_confidence);
+  }
+  for (const char* phase : {"ingest", "induce", "audit"}) {
+    record.summary.timings_ms.emplace_back(
+        phase, obs::EpochClockOverridden()
+                   ? 0.0
+                   : obs::Tracer::Global().AggregateMs(phase));
+  }
+  record.metrics = obs::MetricsRegistry::Global().Snapshot();
+  obs::HistoryStore store(opts.history_dir);
+  DQ_RETURN_NOT_OK(store.Append(record));
+  std::printf("appended history record to %s\n", store.ledger_path().c_str());
+  if (opts.history_max_runs > 0) {
+    size_t dropped_runs = 0;
+    size_t dropped_damaged = 0;
+    DQ_RETURN_NOT_OK(store.Compact(opts.history_max_runs, &dropped_runs,
+                                   &dropped_damaged));
+    if (dropped_runs > 0 || dropped_damaged > 0) {
+      std::printf("compacted history ledger to newest %zu runs "
+                  "(%zu old records, %zu damaged lines dropped)\n",
+                  opts.history_max_runs, dropped_runs, dropped_damaged);
+    }
+  }
+  return Status::OK();
+}
+
+/// --trace-out and --metrics-out.
+Status ExportObservability(const Options& opts, obs::RunManifest* manifest) {
+  manifest->StampWallClock();
+  if (!opts.trace_out_path.empty()) {
+    DQ_RETURN_NOT_OK(obs::Tracer::Global().WriteChromeTraceFile(
+        opts.trace_out_path, manifest));
+    std::printf("wrote trace to %s\n", opts.trace_out_path.c_str());
+  }
+  if (!opts.metrics_out_path.empty()) {
+    obs::SyncPoolMetrics();
+    DQ_RETURN_NOT_OK(obs::MetricsRegistry::Global().WriteJsonFile(
+        opts.metrics_out_path, manifest));
+    std::printf("wrote metrics to %s\n", opts.metrics_out_path.c_str());
+  }
+  return Status::OK();
+}
+
+/// The tail every mode shares. Phase timings are read from the spans the
+/// run recorded, so the printed line, the history record and an exported
+/// trace report one measurement.
+Status FinishRun(const RunConfig& run, const AuditRun& audit,
+                 obs::RunManifest* manifest) {
+  const Options& opts = run.opts;
+  const obs::Tracer& tracer = obs::Tracer::Global();
+  const std::vector<Suspicion>& suspicious = audit.report.suspicious;
+  std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
+              "(encode %.1f ms, tree build %.1f ms), audit %.1f ms\n",
+              manifest->threads_used, tracer.AggregateMs("ingest"),
+              tracer.AggregateMs("induce"),
+              tracer.AggregateMs("induce.encode"),
+              tracer.AggregateMs("c45.build"), tracer.AggregateMs("audit"));
+  std::printf("%zu of %zu records suspicious at minimal error confidence "
+              "%.2f\n",
+              suspicious.size(), audit.records, opts.min_conf);
+  PrintTopSuspicions(suspicious, run.schema, opts.top);
+  if (audit.model.has_value()) PrintReview(run, audit);
+  if (!opts.report_path.empty()) {
+    DQ_RETURN_NOT_OK(WriteStreamAuditReportCsvFile(suspicious, run.schema,
+                                                   opts.report_path));
+    std::printf("wrote ranked report to %s\n", opts.report_path.c_str());
+  }
+  if (!opts.corrected_path.empty() && audit.data.has_value()) {
+    DQ_ASSIGN_OR_RETURN(
+        Table corrected,
+        Auditor(run.auditor).ApplyCorrections(audit.report, *audit.data));
+    DQ_RETURN_NOT_OK(WriteCsvFile(corrected, opts.corrected_path));
+    std::printf("\nwrote corrected table to %s\n",
+                opts.corrected_path.c_str());
+  }
+  DQ_RETURN_NOT_OK(AppendHistory(opts, audit, manifest));
+  return ExportObservability(opts, manifest);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -384,354 +708,16 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  // Recording a handful of phase spans costs nothing measurable, and an
-  // always-on tracer lets the timings line below report ingest through the
-  // same span tree the exported trace shows.
+  // Recording a handful of phase spans costs nothing measurable, and every
+  // phase timing the run prints or records is read back from them.
   obs::Tracer::Global().SetEnabled(true);
+  obs::RunManifest manifest = MakeManifest(opts, argc, argv);
 
-  obs::RunManifest manifest = obs::MakeRunManifest("dqaudit", argc, argv);
-  manifest.threads_requested = opts.threads;
-  manifest.threads_used = ResolveThreadCount(opts.threads);
-  (void)obs::AddInputFileHash(&manifest, "schema", opts.schema_path);
-  (void)obs::AddInputFileHash(&manifest, "data", opts.data_path);
-  if (!opts.train_path.empty()) {
-    (void)obs::AddInputFileHash(&manifest, "train", opts.train_path);
-  }
-  if (!opts.rules_path.empty()) {
-    (void)obs::AddInputFileHash(&manifest, "rules", opts.rules_path);
-  }
-  if (!opts.load_model_path.empty()) {
-    (void)obs::AddInputFileHash(&manifest, "model", opts.load_model_path);
-  }
-  auto export_observability = [&opts, &manifest]() -> Status {
-    manifest.StampWallClock();
-    if (!opts.trace_out_path.empty()) {
-      Status written = obs::Tracer::Global().WriteChromeTraceFile(
-          opts.trace_out_path, &manifest);
-      if (!written.ok()) return written;
-      std::printf("wrote trace to %s\n", opts.trace_out_path.c_str());
-    }
-    if (!opts.metrics_out_path.empty()) {
-      obs::SyncPoolMetrics();
-      Status written = obs::MetricsRegistry::Global().WriteJsonFile(
-          opts.metrics_out_path, &manifest);
-      if (!written.ok()) return written;
-      std::printf("wrote metrics to %s\n", opts.metrics_out_path.c_str());
-    }
-    return Status::OK();
-  };
-
-  // Run-history append (--history): one compact JSONL record per run for
-  // dqmon's drift detection. Appended before the metrics/trace export so
-  // the embedded metrics snapshot never depends on which export flags were
-  // also given. Timing phases are recorded as 0 under a fixed test clock
-  // (DQ_UTC_OVERRIDE_MS) so two identical runs yield byte-identical lines.
-  auto append_history =
-      [&opts, &manifest](
-          uint64_t audited_records, const std::vector<Suspicion>& suspicious,
-          std::vector<std::pair<std::string, uint64_t>> rule_violations,
-          const AuditTimings& timings) -> Status {
-    if (opts.history_dir.empty()) return Status::OK();
-    manifest.StampWallClock();
-    obs::HistoryRecord record;
-    record.manifest = manifest;
-    record.summary.records = audited_records;
-    record.summary.suspicious = suspicious.size();
-    record.summary.suspicion_rate =
-        audited_records > 0
-            ? static_cast<double>(suspicious.size()) /
-                  static_cast<double>(audited_records)
-            : 0.0;
-    record.summary.rule_violations = std::move(rule_violations);
-    const size_t top_k =
-        std::min(suspicious.size(), obs::AuditSummary::kTopK);
-    for (size_t i = 0; i < top_k; ++i) {
-      record.summary.top_confidences.push_back(
-          suspicious[i].error_confidence);
-    }
-    const bool fixed_clock = obs::EpochClockOverridden();
-    record.summary.timings_ms = {
-        {"ingest", fixed_clock ? 0.0 : timings.ingest_ms},
-        {"induce", fixed_clock ? 0.0 : timings.induce_ms},
-        {"audit", fixed_clock ? 0.0 : timings.audit_ms},
-    };
-    record.metrics = obs::MetricsRegistry::Global().Snapshot();
-    obs::HistoryStore store(opts.history_dir);
-    Status appended = store.Append(record);
-    if (!appended.ok()) return appended;
-    std::printf("appended history record to %s\n",
-                store.ledger_path().c_str());
-    if (opts.history_max_runs > 0) {
-      size_t dropped_runs = 0;
-      size_t dropped_damaged = 0;
-      Status compacted = store.Compact(opts.history_max_runs, &dropped_runs,
-                                       &dropped_damaged);
-      if (!compacted.ok()) return compacted;
-      if (dropped_runs > 0 || dropped_damaged > 0) {
-        std::printf("compacted history ledger to newest %zu runs "
-                    "(%zu old records, %zu damaged lines dropped)\n",
-                    opts.history_max_runs, dropped_runs, dropped_damaged);
-      }
-    }
-    return Status::OK();
-  };
-
-  auto schema = ParseSchemaSpecFile(opts.schema_path);
-  if (!schema.ok()) return Fail(schema.status());
-  // --format pins both inputs; otherwise each path's extension decides.
-  IngestFormat data_format = InferIngestFormat(opts.data_path);
-  IngestFormat train_format = InferIngestFormat(opts.train_path);
-  if (!opts.format.empty()) {
-    auto parsed_format = IngestFormatFromName(opts.format);
-    if (!parsed_format.ok()) return Fail(parsed_format.status());
-    data_format = *parsed_format;
-    train_format = *parsed_format;
-  }
-  CsvOptions csv_options;
-  csv_options.on_error = opts.on_error == "skip"
-                             ? CsvErrorPolicy::kSkipAndReport
-                             : CsvErrorPolicy::kFail;
-  csv_options.num_threads = opts.threads;
-
-  AuditorConfig config;
-  config.min_error_confidence = opts.min_conf;
-  config.confidence_level = opts.level;
-  config.num_threads = opts.threads;
-  auto kind = InducerFromName(opts.inducer);
-  if (!kind.ok()) return Fail(kind.status());
-  config.inducer = *kind;
-  config.c45.split_mode = opts.split_mode == "exact" ? SplitMode::kExact
-                                                     : SplitMode::kHistogram;
-
-  // Out-of-core mode: one CSV pass feeds a spillable segment store and a
-  // reservoir sample; induction runs on the sample, detection runs segment
-  // by segment (audit/stream_audit.h). The ranked report is identical for
-  // every budget value.
-  if (opts.memory_budget > 0) {
-    StreamAuditOptions stream;
-    stream.sample_rows = opts.sample_rows;
-    stream.store.segment_rows = opts.segment_rows;
-    stream.store.memory_budget_bytes = opts.memory_budget;
-    stream.store.spill_dir =
-        opts.spill_dir.empty() ? opts.data_path + ".spill" : opts.spill_dir;
-    stream.csv = csv_options;
-    stream.format = data_format;
-    stream.auditor = config;
-    auto result = RunStreamingAudit(*schema, opts.data_path, stream);
-    if (!result.ok()) return Fail(result.status());
-    std::printf("streamed %zu records x %zu attributes from %s\n",
-                result->total_rows, schema->num_attributes(),
-                opts.data_path.c_str());
-    std::printf("memory budget %llu bytes: %llu segments sealed, "
-                "%llu spill writes (%llu bytes), %llu spill reads, "
-                "peak resident %llu bytes\n",
-                static_cast<unsigned long long>(opts.memory_budget),
-                static_cast<unsigned long long>(
-                    result->store_stats.segments_sealed),
-                static_cast<unsigned long long>(
-                    result->store_stats.spill_writes),
-                static_cast<unsigned long long>(
-                    result->store_stats.spill_bytes_written),
-                static_cast<unsigned long long>(
-                    result->store_stats.spill_reads),
-                static_cast<unsigned long long>(
-                    result->store_stats.resident_bytes_peak));
-    Status reported = ReportIngest(result->ingest, opts);
-    if (!reported.ok()) return Fail(reported);
-    std::printf("induced on %zu sampled records (reservoir capacity %zu)\n",
-                result->sampled_rows, opts.sample_rows);
-    Status output = OutputModel(result->model, *schema, opts);
-    if (!output.ok()) return Fail(output);
-    const AuditTimings& timings = result->timings;
-    PrintTimings(timings);
-    std::printf("%zu of %zu records suspicious at minimal error confidence "
-                "%.2f\n",
-                result->suspicious.size(), result->total_rows, opts.min_conf);
-    PrintTopSuspicions(result->suspicious, *schema, opts.top);
-    if (!opts.report_path.empty()) {
-      Status written = WriteStreamAuditReportCsvFile(result->suspicious,
-                                                     *schema,
-                                                     opts.report_path);
-      if (!written.ok()) return Fail(written);
-      std::printf("wrote ranked report to %s\n", opts.report_path.c_str());
-    }
-    manifest.threads_used = timings.threads_used;
-    Status history_appended = append_history(result->total_rows,
-                                             result->suspicious, {}, timings);
-    if (!history_appended.ok()) return Fail(history_appended);
-    Status exported = export_observability();
-    if (!exported.ok()) return Fail(exported);
-    return 0;
-  }
-
-  IngestReport ingest;
-  auto data = ReadTableFile(data_format, *schema, opts.data_path, csv_options,
-                            &ingest);
-  if (!data.ok()) {
-    if (!opts.ingest_report_path.empty()) {
-      (void)ingest.WriteJsonFile(opts.ingest_report_path);
-    }
-    return Fail(data.status());
-  }
-  std::printf("loaded %zu records x %zu attributes from %s\n",
-              data->num_rows(), schema->num_attributes(),
-              opts.data_path.c_str());
-  Status reported = ReportIngest(ingest, opts);
-  if (!reported.ok()) return Fail(reported);
-
-  // Expert-rule deviation check: deterministic violations of the
-  // domain-expert dependencies, complementing the induced structure model.
-  std::vector<std::pair<std::string, uint64_t>> rule_violation_counts;
-  if (!opts.rules_path.empty()) {
-    if (opts.lint) {
-      Linter linter(&*schema);
-      auto lint_result = linter.LintFileAt(opts.rules_path);
-      if (!lint_result.ok()) return Fail(lint_result.status());
-      std::fputs(RenderLintText(*lint_result, opts.rules_path).c_str(),
-                 stderr);
-      if (lint_result->HasErrors()) {
-        DQ_LOG_ERROR("dqaudit",
-                     "rule file rejected by lint; fix the errors above or "
-                     "rerun without --lint");
-        return 1;
-      }
-    }
-    auto expert_rules = ParseRuleFileAt(*schema, opts.rules_path);
-    if (!expert_rules.ok()) return Fail(expert_rules.status());
-    size_t total_violations = 0;
-    for (size_t ri = 0; ri < expert_rules->size(); ++ri) {
-      const Rule& rule = (*expert_rules)[ri];
-      size_t count = 0;
-      size_t first = 0;
-      for (size_t r = 0; r < data->num_rows(); ++r) {
-        if (rule.Violates(data->row(r))) {
-          if (count == 0) first = r;
-          ++count;
-        }
-      }
-      total_violations += count;
-      rule_violation_counts.emplace_back(rule.ToString(*schema),
-                                         static_cast<uint64_t>(count));
-      if (count > 0) {
-        std::printf("expert rule %zu violated by %zu rows (first: row %zu): "
-                    "%s\n",
-                    ri + 1, count, first, rule.ToString(*schema).c_str());
-      }
-    }
-    std::printf("expert rules: %zu rules, %zu violating row/rule pairs\n",
-                expert_rules->size(), total_violations);
-  }
-
-  Auditor auditor(config);
-
-  // --report and --corrected, shared by the induce-then-audit and the
-  // persisted-model paths.
-  auto write_outputs = [&](const AuditReport& report) -> Status {
-    if (!opts.report_path.empty()) {
-      DQ_RETURN_NOT_OK(
-          WriteAuditReportCsvFile(report, *data, opts.report_path));
-      std::printf("wrote ranked report to %s\n", opts.report_path.c_str());
-    }
-    if (!opts.corrected_path.empty()) {
-      DQ_ASSIGN_OR_RETURN(Table corrected,
-                          auditor.ApplyCorrections(report, *data));
-      DQ_RETURN_NOT_OK(WriteCsvFile(corrected, opts.corrected_path));
-      std::printf("\nwrote corrected table to %s\n",
-                  opts.corrected_path.c_str());
-    }
-    return Status::OK();
-  };
-
-  // Checking via a persisted structure model needs no induction.
-  if (!opts.load_model_path.empty()) {
-    auto model = StructureModel::LoadFromFile(*schema, opts.load_model_path);
-    if (!model.ok()) return Fail(model.status());
-    auto report = model->Check(*data, config);
-    if (!report.ok()) return Fail(report.status());
-    std::printf("checked against %zu persisted rules: %zu suspicious "
-                "records\n",
-                model->TotalRules(), report->NumFlagged());
-    PrintTopSuspicions(report->suspicious, *schema, opts.top);
-    Status written = write_outputs(*report);
-    if (!written.ok()) return Fail(written);
-    AuditTimings check_timings;
-    check_timings.threads_used = manifest.threads_used;
-    check_timings.ingest_ms = obs::Tracer::Global().AggregateMs("ingest");
-    Status history_appended =
-        append_history(data->num_rows(), report->suspicious,
-                       std::move(rule_violation_counts), check_timings);
-    if (!history_appended.ok()) return Fail(history_appended);
-    Status exported = export_observability();
-    if (!exported.ok()) return Fail(exported);
-    return 0;
-  }
-
-  // Structure induction (on --train if given, else on the audit data).
-  const Table* train = &*data;
-  std::optional<Table> train_storage;
-  IngestReport train_ingest;
-  if (!opts.train_path.empty()) {
-    auto loaded = ReadTableFile(train_format, *schema, opts.train_path,
-                                csv_options, &train_ingest);
-    if (!loaded.ok()) return Fail(loaded.status());
-    if (train_ingest.HasErrors()) {
-      std::printf("ingest (train): %s\n", train_ingest.Summary().c_str());
-      std::fputs(train_ingest.RenderText().c_str(), stderr);
-    }
-    train_storage = std::move(*loaded);
-    train = &*train_storage;
-  }
-  AuditTimings timings;
-  // Every CSV read recorded an "ingest" span; summing the closed spans
-  // makes the timings line agree with the exported trace (and covers the
-  // --train read, which the old hand-added parse_ms pair got wrong when
-  // either report was reused).
-  timings.ingest_ms = obs::Tracer::Global().AggregateMs("ingest");
-  auto model = auditor.Induce(*train, &timings);
-  if (!model.ok()) return Fail(model.status());
-
-  Status output = OutputModel(*model, *schema, opts);
-  if (!output.ok()) return Fail(output);
-
-  auto report = auditor.Audit(*model, *data, &timings);
-  if (!report.ok()) return Fail(report.status());
-  PrintTimings(timings);
-  std::printf("%zu of %zu records suspicious at minimal error confidence "
-              "%.2f\n",
-              report->NumFlagged(), data->num_rows(), opts.min_conf);
-  PrintTopSuspicions(report->suspicious, *schema, opts.top);
-
-  for (int i = 0; i < opts.explain &&
-                  static_cast<size_t>(i) < report->suspicious.size();
-       ++i) {
-    auto detail =
-        ExplainRecord(*model, *data, report->suspicious[static_cast<size_t>(i)].row,
-                      config);
-    if (detail.ok()) {
-      std::printf("\n%s", RenderSuspicionDetail(*detail, *model, *data).c_str());
-    }
-  }
-
-  if (opts.print_summary) {
-    const AuditSummary summary = SummarizeReport(*report, *data);
-    std::printf("\n%s\n", RenderAuditSummary(summary, *schema).c_str());
-    std::printf("\ninduction time per attribute:\n");
-    for (const auto& [attr, ms] : timings.induce_attr_ms) {
-      std::printf("  %-12s %8.1f ms\n",
-                  schema->attribute(static_cast<size_t>(attr)).name.c_str(),
-                  ms);
-    }
-  }
-
-  Status written = write_outputs(*report);
-  if (!written.ok()) return Fail(written);
-
-  manifest.threads_used = timings.threads_used;
-  Status history_appended =
-      append_history(data->num_rows(), report->suspicious,
-                     std::move(rule_violation_counts), timings);
-  if (!history_appended.ok()) return Fail(history_appended);
-  Status exported = export_observability();
-  if (!exported.ok()) return Fail(exported);
+  auto run = Configure(opts);
+  if (!run.ok()) return Fail(run.status());
+  auto audit = opts.memory_budget > 0 ? StreamAudit(*run) : AuditInMemory(*run);
+  if (!audit.ok()) return Fail(audit.status());
+  const Status finished = FinishRun(*run, *audit, &manifest);
+  if (!finished.ok()) return Fail(finished);
   return 0;
 }

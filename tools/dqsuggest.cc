@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
     config.inducer = InducerKind::kC45;
     config.num_threads = opts.threads;
     Auditor auditor(config);
-    auto model = auditor.Induce(*data, nullptr);
+    auto model = auditor.Induce(*data);
     if (!model.ok()) return Fail(model.status());
     std::vector<CandidateRule> extracted =
         ExtractCandidateRules(*model, *schema, total_rows);
