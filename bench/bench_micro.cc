@@ -177,8 +177,7 @@ void BM_EntropyFromCounts(benchmark::State& state) {
 }
 BENCHMARK(BM_EntropyFromCounts)->Arg(1024);
 
-// Bin/class count accumulation kernel feeding the histogram evaluator:
-// scalar reference vs the dispatched SIMD variant.
+// Bin/class count accumulation kernel feeding the histogram evaluator.
 void BM_CountBinClass(benchmark::State& state) {
   const size_t n = 1 << 16;
   const size_t nc = 8;
@@ -191,19 +190,15 @@ void BM_CountBinClass(benchmark::State& state) {
     cls[i] = static_cast<int32_t>((x >> 17) % nc);
   }
   std::vector<uint32_t> out(255 * nc);
-  const bool scalar = state.range(0) == 1;
   for (auto _ : state) {
     std::fill(out.begin(), out.end(), 0u);
-    if (scalar) {
-      kernels::CountBinClassScalar(bins.data(), cls.data(), n, nc, out.data());
-    } else {
-      kernels::CountBinClass(bins.data(), cls.data(), n, nc, out.data());
-    }
+    kernels::CountBinClass(bins.data(), cls.data(), n, nc, out.data());
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_CountBinClass)->Arg(0)->Arg(1);
+BENCHMARK(BM_CountBinClass);
 
 void BM_AuditPrediction(benchmark::State& state) {
   const Schema& schema = BaseSchema();

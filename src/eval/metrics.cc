@@ -61,9 +61,7 @@ bool RowMatchesClean(const Table& clean, const PollutionResult& pollution,
 
 CorrectionMatrix EvaluateCorrection(const Table& clean,
                                     const PollutionResult& pollution,
-                                    const AuditReport& report,
                                     const Table& corrected) {
-  (void)report;
   CorrectionMatrix m;
   for (size_t r = 0; r < pollution.dirty.num_rows(); ++r) {
     const bool before_ok =

@@ -76,11 +76,11 @@ DetectionMatrix EvaluateDetection(const PollutionResult& pollution,
                                   const AuditReport& report);
 
 /// \brief Builds the correction matrix: a dirty record is "correct" when
-/// every cell equals its clean origin; corrections are applied per the
-/// report's suggestions. Duplicate rows compare against their origin row.
+/// every cell equals its clean origin, before (`pollution.dirty`) and after
+/// correction (`corrected`, the dirty table with the report's suggestions
+/// applied). Duplicate rows compare against their origin row.
 CorrectionMatrix EvaluateCorrection(const Table& clean,
                                     const PollutionResult& pollution,
-                                    const AuditReport& report,
                                     const Table& corrected);
 
 /// \brief Convenience: row equality against the clean origin.

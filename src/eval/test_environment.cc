@@ -157,8 +157,8 @@ Result<ExperimentResult> TestEnvironment::Run() const {
     DQ_ASSIGN_OR_RETURN(
         Table corrected,
         auditor.ApplyCorrections(result.report, result.pollution.dirty));
-    result.correction = EvaluateCorrection(result.clean, result.pollution,
-                                           result.report, corrected);
+    result.correction =
+        EvaluateCorrection(result.clean, result.pollution, corrected);
   }
   result.sensitivity = result.detection.Sensitivity();
   result.specificity = result.detection.Specificity();

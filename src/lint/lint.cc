@@ -1,13 +1,13 @@
 #include "lint/lint.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "lint/rule_abstraction.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace dq {
@@ -123,39 +123,6 @@ void CollectAtoms(const Formula& f, std::vector<const Atom*>* out) {
     return;
   }
   for (const Formula& c : f.children()) CollectAtoms(c, out);
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -619,7 +586,7 @@ std::string RenderLintJson(const LintResult& result,
                            const std::string& source_name) {
   std::ostringstream out;
   out << "{\n"
-      << "  \"source\": \"" << EscapeJson(source_name) << "\",\n"
+      << "  \"source\": \"" << obs::JsonEscape(source_name) << "\",\n"
       << "  \"rules_checked\": " << result.rules_checked << ",\n"
       << "  \"errors\": " << result.NumErrors() << ",\n"
       << "  \"warnings\": " << result.NumWarnings() << ",\n"
@@ -637,7 +604,7 @@ std::string RenderLintJson(const LintResult& result,
           << ", \"related_line\": " << d.other_loc.line
           << ", \"related_column\": " << d.other_loc.column;
     }
-    out << ", \"message\": \"" << EscapeJson(d.message) << "\"}";
+    out << ", \"message\": \"" << obs::JsonEscape(d.message) << "\"}";
   }
   out << (result.diagnostics.empty() ? "]\n" : "\n  ]\n") << "}\n";
   return out.str();

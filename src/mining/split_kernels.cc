@@ -1,19 +1,11 @@
 #include "mining/split_kernels.h"
 
-#include "stats/descriptive.h"
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
-
 namespace dq::kernels {
 
-// ---------------------------------------------------------------------------
-// Scalar reference kernels. Counts are integers, so these define the exact
-// results every wide variant must reproduce bit-for-bit.
+const char* SimdLevel() { return "scalar"; }
 
-void CountBinClassScalar(const uint8_t* bins, const int32_t* cls, size_t n,
-                         size_t nc, uint32_t* out) {
+void CountBinClass(const uint8_t* bins, const int32_t* cls, size_t n,
+                   size_t nc, uint32_t* out) {
   for (size_t r = 0; r < n; ++r) {
     const uint8_t b = bins[r];
     const int32_t c = cls[r];
@@ -22,8 +14,8 @@ void CountBinClassScalar(const uint8_t* bins, const int32_t* cls, size_t n,
   }
 }
 
-void CountCodeClassScalar(const int32_t* codes, const int32_t* cls, size_t n,
-                          size_t nc, uint32_t* out) {
+void CountCodeClass(const int32_t* codes, const int32_t* cls, size_t n,
+                    size_t nc, uint32_t* out) {
   for (size_t r = 0; r < n; ++r) {
     const int32_t b = codes[r];
     const int32_t c = cls[r];
@@ -32,280 +24,9 @@ void CountCodeClassScalar(const int32_t* codes, const int32_t* cls, size_t n,
   }
 }
 
-void CountClassesScalar(const int32_t* cls, size_t n, uint32_t* out) {
+void CountClasses(const int32_t* cls, size_t n, uint32_t* out) {
   for (size_t r = 0; r < n; ++r) {
     if (cls[r] >= 0) ++out[static_cast<size_t>(cls[r])];
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SSE2 variants (baseline on x86-64). The wide part computes the flattened
-// histogram indices and the validity mask four rows at a time; the final
-// increments stay scalar (a scatter with possible index collisions cannot
-// be vectorized without conflict detection). 32x32->32 multiply is the
-// classic two-_mm_mul_epu32 shuffle because SSE2 has no _mm_mullo_epi32.
-
-#if defined(DQ_KERNELS_SSE2)
-
-namespace {
-
-inline __m128i Mullo32Sse2(__m128i a, __m128i b) {
-  const __m128i even = _mm_mul_epu32(a, b);
-  const __m128i odd =
-      _mm_mul_epu32(_mm_srli_si128(a, 4), _mm_srli_si128(b, 4));
-  return _mm_unpacklo_epi32(_mm_shuffle_epi32(even, _MM_SHUFFLE(0, 0, 2, 0)),
-                            _mm_shuffle_epi32(odd, _MM_SHUFFLE(0, 0, 2, 0)));
-}
-
-inline void Scatter4(__m128i idx, int valid_mask, uint32_t* out) {
-  alignas(16) int32_t buf[4];
-  _mm_store_si128(reinterpret_cast<__m128i*>(buf), idx);
-  for (int lane = 0; lane < 4; ++lane) {
-    if ((valid_mask >> lane) & 1) ++out[buf[lane]];
-  }
-}
-
-}  // namespace
-
-void CountBinClassSse2(const uint8_t* bins, const int32_t* cls, size_t n,
-                       size_t nc, uint32_t* out) {
-  const __m128i nc_v = _mm_set1_epi32(static_cast<int32_t>(nc));
-  const __m128i null_bin = _mm_set1_epi32(0xFF);
-  const __m128i zero = _mm_setzero_si128();
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    int32_t packed;
-    __builtin_memcpy(&packed, bins + r, 4);
-    __m128i b = _mm_cvtsi32_si128(packed);
-    b = _mm_unpacklo_epi8(b, zero);
-    b = _mm_unpacklo_epi16(b, zero);  // 4 x i32 bin codes
-    const __m128i c =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cls + r));
-    const __m128i invalid = _mm_or_si128(_mm_cmpeq_epi32(b, null_bin),
-                                         _mm_cmplt_epi32(c, zero));
-    const __m128i idx = _mm_add_epi32(Mullo32Sse2(b, nc_v), c);
-    const int valid =
-        (~_mm_movemask_ps(_mm_castsi128_ps(invalid))) & 0xF;
-    Scatter4(idx, valid, out);
-  }
-  CountBinClassScalar(bins + r, cls + r, n - r, nc, out);
-}
-
-void CountCodeClassSse2(const int32_t* codes, const int32_t* cls, size_t n,
-                        size_t nc, uint32_t* out) {
-  const __m128i nc_v = _mm_set1_epi32(static_cast<int32_t>(nc));
-  const __m128i zero = _mm_setzero_si128();
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    const __m128i b =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + r));
-    const __m128i c =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cls + r));
-    const __m128i invalid = _mm_or_si128(_mm_cmplt_epi32(b, zero),
-                                         _mm_cmplt_epi32(c, zero));
-    const __m128i idx = _mm_add_epi32(Mullo32Sse2(b, nc_v), c);
-    const int valid =
-        (~_mm_movemask_ps(_mm_castsi128_ps(invalid))) & 0xF;
-    Scatter4(idx, valid, out);
-  }
-  CountCodeClassScalar(codes + r, cls + r, n - r, nc, out);
-}
-
-void CountClassesSse2(const int32_t* cls, size_t n, uint32_t* out) {
-  const __m128i zero = _mm_setzero_si128();
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    const __m128i c =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cls + r));
-    const int valid =
-        (~_mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(c, zero)))) & 0xF;
-    Scatter4(c, valid, out);
-  }
-  CountClassesScalar(cls + r, n - r, out);
-}
-
-#endif  // DQ_KERNELS_SSE2
-
-// ---------------------------------------------------------------------------
-// AVX2 variants. The build baseline does not enable -mavx2, so the bodies
-// carry a function-level target attribute and callers must gate on
-// HasAvx2() (the dispatcher below does).
-
-#if defined(DQ_KERNELS_AVX2)
-
-bool HasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
-
-namespace {
-
-__attribute__((target("avx2"))) inline void Scatter8(__m256i idx,
-                                                     int valid_mask,
-                                                     uint32_t* out) {
-  alignas(32) int32_t buf[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(buf), idx);
-  for (int lane = 0; lane < 8; ++lane) {
-    if ((valid_mask >> lane) & 1) ++out[buf[lane]];
-  }
-}
-
-}  // namespace
-
-__attribute__((target("avx2"))) void CountBinClassAvx2(const uint8_t* bins,
-                                                       const int32_t* cls,
-                                                       size_t n, size_t nc,
-                                                       uint32_t* out) {
-  const __m256i nc_v = _mm256_set1_epi32(static_cast<int32_t>(nc));
-  const __m256i null_bin = _mm256_set1_epi32(0xFF);
-  const __m256i zero = _mm256_setzero_si256();
-  size_t r = 0;
-  for (; r + 8 <= n; r += 8) {
-    const __m256i b = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(bins + r)));
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cls + r));
-    const __m256i invalid = _mm256_or_si256(
-        _mm256_cmpeq_epi32(b, null_bin), _mm256_cmpgt_epi32(zero, c));
-    const __m256i idx = _mm256_add_epi32(_mm256_mullo_epi32(b, nc_v), c);
-    const int valid =
-        (~_mm256_movemask_ps(_mm256_castsi256_ps(invalid))) & 0xFF;
-    Scatter8(idx, valid, out);
-  }
-  CountBinClassScalar(bins + r, cls + r, n - r, nc, out);
-}
-
-__attribute__((target("avx2"))) void CountCodeClassAvx2(const int32_t* codes,
-                                                        const int32_t* cls,
-                                                        size_t n, size_t nc,
-                                                        uint32_t* out) {
-  const __m256i nc_v = _mm256_set1_epi32(static_cast<int32_t>(nc));
-  const __m256i zero = _mm256_setzero_si256();
-  size_t r = 0;
-  for (; r + 8 <= n; r += 8) {
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + r));
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cls + r));
-    const __m256i invalid = _mm256_or_si256(_mm256_cmpgt_epi32(zero, b),
-                                            _mm256_cmpgt_epi32(zero, c));
-    const __m256i idx = _mm256_add_epi32(_mm256_mullo_epi32(b, nc_v), c);
-    const int valid =
-        (~_mm256_movemask_ps(_mm256_castsi256_ps(invalid))) & 0xFF;
-    Scatter8(idx, valid, out);
-  }
-  CountCodeClassScalar(codes + r, cls + r, n - r, nc, out);
-}
-
-__attribute__((target("avx2"))) void CountClassesAvx2(const int32_t* cls,
-                                                      size_t n,
-                                                      uint32_t* out) {
-  const __m256i zero = _mm256_setzero_si256();
-  size_t r = 0;
-  for (; r + 8 <= n; r += 8) {
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cls + r));
-    const int valid =
-        (~_mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpgt_epi32(zero, c)))) &
-        0xFF;
-    Scatter8(c, valid, out);
-  }
-  CountClassesScalar(cls + r, n - r, out);
-}
-
-#endif  // DQ_KERNELS_AVX2
-
-// ---------------------------------------------------------------------------
-// Dispatch.
-
-namespace {
-
-enum class Level { kScalar, kSse2, kAvx2 };
-
-Level PickLevel() {
-#if defined(DQ_KERNELS_AVX2)
-  if (HasAvx2()) return Level::kAvx2;
-#endif
-#if defined(DQ_KERNELS_SSE2)
-  return Level::kSse2;
-#else
-  return Level::kScalar;
-#endif
-}
-
-Level CachedLevel() {
-  static const Level level = PickLevel();
-  return level;
-}
-
-}  // namespace
-
-const char* SimdLevel() {
-  switch (CachedLevel()) {
-    case Level::kAvx2:
-      return "avx2";
-    case Level::kSse2:
-      return "sse2";
-    case Level::kScalar:
-      return "scalar";
-  }
-  return "scalar";
-}
-
-void CountBinClass(const uint8_t* bins, const int32_t* cls, size_t n,
-                   size_t nc, uint32_t* out) {
-  switch (CachedLevel()) {
-#if defined(DQ_KERNELS_AVX2)
-    case Level::kAvx2:
-      CountBinClassAvx2(bins, cls, n, nc, out);
-      return;
-#endif
-#if defined(DQ_KERNELS_SSE2)
-    case Level::kSse2:
-      CountBinClassSse2(bins, cls, n, nc, out);
-      return;
-#endif
-    default:
-      CountBinClassScalar(bins, cls, n, nc, out);
-  }
-}
-
-void CountCodeClass(const int32_t* codes, const int32_t* cls, size_t n,
-                    size_t nc, uint32_t* out) {
-  switch (CachedLevel()) {
-#if defined(DQ_KERNELS_AVX2)
-    case Level::kAvx2:
-      CountCodeClassAvx2(codes, cls, n, nc, out);
-      return;
-#endif
-#if defined(DQ_KERNELS_SSE2)
-    case Level::kSse2:
-      CountCodeClassSse2(codes, cls, n, nc, out);
-      return;
-#endif
-    default:
-      CountCodeClassScalar(codes, cls, n, nc, out);
-  }
-}
-
-void CountClasses(const int32_t* cls, size_t n, uint32_t* out) {
-  switch (CachedLevel()) {
-#if defined(DQ_KERNELS_AVX2)
-    case Level::kAvx2:
-      CountClassesAvx2(cls, n, out);
-      return;
-#endif
-#if defined(DQ_KERNELS_SSE2)
-    case Level::kSse2:
-      CountClassesSse2(cls, n, out);
-      return;
-#endif
-    default:
-      CountClassesScalar(cls, n, out);
-  }
-}
-
-void EntropyRows(const double* counts, size_t rows, size_t nc, double* out) {
-  for (size_t i = 0; i < rows; ++i) {
-    out[i] = EntropyBits(counts + i * nc, nc);
   }
 }
 

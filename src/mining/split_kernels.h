@@ -1,17 +1,12 @@
-// Tight scan kernels for the C4.5 split search (histogram mode).
+// Joint-count kernels for the C4.5 split search (histogram mode).
 //
-// The histogram split evaluator reduces tree build to two hot loops:
-// joint (bin, class) count accumulation over dense code columns, and
-// entropy-from-counts over small histogram rows. Both live here as plain
-// autovectorization-friendly scalar loops plus explicit-width SSE2/AVX2
-// variants (the wide variants compute the gather *indices* with SIMD and
-// resolve the scatter increments scalarly — the counts are integers, so
-// every variant is bit-identical to the scalar path and is unit-tested to
-// be; see split_kernels_test).
-//
-// Dispatch: AVX2 is compiled behind a function-level target attribute and
-// selected at runtime via __builtin_cpu_supports, so the baseline build
-// (no -mavx2) still ships it. SSE2 is unconditional on x86-64.
+// The histogram split evaluator scans each whole column once at the tree
+// root, accumulating joint (bin, class) counts over dense code columns.
+// Those root scans live here as plain scalar loops, one body each. The
+// increments are a scatter whose indices can collide, so SIMD can only
+// compute the indices, which saves a few microseconds per 20k-row column:
+// too little to show end to end (EXPERIMENTS.md). split_kernels_test
+// checks each kernel against a naive count.
 
 #ifndef DQ_MINING_SPLIT_KERNELS_H_
 #define DQ_MINING_SPLIT_KERNELS_H_
@@ -21,13 +16,10 @@
 
 namespace dq::kernels {
 
-/// \brief Name of the widest count-kernel variant the dispatcher picks on
-/// this machine: "avx2", "sse2" or "scalar".
+/// \brief Name of the count-kernel body this build runs: always "scalar"
+/// (the benchmarks print it in their machine fingerprint).
 const char* SimdLevel();
 
-// ---------------------------------------------------------------------------
-// Dense joint-count kernels (whole-column scans, used at the tree root).
-//
 // All kernels ADD into `out` (callers zero it); rows with a negative class
 // code are skipped, as are rows with a null attribute code (0xFF bin code
 // resp. negative nominal code).
@@ -36,49 +28,14 @@ const char* SimdLevel();
 /// (null) and cls[r] < 0 rows are skipped.
 void CountBinClass(const uint8_t* bins, const int32_t* cls, size_t n,
                    size_t nc, uint32_t* out);
-void CountBinClassScalar(const uint8_t* bins, const int32_t* cls, size_t n,
-                         size_t nc, uint32_t* out);
 
 /// \brief out[codes[r] * nc + cls[r]] += 1 over all rows; codes[r] < 0
 /// (null) and cls[r] < 0 rows are skipped.
 void CountCodeClass(const int32_t* codes, const int32_t* cls, size_t n,
                     size_t nc, uint32_t* out);
-void CountCodeClassScalar(const int32_t* codes, const int32_t* cls, size_t n,
-                          size_t nc, uint32_t* out);
 
 /// \brief out[cls[r]] += 1 over all rows with cls[r] >= 0.
 void CountClasses(const int32_t* cls, size_t n, uint32_t* out);
-void CountClassesScalar(const int32_t* cls, size_t n, uint32_t* out);
-
-#if defined(__x86_64__) && defined(__SSE2__)
-#define DQ_KERNELS_SSE2 1
-void CountBinClassSse2(const uint8_t* bins, const int32_t* cls, size_t n,
-                       size_t nc, uint32_t* out);
-void CountCodeClassSse2(const int32_t* codes, const int32_t* cls, size_t n,
-                        size_t nc, uint32_t* out);
-void CountClassesSse2(const int32_t* cls, size_t n, uint32_t* out);
-#endif
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define DQ_KERNELS_AVX2 1
-/// \brief True when the CPU supports AVX2 (the build baseline does not
-/// assume it; the AVX2 bodies are compiled with a target attribute).
-bool HasAvx2();
-void CountBinClassAvx2(const uint8_t* bins, const int32_t* cls, size_t n,
-                       size_t nc, uint32_t* out);
-void CountCodeClassAvx2(const int32_t* codes, const int32_t* cls, size_t n,
-                        size_t nc, uint32_t* out);
-void CountClassesAvx2(const int32_t* cls, size_t n, uint32_t* out);
-#endif
-
-// ---------------------------------------------------------------------------
-// Batched entropy.
-
-/// \brief Entropy (bits) of each of `rows` count rows of width `nc`
-/// (row-major, stride nc): out[i] = EntropyBits(counts + i * nc, nc).
-/// The log2 calls resolve through the stats XLog2X cache for integral
-/// counts, which is the hot case (unit-weight training instances).
-void EntropyRows(const double* counts, size_t rows, size_t nc, double* out);
 
 }  // namespace dq::kernels
 

@@ -424,9 +424,12 @@ double JsonValue::AsDouble(double fallback) const {
 int64_t JsonValue::AsInt64(int64_t fallback) const {
   if (kind != Kind::kNumber) return fallback;
   // Fractional/exponent spellings fall back to the double path so "3.0"
-  // still reads as 3.
+  // still reads as 3. A double outside [-2^63, 2^63), or not finite, has
+  // no int64 value (converting it is undefined), so it reads as fallback.
   if (number_raw.find_first_of(".eE") != std::string::npos) {
-    return static_cast<int64_t>(AsDouble(static_cast<double>(fallback)));
+    const double d = AsDouble();
+    if (!(d >= -0x1p63 && d < 0x1p63)) return fallback;
+    return static_cast<int64_t>(d);
   }
   return static_cast<int64_t>(std::strtoll(number_raw.c_str(), nullptr, 10));
 }
@@ -435,7 +438,9 @@ uint64_t JsonValue::AsUint64(uint64_t fallback) const {
   if (kind != Kind::kNumber) return fallback;
   if (!number_raw.empty() && number_raw[0] == '-') return fallback;
   if (number_raw.find_first_of(".eE") != std::string::npos) {
-    return static_cast<uint64_t>(AsDouble(static_cast<double>(fallback)));
+    const double d = AsDouble();
+    if (!(d >= 0.0 && d < 0x1p64)) return fallback;
+    return static_cast<uint64_t>(d);
   }
   return static_cast<uint64_t>(
       std::strtoull(number_raw.c_str(), nullptr, 10));

@@ -4,10 +4,10 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "common/strings.h"
 #include "obs/json.h"
 
 namespace dq::obs {
@@ -27,7 +27,9 @@ std::string Trim(std::string_view s) {
 }
 
 /// Parses "key=value key=value ..." from an "# @rule" comment body.
-void ParseAnnotationFields(const std::string& body, AnnotatedRule* rule) {
+/// `conf` and `coverage` must parse whole as finite numbers and `support`
+/// as a non-negative integer; otherwise the error names the key.
+Status ParseAnnotationFields(const std::string& body, AnnotatedRule* rule) {
   std::istringstream in(body);
   std::string token;
   while (in >> token) {
@@ -35,17 +37,27 @@ void ParseAnnotationFields(const std::string& body, AnnotatedRule* rule) {
     if (eq == std::string::npos) continue;
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
+    bool ok = true;
     if (key == "conf") {
-      rule->confidence = std::strtod(value.c_str(), nullptr);
+      ok = ParseDouble(value, &rule->confidence) &&
+           std::isfinite(rule->confidence);
     } else if (key == "support") {
-      rule->support = std::strtoull(value.c_str(), nullptr, 10);
+      int64_t support = 0;
+      ok = ParseInt64(value, &support) && support >= 0;
+      rule->support = static_cast<uint64_t>(support);
     } else if (key == "coverage") {
-      rule->coverage = std::strtod(value.c_str(), nullptr);
+      ok = ParseDouble(value, &rule->coverage) &&
+           std::isfinite(rule->coverage);
     } else if (key == "source") {
       rule->source = value;
     }
     // Unknown keys: ignored for forward compatibility.
+    if (!ok) {
+      return Status::InvalidArgument("'# @rule' annotation has a bad '" +
+                                     key + "' value '" + value + "'");
+    }
   }
+  return Status::OK();
 }
 
 bool IsNumericToken(const std::string& token) {
@@ -149,7 +161,11 @@ Result<std::vector<AnnotatedRule>> ParseAnnotatedRuleFile(
         }
         pending = AnnotatedRule{};
         pending.annotated = true;
-        ParseAnnotationFields(body.substr(5), &pending);
+        const Status fields = ParseAnnotationFields(body.substr(5), &pending);
+        if (!fields.ok()) {
+          return Status::InvalidArgument("line " + std::to_string(line_no) +
+                                         ": " + fields.message());
+        }
         has_pending = true;
       }
       continue;

@@ -2,20 +2,18 @@
 
 #include <algorithm>
 
-#if defined(__x86_64__)
-#include <immintrin.h>
+#if defined(__SSE2__)
+#include <emmintrin.h>
 #endif
 
 namespace dq::csvscan {
 
-// ---------------------------------------------------------------------------
-// Scalar reference kernel. Byte classification is exact, so this defines
-// the result every wide variant must reproduce bit-for-bit.
+namespace {
 
-void ScanStructuralScalar(const char* data, size_t n, char sep,
-                          uint64_t* words) {
-  std::fill(words, words + StructuralWords(n), uint64_t{0});
-  for (size_t i = 0; i < n; ++i) {
+/// Sets the index bit of every structural byte in data[begin, n).
+void MarkStructural(const char* data, size_t begin, size_t n, char sep,
+                    uint64_t* words) {
+  for (size_t i = begin; i < n; ++i) {
     const char c = data[i];
     if (c == sep || c == '"' || c == '\n' || c == '\r') {
       words[i >> 6] |= uint64_t{1} << (i & 63);
@@ -23,14 +21,21 @@ void ScanStructuralScalar(const char* data, size_t n, char sep,
   }
 }
 
-// ---------------------------------------------------------------------------
-// SSE2 (baseline on x86-64): four byte-compares per 16-byte lane, OR'd and
-// movemask'd into 16 index bits; four lanes fill one 64-bit word.
+}  // namespace
 
-#if defined(DQ_CSV_SCAN_SSE2)
+void ScanStructuralScalar(const char* data, size_t n, char sep,
+                          uint64_t* words) {
+  std::fill(words, words + StructuralWords(n), uint64_t{0});
+  MarkStructural(data, 0, n, sep, words);
+}
 
-void ScanStructuralSse2(const char* data, size_t n, char sep,
-                        uint64_t* words) {
+#if defined(__SSE2__)
+
+const char* SimdLevel() { return "sse2"; }
+
+// Four byte-compares per 16-byte lane, OR'd and movemask'd into 16 index
+// bits; four lanes fill one 64-bit word.
+void ScanStructural(const char* data, size_t n, char sep, uint64_t* words) {
   std::fill(words, words + StructuralWords(n), uint64_t{0});
   const __m128i vsep = _mm_set1_epi8(sep);
   const __m128i vquote = _mm_set1_epi8('"');
@@ -47,108 +52,17 @@ void ScanStructuralSse2(const char* data, size_t n, char sep,
         static_cast<uint64_t>(static_cast<uint32_t>(_mm_movemask_epi8(hit)));
     words[i >> 6] |= bits << (i & 63);
   }
-  for (; i < n; ++i) {
-    const char c = data[i];
-    if (c == sep || c == '"' || c == '\n' || c == '\r') {
-      words[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
+  MarkStructural(data, i, n, sep, words);
 }
 
-#endif  // DQ_CSV_SCAN_SSE2
-
-// ---------------------------------------------------------------------------
-// AVX2: same classification two 32-byte lanes per word. The build baseline
-// does not enable -mavx2, so the body carries a target attribute and the
-// dispatcher gates on HasAvx2().
-
-#if defined(DQ_CSV_SCAN_AVX2)
-
-bool HasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
-
-__attribute__((target("avx2"))) void ScanStructuralAvx2(const char* data,
-                                                        size_t n, char sep,
-                                                        uint64_t* words) {
-  std::fill(words, words + StructuralWords(n), uint64_t{0});
-  const __m256i vsep = _mm256_set1_epi8(sep);
-  const __m256i vquote = _mm256_set1_epi8('"');
-  const __m256i vlf = _mm256_set1_epi8('\n');
-  const __m256i vcr = _mm256_set1_epi8('\r');
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    const __m256i hit = _mm256_or_si256(
-        _mm256_or_si256(_mm256_cmpeq_epi8(v, vsep),
-                        _mm256_cmpeq_epi8(v, vquote)),
-        _mm256_or_si256(_mm256_cmpeq_epi8(v, vlf),
-                        _mm256_cmpeq_epi8(v, vcr)));
-    const auto bits = static_cast<uint64_t>(
-        static_cast<uint32_t>(_mm256_movemask_epi8(hit)));
-    words[i >> 6] |= bits << (i & 63);
-  }
-  for (; i < n; ++i) {
-    const char c = data[i];
-    if (c == sep || c == '"' || c == '\n' || c == '\r') {
-      words[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
-#endif  // DQ_CSV_SCAN_AVX2
-
-// ---------------------------------------------------------------------------
-// Dispatch (mirrors mining/split_kernels).
-
-namespace {
-
-enum class Level { kScalar, kSse2, kAvx2 };
-
-Level PickLevel() {
-#if defined(DQ_CSV_SCAN_AVX2)
-  if (HasAvx2()) return Level::kAvx2;
-#endif
-#if defined(DQ_CSV_SCAN_SSE2)
-  return Level::kSse2;
 #else
-  return Level::kScalar;
-#endif
-}
 
-Level CachedLevel() {
-  static const Level level = PickLevel();
-  return level;
-}
-
-}  // namespace
-
-const char* SimdLevel() {
-  switch (CachedLevel()) {
-    case Level::kAvx2:
-      return "avx2";
-    case Level::kSse2:
-      return "sse2";
-    case Level::kScalar:
-      return "scalar";
-  }
-  return "scalar";
-}
+const char* SimdLevel() { return "scalar"; }
 
 void ScanStructural(const char* data, size_t n, char sep, uint64_t* words) {
-  switch (CachedLevel()) {
-#if defined(DQ_CSV_SCAN_AVX2)
-    case Level::kAvx2:
-      ScanStructuralAvx2(data, n, sep, words);
-      return;
-#endif
-#if defined(DQ_CSV_SCAN_SSE2)
-    case Level::kSse2:
-      ScanStructuralSse2(data, n, sep, words);
-      return;
-#endif
-    default:
-      ScanStructuralScalar(data, n, sep, words);
-  }
+  ScanStructuralScalar(data, n, sep, words);
 }
+
+#endif  // __SSE2__
 
 }  // namespace dq::csvscan

@@ -7,12 +7,11 @@
 // positions and everything in between is one bulk append — so tokenizer
 // cost scales with the density of structure, not with file size.
 //
-// Kernels follow the split_kernels pattern: an autovectorization-friendly
-// scalar loop defines the exact result, SSE2 is unconditional on x86-64,
-// and AVX2 is compiled behind a function-level target attribute and picked
-// at runtime via __builtin_cpu_supports so the baseline build still ships
-// it. The wide variants are bit-identical to the scalar one (a byte either
-// is or is not structural); csv_scan_test proves it on randomized buffers.
+// One body per build, chosen at compile time: SSE2 (the x86-64 baseline,
+// no target attribute) where the compiler targets it, the scalar loop
+// everywhere else. The scalar loop stays public as the tests' reference;
+// a byte either is or is not structural, so both bodies agree bit for bit
+// and csv_scan_test checks them against a naive index.
 
 #ifndef DQ_TABLE_CSV_SCAN_H_
 #define DQ_TABLE_CSV_SCAN_H_
@@ -22,8 +21,7 @@
 
 namespace dq::csvscan {
 
-/// \brief Name of the widest scan-kernel variant the dispatcher picks on
-/// this machine: "avx2", "sse2" or "scalar".
+/// \brief Name of the scan body this build runs: "sse2" or "scalar".
 const char* SimdLevel();
 
 /// \brief Number of 64-bit index words covering `n` bytes.
@@ -33,23 +31,10 @@ inline size_t StructuralWords(size_t n) { return (n + 63) >> 6; }
 /// `words[i / 64]` is set iff data[i] is `sep`, '"', '\n' or '\r'. All
 /// StructuralWords(n) words are (re)written; bits at or past n are zero.
 void ScanStructural(const char* data, size_t n, char sep, uint64_t* words);
+
+/// \brief The byte-at-a-time loop: same result as ScanStructural.
 void ScanStructuralScalar(const char* data, size_t n, char sep,
                           uint64_t* words);
-
-#if defined(__x86_64__) && defined(__SSE2__)
-#define DQ_CSV_SCAN_SSE2 1
-void ScanStructuralSse2(const char* data, size_t n, char sep,
-                        uint64_t* words);
-#endif
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define DQ_CSV_SCAN_AVX2 1
-/// \brief True when the CPU supports AVX2 (the build baseline does not
-/// assume it; the AVX2 body carries a target attribute).
-bool HasAvx2();
-void ScanStructuralAvx2(const char* data, size_t n, char sep,
-                        uint64_t* words);
-#endif
 
 }  // namespace dq::csvscan
 

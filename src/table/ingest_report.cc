@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace dq {
 
 namespace {
@@ -13,40 +15,6 @@ constexpr std::array<CsvErrorKind, 5> kAllKinds = {
     CsvErrorKind::kUnterminatedQuote, CsvErrorKind::kStrayQuote,
     CsvErrorKind::kArityMismatch, CsvErrorKind::kBadValue,
     CsvErrorKind::kBadHeader};
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -112,8 +80,8 @@ std::string IngestReport::ToJson() const {
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\"line\": " << e.line << ", \"column\": " << e.column
        << ", \"kind\": \"" << CsvErrorKindToString(e.kind)
-       << "\", \"message\": \"" << EscapeJson(e.message) << "\", \"raw\": \""
-       << EscapeJson(e.raw) << "\"}";
+       << "\", \"message\": \"" << obs::JsonEscape(e.message)
+       << "\", \"raw\": \"" << obs::JsonEscape(e.raw) << "\"}";
   }
   os << (errors.empty() ? "]\n" : "\n  ]\n");
   os << "}\n";

@@ -122,9 +122,7 @@ TEST(EvaluateTest, CorrectionMatrixFromTables) {
   Table corrected = pollution.dirty;
   corrected.SetCell(2, 0, Value::Nominal(0));  // repaired
   corrected.SetCell(1, 0, Value::Nominal(2));  // damaged a clean row
-  AuditReport unused;
-  CorrectionMatrix m =
-      EvaluateCorrection(clean, pollution, unused, corrected);
+  CorrectionMatrix m = EvaluateCorrection(clean, pollution, corrected);
   EXPECT_EQ(m.a, 1u);  // row 0 stayed correct
   EXPECT_EQ(m.b, 1u);  // row 1 damaged
   EXPECT_EQ(m.c, 1u);  // row 2 repaired

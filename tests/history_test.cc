@@ -44,6 +44,18 @@ TEST(JsonParseTest, PreservesLargeIntegersViaRawSpelling) {
   ASSERT_TRUE(ParseJson("{\"n\":18446744073709551615}", &v));
   // 2^64 - 1 survives; a double round trip would have lost precision.
   EXPECT_EQ(v.Find("n")->AsUint64(), 18446744073709551615ull);
+  // Exponent spellings go through a double; one the integer type cannot
+  // hold (or an infinity) reads as the fallback.
+  for (const char* text : {"1e300", "-1e300", "1e999", "9.3e18"}) {
+    ASSERT_TRUE(ParseJson(text, &v)) << text;
+    EXPECT_EQ(v.AsInt64(-7), -7) << text;
+  }
+  for (const char* text : {"2e19", "1e300"}) {
+    ASSERT_TRUE(ParseJson(text, &v)) << text;
+    EXPECT_EQ(v.AsUint64(7), 7u) << text;
+  }
+  ASSERT_TRUE(ParseJson("9.2e18", &v));
+  EXPECT_EQ(v.AsInt64(-7), int64_t{9200000000000000000});
 }
 
 TEST(JsonParseTest, DecodesEscapesAndUnicode) {
@@ -409,6 +421,16 @@ TEST(RuleDiffTest, RejectsDanglingAnnotation) {
   EXPECT_FALSE(
       ParseAnnotatedRuleFile("# @rule conf=0.9\n# @rule conf=0.8\nA = 1 -> B = 2\n")
           .ok());
+  // Annotation values must parse whole; the error names the line and key.
+  for (const std::string bad : {"conf=abc", "coverage=0.5x", "support=-1"}) {
+    auto parsed = ParseAnnotatedRuleFile("A = 1 -> B = 2\n# @rule " + bad +
+                                         "\nA = 1 -> B = 3\n");
+    ASSERT_FALSE(parsed.ok()) << bad;
+    const std::string& message = parsed.status().message();
+    EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+    const std::string key = bad.substr(0, bad.find('='));
+    EXPECT_NE(message.find("'" + key + "'"), std::string::npos) << message;
+  }
 }
 
 TEST(RuleDiffTest, DetectsThresholdShiftNotEqualityChange) {

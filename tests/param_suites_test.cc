@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "audit/auditor.h"
 #include "logic/sat.h"
@@ -290,6 +291,13 @@ struct SatSchemaShape {
   double numeric_width;
   int date_span;
 };
+
+// gtest appends the printed parameter to each ctest name. Without this
+// printer it dumps the struct's bytes, whose `name` pointer and padding
+// differ between builds.
+void PrintTo(const SatSchemaShape& shape, std::ostream* os) {
+  *os << shape.name;
+}
 
 class SatSoundnessSuite : public testing::TestWithParam<SatSchemaShape> {
  protected:
