@@ -1,6 +1,7 @@
 #include "audit/auditor.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <unordered_set>
 
@@ -73,9 +74,7 @@ Result<AuditModel> Auditor::Induce(const Table& train) const {
   }
 
   // Collect the per-attribute induction jobs up front; each is independent
-  // of the others (one classifier per class attribute, sec. 5), so they
-  // dispatch across the thread pool and land in pre-assigned slots —
-  // the model is identical for every thread count.
+  // of the others (one classifier per class attribute, sec. 5).
   struct Job {
     int class_attr = -1;
     std::vector<int> base_attrs;
@@ -98,7 +97,15 @@ Result<AuditModel> Auditor::Induce(const Table& train) const {
     jobs.push_back(std::move(job));
   }
 
-  const int threads = ResolveThreadCount(config_.num_threads);
+  // One pool serves the encode and the k inductions: every attribute is
+  // one item, and each tree grows serially on whichever worker takes it.
+  // Workers beyond the jobs or the hardware threads could only idle or
+  // contend.
+  const int workers = std::min({ResolveThreadCount(config_.num_threads),
+                                static_cast<int>(jobs.size()),
+                                HardwareThreads()});
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
 
   // The audit-wide encode cache: column views, SLIQ sort orders, value
   // bins and class encodings are a pure function of the table, so they are
@@ -107,27 +114,21 @@ Result<AuditModel> Auditor::Induce(const Table& train) const {
   {
     obs::Span encode_span("induce.encode");
     encoded.emplace(
-        EncodedDataset::Build(train, config_.numeric_class_bins, threads));
+        EncodedDataset::Build(train, config_.numeric_class_bins, pool.get()));
   }
 
+  // Each job lands in its pre-assigned slot, so the model is identical for
+  // every thread count. Worker spans stitch under this Induce call's span:
+  // the context is captured here on the dispatching thread and installed
+  // inside each job. The per-attribute span is keyed by the class
+  // attribute index, so the stitched tree is the same for every thread
+  // count; with more than one worker, the c45.build spans of different
+  // trees overlap in time.
   std::vector<std::optional<AttributeModel>> slots(jobs.size());
   std::vector<Status> fatal(jobs.size());
-
-  // Parallelism is applied on one of two axes, never both:
-  //
-  //  * histogram-mode C4.5 parallelizes INSIDE each Train (the breadth-wise
-  //    node frontier), so the k inductions run sequentially here sharing
-  //    one pool — per-tree spans never overlap, so the summed c45.build
-  //    spans stay a faithful non-overlapping wall-clock total;
-  //  * every other inducer has serial Train calls, so the k independent
-  //    jobs fan out ACROSS the pool as before.
-  //
-  // Both axes produce bitwise-identical models for every thread count
-  // (pre-assigned slots here, deterministic frontier reduction there).
-  const bool intra_tree = config_.inducer == InducerKind::kC45 &&
-                          config_.c45.split_mode == SplitMode::kHistogram;
-
-  auto run_job = [&](size_t j, ThreadPool* pool) {
+  const obs::TaskContext trace_ctx = obs::Tracer::Global().CurrentContext();
+  RunBatch(pool.get(), jobs.size(), [&](size_t j) {
+    obs::TaskScope task_scope(trace_ctx);
     obs::Span span("induce.attr", jobs[j].class_attr);
     const Job& job = jobs[j];
     AttributeModel am;
@@ -148,7 +149,6 @@ Result<AuditModel> Auditor::Induce(const Table& train) const {
     td.encoded = &*encoded;
     td.class_attr = job.class_attr;
     td.base_attrs = am.base_attrs;
-    td.pool = pool;
     Status trained = am.classifier->Train(td);
     if (!trained.ok()) {
       // An attribute that cannot be modelled (e.g. all class values null)
@@ -156,31 +156,7 @@ Result<AuditModel> Auditor::Induce(const Table& train) const {
       return;
     }
     slots[j] = std::move(am);
-  };
-
-  if (intra_tree) {
-    // Worker threads beyond the physical cores cannot speed node-parallel
-    // induction -- they only add scheduling contention on the shared
-    // frontier batches -- so the intra-tree pool is clamped to the
-    // hardware concurrency. The tree is pool-size invariant (pre-assigned
-    // result slots), so the clamp never changes output.
-    const int workers = std::min(threads, HardwareThreads());
-    std::optional<ThreadPool> pool;
-    if (workers > 1) pool.emplace(workers);
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      run_job(j, pool.has_value() ? &*pool : nullptr);
-    }
-  } else {
-    // Worker spans stitch under this Induce call's span: the context is
-    // captured here on the dispatching thread and installed inside each
-    // task. The per-attribute span is keyed by the class attribute index,
-    // so the stitched tree is the same for every thread count.
-    const obs::TaskContext trace_ctx = obs::Tracer::Global().CurrentContext();
-    ParallelFor(threads, jobs.size(), [&](size_t j) {
-      obs::TaskScope task_scope(trace_ctx);
-      run_job(j, nullptr);
-    });
-  }
+  });
   for (const Status& status : fatal) {
     if (!status.ok()) return status;
   }

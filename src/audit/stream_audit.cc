@@ -98,11 +98,7 @@ Result<StreamAuditResult> RunStreamingAudit(
     auto audit_one = [&](size_t i) {
       reports[i] = segment_auditor.Audit(result.model, *pinned[i]);
     };
-    if (pool.has_value()) {
-      pool->RunBatch(count, audit_one);
-    } else {
-      for (size_t i = 0; i < count; ++i) audit_one(i);
-    }
+    RunBatch(pool.has_value() ? &*pool : nullptr, count, audit_one);
     for (size_t i = 0; i < count; ++i) {
       if (!reports[i].ok()) return reports[i].status();
       AuditReport& report = *reports[i];

@@ -167,8 +167,10 @@ void ThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn) {
       }
     }
   };
+  // The caller drains too, so num_threads() - 1 helpers keep at most
+  // num_threads() items in flight.
   const size_t helpers =
-      std::min<size_t>(static_cast<size_t>(num_threads()), n - 1);
+      std::min<size_t>(static_cast<size_t>(num_threads()) - 1, n - 1);
   for (size_t h = 0; h < helpers; ++h) Submit(drain);
   drain();
   std::unique_lock<std::mutex> lock(state->mu);
@@ -176,6 +178,15 @@ void ThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn) {
     return state->done.load(std::memory_order_acquire) == state->n;
   });
   if (state->error) std::rethrow_exception(state->error);
+}
+
+void RunBatch(ThreadPool* pool, size_t n,
+              const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->RunBatch(n, fn);
+  } else {
+    for (size_t i = 0; i < n; ++i) fn(i);
+  }
 }
 
 void ParallelFor(int num_threads, size_t n,

@@ -75,14 +75,14 @@ class ThreadPool {
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// \brief Runs fn(i) for every i in [0, n) with item-granular work
-  /// stealing, blocking until done. Unlike ParallelFor this is safe to call
-  /// from code that itself runs on pool workers: the caller participates in
-  /// draining the shared index counter, so progress is guaranteed even when
-  /// every worker is busy (no nested-wait deadlock). Used for the per-node
-  /// and per-attribute-per-node task batches of intra-tree C4.5
-  /// parallelism; callers keep determinism by writing results to
-  /// pre-assigned slots. The first exception thrown by any item is
-  /// rethrown in the caller after the batch completes.
+  /// stealing, blocking until done. The caller drains the shared index
+  /// counter alongside num_threads() - 1 helpers, so at most num_threads()
+  /// items run at once and progress is guaranteed even when every worker
+  /// is busy (no nested-wait deadlock). Used for the per-attribute encode
+  /// and induction jobs of Auditor::Induce and the streaming pin window;
+  /// callers keep determinism by writing results to pre-assigned slots.
+  /// The first exception thrown by any item is rethrown in the caller
+  /// after the batch completes.
   void RunBatch(size_t n, const std::function<void(size_t)>& fn);
 
  private:
@@ -94,6 +94,11 @@ class ThreadPool {
   bool shutting_down_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// \brief pool->RunBatch(n, fn), or fn(i) for i in [0, n) inline when
+/// `pool` is null.
+void RunBatch(ThreadPool* pool, size_t n,
+              const std::function<void(size_t)>& fn);
 
 /// \brief One-shot data-parallel loop: runs fn(i) for i in [0, n) on
 /// `num_threads` (0 = hardware concurrency). Executes inline when a pool

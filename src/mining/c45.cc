@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/parallel.h"
 #include "common/strings.h"
 #include "mining/encoded_dataset.h"
 #include "mining/histogram.h"
@@ -163,13 +162,7 @@ int MajorityOf(const std::vector<double>& counts) {
   return best;
 }
 
-struct SplitEval {
-  bool valid = false;
-  double gain = 0.0;
-  double gain_ratio = 0.0;
-  bool ordered = false;
-  double threshold = 0.0;
-};
+using kernels::SplitEval;
 
 constexpr double kEps = kTreeWeightEpsilon;
 
@@ -217,36 +210,41 @@ Status C45Tree::Train(const TrainingData& data) {
         "no training instances with non-null class value");
   }
 
-  if (config_.split_mode == SplitMode::kHistogram) {
-    return TrainHistogram(data, &ctx, std::move(insts));
-  }
-
   std::vector<bool> avail(schema.num_attributes(), false);
   for (int a : data.base_attrs) avail[static_cast<size_t>(a)] = true;
 
+  double build_ms = 0.0;
   {
-    obs::Span span("c45.build", data.class_attr);
-    // SLIQ attribute lists: the shared sort order holds ALL value-known
-    // rows stable-sorted by (value, row); filtering it down to the rows
-    // with a known class value keeps that order, in O(n) per attribute.
-    NodeData root_data;
-    root_data.insts = std::move(insts);
-    root_data.sorted.assign(schema.num_attributes(), {});
-    ctx.branch_scratch.assign(num_rows, -2);
-    for (int a : data.base_attrs) {
-      const size_t attr = static_cast<size_t>(a);
-      if (ctx.ordered_cols[attr] == nullptr) continue;
-      std::vector<Inst>& list = root_data.sorted[attr];
-      list.reserve(root_data.insts.size());
-      for (uint32_t r : cache.sort_order(attr)) {
-        if (ctx.class_codes[r] >= 0) list.emplace_back(r, 1.0);
+    obs::Span span("c45.build", data.class_attr, &build_ms);
+    if (config_.split_mode == SplitMode::kHistogram) {
+      BuildHistogram(cache, ctx, std::move(insts), std::move(avail));
+    } else {
+      // SLIQ attribute lists: the shared sort order holds ALL value-known
+      // rows stable-sorted by (value, row); filtering it down to the rows
+      // with a known class value keeps that order, in O(n) per attribute.
+      NodeData root_data;
+      root_data.insts = std::move(insts);
+      root_data.sorted.assign(schema.num_attributes(), {});
+      ctx.branch_scratch.assign(num_rows, -2);
+      for (int a : data.base_attrs) {
+        const size_t attr = static_cast<size_t>(a);
+        if (ctx.ordered_cols[attr] == nullptr) continue;
+        std::vector<Inst>& list = root_data.sorted[attr];
+        list.reserve(root_data.insts.size());
+        for (uint32_t r : cache.sort_order(attr)) {
+          if (ctx.class_codes[r] >= 0) list.emplace_back(r, 1.0);
+        }
       }
+      root_ = Build(&ctx, std::move(root_data), std::move(avail), 0);
     }
-    root_ = Build(&ctx, std::move(root_data), std::move(avail), 0);
     if (config_.pruning == PruningMode::kPessimistic) {
       PrunePessimistic(root_.get());
     }
   }
+  // When trees build side by side, the slowest one sets the induce time.
+  static obs::Histogram* const build_times = obs::GetHistogram(
+      "c45.tree_build_ms", {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
+  build_times->Observe(build_ms);
   compiled_ = Compile();
   obs::GetCounter("c45.tree_nodes")->Add(NodeCount());
   return Status::OK();
@@ -593,22 +591,21 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
 // are filled in one pass over its instances. Three cost levers stack:
 //
 //   * evaluation is O(bins x classes) per attribute instead of
-//     O(rows x classes) with a log2 per distinct boundary;
+//     O(rows x classes) with a log2 per distinct boundary, and the
+//     threshold sweep (kernels::SweepBinnedSplit) refreshes a class's
+//     log2 term only when a bin moves weight across;
 //   * the largest child of a split never gets scanned -- its histograms
 //     are reconstructed as parent minus the scanned siblings;
-//   * the tree grows breadth-wise (level-synchronous frontier), and each
-//     level fans out per-(family, attribute) histogram/eval tasks and
-//     per-node partition tasks onto the Train pool (TrainingData::pool)
-//     via ThreadPool::RunBatch.
+//   * the tree grows level by level, one sibling family at a time, so a
+//     node's histogram block lives only from its scan to its split; only
+//     the parent blocks kept for subtraction outlive a level.
 //
-// Determinism: every task writes pre-assigned slots (a child's histogram
-// slice, a node's eval slot), reductions walk fixed attribute/branch
-// order, and the inline and pooled dispatch run the same code -- the tree
-// is bitwise-identical for every thread count. The integrated Def. 9
-// pruning of the recursive path is deferred to one post-order pass after
-// the frontier finishes, which provably yields the same tree: construction
-// is pure top-down, so pruning decisions only ever consume finished
-// subtrees in both orders.
+// Each tree grows serially: Auditor::Induce spreads the k trees of an
+// audit over its pool instead. The integrated Def. 9 pruning of the
+// recursive path is deferred to one post-order pass after the frontier
+// finishes, which provably yields the same tree: construction is pure
+// top-down, so pruning decisions only ever consume finished subtrees in
+// both orders.
 
 struct C45HistogramBuilder {
   using Node = C45Tree::Node;
@@ -619,10 +616,6 @@ struct C45HistogramBuilder {
   /// Smallest child worth reconstructing by subtraction instead of
   /// scanning.
   static constexpr size_t kSubtractMinInsts = 1024;
-  /// Smallest per-level instance total for which a level dispatches its
-  /// node/attribute tasks onto the Train pool; smaller levels run inline
-  /// (task overhead would dominate). Identical results either way.
-  static constexpr size_t kParallelMinInsts = 4096;
   /// Subtraction residue clamp: real histogram cells hold at least one
   /// instance fraction > 1e-6 (the partition drop threshold), so anything
   /// at or below this is floating-point cancellation noise.
@@ -636,7 +629,6 @@ struct C45HistogramBuilder {
     const AttributeBins* bins = nullptr;  // kBinned
     const uint8_t* bin_codes = nullptr;   // kBinned
     const int32_t* codes = nullptr;       // nominal kinds
-    const double* ordered_col = nullptr;  // kBinned (partitioning)
   };
 
   /// One non-terminal frontier node awaiting split evaluation.
@@ -647,14 +639,14 @@ struct C45HistogramBuilder {
     int depth = 0;
     double node_entropy = 0.0;
     /// True only for the root: its instances are exactly every class-known
-    /// row with unit weight, so whole-column SIMD count kernels apply.
+    /// row with unit weight, so whole-column count kernels apply.
     bool dense = false;
-    std::vector<double> hist;      ///< per-attribute slices, phase A output
-    std::vector<SplitEval> evals;  ///< per-attribute slot, phase A output
+    std::vector<double> hist;      ///< per-attribute slices
+    std::vector<SplitEval> evals;  ///< per-attribute slot
   };
 
-  /// Children of one split, grouped so one phase-A unit can reconstruct
-  /// the subtraction child from the parent histogram and its siblings.
+  /// Children of one split, grouped so the subtraction child can be
+  /// reconstructed from the parent histogram and its siblings.
   struct Family {
     std::vector<std::unique_ptr<HTask>> tasks;  ///< non-terminal children
     /// Parent histogram block; non-empty iff a child is reconstructed.
@@ -667,13 +659,11 @@ struct C45HistogramBuilder {
 
   C45HistogramBuilder(const C45Config& cfg, const Schema& sch,
                       const C45Tree::BuildContext& context,
-                      const std::vector<const AttributeBins*>& bins,
-                      ThreadPool* worker_pool, size_t rows)
+                      const EncodedDataset& cache)
       : config(cfg),
         schema(sch),
         ctx(context),
-        pool(worker_pool),
-        num_rows(rows),
+        num_rows(cache.num_rows()),
         nc(static_cast<size_t>(context.num_classes)) {
     plans.assign(schema.num_attributes(), AttrPlan{});
     for (int a : ctx.base_attrs) {
@@ -690,13 +680,12 @@ struct C45HistogramBuilder {
           plan.kind = AttrPlan::Kind::kNominalScan;
         }
       } else {
-        const AttributeBins* b = bins[attr];
+        const AttributeBins* b = cache.bins(attr);
         if (b == nullptr || b->num_bins <= 0) continue;  // no known values
         plan.kind = AttrPlan::Kind::kBinned;
         plan.width = static_cast<size_t>(b->num_bins);
         plan.bins = b;
         plan.bin_codes = b->codes.data();
-        plan.ordered_col = ctx.ordered_cols[attr];
       }
     }
     for (int a : ctx.base_attrs) {
@@ -708,9 +697,9 @@ struct C45HistogramBuilder {
 
   std::unique_ptr<Node> Run(std::vector<Inst> insts,
                             std::vector<bool> avail) {
-    // Root statistics over the dense class-code column (SIMD kernel); the
-    // counts are integers, so they match the instance-order accumulation
-    // of the exact path bit-for-bit.
+    // Root statistics over the dense class-code column; the counts are
+    // integers, so they match the instance-order accumulation of the exact
+    // path bit-for-bit.
     std::vector<uint32_t> root_counts(nc, 0);
     kernels::CountClasses(ctx.class_codes, num_rows, root_counts.data());
     std::vector<double> counts(nc, 0.0);
@@ -730,68 +719,44 @@ struct C45HistogramBuilder {
     task->dense = true;
     task->node_entropy = EntropyBits(root->class_counts.data(), nc);
 
-    std::vector<Family> families;
-    families.emplace_back();
-    families.back().tasks.push_back(std::move(task));
-    while (!families.empty()) {
-      PhaseA(families);
-      families = PhaseB(families);
+    std::vector<Family> level(1);
+    level.back().tasks.push_back(std::move(task));
+    while (!level.empty()) {
+      std::vector<Family> next;
+      for (Family& f : level) Grow(f, &next);
+      level = std::move(next);
     }
     return root;
   }
 
  private:
-  // --- dispatch ------------------------------------------------------------
-
-  /// Runs fn(i) for i in [0, n): on the pool when the level carries enough
-  /// instances to amortize task overhead, inline otherwise. Both paths run
-  /// the same per-item code against pre-assigned slots, so results are
-  /// identical.
-  void RunUnits(size_t n, size_t total_insts,
-                const std::function<void(size_t)>& fn) {
-    if (pool != nullptr && total_insts >= kParallelMinInsts) {
-      pool->RunBatch(n, fn);
-    } else {
-      for (size_t i = 0; i < n; ++i) fn(i);
+  /// Scans, evaluates and splits one sibling family; the children that
+  /// still need a split join `next` as families of their own.
+  void Grow(Family& f, std::vector<Family>* next) {
+    for (std::unique_ptr<HTask>& t : f.tasks) {
+      t->hist.assign(hist_width, 0.0);
+      t->evals.assign(schema.num_attributes(), SplitEval{});
+    }
+    f.support_hist.assign(f.support_insts.size(),
+                          std::vector<double>(hist_width, 0.0));
+    const std::vector<bool>& avail = f.tasks.front()->avail;
+    for (int a : ctx.base_attrs) {
+      if (avail[static_cast<size_t>(a)]) RunUnit(f, a);
+    }
+    f.parent_hist = {};
+    f.support_insts = {};
+    f.support_hist = {};
+    for (std::unique_ptr<HTask>& t : f.tasks) {
+      Family children;
+      if (Expand(*t, &children)) next->push_back(std::move(children));
+      // Frees the node's instances and, unless Expand kept it as the
+      // children's subtraction parent, its histogram block.
+      t.reset();
     }
   }
 
-  // --- phase A: histogram build + per-attribute split evaluation ----------
-
-  void PhaseA(std::vector<Family>& families) {
-    size_t total_insts = 0;
-    for (Family& f : families) {
-      for (std::unique_ptr<HTask>& t : f.tasks) {
-        t->hist.assign(hist_width, 0.0);
-        t->evals.assign(schema.num_attributes(), SplitEval{});
-        total_insts += t->insts.size();
-      }
-      f.support_hist.resize(f.support_insts.size());
-      for (size_t s = 0; s < f.support_insts.size(); ++s) {
-        f.support_hist[s].assign(hist_width, 0.0);
-        total_insts += f.support_insts[s].size();
-      }
-    }
-    struct Unit {
-      Family* family;
-      int attr;
-    };
-    std::vector<Unit> units;
-    for (Family& f : families) {
-      const std::vector<bool>& avail = f.tasks.front()->avail;
-      for (int a : ctx.base_attrs) {
-        if (!avail[static_cast<size_t>(a)]) continue;
-        if (plans[static_cast<size_t>(a)].kind == AttrPlan::Kind::kNone) {
-          continue;
-        }
-        units.push_back(Unit{&f, a});
-      }
-    }
-    RunUnits(units.size(), total_insts, [&](size_t i) {
-      RunUnit(*units[i].family, units[i].attr);
-    });
-  }
-
+  /// Fills one attribute's histogram slice of every node in the family
+  /// and evaluates the attribute's split for each.
   void RunUnit(Family& f, int attr) {
     const AttrPlan& plan = plans[static_cast<size_t>(attr)];
     if (plan.width > 0) {
@@ -834,7 +799,9 @@ struct C45HistogramBuilder {
       SplitEval* eval = &t->evals[static_cast<size_t>(attr)];
       switch (plan.kind) {
         case AttrPlan::Kind::kBinned:
-          EvalBinned(*t, plan, eval);
+          *eval = kernels::SweepBinnedSplit(
+              t->hist.data() + plan.offset, nc, *plan.bins, t->node->weight,
+              config.min_split_weight, &sweep);
           break;
         case AttrPlan::Kind::kNominalHist:
           EvalNominalHist(*t, plan, eval);
@@ -890,133 +857,16 @@ struct C45HistogramBuilder {
     }
   }
 
-  void EvalBinned(const HTask& t, const AttrPlan& plan,
-                  SplitEval* eval) const {
-    const double* h = t.hist.data() + plan.offset;
-    const size_t width = plan.width;
-    std::vector<double> bin_w(width, 0.0);
-    std::vector<double> known_counts(nc, 0.0);
-    double known = 0.0;
-    for (size_t b = 0; b < width; ++b) {
-      const double* row = h + b * nc;
-      double bw = 0.0;
-      for (size_t c = 0; c < nc; ++c) {
-        bw += row[c];
-        known_counts[c] += row[c];
-      }
-      bin_w[b] = bw;
-      known += bw;
-    }
-    if (known <= kEps) return;
-    const double known_entropy = EntropyBits(known_counts.data(), nc);
-    std::vector<double> left(nc, 0.0);
-    std::vector<double> right = known_counts;
-    double left_w = 0.0;
-    double best_gain = -1.0;
-    double best_thr = 0.0;
-    double best_left_w = 0.0;
-    uint64_t distinct = 0;
-    bool lossy_bins = false;
-    bool have_left = false;
-    double last_upper = 0.0;
-    for (size_t b = 0; b < width; ++b) {
-      if (bin_w[b] <= 0.0) continue;
-      // Per-bin distinct-value totals from the global binning; in the
-      // per-distinct regime every count is 1 and this is exactly the
-      // number of non-empty bins (= the node's distinct values).
-      distinct += plan.bins->distinct[b];
-      lossy_bins |= plan.bins->distinct[b] > 1;
-      if (have_left) {
-        // Candidate threshold between the previous non-empty bin and this
-        // one -- the midpoint the exact sweep tests between the adjacent
-        // values on either side of the boundary.
-        const double right_w = known - left_w;
-        if (left_w >= config.min_split_weight &&
-            right_w >= config.min_split_weight) {
-          const double sub = left_w / known * EntropyBits(left.data(), nc) +
-                             right_w / known * EntropyBits(right.data(), nc);
-          const double gain = known_entropy - sub;
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_thr = (last_upper + plan.bins->lower[b]) / 2.0;
-            best_left_w = left_w;
-          }
-        }
-      }
-      const double* row = h + b * nc;
-      for (size_t c = 0; c < nc; ++c) {
-        left[c] += row[c];
-        right[c] -= row[c];
-      }
-      left_w += bin_w[b];
-      have_left = true;
-      last_upper = plan.bins->upper[b];
-    }
-    if (best_gain <= kEps) return;
-    const double node_weight = t.node->weight;
-    const double known_frac = known / node_weight;
-    double gain = known_frac * best_gain;
-    if (distinct > 1) {
-      // Summing global per-bin counts over-reports distinct values once
-      // bins are lossy (a deep node holds a subset of each bin), but the
-      // node cannot have more distinct values than known instances --
-      // capping by the known weight restores the exact sweep's
-      // log2(N - 1) penalty for continuous attributes, where every
-      // instance carries a distinct value.
-      if (lossy_bins) {
-        const auto cap = static_cast<uint64_t>(known + 0.5);
-        distinct = std::max(uint64_t{2}, std::min(distinct, cap));
-      }
-      gain -= std::log2(static_cast<double>(distinct - 1)) / known;
-    }
-    if (gain <= kEps) return;
-    std::vector<double> si_weights{best_left_w, known - best_left_w};
-    if (node_weight - known > kEps) si_weights.push_back(node_weight - known);
-    const double split_info =
-        EntropyBits(si_weights.data(), si_weights.size());
-    eval->valid = true;
-    eval->gain = gain;
-    eval->gain_ratio = split_info > kEps ? gain / split_info : 0.0;
-    eval->ordered = true;
-    eval->threshold = best_thr;
-  }
-
   void EvalNominalHist(const HTask& t, const AttrPlan& plan,
                        SplitEval* eval) const {
     const double* h = t.hist.data() + plan.offset;
-    const size_t k = plan.width;
-    std::vector<double> branch_weights(k, 0.0);
+    std::vector<double> branch_weights(plan.width, 0.0);
     double known = 0.0;
-    for (size_t b = 0; b < k; ++b) {
-      const double* row = h + b * nc;
-      double bw = 0.0;
-      for (size_t c = 0; c < nc; ++c) bw += row[c];
-      branch_weights[b] = bw;
-      known += bw;
+    for (size_t b = 0; b < plan.width; ++b) {
+      for (size_t c = 0; c < nc; ++c) branch_weights[b] += h[b * nc + c];
+      known += branch_weights[b];
     }
-    if (known <= kEps) return;
-    int non_empty = 0;
-    int big_enough = 0;
-    double sub_entropy = 0.0;
-    for (size_t b = 0; b < k; ++b) {
-      if (branch_weights[b] <= kEps) continue;
-      ++non_empty;
-      if (branch_weights[b] >= config.min_split_weight) ++big_enough;
-      sub_entropy +=
-          branch_weights[b] / known * EntropyBits(h + b * nc, nc);
-    }
-    if (non_empty < 2 || big_enough < 2) return;
-    const double node_weight = t.node->weight;
-    const double known_frac = known / node_weight;
-    const double gain = known_frac * (t.node_entropy - sub_entropy);
-    if (gain <= kEps) return;
-    std::vector<double> si_weights = branch_weights;
-    if (node_weight - known > kEps) si_weights.push_back(node_weight - known);
-    const double split_info =
-        EntropyBits(si_weights.data(), si_weights.size());
-    eval->valid = true;
-    eval->gain = gain;
-    eval->gain_ratio = split_info > kEps ? gain / split_info : 0.0;
+    EvalNominal(t, h, branch_weights, known, eval);
   }
 
   /// Fallback for nominal dictionaries too wide to histogram: the exact
@@ -1025,29 +875,36 @@ struct C45HistogramBuilder {
     const int32_t* col = ctx.nominal_cols[static_cast<size_t>(attr)];
     const size_t k = schema.attribute(static_cast<size_t>(attr))
                          .categories.size();
-    std::vector<std::vector<double>> branch_counts(
-        k, std::vector<double>(nc, 0.0));
+    std::vector<double> counts(k * nc, 0.0);
     std::vector<double> branch_weights(k, 0.0);
     double known = 0.0;
     for (const Inst& inst : t.insts) {
       const int32_t code = col[inst.first];
       if (code < 0) continue;
       const size_t b = static_cast<size_t>(code);
-      branch_counts[b][static_cast<size_t>(ctx.class_codes[inst.first])] +=
+      counts[b * nc + static_cast<size_t>(ctx.class_codes[inst.first])] +=
           inst.second;
       branch_weights[b] += inst.second;
       known += inst.second;
     }
+    EvalNominal(t, counts.data(), branch_weights, known, eval);
+  }
+
+  /// Scores the nominal split whose branches hold the rows of the flat
+  /// (branch x class) `counts`, weighing `branch_weights` (sum `known`).
+  void EvalNominal(const HTask& t, const double* counts,
+                   const std::vector<double>& branch_weights, double known,
+                   SplitEval* eval) const {
     if (known <= kEps) return;
     int non_empty = 0;
     int big_enough = 0;
     double sub_entropy = 0.0;
-    for (size_t b = 0; b < k; ++b) {
+    for (size_t b = 0; b < branch_weights.size(); ++b) {
       if (branch_weights[b] <= kEps) continue;
       ++non_empty;
       if (branch_weights[b] >= config.min_split_weight) ++big_enough;
-      sub_entropy += branch_weights[b] / known *
-                     EntropyFromCounts(branch_counts[b]);
+      sub_entropy +=
+          branch_weights[b] / known * EntropyBits(counts + b * nc, nc);
     }
     if (non_empty < 2 || big_enough < 2) return;
     const double node_weight = t.node->weight;
@@ -1063,28 +920,7 @@ struct C45HistogramBuilder {
     eval->gain_ratio = split_info > kEps ? gain / split_info : 0.0;
   }
 
-  // --- phase B: split selection, partition, child creation ----------------
-
-  std::vector<Family> PhaseB(std::vector<Family>& families) {
-    std::vector<HTask*> tasks;
-    size_t total_insts = 0;
-    for (Family& f : families) {
-      for (std::unique_ptr<HTask>& t : f.tasks) {
-        tasks.push_back(t.get());
-        total_insts += t->insts.size();
-      }
-    }
-    std::vector<Family> slots(tasks.size());
-    std::vector<char> has_children(tasks.size(), 0);
-    RunUnits(tasks.size(), total_insts, [&](size_t i) {
-      has_children[i] = Expand(*tasks[i], &slots[i]) ? 1 : 0;
-    });
-    std::vector<Family> next;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (has_children[i] != 0) next.push_back(std::move(slots[i]));
-    }
-    return next;
-  }
+  // --- split selection, partition, child creation -------------------------
 
   /// Selects and applies the best split of one frontier node. Returns
   /// false when the node stays a leaf; otherwise fills `out` with the
@@ -1117,44 +953,44 @@ struct C45HistogramBuilder {
     if (best_attr < 0) return false;
     const SplitEval& best = t.evals[static_cast<size_t>(best_attr)];
 
+    // Each instance's branch (-1 = null split value) and each known-value
+    // partition's size, weight and class counts, in instance order.
     const AttributeDef& def =
         schema.attribute(static_cast<size_t>(best_attr));
     const size_t num_children = best.ordered ? 2 : def.categories.size();
-    std::vector<std::vector<Inst>> parts(num_children);
     std::vector<std::vector<double>> child_counts(
         num_children, std::vector<double>(nc, 0.0));
     std::vector<double> child_weight(num_children, 0.0);
-    std::vector<double> part_weights(num_children, 0.0);
-    std::vector<Inst> missing;
+    std::vector<size_t> sizes(num_children, 0);
+    size_t num_missing = 0;
     double known = 0.0;
     const double* ordered_col =
         ctx.ordered_cols[static_cast<size_t>(best_attr)];
     const int32_t* nominal_col =
         ctx.nominal_cols[static_cast<size_t>(best_attr)];
-    for (const Inst& inst : t.insts) {
-      size_t b;
+    branch.resize(t.insts.size());
+    for (size_t i = 0; i < t.insts.size(); ++i) {
+      const Inst& inst = t.insts[i];
+      int32_t b;
       if (best.ordered) {
         const double v = ordered_col[inst.first];
-        if (std::isnan(v)) {
-          missing.push_back(inst);
-          continue;
-        }
-        b = v <= best.threshold ? 0 : 1;
+        b = std::isnan(v) ? -1 : (v <= best.threshold ? 0 : 1);
       } else {
-        const int32_t code = nominal_col[inst.first];
-        if (code < 0) {
-          missing.push_back(inst);
-          continue;
-        }
-        b = static_cast<size_t>(code);
+        b = std::max(nominal_col[inst.first], int32_t{-1});
       }
-      parts[b].push_back(inst);
-      part_weights[b] += inst.second;
-      child_counts[b][static_cast<size_t>(ctx.class_codes[inst.first])] +=
+      branch[i] = b;
+      if (b < 0) {
+        ++num_missing;
+        continue;
+      }
+      const size_t bi = static_cast<size_t>(b);
+      ++sizes[bi];
+      child_counts[bi][static_cast<size_t>(ctx.class_codes[inst.first])] +=
           inst.second;
-      child_weight[b] += inst.second;
+      child_weight[bi] += inst.second;
       known += inst.second;
     }
+    const std::vector<double> part_weights = child_weight;
 
     // minInst pre-pruning (sec. 5.4) on the known-value partitions, before
     // missing-value distribution -- as in the exact path.
@@ -1169,8 +1005,23 @@ struct C45HistogramBuilder {
       if (!any_strong) return false;
     }
 
-    if (!missing.empty() && known > kEps) {
-      for (const Inst& inst : missing) {
+    // Every partition is allocated once: its known-value instances plus,
+    // when nulls are spread over the non-empty branches, one share each.
+    const bool spread = num_missing > 0 && known > kEps;
+    std::vector<std::vector<Inst>> parts(num_children);
+    for (size_t b = 0; b < num_children; ++b) {
+      parts[b].reserve(sizes[b] +
+                       (spread && part_weights[b] > kEps ? num_missing : 0));
+    }
+    for (size_t i = 0; i < t.insts.size(); ++i) {
+      if (branch[i] >= 0) {
+        parts[static_cast<size_t>(branch[i])].push_back(t.insts[i]);
+      }
+    }
+    if (spread) {
+      for (size_t i = 0; i < t.insts.size(); ++i) {
+        if (branch[i] >= 0) continue;
+        const Inst& inst = t.insts[i];
         const size_t cls =
             static_cast<size_t>(ctx.class_codes[inst.first]);
         for (size_t b = 0; b < num_children; ++b) {
@@ -1276,11 +1127,12 @@ struct C45HistogramBuilder {
   const C45Config& config;
   const Schema& schema;
   const C45Tree::BuildContext& ctx;
-  ThreadPool* pool;
   size_t num_rows;
   size_t nc;
   std::vector<AttrPlan> plans;
   size_t hist_width = 0;
+  kernels::SweepScratch sweep;
+  std::vector<int32_t> branch;  ///< Expand's per-instance branch scratch
 
   obs::Counter* const nodes_built = obs::GetCounter("c45.nodes_built");
   obs::Counter* const histogram_builds =
@@ -1291,35 +1143,17 @@ struct C45HistogramBuilder {
       obs::GetCounter("c45.splits_evaluated");
 };
 
-Status C45Tree::TrainHistogram(const TrainingData& data, BuildContext* ctx,
-                               std::vector<std::pair<uint32_t, double>> insts) {
-  const Schema& schema = *ctx->schema;
-  const EncodedDataset& cache = *data.encoded;
-  // The audit-wide value bins of every ordered base attribute.
-  std::vector<const AttributeBins*> bins(schema.num_attributes(), nullptr);
-  for (int a : data.base_attrs) {
-    bins[static_cast<size_t>(a)] = cache.bins(static_cast<size_t>(a));
-  }
-
-  {
-    obs::Span span("c45.build", data.class_attr);
-    std::vector<bool> avail(schema.num_attributes(), false);
-    for (int a : data.base_attrs) avail[static_cast<size_t>(a)] = true;
-    C45HistogramBuilder builder(config_, schema, *ctx, bins, data.pool,
-                                cache.num_rows());
-    root_ = builder.Run(std::move(insts), std::move(avail));
-    // The recursive path aggregates Def. 9 values (and prunes, in
-    // kExpectedErrorConfidence mode) bottom-up during construction; the
-    // frontier build defers that to one post-order pass, which yields the
-    // identical tree because construction is pure top-down.
-    PruneExpectedErrorConf(root_.get());
-    if (config_.pruning == PruningMode::kPessimistic) {
-      PrunePessimistic(root_.get());
-    }
-  }
-  compiled_ = Compile();
-  obs::GetCounter("c45.tree_nodes")->Add(NodeCount());
-  return Status::OK();
+void C45Tree::BuildHistogram(const EncodedDataset& cache,
+                             const BuildContext& ctx,
+                             std::vector<std::pair<uint32_t, double>> insts,
+                             std::vector<bool> avail) {
+  C45HistogramBuilder builder(config_, *ctx.schema, ctx, cache);
+  root_ = builder.Run(std::move(insts), std::move(avail));
+  // The recursive path aggregates Def. 9 values (and prunes, in
+  // kExpectedErrorConfidence mode) bottom-up during construction; the
+  // frontier build defers that to one post-order pass, which yields the
+  // identical tree because construction is pure top-down.
+  PruneExpectedErrorConf(root_.get());
 }
 
 void C45Tree::PruneExpectedErrorConf(Node* node) {

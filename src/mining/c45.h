@@ -47,11 +47,11 @@ enum class SplitMode {
   /// bucketed once per table into <= kMaxHistogramBins equal-frequency bins
   /// (EncodedDataset::bins) and every node evaluates thresholds by scanning
   /// (bin x class) histograms, with sibling histograms reconstructed by
-  /// subtraction (parent - scanned children = largest child) and the node
-  /// frontier built breadth-wise in parallel on the Train pool. Identical
-  /// trees to kExact whenever every ordered attribute has at most
-  /// kMaxHistogramBins distinct values; statistically equivalent audits
-  /// otherwise.
+  /// subtraction (parent - scanned children = largest child). The tree
+  /// grows serially, level by level, one sibling family at a time.
+  /// Identical trees to kExact whenever every ordered attribute has at
+  /// most kMaxHistogramBins distinct values; statistically equivalent
+  /// audits otherwise.
   kHistogram,
   /// The exact SLIQ row-sweep evaluator (the original path, kept as the
   /// reference): every distinct value boundary is a candidate threshold.
@@ -164,8 +164,9 @@ class C45Tree : public Classifier {
 
   std::unique_ptr<Node> Build(BuildContext* ctx, NodeData data,
                               std::vector<bool> avail, int depth);
-  Status TrainHistogram(const TrainingData& data, BuildContext* ctx,
-                        std::vector<std::pair<uint32_t, double>> insts);
+  void BuildHistogram(const EncodedDataset& cache, const BuildContext& ctx,
+                      std::vector<std::pair<uint32_t, double>> insts,
+                      std::vector<bool> avail);
   void PruneExpectedErrorConf(Node* node);
   double PessimisticErrors(const Node& node) const;
   void PrunePessimistic(Node* node);

@@ -8,20 +8,14 @@ namespace dq {
 
 Result<ClassEncoder> ClassEncoder::Fit(const Table& table, int class_attr,
                                        int max_bins) {
+  const Schema& schema = table.schema();
   if (class_attr < 0 ||
-      static_cast<size_t>(class_attr) >= table.schema().num_attributes()) {
+      static_cast<size_t>(class_attr) >= schema.num_attributes()) {
     return Status::OutOfRange("class attribute index out of range");
   }
-  const AttributeDef& def =
-      table.schema().attribute(static_cast<size_t>(class_attr));
-
-  ClassEncoder enc;
-  enc.attr_ = class_attr;
-  enc.type_ = def.type;
-
+  const AttributeDef& def = schema.attribute(static_cast<size_t>(class_attr));
   if (def.type == DataType::kNominal) {
-    enc.num_classes_ = static_cast<int>(def.categories.size());
-    return enc;
+    return FromParts(schema, class_attr, std::nullopt);
   }
 
   // Typed column read: no per-cell Value materialization.
@@ -38,9 +32,7 @@ Result<ClassEncoder> ClassEncoder::Fit(const Table& table, int class_attr,
   }
   DQ_ASSIGN_OR_RETURN(EqualFrequencyDiscretizer disc,
                       EqualFrequencyDiscretizer::Fit(std::move(sample), max_bins));
-  enc.num_classes_ = disc.num_bins();
-  enc.discretizer_ = std::move(disc);
-  return enc;
+  return FromParts(schema, class_attr, std::move(disc));
 }
 
 Result<ClassEncoder> ClassEncoder::FromParts(

@@ -29,7 +29,6 @@
 namespace dq {
 
 class EncodedDataset;
-class ThreadPool;
 
 /// \brief Index of the largest positive entry of `dist` (the first on
 /// ties), -1 when none is positive.
@@ -69,13 +68,6 @@ struct TrainingData {
   const EncodedDataset* encoded = nullptr;
   int class_attr = -1;
   std::vector<int> base_attrs;
-
-  /// Optional worker pool for intra-Train parallelism (the breadth-wise
-  /// node frontier of histogram-mode C4.5). Classifiers that cannot use it
-  /// ignore it; results are bitwise-identical with and without a pool and
-  /// for every pool size (pre-assigned result slots, deterministic
-  /// reduction order). The pool must outlive the Train call.
-  ThreadPool* pool = nullptr;
 
   /// \brief OK when the cache is set, the attributes are in range and
   /// disjoint, and the cache holds an encoder for the class attribute.

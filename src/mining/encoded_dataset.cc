@@ -12,7 +12,7 @@ namespace dq {
 
 EncodedDataset EncodedDataset::Build(const Table& table,
                                      int numeric_class_bins,
-                                     int num_threads) {
+                                     ThreadPool* pool) {
   obs::Span span("audit.encode");
   obs::GetCounter("audit.encode_builds")->Add(1);
   obs::GetGauge("table.bytes")->Set(static_cast<double>(table.byte_size()));
@@ -34,9 +34,10 @@ EncodedDataset EncodedDataset::Build(const Table& table,
   out.class_code_views_.assign(k, nullptr);
 
   // Each attribute's views, sort order and encoder depend only on that
-  // attribute's column: fan out one task per attribute into its own slots.
-  ParallelFor(ResolveThreadCount(num_threads), k, [&](size_t a) {
+  // attribute's column: one item per attribute, into its own slots.
+  RunBatch(pool, k, [&](size_t a) {
     const AttributeDef& def = schema.attribute(a);
+    std::optional<EqualFrequencyDiscretizer> disc;  // ordered class bins
     if (def.type == DataType::kNominal) {
       out.nominal_[a] = table.code_col(a).data();
     } else {
@@ -68,13 +69,21 @@ EncodedDataset EncodedDataset::Build(const Table& table,
       // Histogram-evaluator value bins, derived from the fresh sort order
       // (one pass; the order already carries the (value, row) ranking).
       out.bins_[a] = BuildAttributeBins(col, order, n, kMaxHistogramBins);
+      // The class discretizer fits from the presorted values: the sample
+      // ClassEncoder::Fit would sort, already in order.
+      std::vector<double> sorted(order.size());
+      for (size_t i = 0; i < order.size(); ++i) sorted[i] = col[order[i]];
+      auto fitted =
+          EqualFrequencyDiscretizer::FitSorted(sorted, numeric_class_bins);
+      if (!fitted.ok()) return;  // e.g. all-null ordered attribute
+      disc = std::move(*fitted);
     }
 
     // Class encoding. Nominal attributes encode as the identity over the
     // dictionary codes, so the table's own column IS the code vector.
     auto encoder =
-        ClassEncoder::Fit(table, static_cast<int>(a), numeric_class_bins);
-    if (!encoder.ok()) return;  // e.g. all-null ordered attribute
+        ClassEncoder::FromParts(schema, static_cast<int>(a), std::move(disc));
+    if (!encoder.ok()) return;
     out.encoders_[a] = std::move(*encoder);
     if (def.type == DataType::kNominal) {
       out.class_code_views_[a] = table.code_col(a).data();

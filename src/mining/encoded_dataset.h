@@ -37,6 +37,8 @@
 
 namespace dq {
 
+class ThreadPool;
+
 class EncodedDataset {
  public:
   /// \brief Builds the cache for `table`. `numeric_class_bins` parameterizes
@@ -44,11 +46,11 @@ class EncodedDataset {
   /// (AuditorConfig::numeric_class_bins); attribute encoders that cannot be
   /// fitted (ordered attribute with no non-null values) are left empty and
   /// the corresponding attribute simply cannot serve as a class attribute.
-  /// Per-attribute work is dispatched over `num_threads` workers; the
-  /// result is identical for every thread count. The views alias `table`,
+  /// Each attribute is one item on `pool` (inline without one); the
+  /// result is identical for every pool size. The views alias `table`,
   /// which must outlive the cache.
   static EncodedDataset Build(const Table& table, int numeric_class_bins,
-                              int num_threads = 1);
+                              ThreadPool* pool = nullptr);
 
   const Table* table() const { return table_; }
   size_t num_rows() const { return num_rows_; }

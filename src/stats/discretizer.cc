@@ -5,19 +5,23 @@
 #include <limits>
 
 #include "common/strings.h"
-#include "stats/descriptive.h"
 
 namespace dq {
 
 Result<EqualFrequencyDiscretizer> EqualFrequencyDiscretizer::Fit(
     std::vector<double> sample, int max_bins) {
+  std::sort(sample.begin(), sample.end());
+  return FitSorted(sample, max_bins);
+}
+
+Result<EqualFrequencyDiscretizer> EqualFrequencyDiscretizer::FitSorted(
+    const std::vector<double>& sample, int max_bins) {
   if (sample.empty()) {
     return Status::InvalidArgument("cannot fit discretizer on empty sample");
   }
   if (max_bins < 1) {
     return Status::InvalidArgument("max_bins must be >= 1");
   }
-  std::sort(sample.begin(), sample.end());
 
   EqualFrequencyDiscretizer d;
   const size_t n = sample.size();
@@ -37,18 +41,20 @@ Result<EqualFrequencyDiscretizer> EqualFrequencyDiscretizer::Fit(
     }
   }
 
-  // Representatives: median of each bin's members.
-  std::vector<double> members;
+  // Representatives: median of each bin's members, a sorted run of the
+  // sample, so the middle pair is read off directly (Median's value).
   size_t i = 0;
   for (size_t b = 0; b <= d.cuts_.size(); ++b) {
-    members.clear();
     const double upper =
         b < d.cuts_.size() ? d.cuts_[b] : std::numeric_limits<double>::infinity();
-    while (i < n && sample[i] <= upper) {
-      members.push_back(sample[i]);
-      ++i;
-    }
-    d.representatives_.push_back(members.empty() ? upper : Median(members));
+    const size_t begin = i;
+    while (i < n && sample[i] <= upper) ++i;
+    const size_t count = i - begin;
+    const size_t mid = begin + count / 2;
+    d.representatives_.push_back(
+        count == 0       ? upper
+        : count % 2 == 1 ? sample[mid]
+                         : (sample[mid - 1] + sample[mid]) / 2.0);
   }
   return d;
 }

@@ -25,6 +25,11 @@ class EqualFrequencyDiscretizer {
   static Result<EqualFrequencyDiscretizer> Fit(std::vector<double> sample,
                                                int max_bins);
 
+  /// \brief Fit over a sample already sorted ascending, e.g. the values
+  /// of a presorted column; the same bins Fit gives the unsorted sample.
+  static Result<EqualFrequencyDiscretizer> FitSorted(
+      const std::vector<double>& sample, int max_bins);
+
   /// \brief Reconstructs a discretizer from its parts (deserialization).
   /// `cuts` must be strictly ascending and one shorter than `reps`.
   static Result<EqualFrequencyDiscretizer> FromParts(

@@ -1,7 +1,7 @@
 // Histogram split evaluator tests: value binning, exact-vs-histogram tree
 // identity in the bins-cover-every-distinct-value regime, invariance under
-// sibling subtraction and intra-tree thread counts, and statistical
-// equivalence of full audits when binning is genuinely lossy.
+// sibling subtraction, and statistical equivalence of full audits when
+// binning is genuinely lossy.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "audit/auditor.h"
-#include "common/parallel.h"
 #include "common/random.h"
 #include "mining/c45.h"
 #include "mining/encoded_dataset.h"
@@ -131,9 +130,8 @@ Table QuantizedTable(size_t rows, uint64_t seed) {
   return t;
 }
 
-C45Tree TrainTree(const EncodedDataset& cache, C45Config cfg,
-                  ThreadPool* pool = nullptr) {
-  const TrainingData td{&cache, 3, {0, 1, 2}, pool};
+C45Tree TrainTree(const EncodedDataset& cache, C45Config cfg) {
+  const TrainingData td{&cache, 3, {0, 1, 2}};
   cfg.min_error_confidence = 0.8;
   C45Tree tree(cfg);
   EXPECT_TRUE(tree.Train(td).ok());
@@ -217,20 +215,6 @@ TEST(C45HistogramTest, SubtractionDoesNotChangeTheTree) {
   EXPECT_GT(subtractions->Value(), before);
 
   ExpectSameTrees(exact, subtracted, cache);
-}
-
-TEST(C45HistogramTest, NodeParallelInductionIsBitwiseThreadInvariant) {
-  // 6000 rows: the top levels cross the 4096-instance threshold above
-  // which a level dispatches its tasks onto the pool.
-  const Table t = QuantizedTable(6000, 12);
-  const EncodedDataset cache = EncodedDataset::Build(t, 8);
-
-  const C45Tree serial = TrainTree(cache, C45Config{});
-  for (const int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    const C45Tree pooled = TrainTree(cache, C45Config{}, &pool);
-    ExpectSameTrees(serial, pooled, cache);
-  }
 }
 
 TEST(C45HistogramTest, CoarseBinsStillGrowAUsefulTree) {

@@ -1,5 +1,6 @@
 // Tests for the observability layer (src/obs): JSON building blocks and
-// validator, run manifests, the metrics registry, the hierarchical tracer
+// validator, run manifests, the metrics registry (including the per-tree
+// build-time histogram of an induction), the hierarchical tracer
 // (including span-tree determinism across thread counts and concurrent
 // recording through the thread pool), and the BENCH_*.json emitter.
 
@@ -12,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "audit/auditor.h"
 #include "common/parallel.h"
+#include "common/random.h"
 #include "obs/bench_report.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
@@ -244,6 +247,56 @@ TEST(MetricsTest, SyncPoolMetricsPublishesPoolGauges) {
   SyncPoolMetrics();
   EXPECT_GE(GetGauge("pool.pools_created")->Value(), 1.0);
   EXPECT_GE(GetGauge("pool.tasks_executed")->Value(), 1.0);
+}
+
+/// Count of the c45.tree_build_ms histogram in a metrics dump (0 before
+/// the first tree registers it); also checks what validate_metrics.py
+/// checks of it, that its buckets add up to that count.
+uint64_t TreeBuildCount(const std::string& dump) {
+  JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(ParseJson(dump, &doc, &error)) << error;
+  const JsonValue* histograms = doc.Find("histograms");
+  if (histograms == nullptr) return 0;
+  const JsonValue* h = histograms->Find("c45.tree_build_ms");
+  if (h == nullptr) return 0;
+  uint64_t buckets = 0;
+  for (const JsonValue& bucket : h->Find("buckets")->items) {
+    EXPECT_NE(bucket.Find("le"), nullptr);
+    buckets += bucket.Find("count")->AsUint64();
+  }
+  EXPECT_EQ(buckets, h->Find("count")->AsUint64());
+  return h->Find("count")->AsUint64();
+}
+
+TEST(MetricsTest, TreeBuildHistogramCountsEveryC45Tree) {
+  // Four attributes with dependencies to learn, induced on two threads:
+  // one C4.5 tree per attribute, each timed into the histogram.
+  Schema schema;
+  ASSERT_TRUE(schema.AddNominal("A", {"a0", "a1", "a2"}).ok());
+  ASSERT_TRUE(schema.AddNumeric("X", 0.0, 40.0).ok());
+  ASSERT_TRUE(schema.AddNominal("B", {"b0", "b1"}).ok());
+  ASSERT_TRUE(schema.AddNumeric("Y", 0.0, 10.0).ok());
+  Table table(schema);
+  Rng rng(17);
+  for (size_t r = 0; r < 600; ++r) {
+    const int32_t a = static_cast<int32_t>(rng.UniformInt(0, 2));
+    const double x = a * 10.0 + rng.UniformReal(0.0, 10.0);
+    Row row(4);
+    row[0] = Value::Nominal(a);
+    row[1] = Value::Numeric(x);
+    row[2] = Value::Nominal(x > 15.0 ? 1 : 0);
+    if (!rng.Bernoulli(0.1)) row[3] = Value::Numeric(rng.UniformReal(0, 10));
+    ASSERT_TRUE(table.AppendRow(row).ok());
+  }
+  const uint64_t before = TreeBuildCount(MetricsRegistry::Global().ToJson());
+  AuditorConfig config;
+  config.num_threads = 2;
+  auto model = Auditor(config).Induce(table);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(model->num_models(), schema.num_attributes());
+  EXPECT_EQ(TreeBuildCount(MetricsRegistry::Global().ToJson()) - before,
+            model->num_models());
 }
 
 // ---------------------------------------------------------------------------

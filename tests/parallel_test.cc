@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -73,6 +74,26 @@ TEST(ThreadPoolTest, ParallelForRethrowsTaskException) {
 TEST(ThreadPoolTest, EmptyRangeIsANoOp) {
   ThreadPool pool(2);
   pool.ParallelFor(0, [](size_t) { FAIL() << "must not be called"; });
+}
+
+TEST(ThreadPoolTest, RunBatchRunsAtMostPoolSizeItemsAtOnce) {
+  // The caller drains the batch alongside the helpers, so a pool of two
+  // must never have a third item in flight.
+  ThreadPool pool(2);
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+  std::vector<int> hits(16, 0);
+  pool.RunBatch(hits.size(), [&](size_t i) {
+    const int now = in_flight.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ++hits[i];
+    in_flight.fetch_sub(1);
+  });
+  EXPECT_EQ(hits, std::vector<int>(16, 1));
+  EXPECT_LE(peak.load(), 2);
 }
 
 TEST(FreeParallelForTest, InlineAndPooledCoverTheSameIndices) {

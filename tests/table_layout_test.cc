@@ -4,18 +4,24 @@
 // every ingestion path (AppendRow, TableChunk + AppendChunk, AppendRowFrom,
 // CSV round-trip) must produce byte-for-byte the same logical cells, the
 // null bitmap must agree with Value::is_null, the EncodedDataset views must
-// agree with the cells, and audits must be bitwise identical across
+// agree with the cells, its presort-fitted class encoders with
+// ClassEncoder::Fit, and audits must be bitwise identical across
 // construction paths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "audit/auditor.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "mining/c45.h"
 #include "mining/encoded_dataset.h"
+#include "stats/descriptive.h"
 #include "table/csv.h"
 #include "table/date.h"
 #include "table/table.h"
@@ -211,6 +217,107 @@ TEST(TableLayoutTest, EncodedDatasetViewsMatchCells) {
       ASSERT_NE(enc.class_codes(a), nullptr);
       for (size_t r = 0; r < t.num_rows(); ++r) {
         EXPECT_EQ(enc.class_codes(a)[r], enc.encoder(a)->Encode(t.cell(r, a)));
+      }
+    }
+  }
+}
+
+/// The doubles' bit patterns, so a sign-of-zero or last-ulp change shows.
+std::vector<uint64_t> Bits(const std::vector<double>& xs) {
+  std::vector<uint64_t> out;
+  for (double x : xs) out.push_back(std::bit_cast<uint64_t>(x));
+  return out;
+}
+
+/// EqualFrequencyDiscretizer::Fit as it was before it read its medians off
+/// the sorted sample, kept verbatim as the oracle: cuts, then each bin's
+/// members copied out and handed to Median.
+std::pair<std::vector<double>, std::vector<double>> ReferenceFit(
+    std::vector<double> sample, int max_bins) {
+  std::sort(sample.begin(), sample.end());
+  std::vector<double> cuts;
+  std::vector<double> reps;
+  const size_t n = sample.size();
+  const size_t bins = std::min<size_t>(static_cast<size_t>(max_bins), n);
+  for (size_t b = 1; b < bins; ++b) {
+    const size_t idx = b * n / bins;
+    if (idx == 0 || idx >= n) continue;
+    const double lo = sample[idx - 1];
+    const double hi = sample[idx];
+    if (hi > lo) {
+      const double cut = (lo + hi) / 2.0;
+      if (cuts.empty() || cut > cuts.back()) cuts.push_back(cut);
+    }
+  }
+  std::vector<double> members;
+  size_t i = 0;
+  for (size_t b = 0; b <= cuts.size(); ++b) {
+    members.clear();
+    const double upper =
+        b < cuts.size() ? cuts[b] : std::numeric_limits<double>::infinity();
+    while (i < n && sample[i] <= upper) {
+      members.push_back(sample[i]);
+      ++i;
+    }
+    reps.push_back(members.empty() ? upper : Median(members));
+  }
+  return {cuts, reps};
+}
+
+TEST(TableLayoutTest, PresortFittedEncoderMatchesClassEncoderFit) {
+  // Ordered columns with nulls and heavy ties: a numeric one mixing a few
+  // repeated values with continuous ones, and a date one over a short
+  // range. EncodedDataset fits each class discretizer from the presorted
+  // values; ClassEncoder::Fit sorts its own sample.
+  Schema s;
+  ASSERT_TRUE(s.AddNumeric("x", -10.0, 10.0).ok());
+  ASSERT_TRUE(s.AddDate("d", DaysFromCivil({2010, 1, 1}),
+                        DaysFromCivil({2010, 3, 1}))
+                  .ok());
+  Table t(s);
+  Rng rng(41);
+  for (size_t r = 0; r < 3000; ++r) {
+    Row row(2);
+    if (!rng.Bernoulli(0.15)) {
+      row[0] = Value::Numeric(
+          rng.Bernoulli(0.6)
+              ? static_cast<double>(rng.UniformInt(-3, 3)) * 1.5
+              : rng.UniformReal(-10.0, 10.0));
+    }
+    if (!rng.Bernoulli(0.1)) {
+      row[1] = Value::Date(static_cast<int32_t>(
+          rng.UniformInt(DaysFromCivil({2010, 1, 1}),
+                         DaysFromCivil({2010, 3, 1}))));
+    }
+    ASSERT_TRUE(t.AppendRow(row).ok());
+  }
+  ThreadPool pool(2);
+  for (const int max_bins : {1, 3, 8, 20, 64, 5000}) {
+    const EncodedDataset inline_enc = EncodedDataset::Build(t, max_bins);
+    const EncodedDataset pooled_enc =
+        EncodedDataset::Build(t, max_bins, &pool);
+    for (size_t a = 0; a < 2; ++a) {
+      std::vector<double> sample;
+      for (size_t r = 0; r < t.num_rows(); ++r) {
+        if (!t.is_null(r, a)) sample.push_back(t.ordered_at(r, a));
+      }
+      const auto [cuts, reps] = ReferenceFit(sample, max_bins);
+      const auto fitted =
+          ClassEncoder::Fit(t, static_cast<int>(a), max_bins);
+      ASSERT_TRUE(fitted.ok()) << fitted.status();
+      ASSERT_TRUE(inline_enc.encoder(a).has_value());
+      ASSERT_TRUE(pooled_enc.encoder(a).has_value());
+      for (const ClassEncoder* enc :
+           {&*fitted, &*inline_enc.encoder(a), &*pooled_enc.encoder(a)}) {
+        const EqualFrequencyDiscretizer& got = *enc->discretizer();
+        EXPECT_EQ(Bits(got.cut_points()), Bits(cuts))
+            << "attr " << a << ", bins " << max_bins;
+        ASSERT_EQ(static_cast<size_t>(got.num_bins()), reps.size());
+        for (int b = 0; b < got.num_bins(); ++b) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(got.Representative(b)),
+                    std::bit_cast<uint64_t>(reps[static_cast<size_t>(b)]))
+              << "attr " << a << ", bins " << max_bins << ", bin " << b;
+        }
       }
     }
   }

@@ -17,7 +17,7 @@
 //   --level X          confidence level for the bounds (default 0.95)
 //   --inducer NAME     c45 | naive-bayes | knn | oner (default c45)
 //   --split-mode MODE  c4.5 split evaluator: histogram (default; binned
-//                      scans, sibling subtraction, intra-tree parallelism)
+//                      scans, sibling subtraction; trees spread over threads)
 //                      or exact (the reference SLIQ row sweep)
 //   --save-model FILE  persist the induced structure model (dqmodel v2)
 //   --load-model FILE  skip induction, check against a persisted model; the
