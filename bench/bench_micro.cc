@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "audit/auditor.h"
+#include "audit/scorer.h"
 #include "eval/test_environment.h"
 #include "mining/encoded_dataset.h"
 #include "mining/split_kernels.h"
@@ -222,8 +223,7 @@ void BM_AuditPrediction(benchmark::State& state) {
   size_t row = 0;
   for (auto _ : state) {
     for (const AttributeModel& am : model->models()) {
-      benchmark::DoNotOptimize(
-          am.classifier->Predict(data->table.row(row % 5000)));
+      benchmark::DoNotOptimize(PredictRecord(am, data->table, row % 5000));
     }
     ++row;
   }

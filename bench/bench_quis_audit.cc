@@ -17,6 +17,7 @@
 #include "audit/auditor.h"
 #include "audit/error_confidence.h"
 #include "audit/rule_export.h"
+#include "audit/scorer.h"
 #include "bench_util.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
             brv501) {
       continue;
     }
-    const Prediction pred = brv_model->classifier->Predict(sample->table.row(r));
+    const Prediction pred = PredictRecord(*brv_model, sample->table, r);
     if (pred.PredictedClass() != brv501) continue;
     const int observed = brv_model->encoder.Encode(
         sample->table.cell(r, static_cast<size_t>(brv)));
@@ -147,7 +148,7 @@ int main(int argc, char** argv) {
   for (int attr : {gbm, brv}) {
     const AttributeModel* am = model->ModelFor(attr);
     if (am == nullptr) continue;
-    auto rules = ExtractRules(*am, /*drop_useless=*/true);
+    auto rules = ExtractRules(*am, auditor.config(), /*drop_useless=*/true);
     std::sort(rules.begin(), rules.end(),
               [](const StructureRule& a, const StructureRule& b) {
                 return a.support > b.support;

@@ -53,7 +53,7 @@ int main() {
     return 1;
   }
   std::printf("induced structure model:\n%s\n",
-              RenderStructureModel(*model, schema, 5).c_str());
+              RenderStructureModel(*model, schema, config, 5).c_str());
 
   // 4. Deviation detection.
   auto report = auditor.Audit(*model, table);

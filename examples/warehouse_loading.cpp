@@ -11,7 +11,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "audit/structure_model.h"
+#include "audit/auditor.h"
 #include "eval/test_environment.h"
 
 using namespace dq;
@@ -60,16 +60,15 @@ int main() {
   }
   const double induce_ms = MsSince(t0);
 
-  StructureModel structure = StructureModel::FromAuditModel(*model, schema);
   const std::string model_path = "warehouse_structure.dqmodel";
-  if (!structure.SaveToFile(model_path).ok()) return 1;
+  if (!model->SaveToFile(model_path).ok()) return 1;
   std::printf("off-line: induced structure model on %zu historical records "
               "in %.0f ms; persisted %zu rules to %s\n",
-              history->table.num_rows(), induce_ms, structure.TotalRules(),
+              history->table.num_rows(), induce_ms, model->TotalRules(),
               model_path.c_str());
 
   // --- Phase 2: nightly load ------------------------------------------------
-  auto loaded = StructureModel::LoadFromFile(schema, model_path);
+  auto loaded = AuditModel::LoadFromFile(schema, model_path);
   if (!loaded.ok()) {
     std::fprintf(stderr, "model load failed: %s\n",
                  loaded.status().ToString().c_str());

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     if (!idx.ok()) continue;
     const AttributeModel* am = model->ModelFor(*idx);
     if (am == nullptr) continue;
-    auto rules = ExtractRules(*am, /*drop_useless=*/true);
+    auto rules = ExtractRules(*am, auditor.config(), /*drop_useless=*/true);
     std::sort(rules.begin(), rules.end(),
               [](const StructureRule& a, const StructureRule& b) {
                 return a.support > b.support;

@@ -29,14 +29,8 @@ const char* InducerKindToString(InducerKind kind) {
 
 std::unique_ptr<Classifier> Auditor::MakeClassifier() const {
   switch (config_.inducer) {
-    case InducerKind::kC45: {
-      C45Config c = config_.c45;
-      // The audit-wide thresholds parameterize the tree adjustments
-      // (minInst pre-pruning and Def. 9 truncation, sec. 5.4).
-      c.min_error_confidence = config_.min_error_confidence;
-      c.confidence_level = config_.confidence_level;
-      return std::make_unique<C45Tree>(c);
-    }
+    case InducerKind::kC45:
+      break;  // Induce keeps only the compiled tree
     case InducerKind::kNaiveBayes:
       return std::make_unique<NaiveBayesClassifier>(config_.naive_bayes);
     case InducerKind::kKnn:
@@ -125,7 +119,6 @@ Result<AuditModel> Auditor::Induce(const Table& train) const {
   // count; with more than one worker, the c45.build spans of different
   // trees overlap in time.
   std::vector<std::optional<AttributeModel>> slots(jobs.size());
-  std::vector<Status> fatal(jobs.size());
   const obs::TaskContext trace_ctx = obs::Tracer::Global().CurrentContext();
   RunBatch(pool.get(), jobs.size(), [&](size_t j) {
     obs::TaskScope task_scope(trace_ctx);
@@ -133,33 +126,32 @@ Result<AuditModel> Auditor::Induce(const Table& train) const {
     const Job& job = jobs[j];
     AttributeModel am;
     am.class_attr = job.class_attr;
-    am.base_attrs = job.base_attrs;
 
     const std::optional<ClassEncoder>& fitted =
         encoded->encoder(static_cast<size_t>(job.class_attr));
     if (!fitted.has_value()) return;  // e.g. all-null ordered attribute
     am.encoder = *fitted;
 
+    const TrainingData td{&*encoded, job.class_attr, job.base_attrs};
+    Status trained;
     am.classifier = MakeClassifier();
-    if (am.classifier == nullptr) {
-      fatal[j] = Status::Internal("classifier factory returned null");
-      return;
+    if (am.classifier != nullptr) {
+      trained = am.classifier->Train(td);
+    } else {
+      // C4.5. The audit-wide thresholds parameterize the tree adjustments
+      // (minInst pre-pruning and Def. 9 truncation, sec. 5.4). The pointer
+      // tree dies with this job; the model keeps its compiled form.
+      C45Config c = config_.c45;
+      c.min_error_confidence = config_.min_error_confidence;
+      c.confidence_level = config_.confidence_level;
+      C45Tree tree(c);
+      trained = tree.Train(td);
+      am.tree = tree.compiled();
     }
-    TrainingData td;
-    td.encoded = &*encoded;
-    td.class_attr = job.class_attr;
-    td.base_attrs = am.base_attrs;
-    Status trained = am.classifier->Train(td);
-    if (!trained.ok()) {
-      // An attribute that cannot be modelled (e.g. all class values null)
-      // is skipped rather than failing the whole audit.
-      return;
-    }
-    slots[j] = std::move(am);
+    // An attribute that cannot be modelled (e.g. all class values null) is
+    // skipped rather than failing the whole audit.
+    if (trained.ok()) slots[j] = std::move(am);
   });
-  for (const Status& status : fatal) {
-    if (!status.ok()) return status;
-  }
 
   AuditModel model;
   for (std::optional<AttributeModel>& slot : slots) {
@@ -174,12 +166,7 @@ Result<AuditModel> Auditor::Induce(const Table& train) const {
 
 Result<AuditReport> Auditor::Audit(const AuditModel& model,
                                    const Table& data) const {
-  std::vector<ScoringModel> models;
-  models.reserve(model.num_models());
-  for (const AttributeModel& am : model.models()) {
-    models.push_back(ScoringModelOf(am));
-  }
-  return ScoreTable(models, data, config_);
+  return ScoreTable(model, data, config_);
 }
 
 Result<Table> Auditor::ApplyCorrections(const AuditReport& report,

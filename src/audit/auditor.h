@@ -101,8 +101,9 @@ class Auditor {
   const AuditorConfig& config() const { return config_; }
 
   /// \brief Structure induction: trains one classifier per (non-skipped)
-  /// attribute of `train`. Per-attribute inductions are independent and run
-  /// across `num_threads` workers. Records the `induce` span, with
+  /// attribute of `train` (of a C4.5 tree only the compiled form is kept).
+  /// Per-attribute inductions are independent and run across `num_threads`
+  /// workers. Records the `induce` span, with
   /// `induce.encode` and one `induce.attr` span per attribute (keyed by the
   /// class attribute) under it.
   Result<AuditModel> Induce(const Table& train) const;
@@ -120,6 +121,7 @@ class Auditor {
                                  const Table& data) const;
 
  private:
+  /// The untrained classifier of a non-tree inducer; null for C4.5.
   std::unique_ptr<Classifier> MakeClassifier() const;
 
   AuditorConfig config_;

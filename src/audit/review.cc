@@ -20,7 +20,7 @@ Result<SuspicionDetail> ExplainRecord(const AuditModel& model,
   for (const AttributeModel& am : model.models()) {
     const int observed_class = am.encoder.Encode(
         data.cell(row, static_cast<size_t>(am.class_attr)));
-    const Prediction pred = PredictRecord(ScoringModelOf(am), data, row);
+    const Prediction pred = PredictRecord(am, data, row);
     const double conf = ErrorConfidence(pred, observed_class,
                                         config.confidence_level,
                                         config.flag_null_values);

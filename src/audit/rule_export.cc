@@ -30,32 +30,58 @@ std::string StructureRule::ToString(const Schema& schema,
 }
 
 std::vector<StructureRule> ExtractRules(const AttributeModel& model,
+                                        const AuditorConfig& config,
                                         bool drop_useless) {
   std::vector<StructureRule> rules;
-  const auto* tree = dynamic_cast<const C45Tree*>(model.classifier.get());
-  if (tree == nullptr) return rules;
-  tree->VisitPaths([&](const std::vector<SplitCondition>& conditions,
-                       const LeafInfo& leaf) {
-    if (leaf.weight <= 0.0 || leaf.majority < 0) return;
-    if (drop_useless && leaf.expected_error_confidence <= 0.0) return;
-    StructureRule rule;
-    rule.class_attr = model.class_attr;
-    rule.conditions = conditions;
-    rule.majority_class = leaf.majority;
-    rule.support = leaf.weight;
-    rule.purity =
-        leaf.class_counts[static_cast<size_t>(leaf.majority)] / leaf.weight;
-    rule.expected_error_confidence = leaf.expected_error_confidence;
-    rules.push_back(std::move(rule));
-  });
+  const CompiledTree& tree = model.tree;
+  if (tree.nodes().empty()) return rules;
+  // Depth first in branch order, so the rules come in the order of the
+  // tree's root-to-leaf paths.
+  std::vector<SplitCondition> path;
+  const auto visit = [&](const auto& self, uint32_t index) -> void {
+    const CompiledTree::Node& node = tree.nodes()[index];
+    if (node.is_leaf()) {
+      if (node.weight <= 0.0) return;
+      const double* counts = tree.leaf_counts(node.first);
+      const double exp_conf = LeafExpectedErrorConf(
+          counts, static_cast<size_t>(tree.num_classes()), node.weight,
+          node.majority, config.confidence_level,
+          config.min_error_confidence);
+      if (drop_useless && exp_conf <= 0.0) return;
+      StructureRule rule;
+      rule.class_attr = model.class_attr;
+      rule.conditions = path;
+      rule.majority_class = node.majority;
+      rule.support = node.weight;
+      rule.purity = counts[static_cast<size_t>(node.majority)] / node.weight;
+      rule.expected_error_confidence = exp_conf;
+      rules.push_back(std::move(rule));
+      return;
+    }
+    for (uint32_t b = 0; b < node.children; ++b) {
+      SplitCondition& cond = path.emplace_back();
+      cond.attr = node.attr;
+      if (node.ordered) {
+        cond.kind = b == 0 ? SplitCondition::Kind::kLessEq
+                           : SplitCondition::Kind::kGreater;
+        cond.threshold = node.threshold;
+      } else {
+        cond.category = static_cast<int32_t>(b);
+      }
+      self(self, node.first + b);
+      path.pop_back();
+    }
+  };
+  visit(visit, 0);
   return rules;
 }
 
 std::vector<StructureRule> ExtractStructureModel(const AuditModel& model,
+                                                 const AuditorConfig& config,
                                                  bool drop_useless) {
   std::vector<StructureRule> all;
   for (const AttributeModel& am : model.models()) {
-    std::vector<StructureRule> rules = ExtractRules(am, drop_useless);
+    std::vector<StructureRule> rules = ExtractRules(am, config, drop_useless);
     all.insert(all.end(), std::make_move_iterator(rules.begin()),
                std::make_move_iterator(rules.end()));
   }
@@ -247,11 +273,12 @@ Result<CandidateRule> StructureRuleToCandidate(const StructureRule& rule,
 
 std::vector<CandidateRule> ExtractCandidateRules(const AuditModel& model,
                                                  const Schema& schema,
+                                                 const AuditorConfig& config,
                                                  double total_rows) {
   std::vector<CandidateRule> out;
   for (const AttributeModel& am : model.models()) {
     const std::vector<StructureRule> rules =
-        ExtractRules(am, /*drop_useless=*/true);
+        ExtractRules(am, config, /*drop_useless=*/true);
     const std::string& attr_name =
         schema.attribute(static_cast<size_t>(am.class_attr)).name;
     for (size_t k = 0; k < rules.size(); ++k) {
@@ -317,10 +344,12 @@ std::string RenderSuggestedRuleFile(const std::vector<CandidateRule>& rules,
 }
 
 std::string RenderStructureModel(const AuditModel& model, const Schema& schema,
+                                 const AuditorConfig& config,
                                  size_t max_rules) {
   std::string out;
   for (const AttributeModel& am : model.models()) {
-    std::vector<StructureRule> rules = ExtractRules(am, /*drop_useless=*/true);
+    std::vector<StructureRule> rules =
+        ExtractRules(am, config, /*drop_useless=*/true);
     if (rules.empty()) continue;
     std::sort(rules.begin(), rules.end(),
               [](const StructureRule& a, const StructureRule& b) {

@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "audit/audit_model.h"
+#include "audit/auditor.h"
 #include "lint/suggest.h"
 #include "mining/assoc_rules.h"
 #include "mining/c45.h"
@@ -37,21 +37,24 @@ struct StructureRule {
   std::string ToString(const Schema& schema, const ClassEncoder& encoder) const;
 };
 
-/// \brief Extracts the rule set of one attribute model. Only meaningful for
-/// C4.5 classifiers; other inducers yield an empty set. When
-/// `drop_useless` is set, rules with zero expected error confidence are
-/// deleted (sec. 5.4).
+/// \brief Extracts the rule set of one attribute model: a rule per leaf of
+/// positive weight of its compiled tree, in path order (none for non-tree
+/// inducers). Def. 9 is evaluated at `config`'s level and minimal error
+/// confidence; with `drop_useless`, rules whose value is zero go (sec. 5.4).
 std::vector<StructureRule> ExtractRules(const AttributeModel& model,
+                                        const AuditorConfig& config,
                                         bool drop_useless = true);
 
 /// \brief Extracts and concatenates the rule sets of every model in an
 /// AuditModel (the full structure model).
 std::vector<StructureRule> ExtractStructureModel(const AuditModel& model,
+                                                 const AuditorConfig& config,
                                                  bool drop_useless = true);
 
 /// \brief Renders a structure model for human review, most-supported rules
 /// first.
 std::string RenderStructureModel(const AuditModel& model, const Schema& schema,
+                                 const AuditorConfig& config,
                                  size_t max_rules = 50);
 
 // --- dqsuggest candidate extraction --------------------------------------
@@ -83,6 +86,7 @@ Result<CandidateRule> StructureRuleToCandidate(const StructureRule& rule,
 /// (inconvertible rules are skipped). Provenance: "c45:<attr>:path#<k>".
 std::vector<CandidateRule> ExtractCandidateRules(const AuditModel& model,
                                                  const Schema& schema,
+                                                 const AuditorConfig& config,
                                                  double total_rows);
 
 /// \brief Converts mined association rules into candidates. Provenance:

@@ -106,15 +106,14 @@ TreePrediction PredictTree(const CompiledTree& tree, const Table& data,
 
 /// A model read against a table of another schema would index past its
 /// columns or read them as the wrong kind.
-bool MatchesSchema(const ScoringModel& m, const Schema& schema) {
+bool MatchesSchema(const AttributeModel& m, const Schema& schema) {
   if (m.class_attr < 0 ||
       static_cast<size_t>(m.class_attr) >= schema.num_attributes() ||
       schema.attribute(static_cast<size_t>(m.class_attr)).type !=
-          m.encoder->type()) {
+          m.encoder.type()) {
     return false;
   }
-  if (m.tree == nullptr) return true;
-  for (const TreeNode& node : m.tree->nodes()) {
+  for (const TreeNode& node : m.tree.nodes()) {
     if (node.is_leaf()) continue;
     if (static_cast<size_t>(node.attr) >= schema.num_attributes() ||
         node.ordered == (schema.attribute(static_cast<size_t>(node.attr))
@@ -127,26 +126,15 @@ bool MatchesSchema(const ScoringModel& m, const Schema& schema) {
 
 }  // namespace
 
-ScoringModel ScoringModelOf(const AttributeModel& model) {
-  ScoringModel out;
-  out.class_attr = model.class_attr;
-  out.encoder = &model.encoder;
-  out.classifier = model.classifier.get();
-  const auto* tree = dynamic_cast<const C45Tree*>(model.classifier.get());
-  if (tree != nullptr && !tree->compiled().nodes().empty()) {
-    out.tree = &tree->compiled();
-  }
-  return out;
-}
-
-Prediction PredictRecord(const ScoringModel& model, const Table& data,
+Prediction PredictRecord(const AttributeModel& model, const Table& data,
                          size_t row) {
-  if (model.tree == nullptr) return model.classifier->Predict(data.row(row));
+  if (model.classifier != nullptr) {
+    return model.classifier->Predict(data.row(row));
+  }
   Prediction out;
-  out.distribution.assign(static_cast<size_t>(model.tree->num_classes()),
-                          0.0);
+  out.distribution.assign(static_cast<size_t>(model.tree.num_classes()), 0.0);
   const TreePrediction pred =
-      PredictTree(*model.tree, data, row, out.distribution.data());
+      PredictTree(model.tree, data, row, out.distribution.data());
   if (pred.dist != out.distribution.data()) {
     std::copy_n(pred.dist, out.distribution.size(), out.distribution.begin());
   }
@@ -154,11 +142,11 @@ Prediction PredictRecord(const ScoringModel& model, const Table& data,
   return out;
 }
 
-Result<AuditReport> ScoreTable(const std::vector<ScoringModel>& models,
-                               const Table& data,
+Result<AuditReport> ScoreTable(const AuditModel& model, const Table& data,
                                const AuditorConfig& config) {
   obs::Span audit_span("audit");
-  for (const ScoringModel& m : models) {
+  const std::vector<AttributeModel>& models = model.models();
+  for (const AttributeModel& m : models) {
     if (!MatchesSchema(m, data.schema())) {
       return Status::InvalidArgument(
           "model does not match the table's schema");
@@ -173,10 +161,8 @@ Result<AuditReport> ScoreTable(const std::vector<ScoringModel>& models,
   report.flagged.assign(n, false);
 
   size_t width = 1;
-  for (const ScoringModel& m : models) {
-    if (m.tree != nullptr) {
-      width = std::max(width, static_cast<size_t>(m.tree->num_classes()));
-    }
+  for (const AttributeModel& m : models) {
+    width = std::max(width, static_cast<size_t>(m.tree.num_classes()));
   }
 
   // Each record is scored independently (Def. 7/8) into its own slots, so
@@ -195,22 +181,22 @@ Result<AuditReport> ScoreTable(const std::vector<ScoringModel>& models,
       const size_t end = std::min(n, begin + kBlockRows);
       std::vector<double> scratch(width);
       std::vector<Row> rows;  // materialized for the first non-tree model
-      for (const ScoringModel& m : models) {
-        if (m.tree == nullptr && rows.empty()) {
+      for (const AttributeModel& m : models) {
+        if (m.classifier != nullptr && rows.empty()) {
           rows.reserve(end - begin);
           for (size_t r = begin; r < end; ++r) rows.push_back(data.row(r));
         }
         const size_t class_attr = static_cast<size_t>(m.class_attr);
         for (size_t r = begin; r < end; ++r) {
-          const int observed = m.encoder->Encode(data.cell(r, class_attr));
+          const int observed = m.encoder.Encode(data.cell(r, class_attr));
           double conf = 0.0;
           int predicted = -1;
           double support = 0.0;
-          if (m.tree != nullptr) {
+          if (m.classifier == nullptr) {
             const TreePrediction pred =
-                PredictTree(*m.tree, data, r, scratch.data());
+                PredictTree(m.tree, data, r, scratch.data());
             conf = ErrorConfidence(
-                pred.dist, static_cast<size_t>(m.tree->num_classes()),
+                pred.dist, static_cast<size_t>(m.tree.num_classes()),
                 pred.predicted, pred.support, observed,
                 config.confidence_level, config.flag_null_values);
             predicted = pred.predicted;
@@ -225,7 +211,7 @@ Result<AuditReport> ScoreTable(const std::vector<ScoringModel>& models,
           if (conf > report.record_confidence[r]) {  // Def. 8: the maximum
             report.record_confidence[r] = conf;
             report.record_attr[r] = m.class_attr;
-            report.record_suggestion[r] = m.encoder->Representative(predicted);
+            report.record_suggestion[r] = m.encoder.Representative(predicted);
             report.record_support[r] = support;
           }
         }

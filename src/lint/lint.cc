@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/input_file.h"
 #include "lint/rule_abstraction.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -550,8 +551,7 @@ LintResult Linter::LintFile(std::istream* in) const {
 }
 
 Result<LintResult> Linter::LintFileAt(const std::string& path) const {
-  std::ifstream f(path);
-  if (!f) return Status::IOError("cannot open '" + path + "' for reading");
+  DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
   return LintFile(&f);
 }
 

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/input_file.h"
 #include "common/strings.h"
 #include "table/date.h"
 
@@ -390,8 +391,7 @@ Result<std::vector<Rule>> ParseRuleFile(const Schema& schema,
 
 Result<std::vector<Rule>> ParseRuleFileAt(const Schema& schema,
                                           const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return Status::IOError("cannot open '" + path + "' for reading");
+  DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
   return ParseRuleFile(schema, &f);
 }
 
@@ -416,8 +416,7 @@ RuleFileParse ParseRuleFileLenient(const Schema& schema, std::istream* in) {
 
 Result<RuleFileParse> ParseRuleFileLenientAt(const Schema& schema,
                                              const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return Status::IOError("cannot open '" + path + "' for reading");
+  DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
   return ParseRuleFileLenient(schema, &f);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/strings.h"
 #include "mining/encoded_dataset.h"
@@ -126,9 +127,8 @@ using Inst = std::pair<uint32_t, double>;  // row index, weight
 
 /// Truncated error confidence of Def. 7 used inside Def. 9: contributions
 /// below the user's minimal error confidence count as zero (sec. 5.4).
-double TruncatedErrorConf(const std::vector<double>& counts, double weight,
-                          int observed, int majority, double level,
-                          double min_conf) {
+double TruncatedErrorConf(const double* counts, double weight, int observed,
+                          int majority, double level, double min_conf) {
   if (weight <= 0.0 || observed == majority) return 0.0;
   const double p_pred = counts[static_cast<size_t>(majority)] / weight;
   const double p_obs = counts[static_cast<size_t>(observed)] / weight;
@@ -139,13 +139,14 @@ double TruncatedErrorConf(const std::vector<double>& counts, double weight,
   return conf;
 }
 
-/// Leaf value of Def. 9: sum over classes of relative frequency times the
-/// (truncated) error confidence of observing that class.
-double LeafExpectedErrorConf(const std::vector<double>& counts, double weight,
-                             int majority, double level, double min_conf) {
+}  // namespace
+
+double LeafExpectedErrorConf(const double* counts, size_t num_classes,
+                             double weight, int majority, double level,
+                             double min_conf) {
   if (weight <= 0.0) return 0.0;
   double exp_conf = 0.0;
-  for (size_t c = 0; c < counts.size(); ++c) {
+  for (size_t c = 0; c < num_classes; ++c) {
     if (counts[c] <= 0.0) continue;
     exp_conf += counts[c] / weight *
                 TruncatedErrorConf(counts, weight, static_cast<int>(c),
@@ -153,6 +154,8 @@ double LeafExpectedErrorConf(const std::vector<double>& counts, double weight,
   }
   return exp_conf;
 }
+
+namespace {
 
 int MajorityOf(const std::vector<double>& counts) {
   int best = 0;
@@ -265,8 +268,8 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
   }
   node->majority = MajorityOf(node->class_counts);
   node->expected_error_conf = LeafExpectedErrorConf(
-      node->class_counts, node->weight, node->majority,
-      config_.confidence_level, config_.min_error_confidence);
+      node->class_counts.data(), node->class_counts.size(), node->weight,
+      node->majority, config_.confidence_level, config_.min_error_confidence);
 
   const double majority_count =
       node->class_counts[static_cast<size_t>(node->majority)];
@@ -1109,8 +1112,8 @@ struct C45HistogramBuilder {
     node->weight = weight;
     node->majority = MajorityOf(node->class_counts);
     node->expected_error_conf = LeafExpectedErrorConf(
-        node->class_counts, node->weight, node->majority,
-        config.confidence_level, config.min_error_confidence);
+        node->class_counts.data(), node->class_counts.size(), node->weight,
+        node->majority, config.confidence_level, config.min_error_confidence);
     nodes_built->Add(1);
     return node;
   }
@@ -1354,40 +1357,6 @@ size_t C45Tree::TreeDepth() const {
   size_t nodes = 0, leaves = 0, depth = 0;
   CountNodes(*root_, 1, &nodes, &leaves, &depth);
   return depth;
-}
-
-void C45Tree::VisitPaths(
-    const std::function<void(const std::vector<SplitCondition>&,
-                             const LeafInfo&)>& visitor) const {
-  if (root_ == nullptr) return;
-  std::vector<SplitCondition> prefix;
-  std::function<void(const Node&)> rec = [&](const Node& node) {
-    if (node.IsLeaf()) {
-      LeafInfo info;
-      info.class_counts = node.class_counts;
-      info.weight = node.weight;
-      info.majority = node.majority;
-      info.expected_error_confidence = node.expected_error_conf;
-      visitor(prefix, info);
-      return;
-    }
-    for (size_t b = 0; b < node.children.size(); ++b) {
-      SplitCondition cond;
-      cond.attr = node.split_attr;
-      if (node.ordered_split) {
-        cond.kind = b == 0 ? SplitCondition::Kind::kLessEq
-                           : SplitCondition::Kind::kGreater;
-        cond.threshold = node.threshold;
-      } else {
-        cond.kind = SplitCondition::Kind::kCategory;
-        cond.category = static_cast<int32_t>(b);
-      }
-      prefix.push_back(cond);
-      rec(*node.children[b]);
-      prefix.pop_back();
-    }
-  };
-  rec(*root_);
 }
 
 std::string C45Tree::ToString(const Schema& schema,

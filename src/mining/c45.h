@@ -26,7 +26,6 @@
 #ifndef DQ_MINING_C45_H_
 #define DQ_MINING_C45_H_
 
-#include <functional>
 #include <memory>
 
 #include "mining/classifier.h"
@@ -103,6 +102,14 @@ struct C45Config {
 /// instances of one class that have to occur in a leaf").
 double MinInstForConfidence(double min_conf, double confidence_level);
 
+/// \brief Def. 9 value of a leaf of training weight `weight`: over its
+/// `num_classes` class counts, each class's relative frequency times the
+/// error confidence of observing it (below `min_conf` counted as zero).
+/// Tree pruning and the rule export of sec. 5.4 share it.
+double LeafExpectedErrorConf(const double* counts, size_t num_classes,
+                             double weight, int majority, double level,
+                             double min_conf);
+
 /// \brief One condition along a root-to-leaf path.
 struct SplitCondition {
   int attr = -1;
@@ -111,15 +118,6 @@ struct SplitCondition {
   double threshold = 0.0;
 
   std::string ToString(const Schema& schema) const;
-};
-
-/// \brief Statistics of a leaf, exposed for rule extraction (sec. 5.4).
-struct LeafInfo {
-  std::vector<double> class_counts;
-  double weight = 0.0;
-  int majority = -1;
-  /// Expected error confidence of the leaf under Def. 9.
-  double expected_error_confidence = 0.0;
 };
 
 /// \brief C4.5 decision tree classifier.
@@ -142,19 +140,14 @@ class C45Tree : public Classifier {
   size_t LeafCount() const;
   size_t TreeDepth() const;
 
-  /// \brief The flat form of the trained tree every scoring path walks
-  /// (empty before Train).
+  /// \brief The flat form of the trained tree, the only one an audit model
+  /// keeps (empty before Train).
   const CompiledTree& compiled() const { return compiled_; }
 
   /// \brief Pretty-prints the tree; `encoder` labels the leaf classes (the
   /// one the tree was trained with, e.g. AttributeModel::encoder).
   std::string ToString(const Schema& schema,
                        const ClassEncoder& encoder) const;
-
-  /// \brief Visits every root-to-leaf path (for the decision-tree -> rule
-  /// set transformation of sec. 5.4).
-  void VisitPaths(const std::function<void(const std::vector<SplitCondition>&,
-                                           const LeafInfo&)>& visitor) const;
 
  private:
   struct Node;

@@ -1,8 +1,8 @@
 // CompiledTree: a trained C4.5 tree flattened into one node array. It is
-// the form every scoring path walks (Auditor::Audit, StructureModel::Check,
-// ExplainRecord) and the form `dqmodel v2` persists; C45Tree compiles it
-// once at the end of Train and keeps its pointer tree as the reference
-// implementation of Predict.
+// the only tree an AuditModel keeps: scoring, rule export and review walk
+// it, and `dqmodel v2` persists it. C45Tree compiles it once at the end of
+// Train and keeps its pointer tree as the reference implementation of
+// Predict, which tests use as the scorer's oracle.
 //
 // Nodes are laid out breadth first: the root is node 0 and the children of
 // every split are contiguous and come after it, so a walk only moves

@@ -6,7 +6,10 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
-#include <sstream>
+#include <vector>
+
+#include "common/input_file.h"
+#include "obs/trace.h"
 
 namespace dq::obs {
 
@@ -72,8 +75,7 @@ std::string FormatUtcTimestamp(int64_t epoch_ms) {
   return buf;
 }
 
-uint64_t Fnv1a64(std::string_view data) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
+uint64_t Fnv1a64(std::string_view data, uint64_t hash) {
   for (char c : data) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001b3ULL;
@@ -183,14 +185,19 @@ Status RunManifestFromJson(const JsonValue& json, RunManifest* out) {
 
 Status AddInputFileHash(RunManifest* manifest, const std::string& label,
                         const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  Span span("manifest.hash");
+  DQ_ASSIGN_OR_RETURN(std::ifstream in, OpenInputFile(path));
+  // Fixed-size chunks, so hashing a large input never holds it in memory.
+  std::vector<char> chunk(64 * 1024);
+  uint64_t hash = kFnv1a64Offset;
+  while (in.read(chunk.data(), static_cast<std::streamsize>(chunk.size())) ||
+         in.gcount() > 0) {
+    hash = Fnv1a64({chunk.data(), static_cast<size_t>(in.gcount())}, hash);
+  }
+  if (in.bad()) {
     return Status::IOError("cannot read " + path + " for manifest hashing");
   }
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  manifest->input_hashes.emplace_back(label,
-                                      HashHex(Fnv1a64(contents.str())));
+  manifest->input_hashes.emplace_back(label, HashHex(hash));
   return Status::OK();
 }
 

@@ -18,8 +18,13 @@
 
 namespace dq::obs {
 
+/// \brief The FNV-1a offset basis: the hash of no bytes.
+inline constexpr uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
+
 /// \brief 64-bit FNV-1a over `data`; stable across platforms and runs.
-uint64_t Fnv1a64(std::string_view data);
+/// Passing the hash of a prefix as `hash` continues it, so hashing a file
+/// chunk by chunk gives the hash of its whole contents.
+uint64_t Fnv1a64(std::string_view data, uint64_t hash = kFnv1a64Offset);
 
 /// \brief Fixed-width lowercase hex rendering of a 64-bit hash.
 std::string HashHex(uint64_t hash);

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/input_file.h"
 #include "common/strings.h"
 #include "obs/json.h"
 
@@ -185,10 +186,7 @@ Result<std::vector<AnnotatedRule>> ParseAnnotatedRuleFile(
 
 Result<std::vector<AnnotatedRule>> LoadAnnotatedRuleFile(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot read rule file '" + path + "'");
-  }
+  DQ_ASSIGN_OR_RETURN(std::ifstream in, OpenInputFile(path));
   std::ostringstream buffer;
   buffer << in.rdbuf();
   auto parsed = ParseAnnotatedRuleFile(buffer.str());

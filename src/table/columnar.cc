@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/input_file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -334,10 +335,7 @@ Status ColumnarCodec::Write(const Table& table, const std::string& path) {
 }
 
 Result<Schema> ColumnarCodec::ReadSchema(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
+  DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
   DqcolHeader header;
   DQ_RETURN_NOT_OK(ReadHeader(&f, path, &header));
   return std::move(header.schema);
@@ -346,10 +344,7 @@ Result<Schema> ColumnarCodec::ReadSchema(const std::string& path) {
 Result<Table> ColumnarCodec::Load(const Schema& schema,
                                   const std::string& path,
                                   uint64_t* file_bytes) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
+  DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
   DqcolHeader header;
   DQ_RETURN_NOT_OK(ReadHeader(&f, path, &header));
   DQ_RETURN_NOT_OK(CheckSchemaMatch(schema, header.schema, path));
@@ -404,10 +399,7 @@ Status ColumnarCodec::ReadChunks(const Schema& schema,
                                  const std::string& path, size_t chunk_rows,
                                  CsvChunkSink* sink, IngestReport* report) {
   obs::Span span("ingest");
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
+  DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
   DqcolHeader header;
   DQ_RETURN_NOT_OK(ReadHeader(&f, path, &header));
   DQ_RETURN_NOT_OK(CheckSchemaMatch(schema, header.schema, path));

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/atomic_file.h"
+#include "common/input_file.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
@@ -397,8 +398,7 @@ Status ReadCsvChunks(const Schema& schema, std::istream* in,
 Status ReadCsvFileChunks(const Schema& schema, const std::string& path,
                          const CsvOptions& options, CsvChunkSink* sink,
                          IngestReport* report) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open '" + path + "' for reading");
+  DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
   return ReadCsvChunks(schema, &f, options, sink, report);
 }
 
@@ -406,8 +406,7 @@ Result<Table> ReadCsvFile(const Schema& schema, const std::string& path,
                           const CsvOptions& options, IngestReport* report) {
   // Binary mode: the parser normalizes CRLF/CR record terminators itself
   // and quoted embedded newlines must reach it unmodified.
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open '" + path + "' for reading");
+  DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
   return ReadCsv(schema, &f, options, report);
 }
 

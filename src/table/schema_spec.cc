@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/input_file.h"
 #include "common/strings.h"
 #include "table/date.h"
 
@@ -69,8 +70,7 @@ Result<Schema> ParseSchemaSpec(std::istream* in) {
 }
 
 Result<Schema> ParseSchemaSpecFile(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return Status::IOError("cannot open '" + path + "' for reading");
+  DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
   return ParseSchemaSpec(&f);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 #include "audit/auditor.h"
 #include "audit/error_confidence.h"
@@ -229,8 +230,15 @@ TEST(AuditorTest, ExcludedBaseAttrsRespected) {
   ASSERT_TRUE(model.ok());
   const AttributeModel* ym = model->ModelFor(1);
   ASSERT_NE(ym, nullptr);
-  EXPECT_EQ(std::find(ym->base_attrs.begin(), ym->base_attrs.end(), 0),
-            ym->base_attrs.end());
+  const auto splits_on_x = [](const AttributeModel& m) {
+    return std::any_of(m.tree.nodes().begin(), m.tree.nodes().end(),
+                       [](const CompiledTree::Node& n) { return n.attr == 0; });
+  };
+  EXPECT_FALSE(splits_on_x(*ym));
+  // Without the exclusion, Y's tree splits on X.
+  auto unrestricted = Auditor().Induce(t);
+  ASSERT_TRUE(unrestricted.ok());
+  EXPECT_TRUE(splits_on_x(*unrestricted->ModelFor(1)));
 }
 
 TEST(AuditorTest, AuditSeparateTestTable) {
@@ -265,8 +273,9 @@ TEST(AuditorTest, AllInducerKindsRunEndToEnd) {
 
 TEST(AuditorTest, InducedTreesKeepNoPointerIntoTheirTrainingInput) {
   // Induce trains every tree from an encode cache and encoders that die
-  // when it returns. A tree's dump, labelled by the model's own encoder,
-  // must equal the dump of a tree trained directly on the same table.
+  // when it returns, and keeps only the compiled tree. The model, saved
+  // with its own encoders, must equal a model built from trees trained
+  // directly on the same table.
   QuisConfig qcfg;
   qcfg.num_records = 3000;
   qcfg.seed = 7;
@@ -283,17 +292,28 @@ TEST(AuditorTest, InducedTreesKeepNoPointerIntoTheirTrainingInput) {
   C45Config tree_cfg = cfg.c45;
   tree_cfg.min_error_confidence = cfg.min_error_confidence;
   tree_cfg.confidence_level = cfg.confidence_level;
+  AuditModel direct_model;
   for (const AttributeModel& am : model->models()) {
-    const auto* tree = dynamic_cast<const C45Tree*>(am.classifier.get());
-    ASSERT_NE(tree, nullptr);
+    ASSERT_EQ(am.classifier, nullptr);
+    std::vector<int> base;
+    for (size_t a = 0; a < t.schema().num_attributes(); ++a) {
+      if (static_cast<int>(a) != am.class_attr) {
+        base.push_back(static_cast<int>(a));
+      }
+    }
     C45Tree direct(tree_cfg);
-    ASSERT_TRUE(
-        direct.Train(TrainingData{&cache, am.class_attr, am.base_attrs}).ok());
-    EXPECT_EQ(tree->ToString(t.schema(), am.encoder),
-              direct.ToString(t.schema(), *cache.encoder(
-                                              static_cast<size_t>(am.class_attr))))
-        << t.schema().attribute(static_cast<size_t>(am.class_attr)).name;
+    ASSERT_TRUE(direct.Train(TrainingData{&cache, am.class_attr, base}).ok());
+    direct_model.AddAttributeModel(
+        {am.class_attr,
+         *cache.encoder(static_cast<size_t>(am.class_attr)),
+         direct.compiled(),
+         {}});
   }
+  std::ostringstream induced;
+  std::ostringstream direct;
+  ASSERT_TRUE(model->SerializeTo(&induced).ok());
+  ASSERT_TRUE(direct_model.SerializeTo(&direct).ok());
+  EXPECT_EQ(induced.str(), direct.str());
 }
 
 TEST(AuditorTest, EmptyTableRejected) {
@@ -310,7 +330,8 @@ TEST(RuleExportTest, ExtractsUsefulRules) {
   Auditor auditor;
   auto model = auditor.Induce(t);
   ASSERT_TRUE(model.ok());
-  auto rules = ExtractStructureModel(*model, /*drop_useless=*/true);
+  auto rules = ExtractStructureModel(*model, auditor.config(),
+                                     /*drop_useless=*/true);
   EXPECT_FALSE(rules.empty());
   for (const StructureRule& rule : rules) {
     EXPECT_GT(rule.expected_error_confidence, 0.0);
@@ -325,8 +346,10 @@ TEST(RuleExportTest, DropUselessReducesRuleCount) {
   Auditor auditor;
   auto model = auditor.Induce(t);
   ASSERT_TRUE(model.ok());
-  auto all = ExtractStructureModel(*model, /*drop_useless=*/false);
-  auto useful = ExtractStructureModel(*model, /*drop_useless=*/true);
+  auto all = ExtractStructureModel(*model, auditor.config(),
+                                   /*drop_useless=*/false);
+  auto useful = ExtractStructureModel(*model, auditor.config(),
+                                      /*drop_useless=*/true);
   EXPECT_LE(useful.size(), all.size());
   EXPECT_FALSE(all.empty());
 }
@@ -336,7 +359,8 @@ TEST(RuleExportTest, RenderedModelMentionsDependency) {
   Auditor auditor;
   auto model = auditor.Induce(t);
   ASSERT_TRUE(model.ok());
-  const std::string rendered = RenderStructureModel(*model, t.schema());
+  const std::string rendered =
+      RenderStructureModel(*model, t.schema(), auditor.config());
   // The Y classifier learned rules conditioned on X.
   EXPECT_NE(rendered.find("X = "), std::string::npos);
   EXPECT_NE(rendered.find("-> Y"), std::string::npos);
@@ -348,7 +372,7 @@ TEST(RuleExportTest, NonTreeClassifierYieldsNoRules) {
   cfg.inducer = InducerKind::kNaiveBayes;
   auto model = Auditor(cfg).Induce(t);
   ASSERT_TRUE(model.ok());
-  EXPECT_TRUE(ExtractStructureModel(*model).empty());
+  EXPECT_TRUE(ExtractStructureModel(*model, cfg).empty());
 }
 
 }  // namespace

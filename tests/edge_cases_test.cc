@@ -4,15 +4,24 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
 #include <sstream>
 
 #include "audit/auditor.h"
 #include "eval/metrics.h"
 #include "eval/test_environment.h"
+#include "lint/lint.h"
 #include "logic/domain_range.h"
+#include "logic/rule_parser.h"
 #include "mining/c45.h"
 #include "mining/encoded_dataset.h"
+#include "obs/manifest.h"
+#include "obs/rule_diff.h"
 #include "pollution/pipeline.h"
+#include "table/columnar.h"
+#include "table/csv.h"
+#include "table/schema_spec.h"
 #include "tdg/data_generator.h"
 
 namespace dq {
@@ -322,6 +331,57 @@ TEST(RenderingTest, StatusStreamOperator) {
   std::ostringstream os;
   os << Status::NotFound("thing");
   EXPECT_EQ(os.str(), "NotFound: thing");
+}
+
+// --- A directory named where an input file belongs --------------------------
+
+/// Takes every chunk a streaming reader decodes.
+class DiscardSink : public CsvChunkSink {
+ public:
+  Status OnChunk(const TableChunk&, const std::vector<uint8_t>&) override {
+    return Status::OK();
+  }
+};
+
+TEST(InputFileTest, DirectoryIsAnIOErrorForEveryReader) {
+  // std::ifstream opens a directory and reads it as empty; every reader of
+  // a user-named input must refuse it with an IOError naming the path.
+  const std::string dir =
+      ::testing::TempDir() + "/dq_input_dir_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::create_directories(dir);
+  Schema s;
+  ASSERT_TRUE(s.AddNominal("A", {"a0", "a1"}).ok());
+  DiscardSink sink;
+  const std::vector<std::pair<std::string, std::function<Status()>>> readers = {
+      {"schema spec", [&] { return ParseSchemaSpecFile(dir).status(); }},
+      {"csv", [&] { return ReadCsvFile(s, dir).status(); }},
+      {"csv chunks",
+       [&] { return ReadCsvFileChunks(s, dir, CsvOptions(), &sink); }},
+      {"dqcol schema", [&] { return ColumnarCodec::ReadSchema(dir).status(); }},
+      {"dqcol", [&] { return ColumnarCodec::Load(s, dir, nullptr).status(); }},
+      {"dqcol chunks",
+       [&] { return ColumnarCodec::ReadChunks(s, dir, 64, &sink, nullptr); }},
+      {"rule file", [&] { return ParseRuleFileAt(s, dir).status(); }},
+      {"lenient rule file",
+       [&] { return ParseRuleFileLenientAt(s, dir).status(); }},
+      {"lint", [&] { return Linter(&s).LintFileAt(dir).status(); }},
+      {"annotated rule file",
+       [&] { return obs::LoadAnnotatedRuleFile(dir).status(); }},
+      {"model", [&] { return AuditModel::LoadFromFile(s, dir).status(); }},
+      {"manifest hash",
+       [&] {
+         obs::RunManifest manifest;
+         return obs::AddInputFileHash(&manifest, "input", dir);
+       }},
+  };
+  for (const auto& [reader, read] : readers) {
+    const Status status = read();
+    EXPECT_EQ(status.code(), StatusCode::kIOError) << reader << ": " << status;
+    EXPECT_NE(status.message().find(dir), std::string::npos)
+        << reader << ": " << status;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -101,7 +101,8 @@ TEST(IntegrationTest, QuisStructureModelContainsHeadlineRule) {
   const int gbm = *s.IndexOf("GBM");
   const AttributeModel* gbm_model = model->ModelFor(gbm);
   ASSERT_NE(gbm_model, nullptr);
-  auto rules = ExtractRules(*gbm_model, /*drop_useless=*/true);
+  auto rules =
+      ExtractRules(*gbm_model, auditor.config(), /*drop_useless=*/true);
   bool found = false;
   for (const StructureRule& rule : rules) {
     const std::string text = rule.ToString(s, gbm_model->encoder);

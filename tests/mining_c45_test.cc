@@ -292,23 +292,24 @@ TEST(C45PruningTest, MinInstPrePruningLimitsDepthOnSmallData) {
   EXPECT_EQ(tree.NodeCount(), 1u);
 }
 
-// --- Path extraction -----------------------------------------------------------------
+// --- Compiled form -------------------------------------------------------------------
 
-TEST(C45Test, VisitPathsCoversAllLeaves) {
+TEST(C45Test, CompiledTreeCoversAllLeaves) {
   Table t = MakeDependentTable(1000, 0.02, 14);
   const EncodedDataset enc = EncodedDataset::Build(t, 8);
   C45Tree tree;
   ASSERT_TRUE(tree.Train(MakeTraining(enc)).ok());
   size_t leaves = 0;
   double weight = 0.0;
-  tree.VisitPaths([&](const std::vector<SplitCondition>& conds,
-                      const LeafInfo& leaf) {
-    ++leaves;
-    weight += leaf.weight;
-    for (const SplitCondition& c : conds) {
-      EXPECT_GE(c.attr, 0);
+  for (const CompiledTree::Node& node : tree.compiled().nodes()) {
+    if (node.is_leaf()) {
+      ++leaves;
+      weight += node.weight;
+    } else {
+      EXPECT_GE(node.attr, 0);
     }
-  });
+  }
+  EXPECT_EQ(tree.compiled().nodes().size(), tree.NodeCount());
   EXPECT_EQ(leaves, tree.LeafCount());
   EXPECT_NEAR(weight, 1000.0, 1e-6);
 }

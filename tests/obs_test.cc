@@ -155,9 +155,23 @@ TEST(ManifestTest, AddInputFileHashRecordsContentHash) {
   EXPECT_EQ(m.input_hashes[0].second, HashHex(Fnv1a64("BRV,GBM\n404,901\n")));
   std::remove(path.c_str());
 
+  // The hash streams the file in fixed-size chunks; one that spans several
+  // chunks plus a ragged tail hashes like its whole contents.
+  std::string large(3 * 64 * 1024 + 4321, '\0');
+  Rng rng(17);
+  for (char& c : large) c = static_cast<char>(rng.UniformInt(0, 255));
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << large;
+  }
+  ASSERT_TRUE(AddInputFileHash(&m, "large", path).ok());
+  ASSERT_EQ(m.input_hashes.size(), 2u);
+  EXPECT_EQ(m.input_hashes[1].second, HashHex(Fnv1a64(large)));
+  std::remove(path.c_str());
+
   Status missing = AddInputFileHash(&m, "gone", path + ".does-not-exist");
   EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(m.input_hashes.size(), 1u);  // failed hash leaves it unchanged
+  EXPECT_EQ(m.input_hashes.size(), 2u);  // failed hash leaves it unchanged
 }
 
 TEST(ManifestTest, ToJsonIsValidAndCarriesSchemaVersion) {

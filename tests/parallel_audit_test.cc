@@ -8,7 +8,6 @@
 #include <string>
 
 #include "audit/auditor.h"
-#include "audit/structure_model.h"
 #include "common/random.h"
 #include "eval/test_environment.h"
 #include "mining/c45.h"
@@ -46,10 +45,9 @@ Table PlantedTable(size_t rows, size_t errors, uint64_t seed) {
   return t;
 }
 
-std::string Serialized(const AuditModel& model, const Schema& schema) {
-  StructureModel sm = StructureModel::FromAuditModel(model, schema);
+std::string Serialized(const AuditModel& model) {
   std::ostringstream out;
-  EXPECT_TRUE(sm.SerializeTo(&out).ok());
+  EXPECT_TRUE(model.SerializeTo(&out).ok());
   return out.str();
 }
 
@@ -116,8 +114,7 @@ TEST(ParallelAuditTest, ThreadCountDoesNotChangeModelOrReport) {
               std::string::npos)
         << parallel_tree;
   }
-  EXPECT_EQ(Serialized(*serial_model, t.schema()),
-            Serialized(*parallel_model, t.schema()));
+  EXPECT_EQ(Serialized(*serial_model), Serialized(*parallel_model));
   ExpectIdenticalReports(*serial_report, *parallel_report);
 }
 
@@ -140,8 +137,7 @@ TEST(ParallelAuditTest, WideThreadCountsAgreeWithSerial) {
     ASSERT_TRUE(model.ok()) << "threads=" << threads;
     auto report = auditor.Audit(*model, t);
     ASSERT_TRUE(report.ok()) << "threads=" << threads;
-    EXPECT_EQ(Serialized(*serial_model, t.schema()),
-              Serialized(*model, t.schema()))
+    EXPECT_EQ(Serialized(*serial_model), Serialized(*model))
         << "threads=" << threads;
     ExpectIdenticalReports(*serial_report, *report);
   }
@@ -172,12 +168,14 @@ TEST(ParallelAuditTest, StructureModelCheckMatchesAcrossThreadCounts) {
   Auditor auditor(cfg);
   auto model = auditor.Induce(t);
   ASSERT_TRUE(model.ok());
-  StructureModel sm = StructureModel::FromAuditModel(*model, t.schema());
+  std::istringstream saved(Serialized(*model));
+  auto loaded = AuditModel::Deserialize(t.schema(), &saved);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
 
-  auto serial = sm.Check(t, cfg);
+  auto serial = loaded->Check(t, cfg);
   ASSERT_TRUE(serial.ok());
   cfg.num_threads = 4;
-  auto parallel = sm.Check(t, cfg);
+  auto parallel = loaded->Check(t, cfg);
   ASSERT_TRUE(parallel.ok());
   ExpectIdenticalReports(*serial, *parallel);
 }
@@ -231,8 +229,7 @@ TEST(C45PresortTest, QuisAuditIsIdenticalUnderPresortAndThreads) {
   run(4, &parallel_model, &parallel_report);
 
   EXPECT_GT(serial_report.NumFlagged(), 0u);
-  EXPECT_EQ(Serialized(serial_model, sample->table.schema()),
-            Serialized(parallel_model, sample->table.schema()));
+  EXPECT_EQ(Serialized(serial_model), Serialized(parallel_model));
   ExpectIdenticalReports(serial_report, parallel_report);
 }
 

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "audit/error_confidence.h"
+#include "audit/rule_export.h"
 #include "common/random.h"
 #include "mining/c45.h"
 #include "mining/encoded_dataset.h"
@@ -159,19 +160,24 @@ TEST(QuantC45Test, LeafExpectedErrorConfidenceMatchesFormula) {
   C45Tree tree(cfg);
   ASSERT_TRUE(tree.Train(td).ok());
 
+  // The rule export recomputes Def. 9 from the compiled leaf's counts.
+  const AttributeModel model{1, *enc.encoder(1), tree.compiled(), {}};
+  AuditorConfig audit_cfg;
+  audit_cfg.min_error_confidence = cfg.min_error_confidence;
+  audit_cfg.confidence_level = cfg.confidence_level;
   bool found_impure = false;
-  tree.VisitPaths([&](const std::vector<SplitCondition>& conds,
-                      const LeafInfo& leaf) {
-    if (conds.size() == 1 && conds[0].category == 0) {
+  for (const StructureRule& rule :
+       ExtractRules(model, audit_cfg, /*drop_useless=*/false)) {
+    if (rule.conditions.size() == 1 && rule.conditions[0].category == 0) {
       found_impure = true;
-      ASSERT_EQ(leaf.weight, 1000.0);
+      ASSERT_EQ(rule.support, 1000.0);
       const double conf_minority =
           LeftBound(0.99, 1000, 0.95) - RightBound(0.01, 1000, 0.95);
       ASSERT_GE(conf_minority, 0.8);  // above the truncation threshold
       const double expected = 10.0 / 1000.0 * conf_minority;
-      EXPECT_NEAR(leaf.expected_error_confidence, expected, 1e-9);
+      EXPECT_NEAR(rule.expected_error_confidence, expected, 1e-9);
     }
-  });
+  }
   EXPECT_TRUE(found_impure);
 }
 

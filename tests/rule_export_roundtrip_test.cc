@@ -225,8 +225,9 @@ TEST(RuleExportTest, QuisExtractionRoundTripsAndLints) {
   Auditor auditor;
   auto model = auditor.Induce(sample->table);
   ASSERT_TRUE(model.ok());
-  const std::vector<CandidateRule> cands = ExtractCandidateRules(
-      *model, s, static_cast<double>(sample->table.num_rows()));
+  const std::vector<CandidateRule> cands =
+      ExtractCandidateRules(*model, s, auditor.config(),
+                            static_cast<double>(sample->table.num_rows()));
   ASSERT_GT(cands.size(), 10u);
   for (const CandidateRule& c : cands) {
     EXPECT_GE(c.confidence, 0.0);

@@ -2,7 +2,8 @@
 // tables with nulls in every attribute kind, the compiled-tree walk must
 // reproduce C45Tree::Predict + ErrorConfidence bit for bit, and a model
 // saved, loaded and checked must report exactly what the in-memory audit
-// reports.
+// reports. The audit model keeps only compiled trees, so the oracle trees
+// are trained here the way Auditor::Induce trains them.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +13,9 @@
 
 #include "audit/error_confidence.h"
 #include "audit/scorer.h"
-#include "audit/structure_model.h"
 #include "common/random.h"
 #include "eval/report_io.h"
+#include "mining/encoded_dataset.h"
 
 namespace dq {
 namespace {
@@ -63,6 +64,38 @@ std::string ReportCsv(const AuditReport& report, const Table& data) {
   return out.str();
 }
 
+/// The pointer trees Auditor::Induce trains for `model` and then drops:
+/// the same configuration, encode cache and base attributes. Each one
+/// compiles to exactly the tree the model keeps.
+std::vector<C45Tree> OracleTrees(const AuditModel& model, const Table& train,
+                                 const AuditorConfig& config) {
+  const EncodedDataset cache =
+      EncodedDataset::Build(train, config.numeric_class_bins);
+  C45Config c = config.c45;
+  c.min_error_confidence = config.min_error_confidence;
+  c.confidence_level = config.confidence_level;
+  std::vector<C45Tree> trees;
+  for (const AttributeModel& am : model.models()) {
+    std::vector<int> base;
+    const int num_attrs = static_cast<int>(train.schema().num_attributes());
+    for (int a = 0; a < num_attrs; ++a) {
+      if (a != am.class_attr) base.push_back(a);
+    }
+    C45Tree& tree = trees.emplace_back(c);
+    EXPECT_TRUE(tree.Train(TrainingData{&cache, am.class_attr, base}).ok());
+    AuditModel oracle;
+    oracle.AddAttributeModel({am.class_attr, am.encoder, tree.compiled(), {}});
+    AuditModel kept;
+    kept.AddAttributeModel({am.class_attr, am.encoder, am.tree, {}});
+    std::ostringstream oracle_text;
+    std::ostringstream kept_text;
+    EXPECT_TRUE(oracle.SerializeTo(&oracle_text).ok());
+    EXPECT_TRUE(kept.SerializeTo(&kept_text).ok());
+    EXPECT_EQ(oracle_text.str(), kept_text.str()) << "attr " << am.class_attr;
+  }
+  return trees;
+}
+
 class ScorerOracleTest : public ::testing::TestWithParam<SplitMode> {};
 
 TEST_P(ScorerOracleTest, KernelMatchesPointerWalkBitForBit) {
@@ -75,19 +108,18 @@ TEST_P(ScorerOracleTest, KernelMatchesPointerWalkBitForBit) {
     auto model = Auditor(config).Induce(train);
     ASSERT_TRUE(model.ok()) << model.status();
 
+    const std::vector<C45Tree> trees = OracleTrees(*model, train, config);
     size_t null_paths = 0;
-    for (const AttributeModel& am : model->models()) {
-      const auto* tree = dynamic_cast<const C45Tree*>(am.classifier.get());
-      ASSERT_NE(tree, nullptr);
-      const ScoringModel scoring = ScoringModelOf(am);
-      ASSERT_EQ(scoring.tree, &tree->compiled());
+    for (size_t m = 0; m < model->num_models(); ++m) {
+      const AttributeModel& am = model->models()[m];
+      ASSERT_EQ(am.classifier, nullptr);
       std::set<double> leaf_supports;
-      for (uint32_t l = 0; l < tree->compiled().num_leaves(); ++l) {
-        leaf_supports.insert(tree->compiled().leaf_support(l));
+      for (uint32_t l = 0; l < am.tree.num_leaves(); ++l) {
+        leaf_supports.insert(am.tree.leaf_support(l));
       }
       for (size_t r = 0; r < data.num_rows(); ++r) {
-        const Prediction oracle = tree->Predict(data.row(r));
-        const Prediction kernel = PredictRecord(scoring, data, r);
+        const Prediction oracle = trees[m].Predict(data.row(r));
+        const Prediction kernel = PredictRecord(am, data, r);
         ASSERT_EQ(kernel.distribution.size(), oracle.distribution.size());
         for (size_t c = 0; c < oracle.distribution.size(); ++c) {
           ASSERT_TRUE(SameBits(kernel.distribution[c], oracle.distribution[c]))
@@ -122,6 +154,7 @@ TEST_P(ScorerOracleTest, AuditMatchesPerRecordOracle) {
   ASSERT_TRUE(model.ok()) << model.status();
   auto report = Auditor(config).Audit(*model, data);
   ASSERT_TRUE(report.ok());
+  const std::vector<C45Tree> trees = OracleTrees(*model, train, config);
 
   // Def. 7 per model through the pointer walk, Def. 8 across models.
   size_t flagged = 0;
@@ -131,8 +164,9 @@ TEST_P(ScorerOracleTest, AuditMatchesPerRecordOracle) {
     int best_attr = -1;
     double best_support = 0.0;
     Value best_suggestion;
-    for (const AttributeModel& am : model->models()) {
-      const Prediction pred = am.classifier->Predict(row);
+    for (size_t m = 0; m < model->num_models(); ++m) {
+      const AttributeModel& am = model->models()[m];
+      const Prediction pred = trees[m].Predict(row);
       const double conf =
           ErrorConfidence(pred, am.encoder.Encode(row[am.class_attr]),
                           config.confidence_level, config.flag_null_values);
@@ -165,10 +199,8 @@ TEST_P(ScorerOracleTest, SavedModelChecksLikeTheAudit) {
   ASSERT_TRUE(model.ok()) << model.status();
 
   std::stringstream saved;
-  ASSERT_TRUE(StructureModel::FromAuditModel(*model, train.schema())
-                  .SerializeTo(&saved)
-                  .ok());
-  auto loaded = StructureModel::Deserialize(data.schema(), &saved);
+  ASSERT_TRUE(model->SerializeTo(&saved).ok());
+  auto loaded = AuditModel::Deserialize(data.schema(), &saved);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
   for (int threads : {1, 3, 8}) {
@@ -199,12 +231,15 @@ TEST(ScorerTest, RejectsTableOfAnotherSchema) {
   const Table train = MixedTable(800, 0.0, 1);
   auto model = Auditor().Induce(train);
   ASSERT_TRUE(model.ok());
-  StructureModel sm = StructureModel::FromAuditModel(*model, train.schema());
+  std::stringstream saved;
+  ASSERT_TRUE(model->SerializeTo(&saved).ok());
+  auto loaded = AuditModel::Deserialize(train.schema(), &saved);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
   Schema other;
   ASSERT_TRUE(other.AddNumeric("A", 0.0, 1.0).ok());
   Table t(other);
   ASSERT_TRUE(t.AppendRow({Value::Numeric(0.5)}).ok());
-  EXPECT_FALSE(sm.Check(t, AuditorConfig()).ok());
+  EXPECT_FALSE(loaded->Check(t, AuditorConfig()).ok());
   EXPECT_FALSE(Auditor().Audit(*model, t).ok());
 }
 

@@ -1,15 +1,21 @@
-// Tests for the persistent rule-set structure model (sec. 2.2 asynchrony,
-// sec. 5.4 rule export) and the interactive review module (sec. 5.3).
+// Tests for the persisted structure model (sec. 2.2 asynchrony, sec. 5.4
+// rule export) and the interactive review module (sec. 5.3). A persisted
+// model loads as the AuditModel it was saved from, so everything an induced
+// model does, a loaded one must do alike.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 
 #include "audit/review.h"
-#include "audit/structure_model.h"
+#include "audit/rule_export.h"
 #include "common/random.h"
 #include "eval/report_io.h"
+#include "pollution/pipeline.h"
+#include "quis/quis_sample.h"
 
 namespace dq {
 namespace {
@@ -60,12 +66,22 @@ struct Fixture {
   }
 };
 
+/// The fixture's model after a save and a reload: the model a
+/// `dqaudit --load-model` run checks with.
+AuditModel Reloaded(const Fixture& f) {
+  std::ostringstream os;
+  EXPECT_TRUE(f.model.SerializeTo(&os).ok());
+  auto back = AuditModel::Deserialize(f.table.schema(), os.str());
+  EXPECT_TRUE(back.ok()) << back.status();
+  return back.ok() ? std::move(*back) : AuditModel();
+}
+
 TEST(StructureModelTest, BuildsNonEmptyRuleSets) {
   Fixture f;
-  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
+  const AuditModel sm = Reloaded(f);
   EXPECT_GT(sm.TotalRules(), 0u);
-  EXPECT_FALSE(sm.trees().empty());
-  for (const StructureModel::AttributeTree& t : sm.trees()) {
+  EXPECT_FALSE(sm.models().empty());
+  for (const AttributeModel& t : sm.models()) {
     EXPECT_EQ(t.encoder.attr(), t.class_attr);
     EXPECT_EQ(t.tree.num_classes(), t.encoder.num_classes());
   }
@@ -73,7 +89,7 @@ TEST(StructureModelTest, BuildsNonEmptyRuleSets) {
 
 TEST(StructureModelTest, CheckFlagsPlantedErrors) {
   Fixture f;
-  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
+  const AuditModel sm = Reloaded(f);
   auto report = sm.Check(f.table, f.config);
   ASSERT_TRUE(report.ok());
   for (size_t r = 0; r < 4; ++r) {
@@ -82,10 +98,10 @@ TEST(StructureModelTest, CheckFlagsPlantedErrors) {
 }
 
 TEST(StructureModelTest, CheckAgreesWithTreeAudit) {
-  // Rule-set checking and tree-based auditing coincide for records with
-  // fully known path attributes (which is all of them here).
+  // Checking with the reloaded model and auditing with the induced one
+  // coincide (every path attribute is known here).
   Fixture f;
-  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
+  const AuditModel sm = Reloaded(f);
   auto rule_report = sm.Check(f.table, f.config);
   auto tree_report = f.auditor.Audit(f.model, f.table);
   ASSERT_TRUE(rule_report.ok());
@@ -103,11 +119,11 @@ TEST(StructureModelTest, CheckAgreesWithTreeAudit) {
 
 TEST(StructureModelTest, SerializationRoundTrip) {
   Fixture f;
-  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
+  const AuditModel sm = Reloaded(f);
   std::ostringstream os;
   ASSERT_TRUE(sm.SerializeTo(&os).ok());
   std::istringstream is(os.str());
-  auto back = StructureModel::Deserialize(f.table.schema(), &is);
+  auto back = AuditModel::Deserialize(f.table.schema(), &is);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back->TotalRules(), sm.TotalRules());
 
@@ -125,15 +141,15 @@ TEST(StructureModelTest, SerializationRoundTrip) {
 
 TEST(StructureModelTest, RoundTripPreservesDiscretizedEncoders) {
   Fixture f;
-  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
+  const AuditModel sm = Reloaded(f);
   // The Z attribute (numeric class) must have a discretized encoder if it
   // produced rules.
   std::ostringstream os;
   ASSERT_TRUE(sm.SerializeTo(&os).ok());
   std::istringstream is(os.str());
-  auto back = StructureModel::Deserialize(f.table.schema(), &is);
+  auto back = AuditModel::Deserialize(f.table.schema(), &is);
   ASSERT_TRUE(back.ok());
-  for (const StructureModel::AttributeTree& t : back->trees()) {
+  for (const AttributeModel& t : back->models()) {
     if (t.class_attr == 2) {
       EXPECT_TRUE(t.encoder.is_discretized());
       EXPECT_GT(t.encoder.num_classes(), 1);
@@ -149,7 +165,7 @@ std::string TestTempPath(const std::string& stem) {
 }
 
 /// Check on a one-row table holding `row`.
-AuditReport CheckOne(const StructureModel& sm, const Schema& schema,
+AuditReport CheckOne(const AuditModel& sm, const Schema& schema,
                      const Row& row, const AuditorConfig& config) {
   Table t(schema);
   EXPECT_TRUE(t.AppendRow(row).ok());
@@ -160,18 +176,18 @@ AuditReport CheckOne(const StructureModel& sm, const Schema& schema,
 
 TEST(StructureModelTest, FileRoundTrip) {
   Fixture f;
-  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
+  const AuditModel sm = Reloaded(f);
   const std::string path = TestTempPath("dq_structure_model") + ".dqmodel";
   ASSERT_TRUE(sm.SaveToFile(path).ok());
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  auto back = StructureModel::LoadFromFile(f.table.schema(), path);
+  auto back = AuditModel::LoadFromFile(f.table.schema(), path);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back->TotalRules(), sm.TotalRules());
 }
 
 TEST(StructureModelTest, SaveIntoMissingDirectoryLeavesNoFile) {
   Fixture f;
-  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
+  const AuditModel sm = Reloaded(f);
   const std::string dir = TestTempPath("dq_no_such_dir");
   std::filesystem::remove_all(dir);
   const std::string path = dir + "/model.dqmodel";
@@ -198,7 +214,7 @@ TEST(StructureModelTest, DeserializeRejectsGarbage) {
            "leaf 10 0 10 10 0 0\nend\n",
        }) {
     std::istringstream is(text);
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok()) << text;
+    EXPECT_FALSE(AuditModel::Deserialize(s, &is).ok()) << text;
   }
 }
 
@@ -206,16 +222,16 @@ TEST(StructureModelTest, ReaderRejectsHostileInput) {
   Fixture f;
   const Schema& s = f.table.schema();
   std::ostringstream os;
-  ASSERT_TRUE(StructureModel::FromAuditModel(f.model, s).SerializeTo(&os).ok());
+  ASSERT_TRUE(f.model.SerializeTo(&os).ok());
   const std::string saved = os.str();
-  ASSERT_TRUE(StructureModel::Deserialize(s, saved).ok());
+  ASSERT_TRUE(AuditModel::Deserialize(s, saved).ok());
 
   // Truncation at every line, with and without the line's newline.
   for (size_t eol = saved.find('\n'); eol + 1 < saved.size();
        eol = saved.find('\n', eol + 1)) {
-    EXPECT_FALSE(StructureModel::Deserialize(s, saved.substr(0, eol + 1)).ok())
+    EXPECT_FALSE(AuditModel::Deserialize(s, saved.substr(0, eol + 1)).ok())
         << "cut after byte " << eol;
-    EXPECT_FALSE(StructureModel::Deserialize(s, saved.substr(0, eol)).ok())
+    EXPECT_FALSE(AuditModel::Deserialize(s, saved.substr(0, eol)).ok())
         << "cut before byte " << eol;
   }
 
@@ -228,7 +244,7 @@ TEST(StructureModelTest, ReaderRejectsHostileInput) {
   const std::string leaves =
       "leaf 100 1 100 1 99 0\nleaf 0 1 0 0 0 0\nleaf 0 1 0 0 0 0\n";
   const std::string valid = y_model("split 0 0 cat 1 3 100\n" + leaves);
-  ASSERT_TRUE(StructureModel::Deserialize(s, valid).ok());
+  ASSERT_TRUE(AuditModel::Deserialize(s, valid).ok());
 
   // A caterpillar of `le` splits on Z, one level deeper per split: node
   // 2i - 1 splits into the next split (2i + 1) and a leaf (2i + 2).
@@ -241,7 +257,7 @@ TEST(StructureModelTest, ReaderRejectsHostileInput) {
     nodes += "leaf 1 1 1 0 1 0\nleaf 1 1 1 0 1 0\n";
     return y_model(nodes, 2 * levels + 1);
   };
-  ASSERT_TRUE(StructureModel::Deserialize(s, caterpillar(10)).ok());
+  ASSERT_TRUE(AuditModel::Deserialize(s, caterpillar(10)).ok());
 
   struct Case {
     std::string text;
@@ -284,6 +300,9 @@ TEST(StructureModelTest, ReaderRejectsHostileInput) {
       {"dqmodel v2\nmodel 1 nominal 4000000000\nleaf 0 1 1 0 1 0\nend\n",
        "does not fit"},
       {"dqmodel v2\nmodel 1 nominal 0\nend\n", "at least one node"},
+      {"dqmodel v2\nmodel 1 nominal 1\nleaf 0 1 1 0 1 0\n"
+       "model 1 nominal 1\nleaf 0 1 1 0 1 0\nend\n",
+       "second model for attribute 1"},
       {caterpillar(1100), "too deep"},
       {valid + "x", "after 'end'"},
       {valid + "\n", "after 'end'"},
@@ -291,16 +310,138 @@ TEST(StructureModelTest, ReaderRejectsHostileInput) {
       {valid.substr(0, valid.size() - 1), "after 'end'"},
   };
   for (const Case& c : cases) {
-    auto parsed = StructureModel::Deserialize(s, c.text);
+    auto parsed = AuditModel::Deserialize(s, c.text);
     ASSERT_FALSE(parsed.ok()) << c.text;
     EXPECT_NE(parsed.status().message().find(c.error), std::string::npos)
         << parsed.status() << "\n" << c.text.substr(0, 200);
   }
   // With a finite threshold the same tree loads.
-  EXPECT_TRUE(StructureModel::Deserialize(
+  EXPECT_TRUE(AuditModel::Deserialize(
                   s, "dqmodel v2\nmodel 1 nominal 3\nsplit 0 2 le 5 1 100\n"
                      "leaf 50 1 50 0 50 0\nleaf 50 0 50 50 0 0\nend\n")
                   .ok());
+}
+
+/// One seeded mutation of a saved model: a bit flip, a deleted byte run, a
+/// truncation, a dictionary token in place of a word, or a duplicated or
+/// deleted line.
+void Mutate(Rng* rng, std::string* text) {
+  static const char* const kTokens[] = {"nan",  "inf", "-1",   "4294967296",
+                                        "le",   "cat", "leaf", "split",
+                                        "end"};
+  if (text->empty()) return;
+  const auto pick = [&](size_t n) {
+    return static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  const size_t pos = pick(text->size());
+  const auto line_start = [&](size_t at) {
+    const size_t nl = at == 0 ? std::string::npos : text->rfind('\n', at - 1);
+    return nl == std::string::npos ? 0 : nl + 1;
+  };
+  const auto line_end = [&](size_t at) {
+    const size_t nl = text->find('\n', at);
+    return nl == std::string::npos ? text->size() : nl + 1;
+  };
+  switch (rng->UniformInt(0, 5)) {
+    case 0:  // bit flip
+      (*text)[pos] = static_cast<char>((*text)[pos] ^ (1 << pick(8)));
+      break;
+    case 1:  // byte-run deletion
+      text->erase(pos, 1 + pick(16));
+      break;
+    case 2:  // truncation
+      text->resize(pos);
+      break;
+    case 3: {  // token swap
+      size_t begin = pos;
+      while (begin > 0 && (*text)[begin - 1] != ' ' &&
+             (*text)[begin - 1] != '\n') {
+        --begin;
+      }
+      const size_t end = std::min(text->find_first_of(" \n", pos),
+                                  text->size());
+      text->replace(begin, end - begin, kTokens[pick(std::size(kTokens))]);
+      break;
+    }
+    case 4: {  // line duplication
+      const size_t begin = line_start(pos);
+      text->insert(begin, text->substr(begin, line_end(pos) - begin));
+      break;
+    }
+    default: {  // line deletion
+      const size_t begin = line_start(pos);
+      text->erase(begin, line_end(pos) - begin);
+      break;
+    }
+  }
+}
+
+TEST(StructureModelTest, MutatedModelsFailOrServeEveryConsumer) {
+  // Every mutant of a saved model either fails to load with a Status or
+  // loads into a model that counts, renders, checks, explains and saves;
+  // saving what was loaded is a fixed point of load-and-save. The model is
+  // induced on polluted QUIS records, so it holds nominal and discretized
+  // encoders, `cat` and `le` splits, and the probe records hold nulls.
+  QuisConfig qcfg;
+  qcfg.num_records = 3000;
+  qcfg.seed = 5;
+  auto sample = GenerateQuisSample(qcfg);
+  ASSERT_TRUE(sample.ok());
+  auto polluted =
+      PollutionPipeline(DefaultPolluterMix(), 5).Apply(sample->table);
+  ASSERT_TRUE(polluted.ok());
+  const Table& data = polluted->dirty;
+  const Schema& s = data.schema();
+  AuditorConfig config = Fixture::MakeConfig();
+  config.num_threads = 1;
+  auto induced = Auditor(config).Induce(data);
+  ASSERT_TRUE(induced.ok()) << induced.status();
+  std::ostringstream os;
+  ASSERT_TRUE(induced->SerializeTo(&os).ok());
+  const std::string saved = os.str();
+  for (const char* part : {" nominal ", " discretized ", " cat ", " le "}) {
+    ASSERT_NE(saved.find(part), std::string::npos) << part;
+  }
+  Table probe(s);
+  for (size_t r = 0; r < 24; ++r) {
+    ASSERT_TRUE(probe.AppendRow(data.row(r)).ok());
+  }
+
+  Rng rng(2003);
+  constexpr int kCases = 20000;
+  int loaded = 0;
+  for (int c = 0; c < kCases; ++c) {
+    std::string text = saved;
+    const int64_t mutations = rng.UniformInt(1, 4);
+    for (int64_t m = 0; m < mutations; ++m) Mutate(&rng, &text);
+    auto model = AuditModel::Deserialize(s, text);
+    if (!model.ok()) {
+      ASSERT_FALSE(model.status().message().empty()) << "case " << c;
+      continue;
+    }
+    ++loaded;
+    (void)model->TotalRules();
+    (void)RenderStructureModel(*model, s, config);
+    auto report = model->Check(probe, config);
+    ASSERT_TRUE(report.ok()) << "case " << c << ": " << report.status();
+    for (size_t r = 0; r < probe.num_rows(); ++r) {
+      auto detail = ExplainRecord(*model, probe, r, config);
+      ASSERT_TRUE(detail.ok()) << "case " << c;
+      (void)RenderSuspicionDetail(*detail, *model, probe);
+    }
+    std::ostringstream resaved;
+    ASSERT_TRUE(model->SerializeTo(&resaved).ok());
+    auto reloaded = AuditModel::Deserialize(s, resaved.str());
+    ASSERT_TRUE(reloaded.ok()) << "case " << c << ": " << reloaded.status();
+    std::ostringstream again;
+    ASSERT_TRUE(reloaded->SerializeTo(&again).ok());
+    ASSERT_EQ(again.str(), resaved.str()) << "case " << c;
+  }
+  // Both outcomes occur: the mutations neither all break the format nor
+  // all miss it.
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kCases);
 }
 
 TEST(StructureModelTest, MinimalHandAuthoredModel) {
@@ -315,7 +456,7 @@ TEST(StructureModelTest, MinimalHandAuthoredModel) {
       "leaf 0 1 0 0 0 0\n"
       "leaf 0 1 0 0 0 0\n"
       "end\n");
-  auto sm = StructureModel::Deserialize(s, &is);
+  auto sm = AuditModel::Deserialize(s, &is);
   ASSERT_TRUE(sm.ok()) << sm.status();
   ASSERT_EQ(sm->TotalRules(), 1u);
 
@@ -344,7 +485,7 @@ TEST(StructureModelTest, NullPathValueScoredLikeAudit) {
   // A null split value follows every branch with C4.5's branch weights, in
   // the persisted model exactly as in the in-memory audit.
   Fixture f;
-  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
+  const AuditModel sm = Reloaded(f);
   Table t(f.table.schema());
   for (int32_t y = 0; y < 3; ++y) {
     ASSERT_TRUE(
@@ -375,7 +516,7 @@ TEST(StructureModelTest, NullPathValueScoredLikeAudit) {
 
 TEST(StructureModelTest, CheckRecordMatchesBatchCheck) {
   Fixture f;
-  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
+  const AuditModel sm = Reloaded(f);
   auto report = sm.Check(f.table, f.config);
   ASSERT_TRUE(report.ok());
   for (size_t r = 0; r < 200; ++r) {
@@ -389,7 +530,7 @@ TEST(StructureModelTest, CheckRecordMatchesBatchCheck) {
 
 TEST(StructureModelTest, CheckRecordOnConformingRecord) {
   Fixture f;
-  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
+  const AuditModel sm = Reloaded(f);
   Row row(3);
   row[0] = Value::Nominal(1);
   row[1] = Value::Nominal(1);  // consistent with Y == X
@@ -400,7 +541,7 @@ TEST(StructureModelTest, CheckRecordOnConformingRecord) {
 
 TEST(StructureModelTest, CheckRecordOnDeviatingRecord) {
   Fixture f;
-  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
+  const AuditModel sm = Reloaded(f);
   Row row(3);
   row[0] = Value::Nominal(1);
   row[1] = Value::Nominal(2);  // violates Y == X
@@ -449,6 +590,27 @@ TEST(ReviewTest, RenderMentionsObservedAndPredicted) {
   EXPECT_NE(sheet.find("observed"), std::string::npos);
   EXPECT_NE(sheet.find("predicted"), std::string::npos);
   EXPECT_NE(sheet.find("distribution"), std::string::npos);
+}
+
+TEST(ReviewTest, LoadedModelListsRulesAndExplainsLikeTheInduced) {
+  // A loaded model is the type the induced one is, so the rule listing
+  // and every review sheet come out the same.
+  Fixture f;
+  const AuditModel loaded = Reloaded(f);
+  EXPECT_EQ(
+      ExtractStructureModel(loaded, f.config, /*drop_useless=*/false).size(),
+      ExtractStructureModel(f.model, f.config, /*drop_useless=*/false).size());
+  EXPECT_EQ(RenderStructureModel(loaded, f.table.schema(), f.config),
+            RenderStructureModel(f.model, f.table.schema(), f.config));
+  for (size_t r = 0; r < 50; ++r) {
+    auto induced = ExplainRecord(f.model, f.table, r, f.config);
+    auto reloaded = ExplainRecord(loaded, f.table, r, f.config);
+    ASSERT_TRUE(induced.ok());
+    ASSERT_TRUE(reloaded.ok());
+    EXPECT_EQ(RenderSuspicionDetail(*reloaded, loaded, f.table),
+              RenderSuspicionDetail(*induced, f.model, f.table))
+        << "row " << r;
+  }
 }
 
 TEST(ReviewTest, RowOutOfRangeRejected) {

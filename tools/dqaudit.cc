@@ -19,17 +19,18 @@
 //   --split-mode MODE  c4.5 split evaluator: histogram (default; binned
 //                      scans, sibling subtraction; trees spread over threads)
 //                      or exact (the reference SLIQ row sweep)
-//   --save-model FILE  persist the induced structure model (dqmodel v2)
-//   --load-model FILE  skip induction, check against a persisted model; the
-//                      report equals an audit with the saved model.
-//                      Incompatible with --train and --explain
+//   --save-model FILE  persist the structure model (dqmodel v2)
+//   --load-model FILE  skip induction, check against a persisted model;
+//                      every output (report, --rules, --explain, --summary,
+//                      --save-model) equals that of the run that saved it.
+//                      Incompatible with --train
 //   --top N            print the N strongest suspicions (default 20)
 //   --explain N        print review sheets for the top N suspicions
-//   --rules            print the induced structure model
+//   --rules            print the structure model's rules
 //   --corrected FILE   write the auto-corrected table as CSV
 //   --report FILE      write the ranked suspicions as CSV
-//   --summary          print the per-attribute flag summary (including
-//                      per-attribute induction times)
+//   --summary          print the per-attribute flag summary (and, when the
+//                      run induced, per-attribute induction times)
 //   --threads N        worker threads for induction/checking
 //                      (default 0 = hardware concurrency; any non-positive
 //                      value means the hardware default; results are
@@ -87,7 +88,6 @@
 #include "audit/rule_export.h"
 #include "audit/stream_audit.h"
 #include "audit/summary.h"
-#include "audit/structure_model.h"
 #include "common/parallel.h"
 #include "lint/lint.h"
 #include "logic/rule_parser.h"
@@ -287,12 +287,9 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
     std::fprintf(stderr, "--split-mode must be 'histogram' or 'exact'\n");
     return false;
   }
-  if (!opts->load_model_path.empty() &&
-      (!opts->train_path.empty() || opts->explain > 0)) {
-    // A persisted model has no training table and keeps no classifiers to
-    // explain with.
-    std::fprintf(stderr,
-                 "--load-model is incompatible with --train and --explain\n");
+  if (!opts->load_model_path.empty() && !opts->train_path.empty()) {
+    // A persisted model is already induced.
+    std::fprintf(stderr, "--load-model is incompatible with --train\n");
     return false;
   }
   if (opts->memory_budget > 0) {
@@ -341,7 +338,7 @@ struct AuditRun {
   /// keeps no per-record vectors, so it fills nothing else.
   AuditReport report;
   std::optional<Table> data;        ///< in-memory stages: --summary, --corrected
-  std::optional<AuditModel> model;  ///< induce-then-audit: --explain, --summary
+  std::optional<AuditModel> model;  ///< in-memory stages: --explain, --summary
   /// Violations per --rules-file rule, for the history record.
   std::vector<std::pair<std::string, uint64_t>> rule_violations;
 };
@@ -402,16 +399,16 @@ Status ReportIngest(const IngestReport& ingest, const Options& opts) {
   return Status::OK();
 }
 
-/// --rules and --save-model for an induced model.
-Status OutputModel(const AuditModel& model, const Schema& schema,
-                   const Options& opts) {
+/// --rules and --save-model, for an induced or a loaded model.
+Status OutputModel(const AuditModel& model, const RunConfig& run) {
+  const Options& opts = run.opts;
   if (opts.print_rules) {
-    std::printf("%s", RenderStructureModel(model, schema).c_str());
+    std::printf("%s",
+                RenderStructureModel(model, run.schema, run.auditor).c_str());
   }
   if (opts.save_model_path.empty()) return Status::OK();
-  const StructureModel structure = StructureModel::FromAuditModel(model, schema);
-  DQ_RETURN_NOT_OK(structure.SaveToFile(opts.save_model_path));
-  std::printf("persisted %zu rules to %s\n", structure.TotalRules(),
+  DQ_RETURN_NOT_OK(model.SaveToFile(opts.save_model_path));
+  std::printf("persisted %zu rules to %s\n", model.TotalRules(),
               opts.save_model_path.c_str());
   return Status::OK();
 }
@@ -449,7 +446,7 @@ Result<AuditRun> StreamAudit(const RunConfig& run) {
   DQ_RETURN_NOT_OK(ReportIngest(result.ingest, opts));
   std::printf("induced on %zu sampled records (reservoir capacity %zu)\n",
               result.sampled_rows, opts.sample_rows);
-  DQ_RETURN_NOT_OK(OutputModel(result.model, run.schema, opts));
+  DQ_RETURN_NOT_OK(OutputModel(result.model, run));
   AuditRun audit;
   audit.records = result.total_rows;
   audit.report.suspicious = std::move(result.suspicious);
@@ -526,13 +523,14 @@ Result<AuditRun> AuditInMemory(const RunConfig& run) {
   audit.data = std::move(*data);
 
   if (!opts.load_model_path.empty()) {
-    DQ_ASSIGN_OR_RETURN(
-        StructureModel model,
-        StructureModel::LoadFromFile(run.schema, opts.load_model_path));
-    DQ_ASSIGN_OR_RETURN(audit.report, model.Check(*audit.data, run.auditor));
+    DQ_ASSIGN_OR_RETURN(audit.model, AuditModel::LoadFromFile(
+                                         run.schema, opts.load_model_path));
+    DQ_RETURN_NOT_OK(OutputModel(*audit.model, run));
+    DQ_ASSIGN_OR_RETURN(audit.report,
+                        audit.model->Check(*audit.data, run.auditor));
     std::printf("checked against %zu persisted rules: %zu suspicious "
                 "records\n",
-                model.TotalRules(), audit.report.NumFlagged());
+                audit.model->TotalRules(), audit.report.NumFlagged());
     return audit;
   }
 
@@ -551,7 +549,7 @@ Result<AuditRun> AuditInMemory(const RunConfig& run) {
   const Auditor auditor(run.auditor);
   DQ_ASSIGN_OR_RETURN(audit.model,
                       auditor.Induce(train.has_value() ? *train : *audit.data));
-  DQ_RETURN_NOT_OK(OutputModel(*audit.model, run.schema, opts));
+  DQ_RETURN_NOT_OK(OutputModel(*audit.model, run));
   DQ_ASSIGN_OR_RETURN(audit.report, auditor.Audit(*audit.model, *audit.data));
   return audit;
 }
@@ -573,7 +571,7 @@ void PrintTopSuspicions(const std::vector<Suspicion>& suspicious,
   }
 }
 
-/// --explain and --summary, which need the induced model and the table.
+/// --explain and --summary, which need the model and the table.
 void PrintReview(const RunConfig& run, const AuditRun& audit) {
   const Options& opts = run.opts;
   const std::vector<Suspicion>& suspicious = audit.report.suspicious;
@@ -592,6 +590,7 @@ void PrintReview(const RunConfig& run, const AuditRun& audit) {
   if (!opts.print_summary) return;
   const AuditSummary summary = SummarizeReport(audit.report, *audit.data);
   std::printf("\n%s\n", RenderAuditSummary(summary, run.schema).c_str());
+  if (!opts.load_model_path.empty()) return;  // the run induced nothing
   std::printf("\ninduction time per attribute:\n");
   for (size_t attr = 0; attr < run.schema.num_attributes(); ++attr) {
     std::printf("  %-12s %8.1f ms\n", run.schema.attribute(attr).name.c_str(),
@@ -672,12 +671,17 @@ Status FinishRun(const RunConfig& run, const AuditRun& audit,
   const Options& opts = run.opts;
   const obs::Tracer& tracer = obs::Tracer::Global();
   const std::vector<Suspicion>& suspicious = audit.report.suspicious;
-  std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
-              "(encode %.1f ms, tree build %.1f ms), audit %.1f ms\n",
-              manifest->threads_used, tracer.AggregateMs("ingest"),
-              tracer.AggregateMs("induce"),
-              tracer.AggregateMs("induce.encode"),
-              tracer.AggregateMs("c45.build"), tracer.AggregateMs("audit"));
+  std::printf("timings (threads=%d): ingest %.1f ms, ", manifest->threads_used,
+              tracer.AggregateMs("ingest"));
+  if (opts.load_model_path.empty()) {
+    std::printf("induce %.1f ms (encode %.1f ms, tree build %.1f ms), ",
+                tracer.AggregateMs("induce"),
+                tracer.AggregateMs("induce.encode"),
+                tracer.AggregateMs("c45.build"));
+  } else {
+    std::printf("model load %.1f ms, ", tracer.AggregateMs("model.load"));
+  }
+  std::printf("audit %.1f ms\n", tracer.AggregateMs("audit"));
   std::printf("%zu of %zu records suspicious at minimal error confidence "
               "%.2f\n",
               suspicious.size(), audit.records, opts.min_conf);

@@ -265,7 +265,7 @@ int main(int argc, char** argv) {
     auto model = auditor.Induce(*data);
     if (!model.ok()) return Fail(model.status());
     std::vector<CandidateRule> extracted =
-        ExtractCandidateRules(*model, *schema, total_rows);
+        ExtractCandidateRules(*model, *schema, config, total_rows);
     std::fprintf(stderr, "c45: %zu convertible path rules\n",
                  extracted.size());
     for (CandidateRule& c : extracted) candidates.push_back(std::move(c));
