@@ -16,6 +16,7 @@
 
 #include "audit/auditor.h"
 #include "audit/error_confidence.h"
+#include "audit/review.h"
 #include "audit/rule_export.h"
 #include "audit/scorer.h"
 #include "bench_util.h"
@@ -91,9 +92,11 @@ int main(int argc, char** argv) {
   }
   std::printf("  audit:   %8.1f ms\n", audit_ms);
 
-  // Headline rule: BRV = 404 -> GBM = 901.
-  const double planted_conf =
-      report->record_confidence[sample->planted_deviation_row];
+  // Headline rule: BRV = 404 -> GBM = 901. The planted record's Def. 8
+  // confidence, flagged or not, is the one its review sheet shows.
+  auto planted = ExplainRecord(*model, sample->table,
+                               sample->planted_deviation_row, auditor.config());
+  const double planted_conf = planted.ok() ? planted->combined_confidence : 0.0;
   size_t rank = 0;
   for (size_t i = 0; i < report->suspicious.size(); ++i) {
     if (report->suspicious[i].row == sample->planted_deviation_row) {

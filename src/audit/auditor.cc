@@ -50,6 +50,19 @@ uint64_t ExclusionKey(int class_attr, int base_attr) {
          static_cast<uint32_t>(base_attr);
 }
 
+/// True when the non-null `v` can be stored in a column of `type`.
+bool HasKind(const Value& v, DataType type) {
+  switch (type) {
+    case DataType::kNominal:
+      return v.is_nominal();
+    case DataType::kNumeric:
+      return v.is_numeric();
+    case DataType::kDate:
+      return v.is_date();
+  }
+  return false;
+}
+
 }  // namespace
 
 Result<AuditModel> Auditor::Induce(const Table& train) const {
@@ -171,12 +184,26 @@ Result<AuditReport> Auditor::Audit(const AuditModel& model,
 
 Result<Table> Auditor::ApplyCorrections(const AuditReport& report,
                                         const Table& data) const {
-  if (report.record_confidence.size() != data.num_rows()) {
+  // Table::SetCell checks nothing in Release builds, and a report is a
+  // plain struct anyone can fill.
+  if (report.flagged.size() != data.num_rows()) {
     return Status::InvalidArgument("report does not match table size");
+  }
+  const Schema& schema = data.schema();
+  for (const Suspicion& s : report.suspicious) {
+    if (s.row >= data.num_rows() || s.attr < 0 ||
+        static_cast<size_t>(s.attr) >= schema.num_attributes()) {
+      return Status::InvalidArgument("report does not match the table");
+    }
+    const AttributeDef& def = schema.attribute(static_cast<size_t>(s.attr));
+    if (!s.suggestion.is_null() && !HasKind(s.suggestion, def.type)) {
+      return Status::InvalidArgument(
+          "suggestion for row " + std::to_string(s.row) +
+          " is not a value of attribute '" + def.name + "'");
+    }
   }
   Table corrected = data;
   for (const Suspicion& s : report.suspicious) {
-    if (s.attr < 0) continue;
     corrected.SetCell(s.row, static_cast<size_t>(s.attr), s.suggestion);
   }
   return corrected;

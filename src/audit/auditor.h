@@ -70,27 +70,23 @@ struct Suspicion {
   double support = 0.0;
 };
 
-/// \brief Full result of a deviation-detection pass.
+/// \brief Full result of a deviation-detection pass: the ranked list, the
+/// type a streaming audit merges, plus a flag bit per record. A record's
+/// Def. 8 confidence is kept only when it is flagged, so a pass at
+/// min_error_confidence = 0 lists every record with a nonzero confidence.
 struct AuditReport {
-  /// Combined (Def. 8) error confidence per record.
-  std::vector<double> record_confidence;
-  /// Winning attribute per record (-1 when no classifier flagged anything).
-  std::vector<int> record_attr;
-  /// Proposed correction per record (null when record_attr is -1).
-  std::vector<Value> record_suggestion;
-  /// Support behind each record's winning prediction.
-  std::vector<double> record_support;
-
   /// Records with confidence >= min_error_confidence, ranked descending
-  /// ("ranked according to their associated error confidence", sec. 6.2).
+  /// ("ranked according to their associated error confidence", sec. 6.2);
+  /// ties keep row order.
   std::vector<Suspicion> suspicious;
+
+  /// One bit per audited record: set when the record is in `suspicious`.
+  std::vector<bool> flagged;
 
   size_t NumFlagged() const { return suspicious.size(); }
   bool IsFlagged(size_t row) const {
     return flagged.size() > row && flagged[row];
   }
-
-  std::vector<bool> flagged;
 };
 
 /// \brief Drives structure induction and data checking.
@@ -117,6 +113,9 @@ class Auditor {
   /// \brief Applies the proposed corrections of all flagged records to a
   /// copy of `data` (sec. 5.3: "we replace a suspicious value according to
   /// the prediction of the classifier with the highest error confidence").
+  /// Fails with InvalidArgument, before copying, when the report flags
+  /// another number of records than `data` has, or a suspicion names a row
+  /// or attribute `data` lacks or suggests a value of another kind.
   Result<Table> ApplyCorrections(const AuditReport& report,
                                  const Table& data) const;
 

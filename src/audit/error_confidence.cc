@@ -31,6 +31,36 @@ double ErrorConfidence(const double* distribution, size_t num_classes,
   return std::max(0.0, conf);
 }
 
+std::vector<double> LeafErrorConfidences(const CompiledTree& tree,
+                                         double confidence_level,
+                                         bool flag_nulls) {
+  const size_t width = static_cast<size_t>(tree.num_classes());
+  std::vector<double> table(tree.num_leaves() * (width + 1), 0.0);
+  // The arithmetic of ErrorConfidence with z = ZForConfidence(level)
+  // computed once: LeftBound and RightBound are WilsonInterval, which is
+  // WilsonIntervalAtZ at that z. Every class the leaf never saw (and a null
+  // observation) is scored against p = 0, so those share one rightBound.
+  const double z = ZForConfidence(confidence_level);
+  for (uint32_t leaf = 0; leaf < tree.num_leaves(); ++leaf) {
+    const int predicted = tree.leaf_class(leaf);
+    const double support = tree.leaf_support(leaf);
+    if (predicted < 0 || support <= 0.0) continue;  // never flags
+    const double* dist = tree.leaf_distribution(leaf);
+    const double left = WilsonIntervalAtZ(dist[predicted], support, z).left;
+    const double zero_right = WilsonIntervalAtZ(0.0, support, z).right;
+    double* row = &table[leaf * (width + 1)];
+    if (flag_nulls) row[0] = std::max(0.0, left - zero_right);
+    for (size_t c = 0; c < width; ++c) {
+      if (static_cast<int>(c) == predicted) continue;
+      const double right =
+          dist[c] == 0.0 ? zero_right
+                         : WilsonIntervalAtZ(dist[c], support, z).right;
+      row[c + 1] = std::max(0.0, left - right);
+    }
+  }
+  return table;
+}
+
 double CombineErrorConfidences(const std::vector<double>& confidences) {
   double best = 0.0;
   for (double c : confidences) best = std::max(best, c);

@@ -11,7 +11,10 @@
 #ifndef DQ_AUDIT_ERROR_CONFIDENCE_H_
 #define DQ_AUDIT_ERROR_CONFIDENCE_H_
 
+#include <vector>
+
 #include "mining/classifier.h"
+#include "mining/compiled_tree.h"
 
 namespace dq {
 
@@ -26,6 +29,17 @@ double ErrorConfidence(const Prediction& prediction, int observed_class,
 double ErrorConfidence(const double* distribution, size_t num_classes,
                        int predicted, double support, int observed_class,
                        double confidence_level, bool flag_nulls);
+
+/// \brief Definition 7 for a record that reaches a leaf of `tree` along
+/// known split values, for every leaf and observed class: W + 1 entries per
+/// leaf in leaf order (W = tree.num_classes()), entry 0 for a null observed
+/// class and entry c + 1 for class c. Each entry is bitwise what
+/// ErrorConfidence returns for the leaf's distribution, predicted class and
+/// support; a record's score is then one lookup instead of two Wilson
+/// bounds.
+std::vector<double> LeafErrorConfidences(const CompiledTree& tree,
+                                         double confidence_level,
+                                         bool flag_nulls);
 
 /// \brief Definition 8: the maximum of the per-classifier confidences.
 double CombineErrorConfidences(const std::vector<double>& confidences);

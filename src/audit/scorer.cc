@@ -105,12 +105,18 @@ TreePrediction PredictTree(const CompiledTree& tree, const Table& data,
 }
 
 /// A model read against a table of another schema would index past its
-/// columns or read them as the wrong kind.
+/// columns or read them as the wrong kind; a tree with another class count
+/// than its encoder would index past its rows of the Def. 7 table.
 bool MatchesSchema(const AttributeModel& m, const Schema& schema) {
   if (m.class_attr < 0 ||
       static_cast<size_t>(m.class_attr) >= schema.num_attributes() ||
       schema.attribute(static_cast<size_t>(m.class_attr)).type !=
           m.encoder.type()) {
+    return false;
+  }
+  if (m.classifier != nullptr) return true;
+  if (m.tree.nodes().empty() ||
+      m.tree.num_classes() != m.encoder.num_classes()) {
     return false;
   }
   for (const TreeNode& node : m.tree.nodes()) {
@@ -122,6 +128,73 @@ bool MatchesSchema(const AttributeModel& m, const Schema& schema) {
     }
   }
   return true;
+}
+
+/// ClassEncoder::Encode(data.cell(r, attr)) for rows [begin, end), read
+/// from the typed column: a nominal column holds its codes (-1 = null).
+void ReadClassCodes(const ClassEncoder& encoder, const Table& data,
+                    size_t attr, size_t begin, size_t end, int* codes) {
+  if (encoder.type() == DataType::kNominal) {
+    const int32_t* column = data.code_col(attr).data();
+    std::copy(column + begin, column + end, codes);
+    return;
+  }
+  for (size_t r = begin; r < end; ++r) {
+    *codes++ = data.is_null(r, attr)
+                   ? -1
+                   : encoder.EncodeOrdered(data.ordered_at(r, attr));
+  }
+}
+
+/// Def. 8 over one row block: each record's highest confidence so far and
+/// the model (index into AuditModel::models) and prediction behind it.
+struct BlockBest {
+  double conf[kBlockRows];
+  int model[kBlockRows];
+  int predicted[kBlockRows];
+  double support[kBlockRows];
+
+  void Offer(size_t i, double c, int m, int pred, double sup) {
+    if (c > conf[i]) {  // Def. 8: the maximum; ties keep the earlier model
+      conf[i] = c;
+      model[i] = m;
+      predicted[i] = pred;
+      support[i] = sup;
+    }
+  }
+};
+
+/// Scores rows [begin, end) against one C4.5 model into `best`. A record
+/// that reaches a leaf along known values costs one descent and one lookup
+/// in `table` (LeafErrorConfidences); one stopped by a null split value
+/// takes C4.5's fractional walk and Def. 7 directly.
+void ScoreTreeBlock(const AttributeModel& m, int model_index,
+                    const std::vector<double>& table, const Table& data,
+                    size_t begin, size_t end, const int* observed,
+                    const AuditorConfig& config, double* scratch,
+                    BlockBest* best) {
+  const CompiledTree& tree = m.tree;
+  const int width = tree.num_classes();
+  const size_t stride = static_cast<size_t>(width) + 1;
+  for (size_t r = begin; r < end; ++r) {
+    const size_t i = r - begin;
+    const int obs = observed[i];
+    const uint32_t stop = Descend(tree, data, r);
+    const TreeNode& node = tree.nodes()[stop];
+    if (node.is_leaf() && obs < width) {
+      const uint32_t leaf = node.first;
+      best->Offer(i,
+                  table[leaf * stride +
+                        static_cast<size_t>(std::max(obs, -1) + 1)],
+                  model_index, tree.leaf_class(leaf), tree.leaf_support(leaf));
+      continue;
+    }
+    const TreePrediction pred = PredictTree(tree, data, r, scratch);
+    const double conf = ErrorConfidence(
+        pred.dist, static_cast<size_t>(width), pred.predicted, pred.support,
+        obs, config.confidence_level, config.flag_null_values);
+    best->Offer(i, conf, model_index, pred.predicted, pred.support);
+  }
 }
 
 }  // namespace
@@ -152,90 +225,101 @@ Result<AuditReport> ScoreTable(const AuditModel& model, const Table& data,
           "model does not match the table's schema");
     }
   }
-  AuditReport report;
   const size_t n = data.num_rows();
-  report.record_confidence.assign(n, 0.0);
-  report.record_attr.assign(n, -1);
-  report.record_suggestion.assign(n, Value::Null());
-  report.record_support.assign(n, 0.0);
-  report.flagged.assign(n, false);
+  const size_t blocks = (n + kBlockRows - 1) / kBlockRows;
+  std::vector<std::vector<Suspicion>> block_suspicions(blocks);
 
-  size_t width = 1;
-  for (const AttributeModel& m : models) {
-    width = std::max(width, static_cast<size_t>(m.tree.num_classes()));
-  }
-
-  // Each record is scored independently (Def. 7/8) into its own slots, so
-  // row blocks spread across the pool; every record still meets the models
-  // in model order, so ties resolve as in a serial run. The bit-packed
-  // `flagged` vector and the ranked list are filled serially below, which
-  // keeps the report byte-identical for every thread count. No per-block
-  // spans: blocks map to threads by schedule, which would make the span
-  // tree schedule-dependent.
+  // Each record is scored independently (Def. 7/8), so row blocks spread
+  // across the pool; every record still meets the models in model order,
+  // so ties resolve as in a serial run. Each block keeps its running
+  // maxima locally and emits its suspicions in row order; the ranking
+  // below concatenates them in block order, which keeps the report
+  // byte-identical for every thread count. No per-block spans: blocks map
+  // to threads by schedule, which would make the span tree
+  // schedule-dependent.
   {
     obs::Span score_span("audit.score");
-    const size_t blocks = (n + kBlockRows - 1) / kBlockRows;
+    size_t width = 1;
+    std::vector<std::vector<double>> tables(models.size());
+    for (size_t k = 0; k < models.size(); ++k) {
+      const AttributeModel& m = models[k];
+      width = std::max(width, static_cast<size_t>(m.tree.num_classes()));
+      if (m.classifier == nullptr) {
+        tables[k] = LeafErrorConfidences(m.tree, config.confidence_level,
+                                         config.flag_null_values);
+      }
+    }
     ParallelFor(ResolveThreadCount(config.num_threads), blocks,
                 [&](size_t block) {
       const size_t begin = block * kBlockRows;
       const size_t end = std::min(n, begin + kBlockRows);
+      const size_t rows_in_block = end - begin;
+      BlockBest best;
+      std::fill_n(best.conf, rows_in_block, 0.0);
+      std::fill_n(best.model, rows_in_block, -1);
       std::vector<double> scratch(width);
+      std::vector<int> observed(rows_in_block);
       std::vector<Row> rows;  // materialized for the first non-tree model
-      for (const AttributeModel& m : models) {
-        if (m.classifier != nullptr && rows.empty()) {
-          rows.reserve(end - begin);
+      for (size_t k = 0; k < models.size(); ++k) {
+        const AttributeModel& m = models[k];
+        ReadClassCodes(m.encoder, data, static_cast<size_t>(m.class_attr),
+                       begin, end, observed.data());
+        if (m.classifier == nullptr) {
+          ScoreTreeBlock(m, static_cast<int>(k), tables[k], data, begin, end,
+                         observed.data(), config, scratch.data(), &best);
+          continue;
+        }
+        if (rows.empty()) {
+          rows.reserve(rows_in_block);
           for (size_t r = begin; r < end; ++r) rows.push_back(data.row(r));
         }
-        const size_t class_attr = static_cast<size_t>(m.class_attr);
-        for (size_t r = begin; r < end; ++r) {
-          const int observed = m.encoder.Encode(data.cell(r, class_attr));
-          double conf = 0.0;
-          int predicted = -1;
-          double support = 0.0;
-          if (m.classifier == nullptr) {
-            const TreePrediction pred =
-                PredictTree(m.tree, data, r, scratch.data());
-            conf = ErrorConfidence(
-                pred.dist, static_cast<size_t>(m.tree.num_classes()),
-                pred.predicted, pred.support, observed,
-                config.confidence_level, config.flag_null_values);
-            predicted = pred.predicted;
-            support = pred.support;
-          } else {
-            const Prediction pred = m.classifier->Predict(rows[r - begin]);
-            conf = ErrorConfidence(pred, observed, config.confidence_level,
-                                   config.flag_null_values);
-            predicted = pred.PredictedClass();
-            support = pred.support;
-          }
-          if (conf > report.record_confidence[r]) {  // Def. 8: the maximum
-            report.record_confidence[r] = conf;
-            report.record_attr[r] = m.class_attr;
-            report.record_suggestion[r] = m.encoder.Representative(predicted);
-            report.record_support[r] = support;
-          }
+        for (size_t i = 0; i < rows_in_block; ++i) {
+          const Prediction pred = m.classifier->Predict(rows[i]);
+          best.Offer(i,
+                     ErrorConfidence(pred, observed[i],
+                                     config.confidence_level,
+                                     config.flag_null_values),
+                     static_cast<int>(k), pred.PredictedClass(),
+                     pred.support);
         }
+      }
+      const auto flags = [&](size_t i) {
+        return best.model[i] >= 0 &&
+               best.conf[i] >= config.min_error_confidence;
+      };
+      std::vector<Suspicion>& out = block_suspicions[block];
+      size_t flagged = 0;
+      for (size_t i = 0; i < rows_in_block; ++i) flagged += flags(i) ? 1 : 0;
+      out.reserve(flagged);
+      for (size_t i = 0; i < rows_in_block; ++i) {
+        if (!flags(i)) continue;
+        const AttributeModel& m = models[static_cast<size_t>(best.model[i])];
+        Suspicion s;
+        s.row = begin + i;
+        s.error_confidence = best.conf[i];
+        s.attr = m.class_attr;
+        s.observed = data.cell(s.row, static_cast<size_t>(m.class_attr));
+        s.suggestion = m.encoder.Representative(best.predicted[i]);
+        s.support = best.support[i];
+        out.push_back(std::move(s));
       }
     });
   }
 
+  AuditReport report;
   {
     obs::Span rank_span("audit.rank");
-    for (size_t r = 0; r < n; ++r) {
-      const int attr = report.record_attr[r];
-      if (attr < 0 ||
-          report.record_confidence[r] < config.min_error_confidence) {
-        continue;
+    size_t total = 0;
+    for (const std::vector<Suspicion>& list : block_suspicions) {
+      total += list.size();
+    }
+    report.suspicious.reserve(total);
+    report.flagged.assign(n, false);
+    for (std::vector<Suspicion>& list : block_suspicions) {
+      for (Suspicion& s : list) {
+        report.flagged[s.row] = true;
+        report.suspicious.push_back(std::move(s));
       }
-      report.flagged[r] = true;
-      Suspicion s;
-      s.row = r;
-      s.error_confidence = report.record_confidence[r];
-      s.attr = attr;
-      s.observed = data.cell(r, static_cast<size_t>(attr));
-      s.suggestion = report.record_suggestion[r];
-      s.support = report.record_support[r];
-      report.suspicious.push_back(std::move(s));
     }
     std::stable_sort(report.suspicious.begin(), report.suspicious.end(),
                      [](const Suspicion& a, const Suspicion& b) {

@@ -7,7 +7,9 @@
 // typed columns, a block of rows at a time per tree, with no Row or
 // Prediction built per record. The walk reproduces C45Tree::Predict bit
 // for bit, including C4.5's fractional weights for null split values, so a
-// persisted model ranks exactly like the in-memory one. Other inducers are
+// persisted model ranks exactly like the in-memory one. A record that
+// reaches a leaf along known values reads its Def. 7 value from a per-leaf
+// table built once per call (LeafErrorConfidences). Other inducers are
 // asked through Classifier::Predict inside the same loop.
 
 #ifndef DQ_AUDIT_SCORER_H_
@@ -26,7 +28,8 @@ Prediction PredictRecord(const AttributeModel& model, const Table& data,
 /// \brief Scores every record of `data` against `model` across
 /// `config.num_threads` workers and ranks the suspicious ones; the report
 /// is identical for every thread count. Fails when a compiled tree reads
-/// an attribute `data` lacks or has another kind. Records the `audit` span
+/// an attribute `data` lacks or has another kind, or has another class
+/// count than its encoder. Records the `audit` span
 /// with `audit.score` and `audit.rank` under it, and the
 /// `audit.records_scored` and `audit.suspicions_flagged` counters.
 Result<AuditReport> ScoreTable(const AuditModel& model, const Table& data,

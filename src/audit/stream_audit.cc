@@ -1,6 +1,8 @@
 #include "audit/stream_audit.h"
 
 #include <algorithm>
+#include <charconv>
+#include <chrono>
 #include <optional>
 #include <ostream>
 #include <utility>
@@ -9,6 +11,7 @@
 #include "common/atomic_file.h"
 #include "common/parallel.h"
 #include "common/strings.h"
+#include "obs/metrics.h"
 #include "table/csv.h"
 #include "table/ingest_backend.h"
 
@@ -66,9 +69,9 @@ Result<StreamAuditResult> RunStreamingAudit(
   // Deviation detection per segment. Records are scored independently of
   // one another (Def. 7/8 look only at the model), so segment-local audits
   // see the same confidences the whole-table audit would. Only each
-  // segment's suspicious list survives — the per-record score vectors die
-  // with the segment, so audit memory is bounded by the pin window plus
-  // the flagged rows.
+  // segment's suspicious list survives (its flag bits die with the
+  // segment), so audit memory is bounded by the pin window plus the
+  // flagged rows.
   //
   // Segments are checked in parallel across a bounded pin window of
   // `threads` segments: each window is pinned serially (the store is not
@@ -87,6 +90,10 @@ Result<StreamAuditResult> RunStreamingAudit(
   std::optional<ThreadPool> pool;
   if (window > 1 && store.num_segments() > 1) pool.emplace(threads);
 
+  // One observation per segment, on the worker that audited it.
+  static obs::Histogram* const segment_ms = obs::GetHistogram(
+      "stream.segment_audit_ms",
+      {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
   std::vector<const Table*> pinned(window);
   std::vector<Result<AuditReport>> reports;
   for (size_t s0 = 0; s0 < store.num_segments(); s0 += window) {
@@ -96,7 +103,11 @@ Result<StreamAuditResult> RunStreamingAudit(
     }
     reports.assign(count, Status::Internal("segment audit did not run"));
     auto audit_one = [&](size_t i) {
+      const auto start = std::chrono::steady_clock::now();
       reports[i] = segment_auditor.Audit(result.model, *pinned[i]);
+      segment_ms->Observe(std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
     };
     RunBatch(pool.has_value() ? &*pool : nullptr, count, audit_one);
     for (size_t i = 0; i < count; ++i) {
@@ -129,19 +140,40 @@ Result<StreamAuditResult> RunStreamingAudit(
 
 Status WriteStreamAuditReportCsv(const std::vector<Suspicion>& suspicious,
                                  const Schema& schema, std::ostream* out) {
-  *out << "rank,row,error_confidence,attribute,observed,suggestion,support\n";
+  // Every row is appended to one buffer, written once; a report that does
+  // not match the schema writes nothing.
+  std::vector<std::string> names(schema.num_attributes());
+  for (size_t a = 0; a < names.size(); ++a) {
+    names[a] = CsvQuote(schema.attribute(a).name, ',');
+  }
+  std::string text =
+      "rank,row,error_confidence,attribute,observed,suggestion,support\n";
+  text.reserve(text.size() + 64 * suspicious.size());
+  const auto append_count = [&text](size_t v) {
+    char digits[24];
+    text.append(digits, std::to_chars(digits, digits + sizeof(digits), v).ptr);
+  };
   size_t rank = 1;
   for (const Suspicion& s : suspicious) {
     if (s.attr < 0 || static_cast<size_t>(s.attr) >= schema.num_attributes()) {
       return Status::InvalidArgument("report does not match the schema");
     }
-    *out << rank++ << ',' << s.row << ','
-         << FormatDouble(s.error_confidence, 6) << ','
-         << CsvQuote(schema.attribute(static_cast<size_t>(s.attr)).name, ',')
-         << ',' << CsvQuote(schema.ValueToString(s.attr, s.observed), ',')
-         << ',' << CsvQuote(schema.ValueToString(s.attr, s.suggestion), ',')
-         << ',' << FormatDouble(s.support, 1) << '\n';
+    append_count(rank++);
+    text += ',';
+    append_count(s.row);
+    text += ',';
+    AppendFormattedDouble(&text, s.error_confidence, 6);
+    text += ',';
+    text += names[static_cast<size_t>(s.attr)];
+    text += ',';
+    text += CsvQuote(schema.ValueToString(s.attr, s.observed), ',');
+    text += ',';
+    text += CsvQuote(schema.ValueToString(s.attr, s.suggestion), ',');
+    text += ',';
+    AppendFormattedDouble(&text, s.support, 1);
+    text += '\n';
   }
+  out->write(text.data(), static_cast<std::streamsize>(text.size()));
   if (!*out) return Status::IOError("stream write failed");
   return Status::OK();
 }

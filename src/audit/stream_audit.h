@@ -1,8 +1,8 @@
 // Out-of-core audit: memory-budgeted streaming variant of the classic
 // ingest -> Induce -> Audit pipeline.
 //
-// The classic path holds the whole table plus per-record score vectors in
-// RAM. The streaming path bounds both sides:
+// The classic path holds the whole table in RAM. The streaming path bounds
+// both the input and the scoring side:
 //
 //   1. Ingest streams the CSV once through a CsvChunkSink that feeds a
 //      SegmentStore (segments spill to disk past --memory-budget) and a
@@ -60,7 +60,7 @@ struct StreamAuditOptions {
 };
 
 /// \brief Everything a streaming audit run produces. Unlike AuditReport
-/// there are no per-record vectors — only the ranked suspicious list, so
+/// there is no per-record flag bit — only the ranked suspicious list, so
 /// the result's footprint scales with the number of flagged records.
 struct StreamAuditResult {
   AuditModel model;
@@ -78,14 +78,17 @@ struct StreamAuditResult {
 /// options.auditor.num_threads allows: segments are pinned in a bounded
 /// window and audited concurrently, one auditor thread per segment, then
 /// merged serially in segment order — so the ranking stays bitwise
-/// identical for every thread count.
+/// identical for every thread count. Each segment's audit time is one
+/// observation of the `stream.segment_audit_ms` histogram.
 Result<StreamAuditResult> RunStreamingAudit(const Schema& schema,
                                             const std::string& input_path,
                                             const StreamAuditOptions& options);
 
-/// \brief Writes the ranked streaming suspicions in exactly the classic
-/// report CSV format (rank,row,error_confidence,attribute,observed,
-/// suggestion,support) — byte-compatible with WriteAuditReportCsv.
+/// \brief The report writer: the ranked suspicions as CSV with columns
+/// rank,row,error_confidence,attribute,observed,suggestion,support, built
+/// in one buffer and written at once (WriteAuditReportCsv wraps it). Fails
+/// with InvalidArgument, writing nothing, when a suspicion names an
+/// attribute `schema` lacks.
 Status WriteStreamAuditReportCsv(const std::vector<Suspicion>& suspicious,
                                  const Schema& schema, std::ostream* out);
 

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace dq {
 
@@ -40,16 +41,39 @@ std::string_view TrimWhitespace(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-std::string FormatDouble(double v, int max_decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", max_decimals, v);
-  std::string s(buf);
-  if (s.find('.') != std::string::npos) {
-    size_t last = s.find_last_not_of('0');
-    if (s[last] == '.') --last;
-    s.erase(last + 1);
+void AppendFormattedDouble(std::string* out, double v, int max_decimals) {
+  // printf treats a negative precision as omitted, which means 6.
+  const int decimals = max_decimals < 0 ? 6 : max_decimals;
+  // -DBL_MAX in fixed notation is a sign and 309 integer digits, then the
+  // point and the decimals. Callers pass at most 6 decimals; the stack
+  // buffer holds 17, and a longer request gets a heap buffer of its bound.
+  constexpr size_t kIntegerChars =
+      2 + std::numeric_limits<double>::max_exponent10;
+  const size_t capacity = kIntegerChars + 1 + static_cast<size_t>(decimals);
+  char stack[kIntegerChars + 1 + 17];
+  std::string heap;
+  char* buf = stack;
+  if (capacity > sizeof(stack)) {
+    heap.resize(capacity);
+    buf = heap.data();
   }
-  return s;
+  // Defined to print the digits printf("%.*f") prints.
+  const char* end =
+      std::to_chars(buf, buf + capacity, v, std::chars_format::fixed, decimals)
+          .ptr;
+  const std::string_view text(buf, static_cast<size_t>(end - buf));
+  size_t keep = text.size();
+  if (text.find('.') != std::string_view::npos) {
+    keep = text.find_last_not_of('0') + 1;
+    if (text[keep - 1] == '.') --keep;
+  }
+  out->append(buf, keep);
+}
+
+std::string FormatDouble(double v, int max_decimals) {
+  std::string out;
+  AppendFormattedDouble(&out, v, max_decimals);
+  return out;
 }
 
 std::string FormatDoubleRoundTrip(double v) {

@@ -19,8 +19,14 @@ std::string JoinStrings(const std::vector<std::string>& parts,
 /// \brief Trims ASCII whitespace from both ends.
 std::string_view TrimWhitespace(std::string_view s);
 
-/// \brief Formats a double with trailing-zero trimming ("1.5", "2", "0.25").
+/// \brief Formats a double with trailing-zero trimming ("1.5", "2", "0.25"):
+/// printf's "%.*f" digits at `max_decimals`, with trailing zeros after the
+/// point (and a bare point) dropped. Every finite double prints in full,
+/// ±DBL_MAX as 309 integer digits.
 std::string FormatDouble(double v, int max_decimals = 6);
+
+/// \brief FormatDouble(v, max_decimals) appended to `out`.
+void AppendFormattedDouble(std::string* out, double v, int max_decimals = 6);
 
 /// \brief Shortest decimal form that parses back to exactly `v` (CSV cells
 /// must survive a write/read round trip bitwise).

@@ -46,10 +46,14 @@ double ZForConfidence(double level) {
 }
 
 Interval WilsonInterval(double p, double n, double level) {
+  if (n <= 0.0) return Interval{};  // vacuous [0, 1]
+  return WilsonIntervalAtZ(p, n, ZForConfidence(level));
+}
+
+Interval WilsonIntervalAtZ(double p, double n, double z) {
   Interval out;
   if (n <= 0.0) return out;  // vacuous [0, 1]
   p = std::clamp(p, 0.0, 1.0);
-  const double z = ZForConfidence(level);
   const double z2 = z * z;
   const double denom = 1.0 + z2 / n;
   const double center = (p + z2 / (2.0 * n)) / denom;

@@ -33,6 +33,11 @@ struct Interval {
 /// two-sided confidence `level`. n == 0 yields the vacuous [0, 1].
 Interval WilsonInterval(double p, double n, double level);
 
+/// \brief The same interval for a precomputed z = ZForConfidence(level):
+/// WilsonInterval delegates here, so callers that evaluate many bounds at
+/// one level compute the quantile once and get the same bits.
+Interval WilsonIntervalAtZ(double p, double n, double z);
+
 /// \brief leftBound(p, n): lower Wilson bound (Def. 7 / Def. 9).
 double LeftBound(double p, double n, double level);
 

@@ -267,7 +267,7 @@ TEST(AuditorTest, AllInducerKindsRunEndToEnd) {
     ASSERT_TRUE(model.ok()) << InducerKindToString(kind);
     auto report = auditor.Audit(*model, t);
     ASSERT_TRUE(report.ok()) << InducerKindToString(kind);
-    EXPECT_EQ(report->record_confidence.size(), t.num_rows());
+    EXPECT_EQ(report->flagged.size(), t.num_rows());
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
 
 #include "common/random.h"
@@ -271,6 +275,54 @@ TEST(StringsTest, FormatDoubleTrimsZeros) {
   EXPECT_EQ(FormatDouble(2.0), "2");
   EXPECT_EQ(FormatDouble(0.25), "0.25");
   EXPECT_EQ(FormatDouble(-3.125), "-3.125");
+}
+
+/// printf's "%.*f" into a buffer that holds any double, trimmed the way
+/// FormatDouble trims.
+std::string PrintfTrimmed(double v, int decimals) {
+  char buf[1024];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  std::string s(buf);
+  if (s.find('.') != std::string::npos) {
+    size_t last = s.find_last_not_of('0');
+    if (s[last] == '.') --last;
+    s.erase(last + 1);
+  }
+  return s;
+}
+
+TEST(StringsTest, FormatDoublePrintsEveryMagnitudeInFull) {
+  const double max = std::numeric_limits<double>::max();
+  for (double v : {max, -max, -1e300, 1e56, 1e57, 4.9e-324, 0.0, -0.0, 2.5,
+                   12.25, 0.125, 988.55, -0.0000004, 1e-300}) {
+    for (int decimals : {0, 1, 2, 3, 4, 6, 17, 40}) {
+      EXPECT_EQ(FormatDouble(v, decimals), PrintfTrimmed(v, decimals))
+          << v << " at " << decimals;
+    }
+  }
+  // A 64-byte buffer used to cut these short.
+  EXPECT_EQ(FormatDouble(max).size(), 309u);
+  EXPECT_EQ(FormatDouble(-max).size(), 310u);
+  EXPECT_EQ(FormatDouble(1e57).size(), 58u);
+  // Exact ties round as printf rounds them.
+  EXPECT_EQ(FormatDouble(2.5, 0), PrintfTrimmed(2.5, 0));
+  EXPECT_EQ(FormatDouble(12.25, 1), PrintfTrimmed(12.25, 1));
+  EXPECT_EQ(FormatDouble(0.125, 2), PrintfTrimmed(0.125, 2));
+  EXPECT_EQ(FormatDouble(-0.0), "-0");
+
+  Rng rng(11);
+  for (int i = 0; i < 20000; ++i) {
+    // Every exponent from random bits, and report-sized values.
+    const double v = i % 2 == 0 ? std::bit_cast<double>(rng.engine()())
+                                : rng.UniformReal(-2000.0, 2000.0);
+    if (std::isnan(v)) continue;
+    const int decimals = static_cast<int>(rng.UniformInt(0, 6));
+    ASSERT_EQ(FormatDouble(v, decimals), PrintfTrimmed(v, decimals))
+        << std::hexfloat << v << " at " << decimals;
+  }
+  std::string appended = "x=";
+  AppendFormattedDouble(&appended, 0.5, 6);
+  EXPECT_EQ(appended, "x=0.5");
 }
 
 TEST(StringsTest, ParseDoubleAcceptsValidInput) {

@@ -130,7 +130,7 @@ TEST(AuditorEdgeTest, AuditReportSizesMatchInput) {
   Table empty(s);
   auto report = auditor.Audit(*model, empty);
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->record_confidence.size(), 0u);
+  EXPECT_TRUE(report->flagged.empty());
   EXPECT_EQ(report->NumFlagged(), 0u);
 }
 
@@ -143,6 +143,78 @@ TEST(AuditorEdgeTest, CorrectionsRejectMismatchedReport) {
   AuditReport wrong_size;  // empty report vs 1-row table
   Auditor auditor;
   EXPECT_FALSE(auditor.ApplyCorrections(wrong_size, t).ok());
+}
+
+/// A two-row table of ThreeNominal and a report flagging row 0 with one
+/// suspicion whose fields the corrections tests break one at a time.
+struct CorrectionCase {
+  Table table{ThreeNominal()};
+  AuditReport report;
+
+  CorrectionCase() {
+    EXPECT_TRUE(table
+                    .AppendRow({Value::Nominal(0), Value::Nominal(1),
+                                Value::Nominal(2)})
+                    .ok());
+    EXPECT_TRUE(table
+                    .AppendRow({Value::Nominal(2), Value::Nominal(1),
+                                Value::Nominal(0)})
+                    .ok());
+    Suspicion s;
+    s.row = 0;
+    s.attr = 1;
+    s.error_confidence = 0.9;
+    s.observed = Value::Nominal(1);
+    s.suggestion = Value::Nominal(2);
+    report.suspicious = {s};
+    report.flagged = {true, false};
+  }
+
+  /// Applies the report and expects InvalidArgument with `table` as it was.
+  void ExpectRejected() {
+    const Table before = table;
+    auto corrected = Auditor().ApplyCorrections(report, table);
+    ASSERT_FALSE(corrected.ok());
+    EXPECT_TRUE(corrected.status().IsInvalidArgument()) << corrected.status();
+    for (size_t r = 0; r < before.num_rows(); ++r) {
+      for (size_t a = 0; a < before.num_attributes(); ++a) {
+        EXPECT_TRUE(table.cell(r, a).StrictEquals(before.cell(r, a)))
+            << "row " << r << " attr " << a;
+      }
+    }
+  }
+};
+
+TEST(AuditorEdgeTest, CorrectionsApplyAWellFormedReport) {
+  CorrectionCase c;
+  auto corrected = Auditor().ApplyCorrections(c.report, c.table);
+  ASSERT_TRUE(corrected.ok()) << corrected.status();
+  EXPECT_EQ(corrected->cell(0, 1).nominal_code(), 2);
+  EXPECT_EQ(c.table.cell(0, 1).nominal_code(), 1);
+}
+
+TEST(AuditorEdgeTest, CorrectionsRejectRowPastTheTable) {
+  CorrectionCase c;
+  c.report.suspicious[0].row = 2;
+  c.ExpectRejected();
+}
+
+TEST(AuditorEdgeTest, CorrectionsRejectNegativeAttribute) {
+  CorrectionCase c;
+  c.report.suspicious[0].attr = -1;
+  c.ExpectRejected();
+}
+
+TEST(AuditorEdgeTest, CorrectionsRejectAttributePastTheSchema) {
+  CorrectionCase c;
+  c.report.suspicious[0].attr = 3;
+  c.ExpectRejected();
+}
+
+TEST(AuditorEdgeTest, CorrectionsRejectSuggestionOfAnotherKind) {
+  CorrectionCase c;
+  c.report.suspicious[0].suggestion = Value::Numeric(2.0);
+  c.ExpectRejected();
 }
 
 // --- Pollution degenerate inputs ------------------------------------------------

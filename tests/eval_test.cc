@@ -264,7 +264,7 @@ TEST(ReportIoTest, WritesRankedRows) {
   ASSERT_TRUE(t.AppendRow({Value::Nominal(0)}).ok());
   ASSERT_TRUE(t.AppendRow({Value::Nominal(1)}).ok());
   AuditReport report;
-  report.record_confidence = {0.9, 0.95};
+  report.flagged = {true, true};
   Suspicion s1;
   s1.row = 1;
   s1.error_confidence = 0.95;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "audit/auditor.h"
+#include "audit/stream_audit.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "obs/bench_report.h"
@@ -21,6 +22,8 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "quis/quis_sample.h"
+#include "table/csv.h"
 
 namespace dq::obs {
 namespace {
@@ -311,6 +314,46 @@ TEST(MetricsTest, TreeBuildHistogramCountsEveryC45Tree) {
   EXPECT_EQ(model->num_models(), schema.num_attributes());
   EXPECT_EQ(TreeBuildCount(MetricsRegistry::Global().ToJson()) - before,
             model->num_models());
+}
+
+/// Count of the stream.segment_audit_ms histogram in a metrics dump (0
+/// before the first streamed segment registers it).
+uint64_t SegmentAuditCount(const std::string& dump) {
+  JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(ParseJson(dump, &doc, &error)) << error;
+  const JsonValue* histograms = doc.Find("histograms");
+  if (histograms == nullptr) return 0;
+  const JsonValue* h = histograms->Find("stream.segment_audit_ms");
+  return h == nullptr ? 0 : h->Find("count")->AsUint64();
+}
+
+TEST(MetricsTest, SegmentAuditHistogramCountsEverySegment) {
+  // 1000 QUIS records in 128-row segments, audited on two threads: each
+  // segment's audit is one observation, whichever worker ran it.
+  QuisConfig qcfg;
+  qcfg.num_records = 1000;
+  qcfg.seed = 5;
+  auto sample = GenerateQuisSample(qcfg);
+  ASSERT_TRUE(sample.ok());
+  const std::string path =
+      ::testing::TempDir() + "/obs_segment_audit_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
+  ASSERT_TRUE(WriteCsvFile(sample->table, path).ok());
+  StreamAuditOptions options;
+  options.csv.batch_records = 128;  // segments seal at batch boundaries
+  options.store.segment_rows = 128;
+  options.auditor.num_threads = 2;
+  const uint64_t before =
+      SegmentAuditCount(MetricsRegistry::Global().ToJson());
+  auto result = RunStreamingAudit(sample->table.schema(), path, options);
+  std::remove(path.c_str());
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->store_stats.segments_sealed,
+            (sample->table.num_rows() + 127) / 128);
+  EXPECT_EQ(SegmentAuditCount(MetricsRegistry::Global().ToJson()) - before,
+            result->store_stats.segments_sealed);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "quis/quis_sample.h"
+#include "report_rows.h"
 
 namespace dq {
 namespace {
@@ -51,24 +52,14 @@ std::string Serialized(const AuditModel& model) {
   return out.str();
 }
 
-void ExpectIdenticalReports(const AuditReport& a, const AuditReport& b) {
-  ASSERT_EQ(a.record_confidence.size(), b.record_confidence.size());
-  for (size_t r = 0; r < a.record_confidence.size(); ++r) {
-    EXPECT_EQ(a.record_confidence[r], b.record_confidence[r]) << "row " << r;
-    EXPECT_EQ(a.record_attr[r], b.record_attr[r]) << "row " << r;
-    EXPECT_EQ(a.record_support[r], b.record_support[r]) << "row " << r;
-    EXPECT_TRUE(a.record_suggestion[r].StrictEquals(b.record_suggestion[r]))
-        << "row " << r;
-    EXPECT_EQ(a.IsFlagged(r), b.IsFlagged(r)) << "row " << r;
-  }
-  ASSERT_EQ(a.suspicious.size(), b.suspicious.size());
-  for (size_t i = 0; i < a.suspicious.size(); ++i) {
-    EXPECT_EQ(a.suspicious[i].row, b.suspicious[i].row) << "rank " << i;
-    EXPECT_EQ(a.suspicious[i].error_confidence,
-              b.suspicious[i].error_confidence)
-        << "rank " << i;
-    EXPECT_EQ(a.suspicious[i].attr, b.suspicious[i].attr) << "rank " << i;
-  }
+/// Every record's Def. 8 result: checked at min_error_confidence = 0, the
+/// ranked list holds each record with a nonzero confidence.
+AuditReport ScoreAll(const AuditModel& model, const Table& t,
+                     AuditorConfig cfg) {
+  cfg.min_error_confidence = 0.0;
+  auto report = model.Check(t, cfg);
+  EXPECT_TRUE(report.ok()) << report.status();
+  return report.ok() ? std::move(*report) : AuditReport{};
 }
 
 TEST(ParallelAuditTest, ThreadCountDoesNotChangeModelOrReport) {
@@ -115,7 +106,9 @@ TEST(ParallelAuditTest, ThreadCountDoesNotChangeModelOrReport) {
         << parallel_tree;
   }
   EXPECT_EQ(Serialized(*serial_model), Serialized(*parallel_model));
-  ExpectIdenticalReports(*serial_report, *parallel_report);
+  ExpectSameSuspicions(*serial_report, *parallel_report);
+  ExpectSameSuspicions(ScoreAll(*serial_model, t, serial_cfg),
+                       ScoreAll(*parallel_model, t, parallel_cfg));
 }
 
 TEST(ParallelAuditTest, WideThreadCountsAgreeWithSerial) {
@@ -139,7 +132,9 @@ TEST(ParallelAuditTest, WideThreadCountsAgreeWithSerial) {
     ASSERT_TRUE(report.ok()) << "threads=" << threads;
     EXPECT_EQ(Serialized(*serial_model), Serialized(*model))
         << "threads=" << threads;
-    ExpectIdenticalReports(*serial_report, *report);
+    ExpectSameSuspicions(*serial_report, *report);
+    ExpectSameSuspicions(ScoreAll(*serial_model, t, serial_cfg),
+                         ScoreAll(*model, t, cfg));
   }
 }
 
@@ -177,7 +172,11 @@ TEST(ParallelAuditTest, StructureModelCheckMatchesAcrossThreadCounts) {
   cfg.num_threads = 4;
   auto parallel = loaded->Check(t, cfg);
   ASSERT_TRUE(parallel.ok());
-  ExpectIdenticalReports(*serial, *parallel);
+  ExpectSameSuspicions(*serial, *parallel);
+  cfg.num_threads = 1;
+  const AuditReport serial_all = ScoreAll(*loaded, t, cfg);
+  cfg.num_threads = 4;
+  ExpectSameSuspicions(serial_all, ScoreAll(*loaded, t, cfg));
 }
 
 TEST(ParallelAuditTest, EvaluationMetricsMatchAcrossThreadCounts) {
@@ -211,7 +210,8 @@ TEST(C45PresortTest, QuisAuditIsIdenticalUnderPresortAndThreads) {
   auto sample = GenerateQuisSample(qcfg);
   ASSERT_TRUE(sample.ok());
 
-  auto run = [&](int threads, AuditModel* model, AuditReport* report) {
+  auto run = [&](int threads, AuditModel* model, AuditReport* report,
+                 AuditReport* all) {
     AuditorConfig cfg;
     cfg.num_threads = threads;
     cfg.c45.split_mode = SplitMode::kExact;
@@ -220,17 +220,19 @@ TEST(C45PresortTest, QuisAuditIsIdenticalUnderPresortAndThreads) {
     ASSERT_TRUE(induced.ok()) << induced.status();
     auto audited = auditor.Audit(*induced, sample->table);
     ASSERT_TRUE(audited.ok()) << audited.status();
+    *all = ScoreAll(*induced, sample->table, cfg);
     *model = std::move(*induced);
     *report = std::move(*audited);
   };
   AuditModel serial_model, parallel_model;
-  AuditReport serial_report, parallel_report;
-  run(1, &serial_model, &serial_report);
-  run(4, &parallel_model, &parallel_report);
+  AuditReport serial_report, parallel_report, serial_all, parallel_all;
+  run(1, &serial_model, &serial_report, &serial_all);
+  run(4, &parallel_model, &parallel_report, &parallel_all);
 
   EXPECT_GT(serial_report.NumFlagged(), 0u);
   EXPECT_EQ(Serialized(serial_model), Serialized(parallel_model));
-  ExpectIdenticalReports(serial_report, parallel_report);
+  ExpectSameSuspicions(serial_report, parallel_report);
+  ExpectSameSuspicions(serial_all, parallel_all);
 }
 
 }  // namespace

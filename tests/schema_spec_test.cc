@@ -84,6 +84,20 @@ TEST(SchemaSpecTest, FormatParseRoundTrip) {
   EXPECT_EQ(back->attribute(2).date_max, DaysFromCivil({2010, 12, 31}));
 }
 
+TEST(SchemaSpecTest, HugeNumericBoundsRoundTrip) {
+  // FormatDouble prints 1e300 as its 301 integer digits, which parse back
+  // to the same double.
+  std::istringstream in("amount numeric 0 1e300\n");
+  auto schema = ParseSchemaSpec(&in);
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  std::istringstream again(FormatSchemaSpec(*schema));
+  auto back = ParseSchemaSpec(&again);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->attribute(0).numeric_min, 0.0);
+  EXPECT_EQ(back->attribute(0).numeric_max, 1e300);
+  EXPECT_EQ(back->attribute(0).numeric_max, schema->attribute(0).numeric_max);
+}
+
 TEST(SchemaSpecTest, MissingFileFails) {
   EXPECT_FALSE(ParseSchemaSpecFile("/nonexistent/schema.txt").ok());
 }

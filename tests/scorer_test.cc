@@ -7,15 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <set>
 #include <sstream>
 
 #include "audit/error_confidence.h"
+#include "audit/review.h"
 #include "audit/scorer.h"
 #include "common/random.h"
 #include "eval/report_io.h"
 #include "mining/encoded_dataset.h"
+#include "quis/quis_sample.h"
+#include "report_rows.h"
 
 namespace dq {
 namespace {
@@ -154,6 +158,13 @@ TEST_P(ScorerOracleTest, AuditMatchesPerRecordOracle) {
   ASSERT_TRUE(model.ok()) << model.status();
   auto report = Auditor(config).Audit(*model, data);
   ASSERT_TRUE(report.ok());
+  // At min_error_confidence 0 the ranked list holds every record whose
+  // Def. 8 confidence is nonzero; a record it leaves out scored 0.
+  AuditorConfig all = config;
+  all.min_error_confidence = 0.0;
+  auto report_all = Auditor(all).Audit(*model, data);
+  ASSERT_TRUE(report_all.ok());
+  const auto rows = SuspicionsByRow(*report_all, data.num_rows());
   const std::vector<C45Tree> trees = OracleTrees(*model, train, config);
 
   // Def. 7 per model through the pointer walk, Def. 8 across models.
@@ -177,13 +188,24 @@ TEST_P(ScorerOracleTest, AuditMatchesPerRecordOracle) {
         best_suggestion = am.encoder.Representative(pred.PredictedClass());
       }
     }
-    ASSERT_TRUE(SameBits(report->record_confidence[r], best)) << "row " << r;
-    ASSERT_EQ(report->record_attr[r], best_attr) << "row " << r;
-    ASSERT_TRUE(SameBits(report->record_support[r], best_support))
-        << "row " << r;
-    ASSERT_TRUE(report->record_suggestion[r].StrictEquals(best_suggestion))
-        << "row " << r;
+    const Suspicion* listed = rows[r];
+    if (listed == nullptr) {
+      ASSERT_TRUE(SameBits(best, 0.0)) << "row " << r;
+      ASSERT_EQ(best_attr, -1) << "row " << r;
+    } else {
+      ASSERT_TRUE(SameBits(listed->error_confidence, best)) << "row " << r;
+      ASSERT_EQ(listed->attr, best_attr) << "row " << r;
+      ASSERT_TRUE(SameBits(listed->support, best_support)) << "row " << r;
+      ASSERT_TRUE(listed->suggestion.StrictEquals(best_suggestion))
+          << "row " << r;
+      ASSERT_TRUE(listed->observed.StrictEquals(
+          row[static_cast<size_t>(best_attr)]))
+          << "row " << r;
+    }
     flagged += best >= config.min_error_confidence && best_attr >= 0 ? 1 : 0;
+    ASSERT_EQ(report->IsFlagged(r),
+              best >= config.min_error_confidence && best_attr >= 0)
+        << "row " << r;
   }
   EXPECT_EQ(report->NumFlagged(), flagged);
   EXPECT_GT(flagged, 0u);
@@ -210,13 +232,16 @@ TEST_P(ScorerOracleTest, SavedModelChecksLikeTheAudit) {
     ASSERT_TRUE(audited.ok());
     ASSERT_TRUE(checked.ok());
     ASSERT_GT(audited->NumFlagged(), 0u);
-    for (size_t r = 0; r < data.num_rows(); ++r) {
-      ASSERT_TRUE(SameBits(checked->record_confidence[r],
-                           audited->record_confidence[r]))
-          << "threads " << threads << " row " << r;
-    }
     EXPECT_EQ(ReportCsv(*checked, data), ReportCsv(*audited, data))
         << "threads " << threads;
+    // Every record's score, not only the flagged ones.
+    AuditorConfig all = config;
+    all.min_error_confidence = 0.0;
+    auto audited_all = Auditor(all).Audit(*model, data);
+    auto checked_all = loaded->Check(data, all);
+    ASSERT_TRUE(audited_all.ok());
+    ASSERT_TRUE(checked_all.ok());
+    ExpectSameSuspicions(*checked_all, *audited_all);
   }
 }
 
@@ -241,6 +266,116 @@ TEST(ScorerTest, RejectsTableOfAnotherSchema) {
   ASSERT_TRUE(t.AppendRow({Value::Numeric(0.5)}).ok());
   EXPECT_FALSE(loaded->Check(t, AuditorConfig()).ok());
   EXPECT_FALSE(Auditor().Audit(*model, t).ok());
+}
+
+TEST(ScorerTest, RejectsTreeWithFewerClassesThanItsEncoder) {
+  // The Def. 7 table is indexed by the encoder's class codes, so a tree
+  // with fewer classes would read past its leaf rows.
+  const Table data = MixedTable(300, 0.1, 2);
+  auto model = Auditor().Induce(data);
+  ASSERT_TRUE(model.ok()) << model.status();
+  const AttributeModel& am = model->models().front();
+  const int width = am.encoder.num_classes() - 1;
+  ASSERT_GT(width, 0);
+  CompiledTree::Node leaf;
+  leaf.weight = 10.0;
+  std::vector<double> counts(static_cast<size_t>(width), 0.0);
+  counts[0] = 10.0;
+  AuditModel narrow;
+  narrow.AddAttributeModel(
+      {am.class_attr, am.encoder, CompiledTree(width, {leaf}, counts), {}});
+  const auto scored = ScoreTable(narrow, data, AuditorConfig());
+  ASSERT_FALSE(scored.ok());
+  EXPECT_TRUE(scored.status().IsInvalidArgument()) << scored.status();
+}
+
+/// A compiled tree of one nominal split over `leaves` leaves with random
+/// class counts: some leaves empty, many classes at zero count, weights
+/// fractional as C4.5's null spreading leaves them.
+CompiledTree RandomLeafTree(int num_classes, uint32_t leaves, Rng* rng) {
+  std::vector<CompiledTree::Node> nodes(1 + leaves);
+  nodes[0].attr = 0;
+  nodes[0].first = 1;
+  nodes[0].children = leaves;
+  std::vector<double> counts;
+  for (uint32_t l = 0; l < leaves; ++l) {
+    CompiledTree::Node& leaf = nodes[1 + l];
+    leaf.first = l;
+    leaf.majority = static_cast<int32_t>(rng->UniformInt(0, num_classes - 1));
+    const bool empty = rng->Bernoulli(0.15);
+    for (int c = 0; c < num_classes; ++c) {
+      double count = 0.0;
+      if (!empty && !rng->Bernoulli(0.4)) {
+        count = rng->Bernoulli(0.5)
+                    ? static_cast<double>(rng->UniformInt(1, 500))
+                    : rng->UniformReal(0.01, 60.0);
+      }
+      counts.push_back(count);
+      leaf.weight += count;
+    }
+    leaf.branch_weight = leaf.weight;
+    nodes[0].known_weight += leaf.weight;
+  }
+  return CompiledTree(num_classes, std::move(nodes), std::move(counts));
+}
+
+TEST(ScorerTest, LeafTableMatchesErrorConfidence) {
+  Rng rng(7);
+  for (int trial = 0; trial < 64; ++trial) {
+    const int width = static_cast<int>(rng.UniformInt(1, 8));
+    const CompiledTree tree = RandomLeafTree(
+        width, static_cast<uint32_t>(rng.UniformInt(1, 40)), &rng);
+    const size_t stride = static_cast<size_t>(width) + 1;
+    for (double level : {0.8, 0.95, 0.99}) {
+      for (bool flag_nulls : {true, false}) {
+        const std::vector<double> table =
+            LeafErrorConfidences(tree, level, flag_nulls);
+        ASSERT_EQ(table.size(), tree.num_leaves() * stride);
+        for (uint32_t l = 0; l < tree.num_leaves(); ++l) {
+          for (int observed = -1; observed < width; ++observed) {
+            EXPECT_EQ(table[l * stride + static_cast<size_t>(observed + 1)],
+                      ErrorConfidence(tree.leaf_distribution(l),
+                                      static_cast<size_t>(width),
+                                      tree.leaf_class(l), tree.leaf_support(l),
+                                      observed, level, flag_nulls))
+                << "trial " << trial << " leaf " << l << " observed "
+                << observed << " level " << level << " nulls " << flag_nulls;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ScorerTest, QuisFlagsMatchExplainRecordBitForBit) {
+  // The sec. 6.2 surrogate at 20k records (bench_quis_audit --quick): each
+  // flagged record's ranked confidence is the Def. 8 maximum its review
+  // sheet computes one model at a time, without the Def. 7 table.
+  QuisConfig qcfg;
+  qcfg.num_records = 20000;
+  qcfg.seed = 2003;
+  auto sample = GenerateQuisSample(qcfg);
+  ASSERT_TRUE(sample.ok());
+  AuditorConfig config;
+  config.min_error_confidence = 0.8;
+  const Auditor auditor(config);
+  auto model = auditor.Induce(sample->table);
+  ASSERT_TRUE(model.ok()) << model.status();
+  auto report = auditor.Audit(*model, sample->table);
+  ASSERT_TRUE(report.ok());
+  ASSERT_GT(report->NumFlagged(), 0u);
+  for (const Suspicion& s : report->suspicious) {
+    auto detail = ExplainRecord(*model, sample->table, s.row, config);
+    ASSERT_TRUE(detail.ok());
+    ASSERT_TRUE(SameBits(detail->combined_confidence, s.error_confidence))
+        << "row " << s.row;
+    const auto winner = std::find_if(
+        detail->dissenting.begin(), detail->dissenting.end(),
+        [&](const ClassifierOpinion& o) { return o.class_attr == s.attr; });
+    ASSERT_NE(winner, detail->dissenting.end()) << "row " << s.row;
+    EXPECT_TRUE(SameBits(winner->error_confidence, s.error_confidence))
+        << "row " << s.row;
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "eval/report_io.h"
 #include "gtest/gtest.h"
 #include "quis/quis_sample.h"
+#include "report_rows.h"
 #include "table/columnar.h"
 #include "table/csv.h"
 
@@ -36,19 +37,6 @@ void ExpectTablesEqual(const Table& a, const Table& b) {
       ASSERT_TRUE(a.cell(r, c).StrictEquals(b.cell(r, c)))
           << "row " << r << " attr " << c;
     }
-  }
-}
-
-void ExpectSameSuspicions(const std::vector<Suspicion>& a,
-                          const std::vector<Suspicion>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].row, b[i].row) << "rank " << i;
-    EXPECT_EQ(a[i].error_confidence, b[i].error_confidence) << "rank " << i;
-    EXPECT_EQ(a[i].attr, b[i].attr) << "rank " << i;
-    EXPECT_TRUE(a[i].observed.StrictEquals(b[i].observed)) << "rank " << i;
-    EXPECT_TRUE(a[i].suggestion.StrictEquals(b[i].suggestion)) << "rank " << i;
-    EXPECT_EQ(a[i].support, b[i].support) << "rank " << i;
   }
 }
 

@@ -16,6 +16,7 @@
 #include "eval/report_io.h"
 #include "pollution/pipeline.h"
 #include "quis/quis_sample.h"
+#include "report_rows.h"
 
 namespace dq {
 namespace {
@@ -107,13 +108,20 @@ TEST(StructureModelTest, CheckAgreesWithTreeAudit) {
   ASSERT_TRUE(rule_report.ok());
   ASSERT_TRUE(tree_report.ok());
   EXPECT_EQ(rule_report->NumFlagged(), tree_report->NumFlagged());
+  // At min_error_confidence 0 the lists hold every record's score.
+  AuditorConfig all = f.config;
+  all.min_error_confidence = 0.0;
+  auto rule_all = sm.Check(f.table, all);
+  auto tree_all = Auditor(all).Audit(f.model, f.table);
+  ASSERT_TRUE(rule_all.ok());
+  ASSERT_TRUE(tree_all.ok());
+  const auto rule_rows = SuspicionsByRow(*rule_all, f.table.num_rows());
+  const auto tree_rows = SuspicionsByRow(*tree_all, f.table.num_rows());
   for (size_t r = 0; r < f.table.num_rows(); ++r) {
     EXPECT_EQ(rule_report->IsFlagged(r), tree_report->IsFlagged(r))
         << "row " << r;
-    if (rule_report->IsFlagged(r)) {
-      EXPECT_NEAR(rule_report->record_confidence[r],
-                  tree_report->record_confidence[r], 1e-9);
-    }
+    EXPECT_NEAR(ConfidenceAt(rule_rows, r), ConfidenceAt(tree_rows, r), 1e-9)
+        << "row " << r;
   }
 }
 
@@ -127,15 +135,24 @@ TEST(StructureModelTest, SerializationRoundTrip) {
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back->TotalRules(), sm.TotalRules());
 
-  // The deserialized model checks identically.
+  // The deserialized model checks identically, every record's score
+  // included (the lists at min_error_confidence 0).
   auto before = sm.Check(f.table, f.config);
   auto after = back->Check(f.table, f.config);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(after.ok());
   ASSERT_EQ(before->NumFlagged(), after->NumFlagged());
+  AuditorConfig all = f.config;
+  all.min_error_confidence = 0.0;
+  auto before_all = sm.Check(f.table, all);
+  auto after_all = back->Check(f.table, all);
+  ASSERT_TRUE(before_all.ok());
+  ASSERT_TRUE(after_all.ok());
+  const auto before_rows = SuspicionsByRow(*before_all, f.table.num_rows());
+  const auto after_rows = SuspicionsByRow(*after_all, f.table.num_rows());
   for (size_t r = 0; r < f.table.num_rows(); ++r) {
-    EXPECT_DOUBLE_EQ(before->record_confidence[r],
-                     after->record_confidence[r]);
+    EXPECT_DOUBLE_EQ(ConfidenceAt(before_rows, r), ConfidenceAt(after_rows, r))
+        << "row " << r;
   }
 }
 
@@ -498,15 +515,16 @@ TEST(StructureModelTest, NullPathValueScoredLikeAudit) {
   auto audited = f.auditor.Audit(f.model, t);
   ASSERT_TRUE(checked.ok());
   ASSERT_TRUE(audited.ok());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    EXPECT_EQ(checked->record_confidence[r], audited->record_confidence[r])
-        << "row " << r;
-    EXPECT_EQ(checked->record_attr[r], audited->record_attr[r]) << "row " << r;
-    EXPECT_EQ(checked->record_support[r], audited->record_support[r])
-        << "row " << r;
-  }
+  // At min_error_confidence 0 the lists hold every record's score.
+  AuditorConfig all = f.config;
+  all.min_error_confidence = 0.0;
+  auto checked_all = sm.Check(t, all);
+  auto audited_all = Auditor(all).Audit(f.model, t);
+  ASSERT_TRUE(checked_all.ok());
+  ASSERT_TRUE(audited_all.ok());
+  ExpectSameSuspicions(*checked_all, *audited_all);
   // The Y model sees X null and still scores: it blends the X branches.
-  EXPECT_GT(checked->record_confidence[0], 0.0);
+  EXPECT_GT(ConfidenceAt(SuspicionsByRow(*checked_all, t.num_rows()), 0), 0.0);
   std::ostringstream checked_csv;
   std::ostringstream audited_csv;
   ASSERT_TRUE(WriteAuditReportCsv(*checked, t, &checked_csv).ok());
@@ -519,12 +537,21 @@ TEST(StructureModelTest, CheckRecordMatchesBatchCheck) {
   const AuditModel sm = Reloaded(f);
   auto report = sm.Check(f.table, f.config);
   ASSERT_TRUE(report.ok());
+  AuditorConfig all = f.config;
+  all.min_error_confidence = 0.0;
+  auto report_all = sm.Check(f.table, all);
+  ASSERT_TRUE(report_all.ok());
+  const auto rows = SuspicionsByRow(*report_all, f.table.num_rows());
   for (size_t r = 0; r < 200; ++r) {
     const AuditReport one =
         CheckOne(sm, f.table.schema(), f.table.row(r), f.config);
-    ASSERT_EQ(one.record_confidence.size(), 1u);
+    ASSERT_EQ(one.flagged.size(), 1u);
     EXPECT_EQ(one.IsFlagged(0), report->IsFlagged(r)) << "row " << r;
-    EXPECT_DOUBLE_EQ(one.record_confidence[0], report->record_confidence[r]);
+    const AuditReport one_all =
+        CheckOne(sm, f.table.schema(), f.table.row(r), all);
+    EXPECT_DOUBLE_EQ(ConfidenceAt(SuspicionsByRow(one_all, 1), 0),
+                     ConfidenceAt(rows, r))
+        << "row " << r;
   }
 }
 

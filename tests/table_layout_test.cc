@@ -21,6 +21,7 @@
 #include "common/random.h"
 #include "mining/c45.h"
 #include "mining/encoded_dataset.h"
+#include "report_rows.h"
 #include "stats/descriptive.h"
 #include "table/csv.h"
 #include "table/date.h"
@@ -350,15 +351,15 @@ TEST(TableLayoutTest, AuditReportIdenticalAcrossConstructionPaths) {
   auto report_b = auditor.Audit(*model_b, by_chunk);
   ASSERT_TRUE(report_a.ok());
   ASSERT_TRUE(report_b.ok());
-  ASSERT_EQ(report_a->record_confidence.size(),
-            report_b->record_confidence.size());
-  for (size_t r = 0; r < report_a->record_confidence.size(); ++r) {
-    EXPECT_EQ(report_a->record_confidence[r], report_b->record_confidence[r]);
-    EXPECT_EQ(report_a->record_attr[r], report_b->record_attr[r]);
-    EXPECT_TRUE(report_a->record_suggestion[r].StrictEquals(
-        report_b->record_suggestion[r]));
-  }
   EXPECT_EQ(report_a->suspicious.size(), report_b->suspicious.size());
+  // At min_error_confidence 0 the lists hold every record's score.
+  AuditorConfig all = cfg;
+  all.min_error_confidence = 0.0;
+  auto all_a = Auditor(all).Audit(*model_a, by_row);
+  auto all_b = Auditor(all).Audit(*model_b, by_chunk);
+  ASSERT_TRUE(all_a.ok());
+  ASSERT_TRUE(all_b.ok());
+  ExpectSameSuspicions(*all_a, *all_b);
 }
 
 TEST(TableLayoutTest, ChunkKeepMaskDropsExactlyUnkeptSlots) {

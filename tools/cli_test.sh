@@ -205,4 +205,35 @@ if [ -e "$WORK/quis.spill" ]; then
   exit 1
 fi
 
+# --- Report bytes pinned across commits ---
+# The runs above compare reports within one build, so a change that moved
+# every report alike would pass them. The golden report was written by an
+# earlier commit's tools with
+#   dqgen --schema quis_full.spec --quis --records 6000 --seed 1 \
+#     --clean clean.csv --dirty dirty.csv
+#   dqaudit --schema quis_full.spec --data dirty.csv --min-conf 0.5 \
+#     --threads 1 --report quis_audit_report.golden.csv
+# (flagged nominal, date and null observed values and a numeric
+# suggestion), and every mode must still write it byte for byte.
+GOLDEN="$TESTDATA/quis_audit_report.golden.csv"
+"$DQGEN" --schema "$QUIS_SPEC" --quis --records 6000 --seed 1 \
+  --clean "$WORK/golden_clean.csv" --dirty "$WORK/golden_dirty.csv" \
+  > /dev/null
+for t in 1 4; do
+  "$DQAUDIT" --schema "$QUIS_SPEC" --data "$WORK/golden_dirty.csv" \
+    --min-conf 0.5 --threads "$t" --report "$WORK/golden_t$t.csv" \
+    --save-model "$WORK/golden.dqmodel" > /dev/null
+  diff "$GOLDEN" "$WORK/golden_t$t.csv"
+done
+"$DQAUDIT" --schema "$QUIS_SPEC" --data "$WORK/golden_dirty.csv" \
+  --min-conf 0.5 --load-model "$WORK/golden.dqmodel" \
+  --report "$WORK/golden_load.csv" > /dev/null
+diff "$GOLDEN" "$WORK/golden_load.csv"
+# The reservoir holds every record, so the streamed model is the same.
+"$DQAUDIT" --schema "$QUIS_SPEC" --data "$WORK/golden_dirty.csv" \
+  --min-conf 0.5 --threads 2 --memory-budget 64K --segment-rows 500 \
+  --sample-rows 6000 --spill-dir "$WORK/golden.spill" \
+  --report "$WORK/golden_stream.csv" > /dev/null
+diff "$GOLDEN" "$WORK/golden_stream.csv"
+
 echo "cli round trip OK ($AUDIT_N suspicious records)"

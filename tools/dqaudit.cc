@@ -335,7 +335,7 @@ struct RunConfig {
 struct AuditRun {
   size_t records = 0;  ///< records audited
   /// The ranked suspicions are `report.suspicious`; the streaming stage
-  /// keeps no per-record vectors, so it fills nothing else.
+  /// keeps no flag bits, so it fills nothing else.
   AuditReport report;
   std::optional<Table> data;        ///< in-memory stages: --summary, --corrected
   std::optional<AuditModel> model;  ///< in-memory stages: --explain, --summary
