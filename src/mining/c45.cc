@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 
 #include "common/strings.h"
 #include "mining/encoded_dataset.h"
@@ -322,7 +323,7 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
         const double gain = known_entropy - sub;
         if (gain > best_gain) {
           best_gain = gain;
-          best_thr = (val + next_val) / 2.0;
+          best_thr = std::midpoint(val, next_val);
           best_left_w = left_w;
         }
       }
@@ -591,12 +592,15 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
 // table into <= 255 equal-frequency bins (EncodedDataset::bins, derived
 // from the shared sort orders), nominal attributes use their dictionary
 // codes as bins directly, and a node's histograms over all base attributes
-// are filled in one pass over its instances. Three cost levers stack:
+// are filled in one pass over its instances. Four cost levers stack:
 //
 //   * evaluation is O(bins x classes) per attribute instead of
 //     O(rows x classes) with a log2 per distinct boundary, and the
 //     threshold sweep (kernels::SweepBinnedSplit) refreshes a class's
 //     log2 term only when a bin moves weight across;
+//   * each binned slice carries a mask of the bins its scans wrote, so
+//     the sweep visits only those bins; a node deep in the tree occupies
+//     a fraction of the 255;
 //   * the largest child of a split never gets scanned -- its histograms
 //     are reconstructed as parent minus the scanned siblings;
 //   * the tree grows level by level, one sibling family at a time, so a
@@ -629,9 +633,18 @@ struct C45HistogramBuilder {
     Kind kind = Kind::kNone;
     size_t width = 0;   ///< histogram rows; 0 for kNone/kNominalScan
     size_t offset = 0;  ///< start of this attribute's slice (doubles)
+    size_t mask = 0;    ///< kBinned: start of its occupancy mask (words)
     const AttributeBins* bins = nullptr;  // kBinned
     const uint8_t* bin_codes = nullptr;   // kBinned
     const int32_t* codes = nullptr;       // nominal kinds
+  };
+
+  /// One node's histograms: per-attribute slices of `cells` and, per
+  /// binned attribute, a mask of the bins its scans or its subtraction
+  /// wrote. Every binned cell outside a masked bin row is +0.0.
+  struct HistBlock {
+    std::vector<double> cells;
+    std::vector<uint64_t> masks;
   };
 
   /// One non-terminal frontier node awaiting split evaluation.
@@ -644,7 +657,7 @@ struct C45HistogramBuilder {
     /// True only for the root: its instances are exactly every class-known
     /// row with unit weight, so whole-column count kernels apply.
     bool dense = false;
-    std::vector<double> hist;      ///< per-attribute slices
+    HistBlock hist;
     std::vector<SplitEval> evals;  ///< per-attribute slot
   };
 
@@ -652,12 +665,12 @@ struct C45HistogramBuilder {
   /// reconstructed from the parent histogram and its siblings.
   struct Family {
     std::vector<std::unique_ptr<HTask>> tasks;  ///< non-terminal children
-    /// Parent histogram block; non-empty iff a child is reconstructed.
-    std::vector<double> parent_hist;
+    /// Parent histogram block; holds cells iff a child is reconstructed.
+    HistBlock parent_hist;
     int sub_task = -1;  ///< tasks[] index reconstructed by subtraction
     /// Terminal siblings that still get scanned to support subtraction.
     std::vector<std::vector<Inst>> support_insts;
-    std::vector<std::vector<double>> support_hist;
+    std::vector<HistBlock> support_hist;
   };
 
   C45HistogramBuilder(const C45Config& cfg, const Schema& sch,
@@ -695,6 +708,10 @@ struct C45HistogramBuilder {
       AttrPlan& plan = plans[static_cast<size_t>(a)];
       plan.offset = hist_width;
       hist_width += plan.width * nc;
+      if (plan.kind == AttrPlan::Kind::kBinned) {
+        plan.mask = mask_words;
+        mask_words += kernels::kBinMaskWords;
+      }
     }
   }
 
@@ -729,6 +746,8 @@ struct C45HistogramBuilder {
       for (Family& f : level) Grow(f, &next);
       level = std::move(next);
     }
+    sweep_bins->Add(sweep.bins_visited);
+    sweep_candidates->Add(sweep.candidates_scored);
     return root;
   }
 
@@ -737,11 +756,11 @@ struct C45HistogramBuilder {
   /// still need a split join `next` as families of their own.
   void Grow(Family& f, std::vector<Family>* next) {
     for (std::unique_ptr<HTask>& t : f.tasks) {
-      t->hist.assign(hist_width, 0.0);
+      ZeroBlock(&t->hist);
       t->evals.assign(schema.num_attributes(), SplitEval{});
     }
-    f.support_hist.assign(f.support_insts.size(),
-                          std::vector<double>(hist_width, 0.0));
+    f.support_hist.resize(f.support_insts.size());
+    for (HistBlock& block : f.support_hist) ZeroBlock(&block);
     const std::vector<bool>& avail = f.tasks.front()->avail;
     for (int a : ctx.base_attrs) {
       if (avail[static_cast<size_t>(a)]) RunUnit(f, a);
@@ -758,42 +777,53 @@ struct C45HistogramBuilder {
     }
   }
 
+  /// Sets every cell of `block` to +0.0 and clears its masks.
+  void ZeroBlock(HistBlock* block) const {
+    block->cells.assign(hist_width, 0.0);
+    block->masks.assign(mask_words, 0);
+  }
+
   /// Fills one attribute's histogram slice of every node in the family
   /// and evaluates the attribute's split for each.
   void RunUnit(Family& f, int attr) {
     const AttrPlan& plan = plans[static_cast<size_t>(attr)];
     if (plan.width > 0) {
-      const int sub = f.parent_hist.empty() ? -1 : f.sub_task;
+      const int sub = f.parent_hist.cells.empty() ? -1 : f.sub_task;
       for (size_t ti = 0; ti < f.tasks.size(); ++ti) {
         if (static_cast<int>(ti) == sub) continue;
-        ScanTask(*f.tasks[ti], plan,
-                 f.tasks[ti]->hist.data() + plan.offset);
+        ScanTask(*f.tasks[ti], plan, &f.tasks[ti]->hist);
       }
       for (size_t s = 0; s < f.support_insts.size(); ++s) {
         histogram_builds->Add(1);
-        ScanInsts(f.support_insts[s], plan,
-                  f.support_hist[s].data() + plan.offset);
+        ScanInsts(f.support_insts[s], plan, &f.support_hist[s]);
       }
       if (sub >= 0) {
         // Largest child = parent - scanned siblings; cells at or below the
         // residue threshold are cancellation noise (exact zeros on
         // unit-weight data, where all sums are integers).
         const size_t len = plan.width * nc;
-        double* dst = f.tasks[static_cast<size_t>(sub)]->hist.data() +
-                      plan.offset;
-        const double* parent = f.parent_hist.data() + plan.offset;
+        HistBlock& child = f.tasks[static_cast<size_t>(sub)]->hist;
+        double* dst = child.cells.data() + plan.offset;
+        const double* parent = f.parent_hist.cells.data() + plan.offset;
         for (size_t i = 0; i < len; ++i) dst[i] = parent[i];
         for (size_t ti = 0; ti < f.tasks.size(); ++ti) {
           if (static_cast<int>(ti) == sub) continue;
-          const double* src = f.tasks[ti]->hist.data() + plan.offset;
+          const double* src = f.tasks[ti]->hist.cells.data() + plan.offset;
           for (size_t i = 0; i < len; ++i) dst[i] -= src[i];
         }
-        for (const std::vector<double>& support : f.support_hist) {
-          const double* src = support.data() + plan.offset;
+        for (const HistBlock& support : f.support_hist) {
+          const double* src = support.cells.data() + plan.offset;
           for (size_t i = 0; i < len; ++i) dst[i] -= src[i];
         }
         for (size_t i = 0; i < len; ++i) {
           if (dst[i] <= kResidueEps) dst[i] = 0.0;
+        }
+        // The siblings' rows are the parent's rows, so a bin outside the
+        // parent's mask is +0.0 in all of them and +0.0 - +0.0 = +0.0 in
+        // the child: the child takes the parent's mask.
+        if (plan.kind == AttrPlan::Kind::kBinned) {
+          std::copy_n(f.parent_hist.masks.data() + plan.mask,
+                      kernels::kBinMaskWords, child.masks.data() + plan.mask);
         }
         histogram_subtractions->Add(1);
       }
@@ -803,8 +833,9 @@ struct C45HistogramBuilder {
       switch (plan.kind) {
         case AttrPlan::Kind::kBinned:
           *eval = kernels::SweepBinnedSplit(
-              t->hist.data() + plan.offset, nc, *plan.bins, t->node->weight,
-              config.min_split_weight, &sweep);
+              t->hist.cells.data() + plan.offset,
+              t->hist.masks.data() + plan.mask, nc, *plan.bins,
+              t->node->weight, config.min_split_weight, &sweep);
           break;
         case AttrPlan::Kind::kNominalHist:
           EvalNominalHist(*t, plan, eval);
@@ -818,15 +849,25 @@ struct C45HistogramBuilder {
     }
   }
 
-  void ScanTask(const HTask& t, const AttrPlan& plan, double* dst) {
+  void ScanTask(const HTask& t, const AttrPlan& plan, HistBlock* block) {
     histogram_builds->Add(1);
     if (t.dense) {
       // Whole-column kernels: integer counts, then one exact widen to
       // double (the root covers every class-known row at unit weight).
+      double* dst = block->cells.data() + plan.offset;
       std::vector<uint32_t> u(plan.width * nc, 0);
       if (plan.kind == AttrPlan::Kind::kBinned) {
         kernels::CountBinClass(plan.bin_codes, ctx.class_codes, num_rows, nc,
                                u.data());
+        uint64_t* mask = block->masks.data() + plan.mask;
+        for (size_t b = 0; b < plan.width; ++b) {
+          for (size_t c = 0; c < nc; ++c) {
+            if (u[b * nc + c] != 0) {
+              mask[b >> 6] |= uint64_t{1} << (b & 63);
+              break;
+            }
+          }
+        }
       } else {
         kernels::CountCodeClass(plan.codes, ctx.class_codes, num_rows, nc,
                                 u.data());
@@ -836,18 +877,21 @@ struct C45HistogramBuilder {
       }
       return;
     }
-    ScanInsts(t.insts, plan, dst);
+    ScanInsts(t.insts, plan, block);
   }
 
   void ScanInsts(const std::vector<Inst>& insts, const AttrPlan& plan,
-                 double* dst) {
+                 HistBlock* block) {
+    double* dst = block->cells.data() + plan.offset;
     if (plan.kind == AttrPlan::Kind::kBinned) {
       const uint8_t* bin_codes = plan.bin_codes;
+      uint64_t* mask = block->masks.data() + plan.mask;
       for (const Inst& inst : insts) {
         const uint8_t b = bin_codes[inst.first];
         if (b == kNullBinCode) continue;
         dst[static_cast<size_t>(b) * nc +
             static_cast<size_t>(ctx.class_codes[inst.first])] += inst.second;
+        mask[b >> 6] |= uint64_t{1} << (b & 63);
       }
     } else {
       const int32_t* codes = plan.codes;
@@ -862,7 +906,7 @@ struct C45HistogramBuilder {
 
   void EvalNominalHist(const HTask& t, const AttrPlan& plan,
                        SplitEval* eval) const {
-    const double* h = t.hist.data() + plan.offset;
+    const double* h = t.hist.cells.data() + plan.offset;
     std::vector<double> branch_weights(plan.width, 0.0);
     double known = 0.0;
     for (size_t b = 0; b < plan.width; ++b) {
@@ -1134,6 +1178,7 @@ struct C45HistogramBuilder {
   size_t nc;
   std::vector<AttrPlan> plans;
   size_t hist_width = 0;
+  size_t mask_words = 0;
   kernels::SweepScratch sweep;
   std::vector<int32_t> branch;  ///< Expand's per-instance branch scratch
 
@@ -1144,6 +1189,9 @@ struct C45HistogramBuilder {
       obs::GetCounter("c45.histogram_subtractions");
   obs::Counter* const splits_evaluated =
       obs::GetCounter("c45.splits_evaluated");
+  obs::Counter* const sweep_bins = obs::GetCounter("c45.sweep_bins");
+  obs::Counter* const sweep_candidates =
+      obs::GetCounter("c45.sweep_candidates");
 };
 
 void C45Tree::BuildHistogram(const EncodedDataset& cache,

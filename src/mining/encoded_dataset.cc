@@ -1,14 +1,63 @@
 #include "mining/encoded_dataset.h"
 
-#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace dq {
+
+namespace {
+
+/// Order-preserving key of a non-NaN double: a < b exactly when
+/// OrderKey(a) < OrderKey(b), and -0.0 keys as +0.0 (the two compare
+/// equal under `<`). Flipping every bit of a negative reverses its order;
+/// setting the sign bit of a non-negative lifts it above all negatives.
+uint64_t OrderKey(double v) {
+  const auto bits = std::bit_cast<uint64_t>(v == 0.0 ? 0.0 : v);
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+}  // namespace
+
+std::vector<uint32_t> SortRowsByValue(const double* col, size_t n) {
+  // LSD radix sort, one key byte per pass. Each pass is a stable counting
+  // sort, so rows with equal keys keep their row order -- the order
+  // std::stable_sort by `<` leaves them in. Keys are recomputed from the
+  // column in each pass rather than stored, so the sort needs no more
+  // memory than the result and one buffer of the same size. A pass whose
+  // byte is the same for every key would move nothing and is skipped.
+  constexpr size_t kPasses = sizeof(uint64_t);
+  std::array<std::array<uint32_t, 256>, kPasses> counts{};
+  std::vector<uint32_t> rows;
+  rows.reserve(n);
+  for (size_t r = 0; r < n; ++r) {
+    if (std::isnan(col[r])) continue;
+    const uint64_t key = OrderKey(col[r]);
+    for (size_t p = 0; p < kPasses; ++p) ++counts[p][(key >> (8 * p)) & 0xFF];
+    rows.push_back(static_cast<uint32_t>(r));
+  }
+  const size_t m = rows.size();
+  if (m < 2) return rows;
+  std::vector<uint32_t> out(m);
+  for (size_t p = 0; p < kPasses; ++p) {
+    std::array<uint32_t, 256>& pos = counts[p];
+    const size_t shift = 8 * p;
+    if (pos[(OrderKey(col[rows[0]]) >> shift) & 0xFF] == m) continue;
+    uint32_t start = 0;
+    for (uint32_t& c : pos) start += std::exchange(c, start);
+    for (const uint32_t r : rows) {
+      out[pos[(OrderKey(col[r]) >> shift) & 0xFF]++] = r;
+    }
+    rows.swap(out);
+  }
+  return rows;
+}
 
 EncodedDataset EncodedDataset::Build(const Table& table,
                                      int numeric_class_bins,
@@ -58,14 +107,7 @@ EncodedDataset EncodedDataset::Build(const Table& table,
       // SLIQ presort: known-value rows in stable (value, row) order.
       const double* col = out.ordered_[a];
       std::vector<uint32_t>& order = out.sort_orders_[a];
-      order.reserve(n);
-      for (size_t r = 0; r < n; ++r) {
-        if (!std::isnan(col[r])) order.push_back(static_cast<uint32_t>(r));
-      }
-      std::stable_sort(order.begin(), order.end(),
-                       [col](uint32_t x, uint32_t y) {
-                         return col[x] < col[y];
-                       });
+      order = SortRowsByValue(col, n);
       // Histogram-evaluator value bins, derived from the fresh sort order
       // (one pass; the order already carries the (value, row) ranking).
       out.bins_[a] = BuildAttributeBins(col, order, n, kMaxHistogramBins);

@@ -11,7 +11,8 @@
 //     (-1 = null). Numeric and nominal views alias the Table's own SoA
 //     columns (zero copy); date columns are widened to double once.
 //   * sort orders — per ordered attribute, the row indices with known
-//     values stable-sorted by value (SLIQ-style). The exact C4.5 sweep
+//     values stable-sorted by value (SLIQ-style), by a radix sort over
+//     order-preserving keys (SortRowsByValue). The exact C4.5 sweep
 //     derives its root instance lists by filtering this order to its
 //     class-known rows, O(n) per attribute.
 //   * value bins — per ordered attribute, at most kMaxHistogramBins
@@ -38,6 +39,12 @@
 namespace dq {
 
 class ThreadPool;
+
+/// \brief The rows of `col` (n values, NaN = null) with a known value, in
+/// ascending value order with ties in row order: what std::stable_sort by
+/// `<` makes of the known rows listed in row order (-0.0 and +0.0 tie).
+/// A stable LSD radix sort over order-preserving 64-bit keys.
+std::vector<uint32_t> SortRowsByValue(const double* col, size_t n);
 
 class EncodedDataset {
  public:

@@ -33,8 +33,9 @@ struct AttributeBins {
   /// Per-row bin code, kNullBinCode for null values.
   std::vector<uint8_t> codes;
   /// Smallest / largest attribute value that falls into each bin; split
-  /// thresholds between bins b and b' are (upper[b] + lower[b']) / 2, the
-  /// same midpoint rule the exact sweep uses between adjacent values.
+  /// thresholds between bins b and b' are std::midpoint(upper[b],
+  /// lower[b']), the same midpoint rule the exact sweep uses between
+  /// adjacent values.
   std::vector<double> lower;
   std::vector<double> upper;
   /// Distinct attribute values swallowed by each bin (always 1 in the

@@ -1,7 +1,9 @@
 #include "mining/split_kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "mining/compiled_tree.h"
 #include "stats/descriptive.h"
@@ -59,11 +61,11 @@ double CachedEntropyBits(const double* counts, const double* terms,
 
 }  // namespace
 
-SplitEval SweepBinnedSplit(const double* hist, size_t nc,
-                           const AttributeBins& bins, double node_weight,
-                           double min_split_weight, SweepScratch* s) {
+SplitEval SweepBinnedSplit(const double* hist, const uint64_t* occupied,
+                           size_t nc, const AttributeBins& bins,
+                           double node_weight, double min_split_weight,
+                           SweepScratch* s) {
   constexpr double kEps = kTreeWeightEpsilon;
-  const size_t width = static_cast<size_t>(bins.num_bins);
   s->bins.clear();
   s->bin_weights.clear();
   s->classes.assign(5 * nc, 0.0);
@@ -73,17 +75,23 @@ SplitEval SweepBinnedSplit(const double* hist, size_t nc,
   double* left_terms = right + nc;
   double* right_terms = left_terms + nc;
   double known = 0.0;
-  for (size_t b = 0; b < width; ++b) {
-    const double* row = hist + b * nc;
-    double bw = 0.0;
-    for (size_t c = 0; c < nc; ++c) {
-      bw += row[c];
-      known_counts[c] += row[c];
-    }
-    known += bw;
-    if (bw > 0.0) {
-      s->bins.push_back(static_cast<uint32_t>(b));
-      s->bin_weights.push_back(bw);
+  // Bins outside the mask hold +0.0 cells, which would leave every sum
+  // unchanged: visiting only masked bins, in ascending order, is exact.
+  for (size_t w = 0; w < kBinMaskWords; ++w) {
+    for (uint64_t bits = occupied[w]; bits != 0; bits &= bits - 1) {
+      const size_t b = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      const double* row = hist + b * nc;
+      double bw = 0.0;
+      for (size_t c = 0; c < nc; ++c) {
+        bw += row[c];
+        known_counts[c] += row[c];
+      }
+      known += bw;
+      ++s->bins_visited;
+      if (bw > 0.0) {
+        s->bins.push_back(static_cast<uint32_t>(b));
+        s->bin_weights.push_back(bw);
+      }
     }
   }
   SplitEval out;
@@ -95,7 +103,7 @@ SplitEval SweepBinnedSplit(const double* hist, size_t nc,
   }
   double left_w = 0.0;
   double best_gain = -1.0;
-  double best_thr = 0.0;
+  size_t best_i = 0;
   double best_left_w = 0.0;
   uint64_t distinct = 0;
   bool lossy_bins = false;
@@ -108,17 +116,17 @@ SplitEval SweepBinnedSplit(const double* hist, size_t nc,
     lossy_bins |= bins.distinct[b] > 1;
     if (i > 0) {
       // Candidate threshold between the previous non-empty bin and this
-      // one -- the midpoint the exact sweep tests between the adjacent
-      // values on either side of the boundary.
+      // one.
       const double right_w = known - left_w;
       if (left_w >= min_split_weight && right_w >= min_split_weight) {
+        ++s->candidates_scored;
         const double sub =
             left_w / known * CachedEntropyBits(left, left_terms, nc) +
             right_w / known * CachedEntropyBits(right, right_terms, nc);
         const double gain = known_entropy - sub;
         if (gain > best_gain) {
           best_gain = gain;
-          best_thr = (bins.upper[s->bins[i - 1]] + bins.lower[b]) / 2.0;
+          best_i = i;
           best_left_w = left_w;
         }
       }
@@ -159,7 +167,10 @@ SplitEval SweepBinnedSplit(const double* hist, size_t nc,
   out.gain = gain;
   out.gain_ratio = split_info > kEps ? gain / split_info : 0.0;
   out.ordered = true;
-  out.threshold = best_thr;
+  // The midpoint the exact sweep tests between the adjacent values on
+  // either side of the boundary.
+  out.threshold = std::midpoint(bins.upper[s->bins[best_i - 1]],
+                                bins.lower[s->bins[best_i]]);
   return out;
 }
 

@@ -12,6 +12,13 @@
 // histogram. It refreshes a class's x * log2(x) only when a bin moves its
 // weight, yet returns bit for bit what calling EntropyBits at every
 // candidate returns (split_kernels_test keeps that loop as its oracle).
+// It reads only the bins set in the node's 256-bit occupancy mask: every
+// other bin holds +0.0 cells, and adding +0.0 leaves a sum of
+// non-negative cells unchanged, so skipping them changes no total.
+// C45HistogramBuilder (c45.cc) sets a mask bit for every bin its scans
+// write, and a subtraction child takes its parent's mask. The presort
+// those bins derive from is a stable radix sort (SortRowsByValue,
+// encoded_dataset.h).
 
 #ifndef DQ_MINING_SPLIT_KERNELS_H_
 #define DQ_MINING_SPLIT_KERNELS_H_
@@ -55,20 +62,30 @@ struct SplitEval {
   double threshold = 0.0;  ///< ordered splits: value <= threshold goes left
 };
 
-/// \brief Buffers SweepBinnedSplit reuses from call to call.
+/// \brief 64-bit words of a bin occupancy mask: bit b of word b / 64 is
+/// set when bin b may hold weight (kMaxHistogramBins < 256 bins).
+inline constexpr size_t kBinMaskWords = 4;
+
+/// \brief Buffers SweepBinnedSplit reuses from call to call, and its
+/// work totals over all calls.
 struct SweepScratch {
   std::vector<uint32_t> bins;       ///< non-empty bins, ascending
   std::vector<double> bin_weights;  ///< their totals
   std::vector<double> classes;  ///< per class: totals, sides, side terms
+  uint64_t bins_visited = 0;       ///< masked bins read (c45.sweep_bins)
+  uint64_t candidates_scored = 0;  ///< thresholds scored
 };
 
 /// \brief C4.5 threshold sweep over `hist`, the (bins.num_bins x nc)
-/// histogram of a node weighing `node_weight`: candidates are midpoints
-/// between adjacent non-empty bins with at least `min_split_weight` on
-/// either side. Gains carry the MDL correction.
-SplitEval SweepBinnedSplit(const double* hist, size_t nc,
-                           const AttributeBins& bins, double node_weight,
-                           double min_split_weight, SweepScratch* scratch);
+/// histogram of a node weighing `node_weight`, reading only the bins set
+/// in `occupied` (kBinMaskWords words; every other bin must hold +0.0
+/// cells): candidates are midpoints between adjacent non-empty bins with
+/// at least `min_split_weight` on either side. Gains carry the MDL
+/// correction.
+SplitEval SweepBinnedSplit(const double* hist, const uint64_t* occupied,
+                           size_t nc, const AttributeBins& bins,
+                           double node_weight, double min_split_weight,
+                           SweepScratch* scratch);
 
 }  // namespace dq::kernels
 

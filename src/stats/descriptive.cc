@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace dq {
 
@@ -94,7 +95,7 @@ double Median(std::vector<double> xs) {
   double hi = xs[mid];
   if (xs.size() % 2 == 1) return hi;
   double lo = *std::max_element(xs.begin(), xs.begin() + static_cast<long>(mid));
-  return (lo + hi) / 2.0;
+  return std::midpoint(lo, hi);
 }
 
 }  // namespace dq

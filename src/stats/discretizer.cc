@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/strings.h"
 
@@ -36,7 +37,7 @@ Result<EqualFrequencyDiscretizer> EqualFrequencyDiscretizer::FitSorted(
     const double lo = sample[idx - 1];
     const double hi = sample[idx];
     if (hi > lo) {
-      const double cut = (lo + hi) / 2.0;
+      const double cut = std::midpoint(lo, hi);
       if (d.cuts_.empty() || cut > d.cuts_.back()) d.cuts_.push_back(cut);
     }
   }
@@ -54,7 +55,7 @@ Result<EqualFrequencyDiscretizer> EqualFrequencyDiscretizer::FitSorted(
     d.representatives_.push_back(
         count == 0       ? upper
         : count % 2 == 1 ? sample[mid]
-                         : (sample[mid - 1] + sample[mid]) / 2.0);
+                         : std::midpoint(sample[mid - 1], sample[mid]));
   }
   return d;
 }

@@ -316,6 +316,42 @@ TEST(MetricsTest, TreeBuildHistogramCountsEveryC45Tree) {
             model->num_models());
 }
 
+TEST(MetricsTest, SweepCountersAreThreadCountInvariant) {
+  // The seed-2003 20k QUIS audit of bench_e2e: the work of the threshold
+  // sweeps is the same at every thread count, and no sweep reads more
+  // than the 255 bins an attribute can have. Each binned sweep runs on a
+  // scanned or a subtracted histogram, so scans plus subtractions bound
+  // the number of sweeps.
+  QuisConfig qcfg;
+  qcfg.num_records = 20000;
+  qcfg.seed = 2003;
+  auto sample = GenerateQuisSample(qcfg);
+  ASSERT_TRUE(sample.ok());
+  const char* const names[] = {"c45.sweep_bins", "c45.sweep_candidates",
+                               "c45.histogram_builds",
+                               "c45.histogram_subtractions"};
+  auto induce = [&](int threads) {
+    std::vector<uint64_t> before;
+    for (const char* name : names) before.push_back(GetCounter(name)->Value());
+    AuditorConfig config;
+    config.num_threads = threads;
+    EXPECT_TRUE(Auditor(config).Induce(sample->table).ok());
+    std::vector<uint64_t> delta;
+    for (size_t i = 0; i < std::size(names); ++i) {
+      delta.push_back(GetCounter(names[i])->Value() - before[i]);
+    }
+    return delta;
+  };
+  const std::vector<uint64_t> serial = induce(1);
+  EXPECT_EQ(induce(4), serial);
+  const uint64_t bins = serial[0];
+  const uint64_t candidates = serial[1];
+  const uint64_t sweeps_bound = serial[2] + serial[3];
+  EXPECT_GT(candidates, 0u);
+  EXPECT_LT(candidates, bins);
+  EXPECT_LE(bins, 255 * sweeps_bound);
+}
+
 /// Count of the stream.segment_audit_ms histogram in a metrics dump (0
 /// before the first streamed segment registers it).
 uint64_t SegmentAuditCount(const std::string& dump) {

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 
 #include "common/random.h"
+#include "midpoint_pairs.h"
 #include "stats/confidence.h"
 #include "stats/descriptive.h"
 #include "stats/discretizer.h"
@@ -284,7 +286,56 @@ TEST(DescriptiveTest, Median) {
   EXPECT_DOUBLE_EQ(Median({7}), 7.0);
 }
 
+TEST(DescriptiveTest, MedianOfHugeValuesStaysFinite) {
+  EXPECT_EQ(Median({1e308, 1.6e308}), 1.3e308);
+  EXPECT_EQ(Median({-1.6e308, -1e308}), -1.3e308);
+  EXPECT_EQ(Median({DBL_MAX, DBL_MAX, 1.0, DBL_MAX}), DBL_MAX);
+  EXPECT_EQ(Median({-DBL_MAX, DBL_MAX}), 0.0);
+  Rng rng(23);
+  for (int i = 0; i < 100000; ++i) {
+    const auto [a, b] = InRangePair(&rng);
+    ASSERT_EQ(Median({b, a}), (a + b) / 2) << a << " " << b;
+  }
+}
+
 // --- Discretizer -----------------------------------------------------------------
+
+TEST(DiscretizerTest, CutsAndRepresentativesOfHugeValuesStayFinite) {
+  // 200 rows at 1e308 and 200 at 1.6e308: one cut between the two runs,
+  // and each bin's representative is its own value.
+  std::vector<double> sample(200, 1e308);
+  sample.insert(sample.end(), 200, 1.6e308);
+  auto d = EqualFrequencyDiscretizer::FitSorted(sample, 2);
+  ASSERT_TRUE(d.ok());
+  ASSERT_EQ(d->num_bins(), 2);
+  EXPECT_EQ(d->cut_points()[0], 1.3e308);
+  EXPECT_EQ(d->Representative(0), 1e308);
+  EXPECT_EQ(d->Representative(1), 1.6e308);
+  // One bin of two members: the representative is their midpoint.
+  d = EqualFrequencyDiscretizer::FitSorted({DBL_MAX / 2, DBL_MAX}, 1);
+  ASSERT_TRUE(d.ok());
+  EXPECT_TRUE(std::isfinite(d->Representative(0)));
+  EXPECT_GT(d->Representative(0), DBL_MAX / 2);
+  d = EqualFrequencyDiscretizer::FitSorted({-DBL_MAX, -DBL_MAX / 2}, 2);
+  ASSERT_TRUE(d.ok());
+  ASSERT_EQ(d->num_bins(), 2);
+  EXPECT_TRUE(std::isfinite(d->cut_points()[0]));
+  EXPECT_LT(d->cut_points()[0], -DBL_MAX / 2);
+}
+
+TEST(DiscretizerTest, CutsAndRepresentativesAreTheHalvedSumInRange) {
+  Rng rng(29);
+  for (int i = 0; i < 100000; ++i) {
+    const auto [a, b] = InRangePair(&rng);
+    auto cut = EqualFrequencyDiscretizer::FitSorted({a, b}, 2);
+    ASSERT_TRUE(cut.ok());
+    ASSERT_EQ(cut->cut_points().size(), 1u);
+    ASSERT_EQ(cut->cut_points()[0], (a + b) / 2) << a << " " << b;
+    auto rep = EqualFrequencyDiscretizer::FitSorted({a, b}, 1);
+    ASSERT_TRUE(rep.ok());
+    ASSERT_EQ(rep->Representative(0), (a + b) / 2) << a << " " << b;
+  }
+}
 
 TEST(DiscretizerTest, EqualFrequencyBins) {
   std::vector<double> sample;

@@ -205,17 +205,19 @@ if [ -e "$WORK/quis.spill" ]; then
   exit 1
 fi
 
-# --- Report bytes pinned across commits ---
+# --- Report and tree bytes pinned across commits ---
 # The runs above compare reports within one build, so a change that moved
-# every report alike would pass them. The golden report was written by an
-# earlier commit's tools with
+# every report alike would pass them. The golden report and model were
+# written by earlier commits' tools with
 #   dqgen --schema quis_full.spec --quis --records 6000 --seed 1 \
 #     --clean clean.csv --dirty dirty.csv
 #   dqaudit --schema quis_full.spec --data dirty.csv --min-conf 0.5 \
-#     --threads 1 --report quis_audit_report.golden.csv
+#     --threads 1 --report quis_audit_report.golden.csv \
+#     --save-model quis_model.golden.dqmodel
 # (flagged nominal, date and null observed values and a numeric
-# suggestion), and every mode must still write it byte for byte.
+# suggestion), and every mode must still write them byte for byte.
 GOLDEN="$TESTDATA/quis_audit_report.golden.csv"
+GOLDEN_MODEL="$TESTDATA/quis_model.golden.dqmodel"
 "$DQGEN" --schema "$QUIS_SPEC" --quis --records 6000 --seed 1 \
   --clean "$WORK/golden_clean.csv" --dirty "$WORK/golden_dirty.csv" \
   > /dev/null
@@ -224,6 +226,7 @@ for t in 1 4; do
     --min-conf 0.5 --threads "$t" --report "$WORK/golden_t$t.csv" \
     --save-model "$WORK/golden.dqmodel" > /dev/null
   diff "$GOLDEN" "$WORK/golden_t$t.csv"
+  cmp "$GOLDEN_MODEL" "$WORK/golden.dqmodel"
 done
 "$DQAUDIT" --schema "$QUIS_SPEC" --data "$WORK/golden_dirty.csv" \
   --min-conf 0.5 --load-model "$WORK/golden.dqmodel" \
@@ -235,5 +238,29 @@ diff "$GOLDEN" "$WORK/golden_load.csv"
   --sample-rows 6000 --spill-dir "$WORK/golden.spill" \
   --report "$WORK/golden_stream.csv" > /dev/null
 diff "$GOLDEN" "$WORK/golden_stream.csv"
+
+# --- Split midpoints near the largest double ---
+# (1e308 + 1.6e308) / 2 overflows to inf: the tree then split on
+# `B <= inf` until max_depth and the saved model could not be read back.
+# The midpoint is finite, and the model reloads to the same report.
+printf 'A nominal x,y\nB numeric 0 1.7e308\nC nominal p,q\n' \
+  > "$WORK/huge.spec"
+awk 'BEGIN { print "A,B,C"
+  for (r = 0; r < 400; r++)
+    print (r % 2 ? "y,1.6e308," : "x,1e308,") (int(r / 2) % 2 ? "q" : "p") }' \
+  > "$WORK/huge.csv"
+for mode in histogram exact; do
+  "$DQAUDIT" --schema "$WORK/huge.spec" --data "$WORK/huge.csv" \
+    --split-mode "$mode" --threads 1 --save-model "$WORK/huge.dqmodel" \
+    --report "$WORK/huge.csv.report" > /dev/null
+  if grep -q inf "$WORK/huge.dqmodel"; then
+    echo "huge-value model holds an infinite split or cut" >&2
+    exit 1
+  fi
+  "$DQAUDIT" --schema "$WORK/huge.spec" --data "$WORK/huge.csv" \
+    --load-model "$WORK/huge.dqmodel" --threads 1 \
+    --report "$WORK/huge_load.csv.report" > /dev/null
+  cmp "$WORK/huge.csv.report" "$WORK/huge_load.csv.report"
+done
 
 echo "cli round trip OK ($AUDIT_N suspicious records)"
