@@ -32,9 +32,8 @@ int main(int argc, char** argv) {
   const int threads = dq::bench::ThreadsArg(argc, argv);
   const std::string split_mode = dq::bench::SplitModeArg(argc, argv);
   const std::string trace_out = dq::bench::TraceOutArg(argc, argv);
-  // The phase breakdown is read back from the spans, as dqaudit does.
   obs::Tracer& tracer = obs::Tracer::Global();
-  tracer.SetEnabled(true);
+  tracer.SetEnabled(!trace_out.empty());
   QuisConfig qcfg;
   qcfg.num_records = quick ? 20000 : 200000;
   qcfg.seed = 2003;
@@ -78,19 +77,6 @@ int main(int argc, char** argv) {
               report->NumFlagged());
 
   const int threads_used = ResolveThreadCount(threads);
-  const double induce_ms = tracer.AggregateMs("induce");
-  const double encode_ms = tracer.AggregateMs("induce.encode");
-  const double tree_build_ms = tracer.AggregateMs("c45.build");
-  const double audit_ms = tracer.AggregateMs("audit");
-  std::printf("\nphase breakdown (threads=%d):\n", threads_used);
-  std::printf("  induce:  %8.1f ms (encode %.1f ms, tree build %.1f ms)\n",
-              induce_ms, encode_ms, tree_build_ms);
-  const Schema& s = sample->table.schema();
-  for (size_t attr = 0; attr < s.num_attributes(); ++attr) {
-    std::printf("    %-8s %8.1f ms\n", s.attribute(attr).name.c_str(),
-                tracer.AggregateMs("induce.attr", static_cast<int64_t>(attr)));
-  }
-  std::printf("  audit:   %8.1f ms\n", audit_ms);
 
   // Headline rule: BRV = 404 -> GBM = 901. The planted record's Def. 8
   // confidence, flagged or not, is the one its review sheet shows.
@@ -113,6 +99,7 @@ int main(int argc, char** argv) {
 
   // Second rule: KBM = 01 AND GBM = 901 -> BRV = 501; find a deviating
   // (non-501) record in the slice and report its confidence.
+  const Schema& s = sample->table.schema();
   const int brv = *s.IndexOf("BRV");
   const int gbm = *s.IndexOf("GBM");
   const int kbm = *s.IndexOf("KBM");
@@ -172,11 +159,6 @@ int main(int argc, char** argv) {
   json.Add("threads_requested", threads);
   json.Add("threads_used", threads_used);
   json.Add("split_mode", split_mode == "exact" ? 1 : 0);
-  json.Add("runtime_s", seconds);
-  json.Add("induce_ms", induce_ms);
-  json.Add("encode_ms", encode_ms);
-  json.Add("tree_build_ms", tree_build_ms);
-  json.Add("audit_ms", audit_ms);
   json.Add("suspicious", report->NumFlagged());
   json.Add("table_bytes", sample->table.byte_size());
   json.Add("encode_builds",

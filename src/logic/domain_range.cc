@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 
 #include "common/strings.h"
 #include "table/date.h"
@@ -404,12 +405,12 @@ Value DomainRange::SampleValue(Rng* rng) const {
   const double eps = std::max(width, 1.0) * 1e-9;
   if (lo_open_) lo += eps;
   if (hi_open_) hi -= eps;
-  if (lo >= hi) return Value::Numeric((lo_ + hi_) / 2.0);
+  if (lo >= hi) return Value::Numeric(std::midpoint(lo_, hi_));
   for (int attempt = 0; attempt < 16; ++attempt) {
     const double x = rng->UniformReal(lo, hi);
     if (excluded_.count(x) == 0) return Value::Numeric(x);
   }
-  return Value::Numeric((lo + hi) / 2.0);
+  return Value::Numeric(std::midpoint(lo, hi));
 }
 
 std::string DomainRange::ToString(const AttributeDef& attr) const {

@@ -1,8 +1,9 @@
 // Schema-versioned BENCH_<name>.json emitter — the single writer behind
 // every benchmark binary (bench/bench_util.h wraps it). Each report carries
-// a schema version, the run manifest when attached, the failed-seed count,
-// and optionally the full metrics snapshot, so a benchmark number can be
-// traced back to the exact configuration that produced it.
+// a schema version, the run manifest when built from the command line, the
+// failed-seed count, and optionally the full metrics snapshot, so a
+// benchmark number can be traced back to the exact configuration that
+// produced it.
 
 #ifndef DQ_OBS_BENCH_REPORT_H_
 #define DQ_OBS_BENCH_REPORT_H_
@@ -37,9 +38,6 @@ class BenchReport {
     fields_.Add(key, value);
   }
 
-  void AttachManifest(RunManifest manifest) {
-    manifest_ = std::move(manifest);
-  }
   RunManifest* manifest() {
     return manifest_.has_value() ? &*manifest_ : nullptr;
   }

@@ -1,8 +1,9 @@
 // Histogram split evaluator tests: the radix presort, value binning,
 // exact-vs-histogram tree identity in the bins-cover-every-distinct-value
-// regime (split midpoints near the largest double and on a bin's bound
-// included), invariance under sibling subtraction and occupancy masks, and
-// statistical equivalence of full audits when binning is genuinely lossy.
+// regime (split midpoints near the largest double, a bin's bound and a
+// nominal dictionary too wide to histogram included), invariance under
+// sibling subtraction and occupancy masks, and statistical equivalence of
+// full audits when binning is genuinely lossy.
 
 #include <gtest/gtest.h>
 
@@ -227,20 +228,84 @@ void ExpectSameTrees(const C45Tree& a, const C45Tree& b,
   }
 }
 
+/// Field-for-field equality of two compiled trees, leaf counts included.
+void ExpectSameCompiledTrees(const CompiledTree& a, const CompiledTree& b) {
+  ASSERT_EQ(a.nodes().size(), b.nodes().size());
+  ASSERT_EQ(a.num_classes(), b.num_classes());
+  for (size_t i = 0; i < a.nodes().size(); ++i) {
+    const CompiledTree::Node& x = a.nodes()[i];
+    const CompiledTree::Node& y = b.nodes()[i];
+    EXPECT_EQ(x.attr, y.attr) << "node " << i;
+    EXPECT_EQ(x.ordered, y.ordered) << "node " << i;
+    EXPECT_EQ(x.first, y.first) << "node " << i;
+    EXPECT_EQ(x.children, y.children) << "node " << i;
+    EXPECT_EQ(x.majority, y.majority) << "node " << i;
+    EXPECT_EQ(x.threshold, y.threshold) << "node " << i;
+    EXPECT_EQ(x.known_weight, y.known_weight) << "node " << i;
+    EXPECT_EQ(x.branch_weight, y.branch_weight) << "node " << i;
+    EXPECT_EQ(x.weight, y.weight) << "node " << i;
+  }
+  for (uint32_t leaf = 0; leaf < a.num_leaves(); ++leaf) {
+    for (int c = 0; c < a.num_classes(); ++c) {
+      EXPECT_EQ(a.leaf_counts(leaf)[c], b.leaf_counts(leaf)[c]);
+    }
+  }
+}
+
+/// Null-free table whose class follows W, a nominal attribute with 1100
+/// categories: more than a nominal histogram holds (1024), so the
+/// histogram evaluator scores W by scanning each node's instances. Rows
+/// take only W's first and last category, so a scan that misses either
+/// sees one branch and cannot split on W.
+Table WideNominalTable(size_t rows, uint64_t seed) {
+  constexpr int32_t kCategories = 1100;
+  std::vector<std::string> categories;
+  for (int32_t w = 0; w < kCategories; ++w) {
+    categories.push_back("w" + std::to_string(w));
+  }
+  Schema s;
+  EXPECT_TRUE(s.AddNominal("X", {"x0", "x1", "x2"}).ok());
+  EXPECT_TRUE(s.AddNominal("W", categories).ok());
+  EXPECT_TRUE(s.AddNumeric("Z", 0.0, 100.0).ok());
+  EXPECT_TRUE(s.AddNominal("CLS", {"c0", "c1", "c2"}).ok());
+  Table t(s);
+  Rng rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    const bool last = rng.Bernoulli(0.5);
+    const int32_t w = last ? kCategories - 1 : 0;
+    int32_t cls = last ? 1 : 0;
+    if (rng.Bernoulli(0.03)) cls = static_cast<int32_t>(rng.UniformInt(0, 2));
+    Row row(4);
+    row[0] = Value::Nominal(static_cast<int32_t>(rng.UniformInt(0, 2)));
+    row[1] = Value::Nominal(w);
+    row[2] = Value::Numeric(static_cast<double>(rng.UniformInt(0, 100)));
+    row[3] = Value::Nominal(cls);
+    t.AppendRowUnchecked(std::move(row));
+  }
+  return t;
+}
+
 TEST(C45HistogramTest, MatchesExactWhenBinsCoverEveryDistinctValue) {
-  const Table t = QuantizedTable(4000, 9);
-  const EncodedDataset cache = EncodedDataset::Build(t, 8);
+  for (const bool wide : {false, true}) {
+    SCOPED_TRACE(wide ? "wide nominal" : "quantized");
+    const Table t = wide ? WideNominalTable(4000, 9) : QuantizedTable(4000, 9);
+    const EncodedDataset cache = EncodedDataset::Build(t, 8);
 
-  C45Config exact_cfg;
-  exact_cfg.split_mode = SplitMode::kExact;
-  const C45Tree exact = TrainTree(cache, exact_cfg);
+    C45Config exact_cfg;
+    exact_cfg.split_mode = SplitMode::kExact;
+    const C45Tree exact = TrainTree(cache, exact_cfg);
 
-  C45Config hist_cfg;
-  hist_cfg.split_mode = SplitMode::kHistogram;
-  const C45Tree hist = TrainTree(cache, hist_cfg);
+    C45Config hist_cfg;
+    hist_cfg.split_mode = SplitMode::kHistogram;
+    const C45Tree hist = TrainTree(cache, hist_cfg);
 
-  EXPECT_GT(exact.NodeCount(), 1u);  // the comparison must not be vacuous
-  ExpectSameTrees(exact, hist, cache);
+    EXPECT_GT(exact.NodeCount(), 1u);  // the comparison must not be vacuous
+    ExpectSameTrees(exact, hist, cache);
+    ExpectSameCompiledTrees(exact.compiled(), hist.compiled());
+    if (wide) {
+      EXPECT_EQ(hist.compiled().nodes()[0].attr, 1);  // W
+    }
+  }
 }
 
 TEST(C45HistogramTest, MatchesExactThroughTheSharedEncodeCache) {
@@ -438,30 +503,6 @@ TEST(C45HistogramTest, ExactThresholdIsTheHalvedSumInRange) {
     ASSERT_EQ(tree.compiled().nodes().size(), 3u) << a << " " << b;
     ASSERT_EQ(tree.compiled().nodes()[0].threshold, (a + b) / 2)
         << a << " " << b;
-  }
-}
-
-/// Field-for-field equality of two compiled trees, leaf counts included.
-void ExpectSameCompiledTrees(const CompiledTree& a, const CompiledTree& b) {
-  ASSERT_EQ(a.nodes().size(), b.nodes().size());
-  ASSERT_EQ(a.num_classes(), b.num_classes());
-  for (size_t i = 0; i < a.nodes().size(); ++i) {
-    const CompiledTree::Node& x = a.nodes()[i];
-    const CompiledTree::Node& y = b.nodes()[i];
-    EXPECT_EQ(x.attr, y.attr) << "node " << i;
-    EXPECT_EQ(x.ordered, y.ordered) << "node " << i;
-    EXPECT_EQ(x.first, y.first) << "node " << i;
-    EXPECT_EQ(x.children, y.children) << "node " << i;
-    EXPECT_EQ(x.majority, y.majority) << "node " << i;
-    EXPECT_EQ(x.threshold, y.threshold) << "node " << i;
-    EXPECT_EQ(x.known_weight, y.known_weight) << "node " << i;
-    EXPECT_EQ(x.branch_weight, y.branch_weight) << "node " << i;
-    EXPECT_EQ(x.weight, y.weight) << "node " << i;
-  }
-  for (uint32_t leaf = 0; leaf < a.num_leaves(); ++leaf) {
-    for (int c = 0; c < a.num_classes(); ++c) {
-      EXPECT_EQ(a.leaf_counts(leaf)[c], b.leaf_counts(leaf)[c]);
-    }
   }
 }
 

@@ -122,6 +122,20 @@ TEST(DomainRangeTest, SampleValueRespectsRestrictions) {
   }
 }
 
+TEST(DomainRangeTest, PointDomainPastHalfDblMaxSamplesItsValue) {
+  // lo + hi overflows to inf here; the sample must still be the point.
+  Schema s;
+  ASSERT_TRUE(s.AddNumeric("W", -1e308, 1e308).ok());
+  Rng rng(8);
+  for (const double v : {9.5e307, -9.5e307}) {
+    DomainRange r = DomainRange::FullDomain(s.attribute(0));
+    r.RestrictEq(Value::Numeric(v));
+    const Value x = r.SampleValue(&rng);
+    EXPECT_EQ(x.numeric(), v);
+    EXPECT_TRUE(r.Contains(x));
+  }
+}
+
 TEST(DomainRangeTest, IntersectWithMergesBounds) {
   Schema s = SatSchema();
   DomainRange a = DomainRange::FullDomain(s.attribute(2));

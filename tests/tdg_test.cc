@@ -155,6 +155,33 @@ TEST(DataGeneratorTest, GeneratedDataFollowsHandWrittenRules) {
   EXPECT_GT(data->repair_count, 0u);
 }
 
+TEST(DataGeneratorTest, RepairsToPointValuesPastHalfDblMax) {
+  // A = x -> N = V and A = y -> N = V pin every record's N to V. Past
+  // DBL_MAX / 2 a point domain's midpoint used to overflow to inf, so
+  // repair gave up and every record kept its violation.
+  Schema s;
+  ASSERT_TRUE(s.AddNominal("A", {"x", "y"}).ok());
+  ASSERT_TRUE(s.AddNumeric("N", 0.0, 1e308).ok());
+  const double v = 9.5e307;
+  std::vector<Rule> rules;
+  for (int32_t a = 0; a < 2; ++a) {
+    rules.push_back(
+        {Formula::MakeAtom(Atom::Prop(0, AtomOp::kEq, Value::Nominal(a))),
+         Formula::MakeAtom(Atom::Prop(1, AtomOp::kEq, Value::Numeric(v)))});
+  }
+  DataGenerator gen(&s, UniformSpecs(s), nullptr, rules);
+  DataGenConfig cfg;
+  cfg.num_records = 200;
+  cfg.seed = 1;
+  auto data = gen.Generate(cfg);
+  ASSERT_TRUE(data.ok()) << data.status();
+  EXPECT_EQ(data->unresolved_records, 0u);
+  for (size_t r = 0; r < data->table.num_rows(); ++r) {
+    const Row row = data->table.row(r);
+    for (const Rule& rule : rules) EXPECT_FALSE(rule.Violates(row));
+  }
+}
+
 TEST(DataGeneratorTest, GeneratedDataValidatesAgainstSchema) {
   Schema s = SmallSchema();
   DataGenerator gen(&s, UniformSpecs(s), nullptr, {});

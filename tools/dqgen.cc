@@ -444,8 +444,15 @@ int main(int argc, char** argv) {
     Status written =
         WriteTableFile(clean, clean_format, opts.clean_path, CsvOptions());
     if (!written.ok()) return Fail(written);
-    std::printf("generated %zu records following %zu rules -> %s\n",
+    std::printf("generated %zu records following %zu rules -> %s",
                 clean.num_rows(), rules.size(), opts.clean_path.c_str());
+    // Records kept after repair gave up still break a rule; say how many.
+    const size_t unresolved = data->unresolved_records;
+    if (unresolved > 0) {
+      std::printf(" (%zu record%s still violate%s a rule)", unresolved,
+                  unresolved == 1 ? "" : "s", unresolved == 1 ? "s" : "");
+    }
+    std::printf("\n");
   }
 
   if (opts.verify_roundtrip) {
