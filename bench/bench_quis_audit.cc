@@ -63,16 +63,16 @@ int main(int argc, char** argv) {
                  report.status().ToString().c_str());
     return 1;
   }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const double runtime_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
 
   std::printf("# QUIS engine-composition audit (sec. 6.2 surrogate)\n");
   std::printf("records:            %zu (paper: ~200000)\n",
               sample->table.num_rows());
-  std::printf("runtime:            %.1f s (paper: ~21 min on Athlon "
+  std::printf("runtime:            %.1f ms (paper: ~21 min on Athlon "
               "900 MHz)\n",
-              seconds);
+              runtime_ms);
   std::printf("suspicious records: %zu (paper: ~6000)\n",
               report->NumFlagged());
 

@@ -20,10 +20,10 @@ namespace dq {
 namespace {
 
 /// Single-pass ingest fan-out: every kept record lands in the segment
-/// store (columnar, spillable) and is offered to the reservoir (row form,
-/// bounded). Records are offered in global order — OnChunk is called
-/// serially by the CSV driver — which is what keeps the sample
-/// chunking-invariant.
+/// store (columnar, spillable) and is offered to the reservoir, which
+/// copies out (in row form, bounded) only the records it admits. Records
+/// are offered in global order — OnChunk is called serially by the CSV
+/// driver — which is what keeps the sample chunking-invariant.
 class StreamingIngestSink : public CsvChunkSink {
  public:
   StreamingIngestSink(SegmentStore* store, ReservoirSampler* sampler)
@@ -31,10 +31,7 @@ class StreamingIngestSink : public CsvChunkSink {
 
   Status OnChunk(const TableChunk& chunk,
                  const std::vector<uint8_t>& keep) override {
-    for (size_t i = 0; i < chunk.num_rows(); ++i) {
-      if (keep[i] == 0) continue;
-      sampler_->Offer(chunk.MaterializeRow(i));
-    }
+    sampler_->OfferChunk(chunk, keep);
     return store_->Append(chunk, &keep);
   }
 

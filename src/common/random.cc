@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace dq {
 
@@ -19,6 +20,14 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
 }
 
 double Rng::UniformReal(double lo, double hi) {
+  if (std::isfinite(lo) && std::isfinite(hi) && !std::isfinite(hi - lo)) {
+    // The distribution needs hi - lo <= DBL_MAX. Halving both ends is
+    // exact (they are far from the subnormals), so is doubling the draw;
+    // rounding inside the distribution can still reach hi itself.
+    std::uniform_real_distribution<double> half(lo / 2, hi / 2);
+    const double x = 2 * half(engine_);
+    return x < hi ? x : std::nextafter(hi, lo);
+  }
   std::uniform_real_distribution<double> dist(lo, hi);
   return dist(engine_);
 }

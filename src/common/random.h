@@ -25,7 +25,8 @@ class Rng {
   /// \brief Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
-  /// \brief Uniform real in [lo, hi).
+  /// \brief Uniform real in [lo, hi). Finite bounds may be further apart
+  /// than DBL_MAX.
   double UniformReal(double lo, double hi);
 
   /// \brief Uniform real in [0, 1).

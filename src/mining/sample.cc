@@ -12,19 +12,27 @@ ReservoirSampler::ReservoirSampler(size_t capacity, uint64_t seed)
   slots_.reserve(capacity);
 }
 
-void ReservoirSampler::Offer(const Row& row) {
+Row* ReservoirSampler::Admit() {
   const uint64_t index = rows_seen_++;
   if (slots_.size() < capacity_) {
-    slots_.emplace_back(index, row);
-    return;
+    slots_.emplace_back(index, Row());
+    return &slots_.back().second;
   }
   // Exactly one draw per overflowing row: j uniform in [0, index]; the row
   // enters the reservoir iff j lands in the first k slots. Chunk boundaries
   // never touch the RNG, so the sample is chunking-invariant.
   const auto j = static_cast<uint64_t>(
       rng_.UniformInt(0, static_cast<int64_t>(index)));
-  if (j < capacity_) {
-    slots_[static_cast<size_t>(j)] = {index, row};
+  if (j >= capacity_) return nullptr;
+  slots_[static_cast<size_t>(j)].first = index;
+  return &slots_[static_cast<size_t>(j)].second;
+}
+
+void ReservoirSampler::OfferChunk(const TableChunk& chunk,
+                                  const std::vector<uint8_t>& keep) {
+  for (size_t i = 0; i < chunk.num_rows(); ++i) {
+    if (keep[i] == 0) continue;
+    if (Row* slot = Admit()) chunk.MaterializeRow(i, slot);
   }
 }
 

@@ -35,7 +35,14 @@ class ReservoirSampler {
 
   /// \brief Offers the next row of the stream. Rows must arrive in global
   /// record order (the caller's serial ingest loop guarantees this).
-  void Offer(const Row& row);
+  void Offer(const Row& row) {
+    if (Row* slot = Admit()) *slot = row;
+  }
+
+  /// \brief Offers the kept slots of a decoded chunk (keep[i] != 0), in
+  /// slot order. The draw comes first; only an admitted record is
+  /// materialized, straight into its sample slot.
+  void OfferChunk(const TableChunk& chunk, const std::vector<uint8_t>& keep);
 
   size_t rows_seen() const { return rows_seen_; }
   size_t sample_size() const { return slots_.size(); }
@@ -46,6 +53,10 @@ class ReservoirSampler {
   Table BuildSampleTable(const Schema& schema) const;
 
  private:
+  /// Draws for the next row of the stream: the sample slot it replaces
+  /// (or fills), or nullptr when the row stays out.
+  Row* Admit();
+
   size_t capacity_;
   Rng rng_;
   size_t rows_seen_ = 0;

@@ -1,7 +1,10 @@
 #include "table/csv.h"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <ostream>
 #include <utility>
@@ -87,135 +90,244 @@ Status WriteCsvFile(const Table& table, const std::string& path,
 
 namespace {
 
-std::string TruncatedRaw(const std::string& text) {
-  if (text.size() <= IngestReport::kMaxRawBytes) return text;
-  return text.substr(0, IngestReport::kMaxRawBytes) + "...";
+std::string TruncatedRaw(std::string_view text) {
+  if (text.size() <= IngestReport::kMaxRawBytes) return std::string(text);
+  return std::string(text.substr(0, IngestReport::kMaxRawBytes)) + "...";
 }
 
-/// Outcome of decoding one raw record: kept, or a quarantine entry.
-struct DecodedRecord {
-  bool ok = false;
-  IngestError error;
+constexpr size_t kNoSlot = ~size_t{0};
+
+/// An exact "YYYY-MM-DD" spelling of a real calendar date; ParseDate gives
+/// the same day count for it. False for any other spelling (ParseDate then
+/// decides).
+bool ParseIsoDate(std::string_view text, int32_t* days) {
+  if (text.size() != 10 || text[4] != '-' || text[7] != '-') return false;
+  int32_t digits[8] = {};
+  static constexpr size_t kDigitAt[8] = {0, 1, 2, 3, 5, 6, 8, 9};
+  for (size_t i = 0; i < 8; ++i) {
+    const auto d = static_cast<unsigned>(text[kDigitAt[i]] - '0');
+    if (d > 9) return false;
+    digits[i] = static_cast<int32_t>(d);
+  }
+  const CivilDate c{
+      digits[0] * 1000 + digits[1] * 100 + digits[2] * 10 + digits[3],
+      digits[4] * 10 + digits[5], digits[6] * 10 + digits[7]};
+  if (!IsValidCivil(c)) return false;
+  *days = DaysFromCivil(c);
+  return true;
+}
+
+/// What one decode range owns: its unescape scratch and the quarantine
+/// entries of its failed records, keyed by chunk slot.
+struct DecodePart {
+  std::string scratch;
+  std::vector<std::pair<size_t, IngestError>> failures;
 };
 
-/// Fast per-cell decode straight from the field view into the chunk
-/// column. Returns false on ANY failure without touching the cell; the
-/// caller then re-runs the field through Schema::ParseValue, whose
-/// diagnosis (and error message) is authoritative. A true return stores
-/// exactly the value the ParseValue + InDomain path would have stored.
-bool FastDecodeCell(const AttributeDef& def, std::string_view field,
-                    TableChunk* chunk, size_t slot, size_t attr) {
-  switch (def.type) {
-    case DataType::kNumeric: {
-      double d = 0;
-      if (!ParseDouble(field, &d)) return false;
-      if (!(d >= def.numeric_min && d <= def.numeric_max)) return false;
-      chunk->Set(slot, attr, Value::Numeric(d));
-      return true;
-    }
-    case DataType::kNominal: {
-      const auto it = def.category_index.find(field);
-      if (it == def.category_index.end()) return false;
-      chunk->Set(slot, attr, Value::Nominal(it->second));
-      return true;
-    }
-    case DataType::kDate: {
-      auto days = ParseDate(field);
-      if (!days.ok()) return false;
-      if (!(*days >= def.date_min && *days <= def.date_max)) return false;
-      chunk->Set(slot, attr, Value::Date(*days));
-      return true;
-    }
-  }
-  return false;
-}
+/// Decodes the records of one batch column by column, straight into the
+/// typed columns of the chunk slots the driver assigned them. Records are
+/// fully validated against the schema (so assembly can bulk-append
+/// unchecked). A slot whose record fails keeps its first failing
+/// attribute's error (records are checked attribute by attribute, in
+/// schema order) and may hold a partial prefix of cells; the keep mask
+/// drops it at AppendChunk time. DecodeRange touches only the slots of its
+/// records and its own scratch, so disjoint ranges run on pool workers.
+class BatchDecoder {
+ public:
+  BatchDecoder(const Schema& schema, const CsvOptions& options,
+               const CsvRecordBatch& records, const std::vector<size_t>& slot_of,
+               TableChunk* chunk, std::vector<uint8_t>* ok)
+      : schema_(schema),
+        options_(options),
+        records_(records),
+        slot_of_(slot_of),
+        chunk_(chunk),
+        ok_(*ok) {}
 
-/// Record -> typed cells of chunk slot `slot`, fully validated against
-/// the schema (so assembly can bulk-append unchecked). Runs on worker
-/// threads: touches only its own chunk slot / output slot / scratch and
-/// const state. A slot whose record fails decoding may hold a partial
-/// prefix of cells; the keep mask drops it at AppendChunk time.
-void DecodeRecord(const Schema& schema, const CsvOptions& options,
-                  const RawCsvRecord& rec, std::string* scratch,
-                  TableChunk* chunk, size_t slot, DecodedRecord* out) {
-  // Slots are reused across batches: every outcome starts from a fresh
-  // error, so no field of an earlier record's error survives.
-  out->ok = false;
-  out->error = IngestError();
-  out->error.line = rec.line;
-  if (rec.error.has_value()) {
-    out->error.kind = rec.error->kind;
-    out->error.column = rec.error->column;
-    out->error.message = rec.error->kind == CsvErrorKind::kUnterminatedQuote
-                             ? "quoted field never closed"
-                             : "quote inside an unquoted field or after a "
-                               "closing quote";
-    out->error.raw = TruncatedRaw(rec.text);
-    return;
-  }
-  if (rec.num_fields() != schema.num_attributes()) {
-    out->error.kind = CsvErrorKind::kArityMismatch;
-    out->error.message = "expected " +
-                         std::to_string(schema.num_attributes()) +
-                         " fields, got " + std::to_string(rec.num_fields());
-    out->error.raw = TruncatedRaw(rec.text);
-    return;
-  }
-  for (size_t a = 0; a < rec.num_fields(); ++a) {
-    const std::string_view field = rec.Field(a, scratch);
-    const AttributeDef& def = schema.attribute(a);
-    if (field == options.null_token) {
-      chunk->Set(slot, a, Value::Null());
-      continue;
+  void DecodeRange(size_t begin, size_t end, DecodePart* part) const {
+    // Blocks small enough that a block's field ends and record bytes stay
+    // in L1 across its column passes.
+    constexpr size_t kBlock = 256;
+    for (size_t from = begin; from < end; from += kBlock) {
+      DecodeBlock(from, std::min(end, from + kBlock), part);
     }
-    if (FastDecodeCell(def, field, chunk, slot, a)) continue;
-    // Slow path: the cell is malformed or out of domain. Re-diagnose with
-    // the schema's parser so the quarantine entry carries the exact same
-    // message the ParseValue-based decoder produced.
-    const std::string field_str(field);
-    auto value = schema.ParseValue(static_cast<int>(a), field_str,
-                                   options.null_token);
+  }
+
+ private:
+  void DecodeBlock(size_t begin, size_t end, DecodePart* part) const {
+    const size_t arity = schema_.num_attributes();
+    for (size_t r = begin; r < end; ++r) {
+      const size_t slot = slot_of_[r];
+      if (slot == kNoSlot) continue;
+      ok_[slot] = 1;
+      if (const auto& error = records_.error[r]; error.has_value()) {
+        Fail(part, r, error->kind, error->column,
+             error->kind == CsvErrorKind::kUnterminatedQuote
+                 ? "quoted field never closed"
+                 : "quote inside an unquoted field or after a closing quote");
+      } else if (records_.num_fields(r) != arity) {
+        Fail(part, r, CsvErrorKind::kArityMismatch, 0,
+             "expected " + std::to_string(arity) + " fields, got " +
+                 std::to_string(records_.num_fields(r)));
+      }
+    }
+    for (size_t a = 0; a < arity; ++a) {
+      const AttributeDef& def = schema_.attribute(a);
+      switch (def.type) {
+        case DataType::kNominal: {
+          // An unquoted field is a view into the reader's buffer, which
+          // keeps the padding FindPadded's 8-byte load needs.
+          static_assert(kCsvBufferPadding >= 8);
+          const CategoryDictionary& dict = def.dictionary;
+          int32_t* codes = chunk_->code_slots(a);
+          DecodeColumn(a, begin, end, part, [&](std::string_view field,
+                                                   bool padded, size_t slot) {
+            const int32_t code =
+                padded ? dict.FindPadded(field) : dict.Find(field);
+            if (code < 0) return false;
+            codes[slot] = code;
+            return true;
+          });
+          break;
+        }
+        case DataType::kNumeric: {
+          const double lo = def.numeric_min;
+          const double hi = def.numeric_max;
+          double* values = chunk_->numeric_slots(a);
+          DecodeColumn(a, begin, end, part, [&](std::string_view field,
+                                                   bool, size_t slot) {
+            double d = 0;
+            const char* last = field.data() + field.size();
+            const auto [ptr, ec] = std::from_chars(field.data(), last, d);
+            if (ec != std::errc() || ptr != last || !(d >= lo && d <= hi)) {
+              return false;
+            }
+            values[slot] = d;
+            return true;
+          });
+          break;
+        }
+        case DataType::kDate: {
+          const int32_t lo = def.date_min;
+          const int32_t hi = def.date_max;
+          int32_t* days_out = chunk_->code_slots(a);
+          DecodeColumn(a, begin, end, part, [&](std::string_view field,
+                                                   bool, size_t slot) {
+            int32_t days = 0;
+            if (!ParseIsoDate(field, &days) || days < lo || days > hi) {
+              return false;
+            }
+            days_out[slot] = days;
+            return true;
+          });
+          break;
+        }
+      }
+    }
+  }
+
+  /// Column `a` of records [begin, end) that are still good: the null
+  /// token, then `fast` (which stores the cell and returns true, or
+  /// refuses without storing), then the slow path.
+  template <typename Fast>
+  void DecodeColumn(size_t a, size_t begin, size_t end, DecodePart* part,
+                    const Fast& fast) const {
+    // Locals, not CsvRecordBatch::RawField: the byte stores below may
+    // alias anything, which would reload every vector's data pointer per
+    // cell.
+    uint8_t* const nulls = chunk_->null_slots(a);
+    const uint8_t* const ok = ok_.data();
+    const size_t* const slot_of = slot_of_.data();
+    const char* const data = records_.data;
+    const size_t* const record_begin = records_.begin.data();
+    const size_t* const first_end = records_.first_end.data();
+    const size_t* const field_ends = records_.field_ends.data();
+    const std::string_view null_token = options_.null_token;
+    for (size_t r = begin; r < end; ++r) {
+      const size_t slot = slot_of[r];
+      if (slot == kNoSlot || ok[slot] == 0) continue;
+      const size_t* ends = field_ends + first_end[r];
+      const size_t from = a == 0 ? record_begin[r] : ends[a - 1] + 1;
+      const std::string_view raw(data + from, ends[a] - from);
+      const bool quoted = !raw.empty() && raw.front() == '"';
+      const std::string_view field =
+          quoted ? UnquoteCsvField(raw, &part->scratch) : raw;
+      if (field == null_token) {
+        chunk_->SetNull(slot, a);
+        continue;
+      }
+      nulls[slot] = 0;
+      if (!fast(field, !quoted, slot)) SlowCell(part, r, a, field, slot);
+    }
+  }
+
+  /// The cell is malformed, out of domain, or spelled in a way the fast
+  /// paths do not take (" 5000", "2003-6-1"): Schema::ParseValue decides,
+  /// so a quarantine entry carries the exact message it gives and an
+  /// accepted spelling stores the value it parses to.
+  void SlowCell(DecodePart* part, size_t r, size_t a, std::string_view field,
+                size_t slot) const {
+    const AttributeDef& def = schema_.attribute(a);
+    const std::string text(field);
+    auto value = schema_.ParseValue(static_cast<int>(a), text,
+                                    options_.null_token);
     if (value.ok() && !def.InDomain(*value)) {
-      value = Status::InvalidArgument("value '" + field_str +
+      value = Status::InvalidArgument("value '" + text +
                                       "' outside the attribute's domain");
     }
     if (!value.ok()) {
-      out->error.kind = CsvErrorKind::kBadValue;
-      out->error.message =
-          "attribute '" + def.name + "': " + value.status().message();
-      out->error.raw = TruncatedRaw(rec.text);
+      Fail(part, r, CsvErrorKind::kBadValue, 0,
+           "attribute '" + def.name + "': " + value.status().message());
       return;
     }
-    chunk->Set(slot, a, *value);  // fast path was conservative; keep going
+    chunk_->Set(slot, a, *value);
   }
-  out->ok = true;
-}
 
-Status CheckHeader(const Schema& schema, const RawCsvRecord& rec,
-                   IngestReport* report) {
+  void Fail(DecodePart* part, size_t r, CsvErrorKind kind, size_t column,
+            std::string message) const {
+    const size_t slot = slot_of_[r];
+    ok_[slot] = 0;
+    IngestError& error = part->failures.emplace_back(slot, IngestError()).second;
+    error.line = records_.line[r];
+    error.column = column;
+    error.kind = kind;
+    error.message = std::move(message);
+    error.raw = TruncatedRaw(records_.text(r));
+  }
+
+  const Schema& schema_;
+  const CsvOptions& options_;
+  const CsvRecordBatch& records_;
+  const std::vector<size_t>& slot_of_;
+  TableChunk* chunk_;
+  std::vector<uint8_t>& ok_;
+};
+
+Status CheckHeader(const Schema& schema, const CsvRecordBatch& records,
+                   size_t r, IngestReport* report) {
   auto fail = [&](size_t column, std::string message) {
     IngestError err;
-    err.line = rec.line;
+    err.line = records.line[r];
     err.column = column;
     err.kind = CsvErrorKind::kBadHeader;
     err.message = std::move(message);
-    err.raw = TruncatedRaw(rec.text);
+    err.raw = TruncatedRaw(records.text(r));
     Status status = Status::IOError(FormatIngestError(err));
     report->errors.push_back(std::move(err));
     return status;
   };
-  if (rec.error.has_value()) {
-    return fail(rec.error->column, std::string("malformed header (") +
-                                       CsvErrorKindToString(rec.error->kind) +
-                                       ")");
+  if (const auto& error = records.error[r]; error.has_value()) {
+    return fail(error->column, std::string("malformed header (") +
+                                   CsvErrorKindToString(error->kind) + ")");
   }
-  if (rec.num_fields() != schema.num_attributes()) {
+  if (records.num_fields(r) != schema.num_attributes()) {
     return fail(0, "header arity mismatch at line " +
-                       std::to_string(rec.line));
+                       std::to_string(records.line[r]));
   }
   std::string scratch;
-  for (size_t a = 0; a < rec.num_fields(); ++a) {
-    const std::string_view field = rec.Field(a, &scratch);
+  for (size_t a = 0; a < records.num_fields(r); ++a) {
+    const std::string_view field =
+        UnquoteCsvField(records.RawField(r, a), &scratch);
     if (field != schema.attribute(a).name) {
       return fail(0, "header field '" + std::string(field) +
                          "' does not match schema attribute '" +
@@ -225,10 +337,15 @@ Status CheckHeader(const Schema& schema, const RawCsvRecord& rec,
   return Status::OK();
 }
 
-/// Shared streaming driver behind ReadCsv and ReadCsvChunks: tokenize,
-/// batch-parallel decode, serial quarantine bookkeeping in record order,
-/// then hand each batch (chunk + keep mask) to `deliver`. The delivered
-/// sequence is identical whichever consumer sits on the other end.
+/// Shared streaming driver behind ReadCsv and ReadCsvChunks. Each batch
+/// runs three phases on the calling thread, each in its own span:
+/// `ingest.read` tokenizes records into the reader's buffer and assigns
+/// them chunk slots; `ingest.decode` decodes them column by column into the
+/// chunk (on the pool, one contiguous record range per thread); and
+/// `ingest.deliver` does the quarantine bookkeeping in record order and
+/// hands the chunk plus keep mask to `deliver`. The delivered sequence is
+/// identical whichever consumer sits on the other end, and for every
+/// thread count.
 Status ReadCsvDriver(const Schema& schema, std::istream* in,
                      const CsvOptions& options, IngestReport* rep,
                      const std::function<Status(const TableChunk&,
@@ -239,24 +356,24 @@ Status ReadCsvDriver(const Schema& schema, std::istream* in,
 
   const int threads = ResolveThreadCount(options.num_threads);
   rep->threads_used = threads;
-  // One pool for the whole read (a pool per batch would respawn workers).
+  // One pool for the whole read (a pool per batch would respawn workers),
+  // started by the first decode.
   std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
 
   CsvRecordReader reader(in, options.separator, options.chunk_bytes);
-  // `batch` slots are reused across flushes (records land in them straight
-  // from the reader, and flushing resets the count, not the vector), so a
-  // record's text buffer keeps its capacity from one batch to the next.
-  std::vector<RawCsvRecord> batch;
-  size_t batch_n = 0;
-  auto slot = [&]() -> RawCsvRecord& {
-    if (batch_n == batch.size()) batch.emplace_back();
-    return batch[batch_n];
-  };
-  std::vector<DecodedRecord> decoded;
-  std::vector<std::string> scratch;  // per-slot unescape buffers
-  TableChunk chunk(schema);  // columnar batch staging, reused across flushes
+  const size_t batch_records = std::max<size_t>(options.batch_records, 1);
+  const bool hold_blanks = schema.num_attributes() > 1;
+  // Buffers reused across batches: the records (views into the reader's
+  // buffer), each record's chunk slot, and each slot's outcome.
+  CsvRecordBatch records;
+  std::vector<size_t> slot_of;
+  std::vector<size_t> pending_blanks;
+  std::vector<uint8_t> ok;
+  std::vector<DecodePart> parts(static_cast<size_t>(threads));
+  std::vector<std::pair<size_t, IngestError>> failures;
+  TableChunk chunk(schema);
   std::vector<uint8_t> keep;
+  const BatchDecoder decoder(schema, options, records, slot_of, &chunk, &ok);
 
   auto finish = [&](Status status) {
     rep->bytes_read = reader.bytes_read();
@@ -275,93 +392,108 @@ Status ReadCsvDriver(const Schema& schema, std::istream* in,
     return status;
   };
 
-  auto flush_batch = [&]() -> Status {
-    if (batch_n == 0) return Status::OK();
-    // Slot buffers (decode outcomes, per-slot scratch) are only ever
-    // grown: DecodeRecord fully re-initializes the slots it touches, and
-    // keeping the old objects preserves their string capacity.
-    if (decoded.size() < batch_n) decoded.resize(batch_n);
-    if (scratch.size() < batch_n) scratch.resize(batch_n);
-    chunk.Reset(batch_n);
-    // Workers decode straight into disjoint chunk slots — no Row
-    // materialization between the parser and the consumer's columns.
-    auto decode_one = [&](size_t i) {
-      DecodeRecord(schema, options, batch[i], &scratch[i], &chunk, i,
-                   &decoded[i]);
-    };
-    if (pool.has_value()) {
-      pool->ParallelFor(batch_n, decode_one);
-    } else {
-      for (size_t i = 0; i < batch_n; ++i) decode_one(i);
-    }
-    // Serial bookkeeping in record order (quarantine entries land in the
-    // same sequence for every thread count), then one bulk delivery of the
-    // kept slots. Under kFail, slots after the failing record stay unkept —
-    // the consumer holds exactly the records before the error.
-    keep.assign(batch_n, 0);
-    Status failed = Status::OK();
-    for (size_t i = 0; i < batch_n; ++i) {
-      ++rep->records_total;
-      if (decoded[i].ok) {
-        ++rep->records_kept;
-        keep[i] = 1;
-        continue;
-      }
-      ++rep->records_quarantined;
-      rep->errors.push_back(std::move(decoded[i].error));
-      if (options.on_error == CsvErrorPolicy::kFail) {
-        failed = Status::IOError(FormatIngestError(rep->errors.back()));
-        break;
-      }
-    }
-    Status delivered = deliver(chunk, keep);
-    if (!delivered.ok()) return delivered;  // sink failure aborts the read
-    batch_n = 0;
-    return failed;
-  };
-
   bool saw_header = !options.expect_header;
-  // Blank records of a multi-attribute table are held back: trailing blank
-  // lines are silently dropped at end of input, while interior blank lines
-  // are real (arity-violating) records. For a single-attribute schema a
-  // blank line IS a legitimate record (the empty string / an empty null
-  // token), so it is never held back. Only the line numbers are held (the
-  // text is empty by definition).
-  std::vector<size_t> pending_blank_lines;
-  for (;;) {
-    if (!reader.Next(&slot())) break;
-    if (!saw_header) {
-      saw_header = true;
-      Status header = CheckHeader(schema, batch[batch_n], rep);
-      if (!header.ok()) return finish(std::move(header));
-      continue;  // slot not consumed; the next record overwrites it
-    }
-    if (batch[batch_n].text.empty() && schema.num_attributes() > 1) {
-      pending_blank_lines.push_back(batch[batch_n].line);
-      continue;
-    }
-    if (!pending_blank_lines.empty()) {
-      // The held-back blanks precede the current record: shift it past them.
-      RawCsvRecord held = std::move(batch[batch_n]);
-      for (size_t blank_line : pending_blank_lines) {
-        RawCsvRecord& blank = slot();
-        blank.text.clear();
-        blank.line = blank_line;
-        blank.field_ends.assign(1, 0);  // one empty field
-        blank.error.reset();
-        ++batch_n;
+  bool at_end = false;
+  while (!at_end) {
+    size_t batch_n = 0;
+    {
+      obs::Span read_span("ingest.read");
+      records.Clear();
+      slot_of.clear();
+      if (!saw_header) {
+        saw_header = true;
+        if (reader.NextBatch(1, &records) == 0) break;
+        Status header = CheckHeader(schema, records, 0, rep);
+        if (!header.ok()) return finish(std::move(header));
+        slot_of.push_back(kNoSlot);
       }
-      pending_blank_lines.clear();
-      slot() = std::move(held);
+      // Blank records of a multi-attribute table are held back: trailing
+      // blank lines are silently dropped at end of input, while interior
+      // blank lines are real (arity-violating) records and take their
+      // slots ahead of the record that follows them. For a
+      // single-attribute schema a blank line IS a legitimate record (the
+      // empty string / an empty null token), so it is never held back.
+      // Asking for no more records than the batch can take keeps every
+      // record the reader hands out inside this batch.
+      while (batch_n < batch_records) {
+        const size_t want = std::max<size_t>(
+            1, batch_records - std::min(batch_records,
+                                        batch_n + pending_blanks.size()));
+        const size_t first = records.size();
+        if (reader.NextBatch(want, &records) == 0) {
+          at_end = true;
+          break;
+        }
+        for (size_t r = first; r < records.size(); ++r) {
+          if (hold_blanks && records.begin[r] == records.end(r)) {
+            pending_blanks.push_back(r);
+            slot_of.push_back(kNoSlot);
+            continue;
+          }
+          for (size_t blank : pending_blanks) slot_of[blank] = batch_n++;
+          pending_blanks.clear();
+          slot_of.push_back(batch_n++);
+        }
+      }
+      DQ_DCHECK(at_end || pending_blanks.empty());
+      pending_blanks.clear();  // trailing blanks at end of input
     }
-    ++batch_n;
-    if (batch_n >= options.batch_records) {
-      Status flushed = flush_batch();
-      if (!flushed.ok()) return finish(std::move(flushed));
+    {
+      obs::Span decode_span("ingest.decode");
+      chunk.Resize(batch_n);
+      if (ok.size() < batch_n) ok.resize(batch_n);
+      const size_t n = records.size();
+      if (threads > 1 && n > 1 && !pool.has_value()) pool.emplace(threads);
+      if (pool.has_value() && n > 1) {
+        pool->ParallelFor(parts.size(), [&](size_t part) {
+          decoder.DecodeRange(n * part / parts.size(),
+                              n * (part + 1) / parts.size(), &parts[part]);
+        });
+      } else {
+        decoder.DecodeRange(0, n, &parts[0]);
+      }
+      if (at_end) pool.reset();  // the last decode stops the pool
+      // A range finds its failures column by column; book them by slot.
+      failures.clear();
+      for (DecodePart& part : parts) {
+        std::move(part.failures.begin(), part.failures.end(),
+                  std::back_inserter(failures));
+        part.failures.clear();
+      }
+      std::sort(failures.begin(), failures.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+    }
+    {
+      obs::Span deliver_span("ingest.deliver");
+      if (batch_n == 0) continue;
+      // Serial bookkeeping in record order (quarantine entries land in the
+      // same sequence for every thread count), then one bulk delivery of
+      // the kept slots. Under kFail, slots after the failing record stay
+      // unkept — the consumer holds exactly the records before the error.
+      keep.assign(batch_n, 0);
+      Status failed = Status::OK();
+      auto failure = failures.begin();
+      for (size_t i = 0; i < batch_n; ++i) {
+        ++rep->records_total;
+        if (ok[i] != 0) {
+          ++rep->records_kept;
+          keep[i] = 1;
+          continue;
+        }
+        DQ_DCHECK(failure != failures.end() && failure->first == i);
+        ++rep->records_quarantined;
+        rep->errors.push_back(std::move(failure->second));
+        ++failure;
+        if (options.on_error == CsvErrorPolicy::kFail) {
+          failed = Status::IOError(FormatIngestError(rep->errors.back()));
+          break;
+        }
+      }
+      Status delivered = deliver(chunk, keep);
+      if (!delivered.ok()) return finish(std::move(delivered));
+      if (!failed.ok()) return finish(std::move(failed));
     }
   }
-  Status flushed = flush_batch();
-  if (!flushed.ok()) return finish(std::move(flushed));
   return finish(Status::OK());
 }
 

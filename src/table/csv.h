@@ -4,13 +4,15 @@
 // quoting with "" escapes, "?" for nulls, header row with attribute names;
 // see docs/FORMATS.md). The reader is a buffered streaming parser: quoted
 // fields may span newlines, CRLF/CR/LF all terminate records, a UTF-8 BOM
-// is skipped, and input is consumed in fixed-size chunks so parsing memory
-// stays bounded independent of file size. Malformed records either fail the
+// is skipped, and input is consumed one batch of records at a time, so
+// parsing memory is bounded by one batch (plus one read-ahead chunk),
+// independent of file size. Each batch is decoded column by column
+// straight into typed chunk columns. Malformed records either fail the
 // read (CsvErrorPolicy::kFail) or are quarantined into an IngestReport
 // while the read continues (kSkipAndReport) — the recovery mode that lets
-// the auditor ingest real, dirty operational extracts. Record decoding is
-// batch-parallel on the shared thread pool and bitwise-deterministic for
-// every thread count.
+// the auditor ingest real, dirty operational extracts. Decoding is
+// parallel over record ranges on the shared thread pool and
+// bitwise-deterministic for every thread count.
 
 #ifndef DQ_TABLE_CSV_H_
 #define DQ_TABLE_CSV_H_
@@ -49,10 +51,15 @@ struct CsvOptions {
   /// thread count.
   int num_threads = 1;
 
-  /// Tokenizer read granularity; bounds parsing memory per batch.
+  /// Tokenizer read granularity: bytes read from the stream at a time.
+  /// The reader's buffer holds the current batch's records plus at most
+  /// one chunk read ahead, so parsing memory is about batch_records times
+  /// the record length plus chunk_bytes.
   size_t chunk_bytes = 1 << 16;
 
-  /// Records decoded per parallel batch.
+  /// Records per batch: the unit that is read, decoded (split across the
+  /// threads) and delivered to the table or sink. Blank lines held back
+  /// ahead of a record count toward its batch.
   size_t batch_records = 4096;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <istream>
 
 #include "table/csv_scan.h"
@@ -24,14 +25,20 @@ const char* CsvErrorKindToString(CsvErrorKind kind) {
   return "unknown";
 }
 
-std::string_view RawCsvRecord::Field(size_t i, std::string* scratch) const {
-  const size_t begin = i == 0 ? 0 : field_ends[i - 1] + 1;
-  const std::string_view field(text.data() + begin, field_ends[i] - begin);
-  if (field.empty() || field.front() != '"') return field;
+void CsvRecordBatch::Clear() {
+  begin.clear();
+  first_end.assign(1, 0);
+  field_ends.clear();
+  line.clear();
+  error.clear();
+}
+
+std::string_view UnquoteCsvField(std::string_view raw, std::string* scratch) {
+  if (raw.empty() || raw.front() != '"') return raw;
   // A quoted field of an error-free record is "content" whose quotes all
   // come doubled.
   scratch->clear();
-  std::string_view body = field.substr(1, field.size() - 2);
+  std::string_view body = raw.substr(1, raw.size() - 2);
   for (;;) {
     const size_t quote = body.find('"');
     if (quote == std::string_view::npos) break;
@@ -44,22 +51,51 @@ std::string_view RawCsvRecord::Field(size_t i, std::string* scratch) const {
 
 CsvRecordReader::CsvRecordReader(std::istream* in, char separator,
                                  size_t chunk_bytes)
-    : in_(in), sep_(separator), buf_(std::max<size_t>(chunk_bytes, 16)) {
+    : in_(in),
+      sep_(separator),
+      read_bytes_(std::max<size_t>(chunk_bytes, 16)),
+      buf_(read_bytes_ + kCsvBufferPadding) {
   structural_.resize(csvscan::StructuralWords(buf_.size()));
 }
 
-bool CsvRecordReader::Refill() {
-  if (in_ == nullptr || !in_->good()) return false;
-  in_->read(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-  len_ = static_cast<size_t>(in_->gcount());
-  pos_ = 0;
-  if (len_ > 0) {
-    // Stage one: one SIMD classification pass builds the structural index
-    // of the whole chunk. Next() consults only this index to find the
-    // bytes where the state machine has to run.
-    csvscan::ScanStructural(buf_.data(), len_, sep_, structural_.data());
+bool CsvRecordReader::Fill() {
+  if (eof_ || in_ == nullptr || !in_->good()) {
+    eof_ = true;
+    return false;
   }
-  return len_ > 0;
+  const size_t need = len_ + read_bytes_ + kCsvBufferPadding;
+  if (buf_.size() < need) {
+    // Grow by half: the buffer settles near one batch plus one chunk.
+    buf_.resize(std::max(need, buf_.size() + buf_.size() / 2));
+    structural_.resize(csvscan::StructuralWords(buf_.size()));
+  }
+  in_->read(buf_.data() + len_, static_cast<std::streamsize>(read_bytes_));
+  const auto got = static_cast<size_t>(in_->gcount());
+  if (got == 0) {
+    eof_ = true;
+    return false;
+  }
+  // Stage one: one SIMD classification pass extends the structural index
+  // over the new bytes (rescanning the head of the word they start in).
+  // ParseRecord consults only this index to find where the state machine
+  // has to run.
+  const size_t word = len_ >> 6;
+  len_ += got;
+  csvscan::ScanStructural(buf_.data() + (word << 6), len_ - (word << 6), sep_,
+                          structural_.data() + word);
+  return true;
+}
+
+void CsvRecordReader::Compact() {
+  const size_t drop = pos_ & ~size_t{63};
+  if (drop == 0) return;
+  std::memmove(buf_.data(), buf_.data() + drop, len_ - drop);
+  const size_t words = csvscan::StructuralWords(len_) - (drop >> 6);
+  std::memmove(structural_.data(), structural_.data() + (drop >> 6),
+               words * sizeof(uint64_t));
+  len_ -= drop;
+  pos_ -= drop;
+  base_ += drop;
 }
 
 size_t CsvRecordReader::NextStructural(size_t from) const {
@@ -77,40 +113,93 @@ size_t CsvRecordReader::NextStructural(size_t from) const {
   }
 }
 
-bool CsvRecordReader::Next(RawCsvRecord* out) {
+bool CsvRecordReader::ParseRecord(CsvRecordBatch* batch) {
   if (at_start_) {
     at_start_ = false;
-    // Skip a UTF-8 byte-order mark. The buffer holds at least 16 bytes, so
-    // one refill is enough to see all three BOM bytes of a non-empty file.
-    if (pos_ >= len_) Refill();
+    // Skip a UTF-8 byte-order mark.
+    while (len_ - pos_ < 3 && Fill()) {
+    }
     if (len_ - pos_ >= 3 &&
         static_cast<unsigned char>(buf_[pos_]) == 0xEF &&
         static_cast<unsigned char>(buf_[pos_ + 1]) == 0xBB &&
         static_cast<unsigned char>(buf_[pos_ + 2]) == 0xBF) {
       pos_ += 3;
-      bytes_read_ += 3;
     }
   }
-  std::string& text = out->text;
-  text.clear();
-  out->line = line_;
-  out->field_ends.clear();
-  out->error.reset();
-  auto fail = [out](CsvErrorKind kind, size_t column) {
-    if (!out->error.has_value()) out->error = CsvFieldError{kind, column};
+  const size_t begin = pos_;
+  const size_t line = line_;
+  std::optional<CsvFieldError> error;
+  auto fail = [&](CsvErrorKind kind, size_t column) {
+    if (!error.has_value()) error = CsvFieldError{kind, column};
+  };
+  auto finish = [&](size_t end) {
+    batch->field_ends.push_back(end);
+    batch->begin.push_back(begin);
+    batch->first_end.push_back(batch->field_ends.size());
+    batch->line.push_back(line);
+    batch->error.push_back(error);
+    return true;
+  };
+  // Ends the record at the terminator at pos_ - 1 (swallowing the LF of a
+  // CRLF pair).
+  auto terminate = [&] {
+    ++line_;
+    if (buf_[pos_ - 1] == '\r' && (pos_ < len_ || Fill()) &&
+        buf_[pos_] == '\n') {
+      ++pos_;
+      return finish(pos_ - 2);
+    }
+    return finish(pos_ - 1);
   };
   // Stage two: the quoting state machine advances only at structural
   // positions (separators, quotes, CR, LF — the bits of the index); the
-  // plain-content runs in between are bulk appends. A quote opens a quoted
-  // field only at field start. After the record's first error the machine
-  // keeps delimiting by the same rules, so an error never moves a record
-  // boundary. Columns are 1-based offsets into the record text.
-  enum class State { kFieldStart, kUnquoted, kQuoted, kQuoteInQuoted };
-  State state = State::kFieldStart;
-  size_t quote_open = 0;  // column of the open quoted field's quote
-  bool any = false;
+  // plain-content runs in between are skipped whole. A quote opens a
+  // quoted field only at field start. After the record's first error the
+  // machine keeps delimiting by the same rules, so an error never moves a
+  // record boundary. Columns are 1-based offsets into the record text.
+  //
+  // Until the record's first quote only separators and terminators move
+  // the machine, so it walks the index bits word by word.
+  size_t field_start = begin;
   for (;;) {
-    if (pos_ >= len_ && !Refill()) break;  // end of input
+    if (pos_ >= len_ && !Fill()) {  // end of input
+      if (pos_ == begin) return false;
+      return finish(pos_);
+    }
+    size_t w = pos_ >> 6;
+    const size_t words = csvscan::StructuralWords(len_);
+    uint64_t bits = structural_[w] & (~uint64_t{0} << (pos_ & 63));
+    size_t at = len_;
+    while (at == len_) {
+      while (bits == 0 && ++w < words) bits = structural_[w];
+      if (bits == 0) break;
+      const size_t i = (w << 6) + static_cast<size_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      if (i >= len_) break;
+      if (buf_[i] != sep_) {
+        at = i;
+      } else {
+        batch->field_ends.push_back(i);
+        field_start = i + 1;
+      }
+    }
+    pos_ = at;
+    if (at == len_) continue;  // plain content up to the end of the buffer
+    if (buf_[pos_++] != '"') return terminate();
+    break;
+  }
+  // The record's first quote, at pos_ - 1: the general machine takes over
+  // for the rest of the record.
+  enum class State { kUnquoted, kQuoted, kQuoteInQuoted };
+  State state = State::kQuoted;
+  size_t quote_open = pos_ - begin;  // column of the open quoted field's quote
+  if (pos_ - 1 != field_start) {
+    state = State::kUnquoted;
+    fail(CsvErrorKind::kStrayQuote, quote_open);
+  }
+  bool field_start_now = false;
+  for (;;) {
+    if (pos_ >= len_ && !Fill()) break;  // end of input
     const size_t next = NextStructural(pos_);
     if (next > pos_) {
       // A run of plain content bytes: nothing in it can be a separator,
@@ -118,63 +207,58 @@ bool CsvRecordReader::Next(RawCsvRecord* out) {
       // start (first content byte of a field) or closing a pending quote
       // (content right after a closing quote is an error).
       if (state == State::kQuoteInQuoted) {
-        fail(CsvErrorKind::kStrayQuote, text.size() + 1);
-      }
-      text.append(buf_.data() + pos_, next - pos_);
-      bytes_read_ += next - pos_;
-      pos_ = next;
-      any = true;
-      if (state == State::kFieldStart || state == State::kQuoteInQuoted) {
+        fail(CsvErrorKind::kStrayQuote, pos_ - begin + 1);
         state = State::kUnquoted;
       }
+      field_start_now = false;
+      pos_ = next;
       continue;
     }
     const char c = buf_[pos_++];
-    ++bytes_read_;
-    any = true;
     if (state == State::kQuoted) {
       if (c == '"') {
         state = State::kQuoteInQuoted;
       } else if (c == '\n') {
         ++line_;
       }
-      text += c;
       continue;
     }
     if (state == State::kQuoteInQuoted) {
       // The pending quote was either an escape ("" stays quoted) or the
       // closing quote (anything else drops back to unquoted scanning).
-      state = (c == '"') ? State::kQuoted : State::kUnquoted;
-    }
-    if (state != State::kQuoted && (c == '\n' || c == '\r')) {
-      ++line_;
-      out->field_ends.push_back(text.size());
-      if (c == '\r') {  // swallow the LF of a CRLF pair
-        if (pos_ >= len_ && !Refill()) return true;
-        if (buf_[pos_] == '\n') {
-          ++pos_;
-          ++bytes_read_;
-        }
+      if (c == '"') {
+        state = State::kQuoted;
+        continue;
       }
-      return true;
+      state = State::kUnquoted;
     }
+    if (c == '\n' || c == '\r') return terminate();
     if (c == sep_) {
-      state = State::kFieldStart;
-      out->field_ends.push_back(text.size());
-    } else if (c == '"' && state == State::kFieldStart) {
+      field_start_now = true;
+      batch->field_ends.push_back(pos_ - 1);
+    } else if (field_start_now) {  // c is a quote opening a field
       state = State::kQuoted;
-      quote_open = text.size() + 1;
-    } else if (c == '"' && state == State::kUnquoted) {
-      fail(CsvErrorKind::kStrayQuote, text.size() + 1);
+      quote_open = pos_ - begin;
+      field_start_now = false;
+    } else {
+      fail(CsvErrorKind::kStrayQuote, pos_ - begin);
     }
-    text += c;
   }
-  if (!any) return false;
-  out->field_ends.push_back(text.size());
   if (state == State::kQuoted) {
     fail(CsvErrorKind::kUnterminatedQuote, quote_open);
   }
-  return true;
+  return finish(pos_);
+}
+
+size_t CsvRecordReader::NextBatch(size_t max_records, CsvRecordBatch* batch) {
+  if (batch->empty()) {
+    batch->Clear();
+    Compact();
+  }
+  size_t n = 0;
+  while (n < max_records && ParseRecord(batch)) ++n;
+  batch->data = buf_.data();
+  return n;
 }
 
 }  // namespace dq

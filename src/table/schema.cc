@@ -7,6 +7,46 @@
 
 namespace dq {
 
+CategoryDictionary::CategoryDictionary(
+    const std::vector<std::string>& categories) {
+  pool_.reserve(categories.size() * 8);
+  offsets_.reserve(categories.size());
+  for (const std::string& spelling : categories) {
+    offsets_.push_back(static_cast<uint32_t>(pool_.size()));
+    pool_ += spelling;
+  }
+  size_t slots = 2;
+  while (slots < 2 * categories.size()) slots *= 2;
+  constexpr size_t kMaxExclusiveSlots = 512;
+  for (size_t wide = slots; wide <= std::min(8 * slots, kMaxExclusiveSlots);
+       wide *= 2) {
+    for (uint64_t seed = 0; seed < 16; ++seed) {
+      if (Place(categories, wide, seed * 0xD6E8FEB86659FD93ULL, true)) return;
+    }
+  }
+  Place(categories, slots, 0, false);
+}
+
+bool CategoryDictionary::Place(const std::vector<std::string>& categories,
+                               size_t slots, uint64_t seed, bool exclusive) {
+  slots_.assign(slots, Slot());
+  shift_ = 64 - std::countr_zero(slots);
+  seed_ = seed;
+  for (size_t code = 0; code < categories.size(); ++code) {
+    const std::string& spelling = categories[code];
+    Slot slot;
+    std::memcpy(&slot.prefix, spelling.data(),
+                std::min<size_t>(spelling.size(), 8));
+    slot.size = static_cast<uint32_t>(spelling.size());
+    slot.code = static_cast<int32_t>(code);
+    size_t i = Home(slot.prefix, spelling.size());
+    if (exclusive && slots_[i].code >= 0) return false;
+    while (slots_[i].code >= 0) i = (i + 1) & (slots - 1);
+    slots_[i] = slot;
+  }
+  return true;
+}
+
 size_t AttributeDef::DomainSize() const {
   switch (type) {
     case DataType::kNominal:
@@ -68,9 +108,7 @@ Status Schema::AddNominal(const std::string& name,
   def.name = name;
   def.type = DataType::kNominal;
   def.categories = std::move(categories);
-  for (size_t i = 0; i < def.categories.size(); ++i) {
-    def.category_index.emplace(def.categories[i], static_cast<int32_t>(i));
-  }
+  def.dictionary = CategoryDictionary(def.categories);
   index_[name] = static_cast<int>(attrs_.size());
   attrs_.push_back(std::move(def));
   return Status::OK();
@@ -136,8 +174,8 @@ Result<int32_t> Schema::CategoryCode(int attr, const std::string& category) cons
   if (def.type != DataType::kNominal) {
     return Status::InvalidArgument("attribute '" + def.name + "' is not nominal");
   }
-  const auto it = def.category_index.find(category);
-  if (it != def.category_index.end()) return it->second;
+  const int32_t code = def.dictionary.Find(category);
+  if (code >= 0) return code;
   return Status::NotFound("category '" + category + "' not in attribute '" +
                           def.name + "'");
 }

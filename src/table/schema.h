@@ -9,7 +9,10 @@
 #ifndef DQ_TABLE_SCHEMA_H_
 #define DQ_TABLE_SCHEMA_H_
 
-#include <functional>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -20,13 +23,83 @@
 
 namespace dq {
 
-/// \brief Transparent string hash so category lookups work directly on
-/// string_view fields without materializing a std::string key.
-struct TransparentStringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
+/// \brief Spelling -> code dictionary of a nominal attribute: a flat
+/// open-addressing table keyed on a spelling's first 8 bytes and its
+/// length, at most half full, so a lookup is one hash, one or two probes
+/// and, for spellings longer than 8 bytes, one compare of the rest. A
+/// small dictionary picks its hash seed and size (up to 8 slots per
+/// category) so that no two categories share a home slot: every hit is
+/// then found at the first probe.
+class CategoryDictionary {
+ public:
+  CategoryDictionary() = default;
+  /// `categories` must be distinct; category i gets code i.
+  explicit CategoryDictionary(const std::vector<std::string>& categories);
+
+  /// \brief Code of `spelling`, or -1 when it is not a category.
+  int32_t Find(std::string_view spelling) const {
+    uint64_t prefix = 0;
+    if (!spelling.empty()) {
+      std::memcpy(&prefix, spelling.data(),
+                  std::min<size_t>(spelling.size(), 8));
+    }
+    return Lookup(prefix, spelling);
   }
+
+  /// \brief Find for a spelling followed by at least 8 readable bytes (a
+  /// field in the CSV reader's padded buffer): one unconditional load.
+  int32_t FindPadded(std::string_view spelling) const {
+    uint64_t prefix = 0;
+    std::memcpy(&prefix, spelling.data(), 8);
+    if (spelling.size() < 8) {
+      // Keep the bytes of the spelling, in memory order, as Find does.
+      const int bits = static_cast<int>(spelling.size()) * 8;
+      prefix &= std::endian::native == std::endian::little
+                    ? (uint64_t{1} << bits) - 1
+                    : ~(~uint64_t{0} >> bits);
+    }
+    return Lookup(prefix, spelling);
+  }
+
+ private:
+  struct Slot {
+    uint64_t prefix = 0;  ///< first min(size, 8) bytes, zero-filled
+    uint32_t size = 0;
+    int32_t code = -1;  ///< -1: empty slot
+  };
+
+  size_t Home(uint64_t prefix, size_t size) const {
+    const uint64_t h = (prefix ^ (size * 0x9E3779B97F4A7C15ULL) ^ seed_) *
+                       0xBF58476D1CE4E5B9ULL;
+    return static_cast<size_t>(h >> shift_);
+  }
+
+  /// Places every category at `slots` slots with hash seed `seed`; false
+  /// (table left unusable) when `exclusive` and two categories share a
+  /// home slot.
+  bool Place(const std::vector<std::string>& categories, size_t slots,
+             uint64_t seed, bool exclusive);
+
+  int32_t Lookup(uint64_t prefix, std::string_view spelling) const {
+    if (slots_.empty()) return -1;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Home(prefix, spelling.size());; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.code < 0) return -1;
+      if (slot.prefix == prefix && slot.size == spelling.size() &&
+          (spelling.size() <= 8 ||
+           std::memcmp(pool_.data() + offsets_[static_cast<size_t>(slot.code)] + 8,
+                       spelling.data() + 8, spelling.size() - 8) == 0)) {
+        return slot.code;
+      }
+    }
+  }
+
+  std::vector<Slot> slots_;  ///< power-of-two size
+  int shift_ = 64;           ///< 64 - log2(slots_.size())
+  uint64_t seed_ = 0;
+  std::string pool_;         ///< every spelling, concatenated
+  std::vector<uint32_t> offsets_;  ///< code -> offset in pool_
 };
 
 /// \brief One attribute of the target relation.
@@ -37,13 +110,9 @@ struct AttributeDef {
   /// Nominal domain: category spellings; a cell stores an index into this.
   std::vector<std::string> categories;
 
-  /// Spelling -> code lookup over `categories`, maintained by
-  /// Schema::AddNominal so CategoryCode is O(1) on the ingest hot path
-  /// instead of a linear scan per cell. Heterogeneous: find() accepts a
-  /// string_view.
-  std::unordered_map<std::string, int32_t, TransparentStringHash,
-                     std::equal_to<>>
-      category_index;
+  /// Spelling -> code lookup over `categories`, built by
+  /// Schema::AddNominal; CategoryCode and the CSV decoder both read it.
+  CategoryDictionary dictionary;
 
   /// Numeric domain: inclusive range.
   double numeric_min = 0.0;

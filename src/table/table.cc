@@ -1,5 +1,8 @@
 #include "table/table.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -48,6 +51,18 @@ void TableChunk::Reset(size_t rows) {
   }
 }
 
+void TableChunk::Resize(size_t rows) {
+  num_rows_ = rows;
+  for (Column& c : cols_) {
+    c.null_.resize(rows);
+    if (c.type == DataType::kNumeric) {
+      c.num.resize(rows);
+    } else {
+      c.code.resize(rows);
+    }
+  }
+}
+
 void TableChunk::Set(size_t row, size_t attr, const Value& v) {
   DQ_DCHECK(attr < cols_.size() && row < num_rows_);
   Column& c = cols_[attr];
@@ -78,27 +93,33 @@ void TableChunk::Set(size_t row, size_t attr, const Value& v) {
 }
 
 Row TableChunk::MaterializeRow(size_t row) const {
+  Row out;
+  MaterializeRow(row, &out);
+  return out;
+}
+
+void TableChunk::MaterializeRow(size_t row, Row* out) const {
   DQ_DCHECK(row < num_rows_);
-  Row out(cols_.size());
+  out->resize(cols_.size());
   for (size_t a = 0; a < cols_.size(); ++a) {
     const Column& c = cols_[a];
+    Value& cell = (*out)[a];
     if (c.null_[row] != 0) {
-      out[a] = Value::Null();
+      cell = Value::Null();
       continue;
     }
     switch (c.type) {
       case DataType::kNumeric:
-        out[a] = Value::Numeric(c.num[row]);
+        cell = Value::Numeric(c.num[row]);
         break;
       case DataType::kNominal:
-        out[a] = Value::Nominal(c.code[row]);
+        cell = Value::Nominal(c.code[row]);
         break;
       case DataType::kDate:
-        out[a] = Value::Date(c.code[row]);
+        cell = Value::Date(c.code[row]);
         break;
     }
   }
-  return out;
 }
 
 // --- Table -------------------------------------------------------------------
@@ -175,15 +196,52 @@ void Table::AppendRowFrom(const Table& src, size_t src_row) {
   ++num_rows_;
 }
 
+namespace {
+
+/// Eight null flags (bytes 0 or 1) packed into the low byte, flag k at
+/// bit k: for bytes b0..b7 of a little-endian word, the product's top
+/// byte is b0 | b1 << 1 | ... | b7 << 7.
+uint64_t PackEightFlags(const uint8_t* flags) {
+  uint64_t bytes = 0;
+  std::memcpy(&bytes, flags, 8);
+  if constexpr (std::endian::native == std::endian::big) {
+    bytes = __builtin_bswap64(bytes);
+  }
+  return (bytes * 0x0102040810204080ULL) >> 56;
+}
+
+/// ORs `n` null flags (each byte 0 or 1) into `bits` from bit `at` on, a
+/// 64-flag word at a time.
+void OrNullFlags(const uint8_t* flags, size_t n, uint64_t* bits, size_t at) {
+  size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    uint64_t word = 0;
+    for (int k = 0; k < 8; ++k) {
+      word |= PackEightFlags(flags + i + 8 * static_cast<size_t>(k)) << (8 * k);
+    }
+    if (word == 0) continue;
+    const size_t bit = at + i;
+    const size_t shift = bit & 63;
+    bits[bit >> 6] |= word << shift;
+    if (shift != 0) bits[(bit >> 6) + 1] |= word >> (64 - shift);
+  }
+  for (; i < n; ++i) {
+    const size_t bit = at + i;
+    bits[bit >> 6] |= uint64_t{flags[i]} << (bit & 63);
+  }
+}
+
+}  // namespace
+
 void Table::AppendChunk(const TableChunk& chunk,
                         const std::vector<uint8_t>* keep) {
   DQ_DCHECK(chunk.cols_.size() == cols_.size());
   DQ_DCHECK(keep == nullptr || keep->size() == chunk.num_rows());
-  size_t kept = 0;
-  if (keep == nullptr) {
-    kept = chunk.num_rows();
-  } else {
-    for (uint8_t k : *keep) kept += k != 0 ? 1 : 0;
+  const size_t n = chunk.num_rows();
+  size_t kept = n;
+  if (keep != nullptr) {
+    kept = static_cast<size_t>(std::count_if(
+        keep->begin(), keep->end(), [](uint8_t k) { return k != 0; }));
   }
   if (kept == 0) return;
   for (size_t a = 0; a < cols_.size(); ++a) {
@@ -191,9 +249,21 @@ void Table::AppendChunk(const TableChunk& chunk,
     const TableChunk::Column& src = chunk.cols_[a];
     DQ_DCHECK(dst.type == src.type);
     GrowBits(&dst.nulls, num_rows_ + kept);
+    if (kept == n) {
+      // No record dropped: one range insert per column, null flags a word
+      // at a time.
+      if (dst.type == DataType::kNumeric) {
+        dst.num.insert(dst.num.end(), src.num.begin(), src.num.begin() + n);
+      } else {
+        dst.code.insert(dst.code.end(), src.code.begin(),
+                        src.code.begin() + n);
+      }
+      OrNullFlags(src.null_.data(), n, dst.nulls.data(), num_rows_);
+      continue;
+    }
     size_t out = num_rows_;
-    for (size_t i = 0; i < chunk.num_rows(); ++i) {
-      if (keep != nullptr && (*keep)[i] == 0) continue;
+    for (size_t i = 0; i < n; ++i) {
+      if ((*keep)[i] == 0) continue;
       if (dst.type == DataType::kNumeric) {
         dst.num.push_back(src.num[i]);
       } else {

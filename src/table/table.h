@@ -32,9 +32,10 @@ namespace dq {
 using Row = std::vector<Value>;
 
 /// \brief A batch of decoded records in columnar form, ready for a bulk
-/// append. Producers that already work record-at-a-time (the CSV decode
-/// workers) scatter typed cells into a chunk slot; AppendChunk then moves
-/// whole columns into the table in one pass per attribute.
+/// append. The CSV decoder fills a chunk a column at a time through the
+/// typed slot arrays, the dqcol reader copies whole columns in;
+/// AppendChunk then moves whole columns into the table in one pass per
+/// attribute.
 ///
 /// Slots start out null after Reset(); Set() overwrites one cell. Cells
 /// must be null or match the attribute's type; domains are the caller's
@@ -51,16 +52,43 @@ class TableChunk {
   /// \brief Resizes to `rows` slots, all null. Reuses column capacity.
   void Reset(size_t rows);
 
+  /// \brief Resizes to `rows` slots without clearing them: slots keep
+  /// whatever they held (new ones are zero bytes) until written. For
+  /// producers that write every cell of each slot they deliver as kept.
+  void Resize(size_t rows);
+
   size_t num_rows() const { return num_rows_; }
   size_t num_attributes() const { return cols_.size(); }
 
   /// \brief Writes one cell (null or type-matching) into slot `row`.
   void Set(size_t row, size_t attr, const Value& v);
 
-  /// \brief Materializes slot `row` as tagged Values (the streaming-ingest
-  /// reservoir sampler reads decoded records straight off the chunk,
-  /// before they reach any table).
+  /// \brief Writes a null into slot `row` (the payload sentinel too).
+  void SetNull(size_t row, size_t attr) {
+    Column& c = cols_[attr];
+    c.null_[row] = 1;
+    if (c.type == DataType::kNumeric) {
+      c.num[row] = std::numeric_limits<double>::quiet_NaN();
+    } else {
+      c.code[row] = c.type == DataType::kNominal ? -1 : 0;
+    }
+  }
+
+  /// \brief Typed slot arrays of one column, for producers that fill a
+  /// column at a time (the CSV decoder): numeric payloads, nominal codes
+  /// or date day counts, and null flags (1 = null; write 0 with a
+  /// payload).
+  double* numeric_slots(size_t attr) { return cols_[attr].num.data(); }
+  int32_t* code_slots(size_t attr) { return cols_[attr].code.data(); }
+  uint8_t* null_slots(size_t attr) { return cols_[attr].null_.data(); }
+
+  /// \brief Materializes slot `row` as tagged Values.
   Row MaterializeRow(size_t row) const;
+
+  /// \brief Materializes slot `row` into `*out`, reusing its storage (the
+  /// streaming-ingest reservoir sampler copies an admitted record straight
+  /// off the chunk into its sample slot, before it reaches any table).
+  void MaterializeRow(size_t row, Row* out) const;
 
  private:
   friend class Table;

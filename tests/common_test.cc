@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <random>
 #include <set>
 
 #include "common/random.h"
@@ -152,6 +153,46 @@ TEST(RngTest, UniformRealInHalfOpenRange) {
     double x = rng.UniformReal(2.0, 3.0);
     EXPECT_GE(x, 2.0);
     EXPECT_LT(x, 3.0);
+  }
+}
+
+TEST(RngTest, UniformRealMatchesTheStandardDistributionInRange) {
+  // Every domain narrower than DBL_MAX draws exactly what the standard
+  // distribution draws from the same engine state.
+  Rng bounds(17);
+  Rng ours(2003);
+  std::mt19937_64 engine = ours.engine();
+  for (int i = 0; i < 100000; ++i) {
+    const double scale = std::pow(10.0, bounds.UniformInt(-300, 307));
+    double lo = (bounds.NextDouble() * 2 - 1) * scale;
+    double hi = lo + bounds.NextDouble() * scale;
+    if (!(hi > lo)) hi = std::nextafter(lo, INFINITY);
+    std::uniform_real_distribution<double> dist(lo, hi);
+    const double want = dist(engine);
+    const double got = ours.UniformReal(lo, hi);
+    ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << "draw " << i << " in [" << lo << ", " << hi << ")";
+  }
+}
+
+TEST(RngTest, UniformRealSpansDomainsWiderThanDblMax) {
+  Rng rng(5);
+  size_t negative = 0;
+  size_t positive = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const double x = rng.UniformReal(-1e308, 1e308);
+    ASSERT_TRUE(std::isfinite(x)) << "draw " << i;
+    ASSERT_GE(x, -1e308);
+    ASSERT_LT(x, 1e308);
+    (x < 0 ? negative : positive) += 1;
+  }
+  EXPECT_GT(negative, 4000u);
+  EXPECT_GT(positive, 4000u);
+  const double max = std::numeric_limits<double>::max();
+  for (int i = 0; i < 1000; ++i) {
+    const double x = rng.UniformReal(-max, max);
+    ASSERT_TRUE(std::isfinite(x));
+    ASSERT_LT(x, max);
   }
 }
 

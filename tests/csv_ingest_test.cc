@@ -5,13 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
+#include "mutate.h"
+#include "pollution/pipeline.h"
+#include "quis/quis_sample.h"
 #include "table/csv.h"
 #include "table/csv_parser.h"
 #include "table/date.h"
@@ -59,13 +65,40 @@ void ExpectTablesIdentical(const Table& a, const Table& b) {
 
 // --- tokenizer --------------------------------------------------------------
 
-std::vector<RawCsvRecord> Tokenize(const std::string& text,
-                                   size_t chunk_bytes) {
+/// One record copied out of a reader batch: its text, line, raw fields
+/// (quotes included), field ends relative to the record start and first
+/// quoting error.
+struct TokenizedRecord {
+  std::string text;
+  size_t line = 0;
+  std::vector<std::string> raw_fields;
+  std::vector<size_t> field_ends;
+  std::optional<CsvFieldError> error;
+};
+
+std::vector<TokenizedRecord> Tokenize(const std::string& text,
+                                      size_t chunk_bytes,
+                                      size_t batch_records = 4096) {
   std::istringstream is(text);
   CsvRecordReader reader(&is, ',', chunk_bytes);
-  std::vector<RawCsvRecord> records;
-  RawCsvRecord rec;
-  while (reader.Next(&rec)) records.push_back(rec);
+  CsvRecordBatch batch;
+  std::vector<TokenizedRecord> records;
+  for (;;) {
+    batch.Clear();
+    if (reader.NextBatch(batch_records, &batch) == 0) break;
+    for (size_t r = 0; r < batch.size(); ++r) {
+      TokenizedRecord rec;
+      rec.text = std::string(batch.text(r));
+      rec.line = batch.line[r];
+      for (size_t i = 0; i < batch.num_fields(r); ++i) {
+        rec.raw_fields.emplace_back(batch.RawField(r, i));
+        rec.field_ends.push_back(
+            batch.field_ends[batch.first_end[r] + i] - batch.begin[r]);
+      }
+      rec.error = batch.error[r];
+      records.push_back(std::move(rec));
+    }
+  }
   return records;
 }
 
@@ -106,43 +139,179 @@ TEST(CsvRecordReaderTest, SkipsUtf8Bom) {
 
 // The reader alone splits records into fields and classifies quoting
 // errors.
-RawCsvRecord ReadOne(const std::string& text) {
+TokenizedRecord ReadOne(const std::string& text) {
   auto records = Tokenize(text, 4);
   EXPECT_EQ(records.size(), 1u);
-  return records.empty() ? RawCsvRecord() : records[0];
+  return records.empty() ? TokenizedRecord() : records[0];
 }
 
 TEST(SplitCsvRecordTest, FieldsAndEscapes) {
-  const RawCsvRecord rec = ReadOne("a,\"b,c\",\"d\"\"e\",,f");
+  const TokenizedRecord rec = ReadOne("a,\"b,c\",\"d\"\"e\",,f");
   ASSERT_FALSE(rec.error.has_value());
-  ASSERT_EQ(rec.num_fields(), 5u);
+  ASSERT_EQ(rec.raw_fields.size(), 5u);
   std::string scratch;
-  EXPECT_EQ(rec.Field(0, &scratch), "a");
-  EXPECT_EQ(rec.Field(1, &scratch), "b,c");
-  EXPECT_EQ(rec.Field(2, &scratch), "d\"e");
-  EXPECT_EQ(rec.Field(3, &scratch), "");
-  EXPECT_EQ(rec.Field(4, &scratch), "f");
+  EXPECT_EQ(UnquoteCsvField(rec.raw_fields[0], &scratch), "a");
+  EXPECT_EQ(UnquoteCsvField(rec.raw_fields[1], &scratch), "b,c");
+  EXPECT_EQ(UnquoteCsvField(rec.raw_fields[2], &scratch), "d\"e");
+  EXPECT_EQ(UnquoteCsvField(rec.raw_fields[3], &scratch), "");
+  EXPECT_EQ(UnquoteCsvField(rec.raw_fields[4], &scratch), "f");
 }
 
 TEST(SplitCsvRecordTest, StrayQuoteMidField) {
-  const RawCsvRecord rec = ReadOne("ab\"cd");
+  const TokenizedRecord rec = ReadOne("ab\"cd");
   ASSERT_TRUE(rec.error.has_value());
   EXPECT_EQ(rec.error->kind, CsvErrorKind::kStrayQuote);
   EXPECT_EQ(rec.error->column, 3u);
 }
 
 TEST(SplitCsvRecordTest, StrayQuoteAfterClose) {
-  const RawCsvRecord rec = ReadOne("\"ab\"cd");
+  const TokenizedRecord rec = ReadOne("\"ab\"cd");
   ASSERT_TRUE(rec.error.has_value());
   EXPECT_EQ(rec.error->kind, CsvErrorKind::kStrayQuote);
   EXPECT_EQ(rec.error->column, 5u);
 }
 
 TEST(SplitCsvRecordTest, UnterminatedQuote) {
-  const RawCsvRecord rec = ReadOne("a,\"bc");
+  const TokenizedRecord rec = ReadOne("a,\"bc");
   ASSERT_TRUE(rec.error.has_value());
   EXPECT_EQ(rec.error->kind, CsvErrorKind::kUnterminatedQuote);
   EXPECT_EQ(rec.error->column, 3u);
+}
+
+// The reference the reader is checked against: the same quote rules,
+// applied one byte at a time to the whole input.
+std::vector<TokenizedRecord> NaiveRecords(const std::string& in, char sep) {
+  enum class State { kFieldStart, kUnquoted, kQuoted, kQuoteInQuoted };
+  std::vector<TokenizedRecord> out;
+  size_t i = in.compare(0, 3, "\xEF\xBB\xBF") == 0 ? 3 : 0;
+  size_t line = 1;
+  while (i < in.size()) {
+    TokenizedRecord rec;
+    rec.line = line;
+    State state = State::kFieldStart;
+    size_t quote_open = 0;
+    auto fail = [&](CsvErrorKind kind, size_t column) {
+      if (!rec.error.has_value()) rec.error = CsvFieldError{kind, column};
+    };
+    bool terminated = false;
+    while (i < in.size()) {
+      const char c = in[i++];
+      const size_t column = rec.text.size() + 1;
+      if (state == State::kQuoted) {
+        if (c == '"') state = State::kQuoteInQuoted;
+        if (c == '\n') ++line;
+        rec.text += c;
+        continue;
+      }
+      if (state == State::kQuoteInQuoted) {
+        if (c == '"') {
+          state = State::kQuoted;
+          rec.text += c;
+          continue;
+        }
+        if (c != sep && c != '\n' && c != '\r') {
+          fail(CsvErrorKind::kStrayQuote, column);
+        }
+        state = State::kUnquoted;
+      }
+      if (c == '\n' || c == '\r') {
+        ++line;
+        if (c == '\r' && i < in.size() && in[i] == '\n') ++i;
+        terminated = true;
+        break;
+      }
+      if (c == sep) {
+        state = State::kFieldStart;
+        rec.field_ends.push_back(rec.text.size());
+      } else if (c == '"' && state == State::kFieldStart) {
+        state = State::kQuoted;
+        quote_open = column;
+      } else if (c == '"') {
+        fail(CsvErrorKind::kStrayQuote, column);
+      } else {
+        state = State::kUnquoted;
+      }
+      rec.text += c;
+    }
+    rec.field_ends.push_back(rec.text.size());
+    if (!terminated && state == State::kQuoted) {
+      fail(CsvErrorKind::kUnterminatedQuote, quote_open);
+    }
+    size_t from = 0;
+    for (size_t end : rec.field_ends) {
+      rec.raw_fields.push_back(rec.text.substr(from, end - from));
+      from = end + 1;
+    }
+    out.push_back(std::move(rec));
+  }
+  return out;
+}
+
+TEST(CsvRecordReaderTest, MatchesNaiveMachineOnRandomStreams) {
+  // Random streams over the bytes that matter to the machine, read with
+  // chunk sizes from 1 B to 64 KiB and batch sizes from 1 to 4096; some
+  // calls keep the previous batch (the buffer must grow, not move).
+  static const char kBytes[] = {'a', ',', '"', '\n', '\r'};
+  static const int64_t kMaxLen[] = {12, 40, 400};
+  Rng rng(20261018);
+  size_t records = 0;
+  size_t with_error = 0;
+  size_t stream = 0;
+  for (; records < 200000; ++stream) {
+    std::string text = rng.Bernoulli(0.05) ? "\xEF\xBB\xBF" : "";
+    const int64_t len = rng.UniformInt(0, kMaxLen[rng.UniformInt(0, 2)]);
+    for (int64_t k = 0; k < len; ++k) text += kBytes[rng.UniformInt(0, 4)];
+    const auto chunk_bytes = static_cast<size_t>(
+        rng.UniformInt(1, int64_t{1} << rng.UniformInt(0, 16)));
+    const auto batch_records = static_cast<size_t>(
+        rng.UniformInt(1, int64_t{1} << rng.UniformInt(0, 12)));
+    const bool keep_some = rng.Bernoulli(0.3);
+    const std::vector<TokenizedRecord> want = NaiveRecords(text, ',');
+
+    std::istringstream is(text);
+    CsvRecordReader reader(&is, ',', chunk_bytes);
+    CsvRecordBatch batch;
+    size_t r = 0;
+    for (;;) {
+      if (!keep_some || rng.Bernoulli(0.5)) batch.Clear();
+      const size_t first = batch.size();
+      const size_t got = reader.NextBatch(batch_records, &batch);
+      ASSERT_LE(got, batch_records);
+      ASSERT_EQ(batch.size(), first + got);
+      if (got == 0) break;
+      // Every record the batch holds is still readable, the kept ones too.
+      for (size_t k = 0; k < batch.size(); ++k) {
+        const size_t at = r + k - first;
+        ASSERT_LT(at, want.size()) << "stream " << stream;
+        const TokenizedRecord& w = want[at];
+        ASSERT_EQ(batch.text(k), w.text) << "stream " << stream;
+        ASSERT_EQ(batch.line[k], w.line) << "stream " << stream;
+        ASSERT_EQ(batch.num_fields(k), w.field_ends.size());
+        for (size_t f = 0; f < w.field_ends.size(); ++f) {
+          ASSERT_EQ(batch.field_ends[batch.first_end[k] + f] - batch.begin[k],
+                    w.field_ends[f])
+              << "stream " << stream;
+          ASSERT_EQ(batch.RawField(k, f), w.raw_fields[f]);
+        }
+        ASSERT_EQ(batch.error[k].has_value(), w.error.has_value())
+            << "stream " << stream;
+        if (w.error.has_value()) {
+          EXPECT_EQ(batch.error[k]->kind, w.error->kind);
+          EXPECT_EQ(batch.error[k]->column, w.error->column);
+        }
+      }
+      for (size_t k = first; k < batch.size(); ++k) {
+        with_error += batch.error[k].has_value() ? 1 : 0;
+      }
+      r += got;
+    }
+    ASSERT_EQ(r, want.size()) << "stream " << stream;
+    EXPECT_EQ(reader.bytes_read(), text.size());
+    records += r;
+  }
+  // The streams reach every outcome.
+  EXPECT_GT(with_error, records / 20);
+  EXPECT_LT(with_error, records / 2);
 }
 
 // --- round trips ------------------------------------------------------------
@@ -487,6 +656,232 @@ TEST(CsvIngestTest, LongRawTextIsTruncated) {
   ASSERT_TRUE(ReadCsv(s, &is, opts, &report).ok());
   ASSERT_EQ(report.errors.size(), 1u);
   EXPECT_LE(report.errors[0].raw.size(), IngestReport::kMaxRawBytes + 3);
+}
+
+// --- hostile input ----------------------------------------------------------
+
+struct ReadOutcome {
+  Status status;
+  Table table;
+  IngestReport report;
+};
+
+ReadOutcome ReadAt(const Schema& schema, const std::string& text,
+                   CsvOptions options, int threads) {
+  options.num_threads = threads;
+  std::istringstream in(text);
+  ReadOutcome out;
+  auto table = ReadCsv(schema, &in, options, &out.report);
+  out.status = table.status();
+  if (table.ok()) out.table = std::move(*table);
+  return out;
+}
+
+void ExpectReportsEqual(const IngestReport& a, const IngestReport& b) {
+  EXPECT_EQ(a.records_total, b.records_total);
+  EXPECT_EQ(a.records_kept, b.records_kept);
+  EXPECT_EQ(a.records_quarantined, b.records_quarantined);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  ASSERT_EQ(a.errors.size(), b.errors.size());
+  for (size_t i = 0; i < a.errors.size(); ++i) {
+    EXPECT_EQ(a.errors[i].line, b.errors[i].line);
+    EXPECT_EQ(a.errors[i].column, b.errors[i].column);
+    EXPECT_EQ(a.errors[i].kind, b.errors[i].kind);
+    EXPECT_EQ(a.errors[i].message, b.errors[i].message);
+    EXPECT_EQ(a.errors[i].raw, b.errors[i].raw);
+  }
+}
+
+TEST(CsvIngestTest, MutatedCsvLoadsTheSameAtEveryThreadCount) {
+  // Every mutant of a polluted QUIS extract either fails on its header or
+  // loads into a valid table whose kept and quarantined records add up,
+  // and the read is the same at one thread and at four.
+  QuisConfig qcfg;
+  qcfg.num_records = 300;
+  qcfg.seed = 21;
+  auto sample = GenerateQuisSample(qcfg);
+  ASSERT_TRUE(sample.ok());
+  auto polluted =
+      PollutionPipeline(DefaultPolluterMix(), 21).Apply(sample->table);
+  ASSERT_TRUE(polluted.ok());
+  const Schema& schema = polluted->dirty.schema();
+  std::ostringstream os;
+  ASSERT_TRUE(WriteCsv(polluted->dirty, &os).ok());
+  const std::string csv = os.str();
+  const std::vector<std::string_view> tokens = {
+      "\"",         "\"\"",        "\"a,\nb\"",  "?",      "",
+      "\r",         "\r\n",        "\n\n",       "\xEF\xBB\xBF",
+      "2003-6-1",   " 2003-06-01", "2003-02-29", "1989-12-31",
+      " 5000 ",     "+5000",       "0x1388",     "nan",    "inf",
+      "1e999",      "BERLIN",      "BERLINX",    "A1\"",   "901,902"};
+  Rng rng(2003);
+  size_t loaded = 0;
+  size_t quarantined = 0;
+  for (int c = 0; c < 20000; ++c) {
+    std::string text = csv;
+    const int64_t mutations = rng.UniformInt(1, 4);
+    for (int64_t m = 0; m < mutations; ++m) {
+      Mutate(&rng, &text, tokens, ",\n");
+    }
+    CsvOptions options;
+    options.on_error = CsvErrorPolicy::kSkipAndReport;
+    options.batch_records = static_cast<size_t>(rng.UniformInt(1, 64));
+    options.chunk_bytes = static_cast<size_t>(rng.UniformInt(1, 512));
+    const ReadOutcome one = ReadAt(schema, text, options, 1);
+    const ReadOutcome four = ReadAt(schema, text, options, 4);
+    ASSERT_EQ(one.status.ok(), four.status.ok()) << "case " << c;
+    ExpectReportsEqual(one.report, four.report);
+    if (!one.status.ok()) {
+      ASSERT_FALSE(one.report.errors.empty()) << "case " << c;
+      EXPECT_EQ(one.report.errors.back().kind, CsvErrorKind::kBadHeader)
+          << "case " << c << ": " << one.status;
+      EXPECT_EQ(one.status.message(), four.status.message());
+      continue;
+    }
+    ++loaded;
+    quarantined += one.report.records_quarantined;
+    ASSERT_TRUE(one.table.Validate().ok()) << "case " << c;
+    EXPECT_EQ(one.report.records_kept + one.report.records_quarantined,
+              one.report.records_total)
+        << "case " << c;
+    ASSERT_EQ(one.table.num_rows(), one.report.records_kept);
+    ExpectTablesIdentical(one.table, four.table);
+  }
+  // The mutations reach every outcome: failed headers, clean loads and
+  // quarantined records.
+  EXPECT_GT(loaded, 1000u);
+  EXPECT_LT(loaded, 20000u);
+  EXPECT_GT(quarantined, 1000u);
+}
+
+TEST(CsvIngestTest, DictionaryFindsEveryCategoryAndNothingElse) {
+  // Spellings longer than 8 bytes, spellings sharing their first 8 bytes,
+  // spellings that differ only in length, and an 1100-category attribute.
+  std::vector<std::string> tricky = {
+      "a",          "ab",          "abcdefgh",   "abcdefghi",
+      "abcdefghij", "abcdefgh12",  "abcdefgh13", "abcdefgh123456789",
+      "abcdefgh123456780", std::string("x\0y", 3), std::string("x\0z", 3),
+      std::string("x\0", 2),
+      "plant KASSEL", "plant KASSELL"};
+  std::vector<std::string> wide;
+  for (int i = 0; i < 1100; ++i) wide.push_back("category-" + std::to_string(i));
+  Schema s;
+  ASSERT_TRUE(s.AddNominal("tricky", tricky).ok());
+  ASSERT_TRUE(s.AddNominal("wide", wide).ok());
+  for (size_t a = 0; a < 2; ++a) {
+    const std::vector<std::string>& cats = a == 0 ? tricky : wide;
+    const CategoryDictionary& dict = s.attribute(a).dictionary;
+    for (size_t code = 0; code < cats.size(); ++code) {
+      const std::string& cat = cats[code];
+      EXPECT_EQ(dict.Find(cat), static_cast<int32_t>(code)) << cat;
+      std::string padded = cat + std::string(8, '!');
+      EXPECT_EQ(dict.FindPadded(std::string_view(padded).substr(0, cat.size())),
+                static_cast<int32_t>(code))
+          << cat;
+      auto code_of = s.CategoryCode(static_cast<int>(a), cat);
+      ASSERT_TRUE(code_of.ok());
+      EXPECT_EQ(*code_of, static_cast<int32_t>(code));
+      for (const std::string& other :
+           {cat + "x", cat.substr(0, cat.size() - 1), "X" + cat.substr(1),
+            cat.substr(0, cat.size() - 1) + "#"}) {
+        if (std::find(cats.begin(), cats.end(), other) != cats.end()) {
+          continue;
+        }
+        EXPECT_EQ(dict.Find(other), -1) << other;
+        padded = other + std::string(8, '\0');
+        EXPECT_EQ(
+            dict.FindPadded(std::string_view(padded).substr(0, other.size())),
+            -1)
+            << other;
+      }
+    }
+  }
+  // The same spellings read through a CSV, the last field ending at the
+  // input's last byte (no terminator), so the decoder's 8-byte loads reach
+  // the end of the reader's buffer.
+  Table t(s);
+  for (size_t r = 0; r < 1100; ++r) {
+    ASSERT_TRUE(t.AppendRow({Value::Nominal(static_cast<int32_t>(
+                                 r % tricky.size())),
+                             Value::Nominal(static_cast<int32_t>(
+                                 (r * 7) % wide.size()))})
+                    .ok());
+  }
+  std::ostringstream os;
+  ASSERT_TRUE(WriteCsv(t, &os).ok());
+  std::string text = os.str();
+  text.pop_back();  // drop the final newline
+  for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, size_t{1} << 16}) {
+    CsvOptions options;
+    options.chunk_bytes = chunk;
+    std::istringstream in(text);
+    auto back = ReadCsv(s, &in, options);
+    ASSERT_TRUE(back.ok()) << back.status();
+    ExpectTablesIdentical(t, *back);
+  }
+  // A field at the last byte that is a category's prefix.
+  std::istringstream in("tricky,wide\nabcdefgh12,category-1\nab,category-10");
+  auto back = ReadCsv(s, &in);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->num_rows(), 2u);
+  EXPECT_EQ(back->code_at(1, 0), 1);
+  EXPECT_EQ(back->code_at(1, 1), 10);
+}
+
+TEST(CsvIngestTest, DatesDecodeExactlyAsParseDate) {
+  // Every day of 1900-2100 plus spellings the fixed-width path refuses:
+  // each cell is what ParseDate gives, or its error message.
+  Schema s;
+  ASSERT_TRUE(s.AddNominal("k", {"x"}).ok());
+  ASSERT_TRUE(s.AddDate("d", DaysFromCivil({1900, 1, 1}),
+                        DaysFromCivil({2100, 12, 31}))
+                  .ok());
+  std::vector<std::string> spellings;
+  for (int32_t day = DaysFromCivil({1900, 1, 1});
+       day <= DaysFromCivil({2100, 12, 31}); ++day) {
+    spellings.push_back(FormatDate(day));
+  }
+  for (const char* odd : {"2003-02-29", "2003-13-01", "2003-6-1",
+                          " 2003-06-01", "2003-06-01 ", "2003-00-10",
+                          "2004-02-29", "1899-12-31", "2101-01-01",
+                          "20030601", "2003/06/01", "+2003-06-01",
+                          "2003-06-1x", "0000-01-01"}) {
+    spellings.push_back(odd);
+  }
+  std::string text = "k,d\n";
+  for (const std::string& spelling : spellings) text += "x," + spelling + "\n";
+  CsvOptions options;
+  options.on_error = CsvErrorPolicy::kSkipAndReport;
+  std::istringstream in(text);
+  IngestReport report;
+  auto back = ReadCsv(s, &in, options, &report);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(report.records_total, spellings.size());
+  size_t row = 0;
+  size_t error = 0;
+  for (size_t i = 0; i < spellings.size(); ++i) {
+    const auto parsed = ParseDate(spellings[i]);
+    const bool in_domain = parsed.ok() && *parsed >= s.attribute(1).date_min &&
+                           *parsed <= s.attribute(1).date_max;
+    if (in_domain) {
+      ASSERT_LT(row, back->num_rows());
+      EXPECT_EQ(back->code_at(row, 1), *parsed) << spellings[i];
+      ++row;
+      continue;
+    }
+    ASSERT_LT(error, report.errors.size());
+    const IngestError& e = report.errors[error++];
+    EXPECT_EQ(e.line, i + 2);
+    const std::string message =
+        parsed.ok() ? "value '" + spellings[i] +
+                          "' outside the attribute's domain"
+                    : parsed.status().message();
+    EXPECT_EQ(e.message, "attribute 'd': " + message) << spellings[i];
+  }
+  EXPECT_EQ(row, back->num_rows());
+  EXPECT_EQ(error, report.errors.size());
+  EXPECT_GT(row, 73000u);
+  EXPECT_GE(error, 9u);
 }
 
 // --- IngestReport rendering -------------------------------------------------

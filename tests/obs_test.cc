@@ -10,7 +10,9 @@
 #include <fstream>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "audit/auditor.h"
@@ -470,6 +472,60 @@ TEST_F(TracerTest, TreeIsIdenticalForEveryThreadCount) {
   // The worker spans are stitched under the dispatching span, not orphaned.
   EXPECT_NE(t1.find("test.attr"), std::string::npos);
   EXPECT_EQ(Tracer::Global().NumSpans(), 11u);  // root + induce + 8 + score
+}
+
+/// Count of the span group `name` in a TreeSummary ("name xN", or "name"
+/// alone for one span); 0 when absent.
+size_t SpanCount(const std::string& tree, const std::string& name) {
+  std::istringstream lines(tree);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const size_t at = line.find_first_not_of(' ');
+    if (at == std::string::npos) continue;
+    const std::string_view entry = std::string_view(line).substr(at);
+    if (entry == name) return 1;
+    if (entry.substr(0, name.size() + 2) == name + " x") {
+      return std::stoul(std::string(entry.substr(name.size() + 2)));
+    }
+  }
+  return 0;
+}
+
+TEST_F(TracerTest, IngestPhaseSpansSplitEveryBatchAndCoverTheRead) {
+  // Each batch is one ingest.read, one ingest.decode and one
+  // ingest.deliver on the calling thread, for every thread count, and the
+  // three together hold the ingest span's time.
+  QuisConfig qcfg;
+  qcfg.num_records = 30000;
+  qcfg.seed = 2003;
+  auto sample = GenerateQuisSample(qcfg);
+  ASSERT_TRUE(sample.ok());
+  std::ostringstream csv;
+  ASSERT_TRUE(WriteCsv(sample->table, &csv).ok());
+  std::string tree_t1;
+  for (int threads : {1, 4}) {
+    Tracer::Global().Reset();
+    CsvOptions options;
+    options.num_threads = threads;
+    std::istringstream in(csv.str());
+    auto table = ReadCsv(sample->table.schema(), &in, options);
+    ASSERT_TRUE(table.ok()) << table.status();
+    const std::string tree = Tracer::Global().TreeSummary();
+    const size_t reads = SpanCount(tree, "ingest.read");
+    EXPECT_GE(reads, (qcfg.num_records + 4095) / 4096) << tree;
+    EXPECT_EQ(SpanCount(tree, "ingest.decode"), reads) << tree;
+    EXPECT_EQ(SpanCount(tree, "ingest.deliver"), reads) << tree;
+    const double ingest = Tracer::Global().AggregateMs("ingest");
+    const double phases = Tracer::Global().AggregateMs("ingest.read") +
+                          Tracer::Global().AggregateMs("ingest.decode") +
+                          Tracer::Global().AggregateMs("ingest.deliver");
+    EXPECT_GE(phases, 0.95 * ingest) << "threads " << threads;
+    if (threads == 1) {
+      tree_t1 = tree;
+    } else {
+      EXPECT_EQ(tree, tree_t1);
+    }
+  }
 }
 
 // TSan target: many pool workers record spans concurrently while the

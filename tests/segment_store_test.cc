@@ -4,12 +4,14 @@
 
 #include "table/segment_store.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "common/random.h"
 #include "mining/sample.h"
 #include "obs/metrics.h"
 #include "table/table.h"
@@ -293,6 +295,57 @@ TEST(ReservoirSamplerTest, SampleRowsComeFromTheStream) {
     for (size_t a = 0; a < 3; ++a) {
       ASSERT_TRUE(sample.cell(r, a).StrictEquals(expected[a]));
     }
+  }
+}
+
+TEST(ReservoirSamplerTest, ChunkOffersMatchRowOffersOnRandomStreams) {
+  // OfferChunk draws before it materializes; the sample must be the one
+  // the row-at-a-time reservoir kept: materialize every kept record, then
+  // one draw per row past the first k, in record order.
+  const Schema schema = TestSchema();
+  for (uint64_t trial = 0; trial < 200; ++trial) {
+    Rng rng(trial);
+    const auto capacity = static_cast<size_t>(rng.UniformInt(1, 60));
+    const uint64_t seed = trial * 7 + 1;
+    ReservoirSampler sampler(capacity, seed);
+    Rng reference_rng(seed);
+    std::vector<std::pair<uint64_t, Row>> reference;
+    uint64_t seen = 0;
+    size_t next_row = 0;
+    const auto total = static_cast<size_t>(rng.UniformInt(0, 600));
+    TableChunk chunk(schema);
+    std::vector<uint8_t> keep;
+    while (next_row < total) {
+      const auto n = static_cast<size_t>(
+          std::min<int64_t>(rng.UniformInt(1, 64),
+                            static_cast<int64_t>(total - next_row)));
+      chunk.Reset(n);
+      keep.assign(n, 1);
+      for (size_t i = 0; i < n; ++i) {
+        const Row row = MakeRow(next_row++);
+        for (size_t a = 0; a < row.size(); ++a) chunk.Set(i, a, row[a]);
+        if (rng.Bernoulli(0.2)) keep[i] = 0;
+      }
+      sampler.OfferChunk(chunk, keep);
+      for (size_t i = 0; i < n; ++i) {
+        if (keep[i] == 0) continue;
+        const Row row = chunk.MaterializeRow(i);
+        const uint64_t index = seen++;
+        if (reference.size() < capacity) {
+          reference.emplace_back(index, row);
+          continue;
+        }
+        const auto j = static_cast<uint64_t>(
+            reference_rng.UniformInt(0, static_cast<int64_t>(index)));
+        if (j < capacity) reference[static_cast<size_t>(j)] = {index, row};
+      }
+    }
+    std::sort(reference.begin(), reference.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    Table expected(schema);
+    for (const auto& slot : reference) expected.AppendRowUnchecked(slot.second);
+    ASSERT_EQ(sampler.rows_seen(), seen) << "trial " << trial;
+    ExpectTablesEqual(expected, sampler.BuildSampleTable(schema));
   }
 }
 

@@ -14,6 +14,7 @@
 #include "audit/rule_export.h"
 #include "common/random.h"
 #include "eval/report_io.h"
+#include "mutate.h"
 #include "pollution/pipeline.h"
 #include "quis/quis_sample.h"
 #include "report_rows.h"
@@ -339,60 +340,9 @@ TEST(StructureModelTest, ReaderRejectsHostileInput) {
                   .ok());
 }
 
-/// One seeded mutation of a saved model: a bit flip, a deleted byte run, a
-/// truncation, a dictionary token in place of a word, or a duplicated or
-/// deleted line.
-void Mutate(Rng* rng, std::string* text) {
-  static const char* const kTokens[] = {"nan",  "inf", "-1",   "4294967296",
-                                        "le",   "cat", "leaf", "split",
-                                        "end"};
-  if (text->empty()) return;
-  const auto pick = [&](size_t n) {
-    return static_cast<size_t>(
-        rng->UniformInt(0, static_cast<int64_t>(n) - 1));
-  };
-  const size_t pos = pick(text->size());
-  const auto line_start = [&](size_t at) {
-    const size_t nl = at == 0 ? std::string::npos : text->rfind('\n', at - 1);
-    return nl == std::string::npos ? 0 : nl + 1;
-  };
-  const auto line_end = [&](size_t at) {
-    const size_t nl = text->find('\n', at);
-    return nl == std::string::npos ? text->size() : nl + 1;
-  };
-  switch (rng->UniformInt(0, 5)) {
-    case 0:  // bit flip
-      (*text)[pos] = static_cast<char>((*text)[pos] ^ (1 << pick(8)));
-      break;
-    case 1:  // byte-run deletion
-      text->erase(pos, 1 + pick(16));
-      break;
-    case 2:  // truncation
-      text->resize(pos);
-      break;
-    case 3: {  // token swap
-      size_t begin = pos;
-      while (begin > 0 && (*text)[begin - 1] != ' ' &&
-             (*text)[begin - 1] != '\n') {
-        --begin;
-      }
-      const size_t end = std::min(text->find_first_of(" \n", pos),
-                                  text->size());
-      text->replace(begin, end - begin, kTokens[pick(std::size(kTokens))]);
-      break;
-    }
-    case 4: {  // line duplication
-      const size_t begin = line_start(pos);
-      text->insert(begin, text->substr(begin, line_end(pos) - begin));
-      break;
-    }
-    default: {  // line deletion
-      const size_t begin = line_start(pos);
-      text->erase(begin, line_end(pos) - begin);
-      break;
-    }
-  }
-}
+/// The words Mutate swaps into a saved model.
+const std::vector<std::string_view> kModelTokens = {
+    "nan", "inf", "-1", "4294967296", "le", "cat", "leaf", "split", "end"};
 
 TEST(StructureModelTest, MutatedModelsFailOrServeEveryConsumer) {
   // Every mutant of a saved model either fails to load with a Status or
@@ -431,7 +381,7 @@ TEST(StructureModelTest, MutatedModelsFailOrServeEveryConsumer) {
   for (int c = 0; c < kCases; ++c) {
     std::string text = saved;
     const int64_t mutations = rng.UniformInt(1, 4);
-    for (int64_t m = 0; m < mutations; ++m) Mutate(&rng, &text);
+    for (int64_t m = 0; m < mutations; ++m) Mutate(&rng, &text, kModelTokens);
     auto model = AuditModel::Deserialize(s, text);
     if (!model.ok()) {
       ASSERT_FALSE(model.status().message().empty()) << "case " << c;

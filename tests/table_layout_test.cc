@@ -111,6 +111,22 @@ TEST(TableLayoutTest, AppendPathsProduceIdenticalCells) {
   }
   ExpectIdenticalCells(by_row, by_chunk);
 
+  // Chunks that start and end off the 64-row null-bitmap words.
+  Table by_ragged_chunk(s);
+  const size_t ragged[] = {77, 200, 31, 64, 128};
+  for (size_t start = 0, k = 0; start < rows.size(); ++k) {
+    const size_t count = std::min(ragged[k % 5], rows.size() - start);
+    chunk.Reset(count);
+    for (size_t i = 0; i < count; ++i) {
+      for (size_t a = 0; a < s.num_attributes(); ++a) {
+        chunk.Set(i, a, rows[start + i][a]);
+      }
+    }
+    by_ragged_chunk.AppendChunk(chunk);
+    start += count;
+  }
+  ExpectIdenticalCells(by_row, by_ragged_chunk);
+
   // Column-to-column row copies.
   Table by_copy(s);
   for (size_t r = 0; r < by_row.num_rows(); ++r) {

@@ -9,6 +9,7 @@ DQAUDIT="$2"
 SPEC="$3"
 TESTDATA="${4:-$(dirname "$SPEC")}"
 DQLINT="${5:-$(dirname "$DQAUDIT")/dqlint}"
+DQCONVERT="${6:-$(dirname "$DQAUDIT")/dqconvert}"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -151,6 +152,60 @@ for report in "$WORK/ingest.json" "$WORK/ingest_t4.json"; do
     | diff - "$TESTDATA/quis_dirty_ingest.golden.json"
 done
 
+# --- Hostile ingest pinned across commits ---
+# A polluted QUIS extract with fixed edits on both sides of the 4096-record
+# batch boundaries and of every 64 KiB offset: a BOM, CRLF and lone-CR
+# terminators, quoted fields holding "", separators and newlines, accepted
+# spellings the fast decode paths refuse (2003-6-1, " 2003-06-01",
+# " 5000 ", +5000, 0x1388), stray quotes, short records, interior blank
+# lines and a final unterminated quote. Its quarantine report and the
+# dqcol bytes of its survivors were written by an earlier commit's tools.
+QUIS_FULL_SPEC="$TESTDATA/quis_full.spec"
+"$DQGEN" --quis --records 9000 --seed 11 --clean "$WORK/hostile_clean.csv" \
+  --dirty "$WORK/hostile_base.csv" > /dev/null
+LC_ALL=C awk '
+function emit(s, term) { printf "%s%s", s, term; out += length(s) + length(term) }
+NR == 1 { emit("\357\273\277" $0, "\n"); next }
+{
+  near = (NR >= 4093 && NR <= 4102) || (NR >= 8189 && NR <= 8198)
+  pos = out % 65536
+  if (pos > 65536 - 400 || (out >= 65536 && pos < 400)) near = 1
+  if (!near) { emit($0, "\n"); next }
+  n = split($0, f, ",")
+  mode = edits++ % 14
+  term = "\n"
+  if (mode == 0) term = "\r\n"
+  else if (mode == 1) f[4] = "\"" f[4] "\""
+  else if (mode == 2) f[3] = "\"0\"\"1\""
+  else if (mode == 3) f[5] = "\"MANN,HEIM\""
+  else if (mode == 4) f[5] = "\"MANN\nHEIM\""
+  else if (mode == 5) f[8] = "2003-6-1"
+  else if (mode == 6) f[7] = " 5000 "
+  else if (mode == 7) f[7] = "+5000"
+  else if (mode == 8) f[4] = "A\"1"
+  else if (mode == 9) n = n - 1
+  else if (mode == 10) emit("", "\n")
+  else if (mode == 11) term = "\r"
+  else if (mode == 12) f[8] = " 2003-06-01"
+  else f[7] = "0x1388"
+  line = f[1]
+  for (i = 2; i <= n; i++) line = line "," f[i]
+  emit(line, term)
+}
+END { emit("401,\"902,03,A1,MANNHEIM,V1,5000,2001-01-01", "\n") }
+' "$WORK/hostile_base.csv" > "$WORK/hostile.csv"
+for t in 1 4; do
+  "$DQAUDIT" --schema "$QUIS_FULL_SPEC" --data "$WORK/hostile.csv" \
+    --on-error skip --ingest-report "$WORK/hostile_t$t.json" --threads "$t" \
+    --top 1 > /dev/null 2>&1
+  grep -v -e parse_ms -e threads_used "$WORK/hostile_t$t.json" \
+    | diff - "$TESTDATA/hostile_ingest.golden.json"
+  "$DQCONVERT" --schema "$QUIS_FULL_SPEC" --in "$WORK/hostile.csv" \
+    --out "$WORK/hostile_t$t.dqcol" --on-error skip --threads "$t" \
+    > /dev/null 2>&1
+  test "$(cksum < "$WORK/hostile_t$t.dqcol")" = "2200002942 331761"
+done
+
 # --- Flag validation: malformed values are rejected with a diagnostic ---
 # (not silently parsed as 0 the way atoi would).
 expect_flag_error() {
@@ -250,6 +305,19 @@ diff "$GOLDEN" "$WORK/golden_load.csv"
   --sample-rows 6000 --spill-dir "$WORK/golden.spill" \
   --report "$WORK/golden_stream.csv" > /dev/null
 diff "$GOLDEN" "$WORK/golden_stream.csv"
+
+# --- A numeric domain wider than DBL_MAX ---
+# Its values used to come out as inf, outside the domain.
+printf 'A nominal x,y\nN numeric -1e308 1e308\n' > "$WORK/wide.spec"
+"$DQGEN" --schema "$WORK/wide.spec" --records 10 --rules 0 --seed 3 \
+  --clean "$WORK/wide.csv" > /dev/null
+test "$(tail -n +2 "$WORK/wide.csv" | wc -l)" -eq 10
+if grep -qi -e inf -e nan "$WORK/wide.csv"; then
+  echo "wide numeric domain produced a non-finite value" >&2
+  exit 1
+fi
+"$DQAUDIT" --schema "$WORK/wide.spec" --data "$WORK/wide.csv" --threads 1 \
+  --top 1 > /dev/null
 
 # --- Split midpoints near the largest double ---
 # (1e308 + 1.6e308) / 2 overflows to inf: the tree then split on
