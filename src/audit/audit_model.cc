@@ -40,7 +40,9 @@ size_t AuditModel::TotalRules() const {
 
 Result<AuditReport> AuditModel::Check(const Table& data,
                                       const AuditorConfig& config) const {
-  return ScoreTable(*this, data, config);
+  DQ_ASSIGN_OR_RETURN(const Scorer scorer,
+                      Scorer::Make(*this, data.schema(), config));
+  return scorer.Score(data);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@
 #include <optional>
 #include <unordered_set>
 
-#include "audit/scorer.h"
 #include "common/parallel.h"
 #include "mining/encoded_dataset.h"
 #include "obs/metrics.h"
@@ -179,7 +178,7 @@ Result<AuditModel> Auditor::Induce(const Table& train) const {
 
 Result<AuditReport> Auditor::Audit(const AuditModel& model,
                                    const Table& data) const {
-  return ScoreTable(model, data, config_);
+  return model.Check(data, config_);
 }
 
 Result<Table> Auditor::ApplyCorrections(const AuditReport& report,

@@ -1,6 +1,9 @@
 #include "audit/scorer.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 
 #include "audit/error_confidence.h"
 #include "common/parallel.h"
@@ -12,45 +15,138 @@ namespace dq {
 namespace {
 
 using TreeNode = CompiledTree::Node;
+using TreeSplit = CompiledTree::Split;
 
 /// Rows per block. The kernel walks one tree over a whole block before the
-/// next tree, so each tree's nodes stay in cache across the block.
+/// next tree, so each tree's splits stay in cache across the block.
 constexpr size_t kBlockRows = 1024;
 
-/// The child a known split value leads to (C45Tree::PredictInto's choice,
-/// including its fallback to the first child for an unseen category).
-uint32_t ChildFor(const TreeNode& node, const Table& data, size_t row) {
-  const size_t attr = static_cast<size_t>(node.attr);
-  if (node.ordered) {
-    return node.first + (data.ordered_at(row, attr) <= node.threshold ? 0 : 1);
-  }
-  const int32_t code = data.code_at(row, attr);
-  if (code < 0 || static_cast<uint32_t>(code) >= node.children) {
-    return node.first;
-  }
-  return node.first + static_cast<uint32_t>(code);
-}
+/// Rows one descent step advances together. Their walks are independent,
+/// so the loads of eight rows overlap where one row's would wait in turn.
+constexpr size_t kLanes = 8;
 
-/// Follows known split values from the root; stops at a leaf or at the
-/// first split whose value is null.
-uint32_t Descend(const CompiledTree& tree, const Table& data, size_t row) {
-  const std::vector<TreeNode>& nodes = tree.nodes();
-  uint32_t index = 0;
-  for (;;) {
-    const TreeNode& node = nodes[index];
-    if (node.is_leaf() || data.is_null(row, static_cast<size_t>(node.attr))) {
-      return index;
+/// The slot of a null cell. Laid out as a double it is a NaN no known
+/// value keeps (RowBlock::LayOut maps a stored NaN with these bits to
+/// another NaN, which compares the same), and a nominal code zero-extended
+/// from 32 bits never has these bits.
+constexpr uint64_t kNullSlot = ~uint64_t{0};
+
+/// The split values of up to kBlockRows rows, row-major: one 8-byte slot
+/// per attribute. An ordered attribute's slot holds the bits of its value
+/// as a double (a date its day count), a nominal one's its code
+/// zero-extended to 64 bits, and a null cell holds kNullSlot. The rows are
+/// padded with null rows to a multiple of kLanes, so every lane group is
+/// whole; a padded row stops at the root.
+class RowBlock {
+ public:
+  /// \brief Lays out rows [begin, end) of `data`.
+  void LayOut(const Table& data, size_t begin, size_t end) {
+    stride_ = data.num_attributes();
+    const size_t n = end - begin;
+    rows_ = (n + kLanes - 1) / kLanes * kLanes;
+    slots_.resize(rows_ * stride_);
+    std::fill(slots_.begin() + static_cast<std::ptrdiff_t>(n * stride_),
+              slots_.end(), kNullSlot);
+    for (size_t a = 0; a < stride_; ++a) {
+      const uint64_t* nulls = data.null_words(a).data();
+      const auto slot = [&](size_t r) -> uint64_t& {
+        return slots_[(r - begin) * stride_ + a];
+      };
+      const auto is_null = [nulls](size_t r) {
+        return ((nulls[r >> 6] >> (r & 63)) & 1u) != 0;
+      };
+      switch (data.schema().attribute(a).type) {
+        case DataType::kNumeric: {
+          constexpr uint64_t kNaN =
+              std::bit_cast<uint64_t>(std::numeric_limits<double>::quiet_NaN());
+          const double* column = data.numeric_col(a).data();
+          for (size_t r = begin; r < end; ++r) {
+            const uint64_t v = std::bit_cast<uint64_t>(column[r]);
+            slot(r) = is_null(r) ? kNullSlot : v == kNullSlot ? kNaN : v;
+          }
+          break;
+        }
+        case DataType::kDate: {
+          const int32_t* column = data.code_col(a).data();
+          for (size_t r = begin; r < end; ++r) {
+            slot(r) = is_null(r) ? kNullSlot
+                                 : std::bit_cast<uint64_t>(
+                                       static_cast<double>(column[r]));
+          }
+          break;
+        }
+        case DataType::kNominal: {
+          const int32_t* column = data.code_col(a).data();
+          for (size_t r = begin; r < end; ++r) {
+            slot(r) = is_null(r) ? kNullSlot
+                                 : static_cast<uint32_t>(column[r]);
+          }
+          break;
+        }
+      }
     }
-    index = ChildFor(node, data, row);
+  }
+
+  /// \brief Laid-out rows, padding included.
+  size_t rows() const { return rows_; }
+  /// \brief The slots of row `i` (0 = the block's first row).
+  const uint64_t* row(size_t i) const { return &slots_[i * stride_]; }
+
+ private:
+  size_t stride_ = 0;
+  size_t rows_ = 0;
+  std::vector<uint64_t> slots_;
+};
+
+/// The node a known split value `v` leads to: C45Tree::PredictInto's
+/// choice, including its fallback to the first child for an unseen
+/// category (a code at or past the split's children; a negative code
+/// zero-extends past them). Both candidates are computed by arithmetic
+/// and the split's kind picks one. A leaf leads to itself.
+inline uint32_t ChildFor(const TreeSplit& split, uint64_t v) {
+  const uint32_t ordered =
+      split.first + (std::bit_cast<double>(v) <= split.threshold ? 0u : 1u);
+  const uint32_t nominal =
+      split.first + (v < split.children ? static_cast<uint32_t>(v) : 0u);
+  return split.ordered ? ordered : nominal;
+}
+
+/// Walks every row of `block` down `tree`, kLanes rows at a time, and
+/// writes where each stops into `stops` (block.rows() entries): at a leaf,
+/// or at the first split whose value is null. Each step advances all lanes
+/// of a group. A stopped lane stays put, since a leaf leads to itself and
+/// a null value keeps its node, while a moving lane only goes forward (the
+/// children of a split come after it); so a group is done when no lane
+/// moved, and every lane stops where a walk of its row alone would.
+void Descend(const CompiledTree& tree, const RowBlock& block,
+             uint32_t* stops) {
+  const TreeSplit* splits = tree.splits().data();
+  for (size_t r0 = 0; r0 < block.rows(); r0 += kLanes) {
+    const uint64_t* rows[kLanes];
+    for (size_t l = 0; l < kLanes; ++l) rows[l] = block.row(r0 + l);
+    uint32_t* node = stops + r0;
+    std::fill_n(node, kLanes, 0u);
+    uint32_t moved = 0;
+    do {
+      moved = 0;
+      for (size_t l = 0; l < kLanes; ++l) {
+        const TreeSplit& split = splits[node[l]];
+        const uint64_t v = rows[l][split.attr];
+        const uint32_t next = v == kNullSlot ? node[l] : ChildFor(split, v);
+        moved |= next ^ node[l];
+        node[l] = next;
+      }
+    } while (moved != 0);
   }
 }
 
-/// C4.5's missing-value walk from `index`, carrying `weight`: a null split
-/// value sends the record down every branch that had known training
-/// weight, scaled by that branch's share of it. Leaves accumulate in the
-/// order C45Tree::PredictInto visits them, so the sums round identically.
-void Accumulate(const CompiledTree& tree, uint32_t index, const Table& data,
-                size_t row, double weight, double* dist, double* support) {
+/// C4.5's missing-value walk from `index` for the row whose slots are
+/// `row`, carrying `weight`: a null split value sends the record down
+/// every branch that had known training weight, scaled by that branch's
+/// share of it. Leaves accumulate in the order C45Tree::PredictInto visits
+/// them, so the sums round identically.
+void Accumulate(const CompiledTree& tree, uint32_t index, const uint64_t* row,
+                double weight, double* dist, double* support) {
   const std::vector<TreeNode>& nodes = tree.nodes();
   for (;;) {
     const TreeNode& node = nodes[index];
@@ -58,8 +154,9 @@ void Accumulate(const CompiledTree& tree, uint32_t index, const Table& data,
       tree.AccumulateLeaf(node, weight, dist, support);
       return;
     }
-    if (!data.is_null(row, static_cast<size_t>(node.attr))) {
-      index = ChildFor(node, data, row);
+    const TreeSplit& split = tree.splits()[index];
+    if (row[split.attr] != kNullSlot) {
+      index = ChildFor(split, row[split.attr]);
       continue;
     }
     if (node.known_weight <= kTreeWeightEpsilon) {
@@ -69,7 +166,7 @@ void Accumulate(const CompiledTree& tree, uint32_t index, const Table& data,
     for (uint32_t b = 0; b < node.children; ++b) {
       const TreeNode& child = nodes[node.first + b];
       if (child.branch_weight <= kTreeWeightEpsilon) continue;
-      Accumulate(tree, node.first + b, data, row,
+      Accumulate(tree, node.first + b, row,
                  weight * child.branch_weight / node.known_weight, dist,
                  support);
     }
@@ -86,9 +183,10 @@ struct TreePrediction {
   double support = 0.0;
 };
 
-TreePrediction PredictTree(const CompiledTree& tree, const Table& data,
-                           size_t row, double* scratch) {
-  const uint32_t stop = Descend(tree, data, row);
+/// The prediction for the row whose slots are `row`, whose descent stopped
+/// at node `stop`.
+TreePrediction PredictFrom(const CompiledTree& tree, uint32_t stop,
+                           const uint64_t* row, double* scratch) {
   const TreeNode& node = tree.nodes()[stop];
   if (node.is_leaf()) {
     return {tree.leaf_distribution(node.first), tree.leaf_class(node.first),
@@ -97,7 +195,7 @@ TreePrediction PredictTree(const CompiledTree& tree, const Table& data,
   const size_t width = static_cast<size_t>(tree.num_classes());
   std::fill(scratch, scratch + width, 0.0);
   TreePrediction out;
-  Accumulate(tree, stop, data, row, 1.0, scratch, &out.support);
+  Accumulate(tree, stop, row, 1.0, scratch, &out.support);
   tree.Normalize(scratch);
   out.dist = scratch;
   out.predicted = ArgMaxClass(scratch, width);
@@ -164,23 +262,24 @@ struct BlockBest {
   }
 };
 
-/// Scores rows [begin, end) against one C4.5 model into `best`. A record
-/// that reaches a leaf along known values costs one descent and one lookup
-/// in `table` (LeafErrorConfidences); one stopped by a null split value
-/// takes C4.5's fractional walk and Def. 7 directly.
+/// Scores the rows of `block` (`rows` of them) against one C4.5 model
+/// into `best`, in row order. The block is walked down the tree first; a
+/// record that stops at a leaf then costs one lookup in `table`
+/// (LeafErrorConfidences), and one stopped by a null split value takes
+/// C4.5's fractional walk and Def. 7 directly.
 void ScoreTreeBlock(const AttributeModel& m, int model_index,
-                    const std::vector<double>& table, const Table& data,
-                    size_t begin, size_t end, const int* observed,
+                    const std::vector<double>& table, const RowBlock& block,
+                    size_t rows, const int* observed,
                     const AuditorConfig& config, double* scratch,
                     BlockBest* best) {
   const CompiledTree& tree = m.tree;
   const int width = tree.num_classes();
   const size_t stride = static_cast<size_t>(width) + 1;
-  for (size_t r = begin; r < end; ++r) {
-    const size_t i = r - begin;
+  uint32_t stops[kBlockRows];
+  Descend(tree, block, stops);
+  for (size_t i = 0; i < rows; ++i) {
     const int obs = observed[i];
-    const uint32_t stop = Descend(tree, data, r);
-    const TreeNode& node = tree.nodes()[stop];
+    const TreeNode& node = tree.nodes()[stops[i]];
     if (node.is_leaf() && obs < width) {
       const uint32_t leaf = node.first;
       best->Offer(i,
@@ -189,7 +288,8 @@ void ScoreTreeBlock(const AttributeModel& m, int model_index,
                   model_index, tree.leaf_class(leaf), tree.leaf_support(leaf));
       continue;
     }
-    const TreePrediction pred = PredictTree(tree, data, r, scratch);
+    const TreePrediction pred =
+        PredictFrom(tree, stops[i], block.row(i), scratch);
     const double conf = ErrorConfidence(
         pred.dist, static_cast<size_t>(width), pred.predicted, pred.support,
         obs, config.confidence_level, config.flag_null_values);
@@ -204,10 +304,14 @@ Prediction PredictRecord(const AttributeModel& model, const Table& data,
   if (model.classifier != nullptr) {
     return model.classifier->Predict(data.row(row));
   }
+  RowBlock block;
+  block.LayOut(data, row, row + 1);
+  uint32_t stops[kLanes];
+  Descend(model.tree, block, stops);
   Prediction out;
   out.distribution.assign(static_cast<size_t>(model.tree.num_classes()), 0.0);
-  const TreePrediction pred =
-      PredictTree(model.tree, data, row, out.distribution.data());
+  const TreePrediction pred = PredictFrom(model.tree, stops[0], block.row(0),
+                                          out.distribution.data());
   if (pred.dist != out.distribution.data()) {
     std::copy_n(pred.dist, out.distribution.size(), out.distribution.begin());
   }
@@ -215,16 +319,67 @@ Prediction PredictRecord(const AttributeModel& model, const Table& data,
   return out;
 }
 
-Result<AuditReport> ScoreTable(const AuditModel& model, const Table& data,
-                               const AuditorConfig& config) {
+std::vector<uint32_t> StopNodes(const CompiledTree& tree, const Table& data,
+                                size_t begin, size_t end) {
+  std::vector<uint32_t> out;
+  out.reserve(end - begin);
+  RowBlock block;
+  uint32_t stops[kBlockRows];
+  for (size_t b = begin; b < end; b += kBlockRows) {
+    const size_t e = std::min(end, b + kBlockRows);
+    block.LayOut(data, b, e);
+    Descend(tree, block, stops);
+    out.insert(out.end(), stops, stops + (e - b));
+  }
+  return out;
+}
+
+Scorer::Scorer(const AuditModel& model, const Schema& schema,
+               const AuditorConfig& config)
+    : model_(&model), config_(config) {
+  kinds_.reserve(schema.num_attributes());
+  for (size_t a = 0; a < schema.num_attributes(); ++a) {
+    kinds_.push_back(schema.attribute(a).type);
+  }
+}
+
+Result<Scorer> Scorer::Make(const AuditModel& model, const Schema& schema,
+                            const AuditorConfig& config) {
   obs::Span audit_span("audit");
+  obs::Span score_span("audit.score");
   const std::vector<AttributeModel>& models = model.models();
   for (const AttributeModel& m : models) {
-    if (!MatchesSchema(m, data.schema())) {
+    if (!MatchesSchema(m, schema)) {
       return Status::InvalidArgument(
           "model does not match the table's schema");
     }
   }
+  Scorer scorer(model, schema, config);
+  scorer.tables_.resize(models.size());
+  for (size_t k = 0; k < models.size(); ++k) {
+    const AttributeModel& m = models[k];
+    scorer.width_ =
+        std::max(scorer.width_, static_cast<size_t>(m.tree.num_classes()));
+    if (m.classifier == nullptr) {
+      scorer.tables_[k] = LeafErrorConfidences(
+          m.tree, config.confidence_level, config.flag_null_values);
+    }
+  }
+  return scorer;
+}
+
+Result<AuditReport> Scorer::Score(const Table& data) const {
+  obs::Span audit_span("audit");
+  const Schema& schema = data.schema();
+  bool same_kinds = schema.num_attributes() == kinds_.size();
+  for (size_t a = 0; same_kinds && a < kinds_.size(); ++a) {
+    same_kinds = schema.attribute(a).type == kinds_[a];
+  }
+  if (!same_kinds) {
+    return Status::InvalidArgument("model does not match the table's schema");
+  }
+  const AuditorConfig& config = config_;
+  const std::vector<AttributeModel>& models = model_->models();
   const size_t n = data.num_rows();
   const size_t blocks = (n + kBlockRows - 1) / kBlockRows;
   std::vector<std::vector<Suspicion>> block_suspicions(blocks);
@@ -239,69 +394,68 @@ Result<AuditReport> ScoreTable(const AuditModel& model, const Table& data,
   // schedule-dependent.
   {
     obs::Span score_span("audit.score");
-    size_t width = 1;
-    std::vector<std::vector<double>> tables(models.size());
-    for (size_t k = 0; k < models.size(); ++k) {
-      const AttributeModel& m = models[k];
-      width = std::max(width, static_cast<size_t>(m.tree.num_classes()));
-      if (m.classifier == nullptr) {
-        tables[k] = LeafErrorConfidences(m.tree, config.confidence_level,
-                                         config.flag_null_values);
-      }
-    }
-    ParallelFor(ResolveThreadCount(config.num_threads), blocks,
-                [&](size_t block) {
-      const size_t begin = block * kBlockRows;
-      const size_t end = std::min(n, begin + kBlockRows);
-      const size_t rows_in_block = end - begin;
+    // Each task takes a contiguous run of blocks and reuses one row block,
+    // Def. 8 state and class-code buffer across them.
+    const int threads = ResolveThreadCount(config.num_threads);
+    const size_t tasks = std::min(static_cast<size_t>(threads), blocks);
+    ParallelFor(threads, tasks, [&](size_t task) {
+      RowBlock slots;
       BlockBest best;
-      std::fill_n(best.conf, rows_in_block, 0.0);
-      std::fill_n(best.model, rows_in_block, -1);
-      std::vector<double> scratch(width);
-      std::vector<int> observed(rows_in_block);
-      std::vector<Row> rows;  // materialized for the first non-tree model
-      for (size_t k = 0; k < models.size(); ++k) {
-        const AttributeModel& m = models[k];
-        ReadClassCodes(m.encoder, data, static_cast<size_t>(m.class_attr),
-                       begin, end, observed.data());
-        if (m.classifier == nullptr) {
-          ScoreTreeBlock(m, static_cast<int>(k), tables[k], data, begin, end,
-                         observed.data(), config, scratch.data(), &best);
-          continue;
+      std::vector<double> scratch(width_);
+      std::vector<int> observed(kBlockRows);
+      for (size_t block = blocks * task / tasks;
+           block < blocks * (task + 1) / tasks; ++block) {
+        const size_t begin = block * kBlockRows;
+        const size_t end = std::min(n, begin + kBlockRows);
+        const size_t rows_in_block = end - begin;
+        std::fill_n(best.conf, rows_in_block, 0.0);
+        std::fill_n(best.model, rows_in_block, -1);
+        slots.LayOut(data, begin, end);
+        std::vector<Row> rows;  // materialized for the first non-tree model
+        for (size_t k = 0; k < models.size(); ++k) {
+          const AttributeModel& m = models[k];
+          ReadClassCodes(m.encoder, data, static_cast<size_t>(m.class_attr),
+                         begin, end, observed.data());
+          if (m.classifier == nullptr) {
+            ScoreTreeBlock(m, static_cast<int>(k), tables_[k], slots,
+                           rows_in_block, observed.data(), config,
+                           scratch.data(), &best);
+            continue;
+          }
+          if (rows.empty()) {
+            rows.reserve(rows_in_block);
+            for (size_t r = begin; r < end; ++r) rows.push_back(data.row(r));
+          }
+          for (size_t i = 0; i < rows_in_block; ++i) {
+            const Prediction pred = m.classifier->Predict(rows[i]);
+            best.Offer(i,
+                       ErrorConfidence(pred, observed[i],
+                                       config.confidence_level,
+                                       config.flag_null_values),
+                       static_cast<int>(k), pred.PredictedClass(),
+                       pred.support);
+          }
         }
-        if (rows.empty()) {
-          rows.reserve(rows_in_block);
-          for (size_t r = begin; r < end; ++r) rows.push_back(data.row(r));
-        }
+        const auto flags = [&](size_t i) {
+          return best.model[i] >= 0 &&
+                 best.conf[i] >= config.min_error_confidence;
+        };
+        std::vector<Suspicion>& out = block_suspicions[block];
+        size_t flagged = 0;
+        for (size_t i = 0; i < rows_in_block; ++i) flagged += flags(i) ? 1 : 0;
+        out.reserve(flagged);
         for (size_t i = 0; i < rows_in_block; ++i) {
-          const Prediction pred = m.classifier->Predict(rows[i]);
-          best.Offer(i,
-                     ErrorConfidence(pred, observed[i],
-                                     config.confidence_level,
-                                     config.flag_null_values),
-                     static_cast<int>(k), pred.PredictedClass(),
-                     pred.support);
+          if (!flags(i)) continue;
+          const AttributeModel& m = models[static_cast<size_t>(best.model[i])];
+          Suspicion s;
+          s.row = begin + i;
+          s.error_confidence = best.conf[i];
+          s.attr = m.class_attr;
+          s.observed = data.cell(s.row, static_cast<size_t>(m.class_attr));
+          s.suggestion = m.encoder.Representative(best.predicted[i]);
+          s.support = best.support[i];
+          out.push_back(std::move(s));
         }
-      }
-      const auto flags = [&](size_t i) {
-        return best.model[i] >= 0 &&
-               best.conf[i] >= config.min_error_confidence;
-      };
-      std::vector<Suspicion>& out = block_suspicions[block];
-      size_t flagged = 0;
-      for (size_t i = 0; i < rows_in_block; ++i) flagged += flags(i) ? 1 : 0;
-      out.reserve(flagged);
-      for (size_t i = 0; i < rows_in_block; ++i) {
-        if (!flags(i)) continue;
-        const AttributeModel& m = models[static_cast<size_t>(best.model[i])];
-        Suspicion s;
-        s.row = begin + i;
-        s.error_confidence = best.conf[i];
-        s.attr = m.class_attr;
-        s.observed = data.cell(s.row, static_cast<size_t>(m.class_attr));
-        s.suggestion = m.encoder.Representative(best.predicted[i]);
-        s.support = best.support[i];
-        out.push_back(std::move(s));
       }
     });
   }

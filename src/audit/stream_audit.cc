@@ -8,10 +8,12 @@
 #include <utility>
 #include <vector>
 
+#include "audit/scorer.h"
 #include "common/atomic_file.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "table/csv.h"
 #include "table/ingest_backend.h"
 
@@ -57,7 +59,11 @@ Result<StreamAuditResult> RunStreamingAudit(
   DQ_RETURN_NOT_OK(store.Finish());
   result.total_rows = store.num_rows();
 
-  const Table sample = sampler.BuildSampleTable(schema);
+  Table sample;
+  {
+    obs::Span span("stream.sample");
+    sample = sampler.BuildSampleTable(schema);
+  }
   result.sampled_rows = sample.num_rows();
 
   const Auditor auditor(options.auditor);
@@ -83,7 +89,9 @@ Result<StreamAuditResult> RunStreamingAudit(
       std::max<size_t>(1, static_cast<size_t>(threads));
   AuditorConfig segment_config = options.auditor;
   segment_config.num_threads = 1;  // parallelism is across segments
-  const Auditor segment_auditor(segment_config);
+  // One scorer, and so one set of Def. 7 tables, for every segment.
+  DQ_ASSIGN_OR_RETURN(const Scorer scorer,
+                      Scorer::Make(result.model, schema, segment_config));
   std::optional<ThreadPool> pool;
   if (window > 1 && store.num_segments() > 1) pool.emplace(threads);
 
@@ -101,7 +109,7 @@ Result<StreamAuditResult> RunStreamingAudit(
     reports.assign(count, Status::Internal("segment audit did not run"));
     auto audit_one = [&](size_t i) {
       const auto start = std::chrono::steady_clock::now();
-      reports[i] = segment_auditor.Audit(result.model, *pinned[i]);
+      reports[i] = scorer.Score(*pinned[i]);
       segment_ms->Observe(std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - start)
                               .count());
@@ -126,10 +134,13 @@ Result<StreamAuditResult> RunStreamingAudit(
   // base-row order, so ties across segments sit in global row order too.
   // One stable sort by confidence alone therefore reproduces exactly the
   // ranking Auditor::Audit emits for the whole table.
-  std::stable_sort(result.suspicious.begin(), result.suspicious.end(),
-                   [](const Suspicion& a, const Suspicion& b) {
-                     return a.error_confidence > b.error_confidence;
-                   });
+  {
+    obs::Span span("stream.merge");
+    std::stable_sort(result.suspicious.begin(), result.suspicious.end(),
+                     [](const Suspicion& a, const Suspicion& b) {
+                       return a.error_confidence > b.error_confidence;
+                     });
+  }
 
   result.store_stats = store.stats();
   return result;

@@ -10,7 +10,21 @@ CompiledTree::CompiledTree(int num_classes, std::vector<Node> nodes,
       nodes_(std::move(nodes)),
       leaf_counts_(std::move(leaf_counts)) {
   size_t leaves = 0;
-  for (const Node& node : nodes_) leaves += node.is_leaf() ? 1 : 0;
+  splits_.resize(nodes_.size());
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
+    Split& split = splits_[i];
+    if (node.is_leaf()) {
+      ++leaves;
+      split.first = static_cast<uint32_t>(i);
+      continue;
+    }
+    split.threshold = node.threshold;
+    split.first = node.first;
+    split.attr = static_cast<uint32_t>(node.attr);
+    split.children = node.children;
+    split.ordered = node.ordered;
+  }
   leaf_dist_.assign(leaf_counts_.size(), 0.0);
   leaf_class_.assign(leaves, -1);
   leaf_support_.assign(leaves, 0.0);

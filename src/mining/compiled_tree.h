@@ -14,6 +14,10 @@
 // value is null by following every branch with that branch's share of the
 // known weight (sec. 5.1). Each leaf holds its training weight, majority
 // class and class counts.
+//
+// Beside the nodes the tree keeps a compact split array for the scorer's
+// descent (Split below): per node only what picks the next node, 24 bytes
+// instead of a node's 56.
 
 #ifndef DQ_MINING_COMPILED_TREE_H_
 #define DQ_MINING_COMPILED_TREE_H_
@@ -45,6 +49,18 @@ class CompiledTree {
     bool is_leaf() const { return attr < 0; }
   };
 
+  /// \brief The descent's view of node i: where a record whose value of
+  /// `attr` is known goes next (ChildFor). A leaf is stored as a nominal
+  /// split with no children whose first child is itself, so a walk that
+  /// reaches it stays there.
+  struct Split {
+    double threshold = 0.0;  ///< `<=` split: the threshold
+    uint32_t first = 0;      ///< first child; a leaf: i itself
+    uint32_t attr = 0;       ///< attribute read (0 for a leaf)
+    uint32_t children = 0;   ///< nominal split: child count (0 for a leaf)
+    bool ordered = false;    ///< `<=` split; otherwise nominal (or a leaf)
+  };
+
   CompiledTree() = default;
 
   /// \brief Takes the nodes in the layout above and the class counts of
@@ -56,6 +72,8 @@ class CompiledTree {
 
   int num_classes() const { return num_classes_; }
   const std::vector<Node>& nodes() const { return nodes_; }
+  /// \brief One Split per node, in node order.
+  const std::vector<Split>& splits() const { return splits_; }
   size_t num_leaves() const { return leaf_support_.size(); }
 
   /// \brief Class counts of a leaf (num_classes() entries).
@@ -107,6 +125,7 @@ class CompiledTree {
 
   int num_classes_ = 0;
   std::vector<Node> nodes_;
+  std::vector<Split> splits_;
   std::vector<double> leaf_counts_;
   std::vector<double> leaf_dist_;
   std::vector<int> leaf_class_;

@@ -33,7 +33,9 @@ constexpr uint32_t kEndianTag = 0x01020304;
 
 // Corrupt-file guards: no attribute name, category spelling or attribute
 // count plausibly exceeds these, so larger values mean a damaged header
-// and are rejected before any allocation sized by them.
+// and are rejected before any allocation sized by them. The header must
+// also fit the file: a category count needs four bytes per spelling, and
+// the size the header implies must be the file's size (ReadHeader).
 constexpr uint32_t kMaxStringLen = 1u << 20;
 constexpr uint32_t kMaxAttrs = 1u << 16;
 constexpr uint32_t kMaxCategories = 1u << 24;
@@ -85,6 +87,13 @@ struct DqcolHeader {
 
 Status ReadHeader(std::ifstream* f, const std::string& path,
                   DqcolHeader* out) {
+  f->seekg(0, std::ios::end);
+  const auto file_size = static_cast<uint64_t>(f->tellg());
+  f->seekg(0, std::ios::beg);
+  if (!f->good()) return Corrupt(path, "cannot determine the file size");
+  const auto remaining = [&] {
+    return file_size - static_cast<uint64_t>(f->tellg());
+  };
   char magic[sizeof(kMagic)];
   f->read(magic, sizeof(magic));
   if (!f->good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -111,7 +120,8 @@ Status ReadHeader(std::ifstream* f, const std::string& path,
     switch (static_cast<DataType>(type)) {
       case DataType::kNominal: {
         uint32_t ncats = 0;
-        if (!ReadPod(f, &ncats) || ncats > kMaxCategories) {
+        if (!ReadPod(f, &ncats) || ncats > kMaxCategories ||
+            ncats > remaining() / sizeof(uint32_t)) {
           return Corrupt(path, "truncated schema block");
         }
         std::vector<std::string> cats(ncats);
@@ -158,6 +168,10 @@ Status ReadHeader(std::ifstream* f, const std::string& path,
     off = out->bitmap_offset.back() + words * sizeof(uint64_t);
   }
   out->file_end = off;
+  if (out->file_end != file_size) {
+    return Corrupt(path, "header implies " + std::to_string(out->file_end) +
+                             " bytes, file has " + std::to_string(file_size));
+  }
   return Status::OK();
 }
 
@@ -212,8 +226,10 @@ bool NullBit(const std::vector<uint64_t>& words, size_t i) {
 
 /// Column-level invariant check after a bulk load: every cell must uphold
 /// what a CSV ingest guarantees by construction — null cells carry the
-/// sentinel payload, non-null cells lie inside the attribute's domain.
-/// One tight pass per column, so the near-memcpy load stays cheap.
+/// sentinel payload, non-null cells lie inside the attribute's domain, and
+/// no null bit is set past the last row (a table's bitmaps never hold one,
+/// and a later append would read it as null). One tight pass per column,
+/// so the near-memcpy load stays cheap.
 Status CheckColumn(const AttributeDef& def, const std::vector<double>& num,
                    const std::vector<int32_t>& code,
                    const std::vector<uint64_t>& nulls, size_t rows,
@@ -223,6 +239,10 @@ Status CheckColumn(const AttributeDef& def, const std::vector<double>& num,
                              std::to_string(row) +
                              " violates its domain or null sentinel");
   };
+  if (rows % 64 != 0 && (nulls[rows / 64] >> (rows % 64)) != 0) {
+    return Corrupt(path, "attribute '" + def.name +
+                             "' marks nulls past its last row");
+  }
   switch (def.type) {
     case DataType::kNumeric:
       for (size_t r = 0; r < rows; ++r) {
@@ -409,10 +429,18 @@ Status ColumnarCodec::ReadChunks(const Schema& schema,
   if (chunk_rows == 0) chunk_rows = 4096;
   chunk_rows = (chunk_rows + 63) & ~size_t{63};
 
+  for (size_t a = 0; a < schema.num_attributes(); ++a) {
+    uint8_t type = 0;
+    f.seekg(static_cast<std::streamoff>(header.payload_offset[a] - 1));
+    if (!ReadPod(&f, &type) ||
+        type != static_cast<uint8_t>(schema.attribute(a).type)) {
+      return Corrupt(path, "column type byte does not match the schema");
+    }
+  }
+
   TableChunk chunk(schema);
   std::vector<uint64_t> bitmap;
   std::vector<uint8_t> keep;
-  std::vector<uint64_t> col_nulls;
   for (size_t r0 = 0; r0 < rows; r0 += chunk_rows) {
     const size_t n = std::min(chunk_rows, rows - r0);
     const size_t chunk_words = (n + 63) >> 6;

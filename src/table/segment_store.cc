@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "table/columnar.h"
 
 namespace dq {
@@ -100,6 +101,7 @@ Status SegmentStore::EnforceBudget() {
 
 Status SegmentStore::SpillSegment(Segment* seg) {
   if (!seg->on_disk) {
+    obs::Span span("segstore.spill");
     if (options_.spill_dir.empty()) {
       return Status::InvalidArgument(
           "segment store has a memory budget but no spill_dir");
@@ -139,6 +141,7 @@ Status SegmentStore::SpillSegment(Segment* seg) {
 Status SegmentStore::LoadSegment(Segment* seg) {
   // A reload is not ingest: the codec core keeps the schema and per-cell
   // domain checks but leaves the ingest span and counters alone.
+  obs::Span span("segstore.reload");
   Result<Table> t = LoadDqcolFile(schema_, seg->path);
   DQ_RETURN_NOT_OK(t.status());
   if (t->num_rows() != seg->rows) {

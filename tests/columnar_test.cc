@@ -6,13 +6,19 @@
 #include "table/columnar.h"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "audit/auditor.h"
 #include "gtest/gtest.h"
+#include "mutate.h"
+#include "pollution/pipeline.h"
+#include "quis/quis_sample.h"
 #include "table/csv.h"
 #include "table/ingest_backend.h"
 #include "table/table.h"
@@ -22,6 +28,10 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/columnar_" + name;
+}
+
+bool IsIOError(const Status& status) {
+  return status.code() == StatusCode::kIOError;
 }
 
 void ExpectTablesBitwiseEqual(const Table& a, const Table& b) {
@@ -297,6 +307,140 @@ TEST(ColumnarTest, RejectsCorruptFiles) {
   }
   EXPECT_TRUE(rejected)
       << "no payload/bitmap corruption was detected by the column checks";
+
+  // A header whose row count the file cannot hold: 2^40 rows, or one row
+  // more than were written. Every reader refuses it before allocating a
+  // column (2^40 rows would take 8 TiB per numeric column).
+  for (const uint64_t rows :
+       {uint64_t{1} << 40, static_cast<uint64_t>(original.num_rows()) + 1}) {
+    std::string bad_rows = bytes;
+    std::memcpy(&bad_rows[12], &rows, sizeof(rows));  // after magic + tag
+    const std::string p = write_variant("rows.dqcol", bad_rows);
+    const auto read = ReadDqcolFile(schema, p);
+    ASSERT_FALSE(read.ok()) << "rows " << rows;
+    EXPECT_TRUE(IsIOError(read.status())) << read.status();
+    EXPECT_NE(read.status().message().find("header implies"),
+              std::string::npos)
+        << read.status();
+    EXPECT_TRUE(IsIOError(LoadDqcolFile(schema, p).status()));
+    EXPECT_TRUE(IsIOError(ReadDqcolSchema(p).status()));
+    CollectSink sink(schema);
+    EXPECT_TRUE(IsIOError(ReadDqcolFileChunks(schema, p, 64, &sink)));
+    EXPECT_EQ(sink.chunks(), 0u);
+  }
+
+  // A category count the rest of the file cannot hold (four bytes per
+  // spelling at least): the first attribute, "plant", is nominal.
+  std::string bad_cats = bytes;
+  const uint32_t ncats = uint32_t{1} << 24;
+  std::memcpy(&bad_cats[24 + 4 + 5 + 1], &ncats, sizeof(ncats));
+  const std::string cats_path = write_variant("cats.dqcol", bad_cats);
+  EXPECT_TRUE(IsIOError(ReadDqcolSchema(cats_path).status()));
+  EXPECT_TRUE(IsIOError(ReadDqcolFile(schema, cats_path).status()));
+
+  // A null bit past the last row (200 rows leave 56 unused bits in the
+  // last bitmap word of every column).
+  std::string stray = bytes;
+  stray[bytes.size() - 1] = static_cast<char>(0x80);
+  const std::string stray_path = write_variant("stray.dqcol", stray);
+  EXPECT_TRUE(IsIOError(ReadDqcolFile(schema, stray_path).status()));
+  CollectSink stray_sink(schema);
+  EXPECT_TRUE(
+      IsIOError(ReadDqcolFileChunks(schema, stray_path, 64, &stray_sink)));
+
+  // A column type byte that contradicts the schema.
+  std::string bad_type = bytes;
+  const size_t first_column = bytes.size() - [&] {
+    size_t column_bytes = 0;
+    for (size_t a = 0; a < schema.num_attributes(); ++a) {
+      const bool numeric = schema.attribute(a).type == DataType::kNumeric;
+      column_bytes += 1 + 200 * (numeric ? 8 : 4) + 4 * 8;
+    }
+    return column_bytes;
+  }();
+  ASSERT_EQ(bad_type[first_column],
+            static_cast<char>(schema.attribute(0).type));
+  bad_type[first_column] = static_cast<char>(DataType::kDate);
+  const std::string type_path = write_variant("type.dqcol", bad_type);
+  EXPECT_FALSE(ReadDqcolFile(schema, type_path).ok());
+  CollectSink type_sink(schema);
+  EXPECT_FALSE(ReadDqcolFileChunks(schema, type_path, 64, &type_sink).ok());
+}
+
+TEST(ColumnarTest, MutatedDqcolFailsOrLoadsAlikeThroughEveryReader) {
+  // Every mutant of a polluted QUIS dqcol either fails with a Status in the
+  // whole-table read, the spill reload and the chunked read alike, or loads
+  // the same valid table through all three; a loaded table is then audited
+  // with a model induced on the unmutated rows.
+  QuisConfig qcfg;
+  qcfg.num_records = 300;
+  qcfg.seed = 22;
+  auto sample = GenerateQuisSample(qcfg);
+  ASSERT_TRUE(sample.ok());
+  auto polluted =
+      PollutionPipeline(DefaultPolluterMix(), 22).Apply(sample->table);
+  ASSERT_TRUE(polluted.ok());
+  const Table& table = polluted->dirty;
+  const Schema& schema = table.schema();
+  AuditorConfig config;
+  config.num_threads = 1;
+  const Auditor auditor(config);
+  auto model = auditor.Induce(table);
+  ASSERT_TRUE(model.ok()) << model.status();
+
+  const std::string source = TempPath("mutant_source.dqcol");
+  ASSERT_TRUE(WriteDqcolFile(table, source).ok());
+  std::ifstream in(source, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  using std::string_view_literals::operator""sv;
+  const std::vector<std::string_view> tokens = {
+      "\0\0\0\0"sv,
+      "\xff\xff\xff\xff"sv,
+      "\x01\0\0\0"sv,
+      "\0\0\0\0\0\0\0\0"sv,
+      "\xff\xff\xff\xff\xff\xff\xff\xff"sv,
+      "\0\0\0\0\0\0\xf0\x7f"sv,  // +inf
+      "\0\0\0\0\0\0\xf8\x7f"sv,  // NaN
+  };
+  const std::string path = TempPath("mutant.dqcol");
+  Rng rng(2003);
+  constexpr int kCases = 20000;
+  int loaded = 0;
+  for (int c = 0; c < kCases; ++c) {
+    std::string text = bytes;
+    const int64_t mutations = rng.UniformInt(1, 4);
+    for (int64_t m = 0; m < mutations; ++m) {
+      Mutate(&rng, &text, tokens, "\0\n"sv);
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    auto whole = ReadDqcolFile(schema, path);
+    auto reload = LoadDqcolFile(schema, path);
+    CollectSink sink(schema);
+    const Status chunked = ReadDqcolFileChunks(
+        schema, path, static_cast<size_t>(rng.UniformInt(1, 400)), &sink);
+    ASSERT_EQ(reload.ok(), whole.ok()) << "case " << c << ": "
+                                       << whole.status();
+    ASSERT_EQ(chunked.ok(), whole.ok()) << "case " << c << ": " << chunked;
+    if (!whole.ok()) {
+      ASSERT_FALSE(whole.status().message().empty()) << "case " << c;
+      continue;
+    }
+    ++loaded;
+    ASSERT_TRUE(whole->Validate().ok()) << "case " << c;
+    ExpectTablesBitwiseEqual(*whole, *reload);
+    ExpectTablesBitwiseEqual(*whole, sink.table());
+    auto report = auditor.Audit(*model, *whole);
+    ASSERT_TRUE(report.ok()) << "case " << c << ": " << report.status();
+  }
+  // Both outcomes occur: the mutations neither all break the file nor all
+  // miss it.
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kCases);
 }
 
 TEST(ColumnarTest, IngestBackendDispatchAgreesWithDirectCalls) {

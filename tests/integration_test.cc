@@ -60,30 +60,27 @@ TEST(IntegrationTest, QuisAuditFindsPlantedDeviationAtTopRank) {
   auto sample = GenerateQuisSample(qcfg);
   ASSERT_TRUE(sample.ok());
 
-  AuditorConfig acfg;
-  acfg.min_error_confidence = 0.8;
-  Auditor auditor(acfg);
-  auto model = auditor.Induce(sample->table);
-  ASSERT_TRUE(model.ok()) << model.status();
-  auto report = auditor.Audit(*model, sample->table);
-  ASSERT_TRUE(report.ok());
+  // Sec. 6.2: the audit "ranks it first in the sorted list of suspicious
+  // records", ahead of every other record, under either split evaluator.
+  // At this size both rank it at 0.997513 and the runner-up at 0.984033.
+  for (const SplitMode mode : {SplitMode::kHistogram, SplitMode::kExact}) {
+    SCOPED_TRACE(SplitModeToString(mode));
+    AuditorConfig acfg;
+    acfg.min_error_confidence = 0.8;
+    acfg.c45.split_mode = mode;
+    Auditor auditor(acfg);
+    auto model = auditor.Induce(sample->table);
+    ASSERT_TRUE(model.ok()) << model.status();
+    auto report = auditor.Audit(*model, sample->table);
+    ASSERT_TRUE(report.ok());
 
-  // The planted GBM deviation is flagged with very high confidence.
-  ASSERT_TRUE(report->IsFlagged(sample->planted_deviation_row));
-  size_t rank = report->suspicious.size();
-  for (size_t i = 0; i < report->suspicious.size(); ++i) {
-    if (report->suspicious[i].row == sample->planted_deviation_row) {
-      rank = i;
-      break;
-    }
+    ASSERT_TRUE(report->IsFlagged(sample->planted_deviation_row));
+    ASSERT_GE(report->suspicious.size(), 2u);
+    const Suspicion& top = report->suspicious[0];
+    EXPECT_EQ(top.row, sample->planted_deviation_row);
+    EXPECT_GT(top.error_confidence, 0.99);
+    EXPECT_GT(top.error_confidence, report->suspicious[1].error_confidence);
   }
-  ASSERT_LT(rank, report->suspicious.size());
-  EXPECT_GT(report->suspicious[rank].error_confidence, 0.99);
-
-  // It ranks at the very top of the suspicious list (sec. 6.2: "ranks it
-  // first in the sorted list of suspicious records") — allow a small
-  // cluster of equally-confident noise flags ahead of it.
-  EXPECT_LT(rank, report->suspicious.size() / 10 + 5);
 }
 
 TEST(IntegrationTest, QuisStructureModelContainsHeadlineRule) {

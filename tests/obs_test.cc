@@ -491,6 +491,61 @@ size_t SpanCount(const std::string& tree, const std::string& name) {
   return 0;
 }
 
+/// Spans named `name` anywhere in a TreeSummary, summed over every
+/// parent they appear under.
+size_t TotalSpanCount(const std::string& tree, const std::string& name) {
+  std::istringstream lines(tree);
+  std::string line;
+  size_t total = 0;
+  while (std::getline(lines, line)) {
+    const size_t at = line.find_first_not_of(' ');
+    if (at == std::string::npos) continue;
+    total += SpanCount(line.substr(at), name);
+  }
+  return total;
+}
+
+TEST_F(TracerTest, StreamingSpansCountEverySpillReloadSampleAndMerge) {
+  // A budget far below the input forces spills: each spill write is one
+  // segstore.spill span and each reload one segstore.reload span, and the
+  // sample build and the final merge are one span each, at every thread
+  // count.
+  QuisConfig qcfg;
+  qcfg.num_records = 6000;
+  qcfg.seed = 2003;
+  auto sample = GenerateQuisSample(qcfg);
+  ASSERT_TRUE(sample.ok());
+  const std::string dir =
+      ::testing::TempDir() + "/obs_stream_spans_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::string path = dir + ".csv";
+  ASSERT_TRUE(WriteCsvFile(sample->table, path).ok());
+  for (int threads : {1, 2}) {
+    Tracer::Global().Reset();
+    StreamAuditOptions options;
+    options.sample_rows = 2000;
+    options.csv.batch_records = 512;
+    options.store.segment_rows = 512;
+    options.store.memory_budget_bytes = 64 * 1024;
+    options.store.spill_dir = dir + ".spill";
+    options.auditor.num_threads = threads;
+    auto result = RunStreamingAudit(sample->table.schema(), path, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const std::string tree = Tracer::Global().TreeSummary();
+    ASSERT_GT(result->store_stats.spill_writes, 0u) << tree;
+    ASSERT_GT(result->store_stats.spill_reads, 0u) << tree;
+    EXPECT_EQ(TotalSpanCount(tree, "segstore.spill"),
+              result->store_stats.spill_writes)
+        << tree;
+    EXPECT_EQ(TotalSpanCount(tree, "segstore.reload"),
+              result->store_stats.spill_reads)
+        << tree;
+    EXPECT_EQ(TotalSpanCount(tree, "stream.sample"), 1u) << tree;
+    EXPECT_EQ(TotalSpanCount(tree, "stream.merge"), 1u) << tree;
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(TracerTest, IngestPhaseSpansSplitEveryBatchAndCoverTheRead) {
   // Each batch is one ingest.read, one ingest.decode and one
   // ingest.deliver on the calling thread, for every thread count, and the

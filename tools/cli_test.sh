@@ -206,6 +206,20 @@ for t in 1 4; do
   test "$(cksum < "$WORK/hostile_t$t.dqcol")" = "2200002942 331761"
 done
 
+# --- A dqcol header that claims more rows than its file holds ---
+# 300 QUIS rows whose header says 2^40: dqaudit must refuse the file with
+# an error message and exit 1, not abort allocating 8 TiB columns.
+"$DQGEN" --quis --records 300 --seed 11 --clean "$WORK/small.csv" > /dev/null
+"$DQCONVERT" --schema "$QUIS_FULL_SPEC" --in "$WORK/small.csv" \
+  --out "$WORK/huge.dqcol" > /dev/null
+printf '\x00\x00\x00\x00\x00\x01\x00\x00' |
+  dd of="$WORK/huge.dqcol" bs=1 seek=12 conv=notrunc status=none
+rc=0
+"$DQAUDIT" --schema "$QUIS_FULL_SPEC" --data "$WORK/huge.dqcol" \
+  > /dev/null 2> "$WORK/huge.err" || rc=$?
+test "$rc" -eq 1
+grep -q "header implies" "$WORK/huge.err"
+
 # --- Flag validation: malformed values are rejected with a diagnostic ---
 # (not silently parsed as 0 the way atoi would).
 expect_flag_error() {
