@@ -5,14 +5,15 @@
 // see docs/FORMATS.md). The reader is a buffered streaming parser: quoted
 // fields may span newlines, CRLF/CR/LF all terminate records, a UTF-8 BOM
 // is skipped, and input is consumed one batch of records at a time, so
-// parsing memory is bounded by one batch (plus one read-ahead chunk),
-// independent of file size. Each batch is decoded column by column
-// straight into typed chunk columns. Malformed records either fail the
-// read (CsvErrorPolicy::kFail) or are quarantined into an IngestReport
-// while the read continues (kSkipAndReport) — the recovery mode that lets
-// the auditor ingest real, dirty operational extracts. Decoding is
-// parallel over record ranges on the shared thread pool and
-// bitwise-deterministic for every thread count.
+// parsing memory is bounded by a few batches (one per thread), independent
+// of file size. Each batch is decoded column by column straight into typed
+// chunk columns. Malformed records either fail the read
+// (CsvErrorPolicy::kFail) or are quarantined into an IngestReport while
+// the read continues (kSkipAndReport) — the recovery mode that lets the
+// auditor ingest real, dirty operational extracts. With more than one
+// thread the read is a pipeline: helpers tokenize and decode whole batches
+// ahead while the calling thread delivers them in record order, so the
+// result is bitwise-identical for every thread count.
 
 #ifndef DQ_TABLE_CSV_H_
 #define DQ_TABLE_CSV_H_
@@ -46,20 +47,23 @@ struct CsvOptions {
 
   CsvErrorPolicy on_error = CsvErrorPolicy::kFail;
 
-  /// Worker threads for record decoding (0 = hardware concurrency,
-  /// 1 = serial). The resulting table and report are identical for every
+  /// Threads of the read (0 = hardware concurrency, 1 = serial): the
+  /// calling thread, which delivers, plus num_threads - 1 helpers that
+  /// tokenize and decode batches ahead of it, with one batch in flight per
+  /// thread. The resulting table and report are identical for every
   /// thread count.
   int num_threads = 1;
 
-  /// Tokenizer read granularity: bytes read from the stream at a time.
-  /// The reader's buffer holds the current batch's records plus at most
-  /// one chunk read ahead, so parsing memory is about batch_records times
-  /// the record length plus chunk_bytes.
+  /// Tokenizer read granularity: bytes read from the stream at a time
+  /// (16 B to 1 GiB). A batch's byte storage holds its records plus at
+  /// most one chunk read ahead, so parsing memory is about num_threads
+  /// times (batch_records times the record length plus chunk_bytes).
   size_t chunk_bytes = 1 << 16;
 
-  /// Records per batch: the unit that is read, decoded (split across the
-  /// threads) and delivered to the table or sink. Blank lines held back
-  /// ahead of a record count toward its batch.
+  /// Records per batch: the unit that is tokenized, decoded (whole, by one
+  /// thread) and delivered to the table or sink. Blank lines held back
+  /// ahead of a record count toward its batch. A batch's bytes may not
+  /// exceed 4 GiB: the read fails with an IOError at one that would.
   size_t batch_records = 4096;
 };
 
@@ -95,18 +99,25 @@ class CsvChunkSink {
 /// attribute names (header problems are fatal under both error policies).
 /// Under kSkipAndReport, malformed data records are quarantined into
 /// `report` (optional) and the surviving rows are returned; under kFail the
-/// first malformed record aborts with a position-annotated error. `report`,
-/// when given, always receives the ingest counters and timings.
+/// first malformed record aborts with a position-annotated error. A stream
+/// that fails (its read sets badbit, or its streambuf throws) fails the
+/// read with an IOError, under both policies. `report`, when given, always
+/// receives the ingest counters and timings.
 Result<Table> ReadCsv(const Schema& schema, std::istream* in,
                       const CsvOptions& options = {},
                       IngestReport* report = nullptr);
 
 /// \brief Streaming variant of ReadCsv: decoded batches flow to `sink`
 /// instead of accumulating in a Table, so ingest memory stays bounded by
-/// one batch regardless of file size. Decode parallelism, quarantine
-/// behavior and the resulting record sequence are identical to ReadCsv.
-/// Under kFail the batch containing the error is delivered truncated (the
-/// records before the failure), matching ReadCsv's partial table.
+/// num_threads batches regardless of file size. The sink is called on the
+/// calling thread only, in record order, whatever num_threads is; the
+/// quarantine behavior and the record sequence are identical to ReadCsv.
+/// The read stops at the first of, in record order: a header error, a
+/// kFail record (its batch is delivered truncated to the records before
+/// it, matching ReadCsv's partial table), a status the sink returns, and a
+/// stream failure (after the complete records before it are delivered).
+/// It returns that status, and the helper threads are stopped and joined
+/// before it returns.
 Status ReadCsvChunks(const Schema& schema, std::istream* in,
                      const CsvOptions& options, CsvChunkSink* sink,
                      IngestReport* report = nullptr);

@@ -2,12 +2,24 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <istream>
+#include <string>
 
+#include "common/check.h"
 #include "table/csv_scan.h"
 
 namespace dq {
+
+namespace {
+
+/// Batch storage limit: record offsets are 32-bit.
+constexpr size_t kMaxBatchBytes = UINT32_MAX;
+
+uint32_t Offset(size_t at) { return static_cast<uint32_t>(at); }
+
+}  // namespace
 
 const char* CsvErrorKindToString(CsvErrorKind kind) {
   switch (kind) {
@@ -53,26 +65,43 @@ CsvRecordReader::CsvRecordReader(std::istream* in, char separator,
                                  size_t chunk_bytes)
     : in_(in),
       sep_(separator),
-      read_bytes_(std::max<size_t>(chunk_bytes, 16)),
-      buf_(read_bytes_ + kCsvBufferPadding) {
-  structural_.resize(csvscan::StructuralWords(buf_.size()));
-}
+      read_bytes_(std::clamp<size_t>(chunk_bytes, 16, size_t{1} << 30)) {}
 
 bool CsvRecordReader::Fill() {
-  if (eof_ || in_ == nullptr || !in_->good()) {
-    eof_ = true;
-    return false;
+  if (eof_) return false;
+  size_t got = 0;
+  if (in_ != nullptr && in_->good()) {
+    const size_t need = len_ + read_bytes_ + kCsvBufferPadding;
+    if (need > kMaxBatchBytes) {
+      eof_ = true;
+      status_ = Status::IOError(
+          "CSV batch outgrows 4 GiB at byte " + std::to_string(base_ + len_) +
+          " (a record this long, or too many records per batch)");
+      return false;
+    }
+    if (storage_->size() < need) {
+      // Grow by half: the storage settles near one batch plus one chunk.
+      storage_->resize(std::min(
+          kMaxBatchBytes,
+          std::max(need, storage_->size() + storage_->size() / 2)));
+      buf_ = storage_->data();
+    }
+    // Batches trade storages of different sizes; the index covers the
+    // largest.
+    if (structural_.size() < csvscan::StructuralWords(storage_->size())) {
+      structural_.resize(csvscan::StructuralWords(storage_->size()));
+    }
+    in_->read(buf_ + len_, static_cast<std::streamsize>(read_bytes_));
+    got = static_cast<size_t>(in_->gcount());
   }
-  const size_t need = len_ + read_bytes_ + kCsvBufferPadding;
-  if (buf_.size() < need) {
-    // Grow by half: the buffer settles near one batch plus one chunk.
-    buf_.resize(std::max(need, buf_.size() + buf_.size() / 2));
-    structural_.resize(csvscan::StructuralWords(buf_.size()));
-  }
-  in_->read(buf_.data() + len_, static_cast<std::streamsize>(read_bytes_));
-  const auto got = static_cast<size_t>(in_->gcount());
   if (got == 0) {
     eof_ = true;
+    // istream::read sets badbit on a read error, and when the streambuf
+    // throws.
+    if (in_ != nullptr && in_->bad()) {
+      status_ = Status::IOError("input stream failed after " +
+                                std::to_string(base_ + len_) + " bytes");
+    }
     return false;
   }
   // Stage one: one SIMD classification pass extends the structural index
@@ -81,15 +110,25 @@ bool CsvRecordReader::Fill() {
   // has to run.
   const size_t word = len_ >> 6;
   len_ += got;
-  csvscan::ScanStructural(buf_.data() + (word << 6), len_ - (word << 6), sep_,
+  csvscan::ScanStructural(buf_ + (word << 6), len_ - (word << 6), sep_,
                           structural_.data() + word);
   return true;
 }
 
-void CsvRecordReader::Compact() {
+void CsvRecordReader::MoveTo(std::vector<char>* storage) {
   const size_t drop = pos_ & ~size_t{63};
+  const size_t keep = len_ - drop;
+  if (storage != storage_) {
+    if (storage->size() < keep + read_bytes_ + kCsvBufferPadding) {
+      storage->resize(keep + read_bytes_ + kCsvBufferPadding);
+    }
+    if (keep > 0) std::memcpy(storage->data(), buf_ + drop, keep);
+    storage_ = storage;
+    buf_ = storage->data();
+  } else if (drop > 0) {
+    std::memmove(buf_, buf_ + drop, keep);
+  }
   if (drop == 0) return;
-  std::memmove(buf_.data(), buf_.data() + drop, len_ - drop);
   const size_t words = csvscan::StructuralWords(len_) - (drop >> 6);
   std::memmove(structural_.data(), structural_.data() + (drop >> 6),
                words * sizeof(uint64_t));
@@ -132,10 +171,19 @@ bool CsvRecordReader::ParseRecord(CsvRecordBatch* batch) {
   auto fail = [&](CsvErrorKind kind, size_t column) {
     if (!error.has_value()) error = CsvFieldError{kind, column};
   };
+  // No record: the input ended before one began, or the stream failed in
+  // the middle of this one. A record cut short is never handed out; its
+  // field ends are taken back and the reader stays before it.
+  auto none = [&] {
+    batch->field_ends.resize(batch->first_end.back());
+    pos_ = begin;
+    line_ = line;
+    return false;
+  };
   auto finish = [&](size_t end) {
-    batch->field_ends.push_back(end);
-    batch->begin.push_back(begin);
-    batch->first_end.push_back(batch->field_ends.size());
+    batch->field_ends.push_back(Offset(end));
+    batch->begin.push_back(Offset(begin));
+    batch->first_end.push_back(Offset(batch->field_ends.size()));
     batch->line.push_back(line);
     batch->error.push_back(error);
     return true;
@@ -163,7 +211,7 @@ bool CsvRecordReader::ParseRecord(CsvRecordBatch* batch) {
   size_t field_start = begin;
   for (;;) {
     if (pos_ >= len_ && !Fill()) {  // end of input
-      if (pos_ == begin) return false;
+      if (pos_ == begin || !status_.ok()) return none();
       return finish(pos_);
     }
     size_t w = pos_ >> 6;
@@ -179,7 +227,7 @@ bool CsvRecordReader::ParseRecord(CsvRecordBatch* batch) {
       if (buf_[i] != sep_) {
         at = i;
       } else {
-        batch->field_ends.push_back(i);
+        batch->field_ends.push_back(Offset(i));
         field_start = i + 1;
       }
     }
@@ -235,7 +283,7 @@ bool CsvRecordReader::ParseRecord(CsvRecordBatch* batch) {
     if (c == '\n' || c == '\r') return terminate();
     if (c == sep_) {
       field_start_now = true;
-      batch->field_ends.push_back(pos_ - 1);
+      batch->field_ends.push_back(Offset(pos_ - 1));
     } else if (field_start_now) {  // c is a quote opening a field
       state = State::kQuoted;
       quote_open = pos_ - begin;
@@ -244,6 +292,7 @@ bool CsvRecordReader::ParseRecord(CsvRecordBatch* batch) {
       fail(CsvErrorKind::kStrayQuote, pos_ - begin);
     }
   }
+  if (!status_.ok()) return none();
   if (state == State::kQuoted) {
     fail(CsvErrorKind::kUnterminatedQuote, quote_open);
   }
@@ -253,11 +302,11 @@ bool CsvRecordReader::ParseRecord(CsvRecordBatch* batch) {
 size_t CsvRecordReader::NextBatch(size_t max_records, CsvRecordBatch* batch) {
   if (batch->empty()) {
     batch->Clear();
-    Compact();
+    MoveTo(&batch->bytes);
   }
+  DQ_DCHECK(storage_ == &batch->bytes);  // a batch this reader is filling
   size_t n = 0;
   while (n < max_records && ParseRecord(batch)) ++n;
-  batch->data = buf_.data();
   return n;
 }
 

@@ -26,7 +26,7 @@ SegmentStore::~SegmentStore() {
     std::filesystem::remove(seg.path, ec);
     any = true;
   }
-  if (any && !options_.spill_dir.empty()) {
+  if ((any || created_spill_dir_) && !options_.spill_dir.empty()) {
     // Only removes the directory when nothing else lives there.
     std::filesystem::remove(options_.spill_dir, ec);
   }
@@ -107,7 +107,9 @@ Status SegmentStore::SpillSegment(Segment* seg) {
           "segment store has a memory budget but no spill_dir");
     }
     std::error_code ec;
-    std::filesystem::create_directories(options_.spill_dir, ec);
+    if (std::filesystem::create_directories(options_.spill_dir, ec)) {
+      created_spill_dir_ = true;
+    }
     if (ec) {
       return Status::IOError("cannot create spill dir '" +
                              options_.spill_dir + "': " + ec.message());

@@ -54,7 +54,8 @@ class SegmentStore {
   SegmentStore(Schema schema, SegmentStoreOptions options);
 
   /// Spill files are scratch owned by this store; the destructor deletes
-  /// them (and the spill directory, if it emptied out).
+  /// them, and then the spill directory when it is empty and the store
+  /// created it or spilled into it.
   ~SegmentStore();
 
   SegmentStore(const SegmentStore&) = delete;
@@ -133,6 +134,7 @@ class SegmentStore {
   size_t num_rows_ = 0;
   uint64_t resident_bytes_ = 0;  ///< sealed residents + open segment
   bool finished_ = false;
+  bool created_spill_dir_ = false;
   Stats stats_;
 };
 

@@ -10,6 +10,8 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -695,7 +697,7 @@ void ExpectReportsEqual(const IngestReport& a, const IngestReport& b) {
 TEST(CsvIngestTest, MutatedCsvLoadsTheSameAtEveryThreadCount) {
   // Every mutant of a polluted QUIS extract either fails on its header or
   // loads into a valid table whose kept and quarantined records add up,
-  // and the read is the same at one thread and at four.
+  // and the read is the same at one, two and four threads.
   QuisConfig qcfg;
   qcfg.num_records = 300;
   qcfg.seed = 21;
@@ -728,13 +730,17 @@ TEST(CsvIngestTest, MutatedCsvLoadsTheSameAtEveryThreadCount) {
     options.batch_records = static_cast<size_t>(rng.UniformInt(1, 64));
     options.chunk_bytes = static_cast<size_t>(rng.UniformInt(1, 512));
     const ReadOutcome one = ReadAt(schema, text, options, 1);
+    const ReadOutcome two = ReadAt(schema, text, options, 2);
     const ReadOutcome four = ReadAt(schema, text, options, 4);
+    ASSERT_EQ(one.status.ok(), two.status.ok()) << "case " << c;
     ASSERT_EQ(one.status.ok(), four.status.ok()) << "case " << c;
+    ExpectReportsEqual(one.report, two.report);
     ExpectReportsEqual(one.report, four.report);
     if (!one.status.ok()) {
       ASSERT_FALSE(one.report.errors.empty()) << "case " << c;
       EXPECT_EQ(one.report.errors.back().kind, CsvErrorKind::kBadHeader)
           << "case " << c << ": " << one.status;
+      EXPECT_EQ(one.status.message(), two.status.message());
       EXPECT_EQ(one.status.message(), four.status.message());
       continue;
     }
@@ -745,6 +751,7 @@ TEST(CsvIngestTest, MutatedCsvLoadsTheSameAtEveryThreadCount) {
               one.report.records_total)
         << "case " << c;
     ASSERT_EQ(one.table.num_rows(), one.report.records_kept);
+    ExpectTablesIdentical(one.table, two.table);
     ExpectTablesIdentical(one.table, four.table);
   }
   // The mutations reach every outcome: failed headers, clean loads and
@@ -752,6 +759,159 @@ TEST(CsvIngestTest, MutatedCsvLoadsTheSameAtEveryThreadCount) {
   EXPECT_GT(loaded, 1000u);
   EXPECT_LT(loaded, 20000u);
   EXPECT_GT(quarantined, 1000u);
+}
+
+// --- stops: a failing stream or sink ----------------------------------------
+
+/// Serves `text` up to byte `fail_at`, then throws, like a streambuf over
+/// a device or connection that breaks partway through.
+class BreakingBuf : public std::streambuf {
+ public:
+  BreakingBuf(std::string text, size_t fail_at)
+      : text_(std::move(text)), fail_at_(fail_at) {}
+
+ protected:
+  int_type underflow() override {
+    if (served_ >= fail_at_) throw std::runtime_error("device gone");
+    const size_t n = std::min<size_t>(1000, fail_at_ - served_);
+    char* at = text_.data() + served_;
+    setg(at, at, at + n);
+    served_ += n;
+    return traits_type::to_int_type(*at);
+  }
+
+ private:
+  std::string text_;
+  size_t fail_at_;
+  size_t served_ = 0;
+};
+
+/// Appends the kept rows it is handed; fails on call `fail_on` (0: never).
+class CollectingSink : public CsvChunkSink {
+ public:
+  CollectingSink(const Schema& schema, size_t fail_on)
+      : table(schema), fail_on_(fail_on) {}
+
+  Status OnChunk(const TableChunk& chunk,
+                 const std::vector<uint8_t>& keep) override {
+    if (++calls == fail_on_) return Status::IOError("sink full");
+    table.AppendChunk(chunk, &keep);
+    return Status::OK();
+  }
+
+  Table table;
+  size_t calls = 0;
+
+ private:
+  size_t fail_on_;
+};
+
+TEST(CsvIngestTest, StreamFailureIsAnIOErrorInRecordOrder) {
+  // A stream that breaks halfway through a 20k-row QUIS extract fails the
+  // read with an IOError once the complete records before the break are
+  // delivered, under both policies and at every thread count; it does not
+  // end the input early. A bad record ahead of the break comes first.
+  QuisConfig qcfg;
+  qcfg.num_records = 20000;
+  qcfg.seed = 2003;
+  auto sample = GenerateQuisSample(qcfg);
+  ASSERT_TRUE(sample.ok());
+  const Table& table = sample->table;
+  const Schema& schema = table.schema();
+  std::ostringstream os;
+  ASSERT_TRUE(WriteCsv(table, &os).ok());
+  const std::string clean = os.str();
+  // The 100th record (line 101) gets a field too many.
+  std::string spoiled = clean;
+  size_t line_101 = 0;
+  for (int l = 0; l < 100; ++l) line_101 = spoiled.find('\n', line_101) + 1;
+  spoiled.insert(spoiled.find('\n', line_101), ",extra");
+
+  for (const bool spoil : {false, true}) {
+    const std::string& text = spoil ? spoiled : clean;
+    for (const CsvErrorPolicy policy :
+         {CsvErrorPolicy::kFail, CsvErrorPolicy::kSkipAndReport}) {
+      const bool record_first = spoil && policy == CsvErrorPolicy::kFail;
+      std::optional<CollectingSink> first;
+      IngestReport first_report;
+      for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(testing::Message() << "spoil " << spoil << " policy "
+                                        << static_cast<int>(policy)
+                                        << " threads " << threads);
+        CsvOptions options;
+        options.on_error = policy;
+        options.num_threads = threads;
+        BreakingBuf buf(text, text.size() / 2);
+        std::istream in(&buf);
+        CollectingSink sink(schema, 0);
+        IngestReport report;
+        const Status status = ReadCsvChunks(schema, &in, options, &sink,
+                                            &report);
+        ASSERT_FALSE(status.ok());
+        EXPECT_EQ(status.code(), StatusCode::kIOError);
+        EXPECT_NE(status.message().find(record_first ? "arity-mismatch"
+                                                     : "input stream failed"),
+                  std::string::npos)
+            << status;
+        if (!record_first) {
+          // Every complete record before the break, and no other.
+          const size_t dropped = spoil ? 1 : 0;
+          EXPECT_GT(sink.table.num_rows(), 9000u);
+          EXPECT_EQ(report.records_total, sink.table.num_rows() + dropped);
+          EXPECT_LE(report.bytes_read, text.size() / 2);
+          EXPECT_EQ(text[report.bytes_read - 1], '\n');
+          for (size_t r = 0; r < sink.table.num_rows(); ++r) {
+            const size_t source = spoil && r >= 99 ? r + 1 : r;
+            for (size_t a = 0; a < schema.num_attributes(); ++a) {
+              ASSERT_TRUE(
+                  sink.table.cell(r, a).StrictEquals(table.cell(source, a)))
+                  << "row " << r;
+            }
+          }
+          // ReadCsv fails alike instead of returning the rows so far.
+          BreakingBuf again(text, text.size() / 2);
+          std::istream in_again(&again);
+          EXPECT_FALSE(ReadCsv(schema, &in_again, options).ok());
+        }
+        if (threads == 1) {
+          first.emplace(std::move(sink));
+          first_report = report;
+          continue;
+        }
+        ExpectReportsEqual(first_report, report);
+        ExpectTablesIdentical(first->table, sink.table);
+      }
+    }
+  }
+}
+
+TEST(CsvParallelTest, SinkErrorStopsTheReadAtItsChunk) {
+  // The sink fails on its third chunk of 16 records, when the read-ahead
+  // has filled the ring: every thread count returns the sink's status
+  // after exactly three calls, with the same report.
+  const Schema s = ErrorSchema();
+  std::string csv = "color,weight\n";
+  for (int r = 0; r < 2000; ++r) csv += r % 3 == 0 ? "green,2\n" : "red,1\n";
+  IngestReport first;
+  for (int threads : {1, 2, 4}) {
+    CsvOptions opts;
+    opts.num_threads = threads;
+    opts.batch_records = 16;
+    std::istringstream in(csv);
+    CollectingSink sink(s, 3);
+    IngestReport report;
+    const Status status = ReadCsvChunks(s, &in, opts, &sink, &report);
+    EXPECT_EQ(status.ToString(), Status::IOError("sink full").ToString())
+        << "threads " << threads;
+    EXPECT_EQ(sink.calls, 3u) << "threads " << threads;
+    EXPECT_EQ(sink.table.num_rows(), 32u) << "threads " << threads;
+    EXPECT_EQ(report.records_total, 48u) << "threads " << threads;
+    if (threads == 1) {
+      first = report;
+    } else {
+      ExpectReportsEqual(first, report);
+    }
+  }
 }
 
 TEST(CsvIngestTest, DictionaryFindsEveryCategoryAndNothingElse) {
@@ -798,7 +958,7 @@ TEST(CsvIngestTest, DictionaryFindsEveryCategoryAndNothingElse) {
   }
   // The same spellings read through a CSV, the last field ending at the
   // input's last byte (no terminator), so the decoder's 8-byte loads reach
-  // the end of the reader's buffer.
+  // the end of the batch's byte storage.
   Table t(s);
   for (size_t r = 0; r < 1100; ++r) {
     ASSERT_TRUE(t.AppendRow({Value::Nominal(static_cast<int32_t>(
@@ -978,7 +1138,7 @@ TEST(CsvParallelTest, ParallelQuarantineIsDeterministic) {
     }
   }
   std::vector<IngestError> baseline;
-  for (int threads : {1, 3, 4}) {
+  for (int threads : {1, 2, 3, 4}) {
     CsvOptions opts;
     opts.num_threads = threads;
     opts.batch_records = 128;
@@ -1012,7 +1172,7 @@ TEST(CsvParallelTest, StrictModeFirstErrorIsDeterministic) {
   csv += "purple,1\n";  // line 502
   for (int r = 0; r < 500; ++r) csv += "green,2\n";
   csv += "blue,1\n";  // line 1003, never reached in order
-  for (int threads : {1, 4}) {
+  for (int threads : {1, 2, 4}) {
     CsvOptions opts;
     opts.num_threads = threads;
     opts.batch_records = 64;

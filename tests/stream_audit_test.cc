@@ -140,6 +140,32 @@ TEST_F(StreamAuditTest, ReportIsInvariantUnderMemoryBudget) {
   EXPECT_FALSE(std::filesystem::exists(budgeted.store.spill_dir));
 }
 
+TEST_F(StreamAuditTest, FailedFirstSpillLeavesNoSpillDirectory) {
+  // A spill directory path just short of PATH_MAX (4096): creating it
+  // succeeds, but its spill file's path is too long to open, so the first
+  // spill write fails. The audit fails with that IOError and leaves
+  // neither the file nor the directory the store created.
+  const std::string root = TestTempPath("spill_too_long");
+  std::string dir = root;
+  while (dir.size() + 256 < 4085) dir += "/" + std::string(200, 'd');
+  dir += "/" + std::string(4085 - dir.size() - 1, 's');
+  ASSERT_EQ(dir.size(), 4085u);
+  std::filesystem::create_directories(std::filesystem::path(dir).parent_path());
+  for (int threads : {1, 2}) {
+    StreamAuditOptions options = FullSampleOptions();
+    options.auditor.num_threads = threads;
+    options.csv.num_threads = threads;
+    options.store.memory_budget_bytes = 8 * 1024;
+    options.store.spill_dir = dir;
+    auto result = RunStreamingAudit(table_.schema(), csv_path_, options);
+    ASSERT_FALSE(result.ok()) << "threads " << threads;
+    EXPECT_EQ(result.status().code(), StatusCode::kIOError)
+        << result.status().ToString();
+    EXPECT_FALSE(std::filesystem::exists(dir)) << "threads " << threads;
+  }
+  std::filesystem::remove_all(root);
+}
+
 TEST_F(StreamAuditTest, SubSampledModelStillRanksDeterministically) {
   StreamAuditOptions options = FullSampleOptions();
   options.sample_rows = 800;  // genuine subsample
