@@ -51,11 +51,12 @@ Result<SuspicionDetail> ExplainRecord(const AuditModel& model,
 }
 
 std::string RenderSuspicionDetail(const SuspicionDetail& detail,
-                                  const AuditModel& model, const Table& data) {
+                                  const AuditModel& model, const Table& data,
+                                  size_t first_row) {
   const Schema& schema = data.schema();
   const Row& record = data.row(detail.row);
 
-  std::string out = "record " + std::to_string(detail.row) +
+  std::string out = "record " + std::to_string(first_row + detail.row) +
                     " (combined error confidence " +
                     FormatDouble(detail.combined_confidence, 4) + ")\n";
   out += "  values:";

@@ -47,9 +47,11 @@ Result<SuspicionDetail> ExplainRecord(const AuditModel& model,
 
 /// \brief Renders a detail as a human-readable review sheet: per dissenting
 /// classifier the observed value, predicted value, confidence, support and
-/// the head of the predicted distribution.
+/// the head of the predicted distribution. The sheet names the record
+/// first_row + detail.row: its global row when `data` is a segment.
 std::string RenderSuspicionDetail(const SuspicionDetail& detail,
-                                  const AuditModel& model, const Table& data);
+                                  const AuditModel& model, const Table& data,
+                                  size_t first_row = 0);
 
 }  // namespace dq
 

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "audit/error_confidence.h"
-#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -355,6 +354,8 @@ Result<Scorer> Scorer::Make(const AuditModel& model, const Schema& schema,
     }
   }
   Scorer scorer(model, schema, config);
+  const int threads = ResolveThreadCount(config.num_threads);
+  if (threads > 1) scorer.pool_ = std::make_unique<ThreadPool>(threads);
   scorer.tables_.resize(models.size());
   for (size_t k = 0; k < models.size(); ++k) {
     const AttributeModel& m = models[k];
@@ -398,7 +399,7 @@ Result<AuditReport> Scorer::Score(const Table& data) const {
     // Def. 8 state and class-code buffer across them.
     const int threads = ResolveThreadCount(config.num_threads);
     const size_t tasks = std::min(static_cast<size_t>(threads), blocks);
-    ParallelFor(threads, tasks, [&](size_t task) {
+    RunBatch(pool_.get(), tasks, [&](size_t task) {
       RowBlock slots;
       BlockBest best;
       std::vector<double> scratch(width_);

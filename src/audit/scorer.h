@@ -4,10 +4,10 @@
 // and ExplainRecord score induced and loaded models through it.
 //
 // A Scorer is a model made ready for one run: its trees checked against
-// the schema and, per C4.5 model, a per-leaf Def. 7 table for the run's
-// confidence level and null policy (LeafErrorConfidences). It is built
-// once per model and run, so a streaming audit scores all its segments
-// with one.
+// the schema, per C4.5 model a per-leaf Def. 7 table for the run's
+// confidence level and null policy (LeafErrorConfidences), and the run's
+// worker pool. It is built once per model and run, so a segmented audit
+// scores all its segments with one, each across every worker.
 //
 // C4.5 models are scored a block of 1024 rows at a time. The block's
 // split values are laid out once, row-major, one 8-byte slot per
@@ -27,9 +27,11 @@
 #ifndef DQ_AUDIT_SCORER_H_
 #define DQ_AUDIT_SCORER_H_
 
+#include <memory>
 #include <vector>
 
 #include "audit/auditor.h"
+#include "common/parallel.h"
 
 namespace dq {
 
@@ -51,7 +53,8 @@ std::vector<uint32_t> StopNodes(const CompiledTree& tree, const Table& data,
 class Scorer {
  public:
   /// \brief Checks every tree of `model` against `schema` and builds each
-  /// C4.5 model's per-leaf Def. 7 table for `config`. Fails with
+  /// C4.5 model's per-leaf Def. 7 table for `config`, and its pool when
+  /// `config.num_threads` resolves to more than one. Fails with
   /// InvalidArgument when a compiled tree reads an attribute `schema` lacks
   /// or has another kind, or has another class count than its encoder.
   /// Records an `audit` span with `audit.score` under it.
@@ -76,6 +79,7 @@ class Scorer {
   /// Per model: its LeafErrorConfidences, empty for a non-tree model.
   std::vector<std::vector<double>> tables_;
   size_t width_ = 1;  ///< the widest tree's class count
+  std::unique_ptr<ThreadPool> pool_;  ///< null at one thread
 };
 
 }  // namespace dq

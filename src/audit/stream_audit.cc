@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <optional>
 #include <ostream>
 #include <utility>
 #include <vector>
 
-#include "audit/scorer.h"
 #include "common/atomic_file.h"
-#include "common/parallel.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -22,10 +19,10 @@ namespace dq {
 namespace {
 
 /// Single-pass ingest fan-out: every kept record lands in the segment
-/// store (columnar, spillable) and is offered to the reservoir, which
-/// copies out (in row form, bounded) only the records it admits. Records
-/// are offered in global order — OnChunk is called serially by the CSV
-/// driver — which is what keeps the sample chunking-invariant.
+/// store (columnar, spillable) and is offered to the reservoir, if any,
+/// which copies out (in row form, bounded) only the records it admits.
+/// Records are offered in global order — OnChunk is called serially by
+/// the CSV driver — which is what keeps the sample chunking-invariant.
 class StreamingIngestSink : public CsvChunkSink {
  public:
   StreamingIngestSink(SegmentStore* store, ReservoirSampler* sampler)
@@ -33,7 +30,7 @@ class StreamingIngestSink : public CsvChunkSink {
 
   Status OnChunk(const TableChunk& chunk,
                  const std::vector<uint8_t>& keep) override {
-    sampler_->OfferChunk(chunk, keep);
+    if (sampler_ != nullptr) sampler_->OfferChunk(chunk, keep);
     return store_->Append(chunk, &keep);
   }
 
@@ -44,6 +41,55 @@ class StreamingIngestSink : public CsvChunkSink {
 
 }  // namespace
 
+Status IngestSegments(IngestFormat format, const Schema& schema,
+                      const std::string& path, const CsvOptions& csv,
+                      SegmentStore* store, ReservoirSampler* sampler,
+                      IngestReport* report) {
+  StreamingIngestSink sink(store, sampler);
+  DQ_RETURN_NOT_OK(
+      ReadTableFileChunks(format, schema, path, csv, &sink, report));
+  return store->Finish();
+}
+
+Result<std::vector<Suspicion>> AuditSegments(const Scorer& scorer,
+                                             SegmentStore* store) {
+  // Records are scored independently of one another (Def. 7/8 look only
+  // at the model), so segment-local scores are the whole-table ones. One
+  // segment is pinned at a time, so audit memory is that segment plus the
+  // flagged rows, and the spill traffic is the same at every thread count.
+  static obs::Histogram* const segment_ms = obs::GetHistogram(
+      "stream.segment_audit_ms",
+      {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
+  std::vector<Suspicion> suspicious;
+  for (size_t s = 0; s < store->num_segments(); ++s) {
+    DQ_ASSIGN_OR_RETURN(const Table* segment, store->Pin(s));
+    const auto start = std::chrono::steady_clock::now();
+    DQ_ASSIGN_OR_RETURN(AuditReport report, scorer.Score(*segment));
+    segment_ms->Observe(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
+    const size_t base = store->segment_base_row(s);
+    suspicious.reserve(suspicious.size() + report.suspicious.size());
+    for (Suspicion& suspicion : report.suspicious) {
+      suspicion.row += base;  // segment-local -> global row index
+      suspicious.push_back(std::move(suspicion));
+    }
+    DQ_RETURN_NOT_OK(store->Unpin(s));
+  }
+
+  // Merge: each per-segment list is already stable-ranked (confidence
+  // descending, row ascending on ties), and the lists were concatenated in
+  // base-row order, so ties across segments sit in global row order too.
+  // One stable sort by confidence alone therefore reproduces exactly the
+  // ranking Auditor::Audit emits for the whole table.
+  obs::Span span("stream.merge");
+  std::stable_sort(suspicious.begin(), suspicious.end(),
+                   [](const Suspicion& a, const Suspicion& b) {
+                     return a.error_confidence > b.error_confidence;
+                   });
+  return suspicious;
+}
+
 Result<StreamAuditResult> RunStreamingAudit(
     const Schema& schema, const std::string& input_path,
     const StreamAuditOptions& options) {
@@ -53,95 +99,16 @@ Result<StreamAuditResult> RunStreamingAudit(
   StreamAuditResult result;
   SegmentStore store(schema, options.store);
   ReservoirSampler sampler(options.sample_rows, options.sample_seed);
-  StreamingIngestSink sink(&store, &sampler);
-  DQ_RETURN_NOT_OK(ReadTableFileChunks(options.format, schema, input_path,
-                                       options.csv, &sink, &result.ingest));
-  DQ_RETURN_NOT_OK(store.Finish());
+  DQ_RETURN_NOT_OK(IngestSegments(options.format, schema, input_path,
+                                  options.csv, &store, &sampler,
+                                  &result.ingest));
   result.total_rows = store.num_rows();
-
-  Table sample;
-  {
-    obs::Span span("stream.sample");
-    sample = sampler.BuildSampleTable(schema);
-  }
+  const Table sample = sampler.BuildSampleTable(schema);
   result.sampled_rows = sample.num_rows();
-
-  const Auditor auditor(options.auditor);
-  DQ_ASSIGN_OR_RETURN(result.model, auditor.Induce(sample));
-
-  // Deviation detection per segment. Records are scored independently of
-  // one another (Def. 7/8 look only at the model), so segment-local audits
-  // see the same confidences the whole-table audit would. Only each
-  // segment's suspicious list survives (its flag bits die with the
-  // segment), so audit memory is bounded by the pin window plus the
-  // flagged rows.
-  //
-  // Segments are checked in parallel across a bounded pin window of
-  // `threads` segments: each window is pinned serially (the store is not
-  // thread-safe), audited concurrently with one auditor thread per
-  // segment into pre-assigned report slots, then merged and unpinned
-  // serially in segment order. Per-segment reports are thread-count
-  // invariant and the merge order is fixed, so the ranking is bitwise
-  // identical for every thread count — parallelism changes only who
-  // computes each slot.
-  const int threads = ResolveThreadCount(options.auditor.num_threads);
-  const auto window =
-      std::max<size_t>(1, static_cast<size_t>(threads));
-  AuditorConfig segment_config = options.auditor;
-  segment_config.num_threads = 1;  // parallelism is across segments
-  // One scorer, and so one set of Def. 7 tables, for every segment.
+  DQ_ASSIGN_OR_RETURN(result.model, Auditor(options.auditor).Induce(sample));
   DQ_ASSIGN_OR_RETURN(const Scorer scorer,
-                      Scorer::Make(result.model, schema, segment_config));
-  std::optional<ThreadPool> pool;
-  if (window > 1 && store.num_segments() > 1) pool.emplace(threads);
-
-  // One observation per segment, on the worker that audited it.
-  static obs::Histogram* const segment_ms = obs::GetHistogram(
-      "stream.segment_audit_ms",
-      {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
-  std::vector<const Table*> pinned(window);
-  std::vector<Result<AuditReport>> reports;
-  for (size_t s0 = 0; s0 < store.num_segments(); s0 += window) {
-    const size_t count = std::min(window, store.num_segments() - s0);
-    for (size_t i = 0; i < count; ++i) {
-      DQ_ASSIGN_OR_RETURN(pinned[i], store.Pin(s0 + i));
-    }
-    reports.assign(count, Status::Internal("segment audit did not run"));
-    auto audit_one = [&](size_t i) {
-      const auto start = std::chrono::steady_clock::now();
-      reports[i] = scorer.Score(*pinned[i]);
-      segment_ms->Observe(std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - start)
-                              .count());
-    };
-    RunBatch(pool.has_value() ? &*pool : nullptr, count, audit_one);
-    for (size_t i = 0; i < count; ++i) {
-      if (!reports[i].ok()) return reports[i].status();
-      AuditReport& report = *reports[i];
-      const size_t base = store.segment_base_row(s0 + i);
-      result.suspicious.reserve(result.suspicious.size() +
-                                report.suspicious.size());
-      for (Suspicion& suspicion : report.suspicious) {
-        suspicion.row += base;  // segment-local -> global row index
-        result.suspicious.push_back(std::move(suspicion));
-      }
-      DQ_RETURN_NOT_OK(store.Unpin(s0 + i));
-    }
-  }
-
-  // Merge: each per-segment list is already stable-ranked (confidence
-  // descending, row ascending on ties), and the lists were concatenated in
-  // base-row order, so ties across segments sit in global row order too.
-  // One stable sort by confidence alone therefore reproduces exactly the
-  // ranking Auditor::Audit emits for the whole table.
-  {
-    obs::Span span("stream.merge");
-    std::stable_sort(result.suspicious.begin(), result.suspicious.end(),
-                     [](const Suspicion& a, const Suspicion& b) {
-                       return a.error_confidence > b.error_confidence;
-                     });
-  }
-
+                      Scorer::Make(result.model, schema, options.auditor));
+  DQ_ASSIGN_OR_RETURN(result.suspicious, AuditSegments(scorer, &store));
   result.store_stats = store.stats();
   return result;
 }

@@ -1,25 +1,21 @@
-// Out-of-core audit: memory-budgeted streaming variant of the classic
-// ingest -> Induce -> Audit pipeline.
+// Segmented audit, the one audit pipeline of dqaudit:
 //
-// The classic path holds the whole table in RAM. The streaming path bounds
-// both the input and the scoring side:
-//
-//   1. Ingest streams the CSV once through a CsvChunkSink that feeds a
-//      SegmentStore (segments spill to disk past --memory-budget) and a
-//      ReservoirSampler (a uniform sample_rows-row sample of the stream).
-//   2. Structure induction trains on the sample table, so the
-//      EncodedDataset is bounded by the sample size, not the input.
-//   3. Deviation detection walks the segments in order — Pin, Audit,
-//      offset rows by the segment's base row, Unpin — keeping only each
-//      segment's suspicious list, then merges the lists into the global
-//      ranking with one stable sort by error confidence.
+//   1. IngestSegments streams the input once into a SegmentStore (segments
+//      spill to disk past its memory budget) and, when given one, a
+//      ReservoirSampler (a uniform sample of the stream to induce on).
+//   2. AuditSegments walks the segments in order — Pin, score with the
+//      run's one Scorer across all its workers, offset rows by the
+//      segment's base row, Unpin — keeping only each segment's suspicious
+//      list, then merges the lists into the global ranking with one stable
+//      sort by error confidence.
 //
 // Determinism: the sample depends only on (seed, record sequence); segment
 // boundaries depend only on the record sequence; the merged ranking equals
 // the ranking Auditor::Audit would produce over the whole table with the
 // same model. Hence the report is bitwise identical for every memory
-// budget, and — when sample_rows >= total rows, where the sample IS the
-// table in original order — identical to the classic in-memory path too.
+// budget and thread count, and — when sample_rows >= total rows, where the
+// sample IS the table in original order — identical to an audit of the
+// table read whole.
 
 #ifndef DQ_AUDIT_STREAM_AUDIT_H_
 #define DQ_AUDIT_STREAM_AUDIT_H_
@@ -28,6 +24,7 @@
 #include <vector>
 
 #include "audit/auditor.h"
+#include "audit/scorer.h"
 #include "mining/sample.h"
 #include "table/csv.h"
 #include "table/ingest_backend.h"
@@ -38,7 +35,7 @@ namespace dq {
 struct StreamAuditOptions {
   /// Reservoir capacity for the induction sample. When this reaches the
   /// input size the sample is the full table and the streaming audit
-  /// reproduces the classic path exactly.
+  /// reproduces the audit of the table read whole exactly.
   size_t sample_rows = 200000;
 
   /// Seed of the reservoir's RNG (fixed default: rerunning the same file
@@ -73,13 +70,25 @@ struct StreamAuditResult {
   SegmentStore::Stats store_stats;
 };
 
+/// \brief The ingest step: reads `path` once, chunk by chunk, into `store`
+/// and Finish()es it, offering every kept record to `sampler` unless it is
+/// null. `report` is filled also when the read fails.
+Status IngestSegments(IngestFormat format, const Schema& schema,
+                      const std::string& path, const CsvOptions& csv,
+                      SegmentStore* store, ReservoirSampler* sampler,
+                      IngestReport* report);
+
+/// \brief The segment-audit step: scores the segments of a finished
+/// `store` in order, one pinned at a time, and returns the ranking
+/// scorer.Score would give the whole table, with global rows. Records one
+/// `stream.segment_audit_ms` observation per segment and `stream.merge`.
+Result<std::vector<Suspicion>> AuditSegments(const Scorer& scorer,
+                                             SegmentStore* store);
+
 /// \brief Runs the full streaming audit over a CSV or dqcol file
-/// (options.format). Deviation detection is segment-parallel when
-/// options.auditor.num_threads allows: segments are pinned in a bounded
-/// window and audited concurrently, one auditor thread per segment, then
-/// merged serially in segment order — so the ranking stays bitwise
-/// identical for every thread count. Each segment's audit time is one
-/// observation of the `stream.segment_audit_ms` histogram.
+/// (options.format): IngestSegments with a reservoir, induction on the
+/// sample, and AuditSegments. The ranking, the store's spill traffic and
+/// the span tree are the same for every thread count.
 Result<StreamAuditResult> RunStreamingAudit(const Schema& schema,
                                             const std::string& input_path,
                                             const StreamAuditOptions& options);

@@ -6,10 +6,11 @@
 
 namespace dq {
 
-AuditSummary SummarizeReport(const AuditReport& report, const Table& data) {
+AuditSummary SummarizeReport(const std::vector<Suspicion>& suspicious,
+                             size_t records) {
   AuditSummary summary;
-  summary.records = data.num_rows();
-  summary.flagged = report.NumFlagged();
+  summary.records = records;
+  summary.flagged = suspicious.size();
   summary.flag_rate =
       summary.records == 0
           ? 0.0
@@ -17,7 +18,7 @@ AuditSummary SummarizeReport(const AuditReport& report, const Table& data) {
                 static_cast<double>(summary.records);
 
   std::map<int, AttributeSummary> per_attr;
-  for (const Suspicion& s : report.suspicious) {
+  for (const Suspicion& s : suspicious) {
     AttributeSummary& a = per_attr[s.attr];
     a.attr = s.attr;
     ++a.flagged;

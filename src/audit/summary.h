@@ -31,8 +31,10 @@ struct AuditSummary {
   std::vector<AttributeSummary> by_attribute;
 };
 
-/// \brief Builds the summary from a report.
-AuditSummary SummarizeReport(const AuditReport& report, const Table& data);
+/// \brief Builds the summary of a ranked suspicious list over `records`
+/// audited records.
+AuditSummary SummarizeReport(const std::vector<Suspicion>& suspicious,
+                             size_t records);
 
 /// \brief Renders the summary as an aligned text table.
 std::string RenderAuditSummary(const AuditSummary& summary,

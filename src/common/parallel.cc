@@ -97,34 +97,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  const size_t chunks =
-      std::min<size_t>(static_cast<size_t>(num_threads()), n);
-  if (chunks <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = n * c / chunks;
-    const size_t end = n * (c + 1) / chunks;
-    futures.push_back(Submit([begin, end, &fn] {
-      for (size_t i = begin; i < end; ++i) fn(i);
-    }));
-  }
-  std::exception_ptr first_error;
-  for (std::future<void>& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 void ThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   if (num_threads() <= 1 || n == 1) {
@@ -187,17 +159,6 @@ void RunBatch(ThreadPool* pool, size_t n,
   } else {
     for (size_t i = 0; i < n; ++i) fn(i);
   }
-}
-
-void ParallelFor(int num_threads, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  const int threads = ResolveThreadCount(num_threads);
-  if (threads <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(threads);
-  pool.ParallelFor(n, fn);
 }
 
 }  // namespace dq

@@ -51,9 +51,9 @@ PoolStats GlobalPoolStats();
 
 /// \brief Small fixed-size thread pool with a shared FIFO task queue.
 ///
-/// A pool of size 1 executes submitted tasks on its single worker; the
-/// convenience ParallelFor additionally short-circuits to inline execution
-/// when the pool would not help (one thread or one item).
+/// A pool of size 1 executes submitted tasks on its single worker; RunBatch
+/// runs a batch inline when the pool would not help (one thread or one
+/// item).
 class ThreadPool {
  public:
   /// \brief Spawns ResolveThreadCount(num_threads) workers.
@@ -69,17 +69,12 @@ class ThreadPool {
   /// carries any exception the task threw).
   std::future<void> Submit(std::function<void()> fn);
 
-  /// \brief Runs fn(i) for every i in [0, n), blocking until done. Work is
-  /// split into contiguous chunks (one per worker); the first exception
-  /// thrown by any chunk is rethrown in the caller.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
   /// \brief Runs fn(i) for every i in [0, n) with item-granular work
   /// stealing, blocking until done. The caller drains the shared index
   /// counter alongside num_threads() - 1 helpers, so at most num_threads()
   /// items run at once and progress is guaranteed even when every worker
   /// is busy (no nested-wait deadlock). Used for the per-attribute encode
-  /// and induction jobs of Auditor::Induce and the streaming pin window;
+  /// and induction jobs of Auditor::Induce and the scorer's row blocks;
   /// callers keep determinism by writing results to pre-assigned slots.
   /// The first exception thrown by any item is rethrown in the caller
   /// after the batch completes.
@@ -99,12 +94,6 @@ class ThreadPool {
 /// `pool` is null.
 void RunBatch(ThreadPool* pool, size_t n,
               const std::function<void(size_t)>& fn);
-
-/// \brief One-shot data-parallel loop: runs fn(i) for i in [0, n) on
-/// `num_threads` (0 = hardware concurrency). Executes inline when a pool
-/// would not help.
-void ParallelFor(int num_threads, size_t n,
-                 const std::function<void(size_t)>& fn);
 
 }  // namespace dq
 

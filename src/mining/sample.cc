@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "obs/trace.h"
 
 namespace dq {
 
@@ -37,6 +38,7 @@ void ReservoirSampler::OfferChunk(const TableChunk& chunk,
 }
 
 Table ReservoirSampler::BuildSampleTable(const Schema& schema) const {
+  obs::Span span("stream.sample");
   std::vector<const std::pair<uint64_t, Row>*> ordered;
   ordered.reserve(slots_.size());
   for (const auto& slot : slots_) ordered.push_back(&slot);

@@ -49,7 +49,7 @@ class ReservoirSampler {
 
   /// \brief Materializes the sample as a table, rows sorted by their
   /// original stream position (so equal seeds give identical tables no
-  /// matter when the sample is read out).
+  /// matter when the sample is read out). Records a `stream.sample` span.
   Table BuildSampleTable(const Schema& schema) const;
 
  private:

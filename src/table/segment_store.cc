@@ -51,6 +51,16 @@ Status SegmentStore::Append(const TableChunk& chunk,
   return Status::OK();
 }
 
+Status SegmentStore::AppendTable(Table table) {
+  DQ_DCHECK(!finished_ && open_.num_rows() == 0);
+  resident_bytes_ -= open_bytes_;
+  open_ = std::move(table);
+  open_bytes_ = open_.byte_size();
+  resident_bytes_ += open_bytes_;
+  num_rows_ += open_.num_rows();
+  return SealOpen();
+}
+
 Status SegmentStore::Finish() {
   DQ_DCHECK(!finished_);
   finished_ = true;

@@ -93,6 +93,10 @@ class SegmentStore {
   Status Append(const TableChunk& chunk,
                 const std::vector<uint8_t>* keep = nullptr);
 
+  /// \brief Moves `table` (same schema) in as one sealed segment, even an
+  /// empty one; Finish enforces the budget. The open segment must be empty.
+  Status AppendTable(Table table);
+
   /// \brief Seals the open segment (if non-empty) and enforces the budget.
   /// Must be called once, after the last Append and before any Pin.
   Status Finish();

@@ -186,7 +186,7 @@ TEST(AuditSummaryTest, AggregatesPerAttribute) {
   s3.observed = Value::Nominal(2);
   report.suspicious = {s3, s1, s2};
 
-  const AuditSummary summary = SummarizeReport(report, t);
+  const AuditSummary summary = SummarizeReport(report.suspicious, t.num_rows());
   EXPECT_EQ(summary.records, 3u);
   EXPECT_EQ(summary.flagged, 3u);
   EXPECT_NEAR(summary.flag_rate, 1.0, 1e-12);
@@ -208,7 +208,7 @@ TEST(AuditSummaryTest, EmptyReport) {
   Schema s = SmallSchema();
   Table t(s);
   AuditReport report;
-  const AuditSummary summary = SummarizeReport(report, t);
+  const AuditSummary summary = SummarizeReport(report.suspicious, t.num_rows());
   EXPECT_EQ(summary.records, 0u);
   EXPECT_EQ(summary.flagged, 0u);
   EXPECT_DOUBLE_EQ(summary.flag_rate, 0.0);

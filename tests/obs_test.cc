@@ -235,7 +235,8 @@ TEST(MetricsTest, CounterUpdatesAreThreadSafe) {
   c->Reset();
   constexpr size_t kTasks = 64;
   constexpr uint64_t kPerTask = 1000;
-  ParallelFor(4, kTasks, [&](size_t) {
+  ThreadPool pool(4);
+  pool.RunBatch(kTasks, [&](size_t) {
     for (uint64_t i = 0; i < kPerTask; ++i) c->Add();
   });
   EXPECT_EQ(c->Value(), kTasks * kPerTask);
@@ -262,7 +263,10 @@ TEST(MetricsTest, ToJsonIsValidAndDeterministic) {
 }
 
 TEST(MetricsTest, SyncPoolMetricsPublishesPoolGauges) {
-  ParallelFor(2, 8, [](size_t) {});
+  {
+    ThreadPool pool(2);
+    pool.RunBatch(8, [](size_t) {});
+  }  // joined: the helper task has been counted
   SyncPoolMetrics();
   EXPECT_GE(GetGauge("pool.pools_created")->Value(), 1.0);
   EXPECT_GE(GetGauge("pool.tasks_executed")->Value(), 1.0);
@@ -368,7 +372,7 @@ uint64_t SegmentAuditCount(const std::string& dump) {
 
 TEST(MetricsTest, SegmentAuditHistogramCountsEverySegment) {
   // 1000 QUIS records in 128-row segments, audited on two threads: each
-  // segment's audit is one observation, whichever worker ran it.
+  // segment's audit is one observation.
   QuisConfig qcfg;
   qcfg.num_records = 1000;
   qcfg.seed = 5;
@@ -452,7 +456,8 @@ std::string RecordTree(int threads) {
     {
       Span induce("test.induce");
       const TaskContext ctx = Tracer::Global().CurrentContext();
-      ParallelFor(threads, 8, [&](size_t j) {
+      ThreadPool pool(threads);
+      pool.RunBatch(8, [&](size_t j) {
         TaskScope scope(ctx);
         Span job("test.attr", static_cast<int64_t>(j));
       });
@@ -508,8 +513,9 @@ size_t TotalSpanCount(const std::string& tree, const std::string& name) {
 TEST_F(TracerTest, StreamingSpansCountEverySpillReloadSampleAndMerge) {
   // A budget far below the input forces spills: each spill write is one
   // segstore.spill span and each reload one segstore.reload span, and the
-  // sample build and the final merge are one span each, at every thread
-  // count.
+  // sample build and the final merge are one span each. Segments are
+  // pinned one at a time at every thread count, so the spill traffic and
+  // the whole span tree are the same at 1, 2 and 4 threads.
   QuisConfig qcfg;
   qcfg.num_records = 6000;
   qcfg.seed = 2003;
@@ -520,7 +526,15 @@ TEST_F(TracerTest, StreamingSpansCountEverySpillReloadSampleAndMerge) {
       ::testing::UnitTest::GetInstance()->current_test_info()->name();
   const std::string path = dir + ".csv";
   ASSERT_TRUE(WriteCsvFile(sample->table, path).ok());
-  for (int threads : {1, 2}) {
+  const auto traffic = [](const SegmentStore::Stats& s) {
+    return std::vector<uint64_t>{s.segments_sealed,     s.spill_writes,
+                                 s.spill_bytes_written, s.spill_reads,
+                                 s.spill_bytes_read,    s.evictions,
+                                 s.resident_bytes_peak};
+  };
+  std::string tree_t1;
+  std::vector<uint64_t> traffic_t1;
+  for (int threads : {1, 2, 4}) {
     Tracer::Global().Reset();
     StreamAuditOptions options;
     options.sample_rows = 2000;
@@ -542,6 +556,14 @@ TEST_F(TracerTest, StreamingSpansCountEverySpillReloadSampleAndMerge) {
         << tree;
     EXPECT_EQ(TotalSpanCount(tree, "stream.sample"), 1u) << tree;
     EXPECT_EQ(TotalSpanCount(tree, "stream.merge"), 1u) << tree;
+    if (threads == 1) {
+      tree_t1 = tree;
+      traffic_t1 = traffic(result->store_stats);
+    } else {
+      EXPECT_EQ(tree, tree_t1) << "threads " << threads;
+      EXPECT_EQ(traffic(result->store_stats), traffic_t1)
+          << "threads " << threads;
+    }
   }
   std::remove(path.c_str());
 }
@@ -589,7 +611,8 @@ TEST_F(TracerTest, IngestPhaseSpansSplitEveryBatchAndCoverTheRead) {
 TEST_F(TracerTest, ConcurrentRecordingIsRaceFree) {
   Span root("test.concurrent_root");
   const TaskContext ctx = Tracer::Global().CurrentContext();
-  ParallelFor(4, 64, [&](size_t j) {
+  ThreadPool pool(4);
+  pool.RunBatch(64, [&](size_t j) {
     TaskScope scope(ctx);
     Span outer("test.concurrent", static_cast<int64_t>(j));
     for (int i = 0; i < 8; ++i) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -51,29 +52,29 @@ TEST(ThreadPoolTest, FutureCarriesException) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
+TEST(ThreadPoolTest, RunBatchCoversEveryIndexOnce) {
   ThreadPool pool(4);
   std::vector<int> hits(1000, 0);
-  pool.ParallelFor(hits.size(), [&](size_t i) { ++hits[i]; });
+  pool.RunBatch(hits.size(), [&](size_t i) { ++hits[i]; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 1000);
   EXPECT_EQ(*std::min_element(hits.begin(), hits.end()), 1);
   EXPECT_EQ(*std::max_element(hits.begin(), hits.end()), 1);
 }
 
-TEST(ThreadPoolTest, ParallelForRethrowsTaskException) {
+TEST(ThreadPoolTest, RunBatchRethrowsTaskException) {
   ThreadPool pool(4);
-  EXPECT_THROW(pool.ParallelFor(100,
-                                [](size_t i) {
-                                  if (i == 57) {
-                                    throw std::runtime_error("bad index");
-                                  }
-                                }),
+  EXPECT_THROW(pool.RunBatch(100,
+                             [](size_t i) {
+                               if (i == 57) {
+                                 throw std::runtime_error("bad index");
+                               }
+                             }),
                std::runtime_error);
 }
 
 TEST(ThreadPoolTest, EmptyRangeIsANoOp) {
   ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL() << "must not be called"; });
+  pool.RunBatch(0, [](size_t) { FAIL() << "must not be called"; });
 }
 
 TEST(ThreadPoolTest, RunBatchRunsAtMostPoolSizeItemsAtOnce) {
@@ -96,18 +97,21 @@ TEST(ThreadPoolTest, RunBatchRunsAtMostPoolSizeItemsAtOnce) {
   EXPECT_LE(peak.load(), 2);
 }
 
-TEST(FreeParallelForTest, InlineAndPooledCoverTheSameIndices) {
+TEST(FreeRunBatchTest, InlineAndPooledCoverTheSameIndices) {
   for (int threads : {1, 2, 4}) {
+    std::optional<ThreadPool> pool;
+    if (threads > 1) pool.emplace(threads);
     std::vector<int> hits(257, 0);
-    ParallelFor(threads, hits.size(), [&](size_t i) { ++hits[i]; });
-    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 257)
-        << "threads=" << threads;
+    RunBatch(pool.has_value() ? &*pool : nullptr, hits.size(),
+             [&](size_t i) { ++hits[i]; });
+    EXPECT_EQ(hits, std::vector<int>(257, 1)) << "threads=" << threads;
   }
 }
 
-TEST(FreeParallelForTest, MoreThreadsThanItems) {
+TEST(FreeRunBatchTest, MoreThreadsThanItems) {
+  ThreadPool pool(16);
   std::vector<int> hits(3, 0);
-  ParallelFor(16, hits.size(), [&](size_t i) { ++hits[i]; });
+  RunBatch(&pool, hits.size(), [&](size_t i) { ++hits[i]; });
   EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
 }
 

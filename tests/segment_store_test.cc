@@ -100,6 +100,29 @@ TEST(SegmentStoreTest, MaterializeEqualsDirectAppendWithoutBudget) {
   EXPECT_EQ(next, store.num_rows());
 }
 
+TEST(SegmentStoreTest, AppendTableMovesInOneResidentSegment) {
+  // An unbudgeted audit hands its whole table over: one sealed segment,
+  // an empty table included, and nothing copied.
+  const Schema schema = TestSchema();
+  for (size_t rows : {size_t{0}, size_t{300}}) {
+    Table table(schema);
+    for (size_t i = 0; i < rows; ++i) table.AppendRowUnchecked(MakeRow(i));
+    const Table reference = table;
+    const uint64_t bytes = table.byte_size();
+    SegmentStore store(schema, SegmentStoreOptions());
+    ASSERT_TRUE(store.AppendTable(std::move(table)).ok());
+    ASSERT_TRUE(store.Finish().ok());
+    ASSERT_EQ(store.num_segments(), 1u) << rows;
+    EXPECT_EQ(store.num_rows(), rows);
+    EXPECT_EQ(store.segment_base_row(0), 0u);
+    EXPECT_EQ(store.resident_bytes(), bytes);
+    auto segment = store.Pin(0);
+    ASSERT_TRUE(segment.ok());
+    ExpectTablesEqual(reference, **segment);
+    ASSERT_TRUE(store.Unpin(0).ok());
+  }
+}
+
 TEST(SegmentStoreTest, SpillRoundTripIsBitwiseIdentical) {
   const Schema schema = TestSchema();
   SegmentStoreOptions options;

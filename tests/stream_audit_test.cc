@@ -187,9 +187,8 @@ TEST_F(StreamAuditTest, SubSampledModelStillRanksDeterministically) {
 }
 
 TEST_F(StreamAuditTest, SegmentParallelRankingIsThreadCountInvariant) {
-  // The bounded-window parallel checker must reproduce the serial ranking
-  // bit for bit: per-segment reports are thread-count invariant and the
-  // merge walks segments in order regardless of who computed them.
+  // Every segment is scored across all threads and the merge walks the
+  // segments in order, so the ranking must be the serial one bit for bit.
   StreamAuditOptions serial = FullSampleOptions();
   serial.auditor.num_threads = 1;
   auto one = RunStreamingAudit(table_.schema(), csv_path_, serial);

@@ -151,6 +151,18 @@ for report in "$WORK/ingest.json" "$WORK/ingest_t4.json"; do
   grep -v -e parse_ms -e threads_used "$report" \
     | diff - "$TESTDATA/quis_dirty_ingest.golden.json"
 done
+# A read that fails still writes the quarantine report, under a memory
+# budget too: the strict reader stops at the line-32 arity error.
+for budget in "" "--memory-budget 1M"; do
+  rm -f "$WORK/ingest_fail.json"
+  rc=0
+  "$DQAUDIT" --schema "$DIRTY_SPEC" --data "$DIRTY_CSV" --on-error fail \
+    --ingest-report "$WORK/ingest_fail.json" $budget > /dev/null 2>&1 || rc=$?
+  test "$rc" -eq 1
+  grep -q '"records_quarantined": 1' "$WORK/ingest_fail.json"
+  grep -q '"line": 32, "column": 0, "kind": "arity-mismatch"' \
+    "$WORK/ingest_fail.json"
+done
 
 # --- Hostile ingest pinned across commits ---
 # A polluted QUIS extract with fixed edits on both sides of the 4096-record
@@ -319,6 +331,55 @@ diff "$GOLDEN" "$WORK/golden_load.csv"
   --sample-rows 6000 --spill-dir "$WORK/golden.spill" \
   --report "$WORK/golden_stream.csv" > /dev/null
 diff "$GOLDEN" "$WORK/golden_stream.csv"
+
+# --- Every flag under a spilling budget ---
+# The reservoir holds every record, so a budgeted run prints and writes
+# what the unbudgeted one does, at every thread count, once the lines
+# naming how the data was read are dropped. The explained rows (4771,
+# 3008, 4901) lie past the first 500-row segment, so their sheets check
+# the global row numbers.
+budget_invariant() {
+  run_invariant "$1" | grep -v -e '^loaded ' -e '^streamed ' \
+    -e '^memory budget ' -e '^induced on '
+}
+BUDGET="--memory-budget 64K --segment-rows 500 --sample-rows 6000"
+for t in 1 2; do
+  for b in "" "$BUDGET"; do
+    run="t$t${b:+_budget}"
+    "$DQAUDIT" --schema "$QUIS_SPEC" --data "$WORK/golden_dirty.csv" \
+      --min-conf 0.5 --threads "$t" $b --load-model "$GOLDEN_MODEL" \
+      --explain 3 --summary --top 3 \
+      --rules-file "$TESTDATA/quis_expert.rules" \
+      --report "$WORK/every_load_$run.csv" \
+      --corrected "$WORK/every_load_corrected_$run.csv" \
+      > "$WORK/every_load_$run.out"
+    "$DQAUDIT" --schema "$QUIS_SPEC" --data "$WORK/golden_dirty.csv" \
+      --min-conf 0.5 --threads "$t" $b --train "$WORK/golden_clean.csv" \
+      --explain 3 --summary --top 3 \
+      --rules-file "$TESTDATA/quis_expert.rules" \
+      --report "$WORK/every_train_$run.csv" \
+      --corrected "$WORK/every_train_corrected_$run.csv" \
+      --save-model "$WORK/every_train_$run.dqmodel" \
+      > "$WORK/every_train_$run.out"
+  done
+done
+diff "$GOLDEN" "$WORK/every_load_t1_budget.csv"
+grep -q "^record 4771 " "$WORK/every_load_t1_budget.out"
+grep -q "^expert rules: 2 rules" "$WORK/every_load_t1_budget.out"
+grep -q "^memory budget .* [1-9][0-9]* spill writes" \
+  "$WORK/every_load_t1_budget.out"
+for mode in load train; do
+  for run in t1_budget t2 t2_budget; do
+    cmp "$WORK/every_${mode}_t1.csv" "$WORK/every_${mode}_$run.csv"
+    cmp "$WORK/every_${mode}_corrected_t1.csv" \
+      "$WORK/every_${mode}_corrected_$run.csv"
+    diff <(budget_invariant "$WORK/every_${mode}_t1.out") \
+      <(budget_invariant "$WORK/every_${mode}_$run.out")
+  done
+done
+for run in t1_budget t2 t2_budget; do
+  cmp "$WORK/every_train_t1.dqmodel" "$WORK/every_train_$run.dqmodel"
+done
 
 # --- A numeric domain wider than DBL_MAX ---
 # Its values used to come out as inf, outside the domain.

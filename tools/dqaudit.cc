@@ -35,21 +35,18 @@
 //                      (default 0 = hardware concurrency; any non-positive
 //                      value means the hardware default; results are
 //                      identical for every thread count)
-//   --memory-budget N  out-of-core mode: stream the audit with at most N
-//                      bytes of resident table data (suffixes K/M/G/T,
-//                      e.g. 64M). Induction trains on a reservoir sample
-//                      (--sample-rows); segments past the budget spill to
-//                      --spill-dir. The ranked report is identical for
-//                      every budget. Incompatible with --train,
-//                      --load-model, --corrected, --explain, --summary and
-//                      --rules-file (they need the whole table in RAM)
-//   --sample-rows N    reservoir sample size for streaming induction
-//                      (default 200000; >= the row count trains on the
-//                      full table and reproduces the in-memory audit
-//                      exactly)
-//   --spill-dir DIR    where streaming segments spill (default:
+//   --memory-budget N  out-of-core mode: read --data in segments, at most
+//                      N bytes of them resident (suffixes K/M/G/T, e.g.
+//                      64M), the rest spilled to --spill-dir; without
+//                      --load-model or --train (read whole), induce on a
+//                      reservoir sample (--sample-rows). Every output is
+//                      identical for every budget
+//   --sample-rows N    reservoir sample size under a budget (default
+//                      200000; >= the row count trains on the full table
+//                      and reproduces the unbudgeted audit exactly)
+//   --spill-dir DIR    where segments spill under a budget (default:
 //                      <data>.spill, removed after the run)
-//   --segment-rows N   rows per streaming segment (default 65536; the
+//   --segment-rows N   rows per segment under a budget (default 65536; the
 //                      paging granularity — smaller segments spill sooner.
 //                      Results are identical for every value)
 //   --rules-file FILE  expert-written TDG rules (sec. 3.2) checked
@@ -79,7 +76,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,6 +85,7 @@
 #include "audit/rule_export.h"
 #include "audit/stream_audit.h"
 #include "audit/summary.h"
+#include "common/atomic_file.h"
 #include "common/parallel.h"
 #include "lint/lint.h"
 #include "logic/rule_parser.h"
@@ -128,7 +126,7 @@ struct Options {
   int top = 20;
   int explain = 0;
   int threads = 0;
-  uint64_t memory_budget = 0;  ///< 0 = classic in-memory audit
+  uint64_t memory_budget = 0;  ///< 0 = read --data whole
   size_t sample_rows = 200000;
   size_t segment_rows = 65536;
   std::string spill_dir;
@@ -292,19 +290,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
     std::fprintf(stderr, "--load-model is incompatible with --train\n");
     return false;
   }
-  if (opts->memory_budget > 0) {
-    // The streaming audit never holds the whole table, so every feature
-    // that random-accesses it is off the table too.
-    if (!opts->train_path.empty() || !opts->load_model_path.empty() ||
-        !opts->corrected_path.empty() || !opts->rules_path.empty() ||
-        opts->explain > 0 || opts->print_summary) {
-      std::fprintf(stderr,
-                   "--memory-budget is incompatible with --train, "
-                   "--load-model, --corrected, --rules-file, --explain and "
-                   "--summary\n");
-      return false;
-    }
-  }
   return true;
 }
 
@@ -321,7 +306,7 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Everything the mode stages read, resolved from the flags once.
+/// Everything the run reads, resolved from the flags once.
 struct RunConfig {
   Options opts;
   Schema schema;
@@ -331,14 +316,12 @@ struct RunConfig {
   AuditorConfig auditor;
 };
 
-/// What a mode stage hands the shared tail.
+/// What the audit hands the shared tail.
 struct AuditRun {
   size_t records = 0;  ///< records audited
-  /// The ranked suspicions are `report.suspicious`; the streaming stage
-  /// keeps no flag bits, so it fills nothing else.
-  AuditReport report;
-  std::optional<Table> data;        ///< in-memory stages: --summary, --corrected
-  std::optional<AuditModel> model;  ///< in-memory stages: --explain, --summary
+  AuditModel model;
+  /// The ranked suspicions; Suspicion::row is the record's global row.
+  std::vector<Suspicion> suspicious;
   /// Violations per --rules-file rule, for the history record.
   std::vector<std::pair<std::string, uint64_t>> rule_violations;
 };
@@ -413,50 +396,21 @@ Status OutputModel(const AuditModel& model, const RunConfig& run) {
   return Status::OK();
 }
 
-/// Out-of-core stage: one pass feeds a spillable segment store and a
-/// reservoir sample; induction runs on the sample, detection runs segment
-/// by segment (audit/stream_audit.h). The ranked report is identical for
-/// every budget value.
-Result<AuditRun> StreamAudit(const RunConfig& run) {
-  const Options& opts = run.opts;
-  StreamAuditOptions stream;
-  stream.sample_rows = opts.sample_rows;
-  stream.store.segment_rows = opts.segment_rows;
-  stream.store.memory_budget_bytes = opts.memory_budget;
-  stream.store.spill_dir =
-      opts.spill_dir.empty() ? opts.data_path + ".spill" : opts.spill_dir;
-  stream.csv = run.csv;
-  stream.format = run.data_format;
-  stream.auditor = run.auditor;
-  DQ_ASSIGN_OR_RETURN(StreamAuditResult result,
-                      RunStreamingAudit(run.schema, opts.data_path, stream));
-  std::printf("streamed %zu records x %zu attributes from %s\n",
-              result.total_rows, run.schema.num_attributes(),
-              opts.data_path.c_str());
-  const SegmentStore::Stats& store = result.store_stats;
-  std::printf("memory budget %llu bytes: %llu segments sealed, "
-              "%llu spill writes (%llu bytes), %llu spill reads, "
-              "peak resident %llu bytes\n",
-              static_cast<unsigned long long>(opts.memory_budget),
-              static_cast<unsigned long long>(store.segments_sealed),
-              static_cast<unsigned long long>(store.spill_writes),
-              static_cast<unsigned long long>(store.spill_bytes_written),
-              static_cast<unsigned long long>(store.spill_reads),
-              static_cast<unsigned long long>(store.resident_bytes_peak));
-  DQ_RETURN_NOT_OK(ReportIngest(result.ingest, opts));
-  std::printf("induced on %zu sampled records (reservoir capacity %zu)\n",
-              result.sampled_rows, opts.sample_rows);
-  DQ_RETURN_NOT_OK(OutputModel(result.model, run));
-  AuditRun audit;
-  audit.records = result.total_rows;
-  audit.report.suspicious = std::move(result.suspicious);
-  return audit;
+/// Without a budget --data is read whole and becomes the store's one
+/// resident segment.
+Status LoadWhole(const RunConfig& run, SegmentStore* store,
+                 IngestReport* ingest) {
+  DQ_ASSIGN_OR_RETURN(Table data,
+                      ReadTableFile(run.data_format, run.schema,
+                                    run.opts.data_path, run.csv, ingest));
+  DQ_RETURN_NOT_OK(store->AppendTable(std::move(data)));
+  return store->Finish();
 }
 
 /// Expert-rule deviation check: deterministic violations of the
 /// domain-expert dependencies, complementing the induced structure model.
 Result<std::vector<std::pair<std::string, uint64_t>>> CheckExpertRules(
-    const Schema& schema, const Table& data, const Options& opts) {
+    const Schema& schema, SegmentStore* store, const Options& opts) {
   if (opts.lint) {
     Linter linter(&schema);
     DQ_ASSIGN_OR_RETURN(LintResult lint_result,
@@ -470,25 +424,29 @@ Result<std::vector<std::pair<std::string, uint64_t>>> CheckExpertRules(
   }
   DQ_ASSIGN_OR_RETURN(std::vector<Rule> expert_rules,
                       ParseRuleFileAt(schema, opts.rules_path));
+  std::vector<size_t> counts(expert_rules.size(), 0);
+  std::vector<size_t> first(expert_rules.size(), 0);
+  for (size_t s = 0; s < store->num_segments(); ++s) {
+    DQ_ASSIGN_OR_RETURN(const Table* segment, store->Pin(s));
+    for (size_t r = 0; r < segment->num_rows(); ++r) {
+      const Row row = segment->row(r);
+      for (size_t ri = 0; ri < expert_rules.size(); ++ri) {
+        if (!expert_rules[ri].Violates(row)) continue;
+        if (counts[ri]++ == 0) first[ri] = store->segment_base_row(s) + r;
+      }
+    }
+    DQ_RETURN_NOT_OK(store->Unpin(s));
+  }
   std::vector<std::pair<std::string, uint64_t>> violations;
   size_t total_violations = 0;
   for (size_t ri = 0; ri < expert_rules.size(); ++ri) {
-    const Rule& rule = expert_rules[ri];
-    size_t count = 0;
-    size_t first = 0;
-    for (size_t r = 0; r < data.num_rows(); ++r) {
-      if (rule.Violates(data.row(r))) {
-        if (count == 0) first = r;
-        ++count;
-      }
-    }
-    total_violations += count;
-    violations.emplace_back(rule.ToString(schema),
-                            static_cast<uint64_t>(count));
-    if (count > 0) {
+    total_violations += counts[ri];
+    violations.emplace_back(expert_rules[ri].ToString(schema), counts[ri]);
+    if (counts[ri] > 0) {
       std::printf("expert rule %zu violated by %zu rows (first: row %zu): "
                   "%s\n",
-                  ri + 1, count, first, rule.ToString(schema).c_str());
+                  ri + 1, counts[ri], first[ri],
+                  violations.back().first.c_str());
     }
   }
   std::printf("expert rules: %zu rules, %zu violating row/rule pairs\n",
@@ -496,48 +454,20 @@ Result<std::vector<std::pair<std::string, uint64_t>>> CheckExpertRules(
   return violations;
 }
 
-/// The in-memory stages: load --data (and check --rules-file against it),
-/// then either check it against a persisted model, which needs no
-/// induction, or induce on --train (default: the audit data) and audit.
-Result<AuditRun> AuditInMemory(const RunConfig& run) {
+/// The run's model: loaded from --load-model, or induced on --train (read
+/// whole), on the reservoir sample under a budget, or else on the data's
+/// one segment.
+Result<AuditModel> ObtainModel(const RunConfig& run,
+                               const ReservoirSampler* sampler,
+                               SegmentStore* store) {
   const Options& opts = run.opts;
-  IngestReport ingest;
-  auto data = ReadTableFile(run.data_format, run.schema, opts.data_path,
-                            run.csv, &ingest);
-  if (!data.ok()) {
-    if (!opts.ingest_report_path.empty()) {
-      (void)ingest.WriteJsonFile(opts.ingest_report_path);
-    }
-    return data.status();
-  }
-  std::printf("loaded %zu records x %zu attributes from %s\n",
-              data->num_rows(), run.schema.num_attributes(),
-              opts.data_path.c_str());
-  DQ_RETURN_NOT_OK(ReportIngest(ingest, opts));
-  AuditRun audit;
-  audit.records = data->num_rows();
-  if (!opts.rules_path.empty()) {
-    DQ_ASSIGN_OR_RETURN(audit.rule_violations,
-                        CheckExpertRules(run.schema, *data, opts));
-  }
-  audit.data = std::move(*data);
-
   if (!opts.load_model_path.empty()) {
-    DQ_ASSIGN_OR_RETURN(audit.model, AuditModel::LoadFromFile(
-                                         run.schema, opts.load_model_path));
-    DQ_RETURN_NOT_OK(OutputModel(*audit.model, run));
-    DQ_ASSIGN_OR_RETURN(audit.report,
-                        audit.model->Check(*audit.data, run.auditor));
-    std::printf("checked against %zu persisted rules: %zu suspicious "
-                "records\n",
-                audit.model->TotalRules(), audit.report.NumFlagged());
-    return audit;
+    return AuditModel::LoadFromFile(run.schema, opts.load_model_path);
   }
-
-  std::optional<Table> train;
+  const Auditor auditor(run.auditor);
   if (!opts.train_path.empty()) {
     IngestReport train_ingest;
-    DQ_ASSIGN_OR_RETURN(train,
+    DQ_ASSIGN_OR_RETURN(const Table train,
                         ReadTableFile(run.train_format, run.schema,
                                       opts.train_path, run.csv,
                                       &train_ingest));
@@ -545,13 +475,19 @@ Result<AuditRun> AuditInMemory(const RunConfig& run) {
       std::printf("ingest (train): %s\n", train_ingest.Summary().c_str());
       std::fputs(train_ingest.RenderText().c_str(), stderr);
     }
+    return auditor.Induce(train);
   }
-  const Auditor auditor(run.auditor);
-  DQ_ASSIGN_OR_RETURN(audit.model,
-                      auditor.Induce(train.has_value() ? *train : *audit.data));
-  DQ_RETURN_NOT_OK(OutputModel(*audit.model, run));
-  DQ_ASSIGN_OR_RETURN(audit.report, auditor.Audit(*audit.model, *audit.data));
-  return audit;
+  if (sampler != nullptr) {
+    const Table sample = sampler->BuildSampleTable(run.schema);
+    DQ_ASSIGN_OR_RETURN(AuditModel model, auditor.Induce(sample));
+    std::printf("induced on %zu sampled records (reservoir capacity %zu)\n",
+                sample.num_rows(), opts.sample_rows);
+    return model;
+  }
+  DQ_ASSIGN_OR_RETURN(const Table* data, store->Pin(0));
+  Result<AuditModel> model = auditor.Induce(*data);
+  DQ_RETURN_NOT_OK(store->Unpin(0));
+  return model;
 }
 
 /// The --top listing of the ranked report.
@@ -571,32 +507,76 @@ void PrintTopSuspicions(const std::vector<Suspicion>& suspicious,
   }
 }
 
-/// --explain and --summary, which need the model and the table.
-void PrintReview(const RunConfig& run, const AuditRun& audit) {
+/// --explain and --summary. Each explained record is read from the
+/// segment that holds it, pinned for its sheet.
+Status PrintReview(const RunConfig& run, const AuditRun& audit,
+                   SegmentStore* store) {
   const Options& opts = run.opts;
-  const std::vector<Suspicion>& suspicious = audit.report.suspicious;
+  const std::vector<Suspicion>& suspicious = audit.suspicious;
   for (size_t i = 0; i < static_cast<size_t>(opts.explain) &&
                      i < suspicious.size();
        ++i) {
-    auto detail =
-        ExplainRecord(*audit.model, *audit.data, suspicious[i].row,
-                      run.auditor);
+    size_t s = store->num_segments() - 1;  // the segment holding the row
+    while (store->segment_base_row(s) > suspicious[i].row) --s;
+    const size_t base = store->segment_base_row(s);
+    DQ_ASSIGN_OR_RETURN(const Table* segment, store->Pin(s));
+    auto detail = ExplainRecord(audit.model, *segment,
+                                suspicious[i].row - base, run.auditor);
     if (detail.ok()) {
-      std::printf("\n%s", RenderSuspicionDetail(*detail, *audit.model,
-                                                *audit.data)
+      std::printf("\n%s", RenderSuspicionDetail(*detail, audit.model,
+                                                *segment, base)
                               .c_str());
     }
+    DQ_RETURN_NOT_OK(store->Unpin(s));
   }
-  if (!opts.print_summary) return;
-  const AuditSummary summary = SummarizeReport(audit.report, *audit.data);
+  if (!opts.print_summary) return Status::OK();
+  const AuditSummary summary = SummarizeReport(suspicious, audit.records);
   std::printf("\n%s\n", RenderAuditSummary(summary, run.schema).c_str());
-  if (!opts.load_model_path.empty()) return;  // the run induced nothing
+  if (!opts.load_model_path.empty()) return Status::OK();  // nothing induced
   std::printf("\ninduction time per attribute:\n");
   for (size_t attr = 0; attr < run.schema.num_attributes(); ++attr) {
     std::printf("  %-12s %8.1f ms\n", run.schema.attribute(attr).name.c_str(),
                 obs::Tracer::Global().AggregateMs(
                     "induce.attr", static_cast<int64_t>(attr)));
   }
+  return Status::OK();
+}
+
+/// --corrected: the segments in order, each with its suspicions'
+/// suggested values applied (sec. 5.3), as one CSV file written atomically.
+Status WriteCorrected(const RunConfig& run,
+                      const std::vector<Suspicion>& suspicious,
+                      SegmentStore* store) {
+  std::vector<const Suspicion*> by_row;
+  for (const Suspicion& s : suspicious) by_row.push_back(&s);
+  std::sort(by_row.begin(), by_row.end(),
+            [](const auto* a, const auto* b) { return a->row < b->row; });
+  return WriteFileAtomically(
+      run.opts.corrected_path, [&](std::ostream* out) -> Status {
+        CsvOptions csv;
+        DQ_RETURN_NOT_OK(WriteCsv(Table(run.schema), out, csv));  // header
+        csv.write_header = false;
+        auto next = by_row.begin();
+        for (size_t s = 0; s < store->num_segments(); ++s) {
+          DQ_ASSIGN_OR_RETURN(const Table* segment, store->Pin(s));
+          const size_t base = store->segment_base_row(s);
+          AuditReport local;  // the segment's suspicions, at local rows
+          local.flagged.assign(segment->num_rows(), false);
+          for (; next != by_row.end() &&
+                 (*next)->row - base < segment->num_rows();
+               ++next) {
+            local.suspicious.push_back(**next);
+            local.suspicious.back().row -= base;
+            local.flagged[local.suspicious.back().row] = true;
+          }
+          DQ_ASSIGN_OR_RETURN(
+              const Table corrected,
+              Auditor(run.auditor).ApplyCorrections(local, *segment));
+          DQ_RETURN_NOT_OK(WriteCsv(corrected, out, csv));
+          DQ_RETURN_NOT_OK(store->Unpin(s));
+        }
+        return Status::OK();
+      });
 }
 
 /// Run-history append (--history): one compact JSONL record per run for
@@ -608,7 +588,7 @@ Status AppendHistory(const Options& opts, const AuditRun& audit,
                      obs::RunManifest* manifest) {
   if (opts.history_dir.empty()) return Status::OK();
   manifest->StampWallClock();
-  const std::vector<Suspicion>& suspicious = audit.report.suspicious;
+  const std::vector<Suspicion>& suspicious = audit.suspicious;
   obs::HistoryRecord record;
   record.manifest = *manifest;
   record.summary.records = audit.records;
@@ -663,14 +643,14 @@ Status ExportObservability(const Options& opts, obs::RunManifest* manifest) {
   return Status::OK();
 }
 
-/// The tail every mode shares. Phase timings are read from the spans the
-/// run recorded, so the printed line, the history record and an exported
+/// The tail of the run. Phase timings are read from the spans the run
+/// recorded, so the printed line, the history record and an exported
 /// trace report one measurement.
 Status FinishRun(const RunConfig& run, const AuditRun& audit,
-                 obs::RunManifest* manifest) {
+                 SegmentStore* store, obs::RunManifest* manifest) {
   const Options& opts = run.opts;
   const obs::Tracer& tracer = obs::Tracer::Global();
-  const std::vector<Suspicion>& suspicious = audit.report.suspicious;
+  const std::vector<Suspicion>& suspicious = audit.suspicious;
   std::printf("timings (threads=%d): ingest %.1f ms, ", manifest->threads_used,
               tracer.AggregateMs("ingest"));
   if (opts.load_model_path.empty()) {
@@ -686,22 +666,88 @@ Status FinishRun(const RunConfig& run, const AuditRun& audit,
               "%.2f\n",
               suspicious.size(), audit.records, opts.min_conf);
   PrintTopSuspicions(suspicious, run.schema, opts.top);
-  if (audit.model.has_value()) PrintReview(run, audit);
+  DQ_RETURN_NOT_OK(PrintReview(run, audit, store));
   if (!opts.report_path.empty()) {
     DQ_RETURN_NOT_OK(WriteStreamAuditReportCsvFile(suspicious, run.schema,
                                                    opts.report_path));
     std::printf("wrote ranked report to %s\n", opts.report_path.c_str());
   }
-  if (!opts.corrected_path.empty() && audit.data.has_value()) {
-    DQ_ASSIGN_OR_RETURN(
-        Table corrected,
-        Auditor(run.auditor).ApplyCorrections(audit.report, *audit.data));
-    DQ_RETURN_NOT_OK(WriteCsvFile(corrected, opts.corrected_path));
+  if (!opts.corrected_path.empty()) {
+    DQ_RETURN_NOT_OK(WriteCorrected(run, suspicious, store));
     std::printf("\nwrote corrected table to %s\n",
                 opts.corrected_path.c_str());
   }
   DQ_RETURN_NOT_OK(AppendHistory(opts, audit, manifest));
   return ExportObservability(opts, manifest);
+}
+
+/// The one audit stage, for every input: --data goes into a segment
+/// store (one resident segment without a budget), --rules-file is checked
+/// against it, the model is loaded or induced, and one scorer checks the
+/// segments in order, each across all threads, before the lists merge.
+Status RunAudit(const RunConfig& run, obs::RunManifest* manifest) {
+  const Options& opts = run.opts;
+  SegmentStoreOptions store_options;
+  store_options.segment_rows = opts.segment_rows;
+  store_options.memory_budget_bytes = opts.memory_budget;
+  store_options.spill_dir =
+      opts.spill_dir.empty() ? opts.data_path + ".spill" : opts.spill_dir;
+  SegmentStore store(run.schema, store_options);
+  std::unique_ptr<ReservoirSampler> sampler;
+  if (opts.memory_budget > 0 && opts.load_model_path.empty() &&
+      opts.train_path.empty()) {
+    sampler = std::make_unique<ReservoirSampler>(
+        opts.sample_rows, StreamAuditOptions().sample_seed);
+  }
+  IngestReport ingest;
+  const Status read =
+      opts.memory_budget > 0
+          ? IngestSegments(run.data_format, run.schema, opts.data_path,
+                           run.csv, &store, sampler.get(), &ingest)
+          : LoadWhole(run, &store, &ingest);
+  if (!read.ok()) {
+    if (!opts.ingest_report_path.empty()) {
+      (void)ingest.WriteJsonFile(opts.ingest_report_path);
+    }
+    return read;
+  }
+  std::printf("%s %zu records x %zu attributes from %s\n",
+              opts.memory_budget > 0 ? "streamed" : "loaded",
+              store.num_rows(), run.schema.num_attributes(),
+              opts.data_path.c_str());
+  DQ_RETURN_NOT_OK(ReportIngest(ingest, opts));
+  AuditRun audit;
+  audit.records = store.num_rows();
+  if (!opts.rules_path.empty()) {
+    DQ_ASSIGN_OR_RETURN(audit.rule_violations,
+                        CheckExpertRules(run.schema, &store, opts));
+  }
+  DQ_ASSIGN_OR_RETURN(audit.model, ObtainModel(run, sampler.get(), &store));
+  sampler.reset();
+  DQ_RETURN_NOT_OK(OutputModel(audit.model, run));
+  {
+    DQ_ASSIGN_OR_RETURN(const Scorer scorer,
+                        Scorer::Make(audit.model, run.schema, run.auditor));
+    DQ_ASSIGN_OR_RETURN(audit.suspicious, AuditSegments(scorer, &store));
+  }
+  if (opts.memory_budget > 0) {
+    const SegmentStore::Stats& stats = store.stats();
+    std::printf("memory budget %llu bytes: %llu segments sealed, "
+                "%llu spill writes (%llu bytes), %llu spill reads, "
+                "peak resident %llu bytes\n",
+                static_cast<unsigned long long>(opts.memory_budget),
+                static_cast<unsigned long long>(stats.segments_sealed),
+                static_cast<unsigned long long>(stats.spill_writes),
+                static_cast<unsigned long long>(stats.spill_bytes_written),
+                static_cast<unsigned long long>(stats.spill_reads),
+                static_cast<unsigned long long>(stats.resident_bytes_peak));
+  }
+  if (!opts.load_model_path.empty()) {
+    std::printf("checked against %zu persisted rules: %zu suspicious "
+                "records\n",
+                audit.model.TotalRules(), audit.suspicious.size());
+  }
+  return FinishRun(run, audit, &store, manifest);
 }
 
 }  // namespace
@@ -719,9 +765,7 @@ int main(int argc, char** argv) {
 
   auto run = Configure(opts);
   if (!run.ok()) return Fail(run.status());
-  auto audit = opts.memory_budget > 0 ? StreamAudit(*run) : AuditInMemory(*run);
-  if (!audit.ok()) return Fail(audit.status());
-  const Status finished = FinishRun(*run, *audit, &manifest);
-  if (!finished.ok()) return Fail(finished);
+  const Status audited = RunAudit(*run, &manifest);
+  if (!audited.ok()) return Fail(audited);
   return 0;
 }
