@@ -20,15 +20,15 @@ namespace {
 
 /// Single-pass ingest fan-out: every kept record lands in the segment
 /// store (columnar, spillable) and is offered to the reservoir, if any,
-/// which copies out (in row form, bounded) only the records it admits.
+/// which copies (column to column, bounded) only the records it admits.
 /// Records are offered in global order — OnChunk is called serially by
-/// the CSV driver — which is what keeps the sample chunking-invariant.
+/// the reader — which is what keeps the sample chunking-invariant.
 class StreamingIngestSink : public CsvChunkSink {
  public:
   StreamingIngestSink(SegmentStore* store, ReservoirSampler* sampler)
       : store_(store), sampler_(sampler) {}
 
-  Status OnChunk(const TableChunk& chunk,
+  Status OnChunk(const Table& chunk,
                  const std::vector<uint8_t>& keep) override {
     if (sampler_ != nullptr) sampler_->OfferChunk(chunk, keep);
     return store_->Append(chunk, &keep);
@@ -98,12 +98,12 @@ Result<StreamAuditResult> RunStreamingAudit(
   }
   StreamAuditResult result;
   SegmentStore store(schema, options.store);
-  ReservoirSampler sampler(options.sample_rows, options.sample_seed);
+  ReservoirSampler sampler(schema, options.sample_rows, options.sample_seed);
   DQ_RETURN_NOT_OK(IngestSegments(options.format, schema, input_path,
                                   options.csv, &store, &sampler,
                                   &result.ingest));
   result.total_rows = store.num_rows();
-  const Table sample = sampler.BuildSampleTable(schema);
+  const Table sample = sampler.BuildSampleTable();
   result.sampled_rows = sample.num_rows();
   DQ_ASSIGN_OR_RETURN(result.model, Auditor(options.auditor).Induce(sample));
   DQ_ASSIGN_OR_RETURN(const Scorer scorer,

@@ -30,4 +30,11 @@ Status WriteFileAtomically(const std::string& path,
   return written;
 }
 
+Status WriteFileAtomically(const std::string& path, std::string_view contents) {
+  return WriteFileAtomically(path, [contents](std::ostream* out) {
+    out->write(contents.data(), static_cast<std::streamsize>(contents.size()));
+    return Status::OK();
+  });
+}
+
 }  // namespace dq

@@ -1,10 +1,13 @@
 // Atomic replacement of output files.
 //
-// Every file a tool writes for a reader (reports, corrected tables, saved
-// models, a compacted history ledger) goes through WriteFileAtomically: the
-// bytes go to a sibling `<path>.tmp` that is renamed over `path` only once
-// it is complete, so a failed or interrupted write never leaves a
-// half-written file at `path`.
+// Every file a tool writes for a reader goes through WriteFileAtomically:
+// reports, corrected tables, saved models, a compacted history ledger,
+// dqcol files (dqconvert's output and the segment store's spills alike),
+// ingest reports, metrics and trace exports, bench reports, and dqgen's
+// and dqsuggest's outputs. The bytes go to a sibling `<path>.tmp` that is
+// renamed over `path` only once it is complete, so a failed or interrupted
+// write — a full disk, a file size limit — never leaves a half-written
+// file at `path`. Only the history ledger's append writes in place.
 
 #ifndef DQ_COMMON_ATOMIC_FILE_H_
 #define DQ_COMMON_ATOMIC_FILE_H_
@@ -12,6 +15,7 @@
 #include <functional>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -25,6 +29,9 @@ namespace dq {
 /// returned.
 Status WriteFileAtomically(const std::string& path,
                            const std::function<Status(std::ostream*)>& write);
+
+/// \brief WriteFileAtomically with the file's whole `contents` at hand.
+Status WriteFileAtomically(const std::string& path, std::string_view contents);
 
 }  // namespace dq
 

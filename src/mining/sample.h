@@ -4,8 +4,10 @@
 // the table it refuses to hold in RAM. Instead it trains on a uniform
 // sample drawn during ingest with Algorithm R (Vitter): keep the first k
 // rows, then replace a random slot with probability k/i for row i. The
-// EncodedDataset the inducers build is therefore bounded by the sample
-// size, not the input size.
+// sample is itself a columnar Table (plus each slot's stream index) that
+// admitted records are copied into straight from the ingest chunk, and
+// the EncodedDataset the inducers build is bounded by the sample size,
+// not the input size.
 //
 // Determinism: the sampler draws exactly one RNG value per row past the
 // first k, keyed only by the global row sequence — never by chunk
@@ -19,7 +21,6 @@
 #define DQ_MINING_SAMPLE_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -31,37 +32,31 @@ namespace dq {
 class ReservoirSampler {
  public:
   /// `capacity` must be > 0; `seed` pins the sample for reproducibility.
-  ReservoirSampler(size_t capacity, uint64_t seed);
+  /// Offered chunks and the sample table have `schema`.
+  ReservoirSampler(const Schema& schema, size_t capacity, uint64_t seed);
 
-  /// \brief Offers the next row of the stream. Rows must arrive in global
-  /// record order (the caller's serial ingest loop guarantees this).
-  void Offer(const Row& row) {
-    if (Row* slot = Admit()) *slot = row;
-  }
-
-  /// \brief Offers the kept slots of a decoded chunk (keep[i] != 0), in
-  /// slot order. The draw comes first; only an admitted record is
-  /// materialized, straight into its sample slot.
-  void OfferChunk(const TableChunk& chunk, const std::vector<uint8_t>& keep);
+  /// \brief Offers the kept rows of a decoded chunk (keep[i] != 0), in row
+  /// order; chunks must arrive in global record order (the caller's
+  /// serial ingest loop guarantees this). The draw comes first; only an
+  /// admitted record is copied, column to column, into its sample slot.
+  void OfferChunk(const Table& chunk, const std::vector<uint8_t>& keep);
 
   size_t rows_seen() const { return rows_seen_; }
-  size_t sample_size() const { return slots_.size(); }
+  size_t sample_size() const { return sample_.num_rows(); }
 
-  /// \brief Materializes the sample as a table, rows sorted by their
-  /// original stream position (so equal seeds give identical tables no
-  /// matter when the sample is read out). Records a `stream.sample` span.
-  Table BuildSampleTable(const Schema& schema) const;
+  /// \brief The sample as a table, rows sorted by their original stream
+  /// position (so equal seeds give identical tables no matter when the
+  /// sample is read out). Records a `stream.sample` span.
+  Table BuildSampleTable() const;
 
  private:
-  /// Draws for the next row of the stream: the sample slot it replaces
-  /// (or fills), or nullptr when the row stays out.
-  Row* Admit();
-
   size_t capacity_;
   Rng rng_;
   size_t rows_seen_ = 0;
-  /// (global row index, row) pairs; unordered until BuildSampleTable.
-  std::vector<std::pair<uint64_t, Row>> slots_;
+  /// The sample slots, unordered until BuildSampleTable, and the global
+  /// row index of the record each slot holds.
+  Table sample_;
+  std::vector<uint64_t> stream_index_;
 };
 
 }  // namespace dq

@@ -1,8 +1,8 @@
 #include "obs/bench_report.h"
 
 #include <cstdio>
-#include <fstream>
 
+#include "common/atomic_file.h"
 #include "obs/metrics.h"
 
 namespace dq::obs {
@@ -22,14 +22,9 @@ std::string BenchReport::ToJson() const {
 
 bool BenchReport::WriteFile() const {
   const std::string path = "BENCH_" + name_ + ".json";
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << ToJson();
-  if (!out) {
-    std::fprintf(stderr, "failed writing %s\n", path.c_str());
+  const Status written = WriteFileAtomically(path, ToJson());
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.ToString().c_str());
     return false;
   }
   std::printf("wrote %s\n", path.c_str());

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
+#include "common/atomic_file.h"
 #include "common/parallel.h"
 
 namespace dq::obs {
@@ -142,11 +142,7 @@ std::string MetricsRegistry::ToJson(const RunManifest* manifest) const {
 
 Status MetricsRegistry::WriteJsonFile(const std::string& path,
                                       const RunManifest* manifest) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot write " + path);
-  out << ToJson(manifest);
-  if (!out) return Status::IOError("failed writing " + path);
-  return Status::OK();
+  return WriteFileAtomically(path, ToJson(manifest));
 }
 
 }  // namespace dq::obs

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <map>
+
+#include "common/atomic_file.h"
 
 namespace dq::obs {
 
@@ -271,11 +272,7 @@ std::string Tracer::ToChromeTraceJson(const RunManifest* manifest) const {
 
 Status Tracer::WriteChromeTraceFile(const std::string& path,
                                     const RunManifest* manifest) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot write " + path);
-  out << ToChromeTraceJson(manifest);
-  if (!out) return Status::IOError("failed writing " + path);
-  return Status::OK();
+  return WriteFileAtomically(path, ToChromeTraceJson(manifest));
 }
 
 }  // namespace dq::obs

@@ -1,14 +1,15 @@
 #include "table/columnar.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <cmath>
-#include <limits>
+#include <ostream>
 #include <string_view>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/input_file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -42,7 +43,7 @@ constexpr uint32_t kMaxCategories = 1u << 24;
 constexpr uint64_t kMaxRows = uint64_t{1} << 40;
 
 template <typename T>
-bool WritePod(std::ofstream* f, const T& v) {
+bool WritePod(std::ostream* f, const T& v) {
   f->write(reinterpret_cast<const char*>(&v), sizeof(T));
   return f->good();
 }
@@ -53,7 +54,7 @@ bool ReadPod(std::ifstream* f, T* v) {
   return f->good();
 }
 
-bool WriteString(std::ofstream* f, std::string_view s) {
+bool WriteString(std::ostream* f, std::string_view s) {
   const auto len = static_cast<uint32_t>(s.size());
   return WritePod(f, len) &&
          (f->write(s.data(), static_cast<std::streamsize>(s.size())),
@@ -220,36 +221,33 @@ Status CheckSchemaMatch(const Schema& expected, const Schema& embedded,
   return Status::OK();
 }
 
-bool NullBit(const std::vector<uint64_t>& words, size_t i) {
-  return (words[i >> 6] >> (i & 63)) & 1u;
-}
-
-/// Column-level invariant check after a bulk load: every cell must uphold
-/// what a CSV ingest guarantees by construction — null cells carry the
-/// sentinel payload, non-null cells lie inside the attribute's domain, and
-/// no null bit is set past the last row (a table's bitmaps never hold one,
-/// and a later append would read it as null). One tight pass per column,
-/// so the near-memcpy load stays cheap.
-Status CheckColumn(const AttributeDef& def, const std::vector<double>& num,
-                   const std::vector<int32_t>& code,
-                   const std::vector<uint64_t>& nulls, size_t rows,
+/// Column-level invariant check after a bulk load of rows [r0, r0 + n)
+/// into `t`: every cell must uphold what a CSV ingest guarantees by
+/// construction — null cells carry the sentinel payload, non-null cells
+/// lie inside the attribute's domain, and no null bit is set past the last
+/// row (a table's bitmaps never hold one, and a later append would read it
+/// as null). One tight pass per column, so the near-memcpy load stays
+/// cheap.
+Status CheckColumn(const Table& t, size_t a, size_t r0,
                    const std::string& path) {
+  const AttributeDef& def = t.schema().attribute(a);
+  const size_t rows = t.num_rows();
   auto bad = [&](size_t row) {
     return Corrupt(path, "attribute '" + def.name + "' row " +
-                             std::to_string(row) +
+                             std::to_string(r0 + row) +
                              " violates its domain or null sentinel");
   };
-  if (rows % 64 != 0 && (nulls[rows / 64] >> (rows % 64)) != 0) {
+  if (rows % 64 != 0 && (t.null_words(a)[rows / 64] >> (rows % 64)) != 0) {
     return Corrupt(path, "attribute '" + def.name +
                              "' marks nulls past its last row");
   }
   switch (def.type) {
     case DataType::kNumeric:
       for (size_t r = 0; r < rows; ++r) {
-        if (NullBit(nulls, r)) {
-          if (!std::isnan(num[r])) return bad(r);
-        } else if (!(num[r] >= def.numeric_min &&
-                     num[r] <= def.numeric_max)) {
+        const double v = t.numeric_at(r, a);
+        if (t.is_null(r, a)) {
+          if (!std::isnan(v)) return bad(r);
+        } else if (!(v >= def.numeric_min && v <= def.numeric_max)) {
           return bad(r);
         }
       }
@@ -257,9 +255,10 @@ Status CheckColumn(const AttributeDef& def, const std::vector<double>& num,
     case DataType::kNominal: {
       const auto ncats = static_cast<int32_t>(def.categories.size());
       for (size_t r = 0; r < rows; ++r) {
-        if (NullBit(nulls, r)) {
-          if (code[r] != -1) return bad(r);
-        } else if (code[r] < 0 || code[r] >= ncats) {
+        const int32_t code = t.code_at(r, a);
+        if (t.is_null(r, a)) {
+          if (code != -1) return bad(r);
+        } else if (code < 0 || code >= ncats) {
           return bad(r);
         }
       }
@@ -267,15 +266,64 @@ Status CheckColumn(const AttributeDef& def, const std::vector<double>& num,
     }
     case DataType::kDate:
       for (size_t r = 0; r < rows; ++r) {
-        if (NullBit(nulls, r)) {
-          if (code[r] != 0) return bad(r);
-        } else if (code[r] < def.date_min || code[r] > def.date_max) {
+        const int32_t days = t.code_at(r, a);
+        if (t.is_null(r, a)) {
+          if (days != 0) return bad(r);
+        } else if (days < def.date_min || days > def.date_max) {
           return bad(r);
         }
       }
       break;
   }
   return Status::OK();
+}
+
+/// The one dqcol row reader: rows [r0, r0 + n) of every column straight
+/// into `out` (a table of the file's schema), column by column — the type
+/// byte, the payload, the null bitmap words (r0 is a multiple of 64, so
+/// they are whole words of the file), then CheckColumn.
+Status ReadDqcolRows(std::ifstream* f, const DqcolHeader& header,
+                     const std::string& path, size_t r0, size_t n,
+                     Table* out) {
+  DQ_DCHECK(r0 % 64 == 0 && r0 + n <= header.rows);
+  out->Resize(n);
+  for (size_t a = 0; a < out->num_attributes(); ++a) {
+    const DataType type = out->schema().attribute(a).type;
+    uint8_t type_byte = 0;
+    f->seekg(static_cast<std::streamoff>(header.payload_offset[a] - 1));
+    if (!ReadPod(f, &type_byte) || type_byte != static_cast<uint8_t>(type)) {
+      return Corrupt(path, "column type byte does not match the schema");
+    }
+    if (n == 0) continue;
+    char* payload = type == DataType::kNumeric
+                        ? reinterpret_cast<char*>(out->numeric_slots(a))
+                        : reinterpret_cast<char*>(out->code_slots(a));
+    f->seekg(static_cast<std::streamoff>(header.payload_offset[a] +
+                                         r0 * ElemSize(type)));
+    f->read(payload, static_cast<std::streamsize>(n * ElemSize(type)));
+    f->seekg(static_cast<std::streamoff>(header.bitmap_offset[a] +
+                                         (r0 >> 6) * sizeof(uint64_t)));
+    f->read(reinterpret_cast<char*>(out->null_word_slots(a)),
+            static_cast<std::streamsize>(((n + 63) >> 6) * sizeof(uint64_t)));
+    if (!f->good()) return Corrupt(path, "truncated column block");
+    DQ_RETURN_NOT_OK(CheckColumn(*out, a, r0, path));
+  }
+  return Status::OK();
+}
+
+/// The codec core: decode and check, no ingest accounting. `file_bytes`
+/// (optional) receives the file's size.
+Result<Table> LoadTable(const Schema& schema, const std::string& path,
+                        uint64_t* file_bytes) {
+  DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
+  DqcolHeader header;
+  DQ_RETURN_NOT_OK(ReadHeader(&f, path, &header));
+  DQ_RETURN_NOT_OK(CheckSchemaMatch(schema, header.schema, path));
+  Table t(schema);
+  DQ_RETURN_NOT_OK(ReadDqcolRows(&f, header, path, 0,
+                                 static_cast<size_t>(header.rows), &t));
+  if (file_bytes != nullptr) *file_bytes = header.file_end;
+  return t;
 }
 
 void FillReport(IngestReport* rep, uint64_t rows, uint64_t bytes,
@@ -300,124 +348,83 @@ void BumpCounters(uint64_t rows, uint64_t bytes) {
 
 }  // namespace
 
-Status ColumnarCodec::Write(const Table& table, const std::string& path) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  const Schema& schema = table.schema();
-  f.write(kMagic, sizeof(kMagic));
-  bool ok = f.good();
-  ok = ok && WritePod(&f, kEndianTag);
-  ok = ok && WritePod(&f, static_cast<uint64_t>(table.num_rows()));
-  ok = ok && WritePod(&f, static_cast<uint32_t>(schema.num_attributes()));
-  for (size_t a = 0; ok && a < schema.num_attributes(); ++a) {
-    const AttributeDef& def = schema.attribute(a);
-    ok = ok && WriteString(&f, def.name);
-    ok = ok && WritePod(&f, static_cast<uint8_t>(def.type));
-    switch (def.type) {
-      case DataType::kNominal:
-        ok = ok &&
-             WritePod(&f, static_cast<uint32_t>(def.categories.size()));
-        for (const std::string& cat : def.categories) {
-          ok = ok && WriteString(&f, cat);
-        }
-        break;
-      case DataType::kNumeric:
-        ok = ok && WritePod(&f, def.numeric_min);
-        ok = ok && WritePod(&f, def.numeric_max);
-        break;
-      case DataType::kDate:
-        ok = ok && WritePod(&f, def.date_min);
-        ok = ok && WritePod(&f, def.date_max);
-        break;
+Status WriteDqcolFile(const Table& table, const std::string& path) {
+  return WriteFileAtomically(path, [&](std::ostream* f) {
+    const Schema& schema = table.schema();
+    f->write(kMagic, sizeof(kMagic));
+    bool ok = f->good();
+    ok = ok && WritePod(f, kEndianTag);
+    ok = ok && WritePod(f, static_cast<uint64_t>(table.num_rows()));
+    ok = ok && WritePod(f, static_cast<uint32_t>(schema.num_attributes()));
+    for (size_t a = 0; ok && a < schema.num_attributes(); ++a) {
+      const AttributeDef& def = schema.attribute(a);
+      ok = ok && WriteString(f, def.name);
+      ok = ok && WritePod(f, static_cast<uint8_t>(def.type));
+      switch (def.type) {
+        case DataType::kNominal:
+          ok = ok &&
+               WritePod(f, static_cast<uint32_t>(def.categories.size()));
+          for (const std::string& cat : def.categories) {
+            ok = ok && WriteString(f, cat);
+          }
+          break;
+        case DataType::kNumeric:
+          ok = ok && WritePod(f, def.numeric_min);
+          ok = ok && WritePod(f, def.numeric_max);
+          break;
+        case DataType::kDate:
+          ok = ok && WritePod(f, def.date_min);
+          ok = ok && WritePod(f, def.date_max);
+          break;
+      }
     }
-  }
-  for (size_t a = 0; ok && a < schema.num_attributes(); ++a) {
-    const Table::Column& c = table.cols_[a];
-    ok = ok && WritePod(&f, static_cast<uint8_t>(c.type));
-    if (c.type == DataType::kNumeric) {
-      f.write(reinterpret_cast<const char*>(c.num.data()),
-              static_cast<std::streamsize>(c.num.size() * sizeof(double)));
-    } else {
-      f.write(reinterpret_cast<const char*>(c.code.data()),
-              static_cast<std::streamsize>(c.code.size() * sizeof(int32_t)));
+    for (size_t a = 0; ok && a < schema.num_attributes(); ++a) {
+      const DataType type = schema.attribute(a).type;
+      ok = ok && WritePod(f, static_cast<uint8_t>(type));
+      if (type == DataType::kNumeric) {
+        const std::vector<double>& num = table.numeric_col(a);
+        f->write(reinterpret_cast<const char*>(num.data()),
+                 static_cast<std::streamsize>(num.size() * sizeof(double)));
+      } else {
+        const std::vector<int32_t>& code = table.code_col(a);
+        f->write(reinterpret_cast<const char*>(code.data()),
+                 static_cast<std::streamsize>(code.size() * sizeof(int32_t)));
+      }
+      const std::vector<uint64_t>& nulls = table.null_words(a);
+      f->write(reinterpret_cast<const char*>(nulls.data()),
+               static_cast<std::streamsize>(nulls.size() * sizeof(uint64_t)));
+      ok = ok && f->good();
     }
-    f.write(reinterpret_cast<const char*>(c.nulls.data()),
-            static_cast<std::streamsize>(c.nulls.size() * sizeof(uint64_t)));
-    ok = ok && f.good();
-  }
-  f.flush();
-  if (!ok || !f.good()) {
-    return Status::IOError("short write to dqcol file '" + path + "'");
-  }
-  return Status::OK();
+    if (!ok) return Status::IOError("short write to dqcol file '" + path + "'");
+    return Status::OK();
+  });
 }
 
-Result<Schema> ColumnarCodec::ReadSchema(const std::string& path) {
+Result<Schema> ReadDqcolSchema(const std::string& path) {
   DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
   DqcolHeader header;
   DQ_RETURN_NOT_OK(ReadHeader(&f, path, &header));
   return std::move(header.schema);
 }
 
-Result<Table> ColumnarCodec::Load(const Schema& schema,
-                                  const std::string& path,
-                                  uint64_t* file_bytes) {
-  DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
-  DqcolHeader header;
-  DQ_RETURN_NOT_OK(ReadHeader(&f, path, &header));
-  DQ_RETURN_NOT_OK(CheckSchemaMatch(schema, header.schema, path));
-  const auto rows = static_cast<size_t>(header.rows);
-  const size_t words = (rows + 63) >> 6;
-  Table t(schema);
-  for (size_t a = 0; a < schema.num_attributes(); ++a) {
-    Table::Column& c = t.cols_[a];
-    uint8_t type = 0;
-    f.seekg(static_cast<std::streamoff>(header.payload_offset[a] - 1));
-    if (!ReadPod(&f, &type) || type != static_cast<uint8_t>(c.type)) {
-      return Corrupt(path, "column type byte does not match the schema");
-    }
-    bool ok;
-    if (c.type == DataType::kNumeric) {
-      c.num.resize(rows);
-      f.read(reinterpret_cast<char*>(c.num.data()),
-             static_cast<std::streamsize>(rows * sizeof(double)));
-      ok = f.good() || rows == 0;
-    } else {
-      c.code.resize(rows);
-      f.read(reinterpret_cast<char*>(c.code.data()),
-             static_cast<std::streamsize>(rows * sizeof(int32_t)));
-      ok = f.good() || rows == 0;
-    }
-    c.nulls.resize(words);
-    f.read(reinterpret_cast<char*>(c.nulls.data()),
-           static_cast<std::streamsize>(words * sizeof(uint64_t)));
-    ok = ok && (f.good() || words == 0);
-    if (!ok) return Corrupt(path, "truncated column block");
-    DQ_RETURN_NOT_OK(
-        CheckColumn(schema.attribute(a), c.num, c.code, c.nulls, rows, path));
-  }
-  t.num_rows_ = rows;
-  if (file_bytes != nullptr) *file_bytes = header.file_end;
-  return t;
-}
-
-Result<Table> ColumnarCodec::Read(const Schema& schema,
-                                  const std::string& path,
-                                  IngestReport* report) {
+Result<Table> ReadDqcolFile(const Schema& schema, const std::string& path,
+                            IngestReport* report) {
   obs::Span span("ingest");
   uint64_t bytes = 0;
-  DQ_ASSIGN_OR_RETURN(Table t, Load(schema, path, &bytes));
+  DQ_ASSIGN_OR_RETURN(Table t, LoadTable(schema, path, &bytes));
   FillReport(report, t.num_rows(), bytes, span.ElapsedMs());
   BumpCounters(t.num_rows(), bytes);
   obs::GetGauge("table.bytes")->Set(static_cast<double>(t.byte_size()));
   return t;
 }
 
-Status ColumnarCodec::ReadChunks(const Schema& schema,
-                                 const std::string& path, size_t chunk_rows,
-                                 CsvChunkSink* sink, IngestReport* report) {
+Result<Table> LoadDqcolFile(const Schema& schema, const std::string& path) {
+  return LoadTable(schema, path, nullptr);
+}
+
+Status ReadDqcolFileChunks(const Schema& schema, const std::string& path,
+                           size_t chunk_rows, CsvChunkSink* sink,
+                           IngestReport* report) {
   obs::Span span("ingest");
   DQ_ASSIGN_OR_RETURN(std::ifstream f, OpenInputFile(path));
   DqcolHeader header;
@@ -428,56 +435,19 @@ Status ColumnarCodec::ReadChunks(const Schema& schema,
   // whole number of words read straight off the file.
   if (chunk_rows == 0) chunk_rows = 4096;
   chunk_rows = (chunk_rows + 63) & ~size_t{63};
-
-  for (size_t a = 0; a < schema.num_attributes(); ++a) {
-    uint8_t type = 0;
-    f.seekg(static_cast<std::streamoff>(header.payload_offset[a] - 1));
-    if (!ReadPod(&f, &type) ||
-        type != static_cast<uint8_t>(schema.attribute(a).type)) {
-      return Corrupt(path, "column type byte does not match the schema");
-    }
-  }
-
-  TableChunk chunk(schema);
-  std::vector<uint64_t> bitmap;
+  Table chunk(schema);
   std::vector<uint8_t> keep;
-  for (size_t r0 = 0; r0 < rows; r0 += chunk_rows) {
+  // At least one read, so an empty file's type bytes are checked too.
+  size_t r0 = 0;
+  do {
     const size_t n = std::min(chunk_rows, rows - r0);
-    const size_t chunk_words = (n + 63) >> 6;
-    chunk.Reset(n);
-    for (size_t a = 0; a < schema.num_attributes(); ++a) {
-      const AttributeDef& def = schema.attribute(a);
-      TableChunk::Column& c = chunk.cols_[a];
-      f.seekg(static_cast<std::streamoff>(header.payload_offset[a] +
-                                          r0 * ElemSize(def.type)));
-      bool ok;
-      if (def.type == DataType::kNumeric) {
-        c.num.resize(n);
-        f.read(reinterpret_cast<char*>(c.num.data()),
-               static_cast<std::streamsize>(n * sizeof(double)));
-        ok = f.good();
-      } else {
-        c.code.resize(n);
-        f.read(reinterpret_cast<char*>(c.code.data()),
-               static_cast<std::streamsize>(n * sizeof(int32_t)));
-        ok = f.good();
-      }
-      bitmap.resize(chunk_words);
-      f.seekg(static_cast<std::streamoff>(header.bitmap_offset[a] +
-                                          (r0 >> 6) * sizeof(uint64_t)));
-      f.read(reinterpret_cast<char*>(bitmap.data()),
-             static_cast<std::streamsize>(chunk_words * sizeof(uint64_t)));
-      ok = ok && f.good();
-      if (!ok) return Corrupt(path, "truncated column block");
-      DQ_RETURN_NOT_OK(CheckColumn(def, c.num, c.code, bitmap, n, path));
-      c.null_.resize(n);
-      for (size_t r = 0; r < n; ++r) {
-        c.null_[r] = NullBit(bitmap, r) ? 1 : 0;
-      }
+    DQ_RETURN_NOT_OK(ReadDqcolRows(&f, header, path, r0, n, &chunk));
+    if (n > 0) {
+      keep.assign(n, 1);
+      DQ_RETURN_NOT_OK(sink->OnChunk(chunk, keep));
     }
-    keep.assign(n, 1);
-    DQ_RETURN_NOT_OK(sink->OnChunk(chunk, keep));
-  }
+    r0 += n;
+  } while (r0 < rows);
   const auto bytes = static_cast<uint64_t>(header.file_end);
   FillReport(report, header.rows, bytes, span.ElapsedMs());
   BumpCounters(header.rows, bytes);

@@ -17,7 +17,10 @@
 // ingest-backend seam (table/ingest_backend.h) the streaming auditor sits
 // on. Both count as ingest (an `ingest` span, the ingest.* counters); the
 // whole-table load also has a codec-only core for scratch files the
-// process reads back itself.
+// process reads back itself. All three read through one routine that
+// copies rows [r0, r0 + n) of every column — type byte, payload, null
+// bitmap words — straight into a Table and checks each column, so they
+// accept and reject exactly the same files.
 
 #ifndef DQ_TABLE_COLUMNAR_H_
 #define DQ_TABLE_COLUMNAR_H_
@@ -31,34 +34,13 @@
 
 namespace dq {
 
-/// \brief Raw-column access seam for the dqcol reader/writer (friend of
-/// Table and TableChunk). Use the free functions below.
-class ColumnarCodec {
- public:
-  static Status Write(const Table& table, const std::string& path);
-  static Result<Schema> ReadSchema(const std::string& path);
-  /// Codec core: decode and check, no ingest accounting. `file_bytes`
-  /// (optional) receives the file's size.
-  static Result<Table> Load(const Schema& schema, const std::string& path,
-                            uint64_t* file_bytes);
-  /// Ingest wrapper around Load.
-  static Result<Table> Read(const Schema& schema, const std::string& path,
-                            IngestReport* report);
-  static Status ReadChunks(const Schema& schema, const std::string& path,
-                           size_t chunk_rows, CsvChunkSink* sink,
-                           IngestReport* report);
-};
-
 /// \brief Writes `table` (payloads, null bitmaps and schema) to a dqcol v1
-/// file at `path`, replacing any existing file.
-inline Status WriteDqcolFile(const Table& table, const std::string& path) {
-  return ColumnarCodec::Write(table, path);
-}
+/// file at `path` through WriteFileAtomically: a failed write leaves any
+/// existing file unchanged.
+Status WriteDqcolFile(const Table& table, const std::string& path);
 
 /// \brief Reads just the embedded schema of a dqcol file.
-inline Result<Schema> ReadDqcolSchema(const std::string& path) {
-  return ColumnarCodec::ReadSchema(path);
-}
+Result<Schema> ReadDqcolSchema(const std::string& path);
 
 /// \brief Loads a dqcol file into a Table. The file's embedded schema must
 /// match `schema` exactly (names, types, domains, category order); every
@@ -67,31 +49,22 @@ inline Result<Schema> ReadDqcolSchema(const std::string& path) {
 /// `report`, when given, receives the ingest counters (all records kept —
 /// dqcol files are written from already-validated tables, there is no
 /// quarantine path).
-inline Result<Table> ReadDqcolFile(const Schema& schema,
-                                   const std::string& path,
-                                   IngestReport* report = nullptr) {
-  return ColumnarCodec::Read(schema, path, report);
-}
+Result<Table> ReadDqcolFile(const Schema& schema, const std::string& path,
+                            IngestReport* report = nullptr);
 
 /// \brief ReadDqcolFile without ingest accounting: the same schema and
 /// per-cell domain checks, but no `ingest` span, no ingest.* counters and
 /// no table.bytes gauge. For scratch files the process wrote itself, such
 /// as SegmentStore spills, whose reloads are not ingest.
-inline Result<Table> LoadDqcolFile(const Schema& schema,
-                                   const std::string& path) {
-  return ColumnarCodec::Load(schema, path, nullptr);
-}
+Result<Table> LoadDqcolFile(const Schema& schema, const std::string& path);
 
 /// \brief Streaming variant of ReadDqcolFile: delivers the rows to `sink`
 /// in chunks of `chunk_rows` (rounded up to a multiple of 64 so null
 /// bitmap slices stay word-aligned), keeping memory bounded by one chunk.
 /// The delivered record sequence is identical to ReadDqcolFile's rows.
-inline Status ReadDqcolFileChunks(const Schema& schema,
-                                  const std::string& path, size_t chunk_rows,
-                                  CsvChunkSink* sink,
-                                  IngestReport* report = nullptr) {
-  return ColumnarCodec::ReadChunks(schema, path, chunk_rows, sink, report);
-}
+Status ReadDqcolFileChunks(const Schema& schema, const std::string& path,
+                           size_t chunk_rows, CsvChunkSink* sink,
+                           IngestReport* report = nullptr);
 
 }  // namespace dq
 

@@ -122,8 +122,8 @@ bool ParseIsoDate(std::string_view text, int32_t* days) {
 
 /// One batch of the ingest pipeline, from its cut to its delivery: the
 /// records with the bytes they point into, each record's chunk slot, the
-/// decoded chunk with its ok flags and quarantine entries, and where the
-/// read stood after the cut.
+/// decoded chunk (a Table) with its ok flags and quarantine entries, and
+/// where the read stood after the cut.
 struct Batch {
   explicit Batch(const Schema& schema) : chunk(schema) {}
 
@@ -132,7 +132,7 @@ struct Batch {
   /// lines at the end of the input.
   std::vector<size_t> slot_of;
   size_t rows = 0;  ///< chunk slots the records fill
-  TableChunk chunk;
+  Table chunk;
   std::vector<uint8_t> ok;  ///< per slot: the record decoded cleanly
   std::string scratch;      ///< a quoted field's unescaped text
   /// Quarantine entries of the failed records, keyed by slot.
@@ -147,12 +147,14 @@ struct Batch {
 };
 
 /// Decodes the records of one batch column by column, straight into the
-/// typed columns of their chunk slots. Records are fully validated against
-/// the schema (so assembly can bulk-append unchecked). A slot whose record
-/// fails keeps its first failing attribute's error (records are checked
+/// typed columns of their chunk slots: a payload for each value, a null
+/// bit (and the sentinel) for each null token, on a chunk whose Resize
+/// cleared every null bit. Records are fully validated against the schema
+/// (so assembly can bulk-append unchecked). A slot whose record fails
+/// keeps its first failing attribute's error (records are checked
 /// attribute by attribute, in schema order) and may hold a partial prefix
-/// of cells; the keep mask drops it at AppendChunk time. The decoder
-/// touches only its batch, so batches decode on any thread.
+/// of cells; the keep mask drops it at Append time. The decoder touches
+/// only its batch, so batches decode on any thread.
 class BatchDecoder {
  public:
   BatchDecoder(const Schema& schema, const CsvOptions& options, Batch* batch)
@@ -254,10 +256,9 @@ class BatchDecoder {
   template <typename Fast>
   void DecodeColumn(size_t a, size_t begin, size_t end,
                     const Fast& fast) const {
-    // Locals, not CsvRecordBatch::RawField: the byte stores below may
-    // alias anything, which would reload every vector's data pointer per
-    // cell.
-    uint8_t* const nulls = chunk_->null_slots(a);
+    // Locals, not CsvRecordBatch::RawField: unescaping a quoted field
+    // stores bytes, which may alias anything and would reload every
+    // vector's data pointer per cell.
     const uint8_t* const ok = ok_.data();
     const size_t* const slot_of = slot_of_.data();
     const char* const data = records_.data();
@@ -278,7 +279,6 @@ class BatchDecoder {
         chunk_->SetNull(slot, a);
         continue;
       }
-      nulls[slot] = 0;
       if (!fast(field, !quoted, slot)) SlowCell(r, a, field, slot);
     }
   }
@@ -302,7 +302,7 @@ class BatchDecoder {
            "attribute '" + def.name + "': " + value.status().message());
       return;
     }
-    chunk_->Set(slot, a, *value);
+    chunk_->SetCell(slot, a, *value);
   }
 
   void Fail(size_t r, CsvErrorKind kind, size_t column,
@@ -321,7 +321,7 @@ class BatchDecoder {
   const CsvOptions& options_;
   const CsvRecordBatch& records_;
   const std::vector<size_t>& slot_of_;
-  TableChunk* chunk_;
+  Table* chunk_;
   std::vector<uint8_t>& ok_;
   std::string& scratch_;
   std::vector<std::pair<size_t, IngestError>>& failures_;
@@ -636,7 +636,7 @@ class IngestPipeline {
 /// and a read error each stop the read where they stand in record order.
 Status ReadCsvDriver(const Schema& schema, std::istream* in,
                      const CsvOptions& options, IngestReport* rep,
-                     const std::function<Status(const TableChunk&,
+                     const std::function<Status(const Table&,
                                                 const std::vector<uint8_t>&)>&
                          deliver) {
   obs::Span span("ingest");
@@ -718,8 +718,8 @@ Result<Table> ReadCsv(const Schema& schema, std::istream* in,
   Table table(schema);
   Status status = ReadCsvDriver(
       schema, in, options, rep,
-      [&table](const TableChunk& chunk, const std::vector<uint8_t>& keep) {
-        table.AppendChunk(chunk, &keep);
+      [&table](const Table& chunk, const std::vector<uint8_t>& keep) {
+        table.Append(chunk, &keep);
         return Status::OK();
       });
   obs::GetGauge("table.bytes")->Set(static_cast<double>(table.byte_size()));
@@ -734,7 +734,7 @@ Status ReadCsvChunks(const Schema& schema, std::istream* in,
   IngestReport* rep = report != nullptr ? report : &local;
   return ReadCsvDriver(
       schema, in, options, rep,
-      [sink](const TableChunk& chunk, const std::vector<uint8_t>& keep) {
+      [sink](const Table& chunk, const std::vector<uint8_t>& keep) {
         return sink->OnChunk(chunk, keep);
       });
 }

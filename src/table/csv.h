@@ -6,8 +6,8 @@
 // fields may span newlines, CRLF/CR/LF all terminate records, a UTF-8 BOM
 // is skipped, and input is consumed one batch of records at a time, so
 // parsing memory is bounded by a few batches (one per thread), independent
-// of file size. Each batch is decoded column by column straight into typed
-// chunk columns. Malformed records either fail the read
+// of file size. Each batch is decoded column by column straight into the
+// typed columns of a batch Table. Malformed records either fail the read
 // (CsvErrorPolicy::kFail) or are quarantined into an IngestReport while
 // the read continues (kSkipAndReport) — the recovery mode that lets the
 // auditor ingest real, dirty operational extracts. With more than one
@@ -78,18 +78,19 @@ Status WriteCsv(const Table& table, std::ostream* out,
 Status WriteCsvFile(const Table& table, const std::string& path,
                     const CsvOptions& options = {});
 
-/// \brief Receives decoded record batches from the streaming CSV reader.
+/// \brief Receives decoded record batches from the streaming CSV and
+/// dqcol readers.
 ///
-/// The sink is called in record order with each decoded columnar batch;
-/// slots with keep[i] == 0 are quarantined records the sink must drop
-/// (pass the mask through to Table::AppendChunk or an equivalent). The
-/// chunk object is reused across calls — consume it before returning.
-/// This is the seam that lets ingestion feed either an in-memory Table
-/// (ReadCsv) or an out-of-core segment store without re-reading the file.
+/// The sink is called in record order with each decoded batch, a Table
+/// of the read's schema; rows with keep[i] == 0 are quarantined records
+/// the sink must drop (pass the mask through to Table::Append). The batch
+/// table is reused across calls — consume it before returning. This is
+/// the seam that lets ingestion feed either an in-memory Table (ReadCsv)
+/// or an out-of-core segment store without re-reading the file.
 class CsvChunkSink {
  public:
   virtual ~CsvChunkSink() = default;
-  virtual Status OnChunk(const TableChunk& chunk,
+  virtual Status OnChunk(const Table& chunk,
                          const std::vector<uint8_t>& keep) = 0;
 };
 

@@ -1,37 +1,46 @@
 #include "table/date.h"
 
 #include <cstdio>
+#include <limits>
 
 #include "common/strings.h"
 
 namespace dq {
 
+namespace {
+
+/// DaysFromCivil in int64 (Howard Hinnant's algorithm): exact for every
+/// int32 year, where the day count itself may not fit in int32.
+int64_t DaysFromCivil64(const CivilDate& d) {
+  const int64_t m = d.month;
+  const int64_t y = int64_t{d.year} - (m <= 2);
+  const int64_t era = (y >= 0 ? y : y - 399) / 400;
+  const int64_t yoe = y - era * 400;                                     // [0, 399]
+  const int64_t doy = (153 * (m + (m > 2 ? -3 : 9)) + 2) / 5 + d.day - 1;  // [0, 365]
+  const int64_t doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;             // [0, 146096]
+  return era * 146097 + doe - 719468;
+}
+
+}  // namespace
+
 int32_t DaysFromCivil(const CivilDate& d) {
-  int32_t y = d.year;
-  const int32_t m = d.month;
-  const int32_t dd = d.day;
-  y -= m <= 2;
-  const int32_t era = (y >= 0 ? y : y - 399) / 400;
-  const uint32_t yoe = static_cast<uint32_t>(y - era * 400);             // [0, 399]
-  const uint32_t doy =
-      static_cast<uint32_t>((153 * (m + (m > 2 ? -3 : 9)) + 2) / 5 + dd - 1);
-  const uint32_t doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;            // [0, 146096]
-  return era * 146097 + static_cast<int32_t>(doe) - 719468;
+  return static_cast<int32_t>(DaysFromCivil64(d));
 }
 
 CivilDate CivilFromDays(int32_t days) {
-  int32_t z = days + 719468;
-  const int32_t era = (z >= 0 ? z : z - 146096) / 146097;
-  const uint32_t doe = static_cast<uint32_t>(z - era * 146097);          // [0, 146096]
-  const uint32_t yoe =
+  // int64 throughout: days + 719468 overflows int32 near INT32_MAX.
+  const int64_t z = int64_t{days} + 719468;
+  const int64_t era = (z >= 0 ? z : z - 146096) / 146097;
+  const int64_t doe = z - era * 146097;                                  // [0, 146096]
+  const int64_t yoe =
       (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;             // [0, 399]
-  const int32_t y = static_cast<int32_t>(yoe) + era * 400;
-  const uint32_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);          // [0, 365]
-  const uint32_t mp = (5 * doy + 2) / 153;                               // [0, 11]
-  const uint32_t d = doy - (153 * mp + 2) / 5 + 1;                       // [1, 31]
-  const uint32_t m = mp + (mp < 10 ? 3 : static_cast<uint32_t>(-9));     // [1, 12]
+  const int64_t y = yoe + era * 400;
+  const int64_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);           // [0, 365]
+  const int64_t mp = (5 * doy + 2) / 153;                                // [0, 11]
+  const int64_t d = doy - (153 * mp + 2) / 5 + 1;                        // [1, 31]
+  const int64_t m = mp + (mp < 10 ? 3 : -9);                             // [1, 12]
   CivilDate out;
-  out.year = y + (m <= 2);
+  out.year = static_cast<int32_t>(y + (m <= 2));
   out.month = static_cast<int32_t>(m);
   out.day = static_cast<int32_t>(d);
   return out;
@@ -73,13 +82,26 @@ Result<int32_t> ParseDate(std::string_view text) {
     return Status::InvalidArgument("non-numeric date component in '" +
                                    std::string(text) + "'");
   }
-  CivilDate c{static_cast<int32_t>(y), static_cast<int32_t>(m),
-              static_cast<int32_t>(d)};
-  if (!IsValidCivil(c)) {
+  // Every component and the day count must fit in int32: narrowing first
+  // would wrap 4294969299-06-01 onto 2003-06-01.
+  const auto fits = [](int64_t v) {
+    return v >= std::numeric_limits<int32_t>::min() &&
+           v <= std::numeric_limits<int32_t>::max();
+  };
+  const auto invalid = [&] {
     return Status::InvalidArgument("invalid calendar date '" +
                                    std::string(text) + "'");
+  };
+  if (!fits(y) || !fits(m) || !fits(d)) return invalid();
+  const CivilDate c{static_cast<int32_t>(y), static_cast<int32_t>(m),
+                    static_cast<int32_t>(d)};
+  if (!IsValidCivil(c)) return invalid();
+  const int64_t days = DaysFromCivil64(c);
+  if (!fits(days)) {
+    return Status::InvalidArgument("date '" + std::string(text) +
+                                   "' is out of range");
   }
-  return DaysFromCivil(c);
+  return static_cast<int32_t>(days);
 }
 
 }  // namespace dq

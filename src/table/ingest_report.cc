@@ -2,9 +2,9 @@
 
 #include <array>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
+#include "common/atomic_file.h"
 #include "obs/json.h"
 
 namespace dq {
@@ -89,11 +89,7 @@ std::string IngestReport::ToJson() const {
 }
 
 Status IngestReport::WriteJsonFile(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open '" + path + "' for writing");
-  f << ToJson();
-  if (!f) return Status::IOError("write to '" + path + "' failed");
-  return Status::OK();
+  return WriteFileAtomically(path, ToJson());
 }
 
 std::string FormatIngestError(const IngestError& error) {

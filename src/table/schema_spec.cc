@@ -83,8 +83,10 @@ std::string FormatSchemaSpec(const Schema& schema) {
         out += " nominal " + JoinStrings(attr.categories, ",");
         break;
       case DataType::kNumeric:
-        out += " numeric " + FormatDouble(attr.numeric_min) + " " +
-               FormatDouble(attr.numeric_max);
+        // The shortest exact spelling: a rounded one would parse back to
+        // another bound (1e-300 to 0).
+        out += " numeric " + FormatDoubleRoundTrip(attr.numeric_min) + " " +
+               FormatDoubleRoundTrip(attr.numeric_max);
         break;
       case DataType::kDate:
         out += " date " + FormatDate(attr.date_min) + " " +

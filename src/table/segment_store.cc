@@ -32,10 +32,10 @@ SegmentStore::~SegmentStore() {
   }
 }
 
-Status SegmentStore::Append(const TableChunk& chunk,
+Status SegmentStore::Append(const Table& chunk,
                             const std::vector<uint8_t>* keep) {
   DQ_DCHECK(!finished_);
-  open_.AppendChunk(chunk, keep);
+  open_.Append(chunk, keep);
   const uint64_t new_bytes = open_.byte_size();
   resident_bytes_ += new_bytes - open_bytes_;
   open_bytes_ = new_bytes;
@@ -195,19 +195,6 @@ Status SegmentStore::Unpin(size_t i) {
   --seg.pins;
   DQ_RETURN_NOT_OK(EnforceBudget());
   PublishGauges();
-  return Status::OK();
-}
-
-Status SegmentStore::Materialize(Table* out) {
-  DQ_DCHECK(finished_);
-  *out = Table(schema_);
-  out->Reserve(num_rows_);
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    Result<const Table*> seg = Pin(i);
-    DQ_RETURN_NOT_OK(seg.status());
-    out->AppendFrom(**seg);
-    DQ_RETURN_NOT_OK(Unpin(i));
-  }
   return Status::OK();
 }
 

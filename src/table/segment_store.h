@@ -1,18 +1,20 @@
 // SegmentStore: a chunked columnar store whose segments live in RAM or
 // spill to disk under a memory budget.
 //
-// Ingest appends decoded chunks into an open segment; once the open segment
-// reaches segment_rows it is sealed and becomes immutable. Sealed segments
-// are the paging unit: when resident bytes exceed memory_budget_bytes the
+// Ingest appends decoded chunks (Tables of the store's schema) into an
+// open segment, itself a Table; once the open segment reaches
+// segment_rows it is sealed and becomes immutable. Sealed segments are
+// the paging unit: when resident bytes exceed memory_budget_bytes the
 // store writes the oldest unpinned resident segment to a dqcol v1 scratch
 // file (table/columnar.h, docs/FORMATS.md) and frees its columns. Pin()
 // brings a spilled segment back through the dqcol reader's codec core, so
 // a reload gets the same schema and per-cell domain checks as a dqcol
 // ingest but does not count as ingest. Because sealed segments never
-// change, the spill file is written once and re-eviction is a free drop of
-// the in-memory copy. Segment boundaries depend only on the record sequence — never on
-// the budget — so any consumer that walks segments in order sees bitwise
-// identical data whether nothing, some, or everything spilled.
+// change, the spill file is written once and re-eviction is a free drop
+// of the in-memory copy. Segment boundaries depend only on the record
+// sequence — never on the budget — so any consumer that walks segments in
+// order sees bitwise identical data whether nothing, some, or everything
+// spilled.
 //
 // Residency accounting uses Table::byte_size() (column payloads + null
 // bitmaps + schema string pool), published through the segstore.* metrics.
@@ -47,8 +49,8 @@ struct SegmentStoreOptions {
 /// \brief Spillable sequence of immutable columnar segments.
 ///
 /// Lifecycle: Append() chunks in record order, then Finish() exactly once
-/// (seals the open segment), then Pin()/Unpin() segments for reading or
-/// Materialize() the whole table. Not thread-safe; callers serialize.
+/// (seals the open segment), then Pin()/Unpin() segments for reading.
+/// Not thread-safe; callers serialize.
 class SegmentStore {
  public:
   SegmentStore(Schema schema, SegmentStoreOptions options);
@@ -88,9 +90,10 @@ class SegmentStore {
     return segments_[i].table.has_value();
   }
 
-  /// \brief Appends the kept slots of a decoded chunk (keep == nullptr
-  /// keeps all), sealing and possibly spilling when the open segment fills.
-  Status Append(const TableChunk& chunk,
+  /// \brief Appends the kept rows of a decoded chunk (keep == nullptr
+  /// keeps all) to the open segment with Table::Append, sealing and
+  /// possibly spilling when the open segment fills.
+  Status Append(const Table& chunk,
                 const std::vector<uint8_t>* keep = nullptr);
 
   /// \brief Moves `table` (same schema) in as one sealed segment, even an
@@ -108,10 +111,6 @@ class SegmentStore {
   /// \brief Releases a pin and re-enforces the budget (a reloaded segment
   /// over budget is dropped again; its spill file already exists).
   Status Unpin(size_t i);
-
-  /// \brief Deterministic in-order assembly of every segment into `out`
-  /// (column-to-column appends; equals the table a plain ReadCsv builds).
-  Status Materialize(Table* out);
 
  private:
   struct Segment {

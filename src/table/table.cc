@@ -1,8 +1,6 @@
 #include "table/table.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -27,100 +25,6 @@ Status CheckRowAgainstSchema(const Schema& schema, const Row& row) {
 }
 
 }  // namespace
-
-// --- TableChunk --------------------------------------------------------------
-
-void TableChunk::Attach(const Schema& schema) {
-  cols_.clear();
-  cols_.resize(schema.num_attributes());
-  for (size_t a = 0; a < cols_.size(); ++a) {
-    cols_[a].type = schema.attribute(a).type;
-  }
-  num_rows_ = 0;
-}
-
-void TableChunk::Reset(size_t rows) {
-  num_rows_ = rows;
-  for (Column& c : cols_) {
-    c.null_.assign(rows, 1);
-    if (c.type == DataType::kNumeric) {
-      c.num.assign(rows, std::numeric_limits<double>::quiet_NaN());
-    } else {
-      c.code.assign(rows, c.type == DataType::kNominal ? -1 : 0);
-    }
-  }
-}
-
-void TableChunk::Resize(size_t rows) {
-  num_rows_ = rows;
-  for (Column& c : cols_) {
-    c.null_.resize(rows);
-    if (c.type == DataType::kNumeric) {
-      c.num.resize(rows);
-    } else {
-      c.code.resize(rows);
-    }
-  }
-}
-
-void TableChunk::Set(size_t row, size_t attr, const Value& v) {
-  DQ_DCHECK(attr < cols_.size() && row < num_rows_);
-  Column& c = cols_[attr];
-  if (v.is_null()) {
-    c.null_[row] = 1;
-    if (c.type == DataType::kNumeric) {
-      c.num[row] = std::numeric_limits<double>::quiet_NaN();
-    } else {
-      c.code[row] = c.type == DataType::kNominal ? -1 : 0;
-    }
-    return;
-  }
-  c.null_[row] = 0;
-  switch (c.type) {
-    case DataType::kNumeric:
-      DQ_DCHECK(v.is_numeric());
-      c.num[row] = v.numeric();
-      break;
-    case DataType::kNominal:
-      DQ_DCHECK(v.is_nominal());
-      c.code[row] = v.nominal_code();
-      break;
-    case DataType::kDate:
-      DQ_DCHECK(v.is_date());
-      c.code[row] = v.date_days();
-      break;
-  }
-}
-
-Row TableChunk::MaterializeRow(size_t row) const {
-  Row out;
-  MaterializeRow(row, &out);
-  return out;
-}
-
-void TableChunk::MaterializeRow(size_t row, Row* out) const {
-  DQ_DCHECK(row < num_rows_);
-  out->resize(cols_.size());
-  for (size_t a = 0; a < cols_.size(); ++a) {
-    const Column& c = cols_[a];
-    Value& cell = (*out)[a];
-    if (c.null_[row] != 0) {
-      cell = Value::Null();
-      continue;
-    }
-    switch (c.type) {
-      case DataType::kNumeric:
-        cell = Value::Numeric(c.num[row]);
-        break;
-      case DataType::kNominal:
-        cell = Value::Nominal(c.code[row]);
-        break;
-      case DataType::kDate:
-        cell = Value::Date(c.code[row]);
-        break;
-    }
-  }
-}
 
 // --- Table -------------------------------------------------------------------
 
@@ -196,104 +100,69 @@ void Table::AppendRowFrom(const Table& src, size_t src_row) {
   ++num_rows_;
 }
 
-namespace {
-
-/// Eight null flags (bytes 0 or 1) packed into the low byte, flag k at
-/// bit k: for bytes b0..b7 of a little-endian word, the product's top
-/// byte is b0 | b1 << 1 | ... | b7 << 7.
-uint64_t PackEightFlags(const uint8_t* flags) {
-  uint64_t bytes = 0;
-  std::memcpy(&bytes, flags, 8);
-  if constexpr (std::endian::native == std::endian::big) {
-    bytes = __builtin_bswap64(bytes);
-  }
-  return (bytes * 0x0102040810204080ULL) >> 56;
-}
-
-/// ORs `n` null flags (each byte 0 or 1) into `bits` from bit `at` on, a
-/// 64-flag word at a time.
-void OrNullFlags(const uint8_t* flags, size_t n, uint64_t* bits, size_t at) {
-  size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    uint64_t word = 0;
-    for (int k = 0; k < 8; ++k) {
-      word |= PackEightFlags(flags + i + 8 * static_cast<size_t>(k)) << (8 * k);
-    }
-    if (word == 0) continue;
-    const size_t bit = at + i;
-    const size_t shift = bit & 63;
-    bits[bit >> 6] |= word << shift;
-    if (shift != 0) bits[(bit >> 6) + 1] |= word >> (64 - shift);
-  }
-  for (; i < n; ++i) {
-    const size_t bit = at + i;
-    bits[bit >> 6] |= uint64_t{flags[i]} << (bit & 63);
-  }
-}
-
-}  // namespace
-
-void Table::AppendChunk(const TableChunk& chunk,
-                        const std::vector<uint8_t>* keep) {
-  DQ_DCHECK(chunk.cols_.size() == cols_.size());
-  DQ_DCHECK(keep == nullptr || keep->size() == chunk.num_rows());
-  const size_t n = chunk.num_rows();
+void Table::Append(const Table& src, const std::vector<uint8_t>* keep) {
+  DQ_DCHECK(src.cols_.size() == cols_.size());
+  DQ_DCHECK(keep == nullptr || keep->size() == src.num_rows_);
+  const size_t n = src.num_rows_;
   size_t kept = n;
   if (keep != nullptr) {
     kept = static_cast<size_t>(std::count_if(
         keep->begin(), keep->end(), [](uint8_t k) { return k != 0; }));
   }
   if (kept == 0) return;
+  // Row num_rows_ + i of this table takes bit i of `src`'s bitmap: word w
+  // of `src` lands shifted by `shift` across words at + w and at + w + 1.
+  const size_t at = num_rows_ >> 6;
+  const size_t shift = num_rows_ & 63;
   for (size_t a = 0; a < cols_.size(); ++a) {
     Column& dst = cols_[a];
-    const TableChunk::Column& src = chunk.cols_[a];
-    DQ_DCHECK(dst.type == src.type);
+    const Column& from = src.cols_[a];
+    DQ_DCHECK(dst.type == from.type);
     GrowBits(&dst.nulls, num_rows_ + kept);
     if (kept == n) {
-      // No record dropped: one range insert per column, null flags a word
-      // at a time.
       if (dst.type == DataType::kNumeric) {
-        dst.num.insert(dst.num.end(), src.num.begin(), src.num.begin() + n);
+        dst.num.insert(dst.num.end(), from.num.begin(), from.num.begin() + n);
       } else {
-        dst.code.insert(dst.code.end(), src.code.begin(),
-                        src.code.begin() + n);
+        dst.code.insert(dst.code.end(), from.code.begin(),
+                        from.code.begin() + n);
       }
-      OrNullFlags(src.null_.data(), n, dst.nulls.data(), num_rows_);
+      // No bit is set past `src`'s last row, so a word's high part is
+      // non-zero only when this table has the word it spills into.
+      for (size_t w = 0; w < from.nulls.size(); ++w) {
+        const uint64_t bits = from.nulls[w];
+        if (bits == 0) continue;
+        dst.nulls[at + w] |= bits << shift;
+        if (shift != 0 && (bits >> (64 - shift)) != 0) {
+          dst.nulls[at + w + 1] |= bits >> (64 - shift);
+        }
+      }
       continue;
     }
     size_t out = num_rows_;
     for (size_t i = 0; i < n; ++i) {
       if ((*keep)[i] == 0) continue;
       if (dst.type == DataType::kNumeric) {
-        dst.num.push_back(src.num[i]);
+        dst.num.push_back(from.num[i]);
       } else {
-        dst.code.push_back(src.code[i]);
+        dst.code.push_back(from.code[i]);
       }
-      if (src.null_[i] != 0) SetBit(&dst.nulls, out);
+      if (BitIsSet(from.nulls, i)) SetBit(&dst.nulls, out);
       ++out;
     }
   }
   num_rows_ += kept;
 }
 
-void Table::AppendFrom(const Table& src) {
-  DQ_DCHECK(src.cols_.size() == cols_.size());
-  if (src.num_rows_ == 0) return;
-  for (size_t a = 0; a < cols_.size(); ++a) {
-    Column& dst = cols_[a];
-    const Column& from = src.cols_[a];
-    DQ_DCHECK(dst.type == from.type);
-    if (dst.type == DataType::kNumeric) {
-      dst.num.insert(dst.num.end(), from.num.begin(), from.num.end());
+void Table::Resize(size_t rows) {
+  for (Column& c : cols_) {
+    if (c.type == DataType::kNumeric) {
+      c.num.resize(rows);
     } else {
-      dst.code.insert(dst.code.end(), from.code.begin(), from.code.end());
+      c.code.resize(rows);
     }
-    GrowBits(&dst.nulls, num_rows_ + src.num_rows_);
-    for (size_t r = 0; r < src.num_rows_; ++r) {
-      if (BitIsSet(from.nulls, r)) SetBit(&dst.nulls, num_rows_ + r);
-    }
+    c.nulls.assign((rows + 63) >> 6, 0);
   }
-  num_rows_ += src.num_rows_;
+  num_rows_ = rows;
 }
 
 Row Table::row(size_t i) const {

@@ -9,6 +9,13 @@
 // the typed column accessors (is_null/numeric_at/code_at/ordered_at or the
 // whole-column spans) and never touch Value at all.
 //
+// Table is the one columnar container: a whole relation, an ingest batch
+// (the CSV decoder and the dqcol reader fill one through the producer
+// calls Resize, the *_slots pointers and SetNull), a segment of a
+// SegmentStore and the reservoir sample all have this layout, so moving
+// rows between them is Append, a column-to-column copy with the null
+// bitmap shifted a word at a time.
+//
 // Null payload convention (what the typed vectors hold for null cells):
 // numeric columns store quiet_NaN, nominal columns store -1, date columns
 // store 0. The bitmap is authoritative; the sentinels exist so encoders
@@ -30,82 +37,6 @@
 namespace dq {
 
 using Row = std::vector<Value>;
-
-/// \brief A batch of decoded records in columnar form, ready for a bulk
-/// append. The CSV decoder fills a chunk a column at a time through the
-/// typed slot arrays, the dqcol reader copies whole columns in;
-/// AppendChunk then moves whole columns into the table in one pass per
-/// attribute.
-///
-/// Slots start out null after Reset(); Set() overwrites one cell. Cells
-/// must be null or match the attribute's type; domains are the caller's
-/// contract (same as Table::AppendRowUnchecked).
-class TableChunk {
- public:
-  TableChunk() = default;
-  explicit TableChunk(const Schema& schema) { Attach(schema); }
-
-  /// \brief Binds the chunk to a schema (allocates one typed column per
-  /// attribute). Must be called before Reset/Set.
-  void Attach(const Schema& schema);
-
-  /// \brief Resizes to `rows` slots, all null. Reuses column capacity.
-  void Reset(size_t rows);
-
-  /// \brief Resizes to `rows` slots without clearing them: slots keep
-  /// whatever they held (new ones are zero bytes) until written. For
-  /// producers that write every cell of each slot they deliver as kept.
-  void Resize(size_t rows);
-
-  size_t num_rows() const { return num_rows_; }
-  size_t num_attributes() const { return cols_.size(); }
-
-  /// \brief Writes one cell (null or type-matching) into slot `row`.
-  void Set(size_t row, size_t attr, const Value& v);
-
-  /// \brief Writes a null into slot `row` (the payload sentinel too).
-  void SetNull(size_t row, size_t attr) {
-    Column& c = cols_[attr];
-    c.null_[row] = 1;
-    if (c.type == DataType::kNumeric) {
-      c.num[row] = std::numeric_limits<double>::quiet_NaN();
-    } else {
-      c.code[row] = c.type == DataType::kNominal ? -1 : 0;
-    }
-  }
-
-  /// \brief Typed slot arrays of one column, for producers that fill a
-  /// column at a time (the CSV decoder): numeric payloads, nominal codes
-  /// or date day counts, and null flags (1 = null; write 0 with a
-  /// payload).
-  double* numeric_slots(size_t attr) { return cols_[attr].num.data(); }
-  int32_t* code_slots(size_t attr) { return cols_[attr].code.data(); }
-  uint8_t* null_slots(size_t attr) { return cols_[attr].null_.data(); }
-
-  /// \brief Materializes slot `row` as tagged Values.
-  Row MaterializeRow(size_t row) const;
-
-  /// \brief Materializes slot `row` into `*out`, reusing its storage (the
-  /// streaming-ingest reservoir sampler copies an admitted record straight
-  /// off the chunk into its sample slot, before it reaches any table).
-  void MaterializeRow(size_t row, Row* out) const;
-
- private:
-  friend class Table;
-  // The dqcol reader fills chunk columns by bulk copy from the file's
-  // column payloads (table/columnar.h) instead of per-cell Set calls.
-  friend class ColumnarCodec;
-
-  struct Column {
-    DataType type = DataType::kNominal;
-    std::vector<double> num;     ///< numeric payloads (NaN when null)
-    std::vector<int32_t> code;   ///< nominal codes / date days
-    std::vector<uint8_t> null_;  ///< 1 = null (byte-wide: chunks are small)
-  };
-
-  std::vector<Column> cols_;
-  size_t num_rows_ = 0;
-};
 
 /// \brief In-memory relation: a Schema plus typed value columns.
 ///
@@ -133,16 +64,48 @@ class Table {
   /// fast path for split/pollution row shuffling — no Value materialization.
   void AppendRowFrom(const Table& src, size_t src_row);
 
-  /// \brief Bulk append of a decoded chunk. When `keep` is non-null only
-  /// slots with keep[i] != 0 land in the table (in slot order); quarantined
-  /// CSV records are dropped this way without re-packing the chunk.
-  void AppendChunk(const TableChunk& chunk,
-                   const std::vector<uint8_t>* keep = nullptr);
+  /// \brief Column-to-column bulk append of the rows of `src` (same
+  /// schema), in order. When `keep` is non-null (one flag per row of
+  /// `src`) only rows with keep[i] != 0 land in the table; quarantined CSV
+  /// records are dropped this way without re-packing the batch.
+  void Append(const Table& src, const std::vector<uint8_t>* keep = nullptr);
 
-  /// \brief Column-to-column bulk append of every row of `src` (same
-  /// schema); the deterministic in-order assembly path segment stores use
-  /// to materialize a full table from sealed segments.
-  void AppendFrom(const Table& src);
+  // --- Producer calls (batch decoders) -------------------------------------
+
+  /// \brief Resizes to `rows` rows without rewriting the payloads: rows
+  /// keep what they held (new ones are zero bytes) and every null bit is
+  /// cleared. For producers that write every cell of each row they
+  /// deliver as kept, through the slot pointers below or SetNull.
+  void Resize(size_t rows);
+
+  /// \brief Typed slot arrays of one column, for producers that fill a
+  /// column at a time: numeric payloads, nominal codes or date day counts,
+  /// and the null bitmap words (bit r set = row r null). Valid until the
+  /// next call that changes the row count.
+  double* numeric_slots(size_t attr) {
+    DQ_DCHECK(attr < cols_.size() && cols_[attr].type == DataType::kNumeric);
+    return cols_[attr].num.data();
+  }
+  int32_t* code_slots(size_t attr) {
+    DQ_DCHECK(attr < cols_.size() && cols_[attr].type != DataType::kNumeric);
+    return cols_[attr].code.data();
+  }
+  uint64_t* null_word_slots(size_t attr) {
+    DQ_DCHECK(attr < cols_.size());
+    return cols_[attr].nulls.data();
+  }
+
+  /// \brief Marks cell (row, attr) null and writes its payload sentinel.
+  void SetNull(size_t row, size_t attr) {
+    DQ_DCHECK(row < num_rows_ && attr < cols_.size());
+    Column& c = cols_[attr];
+    SetBit(&c.nulls, row);
+    if (c.type == DataType::kNumeric) {
+      c.num[row] = std::numeric_limits<double>::quiet_NaN();
+    } else {
+      c.code[row] = c.type == DataType::kNominal ? -1 : 0;
+    }
+  }
 
   /// \brief Materializes row `i` as tagged Values. Compat layer: new code
   /// should read the typed accessors instead.
@@ -172,22 +135,11 @@ class Table {
   /// \brief Overwrites one cell (null or type-matching; domain unchecked).
   void SetCell(size_t row, size_t attr, const Value& v) {
     DQ_DCHECK(row < num_rows_ && attr < cols_.size());
-    Column& c = cols_[attr];
     if (v.is_null()) {
-      SetBit(&c.nulls, row);
-      switch (c.type) {
-        case DataType::kNumeric:
-          c.num[row] = std::numeric_limits<double>::quiet_NaN();
-          break;
-        case DataType::kNominal:
-          c.code[row] = -1;
-          break;
-        case DataType::kDate:
-          c.code[row] = 0;
-          break;
-      }
+      SetNull(row, attr);
       return;
     }
+    Column& c = cols_[attr];
     ClearBit(&c.nulls, row);
     switch (c.type) {
       case DataType::kNumeric:
@@ -271,11 +223,6 @@ class Table {
   Status Validate() const;
 
  private:
-  // The dqcol codec (table/columnar.h) serializes column payloads verbatim
-  // and rebuilds them on load, for dqcol files and segment spills alike, so
-  // it sees the raw columns instead of a public raw-mutation API.
-  friend class ColumnarCodec;
-
   struct Column {
     DataType type = DataType::kNominal;
     std::vector<double> num;      ///< kNumeric payloads (NaN when null)

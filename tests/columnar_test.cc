@@ -51,12 +51,12 @@ class CollectSink : public CsvChunkSink {
  public:
   explicit CollectSink(const Schema& schema) : table_(schema) {}
 
-  Status OnChunk(const TableChunk& chunk,
+  Status OnChunk(const Table& chunk,
                  const std::vector<uint8_t>& keep) override {
     ++chunks_;
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
       if (keep[i] == 0) continue;
-      table_.AppendRowUnchecked(chunk.MaterializeRow(i));
+      table_.AppendRowUnchecked(chunk.row(i));
     }
     return Status::OK();
   }

@@ -792,10 +792,10 @@ class CollectingSink : public CsvChunkSink {
   CollectingSink(const Schema& schema, size_t fail_on)
       : table(schema), fail_on_(fail_on) {}
 
-  Status OnChunk(const TableChunk& chunk,
+  Status OnChunk(const Table& chunk,
                  const std::vector<uint8_t>& keep) override {
     if (++calls == fail_on_) return Status::IOError("sink full");
-    table.AppendChunk(chunk, &keep);
+    table.Append(chunk, &keep);
     return Status::OK();
   }
 

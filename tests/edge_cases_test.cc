@@ -3,12 +3,19 @@
 // tables, and C4.5 corner behaviours.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <sstream>
 
 #include "audit/auditor.h"
+#include "common/atomic_file.h"
 #include "eval/metrics.h"
 #include "eval/test_environment.h"
 #include "lint/lint.h"
@@ -16,8 +23,11 @@
 #include "logic/rule_parser.h"
 #include "mining/c45.h"
 #include "mining/encoded_dataset.h"
+#include "obs/bench_report.h"
 #include "obs/manifest.h"
+#include "obs/metrics.h"
 #include "obs/rule_diff.h"
+#include "obs/trace.h"
 #include "pollution/pipeline.h"
 #include "table/columnar.h"
 #include "table/csv.h"
@@ -410,7 +420,7 @@ TEST(RenderingTest, StatusStreamOperator) {
 /// Takes every chunk a streaming reader decodes.
 class DiscardSink : public CsvChunkSink {
  public:
-  Status OnChunk(const TableChunk&, const std::vector<uint8_t>&) override {
+  Status OnChunk(const Table&, const std::vector<uint8_t>&) override {
     return Status::OK();
   }
 };
@@ -430,10 +440,11 @@ TEST(InputFileTest, DirectoryIsAnIOErrorForEveryReader) {
       {"csv", [&] { return ReadCsvFile(s, dir).status(); }},
       {"csv chunks",
        [&] { return ReadCsvFileChunks(s, dir, CsvOptions(), &sink); }},
-      {"dqcol schema", [&] { return ColumnarCodec::ReadSchema(dir).status(); }},
-      {"dqcol", [&] { return ColumnarCodec::Load(s, dir, nullptr).status(); }},
+      {"dqcol schema", [&] { return ReadDqcolSchema(dir).status(); }},
+      {"dqcol", [&] { return ReadDqcolFile(s, dir).status(); }},
+      {"dqcol reload", [&] { return LoadDqcolFile(s, dir).status(); }},
       {"dqcol chunks",
-       [&] { return ColumnarCodec::ReadChunks(s, dir, 64, &sink, nullptr); }},
+       [&] { return ReadDqcolFileChunks(s, dir, 64, &sink); }},
       {"rule file", [&] { return ParseRuleFileAt(s, dir).status(); }},
       {"lenient rule file",
        [&] { return ParseRuleFileLenientAt(s, dir).status(); }},
@@ -452,6 +463,109 @@ TEST(InputFileTest, DirectoryIsAnIOErrorForEveryReader) {
     EXPECT_EQ(status.code(), StatusCode::kIOError) << reader << ": " << status;
     EXPECT_NE(status.message().find(dir), std::string::npos)
         << reader << ": " << status;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// --- An output file that hits a file size limit -----------------------------
+
+/// Runs `write` in a forked child whose working directory is `dir` and,
+/// when `limit_bytes` > 0, whose soft RLIMIT_FSIZE is `limit_bytes`, with
+/// SIGXFSZ ignored so that an oversized write fails with EFBIG instead of
+/// killing the child. Returns the child's exit code: 0 when `write`
+/// returned OK, 1 when it returned an error, 2 when the set-up failed.
+int WriteInChild(const std::string& dir, rlim_t limit_bytes,
+                 const std::function<Status()>& write) {
+  const pid_t pid = fork();
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit limit{};
+    bool ready = chdir(dir.c_str()) == 0 &&
+                 getrlimit(RLIMIT_FSIZE, &limit) == 0;
+    if (ready && limit_bytes > 0) {
+      limit.rlim_cur = limit_bytes;
+      ready = setrlimit(RLIMIT_FSIZE, &limit) == 0;
+    }
+    _exit(!ready ? 2 : write().ok() ? 0 : 1);
+  }
+  int status = 0;
+  if (pid < 0 || waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) {
+    return -1;
+  }
+  return WEXITSTATUS(status);
+}
+
+std::string FileText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(OutputFileTest, WriteCutShortFailsAndKeepsThePreviousFile) {
+  // A write cut short (a full disk, a file size limit) must fail with a
+  // Status and leave the file it would replace as it was: every writer of
+  // a file a reader opens goes through WriteFileAtomically.
+  const std::string dir =
+      ::testing::TempDir() + "/dq_fsize_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::create_directories(dir);
+  Schema s;
+  ASSERT_TRUE(s.AddNominal("A", {"a0", "a1"}).ok());
+  ASSERT_TRUE(s.AddNumeric("x", 0.0, 1e6).ok());
+  Table table(s);
+  for (int r = 0; r < 100; ++r) {
+    table.AppendRowUnchecked({Value::Nominal(r % 2), Value::Numeric(r)});
+  }
+  obs::Tracer::Global().SetEnabled(true);
+  { obs::Span span("output_file_test"); }
+  obs::GetCounter("output_file_test.writes")->Add(1);
+  IngestReport ingest;
+  ingest.records_total = 100;
+  ingest.records_kept = 100;
+
+  struct Writer {
+    std::string name;
+    std::string path;
+    std::function<Status()> write;
+  };
+  const std::vector<Writer> writers = {
+      {"atomic file", dir + "/atomic.txt",
+       [&] {
+         return WriteFileAtomically(dir + "/atomic.txt", std::string(256, 'x'));
+       }},
+      {"csv", dir + "/table.csv",
+       [&] { return WriteCsvFile(table, dir + "/table.csv"); }},
+      {"dqcol", dir + "/table.dqcol",
+       [&] { return WriteDqcolFile(table, dir + "/table.dqcol"); }},
+      {"trace", dir + "/trace.json",
+       [&] {
+         return obs::Tracer::Global().WriteChromeTraceFile(dir + "/trace.json");
+       }},
+      {"metrics", dir + "/metrics.json",
+       [&] {
+         return obs::MetricsRegistry::Global().WriteJsonFile(dir +
+                                                             "/metrics.json");
+       }},
+      {"ingest report", dir + "/ingest.json",
+       [&] { return ingest.WriteJsonFile(dir + "/ingest.json"); }},
+      {"bench report", dir + "/BENCH_output_file_test.json",
+       [] {
+         obs::BenchReport report("output_file_test");
+         report.Add("note", std::string(128, 'x'));
+         return report.WriteFile() ? Status::OK()
+                                   : Status::IOError("not written");
+       }},
+  };
+  const std::string previous = "the previous file\n";
+  for (const Writer& w : writers) {
+    { std::ofstream(w.path, std::ios::binary) << previous; }
+    EXPECT_EQ(WriteInChild(dir, 64, w.write), 1)
+        << w.name << ": the write past the limit did not fail";
+    EXPECT_EQ(FileText(w.path), previous) << w.name;
+    EXPECT_FALSE(std::filesystem::exists(w.path + ".tmp")) << w.name;
+    // Without the limit the same writer replaces that very file.
+    EXPECT_EQ(WriteInChild(dir, 0, w.write), 0) << w.name;
+    EXPECT_GT(FileText(w.path).size(), 64u) << w.name;
   }
   std::filesystem::remove_all(dir);
 }

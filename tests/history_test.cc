@@ -7,8 +7,11 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/random.h"
+#include "mutate.h"
 #include "obs/drift.h"
 #include "obs/history.h"
 #include "obs/json.h"
@@ -151,6 +154,46 @@ TEST(HistoryRecordTest, JsonLineRoundTripsExactly) {
   EXPECT_EQ(parsed->summary.records, 1000u);
   ASSERT_EQ(parsed->summary.rule_violations.size(), 1u);
   EXPECT_EQ(parsed->summary.rule_violations[0].second, 7u);
+}
+
+TEST(HistoryRecordTest, MutatedLedgerLineFailsOrRoundTrips) {
+  // Every mutant of a ledger line either fails ParseJson, or FromJson
+  // refuses it with a Status, or the record re-renders to a line that
+  // parses back to the same record (the same line again).
+  const std::string line = MakeRecord(1000, 60).ToJsonLine();
+  using std::string_view_literals::operator""sv;
+  const std::vector<std::string_view> tokens = {
+      "null"sv, "true"sv,  "0"sv,         "-1"sv,
+      "1e308"sv, "0.1234567"sv, "18446744073709551616"sv, "\"\""sv,
+      "[]"sv,   "{}"sv,    "\"\\u0000\""sv, "\"schema_version\""sv,
+  };
+  dq::Rng rng(24);
+  constexpr int kCases = 20000;
+  int accepted = 0;
+  for (int c = 0; c < kCases; ++c) {
+    std::string text = line;
+    const int64_t mutations = rng.UniformInt(1, 4);
+    for (int64_t m = 0; m < mutations; ++m) {
+      dq::Mutate(&rng, &text, tokens, " ,:{}[]\""sv);
+    }
+    JsonValue json;
+    if (!ParseJson(text, &json)) continue;
+    auto record = HistoryRecord::FromJson(json);
+    if (!record.ok()) {
+      ASSERT_FALSE(record.status().message().empty()) << "case " << c;
+      continue;
+    }
+    ++accepted;
+    const std::string again = record->ToJsonLine();
+    JsonValue reparsed;
+    ASSERT_TRUE(ParseJson(again, &reparsed)) << "case " << c << ": " << again;
+    auto back = HistoryRecord::FromJson(reparsed);
+    ASSERT_TRUE(back.ok()) << "case " << c << ": " << back.status();
+    ASSERT_EQ(back->ToJsonLine(), again) << "case " << c;
+  }
+  // Both outcomes occur.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kCases);
 }
 
 TEST(HistoryRecordTest, RejectsWrongSchemaVersion) {

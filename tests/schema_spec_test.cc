@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
+#include "common/random.h"
+#include "mutate.h"
 #include "table/date.h"
 #include "table/schema_spec.h"
 
@@ -96,6 +102,66 @@ TEST(SchemaSpecTest, HugeNumericBoundsRoundTrip) {
   EXPECT_EQ(back->attribute(0).numeric_min, 0.0);
   EXPECT_EQ(back->attribute(0).numeric_max, 1e300);
   EXPECT_EQ(back->attribute(0).numeric_max, schema->attribute(0).numeric_max);
+}
+
+bool SameSchema(const Schema& a, const Schema& b) {
+  if (a.num_attributes() != b.num_attributes()) return false;
+  for (size_t i = 0; i < a.num_attributes(); ++i) {
+    const AttributeDef& x = a.attribute(i);
+    const AttributeDef& y = b.attribute(i);
+    if (x.name != y.name || x.type != y.type ||
+        x.categories != y.categories || x.numeric_min != y.numeric_min ||
+        x.numeric_max != y.numeric_max || x.date_min != y.date_min ||
+        x.date_max != y.date_max) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SchemaSpecTest, MutatedSpecFailsOrRoundTripsThroughFormat) {
+  // Every mutant of the QUIS spec either fails with a Status or parses to
+  // a schema whose FormatSchemaSpec text parses back to an equal schema:
+  // names, types, categories and bounds.
+  std::ifstream file(DQ_TESTDATA_DIR "/quis_full.spec", std::ios::binary);
+  ASSERT_TRUE(file.good());
+  const std::string spec((std::istreambuf_iterator<char>(file)),
+                         std::istreambuf_iterator<char>());
+  using std::string_view_literals::operator""sv;
+  const std::vector<std::string_view> tokens = {
+      "nominal"sv,    "numeric"sv,          "date"sv,
+      "#"sv,          "1e-300"sv,           "0.1234567"sv,
+      "-0"sv,         "1e308"sv,            "4.9e-324"sv,
+      "a,,b"sv,       "2003-06-30"sv,       "0-01-01"sv,
+      "4294969299-06-01"sv, "2003-4294967302-01"sv, "6000000-01-01"sv,
+  };
+  Rng rng(25);
+  constexpr int kCases = 20000;
+  int parsed = 0;
+  for (int c = 0; c < kCases; ++c) {
+    std::string text = spec;
+    const int64_t mutations = rng.UniformInt(1, 4);
+    for (int64_t m = 0; m < mutations; ++m) {
+      Mutate(&rng, &text, tokens, " \n,"sv);
+    }
+    std::istringstream in(text);
+    auto schema = ParseSchemaSpec(&in);
+    if (!schema.ok()) {
+      ASSERT_FALSE(schema.status().message().empty()) << "case " << c;
+      continue;
+    }
+    ++parsed;
+    const std::string formatted = FormatSchemaSpec(*schema);
+    std::istringstream again(formatted);
+    auto back = ParseSchemaSpec(&again);
+    ASSERT_TRUE(back.ok()) << "case " << c << ": " << back.status() << "\n"
+                           << formatted;
+    ASSERT_TRUE(SameSchema(*schema, *back)) << "case " << c << "\n"
+                                            << formatted;
+  }
+  // Both outcomes occur.
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, kCases);
 }
 
 TEST(SchemaSpecTest, MissingFileFails) {

@@ -45,20 +45,42 @@ Row MakeRow(size_t i) {
 Table FeedStore(const Schema& schema, SegmentStore* store, size_t n,
                 size_t chunk_rows) {
   Table reference(schema);
-  TableChunk chunk(schema);
+  Table chunk(schema);
   size_t done = 0;
   while (done < n) {
     const size_t batch = std::min(chunk_rows, n - done);
-    chunk.Reset(batch);
+    chunk.Resize(batch);
     for (size_t i = 0; i < batch; ++i) {
       const Row row = MakeRow(done + i);
-      for (size_t a = 0; a < row.size(); ++a) chunk.Set(i, a, row[a]);
+      for (size_t a = 0; a < row.size(); ++a) chunk.SetCell(i, a, row[a]);
       reference.AppendRowUnchecked(row);
     }
     EXPECT_TRUE(store->Append(chunk).ok());
     done += batch;
   }
   return reference;
+}
+
+/// Every segment of a finished store, pinned in order and appended into
+/// one table.
+Table AssembleSegments(SegmentStore* store) {
+  Table out(store->schema());
+  for (size_t i = 0; i < store->num_segments(); ++i) {
+    auto segment = store->Pin(i);
+    EXPECT_TRUE(segment.ok()) << segment.status();
+    if (!segment.ok()) break;
+    out.Append(**segment);
+    EXPECT_TRUE(store->Unpin(i).ok());
+  }
+  return out;
+}
+
+/// Offers each row as a one-row chunk, every row kept.
+void OfferRow(ReservoirSampler* sampler, const Schema& schema,
+              const Row& row) {
+  Table chunk(schema);
+  chunk.AppendRowUnchecked(row);
+  sampler->OfferChunk(chunk, {1});
 }
 
 void ExpectTablesEqual(const Table& a, const Table& b) {
@@ -87,9 +109,7 @@ TEST(SegmentStoreTest, MaterializeEqualsDirectAppendWithoutBudget) {
   EXPECT_GE(store.num_segments(), 5u);
   EXPECT_EQ(store.stats().spill_writes, 0u);
 
-  Table assembled;
-  ASSERT_TRUE(store.Materialize(&assembled).ok());
-  ExpectTablesEqual(reference, assembled);
+  ExpectTablesEqual(reference, AssembleSegments(&store));
 
   // Segments partition [0, num_rows) in order.
   size_t next = 0;
@@ -134,8 +154,7 @@ TEST(SegmentStoreTest, SpillRoundTripIsBitwiseIdentical) {
   ASSERT_TRUE(store.Finish().ok());
   EXPECT_GT(store.stats().spill_writes, 0u);
 
-  Table assembled;
-  ASSERT_TRUE(store.Materialize(&assembled).ok());
+  const Table assembled = AssembleSegments(&store);
   EXPECT_GT(store.stats().spill_reads, 0u);
   ExpectTablesEqual(reference, assembled);
 }
@@ -163,11 +182,7 @@ TEST(SegmentStoreTest, BudgetedAndUnbudgetedStoresAgree) {
     EXPECT_EQ(plain.segment_num_rows(s), spilling.segment_num_rows(s));
   }
   // ...and identical assembled bytes.
-  Table a;
-  Table b;
-  ASSERT_TRUE(plain.Materialize(&a).ok());
-  ASSERT_TRUE(spilling.Materialize(&b).ok());
-  ExpectTablesEqual(a, b);
+  ExpectTablesEqual(AssembleSegments(&plain), AssembleSegments(&spilling));
 }
 
 TEST(SegmentStoreTest, PinReloadsAndUnpinReEvicts) {
@@ -278,36 +293,36 @@ TEST(SegmentStoreTest, CorruptSpillFilesFailToPin) {
 
 TEST(ReservoirSamplerTest, SameSeedSameStreamSameSample) {
   const Schema schema = TestSchema();
-  ReservoirSampler a(25, 7);
-  ReservoirSampler b(25, 7);
+  ReservoirSampler a(schema, 25, 7);
+  ReservoirSampler b(schema, 25, 7);
   for (size_t i = 0; i < 400; ++i) {
-    a.Offer(MakeRow(i));
-    b.Offer(MakeRow(i));
+    OfferRow(&a, schema, MakeRow(i));
+    OfferRow(&b, schema, MakeRow(i));
   }
-  ExpectTablesEqual(a.BuildSampleTable(schema), b.BuildSampleTable(schema));
+  ExpectTablesEqual(a.BuildSampleTable(), b.BuildSampleTable());
   EXPECT_EQ(a.sample_size(), 25u);
   EXPECT_EQ(a.rows_seen(), 400u);
 }
 
 TEST(ReservoirSamplerTest, CapacityAtLeastStreamKeepsEveryRowInOrder) {
   const Schema schema = TestSchema();
-  ReservoirSampler sampler(500, 99);
+  ReservoirSampler sampler(schema, 500, 99);
   Table reference(schema);
   for (size_t i = 0; i < 123; ++i) {
     const Row row = MakeRow(i);
-    sampler.Offer(row);
+    OfferRow(&sampler, schema, row);
     reference.AppendRowUnchecked(row);
   }
   // k >= n: the reservoir is the whole stream in original order — the
   // property that makes the streaming audit reproduce the classic path.
-  ExpectTablesEqual(reference, sampler.BuildSampleTable(schema));
+  ExpectTablesEqual(reference, sampler.BuildSampleTable());
 }
 
 TEST(ReservoirSamplerTest, SampleRowsComeFromTheStream) {
   const Schema schema = TestSchema();
-  ReservoirSampler sampler(10, 3);
-  for (size_t i = 0; i < 1000; ++i) sampler.Offer(MakeRow(i));
-  const Table sample = sampler.BuildSampleTable(schema);
+  ReservoirSampler sampler(schema, 10, 3);
+  for (size_t i = 0; i < 1000; ++i) OfferRow(&sampler, schema, MakeRow(i));
+  const Table sample = sampler.BuildSampleTable();
   ASSERT_EQ(sample.num_rows(), 10u);
   for (size_t r = 0; r < sample.num_rows(); ++r) {
     // weight = i * 0.5 identifies the source row; verify the whole row.
@@ -322,37 +337,37 @@ TEST(ReservoirSamplerTest, SampleRowsComeFromTheStream) {
 }
 
 TEST(ReservoirSamplerTest, ChunkOffersMatchRowOffersOnRandomStreams) {
-  // OfferChunk draws before it materializes; the sample must be the one
-  // the row-at-a-time reservoir kept: materialize every kept record, then
+  // OfferChunk draws before it copies; the sample must be the one the
+  // row-at-a-time reservoir keeps: materialize every kept record, then
   // one draw per row past the first k, in record order.
   const Schema schema = TestSchema();
   for (uint64_t trial = 0; trial < 200; ++trial) {
     Rng rng(trial);
     const auto capacity = static_cast<size_t>(rng.UniformInt(1, 60));
     const uint64_t seed = trial * 7 + 1;
-    ReservoirSampler sampler(capacity, seed);
+    ReservoirSampler sampler(schema, capacity, seed);
     Rng reference_rng(seed);
     std::vector<std::pair<uint64_t, Row>> reference;
     uint64_t seen = 0;
     size_t next_row = 0;
     const auto total = static_cast<size_t>(rng.UniformInt(0, 600));
-    TableChunk chunk(schema);
+    Table chunk(schema);
     std::vector<uint8_t> keep;
     while (next_row < total) {
       const auto n = static_cast<size_t>(
           std::min<int64_t>(rng.UniformInt(1, 64),
                             static_cast<int64_t>(total - next_row)));
-      chunk.Reset(n);
+      chunk.Resize(n);
       keep.assign(n, 1);
       for (size_t i = 0; i < n; ++i) {
         const Row row = MakeRow(next_row++);
-        for (size_t a = 0; a < row.size(); ++a) chunk.Set(i, a, row[a]);
+        for (size_t a = 0; a < row.size(); ++a) chunk.SetCell(i, a, row[a]);
         if (rng.Bernoulli(0.2)) keep[i] = 0;
       }
       sampler.OfferChunk(chunk, keep);
       for (size_t i = 0; i < n; ++i) {
         if (keep[i] == 0) continue;
-        const Row row = chunk.MaterializeRow(i);
+        const Row row = chunk.row(i);
         const uint64_t index = seen++;
         if (reference.size() < capacity) {
           reference.emplace_back(index, row);
@@ -368,7 +383,7 @@ TEST(ReservoirSamplerTest, ChunkOffersMatchRowOffersOnRandomStreams) {
     Table expected(schema);
     for (const auto& slot : reference) expected.AppendRowUnchecked(slot.second);
     ASSERT_EQ(sampler.rows_seen(), seen) << "trial " << trial;
-    ExpectTablesEqual(expected, sampler.BuildSampleTable(schema));
+    ExpectTablesEqual(expected, sampler.BuildSampleTable());
   }
 }
 

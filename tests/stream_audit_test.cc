@@ -53,7 +53,7 @@ TEST(QuisStreamGeneratorTest, ChunkedGenerationMatchesOneShot) {
   while (!gen->done()) {
     // 97 does not divide 2500, so the last chunk is a partial one.
     ASSERT_TRUE(gen->NextChunk(97, &chunk).ok());
-    assembled.AppendFrom(chunk);
+    assembled.Append(chunk);
     ++chunks;
   }
   EXPECT_GT(chunks, 20u);

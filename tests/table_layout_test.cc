@@ -1,8 +1,8 @@
 // Randomized layout-equivalence property tests for the columnar Table.
 //
 // The SoA rewrite keeps the row-major API as a materialization layer, so
-// every ingestion path (AppendRow, TableChunk + AppendChunk, AppendRowFrom,
-// CSV round-trip) must produce byte-for-byte the same logical cells, the
+// every ingestion path (AppendRow, Table::Append of producer-filled batch
+// tables, AppendRowFrom, CSV round-trip) must produce byte-for-byte the same logical cells, the
 // null bitmap must agree with Value::is_null, the EncodedDataset views must
 // agree with the cells, its presort-fitted class encoders with
 // ClassEncoder::Fit, and audits must be bitwise identical across
@@ -96,36 +96,42 @@ TEST(TableLayoutTest, AppendPathsProduceIdenticalCells) {
   Table by_row(s);
   for (const Row& row : rows) ASSERT_TRUE(by_row.AppendRow(row).ok());
 
-  // Chunked columnar path, including a chunk boundary mid-table.
+  // Chunked columnar path, including a chunk boundary mid-table. The
+  // batch table is reused the way the decoders reuse theirs: Resize keeps
+  // the old payloads and clears the null bits, then every cell is written.
   Table by_chunk(s);
-  TableChunk chunk(s);
+  Table chunk(s);
   for (size_t start = 0; start < rows.size(); start += 128) {
     const size_t count = std::min<size_t>(128, rows.size() - start);
-    chunk.Reset(count);
+    chunk.Resize(count);
     for (size_t i = 0; i < count; ++i) {
       for (size_t a = 0; a < s.num_attributes(); ++a) {
-        chunk.Set(i, a, rows[start + i][a]);
+        chunk.SetCell(i, a, rows[start + i][a]);
       }
     }
-    by_chunk.AppendChunk(chunk);
+    by_chunk.Append(chunk);
   }
   ExpectIdenticalCells(by_row, by_chunk);
 
-  // Chunks that start and end off the 64-row null-bitmap words.
+  // Chunks that start and end off the 64-row null-bitmap words, so
+  // Append shifts every bitmap word across two words of the table.
   Table by_ragged_chunk(s);
   const size_t ragged[] = {77, 200, 31, 64, 128};
   for (size_t start = 0, k = 0; start < rows.size(); ++k) {
     const size_t count = std::min(ragged[k % 5], rows.size() - start);
-    chunk.Reset(count);
+    chunk.Resize(count);
     for (size_t i = 0; i < count; ++i) {
       for (size_t a = 0; a < s.num_attributes(); ++a) {
-        chunk.Set(i, a, rows[start + i][a]);
+        chunk.SetCell(i, a, rows[start + i][a]);
       }
     }
-    by_ragged_chunk.AppendChunk(chunk);
+    by_ragged_chunk.Append(chunk);
     start += count;
   }
   ExpectIdenticalCells(by_row, by_ragged_chunk);
+  for (size_t a = 0; a < s.num_attributes(); ++a) {
+    EXPECT_EQ(by_ragged_chunk.null_words(a), by_row.null_words(a)) << a;
+  }
 
   // Column-to-column row copies.
   Table by_copy(s);
@@ -347,14 +353,14 @@ TEST(TableLayoutTest, AuditReportIdenticalAcrossConstructionPaths) {
   Table by_row(s);
   for (const Row& row : rows) ASSERT_TRUE(by_row.AppendRow(row).ok());
   Table by_chunk(s);
-  TableChunk chunk(s);
-  chunk.Reset(rows.size());
+  Table chunk(s);
+  chunk.Resize(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     for (size_t a = 0; a < s.num_attributes(); ++a) {
-      chunk.Set(i, a, rows[i][a]);
+      chunk.SetCell(i, a, rows[i][a]);
     }
   }
-  by_chunk.AppendChunk(chunk);
+  by_chunk.Append(chunk);
 
   AuditorConfig cfg;
   cfg.num_threads = 1;
@@ -387,15 +393,15 @@ TEST(TableLayoutTest, ChunkKeepMaskDropsExactlyUnkeptSlots) {
     keep[i] = rng.Bernoulli(0.7) ? 1 : 0;
   }
 
-  TableChunk chunk(s);
-  chunk.Reset(rows.size());
+  Table chunk(s);
+  chunk.Resize(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     for (size_t a = 0; a < s.num_attributes(); ++a) {
-      chunk.Set(i, a, rows[i][a]);
+      chunk.SetCell(i, a, rows[i][a]);
     }
   }
   Table t(s);
-  t.AppendChunk(chunk, &keep);
+  t.Append(chunk, &keep);
 
   Table expected(s);
   for (size_t i = 0; i < rows.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "table/csv.h"
@@ -110,6 +111,24 @@ TEST(DateTest, ParseRejectsInvalid) {
   EXPECT_FALSE(ParseDate("not-a-date").ok());
   EXPECT_FALSE(ParseDate("2003/01/01").ok());
   EXPECT_FALSE(ParseDate("").ok());
+}
+
+TEST(DateTest, ParseRejectsComponentsAndDaysPastInt32) {
+  // Each spelling narrows onto 2003-06-01 when a component wraps at 2^32.
+  for (const char* text :
+       {"4294969299-06-01", "2003-4294967302-01", "2003-06-4294967297"}) {
+    EXPECT_FALSE(ParseDate(text).ok()) << text;
+  }
+  // Years past about 5.88 million have day counts past INT32_MAX.
+  EXPECT_FALSE(ParseDate("6000000-01-01").ok());
+  EXPECT_FALSE(ParseDate("2147483647-12-31").ok());
+  // The last representable day formats and parses back.
+  for (const int32_t days : {std::numeric_limits<int32_t>::max(),
+                             std::numeric_limits<int32_t>::max() - 719468}) {
+    auto back = ParseDate(FormatDate(days));
+    ASSERT_TRUE(back.ok()) << FormatDate(days) << ": " << back.status();
+    EXPECT_EQ(*back, days) << FormatDate(days);
+  }
 }
 
 // --- Schema -----------------------------------------------------------------

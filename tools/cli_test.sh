@@ -232,6 +232,44 @@ rc=0
 test "$rc" -eq 1
 grep -q "header implies" "$WORK/huge.err"
 
+# --- A date component past int32 ---
+# 4294969299-06-01 once wrapped onto 2003-06-01 and loaded. It is a bad
+# value: the strict read fails, and the lenient one quarantines the record.
+"$DQGEN" --quis --records 500 --seed 7 --clean "$WORK/bigdate_clean.csv" \
+  > /dev/null
+awk -F, -v OFS=, 'NR == 11 { $8 = "4294969299-06-01" } { print }' \
+  "$WORK/bigdate_clean.csv" > "$WORK/bigdate.csv"
+rc=0
+"$DQAUDIT" --schema "$QUIS_FULL_SPEC" --data "$WORK/bigdate.csv" \
+  --on-error fail > /dev/null 2>&1 || rc=$?
+test "$rc" -eq 1
+"$DQAUDIT" --schema "$QUIS_FULL_SPEC" --data "$WORK/bigdate.csv" \
+  --on-error skip --ingest-report "$WORK/bigdate.json" > "$WORK/bigdate.out"
+grep -q "quarantined 1 of 500 records (bad-value 1)" "$WORK/bigdate.out"
+grep -q '"line": 11, "column": 0, "kind": "bad-value"' "$WORK/bigdate.json"
+
+# --- Output files cut short by a file size limit ---
+# With SIGXFSZ ignored a write past `ulimit -f` fails instead of killing
+# the tool; dqgen must then fail and leave the previous --log or --truth
+# file as it was. At 16 KiB the 12 KB tables fit, while the 55 KB log and
+# the 34 KB truth file do not.
+printf 'k nominal a,b\nj nominal a,b\n' > "$WORK/two.spec"
+for out in log truth; do
+  rm -f "$WORK/limited_dirty.csv"
+  echo "previous $out" > "$WORK/limited.$out"
+  if (trap '' XFSZ; ulimit -f 16
+      "$DQGEN" --schema "$WORK/two.spec" --records 3000 --rules 0 --seed 3 \
+        --factor 4 --clean "$WORK/limited_clean.csv" \
+        --dirty "$WORK/limited_dirty.csv" --"$out" "$WORK/limited.$out" \
+        > /dev/null 2>&1); then
+    echo "dqgen --$out past the file size limit exited 0" >&2
+    exit 1
+  fi
+  test -s "$WORK/limited_dirty.csv"  # so the --$out write is what failed
+  test "$(cat "$WORK/limited.$out")" = "previous $out"
+  test ! -e "$WORK/limited.$out.tmp"
+done
+
 # --- Flag validation: malformed values are rejected with a diagnostic ---
 # (not silently parsed as 0 the way atoi would).
 expect_flag_error() {

@@ -478,7 +478,7 @@ Result<AuditModel> ObtainModel(const RunConfig& run,
     return auditor.Induce(train);
   }
   if (sampler != nullptr) {
-    const Table sample = sampler->BuildSampleTable(run.schema);
+    const Table sample = sampler->BuildSampleTable();
     DQ_ASSIGN_OR_RETURN(AuditModel model, auditor.Induce(sample));
     std::printf("induced on %zu sampled records (reservoir capacity %zu)\n",
                 sample.num_rows(), opts.sample_rows);
@@ -697,7 +697,7 @@ Status RunAudit(const RunConfig& run, obs::RunManifest* manifest) {
   if (opts.memory_budget > 0 && opts.load_model_path.empty() &&
       opts.train_path.empty()) {
     sampler = std::make_unique<ReservoirSampler>(
-        opts.sample_rows, StreamAuditOptions().sample_seed);
+        run.schema, opts.sample_rows, StreamAuditOptions().sample_seed);
   }
   IngestReport ingest;
   const Status read =

@@ -48,11 +48,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <ostream>
 #include <string>
 
 #include "flag_parse.h"
 
+#include "common/atomic_file.h"
 #include "lint/lint.h"
 #include "logic/natural.h"
 #include "logic/rule_parser.h"
@@ -323,28 +324,21 @@ int main(int argc, char** argv) {
     qcfg.seed = opts.seed;
     auto gen = QuisStreamGenerator::Create(qcfg);
     if (!gen.ok()) return Fail(gen.status());
-    std::ofstream out(opts.clean_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Fail(Status::IOError("cannot open '" + opts.clean_path +
-                                  "' for writing"));
-    }
     obs::Span span("quis.generate");
-    CsvOptions write_options;
-    Table chunk;
     size_t written_rows = 0;
-    while (!gen->done()) {
-      Status generated = gen->NextChunk(opts.chunk_rows, &chunk);
-      if (!generated.ok()) return Fail(generated);
-      write_options.write_header = written_rows == 0;
-      Status written = WriteCsv(chunk, &out, write_options);
-      if (!written.ok()) return Fail(written);
-      written_rows += chunk.num_rows();
-    }
-    out.flush();
-    if (!out) {
-      return Fail(Status::IOError("short write to '" + opts.clean_path +
-                                  "'"));
-    }
+    Status written =
+        WriteFileAtomically(opts.clean_path, [&](std::ostream* out) {
+          CsvOptions write_options;
+          Table chunk;
+          while (!gen->done()) {
+            DQ_RETURN_NOT_OK(gen->NextChunk(opts.chunk_rows, &chunk));
+            write_options.write_header = written_rows == 0;
+            DQ_RETURN_NOT_OK(WriteCsv(chunk, out, write_options));
+            written_rows += chunk.num_rows();
+          }
+          return Status::OK();
+        });
+    if (!written.ok()) return Fail(written);
     obs::GetCounter("tdg.records_generated")->Add(written_rows);
     std::printf("generated %zu QUIS engine-composition records in chunks of "
                 "%zu (planted deviation at row %zu) -> %s\n",
@@ -484,20 +478,25 @@ int main(int argc, char** argv) {
   }
 
   if (!opts.log_path.empty()) {
-    std::ofstream log(opts.log_path);
-    if (!log) return Fail(Status::IOError("cannot open " + opts.log_path));
-    for (const CorruptionEvent& ev : polluted->log) {
-      log << ev.ToString(schema) << '\n';
-    }
+    Status logged = WriteFileAtomically(opts.log_path, [&](std::ostream* log) {
+      for (const CorruptionEvent& ev : polluted->log) {
+        *log << ev.ToString(schema) << '\n';
+      }
+      return Status::OK();
+    });
+    if (!logged.ok()) return Fail(logged);
   }
   if (!opts.truth_path.empty()) {
-    std::ofstream truth(opts.truth_path);
-    if (!truth) return Fail(Status::IOError("cannot open " + opts.truth_path));
-    truth << "row,corrupted,origin\n";
-    for (size_t r = 0; r < polluted->dirty.num_rows(); ++r) {
-      truth << r << ',' << (polluted->is_corrupted[r] ? 1 : 0) << ','
-            << polluted->origin[r] << '\n';
-    }
+    Status truth_written =
+        WriteFileAtomically(opts.truth_path, [&](std::ostream* truth) {
+          *truth << "row,corrupted,origin\n";
+          for (size_t r = 0; r < polluted->dirty.num_rows(); ++r) {
+            *truth << r << ',' << (polluted->is_corrupted[r] ? 1 : 0) << ','
+                   << polluted->origin[r] << '\n';
+          }
+          return Status::OK();
+        });
+    if (!truth_written.ok()) return Fail(truth_written);
   }
   return finish();
 }

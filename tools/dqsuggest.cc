@@ -36,12 +36,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "audit/auditor.h"
 #include "audit/rule_export.h"
+#include "common/atomic_file.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "lint/suggest.h"
@@ -336,13 +336,10 @@ int main(int argc, char** argv) {
         (opts.expert_path.empty() ? std::string()
                                   : " (reconciled against " +
                                         opts.expert_path + ")");
-    const std::string text =
-        RenderSuggestedRuleFile(result.accepted, *schema, header);
-    std::ofstream out(opts.emit_path);
-    if (!out || !(out << text)) {
-      return Fail(Status::IOError("cannot write " + opts.emit_path));
-    }
-    out.close();
+    Status emitted = WriteFileAtomically(
+        opts.emit_path,
+        RenderSuggestedRuleFile(result.accepted, *schema, header));
+    if (!emitted.ok()) return Fail(emitted);
     std::fprintf(stderr, "emitted %zu rules to %s\n", result.accepted.size(),
                  opts.emit_path.c_str());
   }

@@ -57,6 +57,21 @@ grep -q ", 0 errors, 0 warnings" "$WORK/lint.out"
 # The metadata annotations are present.
 grep -q "^# @rule conf=" "$WORK/suggested.rules"
 
+# An --emit write cut short by a 1 KiB file size limit (SIGXFSZ ignored,
+# so the write fails instead of killing the tool) fails the run and leaves
+# the previous file as it was.
+test "$(wc -c < "$WORK/suggested.rules")" -gt 1024
+echo "previous rules" > "$WORK/limited.rules"
+if (trap '' XFSZ; ulimit -f 1
+    "$DQSUGGEST" --schema "$SPEC" --data "$WORK/quis.csv" \
+      --expert-rules "$EXPERT" --emit "$WORK/limited.rules" \
+      > /dev/null 2>&1); then
+  echo "dqsuggest --emit past the file size limit exited 0" >&2
+  exit 1
+fi
+test "$(cat "$WORK/limited.rules")" = "previous rules"
+test ! -e "$WORK/limited.rules.tmp"
+
 # dqaudit accepts the file as an expert rule program and audits
 # deterministically: bitwise-identical reports across thread counts.
 for threads in 1 8; do
