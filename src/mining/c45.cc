@@ -88,35 +88,6 @@ struct C45Tree::Node {
   bool IsLeaf() const { return split_attr < 0; }
 };
 
-struct C45Tree::BuildContext {
-  const Schema* schema;
-  const int32_t* class_codes;  // per row, -1 for null
-  std::vector<int> base_attrs;
-  int num_classes;
-  double min_inst;
-
-  // Columnar views of the base attributes, aliasing the EncodedDataset:
-  // ordered_cols[a][row] is the OrderedValue (NaN = null) of ordered base
-  // attributes, nominal_cols[a][row] the category code (-1 = null) of
-  // nominal ones. Non-base attributes stay nullptr.
-  std::vector<const double*> ordered_cols;
-  std::vector<const int32_t*> nominal_cols;
-
-  // Per-row branch assignment scratch used while partitioning one node
-  // (-2 = not in node, -1 = missing split value, >= 0 = branch index).
-  // Exact mode only.
-  std::vector<int32_t> branch_scratch;
-};
-
-/// Per-node training state of the exact sweep: the instance set plus one
-/// value-ordered instance list per ordered base attribute. The lists are
-/// partitioned stably alongside the instances, so the shared sort order
-/// survives to every descendant and no node ever sorts.
-struct C45Tree::NodeData {
-  std::vector<std::pair<uint32_t, double>> insts;
-  std::vector<std::vector<std::pair<uint32_t, double>>> sorted;
-};
-
 C45Tree::C45Tree(C45Config config) : config_(config) {}
 C45Tree::~C45Tree() = default;
 C45Tree::C45Tree(C45Tree&&) noexcept = default;
@@ -174,447 +145,47 @@ constexpr double kEps = kTreeWeightEpsilon;
 
 // ---------------------------------------------------------------------------
 // Induction
-
-Status C45Tree::Train(const TrainingData& data) {
-  DQ_RETURN_NOT_OK(data.Check());
-  num_classes_ = data.encoder().num_classes();
-  if (num_classes_ < 1) {
-    return Status::FailedPrecondition("encoder reports no classes");
-  }
-  const EncodedDataset& cache = *data.encoded;
-  const Schema& schema = data.table().schema();
-  const size_t num_rows = cache.num_rows();
-
-  // Column views and class codes come from the shared cache, so Train
-  // encodes nothing.
-  BuildContext ctx;
-  ctx.schema = &schema;
-  ctx.class_codes = cache.class_codes(static_cast<size_t>(data.class_attr));
-  ctx.base_attrs = data.base_attrs;
-  ctx.num_classes = num_classes_;
-  ctx.min_inst =
-      MinInstForConfidence(config_.min_error_confidence, config_.confidence_level);
-  ctx.ordered_cols.assign(schema.num_attributes(), nullptr);
-  ctx.nominal_cols.assign(schema.num_attributes(), nullptr);
-  for (int a : data.base_attrs) {
-    const size_t attr = static_cast<size_t>(a);
-    ctx.ordered_cols[attr] = cache.ordered_col(attr);
-    ctx.nominal_cols[attr] = cache.nominal_col(attr);
-  }
-
-  std::vector<Inst> insts;
-  insts.reserve(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    if (ctx.class_codes[r] >= 0) {
-      insts.emplace_back(static_cast<uint32_t>(r), 1.0);
-    }
-  }
-  if (insts.empty()) {
-    return Status::FailedPrecondition(
-        "no training instances with non-null class value");
-  }
-
-  std::vector<bool> avail(schema.num_attributes(), false);
-  for (int a : data.base_attrs) avail[static_cast<size_t>(a)] = true;
-
-  double build_ms = 0.0;
-  {
-    obs::Span span("c45.build", data.class_attr, &build_ms);
-    if (config_.split_mode == SplitMode::kHistogram) {
-      BuildHistogram(cache, ctx, std::move(insts), std::move(avail));
-    } else {
-      // SLIQ attribute lists: the shared sort order holds ALL value-known
-      // rows stable-sorted by (value, row); filtering it down to the rows
-      // with a known class value keeps that order, in O(n) per attribute.
-      NodeData root_data;
-      root_data.insts = std::move(insts);
-      root_data.sorted.assign(schema.num_attributes(), {});
-      ctx.branch_scratch.assign(num_rows, -2);
-      for (int a : data.base_attrs) {
-        const size_t attr = static_cast<size_t>(a);
-        if (ctx.ordered_cols[attr] == nullptr) continue;
-        std::vector<Inst>& list = root_data.sorted[attr];
-        list.reserve(root_data.insts.size());
-        for (uint32_t r : cache.sort_order(attr)) {
-          if (ctx.class_codes[r] >= 0) list.emplace_back(r, 1.0);
-        }
-      }
-      root_ = Build(&ctx, std::move(root_data), std::move(avail), 0);
-    }
-    if (config_.pruning == PruningMode::kPessimistic) {
-      PrunePessimistic(root_.get());
-    }
-  }
-  // When trees build side by side, the slowest one sets the induce time.
-  static obs::Histogram* const build_times = obs::GetHistogram(
-      "c45.tree_build_ms", {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
-  build_times->Observe(build_ms);
-  compiled_ = Compile();
-  obs::GetCounter("c45.tree_nodes")->Add(NodeCount());
-  return Status::OK();
-}
-
-std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
-                                              std::vector<bool> avail,
-                                              int depth) {
-  std::vector<Inst>& insts = data.insts;
-  static obs::Counter* const nodes_built = obs::GetCounter("c45.nodes_built");
-  nodes_built->Add(1);
-  auto node = std::make_unique<Node>();
-  node->class_counts.assign(static_cast<size_t>(ctx->num_classes), 0.0);
-  for (const Inst& inst : insts) {
-    node->class_counts[static_cast<size_t>(
-        ctx->class_codes[inst.first])] += inst.second;
-    node->weight += inst.second;
-  }
-  node->majority = MajorityOf(node->class_counts);
-  node->expected_error_conf = LeafExpectedErrorConf(
-      node->class_counts.data(), node->class_counts.size(), node->weight,
-      node->majority, config_.confidence_level, config_.min_error_confidence);
-
-  const double majority_count =
-      node->class_counts[static_cast<size_t>(node->majority)];
-  const bool pure = majority_count >= node->weight - kEps;
-
-  // Stopping conditions; the minInst check is the pre-pruning of sec. 5.4:
-  // once no partition can hold minInst instances of one class, deeper
-  // leaves can never flag a deviation above the minimal error confidence.
-  if (pure || depth >= config_.max_depth ||
-      node->weight < 2.0 * config_.min_split_weight ||
-      majority_count < ctx->min_inst) {
-    return node;
-  }
-
-  // --- Split search -------------------------------------------------------
-  const Schema& schema = *ctx->schema;
-  std::vector<SplitEval> evals(schema.num_attributes());
-  const double node_entropy = EntropyFromCounts(node->class_counts);
-  const int32_t* class_codes = ctx->class_codes;
-
-  // Threshold sweep over one attribute's value-ordered instance list.
-  auto eval_ordered_split = [&](const double* col,
-                                const std::vector<Inst>& entries,
-                                const std::vector<double>& known_counts,
-                                double known, SplitEval* eval) {
-    const double known_entropy = EntropyFromCounts(known_counts);
-    std::vector<double> left(static_cast<size_t>(ctx->num_classes), 0.0);
-    std::vector<double> right = known_counts;
-    double left_w = 0.0;
-    double best_gain = -1.0;
-    double best_thr = 0.0;
-    double best_left_w = 0.0;
-    size_t distinct = 1;
-    for (size_t i = 0; i + 1 < entries.size(); ++i) {
-      const size_t cls = static_cast<size_t>(class_codes[entries[i].first]);
-      const double val = col[entries[i].first];
-      const double next_val = col[entries[i + 1].first];
-      left[cls] += entries[i].second;
-      right[cls] -= entries[i].second;
-      left_w += entries[i].second;
-      if (next_val > val + kEps) {
-        ++distinct;
-        const double right_w = known - left_w;
-        if (left_w < config_.min_split_weight ||
-            right_w < config_.min_split_weight) {
-          continue;
-        }
-        const double sub = left_w / known * EntropyFromCounts(left) +
-                           right_w / known * EntropyFromCounts(right);
-        const double gain = known_entropy - sub;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_thr = std::midpoint(val, next_val);
-          best_left_w = left_w;
-        }
-      }
-    }
-    if (best_gain <= kEps) return;
-    const double known_frac = known / node->weight;
-    double gain = known_frac * best_gain;
-    if (distinct > 1) {
-      gain -= std::log2(static_cast<double>(distinct - 1)) / known;
-    }
-    if (gain <= kEps) return;
-    std::vector<double> si_weights{best_left_w, known - best_left_w};
-    if (node->weight - known > kEps) si_weights.push_back(node->weight - known);
-    const double split_info = EntropyFromCounts(si_weights);
-    eval->valid = true;
-    eval->gain = gain;
-    eval->gain_ratio = split_info > kEps ? gain / split_info : 0.0;
-    eval->ordered = true;
-    eval->threshold = best_thr;
-  };
-
-  for (int attr : ctx->base_attrs) {
-    if (!avail[static_cast<size_t>(attr)]) continue;
-    const AttributeDef& def = schema.attribute(static_cast<size_t>(attr));
-    SplitEval& eval = evals[static_cast<size_t>(attr)];
-
-    if (def.type == DataType::kNominal) {
-      const int32_t* col = ctx->nominal_cols[static_cast<size_t>(attr)];
-      const size_t k = def.categories.size();
-      std::vector<std::vector<double>> branch_counts(
-          k, std::vector<double>(static_cast<size_t>(ctx->num_classes), 0.0));
-      std::vector<double> branch_weights(k, 0.0);
-      double known = 0.0;
-      for (const Inst& inst : insts) {
-        const int32_t code = col[inst.first];
-        if (code < 0) continue;
-        const size_t b = static_cast<size_t>(code);
-        branch_counts[b][static_cast<size_t>(class_codes[inst.first])] +=
-            inst.second;
-        branch_weights[b] += inst.second;
-        known += inst.second;
-      }
-      if (known <= kEps) continue;
-      int non_empty = 0;
-      int big_enough = 0;
-      double sub_entropy = 0.0;
-      for (size_t b = 0; b < k; ++b) {
-        if (branch_weights[b] <= kEps) continue;
-        ++non_empty;
-        if (branch_weights[b] >= config_.min_split_weight) ++big_enough;
-        sub_entropy +=
-            branch_weights[b] / known * EntropyFromCounts(branch_counts[b]);
-      }
-      if (non_empty < 2 || big_enough < 2) continue;
-      const double known_frac = known / node->weight;
-      const double gain = known_frac * (node_entropy - sub_entropy);
-      if (gain <= kEps) continue;
-      // Split info over the known branches plus the missing "branch".
-      std::vector<double> si_weights = branch_weights;
-      if (node->weight - known > kEps) si_weights.push_back(node->weight - known);
-      const double split_info = EntropyFromCounts(si_weights);
-      eval.valid = true;
-      eval.gain = gain;
-      eval.gain_ratio = split_info > kEps ? gain / split_info : 0.0;
-    } else {
-      // Ordered attribute: sweep thresholds between distinct values over
-      // the node's value-ordered list (already partitioned, never sorted).
-      const double* col = ctx->ordered_cols[static_cast<size_t>(attr)];
-      const std::vector<Inst>& list = data.sorted[static_cast<size_t>(attr)];
-      std::vector<double> known_counts(static_cast<size_t>(ctx->num_classes),
-                                       0.0);
-      double known = 0.0;
-      for (const Inst& inst : list) {
-        known += inst.second;
-        known_counts[static_cast<size_t>(class_codes[inst.first])] +=
-            inst.second;
-      }
-      if (known <= kEps || list.size() < 2) continue;
-      eval_ordered_split(col, list, known_counts, known, &eval);
-    }
-  }
-
-  // C4.5 selection: among candidates with at least average gain, take the
-  // best gain ratio (or raw gain in ID3 mode).
-  double gain_sum = 0.0;
-  int valid_count = 0;
-  for (const SplitEval& e : evals) {
-    if (e.valid) {
-      gain_sum += e.gain;
-      ++valid_count;
-    }
-  }
-  static obs::Counter* const splits_evaluated =
-      obs::GetCounter("c45.splits_evaluated");
-  splits_evaluated->Add(static_cast<uint64_t>(valid_count));
-  if (valid_count == 0) return node;
-  const double avg_gain = gain_sum / valid_count;
-  int best_attr = -1;
-  double best_score = -1.0;
-  for (size_t a = 0; a < evals.size(); ++a) {
-    const SplitEval& e = evals[a];
-    if (!e.valid) continue;
-    if (config_.use_gain_ratio && e.gain + kEps < avg_gain) continue;
-    const double score = config_.use_gain_ratio ? e.gain_ratio : e.gain;
-    if (score > best_score) {
-      best_score = score;
-      best_attr = static_cast<int>(a);
-    }
-  }
-  if (best_attr < 0) return node;
-  const SplitEval& best = evals[static_cast<size_t>(best_attr)];
-
-  // --- Partition ----------------------------------------------------------
-  const AttributeDef& def = schema.attribute(static_cast<size_t>(best_attr));
-  const size_t num_children =
-      best.ordered ? 2 : def.categories.size();
-  std::vector<std::vector<Inst>> parts(num_children);
-  std::vector<Inst> missing;
-  std::vector<double> part_weights(num_children, 0.0);
-  double known = 0.0;
-  const double* ordered_col = ctx->ordered_cols[static_cast<size_t>(best_attr)];
-  const int32_t* nominal_col = ctx->nominal_cols[static_cast<size_t>(best_attr)];
-  for (const Inst& inst : insts) {
-    size_t b;
-    if (best.ordered) {
-      const double v = ordered_col[inst.first];
-      if (std::isnan(v)) {
-        ctx->branch_scratch[inst.first] = -1;
-        missing.push_back(inst);
-        continue;
-      }
-      b = v <= best.threshold ? 0 : 1;
-    } else {
-      const int32_t code = nominal_col[inst.first];
-      if (code < 0) {
-        ctx->branch_scratch[inst.first] = -1;
-        missing.push_back(inst);
-        continue;
-      }
-      b = static_cast<size_t>(code);
-    }
-    ctx->branch_scratch[inst.first] = static_cast<int32_t>(b);
-    parts[b].push_back(inst);
-    part_weights[b] += inst.second;
-    known += inst.second;
-  }
-  auto reset_scratch = [&] {
-    for (const Inst& inst : insts) ctx->branch_scratch[inst.first] = -2;
-  };
-
-  // minInst pre-pruning (sec. 5.4): require at least one partition with
-  // minInst instances of one class.
-  if (ctx->min_inst > 1.0) {
-    bool any_strong = false;
-    for (size_t b = 0; b < num_children && !any_strong; ++b) {
-      std::vector<double> counts(static_cast<size_t>(ctx->num_classes), 0.0);
-      for (const Inst& inst : parts[b]) {
-        counts[static_cast<size_t>(class_codes[inst.first])] += inst.second;
-      }
-      if (counts[static_cast<size_t>(MajorityOf(counts))] >= ctx->min_inst) {
-        any_strong = true;
-      }
-    }
-    if (!any_strong) {
-      reset_scratch();
-      return node;
-    }
-  }
-
-  // Distribute missing-value instances over non-empty branches.
-  if (!missing.empty() && known > kEps) {
-    for (const Inst& inst : missing) {
-      for (size_t b = 0; b < num_children; ++b) {
-        if (part_weights[b] <= kEps) continue;
-        const double w = inst.second * part_weights[b] / known;
-        if (w > 1e-6) parts[b].emplace_back(inst.first, w);
-      }
-    }
-  }
-
-  // Stable partition of the per-attribute sorted lists: children inherit
-  // their slices in the same value order, so no descendant ever re-sorts.
-  // Missing-value instances replicate into every non-empty branch with the
-  // same scaled weight their parts[] copy received above.
-  std::vector<std::vector<std::vector<Inst>>> child_sorted(num_children);
-  for (size_t b = 0; b < num_children; ++b) {
-    if (!parts[b].empty()) {
-      child_sorted[b].assign(schema.num_attributes(), {});
-    }
-  }
-  for (size_t a = 0; a < data.sorted.size(); ++a) {
-    const std::vector<Inst>& list = data.sorted[a];
-    if (list.empty()) continue;
-    for (const Inst& e : list) {
-      const int32_t br = ctx->branch_scratch[e.first];
-      if (br >= 0) {
-        child_sorted[static_cast<size_t>(br)][a].push_back(e);
-      } else if (br == -1 && known > kEps) {
-        for (size_t b = 0; b < num_children; ++b) {
-          if (part_weights[b] <= kEps) continue;
-          const double w = e.second * part_weights[b] / known;
-          if (w > 1e-6) child_sorted[b][a].emplace_back(e.first, w);
-        }
-      }
-    }
-  }
-  reset_scratch();
-  insts.clear();
-  insts.shrink_to_fit();
-  data.sorted.clear();
-  data.sorted.shrink_to_fit();
-
-  node->split_attr = best_attr;
-  node->ordered_split = best.ordered;
-  node->threshold = best.threshold;
-  node->known_weight = known;
-  node->child_weights = part_weights;
-
-  std::vector<bool> child_avail = avail;
-  if (!best.ordered) {
-    child_avail[static_cast<size_t>(best_attr)] = false;  // consumed
-  }
-
-  double subtree_exp = 0.0;
-  double subtree_weight = 0.0;
-  for (size_t b = 0; b < num_children; ++b) {
-    if (parts[b].empty()) {
-      // Empty branch: leaf predicting the parent majority, weight 0.
-      auto child = std::make_unique<Node>();
-      child->class_counts.assign(static_cast<size_t>(ctx->num_classes), 0.0);
-      child->majority = node->majority;
-      nodes_built->Add(1);
-      node->children.push_back(std::move(child));
-      continue;
-    }
-    NodeData child_data;
-    child_data.insts = std::move(parts[b]);
-    child_data.sorted = std::move(child_sorted[b]);
-    auto child = Build(ctx, std::move(child_data), child_avail, depth + 1);
-    subtree_exp += child->weight * child->expected_error_conf;
-    subtree_weight += child->weight;
-    node->children.push_back(std::move(child));
-  }
-  if (subtree_weight > kEps) subtree_exp /= subtree_weight;
-
-  // Integrated Def. 9 pruning: replace the subtree by a leaf whenever that
-  // leads to a higher expected error confidence.
-  if (config_.pruning == PruningMode::kExpectedErrorConfidence) {
-    const double leaf_exp = node->expected_error_conf;
-    if (leaf_exp > subtree_exp + kEps) {
-      node->split_attr = -1;
-      node->children.clear();
-      node->child_weights.clear();
-      return node;
-    }
-  }
-  node->expected_error_conf = subtree_exp;
-  return node;
-}
-
-// ---------------------------------------------------------------------------
-// Histogram-mode induction (SplitMode::kHistogram)
 //
-// The split evaluator scans per-node (bin x class) histograms instead of
-// the exact per-row sweep: every ordered attribute is bucketed once per
-// table into <= 255 equal-frequency bins (EncodedDataset::bins, derived
-// from the shared sort orders), nominal attributes use their dictionary
-// codes as bins directly, and a node's histograms over all base attributes
-// are filled in one pass over its instances. Four cost levers stack:
+// One grower builds the trees of both split modes. They share the node
+// statistics and stopping rule, C4.5 split selection, nominal split scoring,
+// the partition with its minInst check and null spread, empty-branch leaves
+// and Def. 9 pruning, and differ only in how a node scores an ordered
+// attribute:
 //
-//   * evaluation is O(bins x classes) per attribute instead of
-//     O(rows x classes) with a log2 per distinct boundary, and the
-//     threshold sweep (kernels::SweepBinnedSplit) refreshes a class's
-//     log2 term only when a bin moves weight across;
-//   * each binned slice carries a mask of the bins its scans wrote, so
-//     the sweep visits only those bins; a node deep in the tree occupies
-//     a fraction of the 255;
-//   * the largest child of a split never gets scanned -- its histograms
-//     are reconstructed as parent minus the scanned siblings;
-//   * the tree grows level by level, one sibling family at a time, so a
-//     node's histogram block lives only from its scan to its split; only
-//     the parent blocks kept for subtraction outlive a level.
+//   * kHistogram: every ordered attribute is bucketed once per table into
+//     <= 255 equal-frequency bins (EncodedDataset::bins, derived from the
+//     shared sort orders), nominal attributes use their dictionary codes as
+//     bins, and a sibling family's histograms are filled one attribute at a
+//     time over its nodes' instances. Three cost levers stack:
+//       - evaluation is O(bins x classes) per attribute instead of
+//         O(rows x classes) with a log2 per distinct boundary, and the
+//         threshold sweep (kernels::SweepBinnedSplit) refreshes a class's
+//         log2 term only when a bin moves weight across;
+//       - each binned slice carries a mask of the bins its scans wrote, so
+//         the sweep visits only those bins; a node deep in the tree
+//         occupies a fraction of the 255;
+//       - the largest child of a split never gets scanned -- its histograms
+//         are reconstructed as parent minus the scanned siblings.
+//   * kExact: every node carries one value-ordered instance list per
+//     ordered base attribute, and the SLIQ sweep scores every boundary
+//     between distinct values. The root filters EncodedDataset::sort_order
+//     down to the class-known rows and each split partitions the lists
+//     stably, so no node ever sorts. Nominal attributes are scored by one
+//     pass over the node's instances; nothing is scanned or subtracted.
 //
-// Each tree grows serially: Auditor::Induce spreads the k trees of an
-// audit over its pool instead. The integrated Def. 9 pruning of the
-// recursive path is deferred to one post-order pass after the frontier
-// finishes, which provably yields the same tree: construction is pure
-// top-down, so pruning decisions only ever consume finished subtrees in
-// both orders.
+// Sibling families wait on one stack, so a tree grows depth first: a node's
+// lists live from its creation to its split, its histogram block until its
+// split or, kept for subtraction, until its children are scanned, and only
+// the families hanging off one root-to-node path are pending. Level by
+// level, a whole level's lists would coexist with the next level's. The
+// order cannot change a byte: children are attached in branch order when
+// their parent expands, and Compile walks the finished tree. Each tree
+// grows serially; Auditor::Induce spreads the k trees of an audit over its
+// pool. Def. 9 pruning is one post-order pass over the grown tree
+// (C45Tree::PruneExpectedErrorConf): construction is pure top-down, so a
+// pruning decision only ever consumes finished subtrees.
 
-struct C45HistogramBuilder {
+struct C45Grower {
   using Node = C45Tree::Node;
 
   /// Nominal histograms are only worth materializing for bounded
@@ -628,10 +199,11 @@ struct C45HistogramBuilder {
   /// at or below this is floating-point cancellation noise.
   static constexpr double kResidueEps = 1e-9;
 
+  /// How every node scores one base attribute.
   struct AttrPlan {
-    enum class Kind { kNone, kBinned, kNominalHist, kNominalScan };
+    enum class Kind { kNone, kBinned, kSorted, kNominalHist, kNominalScan };
     Kind kind = Kind::kNone;
-    size_t width = 0;   ///< histogram rows; 0 for kNone/kNominalScan
+    size_t width = 0;   ///< histogram rows; 0 unless kBinned/kNominalHist
     size_t offset = 0;  ///< start of this attribute's slice (doubles)
     size_t mask = 0;    ///< kBinned: start of its occupancy mask (words)
     const AttributeBins* bins = nullptr;  // kBinned
@@ -647,10 +219,13 @@ struct C45HistogramBuilder {
     std::vector<uint64_t> masks;
   };
 
-  /// One non-terminal frontier node awaiting split evaluation.
-  struct HTask {
+  /// One non-terminal node awaiting split evaluation.
+  struct Task {
     Node* node = nullptr;
     std::vector<Inst> insts;
+    /// kSorted attributes: the instances with a known value, ascending by
+    /// value with ties in row order, at their weights in `insts`.
+    std::vector<std::vector<Inst>> sorted;
     std::vector<bool> avail;
     int depth = 0;
     double node_entropy = 0.0;
@@ -664,7 +239,7 @@ struct C45HistogramBuilder {
   /// Children of one split, grouped so the subtraction child can be
   /// reconstructed from the parent histogram and its siblings.
   struct Family {
-    std::vector<std::unique_ptr<HTask>> tasks;  ///< non-terminal children
+    std::vector<std::unique_ptr<Task>> tasks;  ///< non-terminal children
     /// Parent histogram block; holds cells iff a child is reconstructed.
     HistBlock parent_hist;
     int sub_task = -1;  ///< tasks[] index reconstructed by subtraction
@@ -673,28 +248,33 @@ struct C45HistogramBuilder {
     std::vector<HistBlock> support_hist;
   };
 
-  C45HistogramBuilder(const C45Config& cfg, const Schema& sch,
-                      const C45Tree::BuildContext& context,
-                      const EncodedDataset& cache)
+  C45Grower(const C45Config& cfg, const TrainingData& data)
       : config(cfg),
-        schema(sch),
-        ctx(context),
+        schema(data.table().schema()),
+        cache(*data.encoded),
+        class_codes(cache.class_codes(static_cast<size_t>(data.class_attr))),
+        base_attrs(data.base_attrs),
         num_rows(cache.num_rows()),
-        nc(static_cast<size_t>(context.num_classes)) {
+        nc(static_cast<size_t>(data.encoder().num_classes())),
+        min_inst(MinInstForConfidence(cfg.min_error_confidence,
+                                      cfg.confidence_level)) {
+    const bool exact = config.split_mode == SplitMode::kExact;
     plans.assign(schema.num_attributes(), AttrPlan{});
-    for (int a : ctx.base_attrs) {
+    for (int a : base_attrs) {
       const size_t attr = static_cast<size_t>(a);
       AttrPlan& plan = plans[attr];
       if (schema.attribute(attr).type == DataType::kNominal) {
-        plan.codes = ctx.nominal_cols[attr];
+        plan.codes = cache.nominal_col(attr);
         const size_t cats = schema.attribute(attr).categories.size();
         if (cats == 0) continue;
-        if (cats <= kMaxNominalHistBins) {
+        if (!exact && cats <= kMaxNominalHistBins) {
           plan.kind = AttrPlan::Kind::kNominalHist;
           plan.width = cats;
         } else {
           plan.kind = AttrPlan::Kind::kNominalScan;
         }
+      } else if (exact) {
+        plan.kind = AttrPlan::Kind::kSorted;
       } else {
         const AttributeBins* b = cache.bins(attr);
         if (b == nullptr || b->num_bins <= 0) continue;  // no known values
@@ -704,7 +284,7 @@ struct C45HistogramBuilder {
         plan.bin_codes = b->codes.data();
       }
     }
-    for (int a : ctx.base_attrs) {
+    for (int a : base_attrs) {
       AttrPlan& plan = plans[static_cast<size_t>(a)];
       plan.offset = hist_width;
       hist_width += plan.width * nc;
@@ -715,13 +295,13 @@ struct C45HistogramBuilder {
     }
   }
 
-  std::unique_ptr<Node> Run(std::vector<Inst> insts,
-                            std::vector<bool> avail) {
+  /// Grows the tree over `insts`, every class-known row at unit weight,
+  /// and returns its root.
+  std::unique_ptr<Node> Run(std::vector<Inst> insts) {
     // Root statistics over the dense class-code column; the counts are
-    // integers, so they match the instance-order accumulation of the exact
-    // path bit-for-bit.
+    // integers, so they match an instance-order accumulation bit for bit.
     std::vector<uint32_t> root_counts(nc, 0);
-    kernels::CountClasses(ctx.class_codes, num_rows, root_counts.data());
+    kernels::CountClasses(class_codes, num_rows, root_counts.data());
     std::vector<double> counts(nc, 0.0);
     double weight = 0.0;
     for (size_t c = 0; c < nc; ++c) {
@@ -731,20 +311,36 @@ struct C45HistogramBuilder {
     std::unique_ptr<Node> root = MakeNode(std::move(counts), weight);
     if (IsTerminal(*root, 0)) return root;
 
-    auto task = std::make_unique<HTask>();
+    auto task = std::make_unique<Task>();
     task->node = root.get();
-    task->insts = std::move(insts);
-    task->avail = std::move(avail);
-    task->depth = 0;
+    task->avail.assign(schema.num_attributes(), false);
+    for (int a : base_attrs) task->avail[static_cast<size_t>(a)] = true;
     task->dense = true;
     task->node_entropy = EntropyBits(root->class_counts.data(), nc);
+    if (config.split_mode == SplitMode::kExact) {
+      // SLIQ attribute lists: the shared sort order holds ALL value-known
+      // rows stable-sorted by (value, row); filtering it down to the rows
+      // with a known class value keeps that order, in O(n) per attribute.
+      task->sorted.assign(schema.num_attributes(), {});
+      for (int a : base_attrs) {
+        const size_t attr = static_cast<size_t>(a);
+        if (plans[attr].kind != AttrPlan::Kind::kSorted) continue;
+        std::vector<Inst>& list = task->sorted[attr];
+        list.reserve(insts.size());
+        for (uint32_t r : cache.sort_order(attr)) {
+          if (class_codes[r] >= 0) list.emplace_back(r, 1.0);
+        }
+      }
+      row_branch.assign(num_rows, -1);
+    }
+    task->insts = std::move(insts);
 
-    std::vector<Family> level(1);
-    level.back().tasks.push_back(std::move(task));
-    while (!level.empty()) {
-      std::vector<Family> next;
-      for (Family& f : level) Grow(f, &next);
-      level = std::move(next);
+    std::vector<Family> stack(1);
+    stack.back().tasks.push_back(std::move(task));
+    while (!stack.empty()) {
+      Family f = std::move(stack.back());
+      stack.pop_back();
+      Grow(f, &stack);
     }
     sweep_bins->Add(sweep.bins_visited);
     sweep_candidates->Add(sweep.candidates_scored);
@@ -753,24 +349,24 @@ struct C45HistogramBuilder {
 
  private:
   /// Scans, evaluates and splits one sibling family; the children that
-  /// still need a split join `next` as families of their own.
-  void Grow(Family& f, std::vector<Family>* next) {
-    for (std::unique_ptr<HTask>& t : f.tasks) {
+  /// still need a split join `stack` as families of their own.
+  void Grow(Family& f, std::vector<Family>* stack) {
+    for (std::unique_ptr<Task>& t : f.tasks) {
       ZeroBlock(&t->hist);
       t->evals.assign(schema.num_attributes(), SplitEval{});
     }
     f.support_hist.resize(f.support_insts.size());
     for (HistBlock& block : f.support_hist) ZeroBlock(&block);
     const std::vector<bool>& avail = f.tasks.front()->avail;
-    for (int a : ctx.base_attrs) {
+    for (int a : base_attrs) {
       if (avail[static_cast<size_t>(a)]) RunUnit(f, a);
     }
     f.parent_hist = {};
     f.support_insts = {};
     f.support_hist = {};
-    for (std::unique_ptr<HTask>& t : f.tasks) {
+    for (std::unique_ptr<Task>& t : f.tasks) {
       Family children;
-      if (Expand(*t, &children)) next->push_back(std::move(children));
+      if (Expand(*t, &children)) stack->push_back(std::move(children));
       // Frees the node's instances and, unless Expand kept it as the
       // children's subtraction parent, its histogram block.
       t.reset();
@@ -828,7 +424,7 @@ struct C45HistogramBuilder {
         histogram_subtractions->Add(1);
       }
     }
-    for (std::unique_ptr<HTask>& t : f.tasks) {
+    for (std::unique_ptr<Task>& t : f.tasks) {
       SplitEval* eval = &t->evals[static_cast<size_t>(attr)];
       switch (plan.kind) {
         case AttrPlan::Kind::kBinned:
@@ -836,6 +432,9 @@ struct C45HistogramBuilder {
               t->hist.cells.data() + plan.offset,
               t->hist.masks.data() + plan.mask, nc, *plan.bins,
               t->node->weight, config.min_split_weight, &sweep);
+          break;
+        case AttrPlan::Kind::kSorted:
+          EvalSorted(*t, attr, eval);
           break;
         case AttrPlan::Kind::kNominalHist:
           EvalNominalHist(*t, plan, eval);
@@ -849,7 +448,7 @@ struct C45HistogramBuilder {
     }
   }
 
-  void ScanTask(const HTask& t, const AttrPlan& plan, HistBlock* block) {
+  void ScanTask(const Task& t, const AttrPlan& plan, HistBlock* block) {
     histogram_builds->Add(1);
     if (t.dense) {
       // Whole-column kernels: integer counts, then one exact widen to
@@ -857,7 +456,7 @@ struct C45HistogramBuilder {
       double* dst = block->cells.data() + plan.offset;
       std::vector<uint32_t> u(plan.width * nc, 0);
       if (plan.kind == AttrPlan::Kind::kBinned) {
-        kernels::CountBinClass(plan.bin_codes, ctx.class_codes, num_rows, nc,
+        kernels::CountBinClass(plan.bin_codes, class_codes, num_rows, nc,
                                u.data());
         uint64_t* mask = block->masks.data() + plan.mask;
         for (size_t b = 0; b < plan.width; ++b) {
@@ -869,7 +468,7 @@ struct C45HistogramBuilder {
           }
         }
       } else {
-        kernels::CountCodeClass(plan.codes, ctx.class_codes, num_rows, nc,
+        kernels::CountCodeClass(plan.codes, class_codes, num_rows, nc,
                                 u.data());
       }
       for (size_t i = 0; i < u.size(); ++i) {
@@ -890,7 +489,7 @@ struct C45HistogramBuilder {
         const uint8_t b = bin_codes[inst.first];
         if (b == kNullBinCode) continue;
         dst[static_cast<size_t>(b) * nc +
-            static_cast<size_t>(ctx.class_codes[inst.first])] += inst.second;
+            static_cast<size_t>(class_codes[inst.first])] += inst.second;
         mask[b >> 6] |= uint64_t{1} << (b & 63);
       }
     } else {
@@ -899,12 +498,75 @@ struct C45HistogramBuilder {
         const int32_t code = codes[inst.first];
         if (code < 0) continue;
         dst[static_cast<size_t>(code) * nc +
-            static_cast<size_t>(ctx.class_codes[inst.first])] += inst.second;
+            static_cast<size_t>(class_codes[inst.first])] += inst.second;
       }
     }
   }
 
-  void EvalNominalHist(const HTask& t, const AttrPlan& plan,
+  /// The exact SLIQ threshold sweep over the node's value-ordered list of
+  /// `attr`: every boundary between distinct values is a candidate.
+  void EvalSorted(const Task& t, int attr, SplitEval* eval) const {
+    const double* col = cache.ordered_col(static_cast<size_t>(attr));
+    const std::vector<Inst>& entries = t.sorted[static_cast<size_t>(attr)];
+    std::vector<double> known_counts(nc, 0.0);
+    double known = 0.0;
+    for (const Inst& inst : entries) {
+      known += inst.second;
+      known_counts[static_cast<size_t>(class_codes[inst.first])] +=
+          inst.second;
+    }
+    if (known <= kEps || entries.size() < 2) return;
+    const double known_entropy = EntropyFromCounts(known_counts);
+    std::vector<double> left(nc, 0.0);
+    std::vector<double> right = known_counts;
+    double left_w = 0.0;
+    double best_gain = -1.0;
+    double best_thr = 0.0;
+    double best_left_w = 0.0;
+    size_t distinct = 1;
+    for (size_t i = 0; i + 1 < entries.size(); ++i) {
+      const size_t cls = static_cast<size_t>(class_codes[entries[i].first]);
+      const double val = col[entries[i].first];
+      const double next_val = col[entries[i + 1].first];
+      left[cls] += entries[i].second;
+      right[cls] -= entries[i].second;
+      left_w += entries[i].second;
+      if (next_val > val + kEps) {
+        ++distinct;
+        const double right_w = known - left_w;
+        if (left_w < config.min_split_weight ||
+            right_w < config.min_split_weight) {
+          continue;
+        }
+        const double sub = left_w / known * EntropyFromCounts(left) +
+                           right_w / known * EntropyFromCounts(right);
+        const double gain = known_entropy - sub;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_thr = std::midpoint(val, next_val);
+          best_left_w = left_w;
+        }
+      }
+    }
+    if (best_gain <= kEps) return;
+    const double node_weight = t.node->weight;
+    const double known_frac = known / node_weight;
+    double gain = known_frac * best_gain;
+    if (distinct > 1) {
+      gain -= std::log2(static_cast<double>(distinct - 1)) / known;
+    }
+    if (gain <= kEps) return;
+    std::vector<double> si_weights{best_left_w, known - best_left_w};
+    if (node_weight - known > kEps) si_weights.push_back(node_weight - known);
+    const double split_info = EntropyFromCounts(si_weights);
+    eval->valid = true;
+    eval->gain = gain;
+    eval->gain_ratio = split_info > kEps ? gain / split_info : 0.0;
+    eval->ordered = true;
+    eval->threshold = best_thr;
+  }
+
+  void EvalNominalHist(const Task& t, const AttrPlan& plan,
                        SplitEval* eval) const {
     const double* h = t.hist.cells.data() + plan.offset;
     std::vector<double> branch_weights(plan.width, 0.0);
@@ -916,10 +578,11 @@ struct C45HistogramBuilder {
     EvalNominal(t, h, branch_weights, known, eval);
   }
 
-  /// Fallback for nominal dictionaries too wide to histogram: the exact
-  /// path's one-pass branch-count accumulation over the node's instances.
-  void EvalNominalScan(const HTask& t, int attr, SplitEval* eval) const {
-    const int32_t* col = ctx.nominal_cols[static_cast<size_t>(attr)];
+  /// One-pass branch-count accumulation over the node's instances: exact
+  /// mode's nominal evaluator, and histogram mode's for dictionaries too
+  /// wide to histogram.
+  void EvalNominalScan(const Task& t, int attr, SplitEval* eval) const {
+    const int32_t* col = cache.nominal_col(static_cast<size_t>(attr));
     const size_t k = schema.attribute(static_cast<size_t>(attr))
                          .categories.size();
     std::vector<double> counts(k * nc, 0.0);
@@ -929,7 +592,7 @@ struct C45HistogramBuilder {
       const int32_t code = col[inst.first];
       if (code < 0) continue;
       const size_t b = static_cast<size_t>(code);
-      counts[b * nc + static_cast<size_t>(ctx.class_codes[inst.first])] +=
+      counts[b * nc + static_cast<size_t>(class_codes[inst.first])] +=
           inst.second;
       branch_weights[b] += inst.second;
       known += inst.second;
@@ -939,7 +602,7 @@ struct C45HistogramBuilder {
 
   /// Scores the nominal split whose branches hold the rows of the flat
   /// (branch x class) `counts`, weighing `branch_weights` (sum `known`).
-  void EvalNominal(const HTask& t, const double* counts,
+  void EvalNominal(const Task& t, const double* counts,
                    const std::vector<double>& branch_weights, double known,
                    SplitEval* eval) const {
     if (known <= kEps) return;
@@ -958,6 +621,7 @@ struct C45HistogramBuilder {
     const double known_frac = known / node_weight;
     const double gain = known_frac * (t.node_entropy - sub_entropy);
     if (gain <= kEps) return;
+    // Split info over the known branches plus the missing "branch".
     std::vector<double> si_weights = branch_weights;
     if (node_weight - known > kEps) si_weights.push_back(node_weight - known);
     const double split_info =
@@ -969,10 +633,11 @@ struct C45HistogramBuilder {
 
   // --- split selection, partition, child creation -------------------------
 
-  /// Selects and applies the best split of one frontier node. Returns
-  /// false when the node stays a leaf; otherwise fills `out` with the
-  /// non-terminal children (and the subtraction setup for the next level).
-  bool Expand(HTask& t, Family* out) {
+  /// Selects and applies the best split of one node. Returns false when
+  /// the node stays a leaf or every child is terminal; otherwise fills
+  /// `out` with the non-terminal children (and the subtraction setup for
+  /// their scans).
+  bool Expand(Task& t, Family* out) {
     Node* node = t.node;
     double gain_sum = 0.0;
     int valid_count = 0;
@@ -984,6 +649,8 @@ struct C45HistogramBuilder {
     }
     splits_evaluated->Add(static_cast<uint64_t>(valid_count));
     if (valid_count == 0) return false;
+    // C4.5 selection: among candidates with at least average gain, take
+    // the best gain ratio (or raw gain in ID3 mode).
     const double avg_gain = gain_sum / valid_count;
     int best_attr = -1;
     double best_score = -1.0;
@@ -1012,9 +679,9 @@ struct C45HistogramBuilder {
     size_t num_missing = 0;
     double known = 0.0;
     const double* ordered_col =
-        ctx.ordered_cols[static_cast<size_t>(best_attr)];
+        cache.ordered_col(static_cast<size_t>(best_attr));
     const int32_t* nominal_col =
-        ctx.nominal_cols[static_cast<size_t>(best_attr)];
+        cache.nominal_col(static_cast<size_t>(best_attr));
     branch.resize(t.insts.size());
     for (size_t i = 0; i < t.insts.size(); ++i) {
       const Inst& inst = t.insts[i];
@@ -1032,20 +699,21 @@ struct C45HistogramBuilder {
       }
       const size_t bi = static_cast<size_t>(b);
       ++sizes[bi];
-      child_counts[bi][static_cast<size_t>(ctx.class_codes[inst.first])] +=
+      child_counts[bi][static_cast<size_t>(class_codes[inst.first])] +=
           inst.second;
       child_weight[bi] += inst.second;
       known += inst.second;
     }
     const std::vector<double> part_weights = child_weight;
 
-    // minInst pre-pruning (sec. 5.4) on the known-value partitions, before
-    // missing-value distribution -- as in the exact path.
-    if (ctx.min_inst > 1.0) {
+    // minInst pre-pruning (sec. 5.4): once no known-value partition holds
+    // minInst instances of one class, deeper leaves can never flag a
+    // deviation above the minimal error confidence.
+    if (min_inst > 1.0) {
       bool any_strong = false;
       for (size_t b = 0; b < num_children && !any_strong; ++b) {
         if (child_counts[b][static_cast<size_t>(MajorityOf(
-                child_counts[b]))] >= ctx.min_inst) {
+                child_counts[b]))] >= min_inst) {
           any_strong = true;
         }
       }
@@ -1069,8 +737,7 @@ struct C45HistogramBuilder {
       for (size_t i = 0; i < t.insts.size(); ++i) {
         if (branch[i] >= 0) continue;
         const Inst& inst = t.insts[i];
-        const size_t cls =
-            static_cast<size_t>(ctx.class_codes[inst.first]);
+        const size_t cls = static_cast<size_t>(class_codes[inst.first]);
         for (size_t b = 0; b < num_children; ++b) {
           if (part_weights[b] <= kEps) continue;
           const double w = inst.second * part_weights[b] / known;
@@ -1094,6 +761,7 @@ struct C45HistogramBuilder {
       child_avail[static_cast<size_t>(best_attr)] = false;  // consumed
     }
 
+    std::vector<Task*> branch_task(num_children, nullptr);
     std::vector<std::vector<Inst>> terminal_insts;
     for (size_t b = 0; b < num_children; ++b) {
       if (parts[b].empty()) {
@@ -1112,16 +780,47 @@ struct C45HistogramBuilder {
         node->children.push_back(std::move(child));
         continue;
       }
-      auto ct = std::make_unique<HTask>();
+      auto ct = std::make_unique<Task>();
       ct->node = child.get();
       ct->insts = std::move(parts[b]);
       ct->avail = child_avail;
       ct->depth = t.depth + 1;
       ct->node_entropy = EntropyBits(child->class_counts.data(), nc);
+      branch_task[b] = ct.get();
       out->tasks.push_back(std::move(ct));
       node->children.push_back(std::move(child));
     }
     if (out->tasks.empty()) return false;
+
+    // Exact mode: partition every value-ordered list stably, so children
+    // inherit their slices in value order. A row with a null split value
+    // joins every non-empty branch at the weight its instance copy
+    // received above. Each parent list is freed once partitioned.
+    if (!t.sorted.empty()) {
+      for (size_t i = 0; i < t.insts.size(); ++i) {
+        row_branch[t.insts[i].first] = branch[i];
+      }
+      for (const std::unique_ptr<Task>& ct : out->tasks) {
+        ct->sorted.resize(t.sorted.size());
+      }
+      for (size_t a = 0; a < t.sorted.size(); ++a) {
+        for (const Inst& e : t.sorted[a]) {
+          const int32_t br = row_branch[e.first];
+          if (br >= 0) {
+            Task* ct = branch_task[static_cast<size_t>(br)];
+            if (ct != nullptr) ct->sorted[a].push_back(e);
+            continue;
+          }
+          if (!spread) continue;
+          for (size_t b = 0; b < num_children; ++b) {
+            if (part_weights[b] <= kEps || branch_task[b] == nullptr) continue;
+            const double w = e.second * part_weights[b] / known;
+            if (w > 1e-6) branch_task[b]->sorted[a].emplace_back(e.first, w);
+          }
+        }
+        t.sorted[a] = {};
+      }
+    }
 
     // Subtraction setup: reconstruct the largest non-terminal child from
     // the parent block iff scanning it costs more than scanning everything
@@ -1162,25 +861,30 @@ struct C45HistogramBuilder {
     return node;
   }
 
+  /// The stopping rule; the minInst check is the pre-pruning of sec. 5.4.
   bool IsTerminal(const Node& node, int depth) const {
     const double majority_count =
         node.class_counts[static_cast<size_t>(node.majority)];
     const bool pure = majority_count >= node.weight - kEps;
     return pure || depth >= config.max_depth ||
            node.weight < 2.0 * config.min_split_weight ||
-           majority_count < ctx.min_inst;
+           majority_count < min_inst;
   }
 
   const C45Config& config;
   const Schema& schema;
-  const C45Tree::BuildContext& ctx;
+  const EncodedDataset& cache;
+  const int32_t* class_codes;  ///< per row, -1 for null
+  const std::vector<int>& base_attrs;
   size_t num_rows;
   size_t nc;
+  double min_inst;
   std::vector<AttrPlan> plans;
   size_t hist_width = 0;
   size_t mask_words = 0;
   kernels::SweepScratch sweep;
-  std::vector<int32_t> branch;  ///< Expand's per-instance branch scratch
+  std::vector<int32_t> branch;      ///< Expand's per-instance branch scratch
+  std::vector<int32_t> row_branch;  ///< the same per row (exact mode)
 
   obs::Counter* const nodes_built = obs::GetCounter("c45.nodes_built");
   obs::Counter* const histogram_builds =
@@ -1194,19 +898,47 @@ struct C45HistogramBuilder {
       obs::GetCounter("c45.sweep_candidates");
 };
 
-void C45Tree::BuildHistogram(const EncodedDataset& cache,
-                             const BuildContext& ctx,
-                             std::vector<std::pair<uint32_t, double>> insts,
-                             std::vector<bool> avail) {
-  C45HistogramBuilder builder(config_, *ctx.schema, ctx, cache);
-  root_ = builder.Run(std::move(insts), std::move(avail));
-  // The recursive path aggregates Def. 9 values (and prunes, in
-  // kExpectedErrorConfidence mode) bottom-up during construction; the
-  // frontier build defers that to one post-order pass, which yields the
-  // identical tree because construction is pure top-down.
-  PruneExpectedErrorConf(root_.get());
+Status C45Tree::Train(const TrainingData& data) {
+  DQ_RETURN_NOT_OK(data.Check());
+  num_classes_ = data.encoder().num_classes();
+  if (num_classes_ < 1) {
+    return Status::FailedPrecondition("encoder reports no classes");
+  }
+  // Class codes come from the shared cache, so Train encodes nothing.
+  const EncodedDataset& cache = *data.encoded;
+  const int32_t* class_codes =
+      cache.class_codes(static_cast<size_t>(data.class_attr));
+  std::vector<Inst> insts;
+  insts.reserve(cache.num_rows());
+  for (size_t r = 0; r < cache.num_rows(); ++r) {
+    if (class_codes[r] >= 0) insts.emplace_back(static_cast<uint32_t>(r), 1.0);
+  }
+  if (insts.empty()) {
+    return Status::FailedPrecondition(
+        "no training instances with non-null class value");
+  }
+
+  double build_ms = 0.0;
+  {
+    obs::Span span("c45.build", data.class_attr, &build_ms);
+    root_ = C45Grower(config_, data).Run(std::move(insts));
+    PruneExpectedErrorConf(root_.get());
+    if (config_.pruning == PruningMode::kPessimistic) {
+      PrunePessimistic(root_.get());
+    }
+  }
+  // When trees build side by side, the slowest one sets the induce time.
+  static obs::Histogram* const build_times = obs::GetHistogram(
+      "c45.tree_build_ms", {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
+  build_times->Observe(build_ms);
+  compiled_ = Compile();
+  obs::GetCounter("c45.tree_nodes")->Add(NodeCount());
+  return Status::OK();
 }
 
+// Aggregates Def. 9 values bottom-up and, in kExpectedErrorConfidence mode,
+// replaces a subtree by a leaf whenever that leads to a higher expected
+// error confidence ("integrated pruning", sec. 5.4).
 void C45Tree::PruneExpectedErrorConf(Node* node) {
   if (node == nullptr || node->IsLeaf()) return;
   double subtree_exp = 0.0;
@@ -1218,7 +950,7 @@ void C45Tree::PruneExpectedErrorConf(Node* node) {
   }
   if (subtree_weight > kEps) subtree_exp /= subtree_weight;
   // node->expected_error_conf still holds the leaf value of Def. 9 here
-  // (the frontier build never overwrites it).
+  // (the grower never overwrites it).
   if (config_.pruning == PruningMode::kExpectedErrorConfidence &&
       node->expected_error_conf > subtree_exp + kEps) {
     node->split_attr = -1;

@@ -14,7 +14,8 @@
 //    a parameterizable confidence, kept as the unadjusted baseline;
 //  * the paper's adjustments (sec. 5.4): minInst pre-pruning derived from
 //    the user's minimal error confidence, and integrated pruning by
-//    *expected error confidence* (Def. 9) applied during construction.
+//    *expected error confidence* (Def. 9), applied bottom-up to the grown
+//    tree.
 //
 // Expected-error-confidence semantics: errorConf values below the user's
 // minimal error confidence "are mostly not useful in reality" (sec. 5.4),
@@ -41,21 +42,24 @@ enum class PruningMode {
 
 const char* PruningModeToString(PruningMode mode);
 
+/// How a node scores an ordered attribute. Both modes grow the tree with
+/// one grower (c45.cc), depth first, and share everything else: node
+/// statistics, nominal scoring, split selection, the partition and pruning.
 enum class SplitMode {
   /// Histogram split evaluation (LightGBM-style): ordered attributes are
   /// bucketed once per table into <= kMaxHistogramBins equal-frequency bins
   /// (EncodedDataset::bins) and every node evaluates thresholds by scanning
   /// (bin x class) histograms, with sibling histograms reconstructed by
-  /// subtraction (parent - scanned children = largest child). The tree
-  /// grows serially, level by level, one sibling family at a time.
-  /// Identical trees to kExact whenever every ordered attribute has at
-  /// most kMaxHistogramBins distinct values; statistically equivalent
-  /// audits otherwise.
+  /// subtraction (parent - scanned children = largest child). Identical
+  /// trees to kExact whenever every ordered attribute has at most
+  /// kMaxHistogramBins distinct values; statistically equivalent audits
+  /// otherwise.
   kHistogram,
-  /// The exact SLIQ row-sweep evaluator (the original path, kept as the
-  /// reference): every distinct value boundary is a candidate threshold.
-  /// Each node partitions value-ordered instance lists filtered once from
-  /// EncodedDataset::sort_order, so no node ever sorts.
+  /// The exact SLIQ row sweep, the histogram evaluator's reference: every
+  /// distinct value boundary is a candidate threshold. Each node carries
+  /// value-ordered instance lists, filtered once from
+  /// EncodedDataset::sort_order and partitioned stably at every split, so
+  /// no node ever sorts.
   kExact,
 };
 
@@ -151,15 +155,8 @@ class C45Tree : public Classifier {
 
  private:
   struct Node;
-  struct BuildContext;
-  struct NodeData;
-  friend struct C45HistogramBuilder;  // histogram-mode frontier build
+  friend struct C45Grower;  // grows the tree in both split modes
 
-  std::unique_ptr<Node> Build(BuildContext* ctx, NodeData data,
-                              std::vector<bool> avail, int depth);
-  void BuildHistogram(const EncodedDataset& cache, const BuildContext& ctx,
-                      std::vector<std::pair<uint32_t, double>> insts,
-                      std::vector<bool> avail);
   void PruneExpectedErrorConf(Node* node);
   double PessimisticErrors(const Node& node) const;
   void PrunePessimistic(Node* node);

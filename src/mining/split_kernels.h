@@ -15,8 +15,8 @@
 // It reads only the bins set in the node's 256-bit occupancy mask: every
 // other bin holds +0.0 cells, and adding +0.0 leaves a sum of
 // non-negative cells unchanged, so skipping them changes no total.
-// C45HistogramBuilder (c45.cc) sets a mask bit for every bin its scans
-// write, and a subtraction child takes its parent's mask. The presort
+// The tree grower (C45Grower, c45.cc) sets a mask bit for every bin its
+// scans write, and a subtraction child takes its parent's mask. The presort
 // those bins derive from is a stable radix sort (SortRowsByValue,
 // encoded_dataset.h).
 

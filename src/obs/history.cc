@@ -133,6 +133,9 @@ Status HistoryStore::Append(const HistoryRecord& record) const {
                            "': " + ec.message());
   }
   const std::string path = ledger_path();
+  // The ledger's size before the append; no ledger yet reads as an error.
+  std::error_code size_ec;
+  const uintmax_t size = std::filesystem::file_size(path, size_ec);
   std::ofstream out(path, std::ios::binary | std::ios::app);
   if (!out) {
     return Status::IOError("cannot open history ledger '" + path +
@@ -141,7 +144,17 @@ Status HistoryStore::Append(const HistoryRecord& record) const {
   out << record.ToJsonLine() << '\n';
   out.flush();
   if (!out) {
-    return Status::IOError("short write to history ledger '" + path + "'");
+    // A line cut short would swallow the next record appended after it,
+    // so the ledger goes back to what it was.
+    out.close();
+    if (!size_ec) {
+      std::filesystem::resize_file(path, size, ec);
+    } else if (size_ec == std::errc::no_such_file_or_directory) {
+      std::filesystem::remove(path, ec);
+    }
+    return Status::IOError("short write to history ledger '" + path + "'" +
+                           (ec ? "; cannot restore it: " + ec.message()
+                               : std::string()));
   }
   return Status::OK();
 }

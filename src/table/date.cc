@@ -66,8 +66,9 @@ std::string FormatDate(int32_t days) {
 Result<int32_t> ParseDate(std::string_view text) {
   // Split on '-' without materializing the parts: this runs once per date
   // cell on the ingest hot path. Exactly two separators, same as a
-  // three-way SplitString.
-  const size_t p1 = text.find('-');
+  // three-way SplitString, after the sign of a year before 0000 (FormatDate
+  // writes -001-12-31 for the day before 0000-01-01).
+  const size_t p1 = text.find('-', text.starts_with('-') ? 1 : 0);
   const size_t p2 =
       p1 == std::string_view::npos ? p1 : text.find('-', p1 + 1);
   if (p1 == std::string_view::npos || p2 == std::string_view::npos ||

@@ -310,7 +310,7 @@ TEST(C45HistogramTest, MatchesExactWhenBinsCoverEveryDistinctValue) {
 
 TEST(C45HistogramTest, MatchesExactThroughTheSharedEncodeCache) {
   // One cache serves both evaluators: the exact sweep reads its sort
-  // orders, the histogram builder its bins.
+  // orders, the histogram evaluator its bins.
   const Table t = QuantizedTable(3000, 10);
   const EncodedDataset cache = EncodedDataset::Build(t, 8);
   ASSERT_TRUE(cache.encoder(3).has_value());

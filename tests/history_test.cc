@@ -4,8 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -222,6 +229,54 @@ TEST(HistoryStoreTest, AppendsAndReadsBackSkippingDamagedLines) {
   EXPECT_EQ((*records)[0].summary.suspicious, 3u);
   EXPECT_EQ((*records)[2].summary.suspicious, 5u);
   std::remove(store.ledger_path().c_str());
+}
+
+std::string LedgerBytes(const HistoryStore& store) {
+  std::ifstream in(store.ledger_path(), std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(HistoryStoreTest, AppendCutShortLeavesTheLedgerAsItWas) {
+  // An append that hits a file size limit mid-line must fail and leave the
+  // ledger byte for byte as it was: a partial line left behind would glue
+  // the next good record onto it, and that record would read as damaged.
+  const std::string dir =
+      ::testing::TempDir() + "/dq_history_cut_short";
+  std::filesystem::remove_all(dir);
+  HistoryStore store(dir);
+  ASSERT_TRUE(store.Append(MakeRecord(100, 1)).ok());
+  ASSERT_TRUE(store.Append(MakeRecord(100, 2)).ok());
+  const std::string before = LedgerBytes(store);
+
+  // The child may grow the ledger by 16 bytes, far less than a record;
+  // SIGXFSZ is ignored, so the write fails with EFBIG instead of killing
+  // it. Exit 0: OK, 1: IOError, 2: another error, 3: set-up failed.
+  const pid_t pid = fork();
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit limit{};
+    if (getrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(3);
+    limit.rlim_cur = static_cast<rlim_t>(before.size() + 16);
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(3);
+    const Status status = store.Append(MakeRecord(100, 3));
+    _exit(status.ok() ? 0 : status.code() == StatusCode::kIOError ? 1 : 2);
+  }
+  int wait_status = 0;
+  ASSERT_GT(pid, 0);
+  ASSERT_EQ(waitpid(pid, &wait_status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wait_status));
+  EXPECT_EQ(WEXITSTATUS(wait_status), 1);
+  EXPECT_EQ(LedgerBytes(store), before);
+
+  ASSERT_TRUE(store.Append(MakeRecord(100, 4)).ok());
+  size_t damaged = 0;
+  auto records = store.ReadAll(&damaged);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 3u);
+  EXPECT_EQ(damaged, 0u);
+  EXPECT_EQ((*records)[2].summary.suspicious, 4u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(HistoryStoreTest, MissingLedgerIsAnError) {
@@ -527,6 +582,56 @@ TEST(RuleDiffTest, RendersTextAndValidJson) {
   EXPECT_NE(diff.RenderText().find("removed"), std::string::npos);
   std::string error;
   EXPECT_TRUE(ValidateJson(diff.ToJson(), &error)) << error;
+}
+
+TEST(RuleDiffTest, MutatedAnnotatedFileFailsOrDiffsCleanly) {
+  // Every mutant of an annotated rule file either fails with a Status, or
+  // its rules diff against themselves with no change and against the
+  // original with a diff whose ToJson ParseJson accepts.
+  const std::string file =
+      std::string(kRulesV1) +
+      "\n"
+      "# @rule conf=1 support=9223372036854775807 coverage=1e-300 "
+      "source=tree\n"
+      "(N > 95 OR M < 2.5) AND D > 2000-01-01 -> KBM isnotnull\n"
+      "# @rule source=\"quoted \\ source\" conf=0.5 extra=ignored\n"
+      "N < M -> GBM = '911'\n";
+  auto original = ParseAnnotatedRuleFile(file);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  ASSERT_EQ(original->size(), 5u);
+  using std::string_view_literals::operator""sv;
+  const std::vector<std::string_view> tokens = {
+      "#"sv,          "@rule"sv,        "conf=nan"sv,   "conf=1e308"sv,
+      "conf=-0"sv,    "support=-1"sv,   "support=18446744073709551616"sv,
+      "coverage=inf"sv, "coverage=4.9e-324"sv, "source="sv, "=="sv,
+      "<"sv,          ">"sv,            "5"sv,          "0.1234567"sv,
+      "\"\\u0000\""sv,
+  };
+  dq::Rng rng(28);
+  constexpr int kCases = 20000;
+  int parsed = 0;
+  for (int c = 0; c < kCases; ++c) {
+    std::string text = file;
+    const int64_t mutations = rng.UniformInt(1, 4);
+    for (int64_t m = 0; m < mutations; ++m) {
+      dq::Mutate(&rng, &text, tokens, " \n="sv);
+    }
+    auto rules = ParseAnnotatedRuleFile(text);
+    if (!rules.ok()) {
+      ASSERT_FALSE(rules.status().message().empty()) << "case " << c;
+      continue;
+    }
+    ++parsed;
+    const RuleSetDiff self = DiffRuleSets(*rules, *rules);
+    ASSERT_FALSE(self.HasChanges()) << "case " << c << "\n" << text;
+    ASSERT_EQ(self.unchanged, rules->size()) << "case " << c;
+    const std::string json = DiffRuleSets(*original, *rules).ToJson();
+    JsonValue value;
+    ASSERT_TRUE(ParseJson(json, &value)) << "case " << c << "\n" << json;
+  }
+  // Both outcomes occur.
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, kCases);
 }
 
 }  // namespace

@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "common/random.h"
 #include "logic/rule_parser.h"
+#include "mutate.h"
 #include "table/date.h"
 
 namespace dq {
@@ -292,6 +297,61 @@ TEST(RuleParserTest, RuleFileWithCommentsAndErrors) {
   auto failed = ParseRuleFile(s, &bad);
   ASSERT_FALSE(failed.ok());
   EXPECT_NE(failed.status().message().find("line 2"), std::string::npos);
+}
+
+TEST(RuleParserTest, MutatedRuleFileRendersRulesThatParseBack) {
+  // Every rule the lenient parser reads from a mutant of a rule file
+  // renders to source text that ParseRule reads back into a rule with the
+  // same rendering; every other line is an error with a message.
+  Schema s = ParserSchema();
+  const std::string file =
+      "# expert dependencies, one of every atom kind\n"
+      "BRV = 404 -> GBM = 901\n"
+      "KBM = 01 AND GBM = 901 -> BRV = 501\n"
+      "(N < 5 OR N > 95) AND BRV != 401 -> KBM isnotnull\n"
+      "D > 2000-01-01 AND KBM isnull -> M > 10.5\n"
+      "N < M OR D = 1995-06-30 -> GBM = '911'\n"
+      "((N > 0.001 AND M != 42) OR KBM = '01') -> BRV = '404'\n"
+      "\n"
+      "M = N AND (BRV isnull OR GBM != 902) -> D < 2003-12-31\n";
+  using std::string_view_literals::operator""sv;
+  const std::vector<std::string_view> tokens = {
+      "AND"sv,  "or"sv,   "->"sv,          "("sv,          ")"sv,
+      "isnull"sv, "IsNotNull"sv, "="sv,    "!="sv,         "<"sv,
+      ">"sv,    "N"sv,    "D"sv,           "BRV"sv,        "'404'"sv,
+      "''"sv,   "'"sv,    "'a b'"sv,       "-0"sv,         "1e308"sv,
+      "nan"sv,  "4.9e-324"sv, "2003-06-30"sv, "-001-12-31"sv, "#"sv,
+  };
+  Rng rng(28);
+  constexpr int kCases = 20000;
+  size_t rules = 0;
+  size_t errors = 0;
+  for (int c = 0; c < kCases; ++c) {
+    std::string text = file;
+    const int64_t mutations = rng.UniformInt(1, 4);
+    for (int64_t m = 0; m < mutations; ++m) {
+      Mutate(&rng, &text, tokens, " \n()"sv);
+    }
+    std::istringstream in(text);
+    const RuleFileParse parse = ParseRuleFileLenient(s, &in);
+    for (const ParseError& error : parse.errors) {
+      ASSERT_FALSE(error.message.empty()) << "case " << c;
+    }
+    for (const ParsedRule& parsed : parse.rules) {
+      const std::string source = RenderRuleSource(parsed.rule, s);
+      auto back = ParseRule(s, source);
+      ASSERT_TRUE(back.ok()) << "case " << c << ": " << parsed.text
+                             << " renders as " << source << ": "
+                             << back.status();
+      ASSERT_EQ(RenderRuleSource(*back, s), source)
+          << "case " << c << ": " << parsed.text;
+    }
+    rules += parse.rules.size();
+    errors += parse.errors.size();
+  }
+  // Both outcomes occur.
+  EXPECT_GT(rules, 0u);
+  EXPECT_GT(errors, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "table/csv.h"
 #include "table/date.h"
@@ -129,6 +130,30 @@ TEST(DateTest, ParseRejectsComponentsAndDaysPastInt32) {
     ASSERT_TRUE(back.ok()) << FormatDate(days) << ": " << back.status();
     EXPECT_EQ(*back, days) << FormatDate(days);
   }
+}
+
+TEST(DateTest, EveryInt32DayRoundTripsThroughItsText) {
+  // FormatDate writes a year before 0000 with its sign (-001-12-31 is the
+  // day before 0000-01-01), and ParseDate reads it back.
+  EXPECT_EQ(FormatDate(-719529), "-001-12-31");
+  EXPECT_EQ(FormatDate(-719528), "0000-01-01");
+  std::vector<int32_t> days = {std::numeric_limits<int32_t>::min(),
+                               -719529, -719528, -1, 0,
+                               std::numeric_limits<int32_t>::max()};
+  for (int64_t d = std::numeric_limits<int32_t>::min();
+       d <= std::numeric_limits<int32_t>::max(); d += 9973) {
+    days.push_back(static_cast<int32_t>(d));
+  }
+  for (const int32_t d : days) {
+    auto back = ParseDate(FormatDate(d));
+    ASSERT_TRUE(back.ok()) << d << " " << FormatDate(d) << ": "
+                           << back.status();
+    ASSERT_EQ(*back, d) << FormatDate(d);
+  }
+  // A sign is read only in front of the year.
+  EXPECT_FALSE(ParseDate("--001-12-31").ok());
+  EXPECT_FALSE(ParseDate("2003--06-01").ok());
+  EXPECT_FALSE(ParseDate("-").ok());
 }
 
 // --- Schema -----------------------------------------------------------------

@@ -359,6 +359,16 @@ for t in 1 4; do
   diff "$GOLDEN" "$WORK/golden_t$t.csv"
   cmp "$GOLDEN_MODEL" "$WORK/golden.dqmodel"
 done
+# The exact split evaluator's trees, pinned the same way: the golden is the
+# same dqaudit run with --split-mode exact added. DISPLACEMENT and
+# PROD_DATE have thousands of distinct values here, so these trees differ
+# from the histogram golden.
+for t in 1 4; do
+  "$DQAUDIT" --schema "$QUIS_SPEC" --data "$WORK/golden_dirty.csv" \
+    --min-conf 0.5 --threads "$t" --split-mode exact \
+    --save-model "$WORK/golden_exact.dqmodel" > /dev/null
+  cmp "$TESTDATA/quis_model_exact.golden.dqmodel" "$WORK/golden_exact.dqmodel"
+done
 "$DQAUDIT" --schema "$QUIS_SPEC" --data "$WORK/golden_dirty.csv" \
   --min-conf 0.5 --load-model "$WORK/golden.dqmodel" \
   --report "$WORK/golden_load.csv" > /dev/null
