@@ -123,6 +123,16 @@ bool ParseInt64(std::string_view s, int64_t* out) {
   return true;
 }
 
+bool ParseUint64(std::string_view s, uint64_t* out) {
+  s = TrimWhitespace(s);
+  if (s.empty()) return false;
+  uint64_t v = 0;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return false;
+  *out = v;
+  return true;
+}
+
 bool ParseByteSize(std::string_view s, uint64_t* out) {
   s = TrimWhitespace(s);
   if (s.empty()) return false;

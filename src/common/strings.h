@@ -38,6 +38,10 @@ bool ParseDouble(std::string_view s, double* out);
 /// \brief True if `s` parses fully as a 64-bit integer.
 bool ParseInt64(std::string_view s, int64_t* out);
 
+/// \brief True if `s` parses fully as an unsigned 64-bit integer: digits
+/// only, at most 2^64 - 1.
+bool ParseUint64(std::string_view s, uint64_t* out);
+
 /// \brief True if `s` parses fully as a byte count: a non-negative integer
 /// with an optional binary-multiple suffix K/M/G/T (case-insensitive,
 /// optional trailing B), e.g. "65536", "64K", "2g", "1GiB". Rejects

@@ -344,6 +344,7 @@ struct C45Grower {
     }
     sweep_bins->Add(sweep.bins_visited);
     sweep_candidates->Add(sweep.candidates_scored);
+    sweep_rescored->Add(sweep.candidates_rescored);
     return root;
   }
 
@@ -896,6 +897,7 @@ struct C45Grower {
   obs::Counter* const sweep_bins = obs::GetCounter("c45.sweep_bins");
   obs::Counter* const sweep_candidates =
       obs::GetCounter("c45.sweep_candidates");
+  obs::Counter* const sweep_rescored = obs::GetCounter("c45.sweep_rescored");
 };
 
 Status C45Tree::Train(const TrainingData& data) {

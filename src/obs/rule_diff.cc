@@ -29,7 +29,7 @@ std::string Trim(std::string_view s) {
 
 /// Parses "key=value key=value ..." from an "# @rule" comment body.
 /// `conf` and `coverage` must parse whole as finite numbers and `support`
-/// as a non-negative integer; otherwise the error names the key.
+/// as an integer in [0, 2^64 - 1]; otherwise the error names the key.
 Status ParseAnnotationFields(const std::string& body, AnnotatedRule* rule) {
   std::istringstream in(body);
   std::string token;
@@ -43,9 +43,7 @@ Status ParseAnnotationFields(const std::string& body, AnnotatedRule* rule) {
       ok = ParseDouble(value, &rule->confidence) &&
            std::isfinite(rule->confidence);
     } else if (key == "support") {
-      int64_t support = 0;
-      ok = ParseInt64(value, &support) && support >= 0;
-      rule->support = static_cast<uint64_t>(support);
+      ok = ParseUint64(value, &rule->support);
     } else if (key == "coverage") {
       ok = ParseDouble(value, &rule->coverage) &&
            std::isfinite(rule->coverage);
@@ -104,13 +102,20 @@ std::string FormatSigned(double v) {
   return buf;
 }
 
+/// a - b clamped to [INT64_MIN, INT64_MAX]; both supports can exceed
+/// INT64_MAX, so the plain signed difference could overflow.
+int64_t SaturatedDifference(uint64_t a, uint64_t b) {
+  constexpr auto kMax = static_cast<uint64_t>(INT64_MAX);
+  if (a >= b) return a - b > kMax ? INT64_MAX : static_cast<int64_t>(a - b);
+  return b - a > kMax ? INT64_MIN : -static_cast<int64_t>(b - a);
+}
+
 std::string DescribeAnnotationDelta(const AnnotatedRule& before,
                                     const AnnotatedRule& after,
                                     RuleChange* change) {
   change->has_annotation_delta = true;
   change->confidence_delta = after.confidence - before.confidence;
-  change->support_delta = static_cast<int64_t>(after.support) -
-                          static_cast<int64_t>(before.support);
+  change->support_delta = SaturatedDifference(after.support, before.support);
   change->coverage_delta = after.coverage - before.coverage;
   std::string desc;
   if (change->confidence_delta != 0.0) {

@@ -58,7 +58,8 @@ struct RuleChange {
   std::string before;  ///< old rule text ("" for added)
   std::string after;   ///< new rule text ("" for removed)
   /// Annotation deltas (after - before); meaningful when both sides are
-  /// annotated.
+  /// annotated. Supports are uint64_t, so `support_delta` saturates at
+  /// INT64_MIN and INT64_MAX when the difference leaves that range.
   bool has_annotation_delta = false;
   double confidence_delta = 0.0;
   int64_t support_delta = 0;

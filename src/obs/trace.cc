@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <map>
 
@@ -12,6 +13,17 @@ namespace {
 
 /// One thread_local slot is enough: only the process-global tracer records.
 thread_local void* t_buffer = nullptr;
+
+/// Integral nanoseconds as exact decimal microseconds ("1234567.089"):
+/// a JSON double's six significant digits would round a timestamp past
+/// one second to 10 us.
+std::string Microseconds(uint64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
+                static_cast<unsigned long long>(ns / 1000),
+                static_cast<unsigned long long>(ns % 1000));
+  return buf;
+}
 
 }  // namespace
 
@@ -249,9 +261,8 @@ std::string Tracer::ToChromeTraceJson(const RunManifest* manifest) const {
       event.Add("tid", static_cast<int>(span->thread_slot + 1));
       event.Add("name", span->name);
       event.Add("cat", "dq");
-      event.Add("ts", static_cast<double>(span->start_ns) / 1000.0);
-      event.Add("dur",
-                static_cast<double>(span->end_ns - span->start_ns) / 1000.0);
+      event.AddRaw("ts", Microseconds(span->start_ns));
+      event.AddRaw("dur", Microseconds(span->end_ns - span->start_ns));
       JsonObjectWriter args;
       args.Add("span_id", ids[span]);
       args.Add("parent_id", parent == nullptr ? uint64_t{0} : ids[parent]);

@@ -389,6 +389,19 @@ TEST(StringsTest, ParseInt64) {
   EXPECT_FALSE(ParseInt64("", &v));
 }
 
+TEST(StringsTest, ParseUint64TakesTheFullUnsignedRange) {
+  uint64_t v = 0;
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(ParseUint64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_FALSE(ParseUint64("18446744073709551616", &v));  // 2^64
+  EXPECT_FALSE(ParseUint64("-1", &v));
+  EXPECT_FALSE(ParseUint64("+1", &v));
+  EXPECT_FALSE(ParseUint64("1.5", &v));
+  EXPECT_FALSE(ParseUint64("", &v));
+}
+
 TEST(StringsTest, ParseByteSizeAcceptsPlainAndSuffixedCounts) {
   uint64_t v = 0;
   EXPECT_TRUE(ParseByteSize("65536", &v));

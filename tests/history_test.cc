@@ -566,6 +566,41 @@ TEST(RuleDiffTest, DetectsAnnotationDeltaOnIdenticalRuleText) {
   EXPECT_EQ(diff.unchanged, 0u);
 }
 
+TEST(RuleDiffTest, SupportsSpanTheWholeUint64Range) {
+  // rule_export writes a uint64 support, so the largest one must parse,
+  // and 2^64 must not.
+  auto top = ParseAnnotatedRuleFile(
+      "# @rule conf=1 support=18446744073709551615 coverage=1\n"
+      "N < 5 -> B = low\n");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ((*top)[0].support, UINT64_MAX);
+  EXPECT_FALSE(ParseAnnotatedRuleFile(
+                   "# @rule support=18446744073709551616\nN < 5 -> B = low\n")
+                   .ok());
+  auto zero = ParseAnnotatedRuleFile(
+      "# @rule conf=1 support=0 coverage=1\nN < 5 -> B = low\n");
+  ASSERT_TRUE(zero.ok());
+  // The deltas between 0 and 2^64 - 1 saturate at the int64 bounds.
+  RuleSetDiff up = DiffRuleSets(*zero, *top);
+  ASSERT_EQ(up.changes.size(), 1u);
+  EXPECT_EQ(up.changes[0].support_delta, INT64_MAX);
+  RuleSetDiff down = DiffRuleSets(*top, *zero);
+  ASSERT_EQ(down.changes.size(), 1u);
+  EXPECT_EQ(down.changes[0].support_delta, INT64_MIN);
+  EXPECT_NE(down.RenderText().find("support -9223372036854775808"),
+            std::string::npos)
+      << down.RenderText();
+  JsonValue json;
+  ASSERT_TRUE(ParseJson(down.ToJson(), &json));
+  // Differences inside the int64 range stay exact, either way round.
+  auto high = ParseAnnotatedRuleFile(
+      "# @rule conf=1 support=18446744073709551610 coverage=1\n"
+      "N < 5 -> B = low\n");
+  ASSERT_TRUE(high.ok());
+  EXPECT_EQ(DiffRuleSets(*high, *top).changes[0].support_delta, 5);
+  EXPECT_EQ(DiffRuleSets(*top, *high).changes[0].support_delta, -5);
+}
+
 TEST(RuleDiffTest, IdenticalFilesAreAllUnchanged) {
   auto rules = ParseAnnotatedRuleFile(kRulesV1);
   ASSERT_TRUE(rules.ok());

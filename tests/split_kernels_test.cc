@@ -173,6 +173,8 @@ struct Reference {
   kernels::SplitEval eval;
   uint64_t candidates = 0;
   bool negative_residue = false;
+  double raw_gain = -1.0;  ///< best gain before the MDL correction
+  double penalty = 0.0;    ///< the MDL correction's subtrahend
 };
 
 Reference ReferenceSweep(const double* h, size_t nc, const AttributeBins& bins,
@@ -234,6 +236,7 @@ Reference ReferenceSweep(const double* h, size_t nc, const AttributeBins& bins,
     last_bin = b;
   }
   for (double r : right) ref.negative_residue |= r < 0.0;
+  ref.raw_gain = best_gain;
   if (best_gain <= kEps) return ref;
   const double known_frac = known / node_weight;
   double gain = known_frac * best_gain;
@@ -242,7 +245,8 @@ Reference ReferenceSweep(const double* h, size_t nc, const AttributeBins& bins,
       const auto cap = static_cast<uint64_t>(known + 0.5);
       distinct = std::max(uint64_t{2}, std::min(distinct, cap));
     }
-    gain -= std::log2(static_cast<double>(distinct - 1)) / known;
+    ref.penalty = std::log2(static_cast<double>(distinct - 1)) / known;
+    gain -= ref.penalty;
   }
   if (gain <= kEps) return ref;
   std::vector<double> si_weights{best_left_w, known - best_left_w};
@@ -277,6 +281,73 @@ void ExpectSameEval(const kernels::SplitEval& got,
   EXPECT_EQ(got.threshold, want.threshold) << "trial " << trial;
 }
 
+/// `num_bins` bins of ascending values: some hold one value, some a
+/// range, and each swallowed 1 to 9 distinct values.
+AttributeBins RandomBins(int num_bins, Rng* rng) {
+  AttributeBins bins;
+  bins.num_bins = num_bins;
+  double value = rng->UniformReal(-50, 50);
+  for (int b = 0; b < num_bins; ++b) {
+    bins.lower.push_back(value);
+    value += rng->Bernoulli(0.3) ? 0.0 : rng->UniformReal(0.0, 3.0);
+    bins.upper.push_back(value);
+    value += rng->UniformReal(0.001, 2.0);
+    bins.distinct.push_back(static_cast<uint32_t>(
+        rng->Bernoulli(0.5) ? 1 : rng->UniformInt(1, 9)));
+  }
+  return bins;
+}
+
+/// Sweeps `hist` under the mask of its bins with a non-zero cell and
+/// under a superset that adds empty bins, as a subtraction child inherits
+/// its parent's, and expects every SplitEval field and the scratch's work
+/// totals to equal the oracle's. Returns the exact re-scores of one sweep.
+uint64_t ExpectSweepMatchesReference(const std::vector<double>& hist,
+                                     size_t nc, const AttributeBins& bins,
+                                     double node_weight,
+                                     double min_split_weight,
+                                     const Reference& want, Rng* rng,
+                                     kernels::SweepScratch* scratch,
+                                     int trial) {
+  const auto num_bins = static_cast<size_t>(bins.num_bins);
+  Mask exact(kernels::kBinMaskWords, 0);
+  for (size_t b = 0; b < num_bins; ++b) {
+    for (size_t c = 0; c < nc; ++c) {
+      if (hist[b * nc + c] != 0.0) {
+        SetBin(&exact, b);
+        break;
+      }
+    }
+  }
+  Mask superset = exact;
+  for (size_t b = 0; b < num_bins; ++b) {
+    if (rng->Bernoulli(0.3)) SetBin(&superset, b);
+  }
+  std::vector<uint64_t> rescored;
+  for (const Mask* mask : {&exact, &superset}) {
+    const uint64_t bins_before = scratch->bins_visited;
+    const uint64_t scored_before = scratch->candidates_scored;
+    const uint64_t rescored_before = scratch->candidates_rescored;
+    const kernels::SplitEval got = kernels::SweepBinnedSplit(
+        hist.data(), mask->data(), nc, bins, node_weight, min_split_weight,
+        scratch);
+    ExpectSameEval(got, want.eval, trial);
+    EXPECT_EQ(scratch->bins_visited - bins_before, PopCount(*mask))
+        << "trial " << trial;
+    EXPECT_EQ(scratch->candidates_scored - scored_before, want.candidates)
+        << "trial " << trial;
+    rescored.push_back(scratch->candidates_rescored - rescored_before);
+  }
+  // Empty bins move nothing, so they cannot change what is re-scored.
+  EXPECT_EQ(rescored[0], rescored[1]) << "trial " << trial;
+  EXPECT_LE(rescored[0], want.candidates) << "trial " << trial;
+  // A split is only found by an exact score.
+  if (want.eval.valid) {
+    EXPECT_GT(rescored[0], 0u) << "trial " << trial;
+  }
+  return rescored[0];
+}
+
 TEST(SplitKernelsTest, BinnedSweepMatchesEntropyBitsReference) {
   Rng rng(2003);
   kernels::SweepScratch scratch;  // reused, as a tree builder reuses it
@@ -290,17 +361,7 @@ TEST(SplitKernelsTest, BinnedSweepMatchesEntropyBitsReference) {
                           : 1 + static_cast<size_t>(trial % 8);
     const int num_bins =
         trial % 5 == 0 ? 255 : static_cast<int>(rng.UniformInt(1, 40));
-    AttributeBins bins;
-    bins.num_bins = num_bins;
-    double value = rng.UniformReal(-50, 50);
-    for (int b = 0; b < num_bins; ++b) {
-      bins.lower.push_back(value);
-      value += rng.Bernoulli(0.3) ? 0.0 : rng.UniformReal(0.0, 3.0);
-      bins.upper.push_back(value);
-      value += rng.UniformReal(0.001, 2.0);
-      bins.distinct.push_back(
-          static_cast<uint32_t>(rng.Bernoulli(0.5) ? 1 : rng.UniformInt(1, 9)));
-    }
+    const AttributeBins bins = RandomBins(num_bins, &rng);
     // Cells: integral counts, fractional null shares, sub-1e-9 residues
     // and zeros (many whole bins empty, as deep in a tree). Decimal
     // fractions such as 0.1 and 0.7 make the right side's running
@@ -333,37 +394,11 @@ TEST(SplitKernelsTest, BinnedSweepMatchesEntropyBitsReference) {
     const double node_weight =
         known + (rng.Bernoulli(0.5) ? 0.0 : rng.UniformReal(0.0, 30.0));
     const double min_split_weight = rng.Bernoulli(0.8) ? 2.0 : 0.5;
-
-    // The exact mask holds the bins with a non-zero cell; the superset
-    // adds empty bins, as a subtraction child inherits its parent's.
-    Mask exact(kernels::kBinMaskWords, 0);
-    for (int b = 0; b < num_bins; ++b) {
-      for (size_t c = 0; c < nc; ++c) {
-        if (hist[static_cast<size_t>(b) * nc + c] != 0.0) {
-          SetBin(&exact, static_cast<size_t>(b));
-          break;
-        }
-      }
-    }
-    Mask superset = exact;
-    for (int b = 0; b < num_bins; ++b) {
-      if (rng.Bernoulli(0.3)) SetBin(&superset, static_cast<size_t>(b));
-    }
-
     const Reference want = ReferenceSweep(hist.data(), nc, bins, node_weight,
                                           min_split_weight);
-    for (const Mask* mask : {&exact, &superset}) {
-      const uint64_t bins_before = scratch.bins_visited;
-      const uint64_t scored_before = scratch.candidates_scored;
-      const kernels::SplitEval got = kernels::SweepBinnedSplit(
-          hist.data(), mask->data(), nc, bins, node_weight, min_split_weight,
-          &scratch);
-      ExpectSameEval(got, want.eval, trial);
-      EXPECT_EQ(scratch.bins_visited - bins_before, PopCount(*mask))
-          << "trial " << trial;
-      EXPECT_EQ(scratch.candidates_scored - scored_before, want.candidates)
-          << "trial " << trial;
-    }
+    ExpectSweepMatchesReference(hist, nc, bins, node_weight,
+                                min_split_weight, want, &rng, &scratch,
+                                trial);
     valid += want.eval.valid ? 1 : 0;
     wide += nc > 64 && want.eval.valid ? 1 : 0;
     negative_residues += want.negative_residue ? 1 : 0;
@@ -373,6 +408,183 @@ TEST(SplitKernelsTest, BinnedSweepMatchesEntropyBitsReference) {
   EXPECT_LT(valid, 2900u);
   EXPECT_GT(wide, 20u);
   EXPECT_GT(negative_residues, 20u);
+
+  // Tie-heavy histograms, where many candidates score within the first
+  // pass's error bound of the best and the exact re-score must decide:
+  // a few rows repeated periodically across the bins, every bin with the
+  // same class mix, and a first half mirrored into the second. Cells are
+  // integers or dyadic fractions, so equal sums are exactly equal; every
+  // tenth trial has more than 64 classes.
+  size_t tie_valid = 0;
+  size_t tie_wide = 0;
+  size_t near_ties = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t nc = trial % 10 == 9
+                          ? static_cast<size_t>(rng.UniformInt(65, 90))
+                          : 2 + static_cast<size_t>(rng.UniformInt(0, 6));
+    const int num_bins =
+        trial % 2 == 0 ? 255 : static_cast<int>(rng.UniformInt(4, 60));
+    const auto width = static_cast<size_t>(num_bins);
+    const AttributeBins bins = RandomBins(num_bins, &rng);
+    const bool dyadic = rng.Bernoulli(0.5);
+    auto draw_row = [&] {
+      std::vector<double> row(nc, 0.0);
+      for (double& cell : row) {
+        if (rng.Bernoulli(0.4)) continue;
+        cell = dyadic ? static_cast<double>(rng.UniformInt(1, 64)) / 8.0
+                      : static_cast<double>(rng.UniformInt(1, 20));
+      }
+      // No row is all zeros.
+      const auto last = static_cast<int64_t>(nc) - 1;
+      row[static_cast<size_t>(rng.UniformInt(0, last))] = 1.0;
+      return row;
+    };
+    std::vector<std::vector<double>> rows(width);
+    switch (trial % 3) {
+      case 0: {  // periodic
+        std::vector<std::vector<double>> period(
+            static_cast<size_t>(rng.UniformInt(2, 6)));
+        for (auto& row : period) row = draw_row();
+        for (size_t b = 0; b < width; ++b) rows[b] = period[b % period.size()];
+        break;
+      }
+      case 1: {  // one class mix, at one or several integral scales
+        const std::vector<double> mix = draw_row();
+        const bool scaled = rng.Bernoulli(0.5);
+        for (size_t b = 0; b < width; ++b) {
+          const auto scale =
+              scaled ? static_cast<double>(rng.UniformInt(1, 4)) : 1.0;
+          rows[b] = mix;
+          for (double& cell : rows[b]) cell *= scale;
+        }
+        break;
+      }
+      default:  // mirrored halves
+        for (size_t b = 0; b < (width + 1) / 2; ++b) {
+          rows[b] = draw_row();
+          rows[width - 1 - b] = rows[b];
+        }
+        break;
+    }
+    std::vector<double> hist(width * nc, 0.0);
+    const bool gaps = rng.Bernoulli(0.3);
+    for (size_t b = 0; b < width; ++b) {
+      if (gaps && rng.Bernoulli(0.2)) continue;
+      std::copy(rows[b].begin(), rows[b].end(), hist.begin() + b * nc);
+    }
+    double known = 0.0;
+    for (double cell : hist) known += cell;
+    const double node_weight =
+        known + (rng.Bernoulli(0.5)
+                     ? 0.0
+                     : static_cast<double>(rng.UniformInt(1, 30)));
+    const double min_split_weight = rng.Bernoulli(0.8) ? 2.0 : 0.5;
+    const Reference want = ReferenceSweep(hist.data(), nc, bins, node_weight,
+                                          min_split_weight);
+    const uint64_t rescored = ExpectSweepMatchesReference(
+        hist, nc, bins, node_weight, min_split_weight, want, &rng, &scratch,
+        1000000 + trial);
+    tie_valid += want.eval.valid ? 1 : 0;
+    tie_wide += nc > 64 && want.eval.valid ? 1 : 0;
+    near_ties += rescored > 1 ? 1 : 0;
+  }
+  EXPECT_GT(tie_valid, 500u);
+  EXPECT_GT(tie_wide, 20u);
+  EXPECT_GT(near_ties, 500u);
+
+  // Splits whose MDL-corrected gain lands just above the 1e-9 floor, where
+  // the first pass alone cannot tell a split from none: the node weight
+  // (its share of unknown values) is set from the oracle's raw gain and
+  // penalty so that the corrected gain falls between 1e-9 and 2e-9.
+  size_t near_floor = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t nc = 2 + static_cast<size_t>(rng.UniformInt(0, 6));
+    const int num_bins = static_cast<int>(rng.UniformInt(2, 80));
+    const AttributeBins bins = RandomBins(num_bins, &rng);
+    std::vector<double> hist(static_cast<size_t>(num_bins) * nc, 0.0);
+    const bool fractional = rng.Bernoulli(0.5);
+    for (double& cell : hist) {
+      if (rng.Bernoulli(0.4)) continue;
+      cell = fractional ? rng.UniformReal(1e-6, 30.0)
+                        : static_cast<double>(rng.UniformInt(1, 30));
+    }
+    double known = 0.0;
+    for (double cell : hist) known += cell;
+    const Reference probe = ReferenceSweep(hist.data(), nc, bins, known, 2.0);
+    if (!(probe.raw_gain > probe.penalty + 1e-6)) continue;
+    const double target = 1e-9 * (1.0 + rng.UniformReal(1e-3, 1.0));
+    const double node_weight =
+        known * probe.raw_gain / (probe.penalty + target);
+    const Reference want =
+        ReferenceSweep(hist.data(), nc, bins, node_weight, 2.0);
+    ExpectSweepMatchesReference(hist, nc, bins, node_weight, 2.0, want,
+                                &rng, &scratch, 2000000 + trial);
+    near_floor += want.eval.valid ? 1 : 0;
+  }
+  EXPECT_GT(near_floor, 1000u);
+}
+
+TEST(SplitKernelsTest, ApproxXLog2XStaysWithinItsBound) {
+  // ApproxXLog2X(x) may differ from x * log2(x) by x * kApproxLog2Error
+  // plus rounding; the sweep's window rests on that. Probed on more than
+  // a million doubles: every knot of the table and its neighbours one ulp
+  // away, interval midpoints (where interpolation errs most), powers of
+  // two one ulp either side, integers up to 2^32, weights near 1e-6,
+  // random normal doubles of every exponent, and subnormals. Past 2^1012
+  // the product x * log2(x) itself overflows.
+  std::vector<double> xs;
+  for (int e = -1022; e <= 1011; ++e) {
+    const double p = std::ldexp(1.0, e);
+    xs.insert(xs.end(),
+              {p, std::nextafter(p, 0.0), std::nextafter(p, INFINITY)});
+  }
+  for (const int e : {-40, -20, -1, 0, 1, 5, 14, 31, 60, 1000}) {
+    for (int j = 0; j < 1024; ++j) {
+      const double knot = std::ldexp(1.0 + j / 1024.0, e);
+      xs.insert(xs.end(), {knot, std::nextafter(knot, 0.0),
+                           std::nextafter(knot, INFINITY),
+                           std::ldexp(1.0 + (j + 0.5) / 1024.0, e)});
+    }
+  }
+  Rng rng(29);
+  for (int i = 0; i < 200000; ++i) {
+    xs.push_back(static_cast<double>(rng.UniformInt(1, int64_t{1} << 32)));
+    xs.push_back(static_cast<double>(i + 1));
+    xs.push_back(1e-6 * static_cast<double>(rng.UniformInt(1, 1000000)));
+    xs.push_back(rng.UniformReal(1e-6, 2e-6));
+    // A random normal double: any exponent, any mantissa.
+    const uint64_t bits =
+        (static_cast<uint64_t>(rng.UniformInt(1, 1012 + 1023)) << 52) |
+        (rng.engine()() & ((uint64_t{1} << 52) - 1));
+    xs.push_back(std::bit_cast<double>(bits));
+  }
+  ASSERT_GE(xs.size(), 1000000u);
+  constexpr double u = 0x1p-53;
+  double worst = 0.0;  // largest error seen, in units of log2
+  for (const double x : xs) {
+    const double want = x * std::log2(x);
+    const double got = kernels::ApproxXLog2X(x);
+    ASSERT_LE(std::abs(got - want),
+              x * kernels::kApproxLog2Error + 4.0 * u * std::abs(want))
+        << "x=" << x;
+    worst = std::max(worst, std::abs(got - want) / x);
+  }
+  // The midpoint of the first interval comes within 0.2% of the bound:
+  // it is tight.
+  EXPECT_GT(worst, 0.998 * kernels::kApproxLog2Error);
+  // Subnormals take std::log2 itself; zero and below give 0, as XLog2X.
+  for (int i = 0; i < 10000; ++i) {
+    const double x = std::bit_cast<double>(
+        rng.engine()() & ((uint64_t{1} << 52) - 1));
+    ASSERT_EQ(kernels::ApproxXLog2X(x), x > 0.0 ? x * std::log2(x) : 0.0)
+        << "x=" << x;
+  }
+  for (const double x : {DBL_TRUE_MIN, std::nextafter(DBL_MIN, 0.0)}) {
+    EXPECT_EQ(kernels::ApproxXLog2X(x), x * std::log2(x));
+  }
+  for (const double x : {0.0, -0.0, -1.0, -DBL_MAX}) {
+    EXPECT_EQ(kernels::ApproxXLog2X(x), 0.0) << "x=" << x;
+  }
 }
 
 /// Two one-value bins holding opposite classes, the left at `lo` and the
